@@ -17,7 +17,7 @@ import resource
 import statistics
 import time
 
-from perfbench.spans import NullTracer, Tracer
+from perfbench.spans import MEASURE_SPAN, NullTracer, Tracer
 
 #: End-to-end metric -> unit (BENCHMARK.json's ``end_to_end``).
 END_TO_END = {
@@ -27,7 +27,9 @@ END_TO_END = {
     "sim_time_s": "s",
 }
 
-#: Span name -> the per-layer self-time metric it adds to.
+#: Span name -> the per-layer self-time metric it adds to.  The
+#: workloads' own root span (:data:`MEASURE_SPAN`) is not a layer: its
+#: self time is left in ``trace.unattributed_s``.
 SPAN_METRICS = {
     "workload.generate": "workload.generate_s",
     "cluster.build": "cluster.build_s",
@@ -44,6 +46,7 @@ SPAN_METRICS = {
     "executor.execute": "executor.execute_s",
     "admission.offer": "admission.offer_s",
     "admission.next_batch": "admission.next_batch_s",
+    "serving.event_source": "serving.self_s",
     "serving.dispatch": "serving.self_s",
     "serving.complete": "serving.self_s",
     "serving.report": "serving.self_s",
@@ -109,13 +112,17 @@ def _sub_runs(workload, tracer, passes: int = 1) -> tuple[list[float], list]:
     """Set up and measure every sub-run, ``passes`` times over.
 
     Returns every set-up time and one outcome per sub-run; with several
-    passes that outcome carries the sub-run's highest rate.  Each
+    passes that outcome carries the sub-run's highest rate.  Odd passes
+    walk the sub-runs in reverse, so a sub-run's passes lie far apart in
+    time and a slow spell of the host rarely covers all of them.  Each
     sub-run's state is dropped before the next is built, so peak memory
     is one sub-run's, not the sum.
     """
-    setup_times, outcomes = [], []
+    setup_times: list[float] = []
+    outcomes: list = [None] * workload.sub_runs
     for repeat in range(passes):
-        for index in range(workload.sub_runs):
+        order = range(workload.sub_runs)
+        for index in reversed(order) if repeat % 2 else order:
             gc.collect()
             tracer.run = index
             start = time.perf_counter()
@@ -123,10 +130,10 @@ def _sub_runs(workload, tracer, passes: int = 1) -> tuple[list[float], list]:
             setup_times.append(time.perf_counter() - start)
             outcome = workload.measure(state, tracer)
             del state
-            if repeat == 0:
-                outcomes.append(outcome)
-                continue
             first = outcomes[index]
+            if first is None:
+                outcomes[index] = outcome
+                continue
             # The same sub-run must reproduce every simulated result.
             first.failed += outcome.failed + int(outcome.sim != first.sim)
             first.attempted += outcome.attempted
@@ -170,7 +177,8 @@ def run_traced(workload) -> tuple[dict, Tracer]:
 
     values = {metric: 0.0 for metric in PER_LAYER}
     for name, seconds in tracer.self_times().items():
-        values[SPAN_METRICS[name]] += seconds
+        if name != MEASURE_SPAN:
+            values[SPAN_METRICS[name]] += seconds
     for name, metric in SPAN_COUNTS.items():
         values[metric] = float(tracer.count(name))
     for name, unit in COUNTER_UNITS.items():

@@ -3,7 +3,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload train-256g --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload train-256g --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 breakdown of a traced run.  The last line of standard output is one JSON
@@ -52,11 +52,27 @@ def _git_rev() -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
+def _code_digest(numpy_version: str) -> str:
+    """Digest of the program and benchmark sources and NumPy's version.
+
+    Simulated results are recorded per code version, so a change that
+    moves placement decisions starts a fresh record instead of failing
+    against its parent's.
+    """
+    digest = hashlib.blake2b(numpy_version.encode(), digest_size=6)
+    for tree in ("src", "perfbench"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            digest.update(path.relative_to(ROOT).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _check_determinism(key: str, sim: dict[str, float]) -> bool:
     """Compare the simulated results with the first run of this seed.
 
-    The first run of a seed (at a given size) records its results; every
-    later run, traced or not, must reproduce them exactly.
+    The first run of a seed, at the given sizes and code version,
+    records its results; every later run, traced or not, must reproduce
+    them exactly.
     """
     path = OUT / "sim" / f"{key}.json"
     if path.exists():
@@ -70,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seconds <= 0:
@@ -90,6 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; one of {sorted(WORKLOADS)}")
     workload = WORKLOADS[args.workload](seed=args.seed, seconds=args.seconds)
+    code = _code_digest(numpy.__version__)
     provenance = {
         "workload": args.workload,
         "seed": args.seed,
@@ -97,6 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         "trace": args.trace,
         "sizes": workload.sizes(),
         "git_rev": _git_rev(),
+        "code_digest": code,
         "nproc": os.cpu_count(),
         "blas_threads": BLAS_THREADS,
         "python": platform.python_version(),
@@ -110,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         result = harness.run_untraced(workload)
 
     sizes = json.dumps(workload.sizes(), sort_keys=True).encode()
-    key = f"{stem}-{hashlib.blake2b(sizes, digest_size=6).hexdigest()}"
+    key = f"{stem}-{code}-{hashlib.blake2b(sizes, digest_size=6).hexdigest()}"
     if not _check_determinism(key, result.pop("sim")):
         result["failed"] += 1
     line = {

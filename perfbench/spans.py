@@ -23,6 +23,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
 
+#: The root span each workload opens around its timed region.  It is
+#: the benchmark's own glue, so its self time counts as unattributed.
+MEASURE_SPAN = "bench.measure"
+
 
 class Tracer:
     """Records nested spans and per-span return-value counters."""
@@ -141,7 +145,12 @@ class Tracer:
 
 
 class NullTracer:
-    """The untraced run's stand-in: records nothing, wraps nothing."""
+    """The untraced run's stand-in: its spans record nothing.
+
+    It has no ``wrap`` or ``patch_class``: the workloads instrument only
+    when :attr:`enabled` is true, so an untraced run calls the program's
+    methods unwrapped.
+    """
 
     enabled = False
     run = 0
@@ -149,11 +158,4 @@ class NullTracer:
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
-        yield
-
-    def wrap(self, owner, method, name, on_call=None, on_return=None) -> None:
-        return None
-
-    @contextmanager
-    def patch_class(self, cls, method, name, on_return=None) -> Iterator[None]:
         yield

@@ -21,6 +21,8 @@ for entry in (str(ROOT / "src"), str(ROOT)):
         sys.path.insert(0, entry)
 
 from perfbench import harness  # noqa: E402
+from perfbench.spans import MEASURE_SPAN  # noqa: E402
+from repro.core.placement import Placement  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
     WORKLOADS,
     PlanWorkload,
@@ -70,9 +72,25 @@ def test_tiny_run_metrics_and_checks(name):
     assert _emitted(traced) == _declared("per_layer")
     assert traced["attempted"] >= 1 and traced["failed"] == 0
     assert tracer.spans and all(span[2] is not None for span in tracer.spans)
-    assert set(tracer.self_times()) <= set(harness.SPAN_METRICS)
+    assert set(tracer.self_times()) <= set(harness.SPAN_METRICS) | {MEASURE_SPAN}
+    # The workloads' root span is glue, never a layer's time.
+    assert traced["metrics"]["trace.unattributed_s"]["value"] > 0
     # The same seed reproduces every simulated result, traced or not.
     assert traced["sim"] == untraced["sim"]
+
+
+def test_refused_planner_action_counts_as_failed():
+    # One slot per device and one replica per expert: any removal is refused.
+    placement = Placement.balanced(4, 4, 1)
+
+    class RemoveLast:
+        def apply(self, target):
+            target.remove_vexpert(0, 0)
+
+    _, failed = PlanWorkload._round(lambda: [RemoveLast()], placement)
+    assert failed
+    _, failed = PlanWorkload._round(lambda: [], placement)
+    assert not failed
 
 
 def test_refuses_to_run_without_the_program(tmp_path):

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
+from perfbench.spans import MEASURE_SPAN
 from repro.bench.harness import cluster_for
 from repro.bench.serving import probe_batch_seconds
 from repro.cluster.profiler import Profiler
@@ -37,6 +39,7 @@ from repro.core.delta import DeltaStepCost
 from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
+from repro.exceptions import PlacementError
 from repro.runtime.pipeline import build_engine
 from repro.serving.admission import BatchingConfig
 from repro.serving.baseline import build_multitenant_serving
@@ -58,8 +61,8 @@ from repro.workload.synthetic import (
 #: Work per second of ``--seconds``, calibrated on a 2-core x86 host so
 #: one run measures about that long there.
 TRAIN_STEPS_PER_SECOND = 0.3
-PLAN_SUB_RUNS_PER_SECOND = 0.4
-SERVE_SUB_RUNS_PER_SECOND = 0.6
+PLAN_SUB_RUNS_PER_SECOND = 0.25
+SERVE_SUB_RUNS_PER_SECOND = 0.4
 
 #: Sub-run ``i`` of a run with seed ``s`` uses seed ``1000 * s + 10 * i``.
 #: The program derives a few neighbouring seeds from each seed it gets
@@ -102,6 +105,7 @@ class _Hooks:
         self.sim_a2a = 0.0
         self.sim_compute = 0.0
         self.sim_sync = 0.0
+        self.events = 0
 
     def on_plan(self, decision) -> None:
         self.plans += 1
@@ -117,6 +121,9 @@ class _Hooks:
         self.sim_a2a += timing.a2a_time
         self.sim_compute += timing.compute_time
         self.sim_sync += timing.sync_time
+
+    def on_kernel(self, kernel, _) -> None:
+        self.events += kernel.processed_events
 
     def counters(self) -> dict[str, float]:
         return {
@@ -208,8 +215,8 @@ class Workload:
     from its own sub-seed of the run's seed, repeated :attr:`passes`
     times.  Workload randomness (which experts run hot, when bursts
     arrive) moves a single sub-run's figures a lot, so the harness
-    reports the median over sub-runs.  A second pass over the same
-    sub-runs lets the harness keep each sub-run's faster measurement,
+    reports the median over sub-runs.  Further passes over the same
+    sub-runs let the harness keep each sub-run's fastest measurement,
     which filters the seconds-long slowdowns a shared host goes through.
     """
 
@@ -313,18 +320,17 @@ class TrainWorkload(Workload):
         # Note when each step completes: the closed loop's step clock.
         engine.step_commit = stamped_commit
         hooks = _Hooks()
-        events = [0]
-        if tracer.enabled:
-            _instrument_engine(tracer, engine, hooks)
-
-        def count_events(kernel, _):
-            events[0] += kernel.processed_events
-
-        start = time.perf_counter()
-        with tracer.patch_class(SimKernel, "run", "kernel.run", on_return=count_events):
-            with tracer.span("kernel.run"):
+        with ExitStack() as traced:
+            if tracer.enabled:
+                _instrument_engine(tracer, engine, hooks)
+                # The kernel inside simulate_pipeline is out of reach.
+                traced.enter_context(tracer.patch_class(
+                    SimKernel, "run", "kernel.run", on_return=hooks.on_kernel,
+                ))
+            start = time.perf_counter()
+            with tracer.span(MEASURE_SPAN):
                 run = simulate_pipeline(engine, trace, warmup=1)
-        measure_s = time.perf_counter() - start
+            measure_s = time.perf_counter() - start
 
         # Token conservation on every step: each layer's experts process
         # exactly the tokens its gate assigned.
@@ -342,7 +348,7 @@ class TrainWorkload(Workload):
 
         counters = _engine_counters(engine)
         counters.update(hooks.counters())
-        counters["kernel.events"] = float(events[0])
+        counters["kernel.events"] = float(hooks.events)
         return Outcome(
             attempted=self.steps,
             failed=min(failed, self.steps),
@@ -365,6 +371,7 @@ class PlanWorkload(Workload):
     """
 
     name = "plan-4096g"
+    passes = 2
 
     def __init__(
         self,
@@ -396,6 +403,7 @@ class PlanWorkload(Workload):
             "tokens_per_gpu": self.tokens_per_gpu,
             "skew": self.skew,
             "sub_runs": self.sub_runs,
+            "passes": self.passes,
             "trace_steps_per_sub_run": self.trace_steps,
             "placement_search": "auto",
         }
@@ -427,15 +435,25 @@ class PlanWorkload(Workload):
         return topology, cost_model, trace
 
     @staticmethod
-    def _invalid(placement: Placement) -> bool:
-        """Replica floor (one device per expert, the planners' default)
-        or slot capacity broken."""
-        counts = placement.counts_view
-        return bool(
-            (counts < 0).any()
-            or ((counts > 0).sum(axis=1) < 1).any()
-            or (counts.sum(axis=0) > placement.slots_per_gpu).any()
-        )
+    def _round(plan, placement: Placement) -> tuple[float, bool]:
+        """Run one planner round and apply its actions.
+
+        Returns the round's host seconds and whether it failed: an
+        action the placement refused, or a placement left breaking the
+        replica floor or slot capacity.  The invariant check is untimed.
+        """
+        start = time.perf_counter()
+        try:
+            for action in plan():
+                action.apply(placement)
+        except PlacementError:
+            return time.perf_counter() - start, True
+        seconds = time.perf_counter() - start
+        try:
+            placement.validate()
+        except PlacementError:
+            return seconds, True
+        return seconds, False
 
     def measure(self, state, tracer) -> Outcome:
         topology, cost_model, trace = state
@@ -454,22 +472,16 @@ class PlanWorkload(Workload):
         placement = Placement.balanced(self.num_experts, self.num_gpus, slots)
         failed = 0
         timed = 0.0
-        clock = time.perf_counter
         for step in range(self.trace_steps):
             tracer.step = step
             assignment = trace.step(step)
-            start = clock()
-            decision = policy.make_plan(assignment, placement)
-            for action in decision.actions:
-                action.apply(placement)
-            timed += clock() - start
-            failed += self._invalid(placement)
-            start = clock()
-            moves = migration.plan(assignment, placement)
-            for move in moves:
-                move.apply(placement)
-            timed += clock() - start
-            failed += self._invalid(placement)
+            for plan in (
+                lambda: policy.make_plan(assignment, placement).actions,
+                lambda: migration.plan(assignment, placement),
+            ):
+                seconds, refused = self._round(plan, placement)
+                timed += seconds
+                failed += refused
         # Price the final placement on a fresh evaluator, outside the
         # timed rounds and the traced planners.
         final = DeltaStepCost(cost_model).rebase(
@@ -501,7 +513,7 @@ class ServeWorkload(Workload):
     """
 
     name = "serve-mt16g"
-    passes = 2
+    passes = 3
     # The shape of multitenant_run's defaults.
     interactive_tokens = 256
     batch_tokens = 768
@@ -659,13 +671,14 @@ class ServeWorkload(Workload):
         def enter_complete(batch, start, execute):
             tracer.step = batch_ids.pop(id(batch), -1)
 
-        def enter_offer(request):
+        def enter_unstepped(*args):
             tracer.step = -1
 
         tracer.wrap(run, "dispatch", "serving.dispatch", on_call=enter_dispatch,
                     on_return=executed.append)
         tracer.wrap(run, "complete", "serving.complete", on_call=enter_complete)
-        tracer.wrap(run.queue, "offer", "admission.offer", on_call=enter_offer)
+        tracer.wrap(run, "report", "serving.report", on_call=enter_unstepped)
+        tracer.wrap(run.queue, "offer", "admission.offer", on_call=enter_unstepped)
         tracer.wrap(run.queue, "next_batch", "admission.next_batch")
         for method in ("observe_batch", "p99", "attainment"):
             tracer.wrap(run.window, method, "slo.observe")
@@ -680,16 +693,18 @@ class ServeWorkload(Workload):
         server, requests = state
         hooks = _Hooks()
         executed: list[float] = []
-        start = time.perf_counter()
-        run = server.event_source()
-        if tracer.enabled:
-            self._instrument(tracer, run, server.engine, hooks, executed)
-        with tracer.span("kernel.run"):
-            kernel = Scenario(name=self.name, sources=(run.source,)).run()
-        tracer.step = -1
-        with tracer.span("serving.report"):
-            report = run.report()
-        measure_s = time.perf_counter() - start
+        with ExitStack() as traced:
+            if tracer.enabled:
+                tracer.wrap(server, "event_source", "serving.event_source")
+                traced.enter_context(tracer.patch_class(SimKernel, "run", "kernel.run"))
+            start = time.perf_counter()
+            with tracer.span(MEASURE_SPAN):
+                run = server.event_source()
+                if tracer.enabled:
+                    self._instrument(tracer, run, server.engine, hooks, executed)
+                kernel = Scenario(name=self.name, sources=(run.source,)).run()
+                report = run.report()
+            measure_s = time.perf_counter() - start
 
         # Accounting: every offered request is served, rejected or shed
         # exactly once -- preempted requests included.
