@@ -1,4 +1,4 @@
-"""The repository benchmark: three workloads, end-to-end and per-layer.
+"""The repository benchmark: two workloads, end-to-end and per-layer.
 
 Entry point: ``python3 perfbench/run.py`` (see ``perfbench/README.md``).
 """

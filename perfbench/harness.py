@@ -1,13 +1,14 @@
 """Run one workload untraced (end-to-end metrics) or traced (per layer).
 
-A run is the workload's sub-runs, each set up and measured in turn,
-over the workload's number of passes.  :func:`run_untraced` reports the
-end-to-end metrics with tracing off: the median sub-run's throughput
-(each sub-run at its best pass) and simulated result, the median set-up
-time, and the process's peak memory.  :func:`run_traced` makes one pass
-untraced (the overhead baseline) and one traced, and reports the
-per-layer metrics: each layer's self seconds, the counters, and the
-trace's coverage and cost.
+A run is the workload's sub-runs, each set up and measured in turn.
+:func:`run_untraced` reports the end-to-end metrics with tracing off:
+the median sub-run's throughput (each sub-run at its fastest repeat)
+and simulated result, the median set-up time, and the process's peak
+memory.  Each sub-run's throughput and set-up time are scaled to the
+host's usual pace over that sub-run (:mod:`perfbench.pace`).
+:func:`run_traced` makes one pass untraced (the overhead baseline) and
+one traced, and reports the per-layer metrics: each layer's self
+seconds, the counters, and the trace's coverage and cost.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import resource
 import statistics
 import time
 
+from perfbench import pace
 from perfbench.spans import MEASURE_SPAN, NullTracer, Tracer
 
 #: End-to-end metric -> unit (BENCHMARK.json's ``end_to_end``).
@@ -93,6 +95,7 @@ PER_LAYER = {
     "trace.attributed_fraction": "ratio",
     "trace.unattributed_s": "s",
     "trace.overhead_pct": "%",
+    "host.slowdown": "ratio",
 }
 
 
@@ -108,37 +111,45 @@ def _tagged(values: dict[str, float], units: dict[str, str]) -> dict:
     }
 
 
-def _sub_runs(workload, tracer, passes: int = 1) -> tuple[list[float], list]:
-    """Set up and measure every sub-run, ``passes`` times over.
+def _sub_runs(workload, tracer, repeats: int = 1):
+    """Set up every sub-run and measure it ``repeats`` times in a row.
 
-    Returns every set-up time and one outcome per sub-run; with several
-    passes that outcome carries the sub-run's highest rate.  Odd passes
-    walk the sub-runs in reverse, so a sub-run's passes lie far apart in
-    time and a slow spell of the host rarely covers all of them.  Each
-    sub-run's state is dropped before the next is built, so peak memory
-    is one sub-run's, not the sum.
+    Returns every set-up time, one outcome per sub-run (at its highest
+    rate), and each sub-run's pace: the host slowdown the workload felt
+    over its set-up + measure cycle, read from the reference kernels
+    timed just before and just after it.  The host's pace drifts within
+    a run, so each cycle is paced by its own neighbours.  Each sub-run's
+    state is dropped before the next is built, so peak memory is one
+    sub-run's, not the sum.
     """
     setup_times: list[float] = []
-    outcomes: list = [None] * workload.sub_runs
-    for repeat in range(passes):
-        order = range(workload.sub_runs)
-        for index in reversed(order) if repeat % 2 else order:
+    outcomes: list = []
+    paces: list[float] = []
+    kernels = workload.host_sensitivity
+    before = pace.reference_times(kernels)
+    for index in range(workload.sub_runs):
+        gc.collect()
+        tracer.run = index
+        start = time.perf_counter()
+        state = workload.setup(tracer, index)
+        setup_times.append(time.perf_counter() - start)
+        first = None
+        for _ in range(repeats):
             gc.collect()
-            tracer.run = index
-            start = time.perf_counter()
-            state = workload.setup(tracer, index)
-            setup_times.append(time.perf_counter() - start)
             outcome = workload.measure(state, tracer)
-            del state
-            first = outcomes[index]
             if first is None:
-                outcomes[index] = outcome
+                first = outcome
                 continue
             # The same sub-run must reproduce every simulated result.
             first.failed += outcome.failed + int(outcome.sim != first.sim)
             first.attempted += outcome.attempted
             first.rate = max(first.rate, outcome.rate)
-    return setup_times, outcomes
+        del state
+        outcomes.append(first)
+        after = pace.reference_times(kernels)
+        paces.append(pace.slowdown([before, after], kernels))
+        before = after
+    return setup_times, outcomes, paces
 
 
 def _median_sim(outcomes) -> dict[str, float]:
@@ -150,11 +161,15 @@ def _median_sim(outcomes) -> dict[str, float]:
 
 def run_untraced(workload) -> dict:
     """End-to-end metrics of one run with tracing off."""
-    setup_times, outcomes = _sub_runs(workload, NullTracer(), workload.passes)
+    setup_times, outcomes, paces = _sub_runs(
+        workload, NullTracer(), workload.repeats
+    )
     sim = _median_sim(outcomes)
     values = {
-        "throughput_per_s": statistics.median(o.rate for o in outcomes),
-        "setup_s": statistics.median(setup_times),
+        "throughput_per_s": statistics.median(
+            o.rate * p for o, p in zip(outcomes, paces)
+        ),
+        "setup_s": statistics.median(s / p for s, p in zip(setup_times, paces)),
         "peak_rss_mb": peak_rss_mb(),
         **sim,
     }
@@ -168,9 +183,9 @@ def run_untraced(workload) -> dict:
 
 def run_traced(workload) -> tuple[dict, Tracer]:
     """Per-layer metrics: an untraced baseline pass, then a traced one."""
-    _, baseline = _sub_runs(workload, NullTracer())
+    _, baseline, _ = _sub_runs(workload, NullTracer())
     tracer = Tracer()
-    setup_times, outcomes = _sub_runs(workload, tracer)
+    setup_times, outcomes, paces = _sub_runs(workload, tracer)
     # The timed regions exclude the workloads' own output checks, so the
     # wall the spans must cover is set-up plus timed region per sub-run.
     wall = sum(setup_times) + sum(o.measure_s for o in outcomes)
@@ -197,6 +212,7 @@ def run_traced(workload) -> tuple[dict, Tracer]:
         sum(o.measure_s for o in outcomes) / sum(o.measure_s for o in baseline)
         - 1.0
     )
+    values["host.slowdown"] = statistics.median(paces)
     sim = _median_sim(outcomes)
     # Tracing must not change a single simulated result.
     mismatched = sum(a.sim != b.sim for a, b in zip(outcomes, baseline))

@@ -3,7 +3,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload train-256g --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload serve-mt16g --seed 1 --seconds 25 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 breakdown of a traced run.  The last line of standard output is one JSON
@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seconds <= 0:

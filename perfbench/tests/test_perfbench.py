@@ -7,10 +7,12 @@ pass, and the simulated results must not depend on tracing.
 
 from __future__ import annotations
 
+import itertools
 import json
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -20,23 +22,20 @@ for entry in (str(ROOT / "src"), str(ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-from perfbench import harness  # noqa: E402
+from perfbench import harness, pace  # noqa: E402
 from perfbench.spans import MEASURE_SPAN  # noqa: E402
 from repro.core.placement import Placement  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
     WORKLOADS,
+    Outcome,
     PlanWorkload,
     ServeWorkload,
-    TrainWorkload,
+    Workload,
 )
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 TINY = {
-    "train-256g": lambda seed: TrainWorkload(
-        seed, 1.0, num_gpus=8, num_experts=8, num_moe_layers=2,
-        tokens_per_gpu=256, steps=3,
-    ),
     "plan-4096g": lambda seed: PlanWorkload(
         seed, 1.0, num_gpus=16, num_experts=16, tokens_per_gpu=256,
         trace_steps=3, sub_runs=2,
@@ -77,6 +76,39 @@ def test_tiny_run_metrics_and_checks(name):
     assert traced["metrics"]["trace.unattributed_s"]["value"] > 0
     # The same seed reproduces every simulated result, traced or not.
     assert traced["sim"] == untraced["sim"]
+
+
+class _FixedRates(Workload):
+    """Two sub-runs at 10 and 30 operations per second."""
+
+    name = "fixed"
+    sub_runs = 2
+    host_sensitivity = {"interpreter": 1.0, "arrays": 0.5}
+
+    def setup(self, tracer, index):
+        return index
+
+    def measure(self, state, tracer):
+        return Outcome(1, 0, 1.0, (10.0, 30.0)[state], {"sim_time_s": 1.0}, {})
+
+
+def test_pacing_scales_throughput_and_setup(monkeypatch):
+    # The host runs every reference kernel at half its usual speed.
+    monkeypatch.setattr(
+        pace, "reference_times",
+        lambda names, count=3: {
+            name: [2 * pace.KERNELS[name][1]] * count for name in names
+        },
+    )
+    # Every set-up takes one second on a clock that ticks once per read.
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        harness, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks))
+    )
+    metrics = harness.run_untraced(_FixedRates(1))["metrics"]
+    paced = 2.0 ** 1.0 * 2.0 ** 0.5
+    assert metrics["throughput_per_s"]["value"] == pytest.approx(20.0 * paced)
+    assert metrics["setup_s"]["value"] == pytest.approx(1.0 / paced)
 
 
 def test_refused_planner_action_counts_as_failed():

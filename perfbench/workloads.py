@@ -1,4 +1,4 @@
-"""The benchmark's three workloads, driven through the public API only.
+"""The benchmark's two workloads, driven through the public API only.
 
 Each workload is built in two phases.  :meth:`setup` builds the engine,
 profile and trace or request stream from the seed; :meth:`measure` runs
@@ -30,7 +30,6 @@ from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
 from repro.config import (
     MoEModelConfig,
-    SchedulerConfig,
     WorkloadConfig,
     auto_slots_per_gpu,
 )
@@ -40,7 +39,6 @@ from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
 from repro.exceptions import PlacementError
-from repro.runtime.pipeline import build_engine
 from repro.serving.admission import BatchingConfig
 from repro.serving.baseline import build_multitenant_serving
 from repro.serving.engine import TopicRoutingModel
@@ -52,17 +50,12 @@ from repro.serving.requests import (
 from repro.serving.slo import SLOConfig, TenantClass
 from repro.sim import MultiTenantServingSource, Scenario
 from repro.sim.kernel import SimKernel
-from repro.training.loop import simulate_pipeline
-from repro.workload.synthetic import (
-    DriftingRoutingGenerator,
-    make_multilayer_trace,
-)
+from repro.workload.synthetic import DriftingRoutingGenerator
 
 #: Work per second of ``--seconds``, calibrated on a 2-core x86 host so
 #: one run measures about that long there.
-TRAIN_STEPS_PER_SECOND = 0.3
 PLAN_SUB_RUNS_PER_SECOND = 0.25
-SERVE_SUB_RUNS_PER_SECOND = 0.4
+SERVE_SUB_RUNS_PER_SECOND = 1.2
 
 #: Sub-run ``i`` of a run with seed ``s`` uses seed ``1000 * s + 10 * i``.
 #: The program derives a few neighbouring seeds from each seed it gets
@@ -105,7 +98,6 @@ class _Hooks:
         self.sim_a2a = 0.0
         self.sim_compute = 0.0
         self.sim_sync = 0.0
-        self.events = 0
 
     def on_plan(self, decision) -> None:
         self.plans += 1
@@ -121,9 +113,6 @@ class _Hooks:
         self.sim_a2a += timing.a2a_time
         self.sim_compute += timing.compute_time
         self.sim_sync += timing.sync_time
-
-    def on_kernel(self, kernel, _) -> None:
-        self.events += kernel.processed_events
 
     def counters(self) -> dict[str, float]:
         return {
@@ -209,154 +198,34 @@ def _engine_counters(engine) -> dict[str, float]:
 
 
 class Workload:
-    """Shared shape of the three workloads.
+    """Shared shape of the workloads.
 
     A run is :attr:`sub_runs` independent set-up + measure cycles, each
-    from its own sub-seed of the run's seed, repeated :attr:`passes`
-    times.  Workload randomness (which experts run hot, when bursts
-    arrive) moves a single sub-run's figures a lot, so the harness
-    reports the median over sub-runs.  Further passes over the same
-    sub-runs let the harness keep each sub-run's fastest measurement,
-    which filters the seconds-long slowdowns a shared host goes through.
+    from its own sub-seed of the run's seed; each set-up is measured
+    :attr:`repeats` times in a row, which a workload allows only when
+    :meth:`measure` leaves the state as it found it.  Workload
+    randomness (which experts run hot, when bursts arrive) moves a
+    single sub-run's figures a lot, so the harness reports the median
+    over sub-runs.  Repeats let the harness keep a sub-run's fastest
+    measurement, which filters the seconds-long slowdowns a shared host
+    goes through.
     """
 
     name = ""
     sub_runs = 1
-    passes = 1
+    repeats = 1
+    #: How the workload's host seconds follow the host's slow spells:
+    #: reference kernel (:mod:`perfbench.pace`) -> the power of its
+    #: slowdown they stretch by.  The harness divides that back out.
+    #: Measured, not derived: the powers that left the least spread in
+    #: the rates of repeated runs across slow and fast spells.
+    host_sensitivity: dict[str, float] = {}
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
 
     def sub_seed(self, index: int) -> int:
         return SUB_SEED_RUN_STRIDE * self.seed + SUB_SEED_STRIDE * index
-
-
-# ----------------------------------------------------------------------
-# train-256g
-# ----------------------------------------------------------------------
-class TrainWorkload(Workload):
-    """The multi-layer training engine through ``simulate_pipeline``.
-
-    Closed loop: the kernel issues each step after the previous one
-    returns.  Each sub-run's first step is a warm-up, excluded from both
-    the host rate and the simulated mean step time.  The host rate is
-    one over the sub-run's median step time.
-    """
-
-    name = "train-256g"
-    sub_runs = 3
-
-    def __init__(
-        self,
-        seed: int,
-        seconds: float,
-        num_gpus: int = 256,
-        num_experts: int = 128,
-        num_moe_layers: int = 8,
-        tokens_per_gpu: int = 16_384,
-        steps: int | None = None,
-    ) -> None:
-        super().__init__(seed)
-        self.num_gpus = num_gpus
-        self.num_experts = num_experts
-        self.num_moe_layers = num_moe_layers
-        self.tokens_per_gpu = tokens_per_gpu
-        measured = round(seconds * TRAIN_STEPS_PER_SECOND / self.sub_runs)
-        self.steps = steps if steps is not None else 1 + max(1, measured)
-
-    def sizes(self) -> dict[str, object]:
-        return {
-            "num_gpus": self.num_gpus,
-            "num_experts": self.num_experts,
-            "num_moe_layers": self.num_moe_layers,
-            "tokens_per_gpu": self.tokens_per_gpu,
-            "sub_runs": self.sub_runs,
-            "steps_per_sub_run": self.steps,
-            "warmup_steps": 1,
-        }
-
-    def setup(self, tracer, index: int):
-        seed = self.sub_seed(index)
-        model = MoEModelConfig(
-            name=f"bench-{self.num_gpus}g",
-            num_layers=2 * self.num_moe_layers,
-            d_model=2048,
-            d_ffn=8192,
-            num_experts=self.num_experts,
-        )
-        with tracer.span("workload.generate"):
-            trace = make_multilayer_trace(
-                self.num_moe_layers,
-                self.num_experts,
-                self.num_gpus,
-                WorkloadConfig(
-                    tokens_per_step=self.tokens_per_gpu * self.num_gpus,
-                    num_steps=self.steps,
-                    seed=seed,
-                ),
-            )
-        with tracer.span("cluster.build"):
-            engine = build_engine(
-                cluster_for(self.num_gpus),
-                model,
-                num_moe_layers=self.num_moe_layers,
-                scheduler_config=SchedulerConfig(),
-                seed=seed,
-            )
-        return engine, trace
-
-    def measure(self, state, tracer) -> Outcome:
-        engine, trace = state
-        stamps: list[float] = []
-        results: list = []
-        commit = engine.step_commit
-
-        def stamped_commit(*args, **kwargs):
-            result = commit(*args, **kwargs)
-            stamps.append(time.perf_counter())
-            results.append(result)
-            return result
-
-        # Note when each step completes: the closed loop's step clock.
-        engine.step_commit = stamped_commit
-        hooks = _Hooks()
-        with ExitStack() as traced:
-            if tracer.enabled:
-                _instrument_engine(tracer, engine, hooks)
-                # The kernel inside simulate_pipeline is out of reach.
-                traced.enter_context(tracer.patch_class(
-                    SimKernel, "run", "kernel.run", on_return=hooks.on_kernel,
-                ))
-            start = time.perf_counter()
-            with tracer.span(MEASURE_SPAN):
-                run = simulate_pipeline(engine, trace, warmup=1)
-            measure_s = time.perf_counter() - start
-
-        # Token conservation on every step: each layer's experts process
-        # exactly the tokens its gate assigned.
-        failed = 0
-        for step, result in enumerate(results):
-            assigned = trace.step(step).sum(axis=(1, 2))
-            processed = result.layer_gpu_loads.sum(axis=1)
-            if not (
-                np.array_equal(assigned, processed)
-                and result.processed_tokens == result.assigned_tokens
-                == int(assigned.sum())
-            ):
-                failed += 1
-        failed += engine.delta_fallbacks()
-
-        counters = _engine_counters(engine)
-        counters.update(hooks.counters())
-        counters["kernel.events"] = float(hooks.events)
-        return Outcome(
-            attempted=self.steps,
-            failed=min(failed, self.steps),
-            measure_s=measure_s,
-            rate=1.0 / float(np.median(np.diff(stamps))),
-            sim={"sim_time_s": run.mean_step_time},
-            counters=counters,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +240,10 @@ class PlanWorkload(Workload):
     """
 
     name = "plan-4096g"
-    passes = 2
+    # Set-up (trace generation) costs more than a measure, and a measure
+    # plans afresh from the balanced placement, so repeat in place.
+    repeats = 3
+    host_sensitivity = {"interpreter": 0.25, "arrays": 0.25}
 
     def __init__(
         self,
@@ -403,7 +275,7 @@ class PlanWorkload(Workload):
             "tokens_per_gpu": self.tokens_per_gpu,
             "skew": self.skew,
             "sub_runs": self.sub_runs,
-            "passes": self.passes,
+            "repeats": self.repeats,
             "trace_steps_per_sub_run": self.trace_steps,
             "placement_search": "auto",
         }
@@ -513,7 +385,7 @@ class ServeWorkload(Workload):
     """
 
     name = "serve-mt16g"
-    passes = 3
+    host_sensitivity = {"interpreter": 0.75, "arrays": 0.5}
     # The shape of multitenant_run's defaults.
     interactive_tokens = 256
     batch_tokens = 768
@@ -553,7 +425,6 @@ class ServeWorkload(Workload):
             "num_moe_layers": self.num_moe_layers,
             "max_batch_tokens": self.max_batch_tokens,
             "sub_runs": self.sub_runs,
-            "passes": self.passes,
             "requests_per_sub_run": self.num_requests,
             "load": self.load,
             "tenants": ["chat:interactive:bursty", "batch-a:poisson", "batch-b:poisson"],
@@ -757,5 +628,5 @@ class ServeWorkload(Workload):
 
 
 WORKLOADS = {
-    cls.name: cls for cls in (TrainWorkload, PlanWorkload, ServeWorkload)
+    cls.name: cls for cls in (PlanWorkload, ServeWorkload)
 }
