@@ -3,7 +3,7 @@
 FlexMoE's viability rests on the Policy Maker being cheap enough to run
 online; this module measures exactly that and records the repo's perf
 trajectory in a machine-readable report (``BENCH_step_overhead.json``).
-Three benchmark families:
+The benchmarks:
 
 * :func:`planner_benchmark` — planner rounds/second of the delta-cost
   search (:class:`~repro.core.delta.DeltaStepCost`) against the retained
@@ -20,13 +20,17 @@ Three benchmark families:
   failure/straggler scenario (FlexMoE vs Static under a seeded event
   schedule).
 * :func:`kernel_overhead_benchmark` — simulated steps/second of the
-  unified discrete-event kernel (:mod:`repro.sim`) against the retired
-  inline step loop on the identical engine/trace: the kernel's heap
-  events must stay within 5% of the legacy loop AND produce identical
-  simulated results.
+  unified discrete-event kernel (:mod:`repro.sim`) against the plain
+  inline step loop (``simulate_pipeline(kernel=False)``) on the
+  identical engine/trace: the kernel's heap events must stay within 5%
+  of the inline loop AND produce identical simulated results.
+* :func:`serving_events_benchmark` / :func:`kernel_events_benchmark` —
+  logical serving events/second of the serving event machinery and raw
+  kernel dispatch events/second on a tie-heavy schedule, each gated by
+  a CI floor.
 * :func:`telemetry_overhead_benchmark` — the telemetry layer's cost on
   the identical pipeline run, three ways: the telemetry-free baseline
-  (legacy loop, telemetry suppressed), the shipped default (kernel run
+  (inline loop, telemetry suppressed), the shipped default (kernel run
   with telemetry disabled -- pays only the per-tap ``is not None``
   branches), and fully enabled (session with metrics + tracing +
   timeline).  Disabled mode must stay within 5% of the baseline's
@@ -35,11 +39,11 @@ Three benchmark families:
 
 :func:`perf_suite` composes them; its ``ok`` verdict requires every delta
 evaluator to report **zero fallbacks** to full recomputation, every
-decision/simulation equivalence to hold, and the event kernel AND the
-disabled telemetry mode to stay within their overhead tolerances.  CI
-runs ``python -m repro perf --smoke`` and fails on a false verdict, so
-neither the delta hot path, the kernel hosting, nor the telemetry taps
-can silently regress.
+decision/simulation equivalence to hold, the event kernel AND the
+disabled telemetry mode to stay within their overhead tolerances, and
+both event benchmarks to clear their floors.  CI runs ``python -m repro
+perf --smoke`` and fails on a false verdict, so neither the delta hot
+path, the kernel hosting, nor the telemetry taps can silently regress.
 """
 
 from __future__ import annotations
@@ -390,7 +394,7 @@ def kernel_overhead_benchmark(
     repeats: int = 5,
     tolerance: float = 0.05,
 ) -> dict[str, object]:
-    """Event-kernel vs legacy-loop steps/sec on the identical run.
+    """Event-kernel vs inline-loop steps/sec on the identical run.
 
     Each path rebuilds a seed-matched engine per repeat (schedulers are
     stateful, so a trace cannot be replayed on the same engine); the two
@@ -494,7 +498,8 @@ def telemetry_overhead_benchmark(
 ) -> dict[str, object]:
     """Telemetry-layer cost on the identical pipeline run, three ways.
 
-    * ``baseline`` — the retained legacy inline loop with telemetry
+    * ``baseline`` — the plain inline loop
+      (``simulate_pipeline(kernel=False)``) with telemetry
       force-suppressed: the truly instrumentation-free reference.
     * ``disabled`` — the shipped default: kernel-hosted run, no active
       telemetry session, so every tap point pays exactly one
@@ -621,80 +626,43 @@ class _StubBookkeeping:
     this benchmark measures. The stub replaces ONLY the model half of the
     server (``execute = batch_tokens / rate``, the rate probed from the
     real cost model) and keeps the genuine hot-path machinery: the
-    admission queue, the rolling latency window, the per-request vs
-    columnar record bookkeeping, the serving event source and the kernel.
-    Both bookkeeping paths must produce identical record tuples.
+    admission queue, the rolling latency window, the columnar record
+    bookkeeping, the serving event source and the kernel.
     """
 
-    def __init__(
-        self, batching, window: int, tokens_per_s: float, vectorized: bool
-    ) -> None:
+    def __init__(self, batching, window: int, tokens_per_s: float) -> None:
         from repro.serving.admission import AdmissionQueue
         from repro.serving.slo import LatencyWindow
 
-        self.queue = AdmissionQueue(batching, collect_meta=vectorized)
+        self.queue = AdmissionQueue(batching)
         self.window = LatencyWindow(window)
-        self.vectorized = vectorized
         self.rate = float(tokens_per_s)
-        self.records: list = []
         self._served: list = []
         self._count = 0
         self._columns = np.empty((3, 256), dtype=float)
 
     def serve(self, batch, now: float, index: int) -> float:
-        from repro.serving.slo import RequestRecord
-
         # The trigger-signal reads every real batch performs.
         self.window.p99()
         float(self.queue.queued_tokens)
-        if self.vectorized:
-            execute = float(self.queue.last_batch_tokens.sum()) / self.rate
-            queue_col = now - self.queue.last_batch_arrivals
-            n = len(batch)
-            capacity = self._columns.shape[1]
-            if self._count + n > capacity:
-                grown = np.empty(
-                    (3, max(2 * capacity, self._count + n)), dtype=float
-                )
-                grown[:, : self._count] = self._columns[:, : self._count]
-                self._columns = grown
-            sl = slice(self._count, self._count + n)
-            self._columns[0, sl] = now
-            self._columns[1, sl] = queue_col
-            self._columns[2, sl] = execute
-            self._count += n
-            self._served.extend(batch)
-            self.window.observe_batch(queue_col + execute)
-            return execute
-        total = 0
-        for request in batch:
-            total += request.tokens
-        execute = total / self.rate
-        for request in batch:
-            record = RequestRecord(
-                request=request,
-                start=now,
-                queue_time=now - request.arrival,
-                execute_time=execute,
+        execute = float(self.queue.last_batch_tokens.sum()) / self.rate
+        queue_col = now - self.queue.last_batch_arrivals
+        n = len(batch)
+        capacity = self._columns.shape[1]
+        if self._count + n > capacity:
+            grown = np.empty(
+                (3, max(2 * capacity, self._count + n)), dtype=float
             )
-            self.records.append(record)
-            self.window.observe(record.latency)
+            grown[:, : self._count] = self._columns[:, : self._count]
+            self._columns = grown
+        sl = slice(self._count, self._count + n)
+        self._columns[0, sl] = now
+        self._columns[1, sl] = queue_col
+        self._columns[2, sl] = execute
+        self._count += n
+        self._served.extend(batch)
+        self.window.observe_batch(queue_col + execute)
         return execute
-
-    def materialized_records(self) -> tuple:
-        from repro.serving.slo import RequestRecord
-
-        if not self.vectorized:
-            return tuple(self.records)
-        starts = self._columns[0, : self._count].tolist()
-        queues = self._columns[1, : self._count].tolist()
-        execs = self._columns[2, : self._count].tolist()
-        return tuple(
-            RequestRecord(
-                request=request, start=s, queue_time=q, execute_time=x
-            )
-            for request, s, q, x in zip(self._served, starts, queues, execs)
-        )
 
 
 def _probe_service_rate(
@@ -729,29 +697,20 @@ def serving_events_benchmark(
     num_experts: int = 64,
     num_requests: int = 4000,
     rate_fraction: float = 1.6,
-    identity_requests: int = 96,
     seed: int = 0,
     repeats: int = 3,
 ) -> dict[str, object]:
-    """Serving event throughput: fast stack vs the retained pre-PR stack.
+    """Serving event throughput of the serving event machinery.
 
-    The fast stack is the post-overhaul hot path (batch-drain kernel,
-    lazy bulk admission, columnar numpy bookkeeping); the reference
-    stack is the retained pre-PR code (one-at-a-time kernel drain,
-    per-request ARRIVAL events, per-request record loop) -- so the
-    speedup is the honest before/after figure for the event machinery.
-    Both replay the identical seeded stream through a constant-rate
-    execute model probed from the real cost model at the 16-GPU /
-    64-expert configuration (:class:`_StubBookkeeping` explains why the
-    full engine is not timed here), and must produce identical record
-    tuples and rejection lists.
+    Replays a seeded stream through the shipped hot path (same-timestamp
+    kernel drain, lazy bulk admission, columnar numpy bookkeeping) with a
+    constant-rate execute model probed from the real cost model at the
+    16-GPU / 64-expert configuration (:class:`_StubBookkeeping` explains
+    why the full engine is not timed here); best-of-``repeats``.
 
     ``events_per_sec`` counts *logical* serving events -- one per
-    arrival, dispatch and completion -- identically for both stacks;
-    the fast stack's smaller heap traffic is the mechanism, not the
-    unit. ``simulated_results_match`` additionally runs the REAL
-    serving engine (vectorized on vs off) on a short stream and
-    compares full :class:`~repro.serving.slo.ServingReport` objects.
+    arrival, dispatch and completion -- so the kernel's smaller heap
+    traffic is the mechanism, not the unit.
     """
     from repro.serving.admission import BatchingConfig
     from repro.serving.requests import RequestStream, RequestStreamConfig
@@ -765,7 +724,7 @@ def serving_events_benchmark(
     # Offered load above saturation: sustained deep queues keep
     # micro-batches at the token budget, which is the regime the
     # columnar bookkeeping targets (bursty gaps still exercise the
-    # idle-wake path; the identity pass covers both regimes anyway).
+    # idle-wake path).
     stream = RequestStream(
         RequestStreamConfig(
             arrival="bursty",
@@ -779,49 +738,28 @@ def serving_events_benchmark(
         max_batch_tokens=batch_tokens, max_queue_tokens=8 * batch_tokens
     )
 
-    def one_pass(fast: bool) -> tuple[float, _StubBookkeeping, ServingSource]:
+    def one_pass() -> tuple[float, ServingSource]:
         book = _StubBookkeeping(
-            batching, window=64, tokens_per_s=service_rate, vectorized=fast
+            batching, window=64, tokens_per_s=service_rate
         )
-        source = ServingSource(
-            stream, book.queue, book.serve, vectorized=fast
-        )
-        kernel = SimKernel(batch_drain=fast)
+        source = ServingSource(stream, book.queue, book.serve, vectorized=True)
+        kernel = SimKernel()
         start = time.perf_counter()
         source.prime(kernel, None)
         kernel.run()
-        return time.perf_counter() - start, book, source
+        return time.perf_counter() - start, source
 
-    # Identity pass (untimed): the two stacks' records must be equal.
-    _, ref_book, ref_source = one_pass(False)
-    _, fast_book, fast_source = one_pass(True)
-    stub_identity = (
-        ref_book.materialized_records() == fast_book.materialized_records()
-        and ref_source.rejected == fast_source.rejected
-        and ref_source.num_batches == fast_source.num_batches
-        and ref_source.last_completion == fast_source.last_completion
-    )
-    num_batches = fast_source.num_batches
+    # Allocation footprint (net live blocks per logical event), untimed.
+    before = sys.getallocatedblocks()
+    _, source = one_pass()
+    blocks = sys.getallocatedblocks() - before
+    num_batches = source.num_batches
     logical_events = len(stream) + 2 * num_batches
 
-    # Allocation footprint (net live blocks per logical event).
-    before = sys.getallocatedblocks()
-    one_pass(True)
-    fast_blocks = sys.getallocatedblocks() - before
-    before = sys.getallocatedblocks()
-    one_pass(False)
-    ref_blocks = sys.getallocatedblocks() - before
-
-    ref_s = fast_s = float("inf")
+    seconds = float("inf")
     for _ in range(max(repeats, 1)):
-        elapsed, _, _ = one_pass(False)
-        ref_s = min(ref_s, elapsed)
-        elapsed, _, _ = one_pass(True)
-        fast_s = min(fast_s, elapsed)
-
-    report_identity = _serving_report_identity(
-        num_gpus, num_experts, identity_requests, seed
-    )
+        elapsed, _ = one_pass()
+        seconds = min(seconds, elapsed)
     return {
         "num_gpus": num_gpus,
         "num_experts": num_experts,
@@ -830,66 +768,11 @@ def serving_events_benchmark(
         "logical_events": logical_events,
         "service_tokens_per_s": service_rate,
         "repeats": repeats,
-        "reference_seconds": ref_s,
-        "fast_seconds": fast_s,
-        "reference_events_per_sec": (
-            logical_events / ref_s if ref_s > 0 else 0.0
-        ),
-        "events_per_sec": logical_events / fast_s if fast_s > 0 else 0.0,
-        "speedup": ref_s / fast_s if fast_s > 0 else float("inf"),
-        "reference_alloc_blocks_per_event": ref_blocks / logical_events,
-        "alloc_blocks_per_event": fast_blocks / logical_events,
+        "seconds": seconds,
+        "events_per_sec": logical_events / seconds if seconds > 0 else 0.0,
+        "alloc_blocks_per_event": blocks / logical_events,
         "events_per_sec_floor": SERVING_EVENTS_PER_SEC_FLOOR,
-        "stub_identity": bool(stub_identity),
-        "simulated_results_match": bool(report_identity),
     }
-
-
-def _serving_report_identity(
-    num_gpus: int, num_experts: int, num_requests: int, seed: int
-) -> bool:
-    """Whether the REAL engine's vectorized and per-request serving paths
-    produce identical reports on a short seeded stream."""
-    from repro.serving.admission import BatchingConfig
-    from repro.serving.baseline import build_flexmoe_serving
-    from repro.serving.requests import RequestStream, RequestStreamConfig
-    from repro.serving.slo import SLOConfig
-
-    model = MoEModelConfig(
-        name=f"perf-serving-id-{num_experts}e",
-        num_layers=4,
-        d_model=2048,
-        d_ffn=8192,
-        num_experts=num_experts,
-    )
-    stream = RequestStream(
-        RequestStreamConfig(
-            arrival="bursty", rate_rps=200.0, num_requests=num_requests,
-            mean_tokens=256, seed=seed,
-        )
-    ).generate()
-    batching = BatchingConfig(max_batch_tokens=4096, max_queue_tokens=16384)
-    slo = SLOConfig(latency_target=0.5)
-    reports = []
-    for vectorized in (True, False):
-        server = build_flexmoe_serving(
-            cluster_for(num_gpus),
-            model,
-            stream,
-            batching,
-            slo,
-            seed=seed,
-            vectorized=vectorized,
-        )
-        reports.append(server.run())
-    a, b = reports
-    return (
-        a.records == b.records
-        and a.rejected == b.rejected
-        and a.num_batches == b.num_batches
-        and a.sim_duration == b.sim_duration
-        and a.placement_actions == b.placement_actions
-    )
 
 
 def kernel_events_benchmark(
@@ -898,13 +781,12 @@ def kernel_events_benchmark(
     seed: int = 0,
     repeats: int = 3,
 ) -> dict[str, object]:
-    """Pure kernel event throughput: batch-drain vs one-at-a-time drain.
+    """Pure kernel event throughput on a tie-heavy schedule.
 
-    A deterministic tie-heavy schedule (``fan`` events per tick across
-    cycling priorities, a fifth of the callbacks re-scheduling an extra
-    event at the current time) isolates the kernel's own dispatch cost.
-    An untimed verification pass records both modes' traces, which must
-    be identical; the timed passes run untraced, best-of-``repeats``.
+    A deterministic schedule (``fan`` events per tick across cycling
+    priorities, a fifth of the callbacks re-scheduling an extra event at
+    the current time) isolates the kernel's own dispatch cost; the timed
+    passes run untraced, best-of-``repeats``.
     """
     from repro.sim.kernel import SimKernel
 
@@ -922,41 +804,29 @@ def kernel_events_benchmark(
                     float(tick), callback, (j * 7) % 40, label=f"e{j}"
                 )
 
-    def one_pass(batched: bool, trace: bool = False) -> tuple[float, SimKernel]:
-        kernel = SimKernel(record_trace=trace, batch_drain=batched)
+    def one_pass() -> tuple[float, SimKernel]:
+        kernel = SimKernel()
         prime(kernel)
         start = time.perf_counter()
         kernel.run()
         return time.perf_counter() - start, kernel
 
-    _, serial_traced = one_pass(False, trace=True)
-    _, batched_traced = one_pass(True, trace=True)
-    trace_identity = serial_traced.trace == batched_traced.trace
-    total_events = batched_traced.processed_events
-
-    serial_s = batched_s = float("inf")
+    seconds = float("inf")
+    total_events = 0
     for _ in range(max(repeats, 1)):
-        elapsed, _ = one_pass(False)
-        serial_s = min(serial_s, elapsed)
-        elapsed, _ = one_pass(True)
-        batched_s = min(batched_s, elapsed)
+        elapsed, kernel = one_pass()
+        seconds = min(seconds, elapsed)
+        total_events = kernel.processed_events
     return {
         "num_ticks": num_ticks,
         "fan": fan,
         "total_events": total_events,
         "repeats": repeats,
-        "serial_seconds": serial_s,
-        "batched_seconds": batched_s,
-        "serial_events_per_sec": (
-            total_events / serial_s if serial_s > 0 else 0.0
-        ),
+        "seconds": seconds,
         "events_per_sec": (
-            total_events / batched_s if batched_s > 0 else 0.0
+            total_events / seconds if seconds > 0 else 0.0
         ),
-        "speedup": serial_s / batched_s if batched_s > 0 else float("inf"),
         "events_per_sec_floor": KERNEL_EVENTS_PER_SEC_FLOOR,
-        "trace_identity": bool(trace_identity),
-        "simulated_results_match": bool(trace_identity),
     }
 
 
@@ -987,7 +857,7 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
             seed=seed,
         )
         serving_events = serving_events_benchmark(
-            num_requests=800, identity_requests=48, seed=seed, repeats=2
+            num_requests=800, seed=seed, repeats=2
         )
         kernel_events = kernel_events_benchmark(
             num_ticks=1000, seed=seed, repeats=2
@@ -1016,13 +886,9 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         and bool(kernel["simulated_results_match"])
         and bool(kernel["within_tolerance"])
         and fallbacks == 0.0
-        # Hot-path overhaul gates: the memo must actually hit on the
-        # planner path, both event benchmarks must clear their floors,
-        # and every fast-vs-reference identity must hold.
+        # Hot-path gates: the memo must actually hit on the planner path
+        # and both event benchmarks must clear their floors.
         and memo_hit_rate > 0.0
-        and bool(serving_events["stub_identity"])
-        and bool(serving_events["simulated_results_match"])
-        and bool(kernel_events["trace_identity"])
         and float(serving_events["events_per_sec"])
         >= SERVING_EVENTS_PER_SEC_FLOOR
         and float(kernel_events["events_per_sec"])

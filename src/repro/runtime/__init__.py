@@ -10,7 +10,6 @@ background transfers.
 """
 
 from repro.runtime.adjustment import AdjustmentQueue, AdjustmentReport
-from repro.runtime.events import Event, EventLoop
 from repro.runtime.executor import (
     PipelinedStepExecutor,
     PipelineStepTiming,
@@ -27,8 +26,6 @@ from repro.runtime.pipeline import (
 __all__ = [
     "AdjustmentQueue",
     "AdjustmentReport",
-    "Event",
-    "EventLoop",
     "LayerPipeline",
     "MultiLayerFlexMoEEngine",
     "PipelineStepResult",

@@ -61,28 +61,20 @@ class BatchingConfig:
 class AdmissionQueue:
     """FIFO request queue with token-depth backpressure.
 
+    Each pop exposes the batch's arrival/tokens/topic columns as numpy
+    arrays (:attr:`last_batch_arrivals`, :attr:`last_batch_tokens`,
+    :attr:`last_batch_topics`); the serving bookkeeping reads these
+    instead of looping over the batch's request objects.
+
     Args:
         config: Batch and backpressure bounds.
-        collect_meta: Maintain parallel arrival/tokens/topic columns for
-            each admitted request and expose the popped batch's columns
-            as numpy arrays (:attr:`last_batch_arrivals`,
-            :attr:`last_batch_tokens`, :attr:`last_batch_topics`). The
-            vectorized serving bookkeeping reads these instead of
-            looping over the batch's request objects; admission
-            decisions are unchanged.
     """
 
-    def __init__(
-        self, config: BatchingConfig, collect_meta: bool = False
-    ) -> None:
+    def __init__(self, config: BatchingConfig) -> None:
         self._config = config
         self._queue: deque[Request] = deque()
         self._queued_tokens = 0
         self._rejected = 0
-        self._collect_meta = bool(collect_meta)
-        self._meta: deque[tuple[float, int, int]] | None = (
-            deque() if collect_meta else None
-        )
         self.last_batch_arrivals: np.ndarray | None = None
         self.last_batch_tokens: np.ndarray | None = None
         self.last_batch_topics: np.ndarray | None = None
@@ -127,8 +119,6 @@ class AdmissionQueue:
             return False
         self._queue.append(request)
         self._queued_tokens += request.tokens
-        if self._meta is not None:
-            self._meta.append((request.arrival, request.tokens, request.topic))
         tel = telemetry.current()
         if tel is not None:
             tel.registry.counter("admission.admitted").inc()
@@ -150,9 +140,9 @@ class AdmissionQueue:
             batch.append(self._queue.popleft())
             tokens += head.tokens
         self._queued_tokens -= tokens
-        if self._meta is not None and batch:
+        if batch:
             meta = np.array(
-                [self._meta.popleft() for _ in batch], dtype=float
+                [(r.arrival, r.tokens, r.topic) for r in batch], dtype=float
             )
             self.last_batch_arrivals = meta[:, 0]
             self.last_batch_tokens = meta[:, 1].astype(np.int64)
@@ -193,13 +183,14 @@ class PriorityAdmissionQueue:
     the batch's fairness credit (the stride counters), so preempted work
     is never dropped and never double-billed.
 
+    Like :class:`AdmissionQueue`, the popped batch's arrival/tokens/
+    topic columns (plus :attr:`last_batch_tenants`) are exposed as numpy
+    arrays for the serving bookkeeping.
+
     Args:
         config: Global batch/backpressure bounds.
         tenants: One :class:`~repro.serving.requests.TenantSpec` per
             tenant id; requests' ``tenant`` fields index this sequence.
-        collect_meta: Expose the popped batch's arrival/tokens/topic/
-            tenant columns as numpy arrays for the vectorized serving
-            bookkeeping (see :class:`AdmissionQueue`).
         policy: ``"priority"`` (the scheme above) or ``"fifo"`` --
             global arrival order ignoring priorities, quotas and
             weights (the baseline admission discipline; both levels of
@@ -227,7 +218,6 @@ class PriorityAdmissionQueue:
         self,
         config: BatchingConfig,
         tenants: Sequence[TenantSpec],
-        collect_meta: bool = False,
         policy: str = "priority",
         shed_low_priority: bool = False,
     ) -> None:
@@ -270,7 +260,6 @@ class PriorityAdmissionQueue:
         self._shed_low_priority = bool(shed_low_priority)
         self._shed: list[Request] = []
         self._shed_counts = [0] * len(self._tenants)
-        self._collect_meta = bool(collect_meta)
         self.last_batch_arrivals: np.ndarray | None = None
         self.last_batch_tokens: np.ndarray | None = None
         self.last_batch_topics: np.ndarray | None = None
@@ -553,7 +542,7 @@ class PriorityAdmissionQueue:
         return tuple(batch)
 
     def _collect_batch_meta(self, batch: Sequence[Request]) -> None:
-        if not self._collect_meta or not batch:
+        if not batch:
             return
         meta = np.array(
             [(r.arrival, r.tokens, r.topic, r.tenant) for r in batch],

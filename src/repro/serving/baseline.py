@@ -91,7 +91,6 @@ def build_flexmoe_serving(
     elasticity: ElasticitySchedule | None = None,
     skew: float = 1.3,
     seed: int = 0,
-    vectorized: bool = True,
     initial_live: int | None = None,
 ) -> ServingEngine:
     """The dynamic server: SLO-triggered placement over the live pool.
@@ -120,7 +119,7 @@ def build_flexmoe_serving(
     engine.name = "FlexMoE-serving"
     return ServingEngine(
         engine, requests, batching, slo, routing=routing, skew=skew,
-        seed=seed, vectorized=vectorized,
+        seed=seed,
     )
 
 
@@ -135,7 +134,6 @@ def build_static_serving(
     elasticity: ElasticitySchedule | None = None,
     skew: float = 1.3,
     seed: int = 0,
-    vectorized: bool = True,
 ) -> StaticServing:
     """The frozen-placement baseline on the identical substrate."""
     engine = build_engine(
@@ -153,7 +151,7 @@ def build_static_serving(
     engine.name = "StaticServing"
     return StaticServing(
         engine, requests, batching, slo, routing=routing, skew=skew,
-        seed=seed, vectorized=vectorized,
+        seed=seed,
     )
 
 
@@ -168,7 +166,6 @@ def build_multitenant_serving(
     elasticity: ElasticitySchedule | None = None,
     skew: float = 1.3,
     seed: int = 0,
-    vectorized: bool = True,
     dynamic: bool = True,
     admission_policy: str = "priority",
     preemption: bool = True,
@@ -226,7 +223,7 @@ def build_multitenant_serving(
     engine.name = cls.name
     return cls(
         engine, requests, batching, slo, routing=routing, skew=skew,
-        seed=seed, vectorized=vectorized, tenants=tenants,
+        seed=seed, tenants=tenants,
         admission_policy=admission_policy, preemption=preemption,
         shed_low_priority=shed_low_priority,
     )

@@ -34,7 +34,6 @@ land mid-stream and serving continues on the surviving pool
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -135,9 +134,9 @@ class TopicRoutingModel:
         """:meth:`batch_probs` from precomputed token/topic columns.
 
         ``topics`` must already be reduced modulo :attr:`num_topics`.
-        The vectorized serving path computes the columns once per batch
-        (from the admission queue's metadata) instead of walking the
-        request objects once per layer.
+        The serving engine takes the columns once per batch from the
+        admission queue instead of walking the request objects once per
+        layer.
         """
         if tokens.size == 0:
             raise SimulationError("batch must not be empty")
@@ -168,12 +167,6 @@ class ServingEngine:
             small sample of the live distribution, so scheduling on the
             raw batch chases sampling noise; ``1.0`` disables smoothing
             (schedulers see the raw batch, training-style).
-        vectorized: Use the numpy batch-accounting hot path (columnar
-            latency bookkeeping, batched latency-window ingestion, lazy
-            bulk admission). ``False`` retains the per-request loops --
-            the reference the identity tests compare against; both
-            settings produce numerically identical
-            :class:`~repro.serving.slo.ServingReport` objects.
         tenants: Multi-tenant mode: one
             :class:`~repro.serving.requests.TenantSpec` per tenant id.
             The front-end becomes a
@@ -209,7 +202,6 @@ class ServingEngine:
         skew: float = 1.3,
         seed: int = 0,
         popularity_smoothing: float = 0.3,
-        vectorized: bool = True,
         tenants: Sequence[TenantSpec] | None = None,
         admission_policy: str = "priority",
         preemption: bool = True,
@@ -264,7 +256,6 @@ class ServingEngine:
         self._slo = slo
         self._rng = np.random.default_rng(seed)
         self._smoothing = popularity_smoothing
-        self._vectorized = bool(vectorized)
         if shed_low_priority and tenants is None:
             raise ConfigurationError(
                 "shed_low_priority requires multi-tenant mode: the "
@@ -306,10 +297,7 @@ class ServingEngine:
     # Batch-to-assignment translation
     # ------------------------------------------------------------------
     def _batch_assignments(
-        self,
-        batch: Sequence[Request],
-        tokens: np.ndarray | None = None,
-        topics: np.ndarray | None = None,
+        self, tokens: np.ndarray, topics: np.ndarray
     ) -> np.ndarray:
         """Per-layer gate assignments ``(layers, experts, gpus)`` of a batch.
 
@@ -319,15 +307,12 @@ class ServingEngine:
         by layer. Dead devices' shards are re-sharded by the wrapped
         engine exactly as in training.
 
-        ``tokens``/``topics`` are the batch's precomputed columns
-        (``topics`` reduced modulo the routing model's vocabulary); when
-        omitted they are derived from the request objects. The per-GPU
-        multinomial loop is retained either way -- it consumes the RNG
-        stream draw by draw, and the two paths must stay bit-identical.
+        ``tokens``/``topics`` are the batch's columns from the admission
+        queue (``topics`` reduced modulo the routing model's vocabulary).
+        One multinomial draw per GPU, in GPU order: the seeded RNG
+        stream, and with it every seeded serving result, depends on that
+        draw order.
         """
-        if tokens is None or topics is None:
-            tokens = np.array([r.tokens for r in batch], dtype=float)
-            topics = np.array([r.topic for r in batch]) % self._routing.num_topics
         total = int(tokens.sum())
         per_gpu = total // self._num_gpus
         remainder = total - per_gpu * self._num_gpus
@@ -414,11 +399,9 @@ class ServingEngine:
                 drain: a finite ``duration`` horizon can truncate the
                 run before the completion that would have admitted
                 pending arrivals, so composed scenarios default to the
-                eager per-request source. Either way the serve-side
-                bookkeeping stays columnar when the engine is
-                vectorized. Multi-tenant servers reject this flag:
-                priority admission and preemption must observe every
-                arrival at its arrival time.
+                eager per-request source. Multi-tenant servers reject
+                this flag: priority admission and preemption must
+                observe every arrival at its arrival time.
         """
         self._warm_up()
         if self._tenants is not None:
@@ -428,67 +411,24 @@ class ServingEngine:
                     "serving: priority admission and preemption must "
                     "observe every arrival at its arrival time"
                 )
-            return _MultiTenantRun(
-                self,
-                stream_budget=stream_budget,
-                preemption=self._preemption,
-            )
+            return _MultiTenantRun(self, stream_budget=stream_budget)
         return _ServingRun(
             self, stream_budget=stream_budget, lazy_admission=lazy_admission
         )
 
-    def run(self, kernel: bool = True) -> ServingReport:
+    def run(self) -> ServingReport:
         """Serve the whole stream and return the latency/goodput report.
 
         The stream runs as arrival/batch/completion events on the shared
-        discrete-event kernel. ``kernel=False`` replays the retired
-        hand-rolled clock loop instead (kept for the identity tests);
-        both paths produce identical reports on seeded runs. The legacy
-        loop predates multi-tenant mode and rejects it.
+        discrete-event kernel; a single-stream server admits arrivals
+        lazily (the run always drains, so no horizon can strand them).
         """
-        if not kernel and self._tenants is not None:
-            raise ConfigurationError(
-                "the legacy clock loop does not support multi-tenant "
-                "serving; use run(kernel=True)"
-            )
-        if kernel:
-            run = self.event_source(
-                lazy_admission=self._vectorized and self._tenants is None
-            )
-            Scenario(
-                name=f"serve-{type(self).name}",
-                sources=(run.source,),
-            ).run()
-            self._report = run.report()
-            return self._report
-        return self._run_legacy()
-
-    def _run_legacy(self) -> ServingReport:
-        """The pre-kernel clock loop (identity-test reference only)."""
-        self._warm_up()
-        run = _ServingRun(self, legacy=True)
-        pending = deque(run.requests)
-        clock = 0.0
-        batches = 0
-        rejected: list[Request] = []
-
-        while pending or run.queue.queued_requests:
-            while pending and pending[0].arrival <= clock:
-                request = pending.popleft()
-                if not run.queue.offer(request):
-                    rejected.append(request)
-            if not run.queue.queued_requests:
-                # Idle: jump the clock to the next arrival.
-                clock = max(clock, pending[0].arrival)
-                continue
-
-            batch = run.queue.next_batch()
-            clock += run.serve(batch, clock, batches)
-            batches += 1
-
-        self._report = run.legacy_report(
-            rejected=tuple(rejected), num_batches=batches, sim_duration=clock
-        )
+        run = self.event_source(lazy_admission=self._tenants is None)
+        Scenario(
+            name=f"serve-{type(self).name}",
+            sources=(run.source,),
+        ).run()
+        self._report = run.report()
         return self._report
 
 
@@ -496,43 +436,39 @@ class _ServingRun:
     """One serving run's mutable state plus its kernel event source.
 
     Owns the admission queue, the rolling latency window, and the
-    per-request records; :class:`~repro.sim.sources.ServingSource`
-    drives it on the kernel clock, while the legacy loop drives the same
-    ``serve`` callback directly.
+    per-request latency columns;
+    :class:`~repro.sim.sources.ServingSource` drives it on the kernel
+    clock.
     """
 
     def __init__(
         self,
         engine: ServingEngine,
         stream_budget: float | None = None,
-        legacy: bool = False,
         lazy_admission: bool = False,
     ) -> None:
         self._server = engine
         self._stream_budget = stream_budget
-        self._vectorized = engine._vectorized
-        self.queue = AdmissionQueue(
-            engine._batching, collect_meta=self._vectorized
-        )
+        self.queue = self._make_queue()
         self.window = LatencyWindow(engine.slo.window)
         self.requests = engine._requests
-        self.records: list[RequestRecord] = []
         self.actions = 0
-        # Columnar accounting (vectorized path): start/queue/execute
-        # float64 columns grown geometrically, plus the served requests
-        # in completion order. RequestRecord objects are materialized
-        # lazily at report time -- the hot loop never allocates them.
+        # Start/queue/execute float64 columns grown geometrically, plus
+        # the served requests in completion order. RequestRecord objects
+        # are materialized at report time -- the hot loop never
+        # allocates them.
         self._served: list[Request] = []
         self._count = 0
         self._columns = np.empty((3, 256), dtype=float)
-        self.source: ServingSource | None = None
-        if not legacy:
-            self.source = ServingSource(
-                self.requests,
-                self.queue,
-                self.serve,
-                vectorized=lazy_admission,
-            )
+        self.source = self._make_source(lazy_admission)
+
+    def _make_queue(self) -> AdmissionQueue:
+        return AdmissionQueue(self._server._batching)
+
+    def _make_source(self, lazy_admission: bool) -> ServingSource:
+        return ServingSource(
+            self.requests, self.queue, self.serve, vectorized=lazy_admission
+        )
 
     def serve(self, batch: Sequence[Request], now: float, index: int) -> float:
         """Serve one micro-batch at simulated time ``now``; returns its
@@ -543,13 +479,13 @@ class _ServingRun:
 
     def _model_batch(
         self, batch: Sequence[Request], now: float, index: int
-    ) -> tuple[float, np.ndarray | None]:
+    ) -> tuple[float, np.ndarray]:
         """Push signals, route and execute one batch through the engine.
 
         Returns the modelled execute time plus the batch's queue-time
-        column (``None`` on the per-request path). The multi-tenant run
-        reuses this half verbatim and defers :meth:`_account` to the
-        batch's completion, so preempted batches are never recorded.
+        column. The multi-tenant run reuses this half verbatim and defers
+        :meth:`_account` to the batch's completion, so preempted batches
+        are never recorded.
         """
         server = self._server
         server._engine.observe_serving_signals(
@@ -559,16 +495,11 @@ class _ServingRun:
                 server.slo.latency_target
             ),
         )
-        queue_col: np.ndarray | None = None
-        if self._vectorized:
-            tokens = self.queue.last_batch_tokens.astype(float)
-            topics = self.queue.last_batch_topics % server._routing.num_topics
-            assignments = server._batch_assignments(
-                batch, tokens=tokens, topics=topics
-            )
-            queue_col = now - self.queue.last_batch_arrivals
-        else:
-            assignments = server._batch_assignments(batch)
+        assignments = server._batch_assignments(
+            self.queue.last_batch_tokens.astype(float),
+            self.queue.last_batch_topics % server._routing.num_topics,
+        )
+        queue_col = now - self.queue.last_batch_arrivals
         pending = server._engine.step_schedule(
             assignments,
             index,
@@ -585,31 +516,10 @@ class _ServingRun:
         self,
         batch: Sequence[Request],
         now: float,
-        queue_col: np.ndarray | None,
-        execute: float,
-    ) -> None:
-        """Record the batch's latencies (columnar or per-request)."""
-        if self._vectorized:
-            self._append_columns(batch, now, queue_col, execute)
-            self.window.observe_batch(queue_col + execute)
-        else:
-            for request in batch:
-                record = RequestRecord(
-                    request=request,
-                    start=now,
-                    queue_time=now - request.arrival,
-                    execute_time=execute,
-                )
-                self.records.append(record)
-                self.window.observe(record.latency)
-
-    def _append_columns(
-        self,
-        batch: Sequence[Request],
-        now: float,
         queue_col: np.ndarray,
         execute: float,
     ) -> None:
+        """Append the batch's latency columns and feed the window."""
         n = len(batch)
         capacity = self._columns.shape[1]
         if self._count + n > capacity:
@@ -624,14 +534,10 @@ class _ServingRun:
         self._columns[2, sl] = execute
         self._count += n
         self._served.extend(batch)
+        self.window.observe_batch(queue_col + execute)
 
     def _materialized_records(self) -> tuple[RequestRecord, ...]:
-        """Build the RequestRecord tuple from the columns.
-
-        ``now - arrival`` and ``queue + execute`` are the same IEEE
-        double operations the per-request path performs, so the records
-        are byte-identical to the retained loop's.
-        """
+        """Build the RequestRecord tuple from the columns."""
         starts = self._columns[0, : self._count].tolist()
         queues = self._columns[1, : self._count].tolist()
         execs = self._columns[2, : self._count].tolist()
@@ -642,32 +548,18 @@ class _ServingRun:
             for request, s, q, x in zip(self._served, starts, queues, execs)
         )
 
+    def _rejected(self) -> tuple[Request, ...]:
+        return tuple(self.source.rejected)
+
     def report(self) -> ServingReport:
         """Assemble the report from the kernel source's final state."""
-        return self.legacy_report(
-            rejected=tuple(self.source.rejected),
-            num_batches=self.source.num_batches,
-            sim_duration=self.source.last_completion,
-        )
-
-    def legacy_report(
-        self,
-        rejected: tuple[Request, ...],
-        num_batches: int,
-        sim_duration: float,
-    ) -> ServingReport:
-        records = (
-            self._materialized_records()
-            if self._vectorized
-            else tuple(self.records)
-        )
         report = ServingReport(
             engine=type(self._server).name,
-            records=records,
-            rejected=rejected,
+            records=self._materialized_records(),
+            rejected=self._rejected(),
             slo=self._server.slo,
-            num_batches=num_batches,
-            sim_duration=sim_duration,
+            num_batches=self.source.num_batches,
+            sim_duration=self.source.last_completion,
             placement_actions=self.actions,
         )
         tel = telemetry.current()
@@ -701,30 +593,27 @@ class _MultiTenantRun(_ServingRun):
     ``tests/test_sim_identity.py`` pins.
     """
 
-    def __init__(
-        self,
-        engine: ServingEngine,
-        stream_budget: float | None = None,
-        preemption: bool = True,
-    ) -> None:
-        super().__init__(engine, stream_budget=stream_budget, legacy=True)
-        self.queue = PriorityAdmissionQueue(
-            engine._batching,
-            engine._tenants,
-            collect_meta=self._vectorized,
-            policy=engine._admission_policy,
-            shed_low_priority=engine._shed_low_priority,
+    # The in-flight batch's queue-time column, stashed at dispatch for
+    # the completion (or discarded by a preemption). At most one batch is
+    # ever in flight, so a single slot suffices.
+    _pending_queue_col: np.ndarray | None = None
+
+    def _make_queue(self) -> PriorityAdmissionQueue:
+        server = self._server
+        return PriorityAdmissionQueue(
+            server._batching,
+            server._tenants,
+            policy=server._admission_policy,
+            shed_low_priority=server._shed_low_priority,
         )
-        # The in-flight batch's queue-time column, stashed at dispatch
-        # for the completion (or discarded by a preemption). At most one
-        # batch is ever in flight, so a single slot suffices.
-        self._pending_queue_col: np.ndarray | None = None
-        self.source = MultiTenantServingSource(
+
+    def _make_source(self, lazy_admission: bool) -> MultiTenantServingSource:
+        return MultiTenantServingSource(
             self.requests,
             self.queue,
             self.dispatch,
             self.complete,
-            preemption=preemption,
+            preemption=self._server._preemption,
         )
 
     def dispatch(
@@ -741,13 +630,15 @@ class _MultiTenantRun(_ServingRun):
         """Record the batch that genuinely finished (never preempted)."""
         self._account(batch, start, self._pending_queue_col, execute)
 
-    def report(self) -> ServingReport:
-        source = self.source
-        tenants = self._server._tenants
+    def _rejected(self) -> tuple[Request, ...]:
         # Shed requests are degraded load, not vanished load: they fold
         # into the rejected set (counting as SLO misses everywhere) and
         # the tenancy counters attribute them per tenant.
-        shed = self.queue.shed
+        return super()._rejected() + self.queue.shed
+
+    def report(self) -> ServingReport:
+        source = self.source
+        tenants = self._server._tenants
         info = TenancyInfo(
             names=tuple(t.name for t in tenants),
             class_names=tuple(t.tenant_class.name for t in tenants),
@@ -757,14 +648,9 @@ class _MultiTenantRun(_ServingRun):
             preemptions=source.preemptions,
             preempted_requests=source.preempted_requests,
             wasted_seconds=source.wasted_seconds,
-            shed_requests=len(shed),
+            shed_requests=self.queue.shed_requests,
             shed_by_tenant=tuple(
                 self.queue.shed_by_tenant(t) for t in range(len(tenants))
             ),
         )
-        base = self.legacy_report(
-            rejected=tuple(source.rejected) + shed,
-            num_batches=source.num_batches,
-            sim_duration=source.last_completion,
-        )
-        return dataclasses.replace(base, tenancy=info)
+        return dataclasses.replace(super().report(), tenancy=info)

@@ -206,18 +206,12 @@ class LatencyWindow:
         self._size = 0  # valid entries (saturates at window)
         self._pos = 0  # next write position
 
-    def observe(self, latency: float) -> None:
-        self._buffer[self._pos] = latency
-        self._pos = (self._pos + 1) % self._window
-        if self._size < self._window:
-            self._size += 1
-
     def observe_batch(self, latencies: np.ndarray) -> None:
         """Ingest a batch of latencies (oldest first) in O(batch) numpy.
 
-        Equivalent to calling :meth:`observe` on each element in order:
-        only the trailing ``window`` elements can remain visible, so the
-        rest never need to touch the buffer.
+        Equivalent to appending each element in order to a window of the
+        last ``window`` latencies: only the trailing ``window`` elements
+        can remain visible, so the rest never need to touch the buffer.
         """
         values = np.asarray(latencies, dtype=float).ravel()
         if values.size >= self._window:

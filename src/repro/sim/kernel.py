@@ -4,12 +4,10 @@ Every loop in this repository that advances simulated time -- training
 steps, elasticity schedules, best-effort adjustment drains, serving
 arrivals and batch completions -- runs on ONE substrate: a
 :class:`SimClock` driven by an :class:`EventQueue` with deterministic
-``(time, priority, seq)`` ordering. The kernel replaces the four bespoke
-advance-of-time implementations the repo used to carry (the pipeline
-engine's internal step loop, the serving engine's arrival-vs-completion
-clock, the training/bench step loops, and per-step elasticity polling),
-so any mix of workloads composes on a shared clock (see
-``docs/simulation.md``).
+``(time, priority, seq)`` ordering, so any mix of workloads composes on a
+shared clock (see ``docs/simulation.md``). The one other step loop is
+``simulate_pipeline(kernel=False)``, the plain inline baseline the perf
+harness times the kernel against.
 
 Ordering rules:
 
@@ -130,7 +128,7 @@ class EventQueue:
     ) -> SimEvent:
         """Build an event with the next ``seq`` WITHOUT enqueueing it.
 
-        The kernel's batch-drain fast path uses this to keep same-time
+        The kernel's same-timestamp drain uses this to keep same-time
         events out of the heap entirely; :meth:`insert` re-enqueues a
         made event (e.g. when a callback raised mid-drain)."""
         return SimEvent(
@@ -187,30 +185,26 @@ class SimKernel:
             spans on the same track. ``record_trace`` and ``tracer``
             share one observation path
             (:class:`~repro.telemetry.tracing.KernelTraceSink`); with
-            neither, the drain loops pay a single ``is not None``
+            neither, the drain loop pays a single ``is not None``
             branch per event.
-        batch_drain: Drain same-timestamp event groups as one slice
-            (default). All events sharing the head time are popped
-            together in ``(priority, seq)`` order and dispatched without
-            touching the heap between them; a source that re-schedules at
-            the *current* time (the dispatch-at-now idiom of
-            :class:`~repro.sim.sources.ServingSource`) lands in a small
-            sorted side buffer instead of churning the heap. Dispatch
-            order is provably identical to the one-at-a-time drain
-            (``batch_drain=False``), which is retained as the reference
-            path for the identity tests.
+
+    Same-timestamp event groups drain as one slice: all events sharing
+    the head time are popped together in ``(priority, seq)`` order and
+    dispatched without touching the heap between them; a source that
+    re-schedules at the *current* time (the dispatch-at-now idiom of
+    :class:`~repro.sim.sources.ServingSource`) lands in a small sorted
+    side buffer instead of churning the heap. Dispatch order is exactly
+    that of popping one event at a time off the heap.
     """
 
     def __init__(
         self,
         record_trace: bool = False,
-        batch_drain: bool = True,
         tracer: TraceTrack | None = None,
     ) -> None:
         self._clock = SimClock()
         self._queue = EventQueue()
         self._processed = 0
-        self._batch_drain = bool(batch_drain)
         self._draining_time: float | None = None
         self._drain_buffer: list[SimEvent] = []
         self._sink: KernelTraceSink | None = (
@@ -293,7 +287,7 @@ class SimKernel:
         callback: Callable[[], None],
         label: str,
     ) -> SimEvent:
-        """Route a new event to the heap -- or, mid batch-drain, to the
+        """Route a new event to the heap -- or, mid group drain, to the
         sorted same-time side buffer (the heap-churn-skipping fast path
         for the schedule-at-now idiom)."""
         if self._draining_time is not None and float(time) == self._draining_time:
@@ -318,42 +312,15 @@ class SimKernel:
 
         Returns:
             The simulation time after the run.
-        """
-        if self._batch_drain:
-            return self._run_batched(until, max_events)
-        return self._run_serial(until, max_events)
 
-    def _run_serial(self, until: float | None, max_events: int) -> float:
-        """Reference drain: one heap pop per dispatched event."""
-        sink = self._sink
-        while self._queue:
-            if self._processed >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted after {max_events} events"
-                )
-            if until is not None and self._queue.peek().time > until:
-                self._clock.advance_to(until)
-                return self._clock.now
-            event = self._queue.pop()
-            self._clock.advance_to(event.time)
-            self._processed += 1
-            if sink is not None:
-                sink.observe(event.time, event.priority, event.seq, event.label)
-            event.callback()
-        if until is not None:
-            self._clock.advance_to(max(self._clock.now, until))
-        return self._clock.now
-
-    def _run_batched(self, until: float | None, max_events: int) -> float:
-        """Batched drain: pop the whole same-timestamp group, then merge.
-
-        The group comes off the heap already in ``(priority, seq)`` order
-        (sequential pops of equal-time events are globally sorted), and
-        same-time events scheduled by the callbacks land in the sorted
-        ``_drain_buffer``; the merge always dispatches the smaller of the
-        group head and the buffer head, so the total ``(time, priority,
-        seq)`` order is exactly the serial drain's. On an exception the
-        undispatched remainder of both is restored to the heap.
+        Each same-timestamp group comes off the heap already in
+        ``(priority, seq)`` order (sequential pops of equal-time events
+        are globally sorted), and same-time events scheduled by the
+        callbacks land in the sorted ``_drain_buffer``; the merge always
+        dispatches the smaller of the group head and the buffer head, so
+        the total ``(time, priority, seq)`` order is exactly that of one
+        heap pop per event. On an exception the undispatched remainder of
+        both is restored to the heap.
         """
         queue = self._queue
         buffer = self._drain_buffer
@@ -369,12 +336,11 @@ class SimKernel:
                 return self._clock.now
             first = queue.pop()
             if not queue or queue.peek().time != group_time:
-                # Singleton group: dispatch exactly like the serial
-                # drain. Same-time events the callback schedules go
-                # through the heap, whose (time, priority, seq) order
-                # matches the merge's, so the trace is unchanged --
-                # this just skips the buffer machinery for the common
-                # untied case.
+                # Singleton group: dispatch straight off the heap.
+                # Same-time events the callback schedules go through the
+                # heap, whose (time, priority, seq) order matches the
+                # merge's -- this just skips the buffer machinery for the
+                # common untied case.
                 self._clock.advance_to(group_time)
                 self._processed += 1
                 if sink is not None:

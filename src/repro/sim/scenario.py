@@ -90,16 +90,12 @@ class Scenario:
         self,
         record_trace: bool = False,
         max_events: int = 5_000_000,
-        batch_drain: bool = True,
     ) -> SimKernel:
         """Execute the scenario on a fresh kernel and return it.
 
         Sources accumulate their own results; read them off the source
         objects after the run. The returned kernel exposes the final
         clock, processed-event count and (when requested) the trace.
-        ``batch_drain=False`` runs the kernel's one-at-a-time reference
-        drain (see :class:`~repro.sim.kernel.SimKernel`) -- dispatch
-        order is identical; only the heap traffic differs.
 
         When a :mod:`repro.telemetry` session is active, the run binds
         to it: the session clock follows this kernel, and -- if the
@@ -116,9 +112,7 @@ class Scenario:
             track = session.tracer.new_track(self.name)
             for priority in Priority:
                 track.thread_name(int(priority), f"kernel/{priority.name}")
-        kernel = SimKernel(
-            record_trace=record_trace, batch_drain=batch_drain, tracer=track
-        )
+        kernel = SimKernel(record_trace=record_trace, tracer=track)
         if session is not None:
             session.bind_clock(lambda: kernel.now)
             session.bind_track(track)

@@ -237,9 +237,9 @@ class ServingSource:
     ARRIVAL events, the server dispatches the next FIFO micro-batch as a
     STEP event whenever it is idle and the queue is non-empty, and the
     batch's modelled duration schedules a COMPLETION event that frees
-    the server. Priorities guarantee the legacy loop's admission order:
-    at any instant, completions free the server first, then arrivals are
-    admitted, then the dispatch forms its batch.
+    the server. Priorities fix the admission order at any instant:
+    completions free the server first, then arrivals are admitted, then
+    the dispatch forms its batch.
 
     Args:
         requests: The stream (any order; sorted by ``(arrival, index)``).

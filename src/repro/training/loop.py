@@ -14,10 +14,11 @@ dense-compute / adjustment phases overlap per the paper's pipeline.
 Both simulators are hosted on the unified discrete-event kernel
 (:mod:`repro.sim`): steps are event sources on the shared clock, so the
 same runs compose with elasticity schedules, serving traffic and stream
-budgets declared in one :class:`~repro.sim.scenario.Scenario`. Passing
-``kernel=False`` runs the retired inline loop instead; the two are
-decision- and metric-identical on seeded runs (asserted by
-``tests/test_sim_identity.py``).
+budgets declared in one :class:`~repro.sim.scenario.Scenario`.
+:func:`simulate_pipeline` also takes ``kernel=False``, a plain inline step
+loop with no event machinery: the perf harness times the kernel and the
+telemetry taps against it, and ``tests/test_sim_identity.py`` asserts the
+two are decision- and metric-identical on seeded runs.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ def simulate_training(
     trace: RoutingTrace,
     moe_layers: int = 1,
     warmup: int = 0,
-    kernel: bool = True,
 ) -> TrainingRunResult:
     """Run ``system`` over every step of ``trace``.
 
@@ -139,9 +139,6 @@ def simulate_training(
         warmup: Initial steps executed but excluded from the aggregated
             results (cold-start transient; negligible in real multi-day
             runs but visible in short traces).
-        kernel: Host the steps on the shared discrete-event kernel (the
-            default); ``False`` runs the retired inline loop. Identical
-            results either way.
     """
     if moe_layers < 1:
         raise SimulationError("moe_layers must be >= 1")
@@ -149,19 +146,15 @@ def simulate_training(
         raise SimulationError(
             f"warmup must be in [0, {trace.num_steps}), got {warmup}"
         )
-    if kernel:
-        source = SystemStepSource(system, trace)
-        Scenario(
-            name=f"train-{system.name}",
-            sources=(source,),
-            duration=trace.num_steps,
-        ).run()
-        results = source.results
-    else:
-        results = [system.step(trace.step(t), t) for t in range(trace.num_steps)]
+    source = SystemStepSource(system, trace)
+    Scenario(
+        name=f"train-{system.name}",
+        sources=(source,),
+        duration=trace.num_steps,
+    ).run()
     return TrainingRunResult(
         system=system.name,
-        results=tuple(results[warmup:]),
+        results=tuple(source.results[warmup:]),
         moe_layers=moe_layers,
     )
 
@@ -235,8 +228,9 @@ def simulate_pipeline(
         kernel: Host the run on the shared discrete-event kernel (the
             default): steps become TRIGGER/STEP/STREAM events and any
             elasticity schedule becomes a FAILURE event source, instead
-            of being polled per step. ``False`` runs the retired inline
-            loop. Identical results either way.
+            of being polled per step. ``False`` runs a plain inline
+            loop (the instrumentation-free baseline the perf harness
+            times against). Identical results either way.
     """
     if trace.num_layers != engine.num_moe_layers:
         raise SimulationError(

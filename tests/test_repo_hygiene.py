@@ -1,10 +1,12 @@
-"""Repository hygiene: no compiled bytecode may ever be committed.
+"""Repository hygiene: no compiled bytecode may ever be committed, and
+every committed benchmark artifact passes its own gates.
 
 The seed repo once carried ``__pycache__`` directories in the index;
 ``.gitignore`` now excludes them and this test (plus the same check in
 ``tools/check_docs.py``, which CI runs) keeps them from coming back.
 """
 
+import json
 import subprocess
 from pathlib import Path
 
@@ -48,3 +50,17 @@ def test_gitignore_excludes_bytecode():
     text = (REPO / ".gitignore").read_text(encoding="utf-8")
     assert "__pycache__/" in text
     assert "*.py[cod]" in text or "*.pyc" in text
+
+
+def test_committed_bench_artifacts_pass_their_gates():
+    artifacts = [
+        f for f in tracked_files()
+        if "/" not in f and f.startswith("BENCH_") and f.endswith(".json")
+    ]
+    assert artifacts, "no BENCH_*.json artifacts tracked at the repo root"
+    for name in artifacts:
+        report = json.loads((REPO / name).read_text(encoding="utf-8"))
+        assert report.get("ok") is True, f"{name} carries a failed gate"
+        assert report.get("regression") is not True, (
+            f"{name} records a regression"
+        )

@@ -169,15 +169,27 @@ class TestServeCLI:
         assert "FlexMoE-serving" in out
         assert "StaticServing" in out
         assert "p99 speedup" in out
-        assert (tmp_path / REPORT_FILENAME).exists()
 
-    def test_json_output(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(self.ARGS + ["--json"]) == 0
+    def test_json_output(self, capsys, tmp_path):
+        target = tmp_path / "serve.json"
+        assert main(self.ARGS + ["--json", "--output", str(target)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["suite"] == "serving_latency"
-        on_disk = json.loads((tmp_path / REPORT_FILENAME).read_text())
+        on_disk = json.loads(target.read_text())
         assert on_disk == payload
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--json"], ["--multi-tenant", "--requests", "40"]]
+    )
+    def test_custom_size_writes_no_canonical_report(
+        self, capsys, tmp_path, monkeypatch, extra
+    ):
+        """Only --smoke owns the canonical BENCH_*.json names: a custom
+        run without --output prints its table and writes no file."""
+        monkeypatch.chdir(tmp_path)
+        assert main(self.ARGS + extra) == 0
+        assert "report written" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_smoke_gate_passes_and_writes_report(
         self, capsys, tmp_path, monkeypatch

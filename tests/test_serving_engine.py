@@ -1,5 +1,7 @@
 """The serving engine: latency accounting, determinism, SLO machinery."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -212,8 +214,8 @@ class TestSLOPrimitives:
     def test_latency_window_p99(self):
         window = LatencyWindow(window=4)
         assert window.p99() is None
-        for value in (0.1, 0.2, 0.3, 0.4, 0.5):
-            window.observe(value)
+        window.observe_batch(np.array([0.1, 0.2, 0.3]))
+        window.observe_batch(np.array([0.4, 0.5]))
         # Window keeps the last four: 0.2..0.5.
         assert window.p99() == pytest.approx(
             np.percentile([0.2, 0.3, 0.4, 0.5], 99)
@@ -257,20 +259,24 @@ class TestSLOPrimitives:
         assert summary["p99_latency_s"] == pytest.approx(report.p99)
 
 
+def _sequential_p99(sequential):
+    """p99 of a plain last-``window`` deque (the reference window)."""
+    return float(np.percentile(list(sequential), 99.0)) if sequential else None
+
+
 class TestLatencyWindowBatchIngestion:
     def test_observe_batch_equals_sequential_observe(self):
         rng = np.random.default_rng(0)
         for window in (1, 3, 64):
             for sizes in ((5,), (2, 7, 1), (100,), (64,), (63, 2)):
-                sequential = LatencyWindow(window)
+                sequential = deque(maxlen=window)
                 batched = LatencyWindow(window)
                 for size in sizes:
                     chunk = rng.exponential(size=size)
-                    for value in chunk:
-                        sequential.observe(float(value))
+                    sequential.extend(float(value) for value in chunk)
                     batched.observe_batch(chunk)
                     assert len(batched) == len(sequential)
-                    assert batched.p99() == sequential.p99()
+                    assert batched.p99() == _sequential_p99(sequential)
 
     def test_p99_is_bit_identical_to_np_percentile(self):
         rng = np.random.default_rng(1)
@@ -299,17 +305,17 @@ from hypothesis import given, settings, strategies as st
     ),
 )
 def test_observe_batch_property(window, chunks):
-    """Property: batched ingestion is indistinguishable from per-element
-    observation for any chunking, including chunks larger than the
-    window (full-overwrite path) and wrap-arounds."""
-    sequential = LatencyWindow(window)
+    """Property: batched ingestion is indistinguishable from appending
+    each element to a last-``window`` deque, for any chunking, including
+    chunks larger than the window (full-overwrite path) and
+    wrap-arounds."""
+    sequential = deque(maxlen=window)
     batched = LatencyWindow(window)
     for chunk in chunks:
-        for value in chunk:
-            sequential.observe(value)
+        sequential.extend(chunk)
         batched.observe_batch(np.array(chunk, dtype=float))
         assert len(batched) == len(sequential)
-        assert batched.p99() == sequential.p99()
+        assert batched.p99() == _sequential_p99(sequential)
 
 
 class TestAdmissionQueueMeta:
@@ -319,12 +325,10 @@ class TestAdmissionQueueMeta:
             for i, (a, t, p) in enumerate(specs)
         ]
 
-    def test_collect_meta_columns_mirror_popped_batch(self):
+    def test_meta_columns_mirror_popped_batch(self):
         from repro.serving.admission import AdmissionQueue
 
-        queue = AdmissionQueue(
-            BatchingConfig(max_batch_tokens=300), collect_meta=True
-        )
+        queue = AdmissionQueue(BatchingConfig(max_batch_tokens=300))
         requests = self._requests(
             [(0.0, 100, 1), (0.5, 150, 2), (1.0, 200, 0), (1.5, 50, 3)]
         )
@@ -346,8 +350,7 @@ class TestAdmissionQueueMeta:
         from repro.serving.admission import AdmissionQueue
 
         queue = AdmissionQueue(
-            BatchingConfig(max_batch_tokens=100, max_queue_tokens=150),
-            collect_meta=True,
+            BatchingConfig(max_batch_tokens=100, max_queue_tokens=150)
         )
         admitted = self._requests([(0.0, 100, 0)])[0]
         rejected = Request(index=1, arrival=0.1, tokens=100, topic=1)
@@ -356,11 +359,3 @@ class TestAdmissionQueueMeta:
         queue.next_batch()
         np.testing.assert_array_equal(queue.last_batch_tokens, [100])
         np.testing.assert_array_equal(queue.last_batch_topics, [0])
-
-    def test_meta_disabled_by_default(self):
-        from repro.serving.admission import AdmissionQueue
-
-        queue = AdmissionQueue(BatchingConfig(max_batch_tokens=100))
-        queue.offer(self._requests([(0.0, 50, 0)])[0])
-        queue.next_batch()
-        assert queue.last_batch_tokens is None

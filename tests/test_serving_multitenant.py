@@ -139,14 +139,13 @@ class TestTenantConfig:
 # PriorityAdmissionQueue: deterministic unit coverage
 # ---------------------------------------------------------------------------
 def make_queue(tenants, max_batch_tokens=100, max_queue_tokens=None,
-               policy="priority", collect_meta=False):
+               policy="priority"):
     return PriorityAdmissionQueue(
         BatchingConfig(
             max_batch_tokens=max_batch_tokens,
             max_queue_tokens=max_queue_tokens,
         ),
         tenants,
-        collect_meta=collect_meta,
         policy=policy,
     )
 
@@ -232,10 +231,9 @@ class TestPriorityQueueBasics:
         queue.offer(request(1, 60, tenant=1))
         assert [r.tenant for r in queue.next_batch()] == [0]
 
-    def test_collect_meta_exposes_tenant_column(self):
+    def test_meta_exposes_tenant_column(self):
         queue = make_queue(
-            [spec(name="a"), spec(name="b", tenant_class=INTERACTIVE)],
-            collect_meta=True,
+            [spec(name="a"), spec(name="b", tenant_class=INTERACTIVE)]
         )
         queue.offer(request(0, 10, tenant=0, arrival=0.5, topic=2))
         queue.offer(request(1, 20, tenant=1, arrival=0.7, topic=1))
@@ -671,11 +669,6 @@ class TestEagerAdmissionDefault:
         engine = _tiny_engine()
         with pytest.raises(ConfigurationError):
             engine.event_source(lazy_admission=True)
-
-    def test_multitenant_rejects_legacy_clock_loop(self):
-        engine = _tiny_engine()
-        with pytest.raises(ConfigurationError):
-            engine.run(kernel=False)
 
 
 def _tiny_engine(policy="priority", preemption=True, dynamic=True):

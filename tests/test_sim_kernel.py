@@ -1,5 +1,7 @@
 """Unit and property tests for the unified discrete-event kernel."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,61 +234,68 @@ class TestSmokeHelpers:
         assert clamp_warmup(3, 0) == 0
 
 
-def _paired_kernels(record_trace=True):
-    return (
-        SimKernel(record_trace=record_trace, batch_drain=True),
-        SimKernel(record_trace=record_trace, batch_drain=False),
-    )
+def _heap_order(schedule):
+    """Reference drain: one ``heapq`` pop per event.
+
+    ``schedule`` lists ``(time, priority, reschedule)`` in scheduling
+    order; a popped event with ``reschedule`` set pushes one STREAM
+    follow-up at its own time. Returns the dispatched ``(time, priority, seq)``
+    sequence, with ``seq`` numbered like the kernel's queue counter.
+    """
+    heap = [(t, int(p), seq, r) for seq, (t, p, r) in enumerate(schedule)]
+    heapq.heapify(heap)
+    next_seq = len(heap)
+    order = []
+    while heap:
+        time, priority, seq, reschedule = heapq.heappop(heap)
+        order.append((time, priority, seq))
+        if reschedule:
+            heapq.heappush(heap, (time, int(Priority.STREAM), next_seq, False))
+            next_seq += 1
+    return order
 
 
 class TestBatchDrain:
-    """The batched same-timestamp drain is trace-identical to the
-    one-at-a-time reference drain (the ISSUE-6 kernel contract)."""
+    """The same-timestamp group drain dispatches exactly the
+    ``(time, priority, seq)`` order of one heap pop per event."""
 
     def test_tied_group_dispatches_in_priority_then_seq_order(self):
-        for kernel in _paired_kernels():
-            seen = []
-            kernel.schedule_at(1.0, lambda: seen.append("step"), Priority.STEP)
-            kernel.schedule_at(
-                1.0, lambda: seen.append("fail"), Priority.FAILURE
-            )
-            kernel.schedule_at(
-                1.0, lambda: seen.append("arrive"), Priority.ARRIVAL
-            )
-            kernel.schedule_at(1.0, lambda: seen.append("step2"), Priority.STEP)
-            kernel.run()
-            assert seen == ["fail", "arrive", "step", "step2"]
+        kernel = SimKernel()
+        seen = []
+        kernel.schedule_at(1.0, lambda: seen.append("step"), Priority.STEP)
+        kernel.schedule_at(1.0, lambda: seen.append("fail"), Priority.FAILURE)
+        kernel.schedule_at(1.0, lambda: seen.append("arrive"), Priority.ARRIVAL)
+        kernel.schedule_at(1.0, lambda: seen.append("step2"), Priority.STEP)
+        kernel.run()
+        assert seen == ["fail", "arrive", "step", "step2"]
 
     def test_reschedule_at_current_time_joins_the_group(self):
         """The dispatch-at-now idiom: an event scheduled at the current
         time from inside a callback fires within the same timestamp, in
-        (priority, seq) position, under both drains."""
-        runs = {}
-        for kernel in _paired_kernels():
-            seen = []
+        (priority, seq) position."""
+        kernel = SimKernel(record_trace=True)
+        seen = []
 
-            def arrival(kernel=kernel, seen=seen):
-                seen.append("arrival")
-                kernel.schedule_at(
-                    kernel.now,
-                    lambda: seen.append("dispatch"),
-                    Priority.STEP,
-                )
+        def arrival():
+            seen.append("arrival")
+            kernel.schedule_at(
+                kernel.now, lambda: seen.append("dispatch"), Priority.STEP
+            )
 
-            def completion(kernel=kernel, seen=seen):
-                seen.append("completion")
-
-            kernel.schedule_at(2.0, arrival, Priority.ARRIVAL)
-            kernel.schedule_at(2.0, completion, Priority.COMPLETION)
-            kernel.schedule_at(2.0, lambda: seen.append("stream"), Priority.STREAM)
-            kernel.run()
-            runs[kernel._batch_drain] = (seen, kernel.trace)
-        assert runs[True][0] == ["completion", "arrival", "dispatch", "stream"]
-        assert runs[True][0] == runs[False][0]
-        assert runs[True][1] == runs[False][1]
+        kernel.schedule_at(2.0, arrival, Priority.ARRIVAL)
+        kernel.schedule_at(2.0, lambda: seen.append("completion"), Priority.COMPLETION)
+        kernel.schedule_at(2.0, lambda: seen.append("stream"), Priority.STREAM)
+        kernel.run()
+        assert seen == ["completion", "arrival", "dispatch", "stream"]
+        assert [entry[:3] for entry in kernel.trace] == [
+            (2.0, Priority.COMPLETION, 1),
+            (2.0, Priority.ARRIVAL, 0),
+            (2.0, Priority.STEP, 3),
+            (2.0, Priority.STREAM, 2),
+        ]
 
     def test_budget_exhaustion_mid_group_restores_remainder(self):
-        kernel = SimKernel(batch_drain=True)
+        kernel = SimKernel()
         seen = []
         for i in range(6):
             kernel.schedule_at(1.0, lambda i=i: seen.append(i), Priority.STEP)
@@ -300,7 +309,7 @@ class TestBatchDrain:
         assert seen == [0, 1, 2, 3, 4, 5]
 
     def test_callback_exception_restores_undispatched_events(self):
-        kernel = SimKernel(batch_drain=True)
+        kernel = SimKernel()
         seen = []
 
         def boom():
@@ -315,34 +324,33 @@ class TestBatchDrain:
         # Both the tied group remainder AND the same-time event the
         # failing callback buffered survive for a resumed run, which
         # drains them in (priority, seq) order: "tied" (seq 1) before
-        # the later-scheduled "buffered" (seq 2) -- exactly what the
-        # serial drain would have done.
+        # the later-scheduled "buffered" (seq 2).
         assert len(kernel) == 2
         kernel.run()
         assert seen == ["boom", "tied", "buffered"]
 
     def test_run_until_leaves_future_events(self):
-        for kernel in _paired_kernels(record_trace=False):
-            seen = []
-            kernel.schedule_at(1.0, lambda: seen.append("a"))
-            kernel.schedule_at(1.0, lambda: seen.append("b"), Priority.FAILURE)
-            kernel.schedule_at(10.0, lambda: seen.append("late"))
-            assert kernel.run(until=5.0) == 5.0
-            assert seen == ["b", "a"]
-            assert len(kernel) == 1
+        kernel = SimKernel()
+        seen = []
+        kernel.schedule_at(1.0, lambda: seen.append("a"))
+        kernel.schedule_at(1.0, lambda: seen.append("b"), Priority.FAILURE)
+        kernel.schedule_at(10.0, lambda: seen.append("late"))
+        assert kernel.run(until=5.0) == 5.0
+        assert seen == ["b", "a"]
+        assert len(kernel) == 1
 
     def test_singleton_groups_match_serial(self):
-        runs = {}
-        for kernel in _paired_kernels():
-            def tick(t, kernel=kernel):
-                if t < 5.0:
-                    kernel.schedule(1.0, lambda: tick(t + 1.0))
+        kernel = SimKernel(record_trace=True)
 
-            kernel.schedule_at(0.0, lambda: tick(0.0))
-            kernel.run()
-            runs[kernel._batch_drain] = kernel.trace
-        assert runs[True] == runs[False]
-        assert len(runs[True]) == 6
+        def tick(t):
+            if t < 5.0:
+                kernel.schedule(1.0, lambda: tick(t + 1.0))
+
+        kernel.schedule_at(0.0, lambda: tick(0.0))
+        kernel.run()
+        assert [entry[:3] for entry in kernel.trace] == [
+            (float(t), Priority.STEP, t) for t in range(6)
+        ]
 
 
 @settings(max_examples=120, deadline=None)
@@ -359,30 +367,27 @@ class TestBatchDrain:
         max_size=30,
     )
 )
-def test_batch_drain_trace_matches_serial(events):
+def test_drain_trace_matches_heap_order(events):
     """Property: for random tie-heavy schedules whose callbacks may
-    re-schedule at the current instant, the batched drain dispatches the
-    exact (time, priority, seq) sequence of the reference drain."""
-    traces = {}
-    for drain in (True, False):
-        kernel = SimKernel(record_trace=True, batch_drain=drain)
+    re-schedule at the current instant, the kernel dispatches the exact
+    (time, priority, seq) sequence of one heap pop per event."""
+    kernel = SimKernel(record_trace=True)
 
-        def make(index, reschedule):
-            def callback():
-                if reschedule:
-                    kernel.schedule_at(
-                        kernel.now,
-                        lambda: None,
-                        Priority.STREAM,
-                        label=f"follow-{index}",
-                    )
+    def make(index, reschedule):
+        def callback():
+            if reschedule:
+                kernel.schedule_at(
+                    kernel.now,
+                    lambda: None,
+                    Priority.STREAM,
+                    label=f"follow-{index}",
+                )
 
-            return callback
+        return callback
 
-        for index, (time, priority, reschedule) in enumerate(events):
-            kernel.schedule_at(
-                time, make(index, reschedule), priority, label=str(index)
-            )
-        kernel.run()
-        traces[drain] = kernel.trace
-    assert traces[True] == traces[False]
+    for index, (time, priority, reschedule) in enumerate(events):
+        kernel.schedule_at(
+            time, make(index, reschedule), priority, label=str(index)
+        )
+    kernel.run()
+    assert [entry[:3] for entry in kernel.trace] == _heap_order(events)

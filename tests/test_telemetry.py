@@ -253,8 +253,7 @@ def test_admission_taps_count_admit_and_reject():
 
 def test_latency_window_publish():
     window = LatencyWindow(8)
-    for value in (0.1, 0.2, 0.3):
-        window.observe(value)
+    window.observe_batch(np.array([0.1, 0.2, 0.3]))
     registry = MetricsRegistry()
     window.publish(registry, engine="X")
     assert registry.value("serving.window.size", engine="X") == 3.0
