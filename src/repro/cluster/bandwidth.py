@@ -15,10 +15,11 @@ shape and answers every query the cost models make:
 * scalar links (:meth:`link`) by node arithmetic;
 * rectangular sub-blocks (:meth:`submatrix`) materialized on demand at
   the query's size, not the cluster's;
-* the placement search's hot aggregation (:meth:`inv_offdiag_apply`,
-  the per-destination sum ``sum_{s != d} x[s] / Bw(s, d)`` behind
-  Eq. 8) in O(G) per row via per-node partial sums instead of the
-  O(G^2) matrix product;
+* the placement search's hot aggregation (:meth:`inflow_at`, the
+  per-destination sum ``sum_{s != d} x[s] / Bw(s, d)`` behind Eq. 8)
+  at just the destinations asked for -- an expert's replica holders --
+  in O(1) each from per-node partial sums of the source rows
+  (:meth:`source_rows`), instead of the O(G^2) matrix product;
 * a lazily-cached dense view (:meth:`dense`) for consumers that
   genuinely need the full matrix (the ground-truth executor's route
   pricing, which only runs at engine-feasible cluster sizes).
@@ -37,9 +38,24 @@ what lets per-node sums come from a reshape instead of a scatter.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.exceptions import TopologyError
+
+
+class SourceRows(NamedTuple):
+    """Dense source rows prepared for :meth:`BandwidthModel.inflow_at`.
+
+    ``matrix`` is the ``(R, G)`` rows themselves, ``totals`` their sums and
+    ``node_sums`` their ``(R, num_nodes)`` per-node partial sums (``None``
+    for a dense model, which has no node structure to exploit).
+    """
+
+    matrix: np.ndarray
+    totals: np.ndarray
+    node_sums: np.ndarray | None
 
 
 class BandwidthModel:
@@ -203,32 +219,84 @@ class BandwidthModel:
             self._inv_diag = inv
         return self._inv_diag
 
-    def inv_offdiag_apply(self, spill: np.ndarray) -> np.ndarray:
-        """Per-destination ``sum_{s != d} spill[..., s] / Bw(s, d)``.
+    def source_rows(self, sources: np.ndarray) -> SourceRows:
+        """Prepare dense source rows ``(R, G)`` for :meth:`inflow_at`.
+
+        One O(R * G) pass per source matrix (the delta evaluator makes it
+        once per assignment); every inflow query after it reads only the
+        row totals and, for the blocked model, the per-node sums.
+        """
+        sources = np.asarray(sources, dtype=float)
+        if sources.ndim != 2 or sources.shape[1] != self._num_gpus:
+            raise TopologyError(
+                f"source rows must be (R, {self._num_gpus}), got "
+                f"{sources.shape}"
+            )
+        node_sums = None
+        if self._blocked:
+            # A product with a ones vector beats a reduction over the
+            # short per-node axis several times over.
+            node_sums = (
+                sources.reshape(-1, self._gpus_per_node)
+                @ np.ones(self._gpus_per_node)
+            ).reshape(sources.shape[0], self._num_nodes)
+        return SourceRows(sources, sources.sum(axis=1), node_sums)
+
+    def inflow_at(
+        self,
+        sources: SourceRows,
+        rows: np.ndarray,
+        segments: np.ndarray,
+        devices: np.ndarray,
+        kept: np.ndarray,
+    ) -> np.ndarray:
+        """Per-destination inflow ``sum_{s != d} x[s] / Bw(s, d)`` at entries.
 
         The All-to-All aggregation of Eq. 8 (the delta evaluator's only
-        bandwidth-dependent term), batched over arbitrary leading axes.
-        The blocked path runs in O(rows * G) via per-node partial sums;
-        the dense path keeps the matrix-product formulation.
+        bandwidth-dependent term), asked only at the devices that matter.
+        Entry ``k`` is destination ``d = devices[k]`` of segment
+        ``segments[k]``, whose source vector ``x`` is source row
+        ``rows[k]`` minus ``kept[j]`` tokens at ``devices[j]`` for every
+        entry ``j`` of the same segment (under locality-first routing: an
+        expert's demand minus what its holders keep, i.e. its spill).
+        Devices must be distinct within a segment, and all entries of a
+        segment must share one source row.
+
+        The blocked model answers in O(entries) from the source rows'
+        totals and per-node sums; the dense model dots each entry's
+        spill row with its destination's column of ``1 / Bw``.
         """
-        spill = np.asarray(spill, dtype=float)
-        if spill.shape[-1] != self._num_gpus:
-            raise TopologyError(
-                f"spill rows must have length {self._num_gpus}, "
-                f"got {spill.shape[-1]}"
-            )
+        rows = np.asarray(rows, dtype=np.int64)
+        segments = np.asarray(segments, dtype=np.int64)
+        devices = np.asarray(devices, dtype=np.int64)
+        kept = np.asarray(kept, dtype=float)
+        own = sources.matrix[rows, devices] - kept
         if not self._blocked:
             if self._inv_dense is None:
                 inv = 1.0 / self._dense
                 inv.setflags(write=False)
                 self._inv_dense = inv
-            return spill @ self._inv_dense - spill * self.inv_diag()
-        node_sums = spill.reshape(
-            spill.shape[:-1] + (self._num_nodes, self._gpus_per_node)
-        ).sum(axis=-1)
-        same_node = np.repeat(node_sums, self._gpus_per_node, axis=-1)
-        total = spill.sum(axis=-1)[..., None]
-        return (same_node - spill) * (1.0 / self._intra) + (
+            # Scatter each segment's kept tokens out of its source row.
+            num_segments = int(segments.max()) + 1 if segments.size else 0
+            segment_rows = np.zeros(num_segments, dtype=np.int64)
+            segment_rows[segments] = rows
+            spill = sources.matrix[segment_rows]
+            spill[segments, devices] -= kept
+            into = np.einsum(
+                "kg,gk->k", spill[segments], self._inv_dense[:, devices]
+            )
+            return into - own * self.inv_diag()[devices]
+        nodes = self._nodes_of(devices)
+        # Kept tokens per (segment, node) and per segment: the sparse part
+        # of the spill's node sums and total.
+        _, group = np.unique(
+            segments * self._num_nodes + nodes, return_inverse=True
+        )
+        kept_node = np.bincount(group, weights=kept)[group]
+        kept_total = np.bincount(segments, weights=kept)[segments]
+        same_node = sources.node_sums[rows, nodes] - kept_node
+        total = sources.totals[rows] - kept_total
+        return (same_node - own) * (1.0 / self._intra) + (
             total - same_node
         ) * (1.0 / self._inter)
 

@@ -12,14 +12,28 @@ structure instead:
   only on its own assignment row and its own replica row;
 * the cost terms of Eq. 5 are sums of per-expert contributions — per-GPU
   compute tokens, per-destination All-to-All seconds and per-group sync
-  seconds all add up linearly over experts.
+  seconds all add up linearly over experts;
+* under locality-first routing every one of those contributions is zero
+  off the expert's replica *holders*: capacity, local tokens, spare
+  capacity, spill weights, arrivals and All-to-All seconds live only
+  where the expert has a vExpert.
 
-:class:`DeltaStepCost` therefore caches, for a base ``(assignment,
-placement)`` configuration, each expert's contribution vectors plus their
-per-GPU aggregates.  Scoring a candidate then costs re-routing only the
-changed experts and adjusting the aggregates — O(changed experts * D) work
-with tiny constants — instead of O(E * D^2).  Two query shapes cover both
-searchers:
+:class:`DeltaStepCost` therefore stores the base ``(assignment,
+placement)`` configuration holder-sparse.  One index of the count matrix
+lists every ``(expert, device, count)`` entry (sorted by expert, then
+device); each entry carries its arrivals and All-to-All seconds, and each
+expert one scalar AllReduce time (every member of a replica group pays the
+same ``grad_bytes / bps``).  The only dense inputs a route needs are the
+assignment row's total and its per-node sums (see
+:meth:`~repro.cluster.bandwidth.BandwidthModel.inflow_at`), so at an
+expert density of ~1% (32 holders of 4096 devices) a route costs O(holders)
+instead of O(D).  A single kernel, :meth:`DeltaStepCost._route`, prices
+holder entries for the rebase, all three query shapes and the audit.
+
+Scoring a candidate re-routes only the changed experts' entries and takes
+Eq. 5's max over a copy of the base per-GPU times with the changed
+experts' old contributions scattered out and their new ones scattered in.
+Three query shapes cover the searchers:
 
 * :meth:`pair_candidate_times` — batch-scores every shrink GPU of one
   (Shrink e1, Expand e0) pair in a single vectorized pass (the Policy
@@ -50,11 +64,38 @@ exit.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from repro.cluster.bandwidth import SourceRows
 from repro.core.cost_model import MoECostModel
 from repro.core.placement import Placement
 from repro.exceptions import RoutingError, SchedulingError
+
+
+class HolderIndex(NamedTuple):
+    """Holder-sparse view of a count matrix.
+
+    Every non-zero ``(expert, gpu, count)`` cell, sorted by expert then
+    GPU; expert ``e``'s entries are ``ptr[e]:ptr[e + 1]``.
+    """
+
+    expert: np.ndarray
+    gpu: np.ndarray
+    count: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def of(cls, counts: np.ndarray) -> "HolderIndex":
+        """Index a dense ``(E, G)`` count matrix in one O(E * G) scan."""
+        expert, gpu = np.nonzero(counts)
+        return cls(
+            expert,
+            gpu,
+            counts[expert, gpu],
+            np.searchsorted(expert, np.arange(counts.shape[0] + 1)),
+        )
 
 
 class DeltaStepCost:
@@ -66,7 +107,7 @@ class DeltaStepCost:
         audit: When true, every delta evaluation is cross-checked against a
             full recomputation and a mismatch beyond float tolerance raises
             :class:`~repro.exceptions.SchedulingError`.  Test/debug knob —
-            it re-introduces the O(E * D^2) cost per candidate.
+            it re-introduces the O(E * D) cost per candidate.
     """
 
     #: Relative tolerance of the audit cross-check.
@@ -76,7 +117,7 @@ class DeltaStepCost:
         self._cost_model = cost_model
         self._audit = audit
         # Implicit fabric: the All-to-All aggregation runs through the
-        # node-blocked model in O(G) per row, no G x G inverse matrix.
+        # node-blocked model in O(1) per holder entry, no G x G inverse.
         self._bw = cost_model.profile.bandwidth_model()
         # Instance-level factors so inference-shaped cost models (two
         # A2A passes, no gradient sync) price deltas consistently.
@@ -87,15 +128,24 @@ class DeltaStepCost:
         self._placement_version = -1
         self._state_version = -1
         self._assignment: np.ndarray | None = None
-        self._totals: np.ndarray | None = None
-        self._counts: np.ndarray | None = None
+        self._sources: SourceRows | None = None
         self._eff_tps: np.ndarray | None = None
+        # Holder index of the base count matrix, sorted by (expert, gpu):
+        # entries of expert e are _ptr[e]:_ptr[e + 1].
+        self._expert: np.ndarray | None = None
+        self._gpu: np.ndarray | None = None
+        self._count: np.ndarray | None = None
+        self._keys: np.ndarray | None = None
+        self._ptr: np.ndarray | None = None
+        self._replicas: np.ndarray | None = None
+        self._index_shape: tuple[int, int] | None = None
+        # Per-entry route stats, per-expert sync seconds, and each entry's
+        # contribution to its device's Eq. 5 time.
         self._arrivals: np.ndarray | None = None
         self._a2a: np.ndarray | None = None
         self._sync: np.ndarray | None = None
-        self._base_tokens: np.ndarray | None = None
-        self._base_a2a: np.ndarray | None = None
-        self._base_sync: np.ndarray | None = None
+        self._contrib: np.ndarray | None = None
+        self._base_per_gpu: np.ndarray | None = None
         self._base_time = 0.0
         # Accounting surfaced by the perf harness.
         self.rebases = 0
@@ -114,6 +164,16 @@ class DeltaStepCost:
         """Step time of the configuration cached by the last rebase."""
         return self._base_time
 
+    @property
+    def holders(self) -> HolderIndex:
+        """Holder index of the placement cached by the last rebase.
+
+        Describes that placement only until it next mutates; planners
+        read it right after a rebase instead of re-scanning the count
+        matrix.
+        """
+        return HolderIndex(self._expert, self._gpu, self._count, self._ptr)
+
     def stats(self) -> dict[str, float]:
         """Counter snapshot for bench reporting and the perf smoke gate."""
         return {
@@ -126,63 +186,70 @@ class DeltaStepCost:
     # Per-expert contribution math (mirrors FlexibleTokenRouter
     # .route_fractional and MoECostModel term by term)
     # ------------------------------------------------------------------
-    def _route_stats(
-        self, demand: np.ndarray, totals: np.ndarray, counts: np.ndarray
+    def _route(
+        self,
+        row_expert: np.ndarray,
+        row: np.ndarray,
+        gpu: np.ndarray,
+        count: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Arrival and All-to-All contribution of expert rows.
+        """Arrivals and All-to-All seconds of expert rows, per holder entry.
 
-        Vectorized over an arbitrary leading batch axis: ``demand`` and
-        ``counts`` are ``(..., G)`` rows, ``totals`` the matching ``(...)``
-        row sums.  Returns ``(arrivals, a2a_seconds)`` of shape ``(..., G)``
-        where ``arrivals`` are tokens landing on each GPU and
-        ``a2a_seconds`` the per-destination All-to-All seconds (Eq. 8)
-        contributed by these experts.
+        Row ``r`` prices expert ``row_expert[r]`` under the replica counts
+        of its entries ``k`` (``row[k] == r``): ``count[k]`` vExperts on
+        device ``gpu[k]``, at most one entry per device and row.  Entries
+        may carry a zero count (a holder a candidate just vacated); they
+        price to zero.  Returns per-entry ``(arrivals, a2a_seconds)``:
+        tokens landing on the entry's device and the All-to-All seconds
+        (Eq. 8) the row adds to it.
         """
-        counts = counts.astype(float, copy=False)
-        replicas = counts.sum(axis=-1)
+        num_rows = row_expert.size
+        expert = row_expert[row]
+        counts = count.astype(float)
+        totals = self._sources.totals[row_expert]
+        replicas = np.bincount(row, weights=counts, minlength=num_rows)
         per_replica = np.divide(
-            totals, replicas, out=np.zeros_like(replicas, dtype=float),
-            where=replicas > 0,
+            totals, replicas, out=np.zeros(num_rows), where=replicas > 0
         )
-        capacity = counts * per_replica[..., None]
-        local = np.minimum(demand, capacity)
-        spill = demand - local
+        capacity = counts * per_replica[row]
+        local = np.minimum(self._assignment[expert, gpu], capacity)
         avail = capacity - local
-        avail_totals = avail.sum(axis=-1)
+        avail_totals = np.bincount(row, weights=avail, minlength=num_rows)[row]
         weights = np.divide(
-            avail,
-            avail_totals[..., None],
-            out=np.zeros_like(avail),
-            where=avail_totals[..., None] > 0,
+            avail, avail_totals, out=np.zeros_like(avail),
+            where=avail_totals > 0,
         )
-        arrivals = local + spill.sum(axis=-1)[..., None] * weights
-        # Off-diagonal flow of the spill outer product: destination d
-        # receives spill[s] * weights[d] tokens from every source s != d.
-        inflow = self._bw.inv_offdiag_apply(spill)
-        a2a = self._a2a_factor * weights * inflow
-        return arrivals, a2a
+        spill_totals = totals - np.bincount(
+            row, weights=local, minlength=num_rows
+        )
+        arrivals = local + spill_totals[row] * weights
+        # Destination d receives spill[s] * weights[d] tokens from every
+        # source s != d; weights vanish off the holders, so the inflow is
+        # needed only at the entries.
+        inflow = self._bw.inflow_at(self._sources, expert, row, gpu, local)
+        return arrivals, self._a2a_factor * weights * inflow
 
-    def _sync_row(self, counts_row: np.ndarray) -> np.ndarray:
-        """Per-GPU sync seconds (Eq. 9) contributed by one expert row.
+    def _group_sync(self, holders: np.ndarray) -> float:
+        """Per-member sync seconds (Eq. 9) of one replica group.
 
-        Prices the replica group through the profile's lazy AllReduce
-        cache, preserving the reference path's first-seen probe order.
+        Prices the group through the profile's lazy AllReduce cache; the
+        caller's call order is the probe order.
         """
-        members = np.flatnonzero(counts_row)
-        sync = np.zeros(counts_row.shape[-1])
-        if self._grad_bytes and members.size > 1:
-            group = tuple(int(g) for g in members)
-            sync[members] = (
-                self._grad_bytes / self._cost_model.profile.allreduce_bps(group)
-            )
-        return sync
+        if not self._grad_bytes or holders.size < 2:
+            return 0.0
+        return self._grad_bytes / self._cost_model.profile.allreduce_bps(
+            tuple(holders.tolist())
+        )
 
-    def _totals_to_time(
-        self, tokens: np.ndarray, a2a: np.ndarray, sync: np.ndarray
-    ):
-        """Eq. 5 from per-GPU aggregates (batched over a leading axis)."""
-        per_gpu = tokens / self._eff_tps + a2a + sync
-        return per_gpu.max(axis=-1)
+    def _per_gpu(self, gpu, arrivals, a2a, sync, eff_tps) -> np.ndarray:
+        """Eq. 5's per-GPU times from holder entries (sync per entry)."""
+        num_gpus = eff_tps.size
+        tokens = np.bincount(gpu, weights=arrivals, minlength=num_gpus)
+        return (
+            tokens / eff_tps
+            + np.bincount(gpu, weights=a2a, minlength=num_gpus)
+            + np.bincount(gpu, weights=sync, minlength=num_gpus)
+        )
 
     # ------------------------------------------------------------------
     # Base construction
@@ -194,94 +261,83 @@ class DeltaStepCost:
         assignment changes); every subsequent what-if query is evaluated
         as a delta against this base.
         """
-        demand = np.ascontiguousarray(assignment, dtype=float)
-        if demand is assignment:
-            # Snapshot, never alias: the incremental path below compares
-            # the next rebase's assignment against this one, which must
-            # see the values as passed even if the caller mutates theirs.
-            demand = demand.copy()
-        if demand.ndim != 2 or demand.shape != (
-            placement.num_experts,
-            placement.num_gpus,
-        ):
+        assignment = np.asarray(assignment)
+        if assignment.shape != (placement.num_experts, placement.num_gpus):
             raise RoutingError(
-                f"assignment shape {demand.shape} does not match placement "
-                f"({placement.num_experts}, {placement.num_gpus})"
+                f"assignment shape {assignment.shape} does not match "
+                f"placement ({placement.num_experts}, {placement.num_gpus})"
             )
-        if (demand < 0).any():
-            raise RoutingError("token counts must be non-negative")
-        counts = placement.counts
-        num_experts, num_gpus = demand.shape
-        # Route and sync rows are separable per expert, so a re-rebase
-        # against the SAME assignment (the planners rebase once per
-        # candidate move within a scheduling round) recomputes only the
-        # rows whose counts changed and patches the per-GPU aggregates by
-        # those rows' deltas — O(changed experts * G) total, independent
-        # of E.  Unchanged rows' sync groups are already in the profile's
-        # BPS cache, so the lazy-probe order (ascending expert over
-        # changed rows) is identical to the reference path's full
-        # ascending pass.
-        prev_counts, prev_sync = self._counts, self._sync
-        rows_cached = (
-            prev_sync is not None
-            and prev_counts is not None
-            and prev_counts.shape == counts.shape
+        counts = placement.counts_view
+        num_experts, num_gpus = assignment.shape
+        same_demand = self._assignment is not None and np.array_equal(
+            self._assignment, assignment
         )
-        if (
-            rows_cached
-            and self._arrivals is not None
-            and np.array_equal(self._assignment, demand)
-        ):
-            totals = self._totals
-            changed = np.flatnonzero((counts != prev_counts).any(axis=1))
-            arrivals, a2a, sync = self._arrivals, self._a2a, prev_sync
-            if changed.size:
-                new_arr, new_a2a = self._route_stats(
-                    demand[changed], totals[changed], counts[changed]
-                )
-                self._base_tokens += new_arr.sum(axis=0) - arrivals[
-                    changed
-                ].sum(axis=0)
-                self._base_a2a += new_a2a.sum(axis=0) - a2a[changed].sum(
-                    axis=0
-                )
-                arrivals[changed] = new_arr
-                a2a[changed] = new_a2a
-                for expert in changed:
-                    row = self._sync_row(counts[expert])
-                    self._base_sync += row - sync[expert]
-                    sync[expert] = row
+        if not same_demand:
+            # Snapshot, never alias: the next rebase compares its
+            # assignment against this one, which must see the values as
+            # passed even if the caller mutates theirs.
+            demand = np.array(assignment, dtype=float, order="C")
+            if (demand < 0).any():
+                raise RoutingError("token counts must be non-negative")
+            sources = self._bw.source_rows(demand)
+            # A non-finite count makes its row total non-finite.
+            if not np.isfinite(sources.totals).all():
+                raise RoutingError("token counts must be finite")
+            self._assignment, self._sources = demand, sources
+        # Sync rows are separable per expert, so only the rows whose
+        # counts changed are re-indexed and re-probed.  Unchanged rows'
+        # sync groups are already in the profile's BPS cache, so probing
+        # the changed rows in ascending expert order matches the
+        # reference path's full ascending pass.
+        replicas = counts.sum(axis=1)
+        if self._ptr is None or self._index_shape != counts.shape:
+            changed = np.arange(num_experts)
+            keep = np.zeros(0, dtype=np.int64)
+            self._expert = self._gpu = keep
+            self._sync = np.zeros(num_experts)
         else:
-            totals = demand.sum(axis=1)
-            arrivals, a2a = self._route_stats(demand, totals, counts)
-            if rows_cached:
-                sync = prev_sync
-                for expert in np.flatnonzero(
-                    (counts != prev_counts).any(axis=1)
-                ):
-                    sync[expert] = self._sync_row(counts[expert])
-            else:
-                sync = np.zeros((num_experts, num_gpus))
-                for expert in range(num_experts):
-                    sync[expert] = self._sync_row(counts[expert])
-            self._base_tokens = arrivals.sum(axis=0)
-            self._base_a2a = a2a.sum(axis=0)
-            self._base_sync = sync.sum(axis=0)
+            # A row is unchanged iff its old entries keep their counts and
+            # its replica total is the same (counts are non-negative).
+            dirty = replicas != self._replicas
+            moved = counts[self._expert, self._gpu] != self._count
+            dirty[self._expert[moved]] = True
+            changed = np.flatnonzero(dirty)
+            keep = np.flatnonzero(~dirty[self._expert])
+        if changed.size:
+            rows, cols = np.nonzero(counts[changed])
+            expert = np.concatenate([self._expert[keep], changed[rows]])
+            gpu = np.concatenate([self._gpu[keep], cols])
+            order = np.argsort(expert * num_gpus + gpu, kind="stable")
+            self._expert, self._gpu = expert[order], gpu[order]
+            self._count = counts[self._expert, self._gpu]
+            self._keys = self._expert * num_gpus + self._gpu
+            self._ptr = np.searchsorted(
+                self._expert, np.arange(num_experts + 1)
+            )
+            self._replicas = replicas
+            self._index_shape = counts.shape
+            for expert_id in changed:
+                self._sync[expert_id] = self._group_sync(
+                    self._gpu[self._ptr[expert_id] : self._ptr[expert_id + 1]]
+                )
+        if changed.size or not same_demand:
+            # Re-routing every entry is O(E * holders), well under the
+            # change scan, so there is no per-row patching to keep exact.
+            self._arrivals, self._a2a = self._route(
+                np.arange(num_experts), self._expert, self._gpu, self._count
+            )
         self._placement = placement
         self._placement_version = placement.version
         self._state_version = self._cost_model.state_version
-        self._assignment = demand
-        self._totals = totals
-        self._counts = counts
         self._eff_tps = self._cost_model.effective_tps()
-        self._arrivals = arrivals
-        self._a2a = a2a
-        self._sync = sync
-        self._base_time = float(
-            self._totals_to_time(
-                self._base_tokens, self._base_a2a, self._base_sync
-            )
+        sync = self._sync[self._expert]
+        self._contrib = (
+            self._arrivals / self._eff_tps[self._gpu] + self._a2a + sync
         )
+        self._base_per_gpu = self._per_gpu(
+            self._gpu, self._arrivals, self._a2a, sync, self._eff_tps
+        )
+        self._base_time = float(self._base_per_gpu.max())
         self.rebases += 1
         return self._base_time
 
@@ -317,6 +373,134 @@ class DeltaStepCost:
         self.rebase(self._assignment, placement)
 
     # ------------------------------------------------------------------
+    # Candidate pricing (one path for every query shape)
+    # ------------------------------------------------------------------
+    def _base_rows(
+        self, row_expert: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gather the base entries of each row's expert.
+
+        Returns ``(row, index, start)``: the row of every gathered entry,
+        its position in the base index, and where each row's run of
+        entries starts in the gathered layout.
+        """
+        first = self._ptr[row_expert]
+        lengths = self._ptr[row_expert + 1] - first
+        start = np.cumsum(lengths) - lengths
+        row = np.repeat(np.arange(row_expert.size), lengths)
+        index = first[row] + np.arange(row.size) - start[row]
+        return row, index, start
+
+    def _edited_rows(
+        self,
+        row_expert: np.ndarray,
+        edit_row: np.ndarray,
+        edit_gpu: np.ndarray,
+        edit_delta: np.ndarray,
+    ):
+        """Base rows with vExpert edits applied, as holder entries.
+
+        Edit ``j`` adds ``edit_delta[j]`` vExperts of row ``edit_row[j]``'s
+        expert on ``edit_gpu[j]`` (at most one edit per row and device).
+        Returns ``(base_row, base_index, row, gpu, count, was_holder)``:
+        the rows' base entries, then the edited entries — the base
+        entries with adjusted counts (possibly zero), followed by one new
+        entry per edit landing on a device the expert did not hold.
+        """
+        base_row, index, start = self._base_rows(row_expert)
+        gpu = self._gpu[index]
+        count = self._count[index].copy()
+        keys = row_expert[edit_row] * self._assignment.shape[1] + edit_gpu
+        pos = np.searchsorted(self._keys, keys)
+        pos = np.minimum(pos, self._keys.size - 1)
+        found = self._keys[pos] == keys
+        hit = edit_row[found]
+        count[start[hit] + pos[found] - self._ptr[row_expert[hit]]] += (
+            edit_delta[found]
+        )
+        row = np.concatenate([base_row, edit_row[~found]])
+        gpu = np.concatenate([gpu, edit_gpu[~found]])
+        count = np.concatenate([count, edit_delta[~found]])
+        if (count < 0).any():
+            raise SchedulingError(
+                "candidate removes a vExpert its expert does not hold"
+            )
+        was_holder = np.arange(row.size) < base_row.size
+        return base_row, index, row, gpu, count, was_holder
+
+    def _candidate_times(
+        self,
+        num_cands: int,
+        row_cand: np.ndarray,
+        row_expert: np.ndarray,
+        base_row: np.ndarray,
+        base_index: np.ndarray,
+        row: np.ndarray,
+        gpu: np.ndarray,
+        count: np.ndarray,
+        was_holder: np.ndarray,
+    ) -> np.ndarray:
+        """Eq. 5 time of every candidate from its changed rows' entries.
+
+        Row ``r`` replaces expert ``row_expert[r]``'s base row in candidate
+        ``row_cand[r]`` (of ``num_cands``); rows are ordered by candidate, then ascending
+        expert — the reference evaluator's AllReduce probe order.  Each
+        candidate's per-GPU times are the base's with the replaced rows'
+        old contributions scattered out and the new ones scattered in.
+        """
+        num_rows = row_expert.size
+        arrivals, a2a = self._route(row_expert, row, gpu, count)
+        contrib = arrivals / self._eff_tps[gpu] + a2a
+        if self._grad_bytes:
+            # Membership (and hence the sync group) changes only where an
+            # entry gained its first or lost its last copy; other rows
+            # reuse the base pricing without touching the probe stream.
+            member = count > 0
+            flips = np.bincount(
+                row, weights=member != was_holder, minlength=num_rows
+            )
+            row_sync = self._sync[row_expert].copy()
+            if flips.any():
+                order = np.argsort(row, kind="stable")
+                bounds = np.searchsorted(row[order], np.arange(num_rows + 1))
+                for r in np.flatnonzero(flips):
+                    span = order[bounds[r] : bounds[r + 1]]
+                    row_sync[r] = self._group_sync(gpu[span][member[span]])
+            contrib += row_sync[row] * member
+        num_gpus = self._base_per_gpu.size
+        per_gpu = np.empty((num_cands, num_gpus))
+        per_gpu[:] = self._base_per_gpu
+        # Old contributions out first, then the new ones in.
+        np.add.at(
+            per_gpu.reshape(-1),
+            np.concatenate(
+                [
+                    row_cand[base_row] * num_gpus + self._gpu[base_index],
+                    row_cand[row] * num_gpus + gpu,
+                ]
+            ),
+            np.concatenate([-self._contrib[base_index], contrib]),
+        )
+        return per_gpu.max(axis=1)
+
+    def _paired_rows(
+        self, expert_a: np.ndarray, expert_b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interleave two changed experts per candidate, ascending expert.
+
+        Returns ``(row_cand, row_expert, row_of_a)``: candidate ``i`` owns
+        rows ``2i`` and ``2i + 1``; ``row_of_a[i]`` is the one holding
+        ``expert_a[i]`` (the other holds ``expert_b[i]``).
+        """
+        num = expert_a.size
+        a_first = expert_a < expert_b
+        row_of_a = 2 * np.arange(num) + ~a_first
+        row_expert = np.empty(2 * num, dtype=np.int64)
+        row_expert[row_of_a] = expert_a
+        row_expert[row_of_a ^ 1] = expert_b
+        return np.repeat(np.arange(num), 2), row_expert, row_of_a
+
+    # ------------------------------------------------------------------
     # What-if queries
     # ------------------------------------------------------------------
     def pair_candidate_times(
@@ -341,62 +525,20 @@ class DeltaStepCost:
         if expand_expert == shrink_expert:
             raise SchedulingError("expand and shrink experts must differ")
         self._require_base(placement)
-        onehot = np.zeros((gpus.size, placement.num_gpus), dtype=np.int64)
-        onehot[np.arange(gpus.size), gpus] = 1
-        row0 = self._counts[expand_expert] + onehot
-        row1 = self._counts[shrink_expert] - onehot
-        if (row1 < 0).any():
-            raise SchedulingError(
-                f"expert {shrink_expert} holds no vExpert on one of {gpus}"
-            )
-        arr0, a2a0 = self._route_stats(
-            self._assignment[expand_expert],
-            self._totals[expand_expert],
-            row0,
+        num = gpus.size
+        row_cand, row_expert, row_of_expand = self._paired_rows(
+            np.full(num, expand_expert), np.full(num, shrink_expert)
         )
-        arr1, a2a1 = self._route_stats(
-            self._assignment[shrink_expert],
-            self._totals[shrink_expert],
-            row1,
+        entries = self._edited_rows(
+            row_expert,
+            np.concatenate([row_of_expand, row_of_expand ^ 1]),
+            np.concatenate([gpus, gpus]),
+            np.repeat([1, -1], num),
         )
-        tokens = (
-            self._base_tokens
-            - self._arrivals[expand_expert]
-            - self._arrivals[shrink_expert]
-            + arr0
-            + arr1
-        )
-        a2a = (
-            self._base_a2a
-            - self._a2a[expand_expert]
-            - self._a2a[shrink_expert]
-            + a2a0
-            + a2a1
-        )
-        sync_base = (
-            self._base_sync
-            - self._sync[expand_expert]
-            - self._sync[shrink_expert]
-        )
-        sync = np.empty_like(tokens)
-        lo, hi = sorted((expand_expert, shrink_expert))
-        rows = {expand_expert: row0, shrink_expert: row1}
-        for i in range(gpus.size):
-            # Ascending-expert probe order matches the reference
-            # evaluator's sync_times pass on the same candidate.
-            sync[i] = (
-                sync_base
-                + self._sync_row(rows[lo][i])
-                + self._sync_row(rows[hi][i])
-            )
-        times = self._totals_to_time(tokens, a2a, sync)
-        self.evaluations += gpus.size
+        times = self._candidate_times(num, row_cand, row_expert, *entries)
+        self.evaluations += num
         if self._audit:
-            for i, gpu in enumerate(gpus):
-                self._audit_check(
-                    float(times[i]),
-                    {expand_expert: row0[i], shrink_expert: row1[i]},
-                )
+            self._audit_candidates(times, row_cand, row_expert, entries)
         return times
 
     def exchange_candidate_times(
@@ -424,53 +566,20 @@ class DeltaStepCost:
             return np.zeros(0)
         self._require_base(placement)
         ea, ga, eb, gb = pairs.T
-        num = pairs.shape[0]
-        idx = np.arange(num)
-        rows_a = self._counts[ea].copy()
-        rows_a[idx, ga] -= 1
-        rows_a[idx, gb] += 1
-        rows_b = self._counts[eb].copy()
-        rows_b[idx, gb] -= 1
-        rows_b[idx, ga] += 1
-        if (rows_a < 0).any() or (rows_b < 0).any():
-            raise SchedulingError("exchange candidate references an empty cell")
-        arr_a, a2a_a = self._route_stats(
-            self._assignment[ea], self._totals[ea], rows_a
+        row_cand, row_expert, row_a = self._paired_rows(ea, eb)
+        row_b = row_a ^ 1
+        entries = self._edited_rows(
+            row_expert,
+            np.concatenate([row_a, row_a, row_b, row_b]),
+            np.concatenate([ga, gb, gb, ga]),
+            np.repeat([-1, 1, -1, 1], pairs.shape[0]),
         )
-        arr_b, a2a_b = self._route_stats(
-            self._assignment[eb], self._totals[eb], rows_b
+        times = self._candidate_times(
+            pairs.shape[0], row_cand, row_expert, *entries
         )
-        tokens = (
-            self._base_tokens
-            - self._arrivals[ea]
-            - self._arrivals[eb]
-            + arr_a
-            + arr_b
-        )
-        a2a = (
-            self._base_a2a - self._a2a[ea] - self._a2a[eb] + a2a_a + a2a_b
-        )
-        sync = np.broadcast_to(self._base_sync, tokens.shape).copy()
-        # Membership (and hence the sync group) changes only when the
-        # exchange removes a last copy or lands on a fresh device.
-        changed_a = (self._counts[ea, ga] == 1) | (self._counts[ea, gb] == 0)
-        changed_b = (self._counts[eb, gb] == 1) | (self._counts[eb, ga] == 0)
-        for i in range(num):
-            first = (int(ea[i]), rows_a[i], changed_a[i])
-            second = (int(eb[i]), rows_b[i], changed_b[i])
-            if first[0] > second[0]:
-                first, second = second, first
-            for expert, row, changed in (first, second):
-                if changed:
-                    sync[i] += self._sync_row(row) - self._sync[expert]
-        times = self._totals_to_time(tokens, a2a, sync)
-        self.evaluations += num
+        self.evaluations += pairs.shape[0]
         if self._audit:
-            for i in range(num):
-                self._audit_check(
-                    float(times[i]),
-                    {int(ea[i]): rows_a[i], int(eb[i]): rows_b[i]},
-                )
+            self._audit_candidates(times, row_cand, row_expert, entries)
         return times
 
     def trial_time(
@@ -487,77 +596,84 @@ class DeltaStepCost:
         """
         if not self._base_matches(placement, trial=True):
             self.fallbacks += 1
-            return self._full_time(placement)
-        changed = tuple(sorted(set(int(e) for e in changed)))
-        tokens = self._base_tokens.copy()
-        a2a = self._base_a2a.copy()
-        sync = self._base_sync.copy()
-        rows: dict[int, np.ndarray] = {}
-        for expert in changed:
-            row = placement.row(expert)
-            rows[expert] = row
-            arr, aa = self._route_stats(
-                self._assignment[expert], self._totals[expert], row
-            )
-            tokens += arr - self._arrivals[expert]
-            a2a += aa - self._a2a[expert]
-            sync += self._sync_row(row) - self._sync[expert]
-        time = float(self._totals_to_time(tokens, a2a, sync))
+            return self._full_time(placement.counts_view)
+        row_expert = np.unique(np.asarray(changed, dtype=np.int64))
+        # Express each changed row as edits of its base row.
+        base_row, base_index, _ = self._base_rows(row_expert)
+        rows = placement.counts_view[row_expert]
+        diff = rows.copy()
+        diff[base_row, self._gpu[base_index]] -= self._count[base_index]
+        edit_row, edit_gpu = np.nonzero(diff)
+        entries = self._edited_rows(
+            row_expert, edit_row, edit_gpu, diff[edit_row, edit_gpu]
+        )
+        times = self._candidate_times(
+            1, np.zeros(row_expert.size, dtype=np.int64), row_expert, *entries
+        )
+        time = float(times[0])
         self.evaluations += 1
         if self._audit:
-            self._audit_check(time, rows, placement=placement)
+            counts = placement.counts_view
+            expected = self._base_counts()
+            expected[row_expert] = rows
+            if not np.array_equal(expected, counts):
+                raise SchedulingError(
+                    "delta audit: changed-expert set does not cover the "
+                    "trial mutations (caller contract violated)"
+                )
+            self._audit_check(time, counts)
         return time
 
     # ------------------------------------------------------------------
     # Full recomputation (fallback + audit)
     # ------------------------------------------------------------------
-    def _full_time(self, placement: Placement) -> float:
-        """Price ``placement`` from scratch against the live pool.
+    def _full_time(
+        self, counts: np.ndarray, eff_tps: np.ndarray | None = None
+    ) -> float:
+        """Price a count matrix from scratch through the same kernel.
 
         Used when the cached base cannot answer (stale device pool or a
-        foreign placement object).  Requires the assignment of the last
-        rebase; without one the evaluator cannot answer at all.
+        foreign placement object; priced against the live pool) and by
+        the audit.  Requires the assignment of the last rebase; without
+        one the evaluator cannot answer at all.
         """
         if self._assignment is None:
             raise SchedulingError(
                 "DeltaStepCost has no base: call rebase() before querying"
             )
-        counts = placement.counts
-        arrivals, a2a = self._route_stats(
-            self._assignment, self._totals, counts
+        if eff_tps is None:
+            eff_tps = self._cost_model.effective_tps()
+        expert, gpu = np.nonzero(counts)
+        arrivals, a2a = self._route(
+            np.arange(counts.shape[0]), expert, gpu, counts[expert, gpu]
         )
-        sync = np.zeros(placement.num_gpus)
-        for expert in range(placement.num_experts):
-            sync += self._sync_row(counts[expert])
-        eff_tps = self._cost_model.effective_tps()
-        per_gpu = arrivals.sum(axis=0) / eff_tps + a2a.sum(axis=0) + sync
-        return float(per_gpu.max())
+        sync = np.array(
+            [self._group_sync(np.flatnonzero(row)) for row in counts]
+        )
+        return float(
+            self._per_gpu(gpu, arrivals, a2a, sync[expert], eff_tps).max()
+        )
 
-    def _audit_check(
-        self,
-        claimed: float,
-        rows: dict[int, np.ndarray],
-        placement: Placement | None = None,
-    ) -> None:
+    def _base_counts(self) -> np.ndarray:
+        """Dense count matrix of the cached base (audit only)."""
+        counts = np.zeros(self._assignment.shape, dtype=np.int64)
+        counts[self._expert, self._gpu] = self._count
+        return counts
+
+    def _audit_candidates(self, times, row_cand, row_expert, entries) -> None:
+        """Cross-check every batched candidate against a full recompute."""
+        _, _, row, gpu, count, _ = entries
+        for cand, claimed in enumerate(times):
+            counts = self._base_counts()
+            rows = np.flatnonzero(row_cand == cand)
+            counts[row_expert[rows]] = 0
+            mine = np.isin(row, rows)
+            counts[row_expert[row[mine]], gpu[mine]] = count[mine]
+            self._audit_check(float(claimed), counts)
+
+    def _audit_check(self, claimed: float, counts: np.ndarray) -> None:
         """Cross-check a delta evaluation against a full recomputation."""
-        counts = self._counts.copy()
-        for expert, row in rows.items():
-            counts[expert] = row
-        if placement is not None and not np.array_equal(
-            counts, placement.counts_view
-        ):
-            raise SchedulingError(
-                "delta audit: changed-expert set does not cover the trial "
-                "mutations (caller contract violated)"
-            )
-        arrivals, a2a = self._route_stats(
-            self._assignment, self._totals, counts
-        )
-        sync = np.zeros(counts.shape[1])
-        for expert in range(counts.shape[0]):
-            sync += self._sync_row(counts[expert])
-        per_gpu = arrivals.sum(axis=0) / self._eff_tps + a2a.sum(axis=0) + sync
-        full = float(per_gpu.max())
+        full = self._full_time(counts, self._eff_tps)
         if not np.isclose(claimed, full, rtol=self.AUDIT_RTOL, atol=0.0):
             raise SchedulingError(
                 f"delta audit: incremental time {claimed!r} != full "

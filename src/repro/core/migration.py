@@ -35,7 +35,7 @@ from repro.config import (
     resolve_placement_search,
 )
 from repro.core.cost_model import MemoizedStepCost, MoECostModel
-from repro.core.delta import DeltaStepCost
+from repro.core.delta import DeltaStepCost, HolderIndex
 from repro.core.placement import Placement
 from repro.core.primitives import Expand, Migrate, PlacementAction, Shrink
 from repro.core.router import FlexibleTokenRouter
@@ -167,11 +167,13 @@ class MigrationPlanner:
     # Internals
     # ------------------------------------------------------------------
     def _per_replica_loads(
-        self, assignment: np.ndarray, placement: Placement
+        self, assignment: np.ndarray, index: HolderIndex
     ) -> np.ndarray:
         """Per-vExpert token load of every expert."""
         expert_loads = assignment.sum(axis=1).astype(float)
-        replicas = placement.replica_counts().astype(float)
+        replicas = np.bincount(
+            index.expert, weights=index.count, minlength=expert_loads.size
+        )
         return np.divide(
             expert_loads, replicas, out=np.zeros_like(expert_loads),
             where=replicas > 0,
@@ -186,7 +188,7 @@ class MigrationPlanner:
         token, so time-weighting surfaces it as the most loaded device
         even when raw token counts are balanced.
         """
-        gpu_loads = placement.counts.T.astype(float) @ per_replica
+        gpu_loads = placement.counts_view.T.astype(float) @ per_replica
         state = self._cost_model.cluster_state
         if state is not None:
             gpu_loads = gpu_loads / state.speed_view()
@@ -197,20 +199,22 @@ class MigrationPlanner:
         per_replica: np.ndarray,
         placement: Placement,
         gpu_loads: np.ndarray,
+        index: HolderIndex,
     ) -> list[tuple[int, int]]:
         """(expert, gpu) pairs worth trying to move, most promising first."""
-        # Source kind 1: replicas of sync-scattered experts. Vectorized
-        # over the count matrix — an expert is scattered iff its member
-        # devices' (node-major) node ids are not all equal, and the
-        # scattered (expert, gpu) pairs come out of one nonzero scan
-        # instead of a Python loop over every replica group.
-        member = placement.counts_view > 0
-        node_ids = np.arange(member.shape[1]) // self._gpus_per_node
-        min_node = np.where(member, node_ids[None, :], member.shape[1]).min(axis=1)
-        max_node = np.where(member, node_ids[None, :], -1).max(axis=1)
-        scattered = np.flatnonzero(max_node > min_node)
-        rows, gpus = np.nonzero(member[scattered])
-        experts = scattered[rows]
+        # Source kind 1: replicas of sync-scattered experts, read off the
+        # holder index — an expert is scattered iff its holders'
+        # (node-major) node ids are not all equal; its (expert, gpu) pairs
+        # come out in expert- then gpu-ascending order.
+        nodes = index.gpu // self._gpus_per_node
+        first = index.ptr[:-1][np.diff(index.ptr) > 0]
+        spread = np.zeros(per_replica.size, dtype=bool)
+        spread[index.expert[first]] = np.maximum.reduceat(
+            nodes, first
+        ) > np.minimum.reduceat(nodes, first)
+        scattered = spread[index.expert]
+        experts = index.expert[scattered]
+        gpus = index.gpu[scattered]
 
         # Source kind 2: replicas living on the most loaded GPUs.
         extra: list[tuple[int, int]] = []
@@ -300,6 +304,7 @@ class MigrationPlanner:
         self,
         placement: Placement,
         expansions: list[tuple[int, int, list[int]]],
+        index: HolderIndex,
     ) -> list[Migrate]:
         """Candidate exchanges in search order, pre-validated.
 
@@ -316,7 +321,7 @@ class MigrationPlanner:
         placement mutation just to be rejected.
         """
         counts = placement.counts_view
-        distinct = (counts > 0).sum(axis=1)
+        distinct = np.diff(index.ptr)
         actions: list[Migrate] = []
         for expert, src, targets in expansions:
             for dst in targets:
@@ -351,10 +356,10 @@ class MigrationPlanner:
 
     def _prune_by_proxy(
         self,
-        placement: Placement,
         actions: list[Migrate],
         per_replica: np.ndarray,
         gpu_loads: np.ndarray,
+        index: HolderIndex,
     ) -> list[Migrate]:
         """Coarse level of the two-level scoring: O(1) proxy per pair.
 
@@ -389,15 +394,11 @@ class MigrationPlanner:
             gpu_loads[keys[:, 1]] - load, gpu_loads[keys[:, 2]] + load
         )
         per_node = self._gpus_per_node
-        counts = placement.counts_view
-        node_replicas = counts.reshape(
-            counts.shape[0], counts.shape[1] // per_node, per_node
-        ).sum(axis=2)
         experts = keys[:, 0]
         span_delta = (
-            node_replicas[experts, keys[:, 2] // per_node] == 0
+            self._node_replicas(index, experts, keys[:, 2] // per_node) == 0
         ).astype(int) - (
-            node_replicas[experts, keys[:, 1] // per_node] == 1
+            self._node_replicas(index, experts, keys[:, 1] // per_node) == 1
         ).astype(int)
         chosen: list[int] = []
         budget = 0
@@ -409,6 +410,23 @@ class MigrationPlanner:
             budget += len(members)
         chosen.sort()
         return [actions[i] for i in chosen]
+
+    def _node_replicas(
+        self, index: HolderIndex, experts: np.ndarray, nodes: np.ndarray
+    ) -> np.ndarray:
+        """vExperts ``experts[i]`` keeps on node ``nodes[i]``, per ``i``.
+
+        An expert's entries are GPU-sorted and GPUs node-major, so one
+        node's entries are a contiguous run found by binary search.
+        """
+        per_node = self._gpus_per_node
+        num_gpus = self._topology.num_gpus
+        keys = index.expert * num_gpus + index.gpu
+        first = experts * num_gpus + nodes * per_node
+        lo = np.searchsorted(keys, first)
+        hi = np.searchsorted(keys, first + per_node)
+        totals = np.concatenate([[0], np.cumsum(index.count)])
+        return totals[hi] - totals[lo]
 
     def _score_exchanges(
         self,
@@ -443,10 +461,11 @@ class MigrationPlanner:
     ) -> Migrate | None:
         if self._delta is not None:
             baseline = self._delta.rebase(assignment, placement)
-            per_replica = self._per_replica_loads(assignment, placement)
+            index = self._delta.holders
+            per_replica = self._per_replica_loads(assignment, index)
             gpu_loads = self._weighted_gpu_loads(per_replica, placement)
             sources = self._candidate_sources(
-                per_replica, placement, gpu_loads
+                per_replica, placement, gpu_loads, index
             )
             intra: tuple[Migrate, float] | None = None
             if self._hierarchical:
@@ -462,7 +481,6 @@ class MigrationPlanner:
                 intra = self._score_exchanges(
                     placement,
                     self._prune_by_proxy(
-                        placement,
                         self._expand_exchanges(
                             placement,
                             [
@@ -475,9 +493,11 @@ class MigrationPlanner:
                                 )
                                 for expert, src in sources
                             ],
+                            index,
                         ),
                         per_replica,
                         gpu_loads,
+                        index,
                     ),
                     baseline,
                 )
@@ -490,13 +510,14 @@ class MigrationPlanner:
             best = self._score_exchanges(
                 placement,
                 self._prune_by_proxy(
-                    placement,
                     self._expand_exchanges(
                         placement,
                         [(expert, src, targets) for expert, src in sources],
+                        index,
                     ),
                     per_replica,
                     gpu_loads,
+                    index,
                 ),
                 intra[1] if intra is not None else baseline,
             )
@@ -506,11 +527,12 @@ class MigrationPlanner:
         baseline = self.step_time(assignment, placement)
         best_action = None
         best_time = baseline
-        per_replica = self._per_replica_loads(assignment, placement)
+        index = HolderIndex.of(placement.counts_view)
+        per_replica = self._per_replica_loads(assignment, index)
         gpu_loads = self._weighted_gpu_loads(per_replica, placement)
         targets = self._candidate_targets(gpu_loads)
         for expert, src in self._candidate_sources(
-            per_replica, placement, gpu_loads
+            per_replica, placement, gpu_loads, index
         ):
             for dst in targets:
                 if dst == src:

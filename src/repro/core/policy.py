@@ -19,10 +19,11 @@ if packing, otherwise the highest-bandwidth peer).
 Two evaluation paths score the candidates:
 
 * the **delta path** (default) — a :class:`~repro.core.delta.DeltaStepCost`
-  caches the base configuration's per-expert route/cost contributions once
-  per call and batch-scores every shrink GPU of a pair in one vectorized
-  pass, so a candidate costs O(changed experts * D) instead of re-deriving
-  the full E x D configuration;
+  caches the base configuration's per-expert route/cost contributions on
+  each expert's replica holders once per call and batch-scores every
+  shrink GPU of a pair in one vectorized pass, so a candidate costs
+  O(changed holders + D) instead of re-deriving the full E x D
+  configuration;
 * the **reference path** (``use_delta=False``) — the original
   copy-per-candidate search over the memoized full evaluator, retained as
   the audited specification the delta path is equivalence-tested and

@@ -84,6 +84,8 @@ def _validate_assignment(assignment: np.ndarray, placement: Placement) -> np.nda
             f"assignment shape {assignment.shape} does not match placement "
             f"({placement.num_experts}, {placement.num_gpus})"
         )
+    if not np.isfinite(assignment).all():
+        raise RoutingError("token counts must be finite")
     if (assignment < 0).any():
         raise RoutingError("token counts must be non-negative")
     return assignment
@@ -100,7 +102,7 @@ class FlexibleTokenRouter:
             placement: Current expert-to-device mapping.
 
         Raises:
-            RoutingError: On shape mismatch or negative counts.
+            RoutingError: On shape mismatch, non-finite or negative counts.
         """
         demand = _validate_assignment(assignment, placement).astype(np.int64)
         num_experts, num_gpus = demand.shape
@@ -182,12 +184,11 @@ class FlexibleTokenRouter:
 
         Returns:
             Float route tensor ``(experts, src, dst)``.
+
+        Raises:
+            RoutingError: On shape mismatch, non-finite or negative counts.
         """
-        assignment = np.asarray(assignment, dtype=float)
-        if assignment.shape != (placement.num_experts, placement.num_gpus):
-            raise RoutingError(
-                f"assignment shape {assignment.shape} does not match placement"
-            )
+        assignment = _validate_assignment(assignment, placement).astype(float)
         counts = placement.counts_view
         num_experts, num_gpus = assignment.shape
         totals = assignment.sum(axis=1)

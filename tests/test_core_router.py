@@ -86,6 +86,17 @@ class TestValidation:
         with pytest.raises(RoutingError):
             router.route(np.array([[-1, 0], [0, 0]]), placement)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts(self, router, bad):
+        # A NaN would otherwise price as nan, and every `< t0` comparison
+        # a planner makes against it is silently false.
+        placement = Placement.balanced(2, 2, 1)
+        assignment = np.array([[bad, 0.0], [0.0, 0.0]])
+        with pytest.raises(RoutingError, match="finite"):
+            router.route_fractional(assignment, placement)
+        with pytest.raises(RoutingError, match="finite"):
+            router.route(assignment, placement)
+
     def test_conservation_checker_catches_loss(self, router):
         placement = Placement.balanced(2, 2, 1)
         assignment = np.array([[5, 5], [0, 0]])

@@ -6,7 +6,17 @@ exchange sweep, trial evaluation) is checked against
 :class:`~repro.core.cost_model.MemoizedStepCost` to float tolerance on
 noisy and exact profiles, with and without a live cluster state, and the
 fallback accounting (the perf smoke's CI gate) is pinned down.
+
+The reference comparisons run on every :data:`CASES` entry: the dense
+8-device regime, where each expert sits on most devices, and 256-device
+clusters where each of 32 experts holds a few percent of the devices --
+the holder-sparse regime the evaluator's storage is built for -- with
+packed vExperts, an expert without demand, and per-GPU NIC scales (which
+route the All-to-All term through the dense bandwidth model).
 """
+
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import pytest
@@ -15,10 +25,16 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.events import ClusterState
 from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, MoEModelConfig
+from repro.config import (
+    HIERARCHICAL_AUTO_THRESHOLD,
+    ClusterConfig,
+    MoEModelConfig,
+)
 from repro.core.cost_model import MemoizedStepCost, MoECostModel
 from repro.core.delta import DeltaStepCost
+from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
+from repro.core.policy import PolicyMaker
 from repro.core.primitives import Migrate
 from repro.exceptions import RoutingError, SchedulingError
 
@@ -34,17 +50,111 @@ def build_cost_model(noise: float = 0.02, state: ClusterState | None = None):
 
 
 def random_placement(rng, slots=4) -> Placement:
-    placement = Placement.balanced(8, 8, slots)
-    for _ in range(8):
-        expert = int(rng.integers(8))
-        gpus = placement.gpus_of(expert)
-        target = int(rng.integers(8))
-        if placement.replicas(expert) > 1 and placement.count(
-            expert, gpus[0]
-        ) >= 1:
-            placement.remove_vexpert(expert, gpus[0])
-            placement.add_vexpert(target, gpus[0])
-    return placement
+    return CASES["dense-8g"].placement(rng, slots)
+
+
+@dataclass(frozen=True)
+class Case:
+    """One reference-comparison regime.
+
+    ``moves`` random single-vExpert moves perturb the balanced layout;
+    ``packs`` of them are forced onto a device the expert already holds
+    (counts above 1); ``idle_expert`` gets an all-zero assignment row.
+    """
+
+    num_experts: int
+    cluster: ClusterConfig
+    slots: int
+    moves: int
+    packs: int = 0
+    idle_expert: int | None = None
+    rounds: int = 10
+
+    @property
+    def num_gpus(self) -> int:
+        return self.cluster.num_gpus
+
+    def cost_model(self) -> MoECostModel:
+        return _case_cost_model(self)
+
+    def placement(self, rng, slots: int | None = None) -> Placement:
+        experts, gpus = self.num_experts, self.num_gpus
+        placement = Placement.balanced(experts, gpus, slots or self.slots)
+        for _ in range(self.moves):
+            expert = int(rng.integers(experts))
+            src = placement.gpus_of(expert)[0]
+            target = int(rng.integers(experts))
+            if placement.replicas(expert) > 1:
+                placement.remove_vexpert(expert, src)
+                placement.add_vexpert(target, src)
+        for _ in range(self.packs):
+            # Swap a co-resident out for a second copy of an expert the
+            # device already hosts.
+            gpu = int(rng.integers(gpus))
+            hosted = placement.experts_on(gpu)
+            expert = int(rng.choice(hosted))
+            victims = [e for e in hosted if placement.replicas(e) > 1]
+            victims = [e for e in victims if e != expert]
+            if victims:
+                placement.remove_vexpert(int(rng.choice(victims)), gpu)
+                placement.add_vexpert(expert, gpu)
+        if self.packs:
+            assert placement.counts_view.max() > 1
+        return placement
+
+    def assignment(self, rng) -> np.ndarray:
+        assignment = rng.integers(0, 30_000, (self.num_experts, self.num_gpus))
+        if self.idle_expert is not None:
+            assignment[self.idle_expert] = 0
+        return assignment
+
+
+SPARSE_CLUSTER = ClusterConfig(num_nodes=32, gpus_per_node=8)
+CASES = {
+    "dense-8g": Case(8, CLUSTER, slots=4, moves=8),
+    "sparse-256g": Case(32, SPARSE_CLUSTER, slots=2, moves=32, rounds=4),
+    "packed-256g": Case(
+        32, SPARSE_CLUSTER, slots=2, moves=16, packs=24, rounds=4
+    ),
+    "idle-expert-256g": Case(
+        32, SPARSE_CLUSTER, slots=2, moves=16, idle_expert=5, rounds=4
+    ),
+    "nic-scaled-256g": Case(
+        32,
+        SPARSE_CLUSTER.replace(
+            bandwidth_scales=tuple(
+                np.random.default_rng(3).choice([0.25, 0.5, 1.0], 256)
+            )
+        ),
+        slots=2,
+        moves=16,
+        packs=8,
+        idle_expert=11,
+        rounds=4,
+    ),
+}
+
+
+@cache
+def _case_cost_model(case: Case) -> MoECostModel:
+    model = MoEModelConfig(
+        "delta", num_layers=2, d_model=256, d_ffn=1024,
+        num_experts=case.num_experts,
+    )
+    topology = ClusterTopology(case.cluster)
+    profile = Profiler(topology, noise=0.02, seed=0).profile(model)
+    cost_model = MoECostModel(profile, model)
+    # Small and NIC-scaled fabrics are profiled per link into the dense
+    # model; the other 256-device cases take the node-blocked one.
+    assert profile.bandwidth_model().is_blocked == (
+        case.num_gpus > HIERARCHICAL_AUTO_THRESHOLD
+        and case.cluster.bandwidth_scales is None
+    )
+    return cost_model
+
+
+#: The holder-sparse regimes each reference comparison also runs on.
+SPARSE_CASES = [name for name in CASES if name != "dense-8g"]
 
 
 @pytest.fixture
@@ -53,12 +163,31 @@ def cost_model() -> MoECostModel:
 
 
 class TestRebase:
-    def test_base_time_matches_reference(self, cost_model, rng):
+    def test_base_time_matches_reference(self, rng):
+        self.check(CASES["dense-8g"], rng)
+
+    @pytest.mark.parametrize("name", SPARSE_CASES)
+    def test_sparse_regime(self, name, rng):
+        self.check(CASES[name], rng)
+
+    @staticmethod
+    def check(case: Case, rng) -> None:
+        cost_model = case.cost_model()
         memo = MemoizedStepCost(cost_model)
         delta = DeltaStepCost(cost_model)
-        for _ in range(20):
-            placement = random_placement(rng)
-            assignment = rng.integers(0, 30_000, (8, 8))
+        for _ in range(2 * case.rounds):
+            placement = case.placement(rng)
+            assignment = case.assignment(rng)
+            base = delta.rebase(assignment, placement)
+            assert base == pytest.approx(
+                memo.step_time(assignment, placement), rel=RTOL
+            )
+            # Re-rebasing the same assignment on a mutated placement takes
+            # the incremental index update.
+            expert = int(np.argmax(placement.replica_counts()))
+            gpu = placement.gpus_of(expert)[0]
+            placement.remove_vexpert(expert, gpu)
+            placement.add_vexpert((expert + 1) % case.num_experts, gpu)
             base = delta.rebase(assignment, placement)
             assert base == pytest.approx(
                 memo.step_time(assignment, placement), rel=RTOL
@@ -76,6 +205,16 @@ class TestRebase:
         with pytest.raises(RoutingError):
             delta.rebase(assignment, Placement.balanced(8, 8, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tokens_rejected(self, cost_model, bad):
+        # A NaN base time makes every `effective < t0` test false, so the
+        # planners would silently stop acting instead of failing.
+        delta = DeltaStepCost(cost_model)
+        assignment = np.ones((8, 8))
+        assignment[3, 5] = bad
+        with pytest.raises(RoutingError, match="finite"):
+            delta.rebase(assignment, Placement.balanced(8, 8, 2))
+
     def test_query_without_base_raises(self, cost_model):
         delta = DeltaStepCost(cost_model)
         with pytest.raises(SchedulingError):
@@ -83,14 +222,25 @@ class TestRebase:
 
 
 class TestPairSweep:
-    def test_matches_applying_the_pair(self, cost_model, rng):
+    def test_matches_applying_the_pair(self, rng):
+        self.check(CASES["dense-8g"], rng)
+
+    @pytest.mark.parametrize("name", SPARSE_CASES)
+    def test_sparse_regime(self, name, rng):
+        self.check(CASES[name], rng)
+
+    @staticmethod
+    def check(case: Case, rng) -> None:
+        cost_model = case.cost_model()
         memo = MemoizedStepCost(cost_model)
         delta = DeltaStepCost(cost_model, audit=True)
-        for _ in range(10):
-            placement = random_placement(rng)
-            assignment = rng.integers(0, 30_000, (8, 8))
+        for _ in range(case.rounds):
+            placement = case.placement(rng)
+            assignment = case.assignment(rng)
             delta.rebase(assignment, placement)
-            e0, e1 = (int(e) for e in rng.choice(8, 2, replace=False))
+            e0, e1 = (
+                int(e) for e in rng.choice(case.num_experts, 2, replace=False)
+            )
             if placement.replicas(e1) <= 1:
                 continue
             gpus = np.array(placement.gpus_of(e1))
@@ -113,19 +263,30 @@ class TestPairSweep:
 
 
 class TestExchangeSweep:
-    def test_matches_applying_the_exchange(self, cost_model, rng):
+    def test_matches_applying_the_exchange(self, rng):
+        self.check(CASES["dense-8g"], rng)
+
+    @pytest.mark.parametrize("name", SPARSE_CASES)
+    def test_sparse_regime(self, name, rng):
+        self.check(CASES[name], rng)
+
+    @staticmethod
+    def check(case: Case, rng) -> None:
+        cost_model = case.cost_model()
         memo = MemoizedStepCost(cost_model)
         delta = DeltaStepCost(cost_model, audit=True)
-        for _ in range(10):
-            placement = random_placement(rng)
-            assignment = rng.integers(0, 30_000, (8, 8))
+        for _ in range(case.rounds):
+            placement = case.placement(rng)
+            assignment = case.assignment(rng)
             delta.rebase(assignment, placement)
             pairs = []
             for _ in range(6):
-                ea = int(rng.integers(8))
+                ea = int(rng.integers(case.num_experts))
                 holders = placement.gpus_of(ea)
                 ga = int(rng.choice(holders))
-                gb = int(rng.integers(8))
+                # Half the exchanges land on a device ea already holds.
+                pool = holders if rng.random() < 0.5 else case.num_gpus
+                gb = int(rng.choice(pool))
                 if gb == ga:
                     continue
                 partners = [e for e in placement.experts_on(gb) if e != ea]
@@ -149,15 +310,26 @@ class TestExchangeSweep:
 
 
 class TestTrialTime:
-    def test_matches_reference_through_the_journal(self, cost_model, rng):
+    def test_matches_reference_through_the_journal(self, rng):
+        self.check(CASES["dense-8g"], rng)
+
+    @pytest.mark.parametrize("name", SPARSE_CASES)
+    def test_sparse_regime(self, name, rng):
+        self.check(CASES[name], rng)
+
+    @staticmethod
+    def check(case: Case, rng) -> None:
+        cost_model = case.cost_model()
         memo = MemoizedStepCost(cost_model)
         delta = DeltaStepCost(cost_model, audit=True)
-        placement = random_placement(rng)
-        assignment = rng.integers(0, 30_000, (8, 8))
+        placement = case.placement(rng)
+        assignment = case.assignment(rng)
         delta.rebase(assignment, placement)
         checked = 0
-        for _ in range(20):
-            e0, e1 = (int(e) for e in rng.choice(8, 2, replace=False))
+        for _ in range(2 * case.rounds):
+            e0, e1 = (
+                int(e) for e in rng.choice(case.num_experts, 2, replace=False)
+            )
             if placement.replicas(e1) <= 1:
                 continue
             gpu = int(rng.choice(placement.gpus_of(e1)))
@@ -232,6 +404,42 @@ class TestFallbacks:
         assert base == pytest.approx(
             memo.step_time(assignment, placement), rel=RTOL
         )
+
+
+@pytest.mark.parametrize("search", ["flat", "hierarchical"])
+def test_audited_planner_replay_in_the_sparse_regime(search, rng):
+    """Policy Maker + Migrate on one audited evaluator at 256 devices.
+
+    Every candidate either planner prices is cross-checked against a full
+    recomputation, with the placement evolving as a live scheduler's
+    would (packed copies and all).
+    """
+    case = CASES["packed-256g"]
+    cost_model = case.cost_model()
+    topology = ClusterTopology(case.cluster)
+    audited = DeltaStepCost(cost_model, audit=True)
+    policy = PolicyMaker(
+        cost_model, topology=topology, placement_search=search
+    )
+    policy._delta = audited
+    migration = MigrationPlanner(
+        cost_model, topology, placement_search=search, delta=audited
+    )
+    placement = case.placement(rng)
+    acted = 0
+    for _ in range(3):
+        assignment = case.assignment(rng)
+        decision = policy.make_plan(assignment, placement)
+        for action in decision.actions:
+            action.apply(placement)
+        moves = migration.plan(assignment, placement)
+        for move in moves:
+            move.apply(placement)
+        acted += len(decision.actions) + len(moves)
+        placement.validate()
+    assert acted > 0
+    assert audited.evaluations > 0
+    assert audited.fallbacks == 0
 
 
 EXACT_COST_MODEL = build_cost_model(noise=0.0)

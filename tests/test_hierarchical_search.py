@@ -179,9 +179,12 @@ def test_escalation_never_skips_viable_intra_candidate(seed):
     ).astype(np.int64)
 
     baseline = planner._delta.rebase(assignment, placement)
-    per_replica = planner._per_replica_loads(assignment, placement)
+    index = planner._delta.holders
+    per_replica = planner._per_replica_loads(assignment, index)
     gpu_loads = planner._weighted_gpu_loads(per_replica, placement)
-    sources = planner._candidate_sources(per_replica, placement, gpu_loads)
+    sources = planner._candidate_sources(
+        per_replica, placement, gpu_loads, index
+    )
     intra_pool = planner._expand_exchanges(
         placement,
         [
@@ -192,6 +195,7 @@ def test_escalation_never_skips_viable_intra_candidate(seed):
             )
             for expert, src in sources
         ],
+        index,
     )
     best_intra = float("inf")
     if intra_pool:
@@ -248,20 +252,37 @@ class TestBandwidthModelEquivalence:
             blocked.inv_diag(), dense.inv_diag(), rtol=1e-15
         )
 
-    def test_inv_offdiag_apply_matches(self, blocked, dense):
+    def test_inflow_at_matches(self, blocked, dense):
+        """The blocked O(entries) destination inflow equals the dense
+        column-of-the-inverse answer, and both equal the definition."""
         rng = np.random.default_rng(1)
-        spill = rng.uniform(0.0, 1e6, size=(6, blocked.num_gpus))
-        np.testing.assert_allclose(
-            blocked.inv_offdiag_apply(spill),
-            dense.inv_offdiag_apply(spill),
-            rtol=1e-12,
+        num_gpus = blocked.num_gpus
+        sources = rng.integers(0, 10_000, size=(4, num_gpus)).astype(float)
+        # Three segments over two source rows; holders are distinct within
+        # a segment, and each keeps part of its own row's tokens.
+        segments, rows, devices = [], [], []
+        for segment, row, size in ((0, 2, 5), (1, 0, 1), (2, 2, 7)):
+            holders = rng.choice(num_gpus, size=size, replace=False)
+            segments += [segment] * size
+            rows += [row] * size
+            devices += list(holders)
+        segments, rows, devices = map(np.array, (segments, rows, devices))
+        kept = sources[rows, devices] * rng.uniform(0.0, 1.0, devices.size)
+        got_blocked = blocked.inflow_at(
+            blocked.source_rows(sources), rows, segments, devices, kept
         )
-        row = spill[0]
-        np.testing.assert_allclose(
-            blocked.inv_offdiag_apply(row),
-            dense.inv_offdiag_apply(row),
-            rtol=1e-12,
+        got_dense = dense.inflow_at(
+            dense.source_rows(sources), rows, segments, devices, kept
         )
+        np.testing.assert_allclose(got_blocked, got_dense, rtol=1e-12)
+        bw = blocked.dense()
+        for k in range(devices.size):
+            spill = sources[rows[k]].copy()
+            mine = segments == segments[k]
+            spill[devices[mine]] -= kept[mine]
+            others = np.arange(num_gpus) != devices[k]
+            expected = (spill[others] / bw[others, devices[k]]).sum()
+            assert got_blocked[k] == pytest.approx(expected, rel=1e-12)
 
     def test_min_offdiag_matches(self, blocked, dense):
         rng = np.random.default_rng(2)
