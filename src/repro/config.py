@@ -453,7 +453,9 @@ class SchedulerConfig:
             ``"hierarchical"`` (two-level: candidates in the hot expert's
             node group first, cross-node escalation only when no
             intra-node candidate beats the trigger threshold). The
-            hierarchical search requires ``delta_evaluation``.
+            hierarchical search requires ``delta_evaluation``: an explicit
+            ``"hierarchical"`` with ``delta_evaluation=False`` is rejected,
+            while ``"auto"`` runs flat on the reference path.
     """
 
     balance_threshold: float = 1.15
@@ -490,6 +492,10 @@ class SchedulerConfig:
             self.placement_search in PLACEMENT_SEARCHES,
             f"placement_search must be one of {PLACEMENT_SEARCHES}, "
             f"got {self.placement_search!r}",
+        )
+        _require(
+            self.placement_search != "hierarchical" or self.delta_evaluation,
+            "placement_search='hierarchical' requires delta_evaluation",
         )
 
     def replace(self, **changes: object) -> "SchedulerConfig":

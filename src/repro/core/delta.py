@@ -33,11 +33,17 @@ holder entries for the rebase, all three query shapes and the audit.
 Scoring a candidate re-routes only the changed experts' entries and takes
 Eq. 5's max over a copy of the base per-GPU times with the changed
 experts' old contributions scattered out and their new ones scattered in.
-Three query shapes cover the searchers:
+Pricing is split in two: *routing* a batch of candidates touches no
+AllReduce group, and *finishing* a contiguous range of them probes the
+sync groups of their flipped rows and takes the max.  Three query shapes
+cover the searchers:
 
-* :meth:`pair_candidate_times` — batch-scores every shrink GPU of one
-  (Shrink e1, Expand e0) pair in a single vectorized pass (the Policy
-  Maker's inner loop);
+* :meth:`pair_candidates` — routes (Shrink, Expand) candidates of any
+  mix of pairs in one pass and returns a :class:`CandidateBatch` whose
+  :meth:`~CandidateBatch.times` finishes a range, so the Policy Maker
+  routes a whole round at once yet finishes only the candidates its
+  search reaches; :meth:`pair_candidate_times` is its one-pair,
+  one-range form;
 * :meth:`exchange_candidate_times` — batch-scores every vExpert exchange
   of one Migrate planner pass;
 * :meth:`trial_time` — scores an arbitrarily mutated trial placement
@@ -51,8 +57,8 @@ in ``tests/test_delta_cost.py`` and ``tests/test_policy_delta_equivalence.py``
 asserts both the times and the resulting scheduling decisions.  Lazily
 profiled AllReduce groups are probed in the same first-seen order as
 :meth:`~repro.core.cost_model.MoECostModel.sync_times` (ascending expert,
-candidates in enumeration order), so noisy profiles stay bit-identical
-between the delta and reference paths.
+candidates in enumeration order, at finish time), so noisy profiles stay
+bit-identical between the delta and reference paths.
 
 If a query arrives against a configuration the cached base no longer
 matches (different placement object, or the device pool changed under an
@@ -402,10 +408,10 @@ class DeltaStepCost:
 
         Edit ``j`` adds ``edit_delta[j]`` vExperts of row ``edit_row[j]``'s
         expert on ``edit_gpu[j]`` (at most one edit per row and device).
-        Returns ``(base_row, base_index, row, gpu, count, was_holder)``:
-        the rows' base entries, then the edited entries — the base
-        entries with adjusted counts (possibly zero), followed by one new
-        entry per edit landing on a device the expert did not hold.
+        Returns ``(base_row, base_index, row, gpu, count)``: the rows'
+        base entries, then the edited entries — the base entries with
+        adjusted counts (possibly zero) in the same order, followed by one
+        new entry per edit landing on a device the expert did not hold.
         """
         base_row, index, start = self._base_rows(row_expert)
         gpu = self._gpu[index]
@@ -425,39 +431,71 @@ class DeltaStepCost:
             raise SchedulingError(
                 "candidate removes a vExpert its expert does not hold"
             )
-        was_holder = np.arange(row.size) < base_row.size
-        return base_row, index, row, gpu, count, was_holder
+        return base_row, index, row, gpu, count
 
-    def _candidate_times(
+    def _route_candidates(
         self,
         num_cands: int,
         row_cand: np.ndarray,
         row_expert: np.ndarray,
-        base_row: np.ndarray,
-        base_index: np.ndarray,
-        row: np.ndarray,
-        gpu: np.ndarray,
-        count: np.ndarray,
-        was_holder: np.ndarray,
-    ) -> np.ndarray:
-        """Eq. 5 time of every candidate from its changed rows' entries.
+        entries: tuple,
+    ) -> "CandidateBatch":
+        """Route every candidate's changed rows in one pass.
 
         Row ``r`` replaces expert ``row_expert[r]``'s base row in candidate
-        ``row_cand[r]`` (of ``num_cands``); rows are ordered by candidate, then ascending
-        expert — the reference evaluator's AllReduce probe order.  Each
-        candidate's per-GPU times are the base's with the replaced rows'
-        old contributions scattered out and the new ones scattered in.
+        ``row_cand[r]`` (of ``num_cands``); rows are ordered by candidate,
+        then ascending expert -- the reference evaluator's AllReduce probe
+        order.  ``entries`` is :meth:`_edited_rows`' output.  The sync
+        probes and the Eq. 5 max wait for :meth:`CandidateBatch.times`.
         """
-        num_rows = row_expert.size
+        _, _, row, gpu, count = entries
         arrivals, a2a = self._route(row_expert, row, gpu, count)
-        contrib = arrivals / self._eff_tps[gpu] + a2a
+        return CandidateBatch(
+            self,
+            num_cands,
+            row_cand,
+            row_expert,
+            entries,
+            arrivals / self._eff_tps[gpu] + a2a,
+        )
+
+    def _finish(self, batch: "CandidateBatch", lo: int, hi: int) -> np.ndarray:
+        """Eq. 5 time of candidates ``lo:hi`` of a routed batch.
+
+        Probes the AllReduce groups of the range's flipped rows in row
+        order, then takes each candidate's max over the base per-GPU times
+        with its replaced rows' old contributions scattered out and the
+        new ones scattered in.
+        """
+        if batch.rebases != self.rebases:
+            raise SchedulingError(
+                "candidate batch outlived its base: finish it before the "
+                "next rebase"
+            )
+        if hi <= lo:
+            return np.zeros(0)
+        base_row, base_index, row_all, gpu_all, count_all = batch.entries
+        num_base = base_row.size
+        # The range's rows, and their entries: the (row-sorted) base
+        # entries first, then the range's new entries in edit order.
+        r0, r1 = np.searchsorted(batch.row_cand, [lo, hi])
+        b0, b1 = np.searchsorted(base_row, [r0, r1])
+        new = np.flatnonzero(
+            (row_all[num_base:] >= r0) & (row_all[num_base:] < r1)
+        )
+        take = np.concatenate([np.arange(b0, b1), num_base + new])
+        row = row_all[take] - r0
+        gpu = gpu_all[take]
+        contrib = batch.contrib[take]
         if self._grad_bytes:
             # Membership (and hence the sync group) changes only where an
             # entry gained its first or lost its last copy; other rows
             # reuse the base pricing without touching the probe stream.
-            member = count > 0
+            member = count_all[take] > 0
+            row_expert = batch.row_expert[r0:r1]
+            num_rows = row_expert.size
             flips = np.bincount(
-                row, weights=member != was_holder, minlength=num_rows
+                row, weights=member != (take < num_base), minlength=num_rows
             )
             row_sync = self._sync[row_expert].copy()
             if flips.any():
@@ -468,20 +506,26 @@ class DeltaStepCost:
                     row_sync[r] = self._group_sync(gpu[span][member[span]])
             contrib += row_sync[row] * member
         num_gpus = self._base_per_gpu.size
-        per_gpu = np.empty((num_cands, num_gpus))
+        per_gpu = np.empty((hi - lo, num_gpus))
         per_gpu[:] = self._base_per_gpu
+        row_cand = batch.row_cand[r0:r1] - lo
+        old = base_index[b0:b1]
         # Old contributions out first, then the new ones in.
         np.add.at(
             per_gpu.reshape(-1),
             np.concatenate(
                 [
-                    row_cand[base_row] * num_gpus + self._gpu[base_index],
+                    row_cand[base_row[b0:b1] - r0] * num_gpus + self._gpu[old],
                     row_cand[row] * num_gpus + gpu,
                 ]
             ),
-            np.concatenate([-self._contrib[base_index], contrib]),
+            np.concatenate([-self._contrib[old], contrib]),
         )
-        return per_gpu.max(axis=1)
+        times = per_gpu.max(axis=1)
+        self.evaluations += hi - lo
+        if self._audit:
+            self._audit_candidates(times, lo, batch)
+        return times
 
     def _paired_rows(
         self, expert_a: np.ndarray, expert_b: np.ndarray
@@ -503,6 +547,46 @@ class DeltaStepCost:
     # ------------------------------------------------------------------
     # What-if queries
     # ------------------------------------------------------------------
+    def pair_candidates(
+        self,
+        placement: Placement,
+        expand: np.ndarray | int,
+        shrink: np.ndarray | int,
+        gpus: np.ndarray | int,
+    ) -> "CandidateBatch":
+        """Route (Shrink ``shrink[i]``@``gpus[i]``, Expand
+        ``expand[i]``@``gpus[i]``) candidates in one pass.
+
+        Scalars broadcast against the arrays.  ``placement`` must be the
+        *unmodified* base placement; each candidate mutation (one vExpert
+        of the shrink expert replaced by one of the expand expert on the
+        same GPU) is applied arithmetically to the cached rows, never to
+        the placement.  Returns the routed batch; its
+        :meth:`CandidateBatch.times` finishes a contiguous range of
+        candidates, so a search can price a whole round's candidates at
+        once yet probe and compare only the ranges it reaches.
+        """
+        expand, shrink, gpus = (
+            a.ravel()
+            for a in np.broadcast_arrays(
+                *(np.asarray(v, dtype=np.int64) for v in (expand, shrink, gpus))
+            )
+        )
+        if (expand == shrink).any():
+            raise SchedulingError("expand and shrink experts must differ")
+        num = gpus.size
+        if num == 0:
+            return CandidateBatch(self, 0, None, None, None, None)
+        self._require_base(placement)
+        row_cand, row_expert, row_of_expand = self._paired_rows(expand, shrink)
+        entries = self._edited_rows(
+            row_expert,
+            np.concatenate([row_of_expand, row_of_expand ^ 1]),
+            np.concatenate([gpus, gpus]),
+            np.repeat([1, -1], num),
+        )
+        return self._route_candidates(num, row_cand, row_expert, entries)
+
     def pair_candidate_times(
         self,
         placement: Placement,
@@ -510,36 +594,13 @@ class DeltaStepCost:
         shrink_expert: int,
         gpus: np.ndarray,
     ) -> np.ndarray:
-        """Batch-score (Shrink ``shrink_expert``@g, Expand
-        ``expand_expert``@g) for every g in ``gpus``.
-
-        ``placement`` must be the *unmodified* base placement; the
-        candidate mutation (one vExpert of the shrink expert replaced by
-        one of the expand expert on the same GPU) is applied arithmetically
-        to the cached rows, never to the placement.  Returns the modelled
-        step times, one per candidate GPU.
+        """Score (Shrink ``shrink_expert``@g, Expand ``expand_expert``@g)
+        for every g in ``gpus``: :meth:`pair_candidates` finished as one
+        range.  Returns the modelled step times, one per candidate GPU.
         """
-        gpus = np.asarray(gpus, dtype=np.int64)
-        if gpus.size == 0:
-            return np.zeros(0)
-        if expand_expert == shrink_expert:
-            raise SchedulingError("expand and shrink experts must differ")
-        self._require_base(placement)
-        num = gpus.size
-        row_cand, row_expert, row_of_expand = self._paired_rows(
-            np.full(num, expand_expert), np.full(num, shrink_expert)
-        )
-        entries = self._edited_rows(
-            row_expert,
-            np.concatenate([row_of_expand, row_of_expand ^ 1]),
-            np.concatenate([gpus, gpus]),
-            np.repeat([1, -1], num),
-        )
-        times = self._candidate_times(num, row_cand, row_expert, *entries)
-        self.evaluations += num
-        if self._audit:
-            self._audit_candidates(times, row_cand, row_expert, entries)
-        return times
+        return self.pair_candidates(
+            placement, expand_expert, shrink_expert, gpus
+        ).times()
 
     def exchange_candidate_times(
         self,
@@ -574,13 +635,9 @@ class DeltaStepCost:
             np.concatenate([ga, gb, gb, ga]),
             np.repeat([-1, 1, -1, 1], pairs.shape[0]),
         )
-        times = self._candidate_times(
-            pairs.shape[0], row_cand, row_expert, *entries
-        )
-        self.evaluations += pairs.shape[0]
-        if self._audit:
-            self._audit_candidates(times, row_cand, row_expert, entries)
-        return times
+        return self._route_candidates(
+            pairs.shape[0], row_cand, row_expert, entries
+        ).times()
 
     def trial_time(
         self, placement: Placement, changed: tuple[int, ...]
@@ -604,25 +661,21 @@ class DeltaStepCost:
         diff = rows.copy()
         diff[base_row, self._gpu[base_index]] -= self._count[base_index]
         edit_row, edit_gpu = np.nonzero(diff)
-        entries = self._edited_rows(
-            row_expert, edit_row, edit_gpu, diff[edit_row, edit_gpu]
-        )
-        times = self._candidate_times(
-            1, np.zeros(row_expert.size, dtype=np.int64), row_expert, *entries
-        )
-        time = float(times[0])
-        self.evaluations += 1
         if self._audit:
-            counts = placement.counts_view
             expected = self._base_counts()
             expected[row_expert] = rows
-            if not np.array_equal(expected, counts):
+            if not np.array_equal(expected, placement.counts_view):
                 raise SchedulingError(
                     "delta audit: changed-expert set does not cover the "
                     "trial mutations (caller contract violated)"
                 )
-            self._audit_check(time, counts)
-        return time
+        entries = self._edited_rows(
+            row_expert, edit_row, edit_gpu, diff[edit_row, edit_gpu]
+        )
+        batch = self._route_candidates(
+            1, np.zeros(row_expert.size, dtype=np.int64), row_expert, entries
+        )
+        return float(batch.times()[0])
 
     # ------------------------------------------------------------------
     # Full recomputation (fallback + audit)
@@ -660,15 +713,18 @@ class DeltaStepCost:
         counts[self._expert, self._gpu] = self._count
         return counts
 
-    def _audit_candidates(self, times, row_cand, row_expert, entries) -> None:
-        """Cross-check every batched candidate against a full recompute."""
-        _, _, row, gpu, count, _ = entries
-        for cand, claimed in enumerate(times):
+    def _audit_candidates(
+        self, times: np.ndarray, lo: int, batch: "CandidateBatch"
+    ) -> None:
+        """Cross-check finished candidates ``lo:lo + len(times)`` of a
+        batch against a full recompute each."""
+        _, _, row, gpu, count = batch.entries
+        for cand, claimed in enumerate(times, start=lo):
             counts = self._base_counts()
-            rows = np.flatnonzero(row_cand == cand)
-            counts[row_expert[rows]] = 0
+            rows = np.flatnonzero(batch.row_cand == cand)
+            counts[batch.row_expert[rows]] = 0
             mine = np.isin(row, rows)
-            counts[row_expert[row[mine]], gpu[mine]] = count[mine]
+            counts[batch.row_expert[row[mine]], gpu[mine]] = count[mine]
             self._audit_check(float(claimed), counts)
 
     def _audit_check(self, claimed: float, counts: np.ndarray) -> None:
@@ -679,3 +735,45 @@ class DeltaStepCost:
                 f"delta audit: incremental time {claimed!r} != full "
                 f"recomputation {full!r}"
             )
+
+
+class CandidateBatch:
+    """What-if candidates routed in one pass, finished range by range.
+
+    Built by :meth:`DeltaStepCost.pair_candidates` (and internally by the
+    other query shapes).  Routing is AllReduce-free, so routing candidates
+    a search may never reach costs no probe; :meth:`times` finishes one
+    contiguous range -- sync probes in row order, then Eq. 5's max -- and
+    counts it in :attr:`DeltaStepCost.evaluations`.  Finish a batch before
+    the evaluator's next rebase.
+    """
+
+    def __init__(
+        self,
+        delta: DeltaStepCost,
+        num_cands: int,
+        row_cand: np.ndarray | None,
+        row_expert: np.ndarray | None,
+        entries: tuple | None,
+        contrib: np.ndarray | None,
+    ) -> None:
+        self._delta = delta
+        self.num_cands = num_cands
+        self.row_cand = row_cand
+        self.row_expert = row_expert
+        self.entries = entries
+        # Each edited entry's Eq. 5 contribution before AllReduce.
+        self.contrib = contrib
+        self.rebases = delta.rebases
+
+    def __len__(self) -> int:
+        return self.num_cands
+
+    def times(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Modelled step times of candidates ``lo:hi`` (default: all)."""
+        hi = self.num_cands if hi is None else hi
+        if not 0 <= lo <= hi <= self.num_cands:
+            raise SchedulingError(
+                f"candidate range [{lo}, {hi}) outside [0, {self.num_cands})"
+            )
+        return self._delta._finish(self, lo, hi)

@@ -72,7 +72,10 @@ class MigrationPlanner:
             cross-cluster sweep is expanded only when no intra-node
             candidate improves) or ``"auto"`` (hierarchical above
             :data:`~repro.config.HIERARCHICAL_AUTO_THRESHOLD` devices).
-            Hierarchical requires the delta path.
+            Hierarchical requires the delta path: an explicit
+            ``"hierarchical"`` with ``use_delta=False`` raises
+            :class:`~repro.exceptions.SchedulingError`, while ``"auto"``
+            quietly runs flat.
         delta: Optional shared :class:`~repro.core.delta.DeltaStepCost`.
             The Scheduler passes the Policy Maker's evaluator so the two
             planners rebase the same per-round base once between them —
@@ -116,6 +119,12 @@ class MigrationPlanner:
         resolved = resolve_placement_search(
             topology.num_gpus, placement_search
         )
+        if placement_search == "hierarchical" and not use_delta:
+            raise SchedulingError(
+                "the hierarchical placement search needs the delta path "
+                "(use_delta=True)"
+            )
+        # Auto falls back to flat on the reference path.
         self._hierarchical = resolved == "hierarchical" and use_delta
         self._gpus_per_node = topology.config.gpus_per_node
         # Coarse-to-fine scoring only pays off where exact scoring is

@@ -260,7 +260,7 @@ class Placement:
 
     def experts_on(self, gpu: int) -> tuple[int, ...]:
         self._check_gpu(gpu)
-        return tuple(int(e) for e in np.flatnonzero(self._counts[:, gpu]))
+        return tuple(np.flatnonzero(self._counts[:, gpu]).tolist())
 
     # ------------------------------------------------------------------
     # Mutation (used by the primitives; prefer applying PlacementActions)

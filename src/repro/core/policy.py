@@ -18,20 +18,27 @@ if packing, otherwise the highest-bandwidth peer).
 
 Two evaluation paths score the candidates:
 
-* the **delta path** (default) — a :class:`~repro.core.delta.DeltaStepCost`
-  caches the base configuration's per-expert route/cost contributions on
-  each expert's replica holders once per call and batch-scores every
-  shrink GPU of a pair in one vectorized pass, so a candidate costs
-  O(changed holders + D) instead of re-deriving the full E x D
-  configuration;
+* the **delta path** (default) — one round sweep
+  (:meth:`PolicyMaker._sweep_round`) lists every candidate of the round
+  in Algorithm 2's order (hot-expert rank, shrink partner, then the
+  intra-node and cross-node stages of the hierarchical search) and
+  routes them all in one :meth:`~repro.core.delta.DeltaStepCost.pair_candidates`
+  pass over the changed experts' replica holders.  It then finishes the
+  candidates (AllReduce probes and the Eq. 5 max) wave by wave, up to
+  exactly the point the per-pair search would reach: a cross-node stage
+  only when its intra-node stage found nothing, the next hot expert only
+  when the current one found nothing;
 * the **reference path** (``use_delta=False``) — the original
   copy-per-candidate search over the memoized full evaluator, retained as
   the audited specification the delta path is equivalence-tested and
-  benchmarked against (``python -m repro perf``).
+  benchmarked against (``python -m repro perf``).  It has no hierarchical
+  mode.
 
-Both paths enumerate candidates in the same order and compare with the
-same strict inequalities, so they propose identical plans (asserted on
-seeded scenarios by ``tests/test_policy_delta_equivalence.py``).
+Both paths price the same candidates in the same order and compare with
+the same strict inequalities, so they propose identical plans and probe
+noisy profiles identically (asserted on seeded scenarios by
+``tests/test_policy_delta_equivalence.py`` and pinned for the
+hierarchical search by ``tests/test_policy_probe_golden.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import numpy as np
 
 from repro.config import resolve_placement_search
 from repro.core.cost_model import MemoizedStepCost, MoECostModel
-from repro.core.delta import DeltaStepCost
+from repro.core.delta import DeltaStepCost, HolderIndex
 from repro.core.placement import Placement
 from repro.core.primitives import Expand, PlacementAction, Shrink
 from repro.core.router import FlexibleTokenRouter
@@ -91,7 +98,10 @@ class PolicyMaker:
             remainder only when no intra-node candidate beats ``t0``), or
             ``"auto"`` (hierarchical above
             :data:`~repro.config.HIERARCHICAL_AUTO_THRESHOLD` devices).
-            Hierarchical needs ``topology`` and the delta path.
+            Hierarchical needs ``topology`` and the delta path: an
+            explicit ``"hierarchical"`` without them raises
+            :class:`~repro.exceptions.SchedulingError`, while ``"auto"``
+            quietly runs flat.
     """
 
     def __init__(
@@ -116,6 +126,13 @@ class PolicyMaker:
             raise SchedulingError(
                 f"unknown placement_search {placement_search!r}"
             )
+        if placement_search == "hierarchical" and (
+            topology is None or not use_delta
+        ):
+            raise SchedulingError(
+                "the hierarchical placement search needs a topology and "
+                "the delta path (use_delta=True)"
+            )
         self._cost_model = cost_model
         self._router = router or FlexibleTokenRouter()
         self._memo = MemoizedStepCost(cost_model, self._router)
@@ -127,6 +144,7 @@ class PolicyMaker:
         self._min_replicas = min_replicas
         num_gpus = int(np.asarray(cost_model.profile.tps).shape[0])
         if placement_search == "auto":
+            # Auto falls back to flat where hierarchical cannot run.
             placement_search = resolve_placement_search(num_gpus)
         self._hierarchical = (
             placement_search == "hierarchical"
@@ -186,31 +204,30 @@ class PolicyMaker:
         replicas = placement.replica_counts().astype(float)
         caps = expert_loads / replicas
 
-        order_desc = np.argsort(-caps, kind="stable")
-        # Ascending load order is shared by every _find_shrink_candidates
-        # call this round; computing it per sweep was O(E log E) each.
+        hot = np.argsort(-caps, kind="stable")[: self._expand_candidates]
+        # Every hot expert draws its shrink partners from the same
+        # ascending-load list; one spare covers excluding the hot expert.
         order_asc = np.argsort(caps, kind="stable")
-        best: PolicyDecision | None = None
-        for e0 in order_desc[: self._expand_candidates]:
-            e0 = int(e0)
-            shrinkable = self._find_shrink_candidates(
-                order_asc, replicas, exclude=e0
-            )
-            for e1 in shrinkable[: self._shrink_candidates]:
-                if self._use_delta:
-                    decision = self._sweep_pair(placement, e0, e1, t0)
-                else:
+        shrinkable = order_asc[replicas[order_asc] > self._min_replicas][
+            : self._shrink_candidates + 1
+        ]
+        if self._use_delta:
+            best = self._sweep_round(placement, hot, shrinkable, t0)
+        else:
+            best = None
+            for e0 in hot.tolist():
+                for e1 in self._partners(shrinkable, e0):
                     decision = self._best_pair(
                         assignment, placement, e0, e1, t0, assignment_key
                     )
-                if decision is not None and (
-                    best is None or decision.time_after < best.time_after
-                ):
-                    best = decision
-            if best is not None:
-                # Algorithm 2 expands the most overloaded expert; wider
-                # candidates are only a fallback when it cannot improve.
-                break
+                    if decision is not None and (
+                        best is None or decision.time_after < best.time_after
+                    ):
+                        best = decision
+                if best is not None:
+                    # Algorithm 2 expands the most overloaded expert; wider
+                    # candidates are only a fallback when it cannot improve.
+                    break
         if best is None:
             return PolicyDecision((), t0, t0, 0.0)
         return best
@@ -218,112 +235,163 @@ class PolicyMaker:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _find_shrink_candidates(
-        self, order_asc: np.ndarray, replicas: np.ndarray, exclude: int
-    ) -> list[int]:
-        """Experts shrinkable above the replication floor, in the given
-        ascending per-vExpert-load order (computed once per round by
-        :meth:`make_plan`; the floor is 1 in the paper's setting, 2 in
-        elastic runs so failures never orphan an expert)."""
-        return [
-            int(e)
-            for e in order_asc
-            if replicas[e] > self._min_replicas and int(e) != exclude
+    def _partners(self, shrinkable: np.ndarray, e0: int) -> list[int]:
+        """Shrink partners of hot expert ``e0``: the least-loaded experts
+        above the replication floor (1 in the paper's setting, 2 in
+        elastic runs so failures never orphan an expert), ``e0`` excluded."""
+        return [e for e in shrinkable.tolist() if e != e0][
+            : self._shrink_candidates
         ]
 
-    def _sweep_pair(
-        self, placement: Placement, e0: int, e1: int, t0: float
-    ) -> PolicyDecision | None:
-        """Delta path: batch-score all shrink GPUs of (e1 -> e0) at once.
-
-        Candidate enumeration order, validity rules and tie-breaking are
-        identical to :meth:`_best_pair`; only the evaluation is
-        incremental (no placement copies, no full re-route).
-
-        Hierarchical mode partitions the shrink GPUs into those on nodes
-        already hosting the hot expert ``e0`` (where Expand packs or rides
-        NVLink and the freed capacity lands next to the overload) and the
-        cross-node remainder, scoring the intra-node subset first and
-        escalating to the remainder only when no intra-node candidate
-        beats ``t0`` — so escalation can never skip a viable intra-node
-        candidate, and at datacenter scale most sweeps price a handful of
-        GPUs instead of every replica of ``e1``.
-        """
-        counts1 = placement.counts_view[e1]
-        holders1 = np.flatnonzero(counts1)
-        if holders1.size == 0:
-            return None
-        # Shrinking the last copy on a GPU loses a distinct device; the
-        # floor is on distinct DEVICES (packed copies die together).
-        distinct_after = holders1.size - (counts1[holders1] == 1)
-        gpus = holders1[distinct_after >= self._min_replicas]
-        if gpus.size == 0:
-            return None
-        if self._hierarchical:
-            e0_nodes = np.unique(
-                np.flatnonzero(placement.counts_view[e0]) // self._gpus_per_node
-            )
-            intra = np.isin(gpus // self._gpus_per_node, e0_nodes)
-            if intra.any() and not intra.all():
-                decision = self._score_pair_gpus(
-                    placement, e0, e1, t0, gpus[intra]
-                )
-                if decision is not None:
-                    return decision
-                gpus = gpus[~intra]
-        return self._score_pair_gpus(placement, e0, e1, t0, gpus)
-
-    def _score_pair_gpus(
+    def _sweep_round(
         self,
         placement: Placement,
-        e0: int,
-        e1: int,
+        hot: np.ndarray,
+        shrinkable: np.ndarray,
         t0: float,
-        gpus: np.ndarray,
     ) -> PolicyDecision | None:
-        """Score one batch of shrink GPUs for (Shrink e1, Expand e0)."""
-        times = self._delta.pair_candidate_times(placement, e0, e1, gpus)
-        sources, adjustments = self._expand_sources_batch(placement, e0, gpus)
-        effective = times + self._amortized_vec(adjustments)
-        viable = effective < t0
-        if not viable.any():
+        """Delta path: the whole round's (Shrink, Expand) search.
+
+        Enumerates stages in Algorithm 2's order -- hot-expert rank, then
+        shrink partner ``e1``, then stage -- and routes every stage's
+        candidates (one per shrink GPU) in one delta pass.  A flat pair is
+        one stage.  Hierarchical mode splits a pair's shrink GPUs into
+        those on nodes already hosting the hot expert ``e0`` (where Expand
+        packs or rides NVLink and the freed capacity lands next to the
+        overload) and the cross-node remainder, which is priced only when
+        no intra-node candidate beats ``t0`` -- so escalation can never
+        skip a viable intra-node candidate.
+
+        Candidates are finished (AllReduce probes, Eq. 5 max) in *waves*:
+        maximal runs of stages the search always prices.  A cross-node
+        stage opens a new wave, and a round stops at the first rank with
+        a viable candidate, so exactly the candidates the per-pair loop
+        of :meth:`_best_pair` reaches are finished, in its order -- noisy
+        profiles therefore draw identical AllReduce values.  Selection
+        matches it too: strict ``<`` against ``t0``, first candidate wins
+        ties, within a pair and across pairs.
+        """
+        index = self._delta.holders
+        gpn = self._gpus_per_node
+        shrink_gpus: dict[int, np.ndarray] = {}
+        stages: list[tuple[int, int, int, bool]] = []  # (rank, lo, hi, cross)
+        expand, shrink, gpus = [], [], []
+        size = 0
+        for rank, e0 in enumerate(hot.tolist()):
+            if self._hierarchical:
+                e0_nodes = np.unique(
+                    index.gpu[index.ptr[e0] : index.ptr[e0 + 1]] // gpn
+                )
+            for e1 in self._partners(shrinkable, e0):
+                if e1 not in shrink_gpus:
+                    shrink_gpus[e1] = self._shrink_gpus(index, e1)
+                parts = [shrink_gpus[e1]]
+                if self._hierarchical:
+                    intra = np.isin(parts[0] // gpn, e0_nodes)
+                    if intra.any() and not intra.all():
+                        parts = [parts[0][intra], parts[0][~intra]]
+                for cross, part in enumerate(parts):
+                    if part.size:
+                        stages.append((rank, size, size + part.size, cross))
+                        expand.append(e0)
+                        shrink.append(e1)
+                        gpus.append(part)
+                        size += part.size
+        if not stages:
             return None
-        # First-best wins ties, exactly like the reference loop's strict
-        # `effective < best.time_after` update rule.
-        masked = np.where(viable, effective, np.inf)
-        pick = int(np.argmin(masked))
-        gpu = int(gpus[pick])
-        shrink = Shrink(expert=e1, gpu=gpu)
-        expand = Expand(expert=e0, gpu=gpu, source_gpu=int(sources[pick]))
+        sizes = [hi - lo for _, lo, hi, _ in stages]
+        expand = np.repeat(expand, sizes)
+        shrink = np.repeat(shrink, sizes)
+        gpus = np.concatenate(gpus)
+        batch = self._delta.pair_candidates(placement, expand, shrink, gpus)
+        best = None  # (effective, candidate, source, adjustment)
+        i = 0
+        while i < len(stages):
+            rank = stages[i][0]
+            # One wave: stage i plus the following stages of its rank up
+            # to (not including) the next cross-node stage.
+            j = i + 1
+            while (
+                j < len(stages) and stages[j][0] == rank and not stages[j][3]
+            ):
+                j += 1
+            lo, hi = stages[i][1], stages[j - 1][2]
+            e0 = int(expand[lo])
+            sources, adjustments = self._expand_sources_batch(
+                placement,
+                e0,
+                index.gpu[index.ptr[e0] : index.ptr[e0 + 1]],
+                gpus[lo:hi],
+            )
+            effective = batch.times(lo, hi) + self._amortized_vec(adjustments)
+            found = False
+            for _, s_lo, s_hi, _ in stages[i:j]:
+                stage = effective[s_lo - lo : s_hi - lo]
+                viable = stage < t0
+                found = bool(viable.any())
+                if not found:
+                    continue
+                # First-best wins ties, exactly like the reference loop's
+                # strict `effective < best.time_after` update rule.
+                pick = int(np.argmin(np.where(viable, stage, np.inf)))
+                if best is None or stage[pick] < best[0]:
+                    k = s_lo - lo + pick
+                    best = (stage[pick], lo + k, sources[k], adjustments[k])
+            i = j
+            if found and i < len(stages) and stages[i][3]:
+                i += 1  # the intra-node stage found a move: no escalation
+            if best is not None and (i == len(stages) or stages[i][0] != rank):
+                break
+        if best is None:
+            return None
+        effective, cand, source, adjustment = best
+        gpu = int(gpus[cand])
         return PolicyDecision(
-            actions=(shrink, expand),
+            actions=(
+                Shrink(expert=int(shrink[cand]), gpu=gpu),
+                Expand(
+                    expert=int(expand[cand]), gpu=gpu, source_gpu=int(source)
+                ),
+            ),
             time_before=t0,
-            time_after=float(effective[pick]),
-            adjustment_time=float(adjustments[pick]),
+            time_after=float(effective),
+            adjustment_time=float(adjustment),
         )
 
+    def _shrink_gpus(self, index: HolderIndex, e1: int) -> np.ndarray:
+        """GPUs where shrinking one vExpert of ``e1`` keeps the floor.
+
+        Shrinking the last copy on a GPU loses a distinct device; the
+        floor is on distinct DEVICES (packed copies die together).
+        """
+        lo, hi = index.ptr[e1], index.ptr[e1 + 1]
+        distinct_after = (hi - lo) - (index.count[lo:hi] == 1)
+        return index.gpu[lo:hi][distinct_after >= self._min_replicas]
+
     def _expand_sources_batch(
-        self, placement: Placement, expert: int, targets: np.ndarray
+        self,
+        placement: Placement,
+        expert: int,
+        holders: np.ndarray,
+        targets: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cheapest source replica + transfer seconds per expand target.
 
         Vectorized equivalent of :meth:`_expand_source` +
-        :meth:`MoECostModel.adjustment_cost` for one Expand: packing on a
-        holder GPU is free; otherwise the highest-bandwidth holder pays
+        :meth:`MoECostModel.adjustment_cost` for one Expand of ``expert``
+        (held on the ascending ``holders``): packing on a holder GPU is
+        free; otherwise the highest-bandwidth holder pays
         ``state_bytes / Bw`` (first holder wins bandwidth ties, matching
         ``max()`` over the ascending holder tuple).
         """
-        counts = placement.counts_view[expert]
-        holders = np.flatnonzero(counts)
         bw = self._cost_model.profile.bandwidth_model().submatrix(
             holders, targets
         )
         best = np.argmax(bw, axis=0)
-        sources = holders[best]
         state_bytes = self._cost_model.model.expert_state_bytes
         adjustments = state_bytes / bw[best, np.arange(targets.size)]
-        packed = counts[targets] > 0
-        sources = np.where(packed, targets, sources)
+        packed = placement.counts_view[expert, targets] > 0
+        sources = np.where(packed, targets, holders[best])
         adjustments = np.where(packed, 0.0, adjustments)
         return sources, adjustments
 

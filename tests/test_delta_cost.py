@@ -262,6 +262,112 @@ class TestPairSweep:
             delta.pair_candidate_times(placement, 3, 3, np.array([0]))
 
 
+class TestPairCandidates:
+    """One routed batch of many pairs, finished range by range."""
+
+    @staticmethod
+    def batch_inputs(case: Case, rng):
+        """A based evaluator plus mixed (expand, shrink, gpu) candidates:
+        several pairs, each over every holder of its shrink expert."""
+        cost_model = case.cost_model()
+        delta = DeltaStepCost(cost_model)
+        placement = case.placement(rng)
+        delta.rebase(case.assignment(rng), placement)
+        expand, shrink, gpus = [], [], []
+        while len(expand) < 4:
+            e0, e1 = (
+                int(e) for e in rng.choice(case.num_experts, 2, replace=False)
+            )
+            if placement.replicas(e1) > 1:
+                holders = placement.gpus_of(e1)
+                expand.append(np.full(len(holders), e0))
+                shrink.append(np.full(len(holders), e1))
+                gpus.append(np.array(holders))
+        return delta, placement, expand, shrink, gpus
+
+    @pytest.mark.parametrize("name", ["dense-8g", "sparse-256g"])
+    def test_sub_ranges_are_bit_identical(self, name, rng):
+        case = CASES[name]
+        delta, placement, expand, shrink, gpus = self.batch_inputs(case, rng)
+        per_pair = np.concatenate(
+            [
+                delta.pair_candidate_times(placement, e[0], s[0], g)
+                for e, s, g in zip(expand, shrink, gpus)
+            ]
+        )
+        expand, shrink, gpus = map(np.concatenate, (expand, shrink, gpus))
+        whole = delta.pair_candidates(placement, expand, shrink, gpus).times()
+        batch = delta.pair_candidates(placement, expand, shrink, gpus)
+        cuts = np.sort(rng.choice(np.arange(1, gpus.size), 3, replace=False))
+        bounds = [0, *cuts.tolist(), gpus.size]
+        pieces = np.concatenate(
+            [batch.times(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        )
+        np.testing.assert_array_equal(pieces, whole)
+        np.testing.assert_array_equal(per_pair, whole)
+
+    def test_scalars_broadcast(self, rng):
+        delta, placement, expand, shrink, gpus = self.batch_inputs(
+            CASES["dense-8g"], rng
+        )
+        e0, e1, g = int(expand[0][0]), int(shrink[0][0]), gpus[0]
+        batch = delta.pair_candidates(placement, e0, e1, g)
+        assert len(batch) == g.size
+        np.testing.assert_array_equal(
+            batch.times(),
+            delta.pair_candidates(
+                placement, np.full(g.size, e0), np.full(g.size, e1), g
+            ).times(),
+        )
+        assert len(delta.pair_candidates(placement, e0, e1, [])) == 0
+
+    def test_evaluations_count_finished_candidates_only(self, rng):
+        delta, placement, expand, shrink, gpus = self.batch_inputs(
+            CASES["dense-8g"], rng
+        )
+        expand, shrink, gpus = map(np.concatenate, (expand, shrink, gpus))
+        before = delta.evaluations
+        batch = delta.pair_candidates(placement, expand, shrink, gpus)
+        assert delta.evaluations == before
+        batch.times(2, 5)
+        assert delta.evaluations == before + 3
+        batch.times(5, 5)
+        assert delta.evaluations == before + 3
+
+    def test_audit_checks_only_the_finished_range(self, rng):
+        case = CASES["dense-8g"]
+        _, placement, expand, shrink, gpus = self.batch_inputs(case, rng)
+        expand, shrink, gpus = map(np.concatenate, (expand, shrink, gpus))
+        delta = DeltaStepCost(case.cost_model(), audit=True)
+        delta.rebase(case.assignment(rng), placement)
+        checked = []
+        audit_check = delta._audit_check
+
+        def spy(claimed, counts):
+            checked.append(claimed)
+            audit_check(claimed, counts)
+
+        delta._audit_check = spy
+        batch = delta.pair_candidates(placement, expand, shrink, gpus)
+        assert checked == []
+        times = batch.times(1, 4)
+        assert checked == times.tolist()
+
+    def test_misuse_rejected(self, rng):
+        case = CASES["dense-8g"]
+        delta, placement, expand, shrink, gpus = self.batch_inputs(case, rng)
+        batch = delta.pair_candidates(
+            placement, expand[0], shrink[0], gpus[0]
+        )
+        with pytest.raises(SchedulingError):
+            batch.times(0, len(batch) + 1)
+        with pytest.raises(SchedulingError):
+            delta.pair_candidates(placement, [1, 2], [2, 2], [0, 1])
+        delta.rebase(case.assignment(rng), placement)
+        with pytest.raises(SchedulingError, match="rebase"):
+            batch.times()
+
+
 class TestExchangeSweep:
     def test_matches_applying_the_exchange(self, rng):
         self.check(CASES["dense-8g"], rng)

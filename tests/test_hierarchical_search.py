@@ -28,6 +28,7 @@ from repro.config import (
     ClusterConfig,
     HIERARCHICAL_AUTO_THRESHOLD,
     MoEModelConfig,
+    SchedulerConfig,
     WorkloadConfig,
     auto_slots_per_gpu,
     resolve_placement_search,
@@ -37,6 +38,7 @@ from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
 from repro.core.primitives import Migrate
+from repro.exceptions import ConfigurationError, SchedulingError
 from repro.workload.synthetic import DriftingRoutingGenerator
 
 QUALITY_RTOL = 0.05
@@ -127,6 +129,90 @@ class TestSmallScaleEquivalence:
         )
         assert resolve_placement_search(4096, "flat") == "flat"
         assert resolve_placement_search(8, "hierarchical") == "hierarchical"
+
+
+class TestPlacementSearchValidation:
+    """An explicit hierarchical search never silently runs flat."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        topology = ClusterTopology(
+            ClusterConfig(num_nodes=10, gpus_per_node=8)
+        )
+        model = MoEModelConfig(
+            name="hier-validate",
+            num_layers=2,
+            d_model=256,
+            d_ffn=1024,
+            num_experts=16,
+        )
+        profile = Profiler(topology, noise=0.0, seed=0).profile(model)
+        return MoECostModel(profile, model), topology
+
+    def test_policy_rejects_hierarchical_without_delta(self, setup):
+        cost_model, topology = setup
+        with pytest.raises(SchedulingError, match="hierarchical"):
+            PolicyMaker(
+                cost_model,
+                use_delta=False,
+                topology=topology,
+                placement_search="hierarchical",
+            )
+
+    def test_policy_rejects_hierarchical_without_topology(self, setup):
+        cost_model, _ = setup
+        with pytest.raises(SchedulingError, match="hierarchical"):
+            PolicyMaker(cost_model, placement_search="hierarchical")
+
+    def test_migration_rejects_hierarchical_without_delta(self, setup):
+        cost_model, topology = setup
+        with pytest.raises(SchedulingError, match="hierarchical"):
+            MigrationPlanner(
+                cost_model,
+                topology,
+                use_delta=False,
+                placement_search="hierarchical",
+            )
+
+    def test_scheduler_config_rejects_hierarchical_reference(self):
+        with pytest.raises(ConfigurationError, match="hierarchical"):
+            SchedulerConfig(
+                placement_search="hierarchical", delta_evaluation=False
+            )
+        assert SchedulerConfig(
+            placement_search="auto", delta_evaluation=False
+        ).placement_search == "auto"
+
+    def test_unknown_search_rejected(self, setup):
+        cost_model, topology = setup
+        with pytest.raises(SchedulingError):
+            PolicyMaker(cost_model, placement_search="greedy")
+        with pytest.raises(ConfigurationError):
+            MigrationPlanner(cost_model, topology, placement_search="greedy")
+        with pytest.raises(ConfigurationError):
+            SchedulerConfig(placement_search="greedy")
+
+    def test_auto_falls_back_to_flat_quietly(self, setup):
+        """Above the threshold ``auto`` resolves to hierarchical, and runs
+        flat wherever hierarchical cannot."""
+        cost_model, topology = setup
+        assert topology.num_gpus > HIERARCHICAL_AUTO_THRESHOLD
+        assert PolicyMaker(
+            cost_model, topology=topology, placement_search="auto"
+        )._hierarchical
+        for policy in (
+            PolicyMaker(cost_model, placement_search="auto"),
+            PolicyMaker(
+                cost_model,
+                use_delta=False,
+                topology=topology,
+                placement_search="auto",
+            ),
+        ):
+            assert not policy._hierarchical
+        assert not MigrationPlanner(
+            cost_model, topology, use_delta=False, placement_search="auto"
+        )._hierarchical
 
 
 def _perturbed_placement(rng, num_experts, num_gpus, slots):

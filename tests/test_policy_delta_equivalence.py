@@ -81,6 +81,41 @@ def test_policy_decisions_identical_on_evolving_scenario(noise):
     assert delta_policy.delta.fallbacks == 0
 
 
+def test_policy_probe_order_identical_on_separate_noisy_profiles():
+    """Each path draws its own noise: same decisions, same probe order.
+
+    With one shared profile a path that probed AllReduce groups in
+    another order would still read the values the other path measured;
+    with two identically seeded profiles every group's value depends on
+    when its own path first probed it, so any drift in the probe order
+    shows up as a different probe sequence (and, eventually, different
+    prices).  Most rounds of this drifting trace find no beneficial pair,
+    so they search the 2nd and 3rd hot experts too.
+    """
+    delta_model, _ = build_cost_model(noise=0.02)
+    ref_model, _ = build_cost_model(noise=0.02)
+    trace = drifting_trace()
+    delta_policy = PolicyMaker(delta_model, use_delta=True)
+    ref_policy = PolicyMaker(ref_model, use_delta=False)
+    p_delta = Placement.balanced(16, 8, auto_slots_per_gpu(16, 8))
+    p_ref = p_delta.copy()
+    proposals = 0
+    for step in range(trace.num_steps):
+        assignment = trace.step(step)
+        d = delta_policy.make_plan(assignment, p_delta)
+        r = ref_policy.make_plan(assignment, p_ref)
+        assert d.actions == r.actions, f"diverged at step {step}"
+        assert list(delta_model.profile._bps_cache) == list(
+            ref_model.profile._bps_cache
+        ), f"probe order diverged at step {step}"
+        for action in d.actions:
+            action.apply(p_delta)
+            action.apply(p_ref)
+        proposals += bool(d.actions)
+    assert 0 < proposals < trace.num_steps // 2
+    assert delta_policy.delta.fallbacks == 0
+
+
 def test_migration_plans_identical_on_evolving_scenario():
     cost_model, topology = build_cost_model()
     trace = drifting_trace(seed=3)
