@@ -159,15 +159,23 @@ class MigrationPlanner:
         """Propose up to ``max_moves`` exchanges strictly improving Eq. 5.
 
         The placement is *not* modified; the scheduler applies the returned
-        actions through its adjustment queue.
+        actions through its adjustment queue.  The first search reads the
+        caller's placement directly (:meth:`_best_move` never mutates its
+        argument); only when it finds a move is the placement copied, and
+        every found move is applied -- and so checked -- on that copy
+        before the next search.
         """
         assignment = np.asarray(assignment)
         actions: list[PlacementAction] = []
-        trial = placement.copy()
+        trial = placement
         for _ in range(self._max_moves):
             move = self._best_move(assignment, trial)
             if move is None:
                 break
+            if trial is placement:
+                # Copy on the first move: most passes find none, and the
+                # first search only reads the caller's placement.
+                trial = placement.copy()
             move.apply(trial)
             actions.append(move)
         return actions
@@ -178,8 +186,15 @@ class MigrationPlanner:
     def _per_replica_loads(
         self, assignment: np.ndarray, index: HolderIndex
     ) -> np.ndarray:
-        """Per-vExpert token load of every expert."""
-        expert_loads = assignment.sum(axis=1).astype(float)
+        """Per-vExpert token load of every expert.
+
+        The delta path reads the expert loads off the evaluator's last
+        rebase (of ``assignment``) instead of re-summing the matrix.
+        """
+        if self._delta is not None:
+            expert_loads = self._delta.expert_loads
+        else:
+            expert_loads = assignment.sum(axis=1).astype(float)
         replicas = np.bincount(
             index.expert, weights=index.count, minlength=expert_loads.size
         )
@@ -251,7 +266,8 @@ class MigrationPlanner:
     def _candidate_targets(self, gpu_loads: np.ndarray) -> list[int]:
         """Live GPUs worth moving a replica to: least (time-)loaded first."""
         live = self._cost_model.live_mask()
-        return [int(g) for g in np.argsort(gpu_loads) if live[g]][:4]
+        order = np.argsort(gpu_loads)
+        return order[live[order]][:4].tolist()
 
     def _node_targets(
         self,

@@ -49,12 +49,17 @@ class Placement:
         if not np.issubdtype(arr.dtype, np.integer):
             raise PlacementError("counts must be integral")
         self._counts = arr.astype(np.int64, copy=True)
+        # Per-expert replica totals ``n_e``, kept in step with the matrix
+        # by the two mutation funnels (:meth:`_mutate`, :meth:`rollback`).
+        self._replicas = self._counts.sum(axis=1)
         self._slots_per_gpu = int(slots_per_gpu)
         self._version = 0
         self._state_token = next(Placement._state_counter)
         self._signature_cache: bytes | None = None
         self._journal: list[tuple[int, int, int]] | None = None
-        self._trial_state_tokens: dict[TrialToken, int] = {}
+        # Open trials, outermost first, each with the state token it
+        # started from.
+        self._trials: list[tuple[TrialToken, int]] = []
         self.validate()
 
     # ------------------------------------------------------------------
@@ -147,6 +152,10 @@ class Placement:
         if (self._counts < 0).any():
             raise PlacementError("vExpert counts must be non-negative")
         per_expert = self._counts.sum(axis=1)
+        if not np.array_equal(per_expert, self._replicas):
+            raise PlacementError(
+                "maintained replica totals drifted from the count matrix"
+            )
         if (per_expert < 1).any():
             orphan = int(np.argmin(per_expert))
             raise PlacementError(f"expert {orphan} has no vExpert")
@@ -236,11 +245,11 @@ class Placement:
     def replicas(self, expert: int) -> int:
         """Total number of vExperts allocated to ``expert`` (``n_e``)."""
         self._check_expert(expert)
-        return int(self._counts[expert].sum())
+        return int(self._replicas[expert])
 
     def replica_counts(self) -> np.ndarray:
-        """Vector ``n_e`` for all experts."""
-        return self._counts.sum(axis=1)
+        """Copy of the vector ``n_e`` for all experts (O(E), no scan)."""
+        return self._replicas.copy()
 
     def gpus_of(self, expert: int) -> tuple[int, ...]:
         """GPUs holding at least one vExpert of ``expert``."""
@@ -267,10 +276,11 @@ class Placement:
     # ------------------------------------------------------------------
     def _mutate(self, *cells: tuple[int, int, int]) -> None:
         """Apply per-cell count deltas; the single funnel every mutation
-        goes through, so the journal, version and signature cache can
-        never drift from the count matrix."""
+        goes through, so the journal, replica totals, version and
+        signature cache can never drift from the count matrix."""
         for expert, gpu, delta in cells:
             self._counts[expert, gpu] += delta
+            self._replicas[expert] += delta
         if self._journal is not None:
             self._journal.extend(cells)
         self._version += 1
@@ -345,15 +355,15 @@ class Placement:
         if self._journal is None:
             self._journal = []
         token = (len(self._journal), self._version)
-        self._trial_state_tokens[token] = self._state_token
+        self._trials.append((token, self._state_token))
         return token
 
     def rollback(self, token: TrialToken) -> None:
         """Undo every mutation recorded after ``token`` was issued.
 
-        Restores the count matrix, the version counter and (implicitly) the
-        signature, so caches keyed on ``(placement, version)`` remain valid
-        across a trial that was fully undone.
+        Restores the count matrix, the replica totals, the version counter
+        and (implicitly) the signature, so caches keyed on ``(placement,
+        version)`` remain valid across a trial that was fully undone.
         """
         depth, version = token
         journal = self._journal
@@ -362,16 +372,23 @@ class Placement:
         while len(journal) > depth:
             expert, gpu, delta = journal.pop()
             self._counts[expert, gpu] -= delta
+            self._replicas[expert] -= delta
         self._version = version
-        # Restore the state token captured when the trial began (a forged
-        # token that passed the depth check falls back to a fresh token,
-        # which is always safe -- it can only cause a cache miss).
-        self._state_token = self._trial_state_tokens.pop(
-            token, None
-        ) or next(Placement._state_counter)
-        if depth == 0:
+        # Close the token's trial and every trial opened inside it, and
+        # restore the state token captured when it began.  An empty inner
+        # trial shares its outer trial's token, so the innermost match is
+        # the one to close.  A forged token that passed the depth check
+        # closes nothing and falls back to a fresh token, which is always
+        # safe -- it can only cause a cache miss.
+        state_token = None
+        for i in range(len(self._trials) - 1, -1, -1):
+            if self._trials[i][0] == token:
+                state_token = self._trials[i][1]
+                del self._trials[i:]
+                break
+        self._state_token = state_token or next(Placement._state_counter)
+        if not self._trials:
             self._journal = None
-            self._trial_state_tokens.clear()
         self._signature_cache = None
 
     @contextmanager

@@ -194,13 +194,16 @@ class PolicyMaker:
         if self._use_delta:
             t0 = self._delta.rebase(assignment, placement)
             assignment_key = None
+            # The rebase's row totals: bit-identical to re-summing the
+            # assignment for integer token counts.
+            expert_loads = self._delta.expert_loads
         else:
             assignment_key = MemoizedStepCost.assignment_key(assignment)
             t0 = self._memo.step_time(
                 assignment, placement, assignment_key=assignment_key,
                 phase="policy",
             )
-        expert_loads = assignment.sum(axis=1).astype(float)
+            expert_loads = assignment.sum(axis=1).astype(float)
         replicas = placement.replica_counts().astype(float)
         caps = expert_loads / replicas
 

@@ -80,3 +80,35 @@ class TestPlanner:
         single = Placement.expert_parallel(8, 8)
         assert planner.total_sync_time(single) == 0.0
         assert planner.total_sync_time(scattered_placement()) > 0.0
+
+
+class TestPlanLeavesInputUntouched:
+    """A pass reads the caller's placement and copies it on the first move
+    only; the caller's counts, version and state token never change."""
+
+    @staticmethod
+    def scenario(moves: int) -> tuple[Placement, np.ndarray]:
+        if moves:
+            # A seeded demand on which both paths find two exchanges.
+            assignment = np.random.default_rng(0).integers(0, 20_000, (8, 8))
+            return Placement.balanced(8, 8, 2), assignment
+        return Placement.expert_parallel(8, 8), np.full((8, 8), 1000)
+
+    @pytest.mark.parametrize("use_delta", [True, False])
+    @pytest.mark.parametrize("moves", [2, 0])
+    def test_plan_does_not_touch_the_caller(
+        self, cost_model, topology, use_delta, moves
+    ):
+        placement, assignment = self.scenario(moves)
+        counts = placement.counts
+        version, token = placement.version, placement.state_token
+        planner = MigrationPlanner(cost_model, topology, use_delta=use_delta)
+        actions = planner.plan(assignment, placement)
+        assert len(actions) == moves
+        assert np.array_equal(placement.counts_view, counts)
+        assert placement.version == version
+        assert placement.state_token == token
+        trial = placement.copy()
+        for action in actions:
+            action.apply(trial)
+        trial.validate()

@@ -35,7 +35,7 @@ from repro.core.delta import DeltaStepCost
 from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
-from repro.core.primitives import Migrate
+from repro.core.primitives import Expand, Migrate, Shrink
 from repro.exceptions import RoutingError, SchedulingError
 
 MODEL = MoEModelConfig("delta", num_layers=2, d_model=256, d_ffn=1024, num_experts=8)
@@ -219,6 +219,115 @@ class TestRebase:
         delta = DeltaStepCost(cost_model)
         with pytest.raises(SchedulingError):
             delta.trial_time(Placement.balanced(8, 8, 2), (0,))
+
+
+#: Rebase regimes: 16 devices on the dense (per-link) bandwidth model,
+#: and 256 node-blocked devices with packed copies and an idle expert.
+REBASE_CASES = {
+    "dense-16g": Case(
+        16, ClusterConfig(num_nodes=2, gpus_per_node=8), slots=4, moves=16,
+        packs=4, rounds=8,
+    ),
+    "packed-idle-256g": Case(
+        32, SPARSE_CLUSTER, slots=2, moves=16, packs=24, idle_expert=5,
+        rounds=8,
+    ),
+}
+
+
+class TestRebaseBitIdentity:
+    """An incremental rebase leaves exactly a cold rebase's state.
+
+    After each applied Shrink/Expand or Migrate, the re-based evaluator
+    must agree with a fresh one rebased on the same configuration to the
+    last bit: base time, holder index, expert loads and candidate prices.
+    """
+
+    @pytest.mark.parametrize("name", list(REBASE_CASES))
+    @pytest.mark.parametrize("new_demand", [False, True])
+    def test_matches_a_fresh_rebase(self, name, new_demand, rng):
+        case = REBASE_CASES[name]
+        cost_model = case.cost_model()
+        assert cost_model.profile.bandwidth_model().is_blocked == (
+            case.num_gpus > HIERARCHICAL_AUTO_THRESHOLD
+        )
+        delta = DeltaStepCost(cost_model)
+        placement = case.placement(rng)
+        assignment = case.assignment(rng)
+        delta.rebase(assignment, placement)
+        for _ in range(case.rounds):
+            if new_demand:
+                assignment = case.assignment(rng)
+            for action in self.actions(rng, placement):
+                action.apply(placement)
+            delta.rebase(assignment, placement)
+            fresh = DeltaStepCost(cost_model)
+            fresh.rebase(assignment, placement)
+            self.assert_identical(delta, fresh, placement, assignment, rng)
+
+    @staticmethod
+    def actions(rng, placement: Placement) -> list:
+        """One Shrink/Expand pair and one Migrate, or nothing at all."""
+        kind = int(rng.integers(3))
+        num_gpus = placement.num_gpus
+        if kind == 0:
+            return []
+        if kind == 1:
+            gpu = int(rng.integers(num_gpus))
+            shrinkable = [
+                e for e in placement.experts_on(gpu) if placement.replicas(e) > 1
+            ]
+            expand = int(rng.integers(placement.num_experts))
+            shrinkable = [e for e in shrinkable if e != expand]
+            if not shrinkable:
+                return []
+            source = placement.gpus_of(expand)[0]
+            return [
+                Shrink(expert=int(rng.choice(shrinkable)), gpu=gpu),
+                Expand(expert=expand, gpu=gpu, source_gpu=source),
+            ]
+        gpu_a, gpu_b = (int(g) for g in rng.choice(num_gpus, 2, replace=False))
+        expert_a = int(rng.choice(placement.experts_on(gpu_a)))
+        partners = [e for e in placement.experts_on(gpu_b) if e != expert_a]
+        if not partners:
+            return []
+        return [
+            Migrate(
+                expert_a=expert_a, gpu_a=gpu_a,
+                expert_b=int(rng.choice(partners)), gpu_b=gpu_b,
+            )
+        ]
+
+    @staticmethod
+    def assert_identical(delta, fresh, placement, assignment, rng) -> None:
+        assert delta.base_time == fresh.base_time
+        for mine, theirs in zip(delta.holders, fresh.holders):
+            assert np.array_equal(mine, theirs)
+        assert np.array_equal(delta.expert_loads, fresh.expert_loads)
+        assert np.array_equal(delta.expert_loads, assignment.sum(axis=1))
+        loads = delta.expert_loads / placement.replica_counts()
+        expand = int(np.argmax(loads))
+        shrink = next(
+            int(e)
+            for e in np.argsort(loads, kind="stable")
+            if e != expand and placement.replicas(int(e)) > 1
+        )
+        gpus = np.array(placement.gpus_of(shrink))
+        assert np.array_equal(
+            delta.pair_candidate_times(placement, expand, shrink, gpus),
+            fresh.pair_candidate_times(placement, expand, shrink, gpus),
+        )
+        pairs = []
+        for _ in range(16):
+            ga, gb = rng.choice(placement.num_gpus, 2, replace=False)
+            ea = int(rng.choice(placement.experts_on(int(ga))))
+            partners = [e for e in placement.experts_on(int(gb)) if e != ea]
+            if partners:
+                pairs.append((ea, ga, int(rng.choice(partners)), gb))
+        assert np.array_equal(
+            delta.exchange_candidate_times(placement, pairs),
+            fresh.exchange_candidate_times(placement, pairs),
+        )
 
 
 class TestPairSweep:

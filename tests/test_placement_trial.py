@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.placement import Placement
 from repro.core.primitives import Expand, Migrate, Shrink
 from repro.exceptions import PlacementError
 
 
-@pytest.fixture
-def placement() -> Placement:
+def striped_placement() -> Placement:
     # Striped layout with free slots on every GPU (Placement.balanced
     # binds all slots, which would make Expand impossible to exercise).
     counts = np.zeros((8, 4), dtype=np.int64)
@@ -18,6 +18,11 @@ def placement() -> Placement:
     counts[0, 1] += 1  # replicated experts for Shrink/Migrate tests
     counts[1, 2] += 1
     return Placement(counts, slots_per_gpu=4)
+
+
+@pytest.fixture
+def placement() -> Placement:
+    return striped_placement()
 
 
 class TestVersionAndSignature:
@@ -115,6 +120,14 @@ class TestTrialJournal:
         placement.rollback(outer)
         assert np.array_equal(placement.counts, counts)
 
+    def test_empty_inner_trial_keeps_the_outer_one_open(self, placement):
+        counts = placement.counts
+        with placement.trial():
+            with placement.trial():
+                pass  # shares the outer trial's (depth, version) token
+            placement.add_vexpert(2, 3)
+        assert np.array_equal(placement.counts, counts)
+
     def test_rollback_without_trial_raises(self, placement):
         with pytest.raises(PlacementError):
             placement.rollback((0, 0))
@@ -144,3 +157,63 @@ class TestTrialJournal:
         # Journal closed: normal mutations must not try to journal.
         placement.add_vexpert(2, placement.gpus_of(2)[0])
         placement.validate()
+
+
+# One expert and one GPU past the edge, so range refusals are drawn too.
+_EXPERT = st.integers(0, 8)
+_GPU = st.integers(0, 4)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_vexpert"), _EXPERT, _GPU),
+        st.tuples(st.just("remove_vexpert"), _EXPERT, _GPU),
+        st.tuples(st.just("move_vexpert"), _EXPERT, _GPU, _GPU),
+        st.tuples(st.just("swap_vexperts"), _EXPERT, _GPU, _EXPERT, _GPU),
+        st.just(("begin_trial",)),
+        st.just(("rollback",)),
+    ),
+    max_size=40,
+)
+
+
+class TestReplicaTotals:
+    """The maintained ``n_e`` vector never drifts from the count matrix."""
+
+    @staticmethod
+    def assert_in_step(placement: Placement) -> None:
+        totals = placement.counts.sum(axis=1)
+        assert np.array_equal(placement.replica_counts(), totals)
+        assert [placement.replicas(e) for e in range(totals.size)] == (
+            totals.tolist()
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_OPS)
+    def test_totals_track_every_mutation_and_rollback(self, ops):
+        placement = striped_placement()
+        tokens = []
+        for name, *args in ops:
+            if name == "begin_trial":
+                tokens.append(placement.begin_trial())
+            elif name == "rollback":
+                if tokens:
+                    placement.rollback(tokens.pop())
+            else:
+                try:
+                    getattr(placement, name)(*args)
+                except PlacementError:
+                    pass  # refused: nothing may have changed
+            self.assert_in_step(placement)
+        while tokens:
+            placement.rollback(tokens.pop())
+            self.assert_in_step(placement)
+        placement.validate()
+
+    def test_replica_counts_returns_a_copy(self, placement):
+        totals = placement.replica_counts()
+        totals[:] = 0
+        assert (placement.replica_counts() >= 1).all()
+
+    def test_validate_rejects_drifted_totals(self, placement):
+        placement._replicas[3] += 1
+        with pytest.raises(PlacementError, match="replica totals"):
+            placement.validate()
