@@ -3,7 +3,8 @@
 Every benchmark regenerates one table or figure of the paper. Besides the
 pytest-benchmark timing, each writes its paper-style rows/series to
 ``benchmarks/results/<name>.txt`` (and stdout) so the reproduction can be
-diffed against the published numbers; EXPERIMENTS.md embeds these outputs.
+diffed against the published numbers; ``docs/paper_mapping.md`` maps each
+output to its table or figure.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ Every benchmark under ``benchmarks/`` maps to one table or figure of the
 evaluation section; :mod:`repro.bench.harness` holds the shared experiment
 drivers, :mod:`repro.bench.reporting` renders paper-style rows/series,
 :mod:`repro.bench.perf` measures the scheduling hot path (``python -m
-repro perf``, ``BENCH_step_overhead.json``) and
+repro perf``, ``BENCH_step_overhead.json``),
 :mod:`repro.bench.serving` compares the dynamic and static online servers
-(``python -m repro serve``, ``BENCH_serving_latency.json``).
+(``python -m repro serve``, ``BENCH_serving_latency.json``), and
+:mod:`repro.bench.gates` holds the named gates of every ``BENCH_*.json``
+suite (``python -m repro check``).
 """
 
 from repro.bench.harness import (

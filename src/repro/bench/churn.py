@@ -29,12 +29,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.bench.gates import DEGRADATION, seal
 from repro.bench.harness import cluster_for
-from repro.bench.serving import (
-    _serving_model,
-    probe_batch_seconds,
-    write_report,
-)
+from repro.bench.perf import write_report
+from repro.bench.serving import _serving_model, probe_batch_seconds
 from repro.serving.admission import BatchingConfig
 from repro.serving.baseline import build_multitenant_serving
 from repro.serving.engine import TopicRoutingModel
@@ -238,42 +236,7 @@ def degradation_run(
             ),
         }
 
-    def class_attainment(arm: dict, name: str) -> float:
-        return arm["serving"]["per_class"][name]["slo_attainment"]
-
-    def class_shed(arm: dict, name: str) -> float:
-        return arm["serving"]["per_class"][name]["requests_shed"]
-
-    shed_on = arms["shed_on"]
-    shed_off = arms["shed_off"]
-    gates = {
-        # Capacity loss actually happened, identically, in both arms.
-        "loss_applied": all(
-            arm["devices_revoked"] == lost_devices for arm in arms.values()
-        ),
-        # Nothing silently dropped: served + rejected (shed folded in)
-        # covers the whole stream in both arms.
-        "accounting_conserved": all(
-            arm["requests_unaccounted"] == 0 for arm in arms.values()
-        ),
-        # The mechanism engaged, and only ever against the batch class.
-        "shed_engaged": shed_on["serving"]["shed_requests"] > 0,
-        "shed_spares_interactive": (
-            class_shed(shed_on, "interactive") == 0
-        ),
-        # Graceful: the interactive class degrades strictly later than
-        # batch under the same loss.
-        "interactive_degrades_later": (
-            class_attainment(shed_on, "interactive")
-            > class_attainment(shed_on, "batch")
-        ),
-        # Shedding must not hurt the class it protects.
-        "shedding_protects_interactive": (
-            class_attainment(shed_on, "interactive")
-            >= class_attainment(shed_off, "interactive")
-        ),
-    }
-    return {
+    return seal({
         "scenario": {
             "num_moe_layers": num_moe_layers,
             "num_gpus": num_gpus,
@@ -288,33 +251,29 @@ def degradation_run(
             "balanced_batch_s": base,
             "seed": seed,
         },
-        "shed_off": shed_off,
-        "shed_on": shed_on,
-        "gates": gates,
-        "ok": all(gates.values()),
-    }
+        **arms,
+    }, DEGRADATION)
 
 
 def churn_bench_run(smoke: bool = False, seed: int = 0) -> dict[str, object]:
     """The full benchmark: churn matrix + degradation pair, one verdict.
 
-    ``ok`` (CI gates on it) requires every churn row's own paired gate
-    to hold -- autoscaled strictly beating fixed on SLO attainment with
-    full accounting and surviving experts -- and every degradation gate.
+    The named gates (:data:`repro.bench.gates.AUTOSCALE_CHURN`) are every
+    churn row's pair gates -- autoscaled strictly beating fixed on SLO
+    attainment with full accounting and surviving experts -- prefixed by
+    the row name, plus every degradation gate.
     """
-    rows: dict[str, dict[str, object]] = {}
-    for name, config in churn_matrix_configs(seed).items():
-        rows[name] = churn_scenario_run(smoke=smoke, config=config)
-    degradation = degradation_run(smoke=smoke, seed=seed)
-    ok = all(row["ok"] for row in rows.values()) and degradation["ok"]
-    return {
+    rows = {
+        name: churn_scenario_run(smoke=smoke, config=config)
+        for name, config in churn_matrix_configs(seed).items()
+    }
+    return seal({
         "suite": "autoscale_churn",
         "smoke": smoke,
+        "seed": seed,
         "rows": rows,
-        "degradation": degradation,
-        "ok": ok,
-        "regression": not ok,
-    }
+        "degradation": degradation_run(smoke=smoke, seed=seed),
+    })
 
 
 def write_churn_report(

@@ -92,7 +92,7 @@ class ExperimentScale:
         )
 
 
-#: Preset for a fuller run (EXPERIMENTS.md numbers).
+#: Preset for a fuller run.
 FULL = ExperimentScale(
     num_steps=80, warmup=15, quality_steps=400, seeds=3
 )

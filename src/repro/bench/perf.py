@@ -22,28 +22,26 @@ The benchmarks:
 * :func:`kernel_overhead_benchmark` — simulated steps/second of the
   unified discrete-event kernel (:mod:`repro.sim`) against the plain
   inline step loop (``simulate_pipeline(kernel=False)``) on the
-  identical engine/trace: the kernel's heap events must stay within 5%
-  of the inline loop AND produce identical simulated results.
+  identical engine/trace, both with telemetry disabled: the kernel's
+  heap events must stay within 5% of the inline loop AND produce
+  identical simulated results.  A third pass per repeat runs under a
+  full telemetry session and must reproduce those results while
+  recording trace and timeline events -- observation must never change
+  a decision.
 * :func:`serving_events_benchmark` / :func:`kernel_events_benchmark` —
   logical serving events/second of the serving event machinery and raw
   kernel dispatch events/second on a tie-heavy schedule, each gated by
   a CI floor.
-* :func:`telemetry_overhead_benchmark` — the telemetry layer's cost on
-  the identical pipeline run, three ways: the telemetry-free baseline
-  (inline loop, telemetry suppressed), the shipped default (kernel run
-  with telemetry disabled -- pays only the per-tap ``is not None``
-  branches), and fully enabled (session with metrics + tracing +
-  timeline).  Disabled mode must stay within 5% of the baseline's
-  steps/sec, and all three runs must produce identical simulated
-  results -- observation must never change a decision.
 
-:func:`perf_suite` composes them; its ``ok`` verdict requires every delta
-evaluator to report **zero fallbacks** to full recomputation, every
-decision/simulation equivalence to hold, the event kernel AND the
-disabled telemetry mode to stay within their overhead tolerances, and
-both event benchmarks to clear their floors.  CI runs ``python -m repro
-perf --smoke`` and fails on a false verdict, so neither the delta hot
-path, the kernel hosting, nor the telemetry taps can silently regress.
+:func:`perf_suite` composes them and seals the report with the named
+gates of :data:`repro.bench.gates.STEP_OVERHEAD`: every delta evaluator
+reports **zero fallbacks** to full recomputation, every
+decision/simulation equivalence holds, the event kernel stays within
+its overhead tolerance, the memo hits, and both event benchmarks clear
+their floors.  CI runs ``python -m repro perf --smoke`` and then
+``python -m repro check BENCH_step_overhead.json``, so neither the delta
+hot path nor the kernel hosting can silently regress, and telemetry
+observation can never silently change a decision.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bench.gates import seal
 from repro.bench.harness import cluster_for, faults_run
 from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
@@ -394,19 +393,38 @@ def kernel_overhead_benchmark(
     repeats: int = 5,
     tolerance: float = 0.05,
 ) -> dict[str, object]:
-    """Event-kernel vs inline-loop steps/sec on the identical run.
+    """Kernel hosting cost and telemetry inertness on the identical run.
 
-    Each path rebuilds a seed-matched engine per repeat (schedulers are
-    stateful, so a trace cannot be replayed on the same engine); the two
-    paths run INTERLEAVED, in alternating order, and ``overhead_pct`` is
-    the best per-repeat PAIRED ratio -- adjacent passes share machine
-    state, so the ratio is immune to the thermal/neighbour drift that
-    plagues comparing two independently-taken minima on shared CI boxes.
-    ``within_tolerance`` requires that best ratio to stay within
-    ``tolerance``; simulated results must match exactly (the two paths
-    run the same phase sequence, so any divergence is a kernel bug, not
-    jitter).
+    Three passes per repeat, each on a freshly built seed-matched engine
+    (schedulers are stateful, so a trace cannot be replayed on the same
+    engine):
+
+    * ``legacy`` -- the plain inline loop
+      (``simulate_pipeline(kernel=False)``), telemetry disabled;
+    * ``kernel`` -- the same run hosted on the event kernel, telemetry
+      disabled;
+    * ``enabled`` -- the kernel-hosted run under a full telemetry session
+      (metrics registry + span tracer + decision timeline).
+
+    Both gated passes run the engine's telemetry taps in disabled mode
+    (one ``telemetry.current() is not None`` branch each), so the
+    overhead gate bounds the kernel's hosting cost, not the taps' cost.
+    ``legacy`` and ``kernel`` run INTERLEAVED, in alternating order, and
+    ``overhead_pct`` is the best per-repeat PAIRED ratio -- adjacent
+    passes share machine state, so the ratio is immune to the
+    thermal/neighbour drift that plagues comparing two
+    independently-taken minima on shared CI boxes.  ``within_tolerance``
+    requires that best ratio to stay within ``tolerance``; simulated
+    results must match exactly (the two paths run the same phase
+    sequence, so any divergence is a kernel bug, not jitter).
+
+    The ``enabled`` pass follows each pair.  Its cost against the inline
+    loop is recorded (``enabled_overhead_pct``) but not gated; it must
+    reproduce the disabled run's simulated results exactly (observation
+    never changes a decision) and record trace and timeline events, so a
+    silently dead tap cannot masquerade as zero overhead.
     """
+    from repro import telemetry
     from repro.runtime.pipeline import build_engine
     from repro.training.loop import simulate_pipeline
 
@@ -441,32 +459,45 @@ def kernel_overhead_benchmark(
             elapsed = time.perf_counter() - start
         return elapsed, result.mean_step_time
 
-    legacy_s = kernel_s = float("inf")
-    legacy_sim = kernel_sim = 0.0
+    legacy_s = kernel_s = enabled_s = float("inf")
+    legacy_sim = kernel_sim = enabled_sim = 0.0
+    trace_events = timeline_events = 0
     ratios = []
-    one_pass(False)  # untimed warm-up (lazy caches, code paths)
+    enabled_ratios = []
+    with telemetry.suppressed():
+        one_pass(False)  # untimed warm-up (lazy caches, code paths)
     for repeat in range(max(repeats, 1)):
         # Alternate which path runs first each repeat: a fixed order
         # turns monotonic machine drift (thermal throttling, noisy
         # neighbours) into phantom overhead on the always-later path.
-        if repeat % 2 == 0:
-            legacy_i, legacy_sim = one_pass(False)
-            kernel_i, kernel_sim = one_pass(True)
-        else:
-            kernel_i, kernel_sim = one_pass(True)
-            legacy_i, legacy_sim = one_pass(False)
+        with telemetry.suppressed():
+            if repeat % 2 == 0:
+                legacy_i, legacy_sim = one_pass(False)
+                kernel_i, kernel_sim = one_pass(True)
+            else:
+                kernel_i, kernel_sim = one_pass(True)
+                legacy_i, legacy_sim = one_pass(False)
+        with telemetry.session(reuse=False) as tel:
+            enabled_i, enabled_sim = one_pass(True)
+            trace_events = len(tel.tracer.events) if tel.tracer else 0
+            timeline_events = len(tel.timeline)
         legacy_s = min(legacy_s, legacy_i)
         kernel_s = min(kernel_s, kernel_i)
+        enabled_s = min(enabled_s, enabled_i)
         if legacy_i > 0:
             ratios.append(kernel_i / legacy_i)
+            enabled_ratios.append(enabled_i / legacy_i)
     # Overhead is judged on PAIRED passes: adjacent runs see the same
     # machine state, so per-repeat ratios are drift-immune where the
     # ratio of two global minima (possibly from different thermal
     # windows) is not. Timer noise only ever adds time, so the best
     # pair is the cleanest estimate of the true ratio.
     best_ratio = min(ratios) if ratios else 1.0
-    legacy_rate = num_steps / legacy_s if legacy_s > 0 else 0.0
-    kernel_rate = num_steps / kernel_s if kernel_s > 0 else 0.0
+    enabled_ratio = min(enabled_ratios) if enabled_ratios else 1.0
+
+    def rate(seconds: float) -> float:
+        return num_steps / seconds if seconds > 0 else 0.0
+
     return {
         "num_moe_layers": num_moe_layers,
         "num_gpus": num_gpus,
@@ -475,144 +506,20 @@ def kernel_overhead_benchmark(
         "repeats": repeats,
         "legacy_seconds": legacy_s,
         "kernel_seconds": kernel_s,
-        "legacy_steps_per_sec": legacy_rate,
-        "kernel_steps_per_sec": kernel_rate,
+        "enabled_seconds": enabled_s,
+        "legacy_steps_per_sec": rate(legacy_s),
+        "kernel_steps_per_sec": rate(kernel_s),
+        "enabled_steps_per_sec": rate(enabled_s),
         "overhead_pct": 100.0 * (best_ratio - 1.0),
+        "enabled_overhead_pct": 100.0 * (enabled_ratio - 1.0),
         "tolerance_pct": 100.0 * tolerance,
         "within_tolerance": best_ratio * (1.0 - tolerance) <= 1.0,
         "simulated_results_match": bool(np.isclose(
             legacy_sim, kernel_sim, rtol=1e-12, atol=0.0
         )),
-    }
-
-
-def telemetry_overhead_benchmark(
-    num_moe_layers: int = 4,
-    num_gpus: int = 16,
-    num_experts: int = 32,
-    num_steps: int = 30,
-    tokens_per_gpu: int = 32_768,
-    seed: int = 0,
-    repeats: int = 5,
-    tolerance: float = 0.05,
-) -> dict[str, object]:
-    """Telemetry-layer cost on the identical pipeline run, three ways.
-
-    * ``baseline`` — the plain inline loop
-      (``simulate_pipeline(kernel=False)``) with telemetry
-      force-suppressed: the truly instrumentation-free reference.
-    * ``disabled`` — the shipped default: kernel-hosted run, no active
-      telemetry session, so every tap point pays exactly one
-      ``telemetry.current() is not None`` branch and nothing else.
-    * ``enabled`` — a full session (metrics registry + span tracer +
-      decision timeline) around the same kernel-hosted run.
-
-    The gate is ``within_tolerance``: disabled-mode steps/sec must stay
-    within ``tolerance`` of the baseline's, i.e. shipping the tap points
-    may not tax users who never turn telemetry on.  All three passes
-    must produce byte-identical simulated results (observation must
-    never change a decision); the enabled pass additionally has to
-    actually record something (trace events and timeline entries), so a
-    silently dead tap cannot masquerade as zero overhead.  Passes run
-    interleaved in alternating order and the overheads are best
-    per-repeat paired ratios, like the kernel benchmark (see there for
-    why), and the default config mirrors that benchmark's: per-step work
-    must be large enough that scheduler jitter on shared CI boxes stays
-    well under the tolerance being gated.
-    """
-    from repro import telemetry
-    from repro.runtime.pipeline import build_engine
-    from repro.training.loop import simulate_pipeline
-
-    model = MoEModelConfig(
-        name=f"perf-telemetry-{num_moe_layers}L",
-        num_layers=2 * num_moe_layers,
-        d_model=2048,
-        d_ffn=8192,
-        num_experts=num_experts,
-    )
-    trace = make_multilayer_trace(
-        num_moe_layers,
-        num_experts,
-        num_gpus,
-        WorkloadConfig(
-            tokens_per_step=tokens_per_gpu * num_gpus,
-            num_steps=num_steps,
-            seed=seed,
-        ),
-    )
-
-    def one_pass(kernel: bool) -> tuple[float, float]:
-        engine = build_engine(
-            cluster_for(num_gpus), model,
-            num_moe_layers=num_moe_layers, seed=seed,
-        )
-        with _gc_quiet():
-            start = time.perf_counter()
-            result = simulate_pipeline(
-                engine, trace, warmup=min(5, num_steps - 1), kernel=kernel
-            )
-            elapsed = time.perf_counter() - start
-        return elapsed, result.mean_step_time
-
-    baseline_s = disabled_s = enabled_s = float("inf")
-    baseline_sim = disabled_sim = enabled_sim = 0.0
-    trace_events = timeline_events = 0
-    disabled_ratios = []
-    enabled_ratios = []
-    with telemetry.suppressed():
-        one_pass(True)  # untimed warm-up (lazy caches, code paths)
-    for repeat in range(max(repeats, 1)):
-        # Alternate which gated mode runs first: under monotonic machine
-        # drift (thermal throttling, a busy sibling test process) a fixed
-        # order would systematically tax whichever pass always ran later,
-        # which reads as phantom overhead.
-        with telemetry.suppressed():
-            if repeat % 2 == 0:
-                baseline_i, baseline_sim = one_pass(False)
-                disabled_i, disabled_sim = one_pass(True)
-            else:
-                disabled_i, disabled_sim = one_pass(True)
-                baseline_i, baseline_sim = one_pass(False)
-        with telemetry.session(reuse=False) as tel:
-            enabled_i, enabled_sim = one_pass(True)
-            trace_events = len(tel.tracer.events) if tel.tracer else 0
-            timeline_events = len(tel.timeline)
-        baseline_s = min(baseline_s, baseline_i)
-        disabled_s = min(disabled_s, disabled_i)
-        enabled_s = min(enabled_s, enabled_i)
-        if baseline_i > 0:
-            disabled_ratios.append(disabled_i / baseline_i)
-            enabled_ratios.append(enabled_i / baseline_i)
-    # Overhead is judged on PAIRED passes within one repeat (adjacent
-    # runs see the same machine state, so the ratio is drift-immune);
-    # timer noise only adds time, so the best pair is the cleanest
-    # estimate of the true ratio. See kernel_overhead_benchmark.
-    disabled_ratio = min(disabled_ratios) if disabled_ratios else 1.0
-    enabled_ratio = min(enabled_ratios) if enabled_ratios else 1.0
-    baseline_rate = num_steps / baseline_s if baseline_s > 0 else 0.0
-    disabled_rate = num_steps / disabled_s if disabled_s > 0 else 0.0
-    enabled_rate = num_steps / enabled_s if enabled_s > 0 else 0.0
-    return {
-        "num_moe_layers": num_moe_layers,
-        "num_gpus": num_gpus,
-        "num_experts": num_experts,
-        "num_steps": num_steps,
-        "repeats": repeats,
-        "baseline_seconds": baseline_s,
-        "disabled_seconds": disabled_s,
-        "enabled_seconds": enabled_s,
-        "baseline_steps_per_sec": baseline_rate,
-        "disabled_steps_per_sec": disabled_rate,
-        "enabled_steps_per_sec": enabled_rate,
-        "disabled_overhead_pct": 100.0 * (disabled_ratio - 1.0),
-        "enabled_overhead_pct": 100.0 * (enabled_ratio - 1.0),
-        "tolerance_pct": 100.0 * tolerance,
-        "within_tolerance": disabled_ratio * (1.0 - tolerance) <= 1.0,
-        "simulated_results_match": bool(
-            np.isclose(baseline_sim, disabled_sim, rtol=1e-12, atol=0.0)
-            and np.isclose(baseline_sim, enabled_sim, rtol=1e-12, atol=0.0)
-        ),
+        "telemetry_results_match": bool(np.isclose(
+            kernel_sim, enabled_sim, rtol=1e-12, atol=0.0
+        )),
         "enabled_trace_events": trace_events,
         "enabled_timeline_events": timeline_events,
     }
@@ -834,9 +741,10 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
     """The full scheduling-overhead report.
 
     ``smoke`` shrinks every scenario to CI scale (seconds, not minutes)
-    without changing the structure.  The ``ok`` verdict requires zero
-    delta fallbacks and full decision/simulation equivalence; CI gates on
-    it.  Speedups are recorded for the perf trajectory, not gated here —
+    without changing the structure.  ``report["gates"]`` holds the named
+    :data:`~repro.bench.gates.STEP_OVERHEAD` verdicts and ``ok`` their
+    conjunction.  Speedups are recorded for the perf trajectory, not
+    gated here —
     the acceptance thresholds live in ``benchmarks/bench_planner_delta.py``
     where timing noise is controlled.
     """
@@ -862,9 +770,6 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         kernel_events = kernel_events_benchmark(
             num_ticks=1000, seed=seed, repeats=2
         )
-        telemetry_overhead = telemetry_overhead_benchmark(
-            num_steps=12, seed=seed, repeats=3
-        )
     else:
         planner = planner_benchmark(seed=seed)
         pipeline = pipeline_overhead_benchmark(seed=seed)
@@ -872,36 +777,12 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         kernel = kernel_overhead_benchmark(seed=seed)
         serving_events = serving_events_benchmark(seed=seed)
         kernel_events = kernel_events_benchmark(seed=seed)
-        telemetry_overhead = telemetry_overhead_benchmark(seed=seed)
     fallbacks = (
         float(planner["fallbacks"])
         + float(pipeline["fallbacks"])
         + float(faults["fallbacks"])
     )
-    memo_hit_rate = float(planner["memo"]["hit_rate"])
-    ok = (
-        bool(planner["decisions_match"])
-        and bool(pipeline["simulated_results_match"])
-        and bool(faults["simulated_results_match"])
-        and bool(kernel["simulated_results_match"])
-        and bool(kernel["within_tolerance"])
-        and fallbacks == 0.0
-        # Hot-path gates: the memo must actually hit on the planner path
-        # and both event benchmarks must clear their floors.
-        and memo_hit_rate > 0.0
-        and float(serving_events["events_per_sec"])
-        >= SERVING_EVENTS_PER_SEC_FLOOR
-        and float(kernel_events["events_per_sec"])
-        >= KERNEL_EVENTS_PER_SEC_FLOOR
-        # Telemetry gates: shipping the tap points must be free for
-        # users who never enable a session, observation must never
-        # change a decision, and the enabled pass must actually record.
-        and bool(telemetry_overhead["within_tolerance"])
-        and bool(telemetry_overhead["simulated_results_match"])
-        and int(telemetry_overhead["enabled_trace_events"]) > 0
-        and int(telemetry_overhead["enabled_timeline_events"]) > 0
-    )
-    return {
+    return seal({
         "suite": "step_overhead",
         "smoke": smoke,
         "seed": seed,
@@ -911,12 +792,10 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         "kernel": kernel,
         "serving_events": serving_events,
         "kernel_events": kernel_events,
-        "telemetry_overhead": telemetry_overhead,
         "telemetry": {"metrics": _memo_metrics_snapshot(planner["memo"])},
-        "memo_hit_rate": memo_hit_rate,
+        "memo_hit_rate": float(planner["memo"]["hit_rate"]),
         "total_fallbacks": fallbacks,
-        "ok": ok,
-    }
+    })
 
 
 def _memo_metrics_snapshot(memo_stats: dict) -> dict[str, object]:

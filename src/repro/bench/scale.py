@@ -28,10 +28,12 @@ three throughput families per size:
   (reusing :func:`~repro.bench.perf.kernel_events_benchmark`), gated by
   the same floor CI applies to the perf suite.
 
-The ``ok`` verdict requires: zero delta fallbacks anywhere, the
-hierarchical search at least matching flat rounds/sec at every size at
-or above :data:`HIER_MUST_WIN_GPUS`, decision identity *or* the quality
-gate at every size, and every kernel-events figure above the floor.
+The named gates (:data:`repro.bench.gates.SCALE`) require: zero delta
+fallbacks anywhere, the hierarchical search at least matching flat
+rounds/sec at every size at or above :data:`HIER_MUST_WIN_GPUS`,
+decision identity *or* the quality gate at every size, every engine
+measurement either run or explicitly skipped, and every kernel-events
+figure above the floor.
 ``python -m repro scale --smoke`` runs the 64- and 1024-device columns
 in CI; the committed ``BENCH_scale.json`` records the full sweep.
 """
@@ -42,6 +44,7 @@ import time
 
 import numpy as np
 
+from repro.bench.gates import seal
 from repro.bench.harness import cluster_for
 from repro.bench.perf import (
     KERNEL_EVENTS_PER_SEC_FLOOR,
@@ -315,8 +318,9 @@ def scale_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
     """The full datacenter-scale sweep report.
 
     ``smoke`` keeps the 64- and 1024-device columns (seconds, not
-    minutes) without changing the structure; CI gates on the ``ok``
-    marker and the kernel events/sec floor.
+    minutes) without changing the structure; ``report["gates"]`` holds
+    the named :data:`~repro.bench.gates.SCALE` verdicts and ``ok``
+    their conjunction.
     """
     sizes = SMOKE_SIZES if smoke else SWEEP_SIZES
     num_steps = 3 if smoke else 4
@@ -349,33 +353,7 @@ def scale_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         + float(e["engine"].get("fallbacks", 0.0))
         for e in entries
     )
-    hier_wins = all(
-        float(e["planner"]["speedup"]) >= 1.0
-        for e in entries
-        if e["num_gpus"] >= HIER_MUST_WIN_GPUS
-    )
-    quality_ok = all(
-        bool(e["planner"]["decisions_match"])
-        or bool(e["planner"]["quality_within_epsilon"])
-        for e in entries
-    )
-    events_ok = all(
-        float(e["kernel_events"]["events_per_sec"])
-        >= KERNEL_EVENTS_PER_SEC_FLOOR
-        for e in entries
-    )
-    engines_ok = all(
-        "skipped" in e["engine"] or float(e["engine"]["steps_per_sec"]) > 0
-        for e in entries
-    )
-    ok = (
-        fallbacks == 0.0
-        and hier_wins
-        and quality_ok
-        and events_ok
-        and engines_ok
-    )
-    return {
+    return seal({
         "suite": "scale",
         "smoke": smoke,
         "seed": seed,
@@ -384,10 +362,7 @@ def scale_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         "engine_max_gpus": ENGINE_MAX_GPUS,
         "events_per_sec_floor": KERNEL_EVENTS_PER_SEC_FLOOR,
         "total_fallbacks": fallbacks,
-        "hierarchical_wins_at_scale": bool(hier_wins),
-        "quality_ok": bool(quality_ok),
-        "ok": ok,
-    }
+    })
 
 
 __all__ = [

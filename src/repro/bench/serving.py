@@ -15,9 +15,9 @@ keeps queues bounded -- the serving analogue of the paper's Figure 5
 gap. The SLO itself is ``slo_batches`` balanced batch times, i.e. "a
 request may wait a few batches, not a meltdown".
 
-The report's ``ok`` verdict (and the inverse ``regression`` marker CI
-greps for) requires the dynamic server to beat the static one on BOTH
-p99 latency and goodput.
+The report's named gates (:data:`repro.bench.gates.SERVING_LATENCY`)
+require the dynamic server to beat the static one on BOTH p99 latency
+and goodput; ``ok`` is their conjunction.
 
 :func:`multitenant_run` (``python -m repro serve --multi-tenant``,
 ``BENCH_multitenant.json``) is the multi-tenant variant: an interactive
@@ -29,13 +29,13 @@ attainment and Jain fairness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from repro.bench.gates import seal
 from repro.bench.harness import cluster_for
+from repro.bench.perf import write_report
 from repro.cluster.events import ElasticitySchedule
 from repro.config import FaultConfig, MoEModelConfig
 from repro.core.trigger import NeverTrigger
@@ -142,16 +142,16 @@ class ServingRunResult:
     @property
     def ok(self) -> bool:
         """Dynamic placement strictly beats Static on p99 AND goodput."""
-        return (
-            self.flexmoe.p99 < self.static.p99
-            and self.flexmoe.goodput_tokens_per_s
-            > self.static.goodput_tokens_per_s
-        )
+        return bool(self.summary()["ok"])
 
-    def summary(self) -> dict[str, object]:
+    def summary(self, smoke: bool = False) -> dict[str, object]:
+        """The JSON report, sealed with the named
+        :data:`~repro.bench.gates.SERVING_LATENCY` gates."""
         flex, static = self.flexmoe, self.static
-        return {
+        return seal({
             "suite": "serving_latency",
+            "smoke": smoke,
+            "seed": self.scenario["seed"],
             "scenario": dict(self.scenario),
             "slo_latency_s": self.slo.latency_target,
             "flexmoe": flex.summary(),
@@ -164,9 +164,7 @@ class ServingRunResult:
                 if static.goodput_tokens_per_s > 0
                 else float("inf")
             ),
-            "ok": self.ok,
-            "regression": not self.ok,
-        }
+        })
 
 
 def serving_run(
@@ -313,16 +311,16 @@ class MultiTenantRunResult:
     def ok(self) -> bool:
         """Priority admission strictly beats FIFO on interactive-class
         SLO attainment without dropping below the fairness floor."""
-        return (
-            self.interactive_attainment(self.flexmoe)
-            > self.interactive_attainment(self.fifo)
-            and self.flexmoe.jain_fairness_index() >= self.fairness_floor
-        )
+        return bool(self.summary()["ok"])
 
-    def summary(self) -> dict[str, object]:
+    def summary(self, smoke: bool = False) -> dict[str, object]:
+        """The JSON report, sealed with the named
+        :data:`~repro.bench.gates.MULTITENANT_SERVING` gates."""
         flex, fifo = self.flexmoe, self.fifo
-        return {
+        return seal({
             "suite": "multitenant_serving",
+            "smoke": smoke,
+            "seed": self.scenario["seed"],
             "scenario": dict(self.scenario),
             "tenants": [dict(row) for row in self.tenants],
             "flexmoe": flex.multitenant_summary(),
@@ -337,9 +335,7 @@ class MultiTenantRunResult:
             ),
             "jain_fairness": flex.jain_fairness_index(),
             "fairness_floor": self.fairness_floor,
-            "ok": self.ok,
-            "regression": not self.ok,
-        }
+        })
 
 
 def multitenant_run(
@@ -522,10 +518,3 @@ def multitenant_run(
         tenants=tenant_rows,
         fairness_floor=fairness_floor,
     )
-
-
-def write_report(report: dict[str, object], path: str | Path) -> Path:
-    """Persist a serving report as machine-readable JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path

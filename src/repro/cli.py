@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m repro``.
 
-Nine subcommands expose the simulation engine without writing any code:
+Eleven subcommands expose the simulation engine without writing any code:
 
 * ``run``     — multi-layer pipelined FlexMoE run with an overlap-aware
   step-time breakdown and per-layer placement divergence;
@@ -15,6 +15,8 @@ Nine subcommands expose the simulation engine without writing any code:
   end-to-end simulated steps/sec of the delta-cost search vs the
   full-recompute reference evaluator, written to
   ``BENCH_step_overhead.json`` (see ``docs/performance.md``);
+* ``scale``   — the datacenter-scale sweep (64 to 4096 devices):
+  hierarchical vs flat placement search, written to ``BENCH_scale.json``;
 * ``serve``   — the online serving harness: an SLO-aware request stream
   (bursty/diurnal arrival, drifting topics) served by the dynamic
   FlexMoE server vs the frozen ``StaticServing`` baseline, with
@@ -38,6 +40,9 @@ Nine subcommands expose the simulation engine without writing any code:
   control-plane decision timeline and a metrics snapshot, exported as
   one Chrome trace-event JSON artifact loadable in Perfetto
   (see ``docs/observability.md``).
+* ``check``   — re-evaluates the named gates of ``BENCH_*.json`` reports
+  (:mod:`repro.bench.gates`) from the files alone and prints every
+  failed gate by name; CI runs it after each benchmark suite.
 
 ``run``, ``serve``, ``scenario`` and ``churn`` additionally accept
 ``--trace-out PATH`` (write the same Chrome trace artifact for that run)
@@ -55,8 +60,9 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from contextlib import contextmanager, suppress
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 from repro.bench.harness import (
     SMOKE,
@@ -129,6 +135,59 @@ def _emit_telemetry(args: argparse.Namespace, tel, quiet: bool = False) -> int:
     if getattr(args, "telemetry", False) and not quiet:
         print(tel.registry.to_json())
     return 0
+
+
+class _ReportPathError(ReproError):
+    """``--output`` cannot take the report."""
+
+    def __init__(self, output: str, exc: OSError) -> None:
+        super().__init__(f"cannot write report to {output}: {exc}")
+
+
+def _run_to_report(
+    output: str | None, build: Callable[[], dict]
+) -> tuple[dict, Path | None]:
+    """Run ``build`` and write its report to ``output`` (``None``: no file).
+
+    The path is probed before the run, so an unwritable ``--output``
+    fails in milliseconds instead of after the whole simulation, and the
+    empty probe file never outlives a failed run.
+    """
+    if output is None:
+        return build(), None
+    from repro.bench.perf import write_report
+
+    path = Path(output)
+    probe = not path.exists()
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _ReportPathError(output, exc) from exc
+    try:
+        report = build()
+    except BaseException:
+        if probe:
+            with suppress(OSError):
+                if path.stat().st_size == 0:
+                    path.unlink()
+        raise
+    try:
+        write_report(report, path)
+    except OSError as exc:
+        raise _ReportPathError(output, exc) from exc
+    return report, path
+
+
+def _verdict(label: str | None, report: dict, enforce: bool = True) -> int:
+    """Exit code of a sealed report: 1 on a failed gate when ``enforce``.
+
+    With a ``label``, prints ``label: OK`` or ``label: FAILED`` followed
+    by the names of the failed gates.
+    """
+    failed = [name for name, held in report["gates"].items() if not held]
+    if label is not None:
+        print(f"{label}:", f"FAILED {', '.join(failed)}" if failed else "OK")
+    return 1 if failed and enforce else 0
 
 
 def _add_run_parser(sub: argparse._SubParsersAction) -> None:
@@ -318,7 +377,7 @@ def _add_scale_parser(sub: argparse._SubParsersAction) -> None:
         "--smoke",
         action="store_true",
         help="64- and 1024-device columns only (what CI runs); fails "
-        "unless the ok marker holds",
+        "unless every named gate holds",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -458,7 +517,7 @@ def _add_scenario_parser(sub: argparse._SubParsersAction) -> None:
         "--smoke",
         action="store_true",
         help="CI-scale scenario (shared smoke-duration policy); fails "
-        "unless the ok marker holds",
+        "unless every named gate holds",
     )
     p.add_argument(
         "--output",
@@ -489,7 +548,7 @@ def _add_churn_parser(sub: argparse._SubParsersAction) -> None:
         "--smoke",
         action="store_true",
         help="CI-scale matrix (shared smoke-duration policy); fails "
-        "unless the ok marker holds",
+        "unless every named gate holds",
     )
     p.add_argument(
         "--output",
@@ -534,7 +593,7 @@ def _add_trace_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-scale scenario; fails unless the ok marker holds",
+        help="CI-scale scenario; fails unless every named gate holds",
     )
     p.add_argument(
         "--output",
@@ -544,6 +603,21 @@ def _add_trace_parser(sub: argparse._SubParsersAction) -> None:
         "the current directory)",
     )
     p.add_argument("--json", action="store_true", help="print a summary too")
+
+
+def _add_check_parser(sub: argparse._SubParsersAction) -> None:
+    p = sub.add_parser(
+        "check",
+        help="re-evaluate the named gates of BENCH_*.json reports",
+        description=(
+            "Re-evaluate each report's gates from the file alone (the "
+            "table in repro.bench.gates, chosen by the report's suite) "
+            "and print every failed gate by name. Exits 0 when every "
+            "gate holds, 1 when any gate fails, 2 for an unreadable "
+            "file or an unknown suite."
+        ),
+    )
+    p.add_argument("files", nargs="+", metavar="FILE")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,6 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_parser(sub)
     _add_churn_parser(sub)
     _add_trace_parser(sub)
+    _add_check_parser(sub)
     return parser
 
 
@@ -807,41 +882,14 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    from repro.bench.perf import perf_suite
 
-    from repro.bench.perf import perf_suite, write_report
-
-    output = Path(args.output)
-    probe_created = not output.exists()
-
-    def _remove_empty_probe() -> None:
-        # A failure after the probe must not leave the empty probe file
-        # behind masquerading as a report.
-        if probe_created:
-            try:
-                if output.stat().st_size == 0:
-                    output.unlink()
-            except OSError:
-                pass
-
-    try:
-        # Probe the report path up front: the suite runs for minutes and
-        # an unwritable --output should fail in milliseconds, not after.
-        with open(output, "a", encoding="utf-8"):
-            pass
-        report = perf_suite(smoke=args.smoke, seed=args.seed)
-        path = write_report(report, output)
-    except OSError as exc:
-        _remove_empty_probe()
-        print(f"error: cannot write report to {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
-    except BaseException:
-        _remove_empty_probe()
-        raise
+    report, path = _run_to_report(
+        args.output, lambda: perf_suite(smoke=args.smoke, seed=args.seed)
+    )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["ok"] else 1
+        return _verdict(None, report)
 
     planner = report["planner"]
     print(
@@ -872,6 +920,12 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         f"{kernel['tolerance_pct']:.0f}%), simulation "
         f"{'identical' if kernel['simulated_results_match'] else 'DIVERGED'}"
     )
+    print(
+        f"telemetry enabled {kernel['enabled_steps_per_sec']:8.1f} steps/s "
+        f"({kernel['enabled_overhead_pct']:+.2f}% vs legacy loop, "
+        f"{int(kernel['enabled_trace_events'])} trace events), simulation "
+        f"{'identical' if kernel['telemetry_results_match'] else 'DIVERGED'}"
+    )
     serving_events = report["serving_events"]
     print(
         f"serving   events {serving_events['events_per_sec']:8.0f} events/s "
@@ -881,16 +935,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     print(
         f"drain     events {kernel_events['events_per_sec']:8.0f} events/s "
         f"(floor {kernel_events['events_per_sec_floor']:.0f})"
-    )
-    overhead = report["telemetry_overhead"]
-    print(
-        f"telemetry disabled {overhead['disabled_steps_per_sec']:8.1f} steps/s "
-        f"vs baseline {overhead['baseline_steps_per_sec']:8.1f} steps/s "
-        f"({overhead['disabled_overhead_pct']:+.2f}% overhead, tolerance "
-        f"{overhead['tolerance_pct']:.0f}%); enabled "
-        f"{overhead['enabled_overhead_pct']:+.2f}% "
-        f"({int(overhead['enabled_trace_events'])} trace events), simulation "
-        f"{'identical' if overhead['simulated_results_match'] else 'DIVERGED'}"
     )
     # Memo accounting straight from the telemetry snapshot -- the report
     # carries it in registry schema (see docs/observability.md).
@@ -916,47 +960,18 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         f"delta fallbacks to full recompute: {int(report['total_fallbacks'])}"
     )
     print(f"report written to {path}")
-    print("perf:", "OK" if report["ok"] else "FAILED")
-    return 0 if report["ok"] else 1
+    return _verdict("perf", report)
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    from repro.bench.scale import scale_suite
 
-    from repro.bench.scale import scale_suite, write_report
-
-    output = Path(args.output)
-    probe_created = not output.exists()
-
-    def _remove_empty_probe() -> None:
-        # A failure after the probe must not leave the empty probe file
-        # behind masquerading as a report.
-        if probe_created:
-            try:
-                if output.stat().st_size == 0:
-                    output.unlink()
-            except OSError:
-                pass
-
-    try:
-        # Probe the report path up front: the full sweep runs for
-        # minutes and an unwritable --output should fail in
-        # milliseconds, not after.
-        with open(output, "a", encoding="utf-8"):
-            pass
-        report = scale_suite(smoke=args.smoke, seed=args.seed)
-        path = write_report(report, output)
-    except OSError as exc:
-        _remove_empty_probe()
-        print(f"error: cannot write report to {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
-    except BaseException:
-        _remove_empty_probe()
-        raise
+    report, path = _run_to_report(
+        args.output, lambda: scale_suite(smoke=args.smoke, seed=args.seed)
+    )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["ok"] else 1
+        return _verdict(None, report)
 
     for entry in report["sizes"]:
         planner = entry["planner"]
@@ -976,23 +991,20 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             f"{engine_col}  "
             f"kernel {events['events_per_sec']:9.0f} events/s"
         )
+    hier_wins = report["gates"]["hierarchical_wins_at_scale"]
     print(
         f"hierarchical wins at >= {report['hier_must_win_gpus']} GPUs: "
-        f"{'yes' if report['hierarchical_wins_at_scale'] else 'NO'}; "
+        f"{'yes' if hier_wins else 'NO'}; "
         f"delta fallbacks: {int(report['total_fallbacks'])}"
     )
     print(f"report written to {path}")
-    print("scale:", "OK" if report["ok"] else "FAILED")
-    return 0 if report["ok"] else 1
+    return _verdict("scale", report)
 
 
 def _cmd_serve_multitenant(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.bench.serving import (
         MULTITENANT_REPORT_FILENAME,
         multitenant_run,
-        write_report,
     )
 
     if args.output is None and args.smoke:
@@ -1002,23 +1014,18 @@ def _cmd_serve_multitenant(args: argparse.Namespace) -> int:
     # Smoke pins the CI scenario: 2 layers x 16 experts on 8 GPUs, one
     # interactive tenant against two batch tenants near saturation.
     with _telemetry_scope(args) as tel:
-        result = multitenant_run(num_requests=num_requests, seed=seed)
-    summary = result.summary()
-    path = None
-    if args.output is not None:
-        try:
-            path = write_report(summary, Path(args.output))
-        except OSError as exc:
-            print(f"error: cannot write report to {args.output}: {exc}",
-                  file=sys.stderr)
-            return 2
+        summary, path = _run_to_report(
+            args.output,
+            lambda: multitenant_run(
+                num_requests=num_requests, seed=seed
+            ).summary(smoke=args.smoke),
+        )
     emit_rc = _emit_telemetry(args, tel, quiet=args.json)
     if emit_rc:
         return emit_rc
-    ok = bool(summary["ok"]) or not args.smoke
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if ok else 1
+        return _verdict(None, summary, enforce=args.smoke)
 
     scenario = summary["scenario"]
     print(
@@ -1064,15 +1071,15 @@ def _cmd_serve_multitenant(args: argparse.Namespace) -> int:
     )
     if path is not None:
         print(f"  report written to {path}")
-    if args.smoke:
-        print("serve multi-tenant smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return _verdict(
+        "serve multi-tenant smoke" if args.smoke else None,
+        summary,
+        enforce=args.smoke,
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench.serving import serving_run, write_report
+    from repro.bench.serving import serving_run
 
     if args.multi_tenant:
         return _cmd_serve_multitenant(args)
@@ -1113,7 +1120,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # from the metrics registry the engines publish into, not from
     # report internals (tracing only when --trace-out asks for it).
     with _telemetry_scope(args, force=True) as tel:
-        result = serving_run(
+        summary, path = _run_to_report(args.output, lambda: serving_run(
             num_moe_layers=args.layers,
             num_gpus=args.gpus,
             num_experts=args.experts,
@@ -1128,23 +1135,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             num_topics=args.topics,
             faults=faults,
             seed=args.seed,
-        )
-    summary = result.summary()
-    path = None
-    if args.output is not None:
-        try:
-            path = write_report(summary, Path(args.output))
-        except OSError as exc:
-            print(f"error: cannot write report to {args.output}: {exc}",
-                  file=sys.stderr)
-            return 2
+        ).summary(smoke=args.smoke))
     emit_rc = _emit_telemetry(args, tel, quiet=args.json)
     if emit_rc:
         return emit_rc
-    ok = bool(summary["ok"]) or not args.smoke
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if ok else 1
+        return _verdict(None, summary, enforce=args.smoke)
 
     scenario = summary["scenario"]
     print(
@@ -1183,15 +1180,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if path is not None:
         print(f"  report written to {path}")
-    if args.smoke:
-        print("serve smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return _verdict(
+        "serve smoke" if args.smoke else None, summary, enforce=args.smoke
+    )
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench.serving import write_report
     from repro.sim.composed import ComposedScenarioConfig, composed_scenario_run
 
     config = ComposedScenarioConfig(
@@ -1205,20 +1199,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     with _telemetry_scope(args) as tel:
-        summary = composed_scenario_run(smoke=args.smoke, config=config)
-    try:
-        path = write_report(summary, Path(args.output))
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
+        summary, path = _run_to_report(
+            args.output,
+            lambda: composed_scenario_run(smoke=args.smoke, config=config),
+        )
     emit_rc = _emit_telemetry(args, tel, quiet=args.json)
     if emit_rc:
         return emit_rc
-    ok = bool(summary["ok"]) or not args.smoke
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if ok else 1
+        return _verdict(None, summary, enforce=args.smoke)
 
     scenario = summary["scenario"]
     serving = summary["serving"]
@@ -1257,31 +1247,25 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         f"survive: {'yes' if summary['experts_survive'] else 'NO'}"
     )
     print(f"  report written to {path}")
-    if args.smoke:
-        print("scenario smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return _verdict(
+        "scenario smoke" if args.smoke else None, summary, enforce=args.smoke
+    )
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench.churn import churn_bench_run, write_churn_report
+    from repro.bench.churn import churn_bench_run
 
     with _telemetry_scope(args) as tel:
-        report = churn_bench_run(smoke=args.smoke, seed=args.seed)
-    try:
-        path = write_churn_report(report, Path(args.output))
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
+        report, path = _run_to_report(
+            args.output,
+            lambda: churn_bench_run(smoke=args.smoke, seed=args.seed),
+        )
     emit_rc = _emit_telemetry(args, tel, quiet=args.json)
     if emit_rc:
         return emit_rc
-    ok = bool(report["ok"]) or not args.smoke
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if ok else 1
+        return _verdict(None, report, enforce=args.smoke)
 
     print(
         "autoscale churn: paired autoscaled-vs-fixed serving under "
@@ -1312,14 +1296,12 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         "batch-class requests shed (tracked, none silently dropped)"
     )
     print(f"  report written to {path}")
-    if args.smoke:
-        print("churn smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return _verdict(
+        "churn smoke" if args.smoke else None, report, enforce=args.smoke
+    )
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro import telemetry
     from repro.sim.composed import ComposedScenarioConfig, composed_scenario_run
 
@@ -1343,7 +1325,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         events = tel.tracer.events if tel.tracer is not None else []
         kinds = dict(sorted(tel.timeline.kinds().items()))
         num_series = len(tel.registry)
-    ok = bool(summary["ok"]) or not args.smoke
     if args.json:
         print(json.dumps(
             {
@@ -1355,7 +1336,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             },
             indent=2, sort_keys=True,
         ))
-        return 0 if ok else 1
+        return _verdict(None, summary, enforce=args.smoke)
 
     scenario = summary["scenario"]
     serving = summary["serving"]
@@ -1380,9 +1361,31 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         + "  ".join(f"{kind}={count}" for kind, count in kinds.items())
     )
     print(f"  trace written to {path} (open in Perfetto: ui.perfetto.dev)")
-    if args.smoke:
-        print("trace smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return _verdict(
+        "trace smoke" if args.smoke else None, summary, enforce=args.smoke
+    )
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.bench.gates import evaluate
+
+    code = 0
+    for name in args.files:
+        try:
+            report = json.loads(Path(name).read_text(encoding="utf-8"))
+            gates = evaluate(report)
+        except (OSError, ValueError, ReproError) as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            code = 2
+            continue
+        failed = [gate for gate, held in gates.items() if not held]
+        for gate in failed:
+            print(f"{name}: FAILED {gate}")
+        if failed:
+            code = max(code, 1)
+        else:
+            print(f"{name}: OK ({report['suite']}, {len(gates)} gates)")
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1398,6 +1401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "scenario": _cmd_scenario,
         "churn": _cmd_churn,
         "trace": _cmd_trace,
+        "check": _cmd_check,
     }
     try:
         return handlers[args.command](args)

@@ -24,9 +24,9 @@ provisioned device-seconds -- an autoscaler that simply holds every
 standby device hot pays for it.
 
 ``churn_scenario_run`` wraps the pair for the CLI and CI
-(``BENCH_autoscale_churn.json``): the ``ok`` marker requires the
-autoscaled run to *strictly* beat the fixed pool on SLO attainment under
-churn. See ``docs/autoscaling.md``.
+(``BENCH_autoscale_churn.json``): among its named gates, the autoscaled
+run must *strictly* beat the fixed pool on SLO attainment under churn.
+See ``docs/autoscaling.md``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.bench.gates import CHURN_PAIR, seal
 from repro.bench.harness import cluster_for
 from repro.bench.serving import probe_batch_seconds
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
@@ -599,8 +600,9 @@ def churn_scenario_run(
 ) -> dict[str, object]:
     """Run the paired autoscaled-vs-fixed experiment; machine-readable.
 
-    Deterministic under a fixed seed. The ``ok`` marker (CI gates on it)
-    requires genuine churn (every wave delivered, devices actually
+    Deterministic under a fixed seed. The named gates
+    (:data:`repro.bench.gates.CHURN_PAIR`, sealed into ``gates`` and
+    ``ok``) require genuine churn (every wave delivered, devices actually
     revoked), full request accounting in both arms, surviving experts in
     both arms, real controller activity (scale-ups, and notice reactions
     when a notice window is configured) -- and the autoscaled arm
@@ -612,33 +614,17 @@ def churn_scenario_run(
         config = config.smoke()
     fixed, provenance = _run_arm(config, autoscale=False)
     autoscaled, _ = _run_arm(config, autoscale=True)
-    controller = autoscaled["autoscaler"]
-    expected_revoked = config.num_waves * config.wave_size
     gain = autoscaled["slo_attainment"] - fixed["slo_attainment"]
-    ok = (
-        fixed["waves_applied"] == config.num_waves
-        and fixed["devices_revoked"] == expected_revoked
-        and fixed["requests_unaccounted"] == 0
-        and autoscaled["requests_unaccounted"] == 0
-        and fixed["experts_survive"]
-        and autoscaled["experts_survive"]
-        and (config.standby_gpus == 0 or controller["scale_ups"] > 0)
-        and (config.notice_fraction == 0 or controller["notices"] > 0)
-        and autoscaled["device_seconds"] > 0
-        and fixed["device_seconds"] > 0
-        and gain > 0
-    )
     scenario = dataclasses.asdict(config)
     scenario["standby_speed_factors"] = list(config.standby_speed_factors)
     scenario["total_gpus"] = config.total_gpus
-    return {
+    return seal({
         "suite": "autoscale_churn",
         "smoke": smoke,
+        "seed": config.seed,
         "scenario": scenario,
         "provenance": provenance,
         "fixed": fixed,
         "autoscaled": autoscaled,
         "attainment_gain": gain,
-        "ok": ok,
-        "regression": not ok,
-    }
+    }, CHURN_PAIR)

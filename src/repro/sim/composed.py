@@ -15,8 +15,8 @@ express:
   grants a metered fraction of link time.
 
 :func:`composed_scenario_run` wraps it for the CLI and CI: a seeded,
-deterministic run with an ``ok`` marker asserting that every source
-actually fired and the placements survived the turbulence.
+deterministic run whose named gates assert that every source actually
+fired and the placements survived the turbulence.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bench.gates import seal
 from repro.bench.harness import cluster_for
 from repro.bench.serving import probe_batch_seconds
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
@@ -270,11 +271,13 @@ def composed_scenario_run(
 ) -> dict[str, object]:
     """Run the composed scenario and return the machine-readable report.
 
-    Deterministic under a fixed seed. The ``ok`` marker (CI gates on it)
-    requires every source to have genuinely fired: requests served,
-    every timed cluster event delivered, bandwidth grants issued AND
-    placement actions committed through them, and no expert left without
-    a live replica.
+    Deterministic under a fixed seed. The named gates
+    (:data:`repro.bench.gates.COMPOSED_SCENARIO`, sealed into ``gates``
+    and ``ok``) require every source to have genuinely fired: requests
+    served and all accounted for, every timed cluster event delivered,
+    bandwidth grants issued AND placement actions committed through
+    them, the committed-action counters reconciled, and no expert left
+    without a live replica.
     """
     if config is None:
         config = ComposedScenarioConfig(seed=seed)
@@ -284,7 +287,6 @@ def composed_scenario_run(
     kernel: SimKernel = handles.scenario.run()
     report: ServingReport = handles.serving_run.report()
     engine = handles.server.engine
-    events_applied = len(handles.elasticity.applied)
     # Every request must be accounted for -- served or explicitly
     # rejected by backpressure. Requests stranded in the queue (or never
     # offered) at the horizon mean the server fell hopelessly behind the
@@ -297,40 +299,24 @@ def composed_scenario_run(
     # every action that reached an ACTIVE placement, whether the commit
     # happened in-step or through a budget grant. With stream_budget=0
     # the serving report's own counter stays at zero and the budget
-    # source accounts for everything; the reconciliation below pins that
-    # the three counters never drift apart.
-    total_committed = engine.committed_actions
-    actions_reconciled = (
-        total_committed
-        == handles.budget.committed + report.placement_actions
-    )
-    ok = (
-        len(report.records) > 0
-        and unaccounted == 0
-        and events_applied == 2 * config.num_failures
-        and handles.budget.grants > 0
-        and (config.num_failures == 0 or handles.budget.committed > 0)
-        and actions_reconciled
-        and _experts_survive(engine)
-    )
-    return {
+    # source accounts for everything; the ``actions_reconciled`` gate
+    # pins that the three counters never drift apart.
+    return seal({
         "suite": "composed_scenario",
         "smoke": smoke,
+        "seed": config.seed,
         "scenario": handles.provenance,
         "serving": report.summary(),
         "cluster_events": [
             {"time_s": t, "kind": ev.kind, "gpu": ev.gpu}
             for t, ev in handles.elasticity.applied
         ],
-        "events_applied": events_applied,
+        "events_applied": len(handles.elasticity.applied),
         "requests_unaccounted": unaccounted,
         "budget_grants": handles.budget.grants,
         "budget_committed_actions": handles.budget.committed,
-        "engine_committed_actions": total_committed,
-        "placement_actions_total": total_committed,
-        "placement_actions_reconciled": actions_reconciled,
+        "engine_committed_actions": engine.committed_actions,
+        "placement_actions_total": engine.committed_actions,
         "processed_events": kernel.processed_events,
         "experts_survive": _experts_survive(engine),
-        "ok": ok,
-        "regression": not ok,
-    }
+    })

@@ -28,8 +28,7 @@ is *biased*: it starves exactly the hot experts the data distribution cares
 most about, so the quality cost per dropped token exceeds a uniform-token
 loss. The small-scale real runs in :mod:`repro.training.quality` show the
 same ordering qualitatively (no-drop > cap-1.0 > cap-0.5 at a fixed step
-budget); ``calibrate_alpha`` fits the exponent from such runs. EXPERIMENTS.md
-records the calibration.
+budget); ``calibrate_alpha`` fits the exponent from such runs.
 """
 
 from __future__ import annotations

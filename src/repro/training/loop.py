@@ -16,9 +16,9 @@ Both simulators are hosted on the unified discrete-event kernel
 same runs compose with elasticity schedules, serving traffic and stream
 budgets declared in one :class:`~repro.sim.scenario.Scenario`.
 :func:`simulate_pipeline` also takes ``kernel=False``, a plain inline step
-loop with no event machinery: the perf harness times the kernel and the
-telemetry taps against it, and ``tests/test_sim_identity.py`` asserts the
-two are decision- and metric-identical on seeded runs.
+loop with no event machinery: the perf harness times the kernel against
+it (both with telemetry disabled), and ``tests/test_sim_identity.py``
+asserts the two are decision- and metric-identical on seeded runs.
 """
 
 from __future__ import annotations

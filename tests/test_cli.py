@@ -1,5 +1,6 @@
-"""CLI smoke tests: python -m repro run|bench|compare|faults|perf."""
+"""CLI smoke tests: python -m repro run|bench|compare|faults|perf|churn."""
 
+import importlib
 import json
 
 import pytest
@@ -155,7 +156,8 @@ def test_churn_smoke_passes_and_writes_report(capsys, tmp_path):
     assert payload["degradation"]["ok"] is True
     written = json.loads(out.read_text())
     assert written["smoke"] is True
-    assert written["regression"] is False
+    assert written["ok"] is True
+    assert written["gates"]["spot.autoscaled_beats_fixed"] is True
 
 
 def test_churn_human_readable(capsys, tmp_path):
@@ -173,3 +175,47 @@ def test_churn_unwritable_output_fails_fast(capsys, tmp_path):
     assert main(["churn", "--smoke", "--output", str(target)]) == 2
     err = capsys.readouterr().err
     assert "error: cannot write report" in err
+
+
+#: Every command that writes a suite report, and the suite function it runs.
+REPORT_COMMANDS = [
+    (["perf", "--smoke"], "repro.bench.perf", "perf_suite"),
+    (["scale", "--smoke"], "repro.bench.scale", "scale_suite"),
+    (["serve", "--smoke"], "repro.bench.serving", "serving_run"),
+    (
+        ["serve", "--multi-tenant", "--smoke"],
+        "repro.bench.serving",
+        "multitenant_run",
+    ),
+    (["scenario", "--smoke"], "repro.sim.composed", "composed_scenario_run"),
+    (["churn", "--smoke"], "repro.bench.churn", "churn_bench_run"),
+]
+IDS = [" ".join(argv) for argv, _, _ in REPORT_COMMANDS]
+
+
+def _refuse_to_run(monkeypatch, module: str, name: str) -> None:
+    def suite(*args, **kwargs):
+        raise RuntimeError("the suite ran")
+
+    monkeypatch.setattr(importlib.import_module(module), name, suite)
+
+
+@pytest.mark.parametrize("argv, module, name", REPORT_COMMANDS, ids=IDS)
+def test_unwritable_output_fails_before_the_suite_runs(
+    argv, module, name, monkeypatch, capsys, tmp_path
+):
+    _refuse_to_run(monkeypatch, module, name)
+    target = tmp_path / "missing-dir" / "report.json"
+    assert main(argv + ["--output", str(target)]) == 2
+    assert "error: cannot write report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, module, name", REPORT_COMMANDS, ids=IDS)
+def test_failed_suite_leaves_no_empty_report(
+    argv, module, name, monkeypatch, tmp_path
+):
+    _refuse_to_run(monkeypatch, module, name)
+    target = tmp_path / "report.json"
+    with pytest.raises(RuntimeError, match="the suite ran"):
+        main(argv + ["--output", str(target)])
+    assert not target.exists()

@@ -1,5 +1,6 @@
 """Repository hygiene: no compiled bytecode may ever be committed, and
-every committed benchmark artifact passes its own gates.
+every committed benchmark artifact passes its own named gates
+(re-evaluated through :func:`repro.bench.gates.evaluate`).
 
 The seed repo once carried ``__pycache__`` directories in the index;
 ``.gitignore`` now excludes them and this test (plus the same check in
@@ -53,6 +54,8 @@ def test_gitignore_excludes_bytecode():
 
 
 def test_committed_bench_artifacts_pass_their_gates():
+    from repro.bench.gates import evaluate
+
     artifacts = [
         f for f in tracked_files()
         if "/" not in f and f.startswith("BENCH_") and f.endswith(".json")
@@ -60,7 +63,14 @@ def test_committed_bench_artifacts_pass_their_gates():
     assert artifacts, "no BENCH_*.json artifacts tracked at the repo root"
     for name in artifacts:
         report = json.loads((REPO / name).read_text(encoding="utf-8"))
-        assert report.get("ok") is True, f"{name} carries a failed gate"
-        assert report.get("regression") is not True, (
-            f"{name} records a regression"
+        for key in ("suite", "smoke", "seed"):
+            assert key in report, f"{name} lacks the provenance key {key!r}"
+        gates = evaluate(report)
+        failed = [gate for gate, held in gates.items() if not held]
+        assert failed == [], f"{name} fails its gates {failed}"
+        assert report.get("ok") == all(gates.values()), (
+            f"{name}: stored ok disagrees with its re-evaluated gates"
+        )
+        assert report.get("gates") == gates, (
+            f"{name}: stored gates disagree with the re-evaluated table"
         )

@@ -54,7 +54,10 @@ class TestServingRun:
     def test_summary_shape(self, small_result):
         summary = small_result.summary()
         assert summary["suite"] == "serving_latency"
-        assert summary["regression"] == (not summary["ok"])
+        assert list(summary["gates"]) == [
+            "p99_beats_static", "goodput_beats_static", "ratios_reported"
+        ]
+        assert summary["ok"] == all(summary["gates"].values())
         for key in ("flexmoe", "static"):
             section = summary[key]
             assert section["p50_latency_s"] <= section["p99_latency_s"]
@@ -95,7 +98,7 @@ class TestServingRun:
         path = write_report(small_result.summary(), tmp_path / REPORT_FILENAME)
         payload = json.loads(path.read_text())
         assert payload["suite"] == "serving_latency"
-        assert "regression" in payload
+        assert payload["gates"]["ratios_reported"] is True
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +121,10 @@ class TestMultiTenantRun:
     def test_summary_shape(self, multitenant_result):
         summary = multitenant_result.summary()
         assert summary["suite"] == "multitenant_serving"
-        assert summary["regression"] == (not summary["ok"])
+        assert list(summary["gates"]) == [
+            "interactive_beats_fifo", "fairness_floor", "summaries_reported"
+        ]
+        assert summary["ok"] == all(summary["gates"].values())
         assert len(summary["tenants"]) == 3
         for key in ("flexmoe", "fifo"):
             section = summary[key]
@@ -200,7 +206,8 @@ class TestServeCLI:
         assert "serve smoke: OK" in out
         payload = json.loads((tmp_path / REPORT_FILENAME).read_text())
         assert payload["ok"] is True
-        assert payload["regression"] is False
+        assert payload["gates"]["p99_beats_static"] is True
+        assert payload["gates"]["goodput_beats_static"] is True
 
     def test_failure_scenario(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -229,7 +236,8 @@ class TestServeMultiTenantCLI:
         )
         assert payload["suite"] == "multitenant_serving"
         assert payload["ok"] is True
-        assert payload["regression"] is False
+        assert payload["gates"]["interactive_beats_fifo"] is True
+        assert payload["gates"]["fairness_floor"] is True
         att = payload["interactive_attainment"]
         assert att["flexmoe"] > att["fifo"]
         assert payload["jain_fairness"] >= payload["fairness_floor"]

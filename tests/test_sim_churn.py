@@ -18,6 +18,7 @@ paired churn experiment plus graceful-degradation pair the
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.gates import AUTOSCALE_CHURN
 from repro.bench.harness import cluster_for
 from repro.cluster.events import ClusterEvent, ClusterState, ElasticitySchedule
 from repro.config import MoEModelConfig
@@ -489,7 +490,7 @@ class TestChurnScenario:
 
     def test_smoke_pair_passes_its_gate(self, smoke_report):
         assert smoke_report["ok"] is True
-        assert smoke_report["regression"] is False
+        assert smoke_report["gates"]["autoscaled_beats_fixed"] is True
         assert smoke_report["attainment_gain"] > 0
 
     def test_report_shape(self, smoke_report):
@@ -588,7 +589,7 @@ class TestChurnBench:
         report = churn_bench_run(smoke=True)
         assert report["suite"] == "autoscale_churn"
         assert report["ok"] is True
-        assert report["regression"] is False
+        assert report["gates"] == {name: True for name, _ in AUTOSCALE_CHURN}
         assert set(report["rows"]) == {
             "spot", "outage", "heterogeneous", "multiday"
         }

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bench.gates import COMPOSED_SCENARIO
 from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.sim.composed import (
@@ -42,7 +43,9 @@ class TestComposedScenarioConfig:
 class TestComposedScenario:
     def test_smoke_run_is_ok(self, smoke_report):
         assert smoke_report["ok"] is True
-        assert smoke_report["regression"] is False
+        assert smoke_report["gates"] == {
+            name: True for name, _ in COMPOSED_SCENARIO
+        }
 
     def test_all_three_sources_fired(self, smoke_report):
         """The composition is genuine: every source did observable work."""
@@ -64,7 +67,7 @@ class TestComposedScenario:
         # The engine-wide committed counter is the authoritative total
         # and must reconcile exactly with the per-channel counters:
         # budget-source commits plus in-step serving commits.
-        assert smoke_report["placement_actions_reconciled"] is True
+        assert smoke_report["gates"]["actions_reconciled"] is True
         assert (
             smoke_report["placement_actions_total"]
             == smoke_report["engine_committed_actions"]
@@ -101,7 +104,7 @@ class TestComposedScenario:
         )
         assert report["requests_unaccounted"] > 0
         assert report["ok"] is False
-        assert report["regression"] is True
+        assert report["gates"]["requests_accounted"] is False
 
     def test_explicit_small_request_count_survives_smoke(self):
         config = ComposedScenarioConfig(num_requests=100).smoke()
