@@ -108,7 +108,7 @@ class ExpertParallelSystem(MoESystem):
         else:
             capped, dropped = assignment, 0
         plan = self._router.route(capped, self._placement)
-        timing = self._ctx.executor.execute(plan.routes, self._placement)
+        timing = self._ctx.executor.execute(plan.flow, self._placement)
         return StepResult(
             timing=timing,
             assigned_tokens=assigned,

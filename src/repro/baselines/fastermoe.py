@@ -97,7 +97,7 @@ class FasterMoESystem(MoESystem):
         shadowed = self.select_shadows(assignment)
         placement = self._placement_with_shadows(shadowed)
         plan = self._router.route(assignment, placement)
-        timing = self._ctx.executor.execute(plan.routes, placement)
+        timing = self._ctx.executor.execute(plan.flow, placement)
         # FasterMoE prefetches shadow parameters while the previous layers
         # compute; only the broadcast time exceeding the step blocks it.
         broadcast = self._real_broadcast_time(len(shadowed))

@@ -95,7 +95,7 @@ class SwipeSystem(MoESystem):
         assigned = int(assignment.sum())
         balanced, diverted = rebalance_strict(assignment)
         plan = self._router.route(balanced, self._placement)
-        timing = self._ctx.executor.execute(plan.routes, self._placement)
+        timing = self._ctx.executor.execute(plan.flow, self._placement)
         return StepResult(
             timing=timing,
             assigned_tokens=assigned,

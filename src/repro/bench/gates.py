@@ -21,6 +21,9 @@ from repro.exceptions import ConfigurationError
 Gate = Callable[[Mapping], bool]
 GateTable = tuple[tuple[str, Gate], ...]
 
+#: The scale suite's engine must run (not skip) at every size up to this.
+ENGINE_MUST_RUN_GPUS = 1024
+
 #: Rows of the churn matrix (:func:`repro.bench.churn.churn_matrix_configs`).
 CHURN_ROWS = ("spot", "outage", "heterogeneous", "multiday")
 
@@ -88,7 +91,9 @@ SCALE: GateTable = (
     ("kernel_events_floor",
      lambda r: all(_floor(size["kernel_events"]) for size in r["sizes"])),
     ("engines_ran", lambda r: all(
-        "skipped" in size["engine"] or size["engine"]["steps_per_sec"] > 0
+        size["engine"]["steps_per_sec"] > 0
+        if size["num_gpus"] <= ENGINE_MUST_RUN_GPUS
+        else "skipped" in size["engine"] or size["engine"]["steps_per_sec"] > 0
         for size in r["sizes"]
     )),
 )
@@ -206,6 +211,7 @@ SUITES: dict[str, GateTable] = {
     "multitenant_serving": MULTITENANT_SERVING,
     "composed_scenario": COMPOSED_SCENARIO,
     "autoscale_churn": AUTOSCALE_CHURN,
+    "churn_pair": CHURN_PAIR,
 }
 
 
@@ -246,6 +252,7 @@ __all__ = [
     "CHURN_ROWS",
     "COMPOSED_SCENARIO",
     "DEGRADATION",
+    "ENGINE_MUST_RUN_GPUS",
     "MULTITENANT_SERVING",
     "SCALE",
     "SERVING_LATENCY",

@@ -19,10 +19,11 @@ three throughput families per size:
   comparably good) placements, the final configurations must price
   within :data:`QUALITY_RTOL` of each other.
 * :func:`engine_scale_benchmark` — end-to-end simulated steps/second of
-  the multi-layer engine.  The ground-truth executor routes dense
-  ``(E, G, G)`` token tensors, which is engine-feasible only up to
-  :data:`ENGINE_MAX_GPUS`; beyond that the entry records why it was
-  skipped instead of silently shrinking the claim.
+  the multi-layer engine, with the seconds spent in the router, the
+  executor and the scheduler.  A size whose dense input trace and
+  per-step layer flows do not fit :data:`ENGINE_MEMORY_BUDGET_BYTES`
+  records that footprint as the reason it was skipped instead of
+  silently shrinking the claim.
 * kernel events/second — the discrete-event kernel's dispatch
   throughput with the event fan-out scaled to the size's layer count
   (reusing :func:`~repro.bench.perf.kernel_events_benchmark`), gated by
@@ -32,8 +33,9 @@ The named gates (:data:`repro.bench.gates.SCALE`) require: zero delta
 fallbacks anywhere, the hierarchical search at least matching flat
 rounds/sec at every size at or above :data:`HIER_MUST_WIN_GPUS`,
 decision identity *or* the quality gate at every size, every engine
-measurement either run or explicitly skipped, and every kernel-events
-figure above the floor.
+measurement run (a skip is allowed only above
+:data:`~repro.bench.gates.ENGINE_MUST_RUN_GPUS` devices), and every
+kernel-events figure above the floor.
 ``python -m repro scale --smoke`` runs the 64- and 1024-device columns
 in CI; the committed ``BENCH_scale.json`` records the full sweep.
 """
@@ -77,10 +79,11 @@ REPORT_FILENAME = "BENCH_scale.json"
 SWEEP_SIZES = (64, 256, 1024, 4096)
 SMOKE_SIZES = (64, 1024)
 
-#: Largest cluster the ground-truth engine is run at: the executor's
-#: route tensors are dense ``(E, G, G)``, which stops being a benchmark
-#: and starts being an allocation test beyond this.
-ENGINE_MAX_GPUS = 256
+#: Resident bytes the engine benchmark may hold in its two size-bound
+#: arrays: the dense ``(layers, steps, experts, gpus)`` int64 input trace
+#: and one step's per-layer ``(gpus, gpus)`` int64 flows. Beyond it the
+#: run is an allocation test, not a benchmark.
+ENGINE_MEMORY_BUDGET_BYTES = 1 << 30
 
 #: From this size up the hierarchical search must beat the flat sweep on
 #: planner rounds/sec (below it, both are fast and flat stays default).
@@ -232,6 +235,16 @@ def planner_scale_benchmark(
     }
 
 
+def engine_footprint_bytes(
+    num_gpus: int, num_experts: int, num_moe_layers: int, num_steps: int
+) -> dict[str, int]:
+    """Bytes of the engine benchmark's two size-bound int64 arrays."""
+    return {
+        "trace_bytes": 8 * num_moe_layers * num_steps * num_experts * num_gpus,
+        "flow_bytes": 8 * num_moe_layers * num_gpus * num_gpus,
+    }
+
+
 def engine_scale_benchmark(
     num_gpus: int,
     num_experts: int,
@@ -242,16 +255,26 @@ def engine_scale_benchmark(
 ) -> dict[str, object]:
     """End-to-end simulated steps/sec of the multi-layer engine.
 
-    Sizes beyond :data:`ENGINE_MAX_GPUS` return a skip record: the
-    ground-truth executor's dense route tensors are the scale wall this
-    PR does *not* claim to move, and the report says so explicitly.
+    ``stage_seconds`` splits the wall clock into the router
+    (``route``), the pipelined executor (``execute``) and the layers'
+    schedulers (``on_step``). A size whose :func:`engine_footprint_bytes`
+    exceeds :data:`ENGINE_MEMORY_BUDGET_BYTES` returns a skip record
+    naming that footprint.
     """
-    if num_gpus > ENGINE_MAX_GPUS:
+    footprint = engine_footprint_bytes(
+        num_gpus, num_experts, num_moe_layers, num_steps
+    )
+    if sum(footprint.values()) > ENGINE_MEMORY_BUDGET_BYTES:
         return {
             "num_gpus": num_gpus,
+            **footprint,
             "skipped": (
-                f"ground-truth executor routes dense (E, G, G) tensors; "
-                f"engine measurements stop at {ENGINE_MAX_GPUS} devices"
+                f"dense input trace ({num_moe_layers}, {num_steps}, "
+                f"{num_experts}, {num_gpus}) int64 is "
+                f"{footprint['trace_bytes'] / 1e9:.2f} GB and one step's "
+                f"{num_moe_layers} ({num_gpus}, {num_gpus}) int64 flows are "
+                f"{footprint['flow_bytes'] / 1e9:.2f} GB, over the "
+                f"{ENGINE_MEMORY_BUDGET_BYTES / 1e9:.2f} GB engine budget"
             ),
         }
     from repro.runtime.pipeline import build_engine
@@ -275,6 +298,11 @@ def engine_scale_benchmark(
         scheduler_config=SchedulerConfig(),
         seed=seed,
     )
+    stages = dict.fromkeys(("router", "executor", "scheduler"), 0.0)
+    _time_stage(engine.pipelined_executor, "execute", stages, "executor")
+    for layer in engine.layers:
+        _time_stage(layer, "route", stages, "router")
+        _time_stage(layer.scheduler, "on_step", stages, "scheduler")
     start = time.perf_counter()
     result = simulate_pipeline(engine, trace, warmup=1)
     elapsed = time.perf_counter() - start
@@ -283,11 +311,28 @@ def engine_scale_benchmark(
         "num_experts": num_experts,
         "num_moe_layers": num_moe_layers,
         "num_steps": num_steps,
+        **footprint,
         "seconds": elapsed,
         "steps_per_sec": num_steps / elapsed if elapsed > 0 else 0.0,
+        "stage_seconds": stages,
         "mean_sim_step_time": result.mean_step_time,
         "fallbacks": float(engine.delta_fallbacks()),
     }
+
+
+def _time_stage(owner: object, method: str, stages: dict, stage: str) -> None:
+    """Shadow ``owner.method`` with a wrapper adding its wall clock to
+    ``stages[stage]``."""
+    inner = getattr(owner, method)
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            stages[stage] += time.perf_counter() - start
+
+    setattr(owner, method, timed)
 
 
 def kernel_events_scale_benchmark(
@@ -359,7 +404,7 @@ def scale_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         "seed": seed,
         "sizes": entries,
         "hier_must_win_gpus": HIER_MUST_WIN_GPUS,
-        "engine_max_gpus": ENGINE_MAX_GPUS,
+        "engine_memory_budget_bytes": ENGINE_MEMORY_BUDGET_BYTES,
         "events_per_sec_floor": KERNEL_EVENTS_PER_SEC_FLOOR,
         "total_fallbacks": fallbacks,
     })
@@ -369,11 +414,12 @@ __all__ = [
     "REPORT_FILENAME",
     "SWEEP_SIZES",
     "SMOKE_SIZES",
-    "ENGINE_MAX_GPUS",
+    "ENGINE_MEMORY_BUDGET_BYTES",
     "HIER_MUST_WIN_GPUS",
     "QUALITY_RTOL",
     "scale_config",
     "planner_scale_benchmark",
+    "engine_footprint_bytes",
     "engine_scale_benchmark",
     "kernel_events_scale_benchmark",
     "scale_suite",

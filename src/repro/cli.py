@@ -978,7 +978,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         engine = entry["engine"]
         events = entry["kernel_events"]
         if "skipped" in engine:
-            engine_col = "engine --------- (dense route tensors)"
+            engine_col = "engine --------- (over memory budget)"
         else:
             engine_col = f"engine {engine['steps_per_sec']:7.2f} steps/s"
         print(

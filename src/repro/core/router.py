@@ -20,7 +20,8 @@ Two implementations share this contract:
 * :class:`FlexibleTokenRouter` — the production router. Everything is
   batched NumPy: locality and capacities are computed for all experts at
   once and each expert's spill is scattered in one proportional
-  floor-plus-largest-remainder pass over its whole spill matrix.
+  floor-plus-northwest-corner pass over its block of (spilling sources x
+  replica holders with slack).
 * :class:`ReferenceTokenRouter` — the original per-expert / per-source
   greedy loop, kept as the executable specification the vectorized router
   is benchmarked and property-tested against.
@@ -28,51 +29,113 @@ Two implementations share this contract:
 The two may place individual spill tokens on different replicas (both
 orders are valid under the capacity contract), but they agree on
 conservation, capacities, locality, and never exceed per-vExpert capacity.
+
+A :class:`RoutingPlan` is sparse: the per-source local tokens, the spill
+as COO entries and the ``G x G`` flow the executors consume. The dense
+``(E, G, G)`` tensor exists only on request (:meth:`RoutingPlan.dense`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.placement import Placement
 from repro.exceptions import RoutingError
 
+#: Spill cells (spilling source x holder with slack) priced per batch of
+#: experts; a single expert whose block exceeds it runs as one batch. It
+#: bounds the scatter's temporaries: a 4096-device, 512-expert step
+#: prices ~62M cells, and in batches of this size its peak is the ~8M
+#: routes it returns rather than a dozen 62M-element arrays.
+SPILL_CHUNK_CELLS = 1 << 20
+
+
+class SpillRoutes(NamedTuple):
+    """Cross-GPU routes as COO entries, one per non-zero
+    ``routes[expert, src, dst]``, ordered by ``(expert, src, dst)``."""
+
+    expert: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    tokens: np.ndarray
+
 
 @dataclass(frozen=True)
 class RoutingPlan:
     """Result of routing one step's assignment onto a placement.
 
+    The plan is sparse: an expert's spill only reaches its replica
+    holders, so the dense ``(experts, src, dst)`` tensor is mostly zeros.
+
     Attributes:
-        routes: Integer tensor ``(experts, src_gpus, dst_gpus)``.
+        local: Tokens each source GPU kept on its own replicas,
+            ``(experts, gpus)`` — the diagonal of the route tensor.
+        spill: Every off-diagonal route as a COO entry.
         capacities: Per-expert per-vExpert capacity ``cap_e`` used.
+        flow: Integer ``(src, dst)`` token flow summed over experts — what
+            the executors consume.
     """
 
-    routes: np.ndarray
+    local: np.ndarray
+    spill: SpillRoutes
     capacities: np.ndarray
+    flow: np.ndarray
 
     @property
     def arrivals(self) -> np.ndarray:
         """Tokens arriving at each GPU per expert: ``(experts, dst_gpus)``."""
-        return self.routes.sum(axis=1)
+        return self.local + _scatter_sum(
+            self.spill.expert, self.spill.dst, self.spill.tokens,
+            self.local.shape,
+        )
 
     @property
     def gpu_loads(self) -> np.ndarray:
         """Total tokens processed by each GPU."""
-        return self.routes.sum(axis=(0, 1))
+        return self.flow.sum(axis=0)
 
     @property
     def locality_fraction(self) -> float:
         """Fraction of tokens that never left their source GPU."""
-        total = self.routes.sum()
+        total = self.flow.sum()
         if total == 0:
             return 1.0
-        local = np.trace(self.routes.sum(axis=0))
-        return float(local / total)
+        return float(np.trace(self.flow) / total)
 
     def tokens_for(self, expert: int) -> int:
-        return int(self.routes[expert].sum())
+        spilled = self.spill.tokens[self.spill.expert == expert].sum()
+        return int(self.local[expert].sum() + spilled)
+
+    def dense(self) -> np.ndarray:
+        """The ``(experts, src, dst)`` integer route tensor.
+
+        O(E * G^2) memory: for tests and the full-recompute cost-model
+        oracle only.
+        """
+        num_experts, num_gpus = self.local.shape
+        routes = np.zeros((num_experts, num_gpus, num_gpus), dtype=np.int64)
+        diag = np.arange(num_gpus)
+        routes[:, diag, diag] = self.local
+        routes[self.spill.expert, self.spill.src, self.spill.dst] = (
+            self.spill.tokens
+        )
+        return routes
+
+
+def _scatter_sum(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple
+) -> np.ndarray:
+    """Integer ``out[rows, cols] += values`` over a zero ``shape`` matrix.
+
+    ``bincount``'s float weights are exact for token counts (< 2**53).
+    """
+    flat = np.bincount(
+        rows * shape[1] + cols, weights=values, minlength=shape[0] * shape[1]
+    )
+    return flat.astype(np.int64).reshape(shape)
 
 
 def _validate_assignment(assignment: np.ndarray, placement: Placement) -> np.ndarray:
@@ -91,6 +154,90 @@ def _validate_assignment(assignment: np.ndarray, placement: Placement) -> np.nda
     return assignment
 
 
+def _scatter_blocks(
+    spill: np.ndarray, remaining: np.ndarray, slack: np.ndarray, first: int
+) -> SpillRoutes:
+    """:meth:`FlexibleTokenRouter._scatter_spill` for the batch of experts
+    ``first, first + 1, ...``, over their (spilling source x slack
+    holder) cells.
+
+    Every row is one expert's spilling source and every column one of its
+    holders with slack, both in GPU order; cells are laid out row by row,
+    so a row's cells are contiguous.
+    """
+    row_e, row_g = np.nonzero(spill)
+    col_e, col_g = np.nonzero(remaining)
+    row_tokens = spill[row_e, row_g]
+    col_slack = remaining[col_e, col_g]
+    n_cols = np.bincount(col_e, minlength=len(spill))
+    col_first = np.cumsum(n_cols) - n_cols
+    width = n_cols[row_e]
+    row_first = np.cumsum(width) - width
+    # Column entry of every cell.
+    cell_col = np.arange(row_first[-1] + width[-1]) - np.repeat(
+        row_first - col_first[row_e], width
+    )
+    # The same per-cell float arithmetic as a dense (rows x GPUs) pass.
+    # Shares stay float from here on: sums of token counts are exact.
+    weight = col_slack / slack[col_e]
+    shares = np.repeat(row_tokens, width) * weight[cell_col]
+    np.floor(shares, out=shares)
+    row_left = row_tokens - np.add.reduceat(shares, row_first)
+    col_left = col_slack - np.bincount(
+        cell_col, weights=shares, minlength=col_e.size
+    )
+    rows, cols, fill = _northwest_corner(
+        row_left, row_e, col_left, col_e, len(spill)
+    )
+    shares[row_first[rows] + cols - col_first[row_e[rows]]] += fill
+    kept = np.flatnonzero(shares)
+    kept_row = np.repeat(np.arange(row_e.size), width)[kept]
+    return SpillRoutes(
+        expert=row_e[kept_row] + first,
+        src=row_g[kept_row],
+        dst=col_g[cell_col[kept]],
+        tokens=shares[kept].astype(np.int64),
+    )
+
+
+def _northwest_corner(
+    row_left: np.ndarray,
+    row_e: np.ndarray,
+    col_left: np.ndarray,
+    col_e: np.ndarray,
+    num_experts: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Northwest-corner fill of each expert's row leftovers into its
+    column slack.
+
+    Walking an expert's rows and columns in GPU order, each (row, column)
+    cell is granted the overlap of the row's and the column's cumulative
+    ranges. Only the at most ``rows + cols - 1`` cells on each expert's
+    staircase get a non-zero overlap, so they are found directly: lay the
+    experts' row ranges end to end on one line, move each expert's column
+    ranges onto its rows' stretch (clipped at its end), and cut the line
+    at every range end. Each piece lies in exactly one row and one column.
+
+    Returns:
+        ``(row entry, column entry, tokens)`` of every non-zero fill.
+    """
+    rows_hi = np.cumsum(row_left)
+    # Per-expert totals; float sums of token counts are exact.
+    row_total = np.bincount(row_e, weights=row_left, minlength=num_experts)
+    col_total = np.bincount(col_e, weights=col_left, minlength=num_experts)
+    row_end = np.cumsum(row_total)
+    shift = (np.cumsum(col_total) - col_total) - (row_end - row_total)
+    cols_hi = np.minimum(np.cumsum(col_left) - shift[col_e], row_end[col_e])
+    edges = np.sort(np.concatenate(([0], rows_hi, cols_hi)))
+    pieces = np.flatnonzero(np.diff(edges))
+    starts = edges[pieces]
+    return (
+        np.searchsorted(rows_hi, starts, side="right"),
+        np.searchsorted(cols_hi, starts, side="right"),
+        edges[pieces + 1] - starts,
+    )
+
+
 class FlexibleTokenRouter:
     """Locality-first router over replicated experts, fully vectorized."""
 
@@ -105,70 +252,69 @@ class FlexibleTokenRouter:
             RoutingError: On shape mismatch, non-finite or negative counts.
         """
         demand = _validate_assignment(assignment, placement).astype(np.int64)
-        num_experts, num_gpus = demand.shape
+        num_gpus = demand.shape[1]
         counts = placement.counts_view
 
-        totals = demand.sum(axis=1)
-        replicas = counts.sum(axis=1)
-        capacities = np.zeros(num_experts, dtype=np.int64)
-        active = totals > 0
-        capacities[active] = -(-totals[active] // replicas[active])  # ceil
+        # ceil(I_e / n_e); an expert without replicas keeps no tokens
+        # locally, so its spill fails the capacity check below.
+        replicas = np.maximum(counts.sum(axis=1), 1)
+        capacities = -(-demand.sum(axis=1) // replicas)
 
         # Locality first, all experts at once: each source keeps up to its
         # local replicas' capacity.
         cap_matrix = counts * capacities[:, None]
         local = np.minimum(demand, cap_matrix)
         remaining = cap_matrix - local
-        spill = demand - local
+        spill_matrix = demand - local
 
-        routes = np.zeros((num_experts, num_gpus, num_gpus), dtype=np.int64)
-        diag = np.arange(num_gpus)
-        routes[:, diag, diag] = local
-        spilling = np.flatnonzero(spill.sum(axis=1))
-        if spilling.size:
-            self._scatter_spill_batch(routes, spill, remaining, spilling)
-        return RoutingPlan(routes=routes, capacities=capacities)
+        spill = self._scatter_spill(spill_matrix, remaining)
+        flow = _scatter_sum(
+            spill.src, spill.dst, spill.tokens, (num_gpus, num_gpus)
+        )
+        flow.flat[:: num_gpus + 1] += local.sum(axis=0)
+        return RoutingPlan(
+            local=local, spill=spill, capacities=capacities, flow=flow
+        )
 
     @staticmethod
-    def _scatter_spill_batch(
-        routes: np.ndarray,
-        spill: np.ndarray,
-        remaining: np.ndarray,
-        spilling: np.ndarray,
-    ) -> None:
-        """Scatter every spilling expert's tokens in one batched pass.
+    def _scatter_spill(spill: np.ndarray, remaining: np.ndarray) -> SpillRoutes:
+        """Scatter every spilling expert's tokens to its slack replicas.
 
-        Proportional shares are floored for all experts at once; the
-        integer leftovers (one partial token per fractional share) are then
-        placed by a vectorized northwest-corner fill over the cumulative
-        (row leftover, column slack) profiles. The fill is feasible by
-        construction — the per-vExpert capacity contract guarantees each
-        expert's total column slack covers its total row leftover — and
-        both the row sums (conservation) and column caps (capacity) hold
-        exactly.
+        Proportional shares are floored, then the integer leftovers (one
+        partial token per fractional share) are placed by a northwest-
+        corner fill over the cumulative (row leftover, column slack)
+        profiles. The fill is feasible by construction — the per-vExpert
+        capacity contract guarantees each expert's total column slack
+        covers its total row leftover — and both the row sums
+        (conservation) and column caps (capacity) hold exactly.
+
+        Only each expert's block (spilling sources x holders with slack)
+        is priced: outside it the floor shares and the fill are exactly
+        zero. Experts are batched so a batch holds about
+        :data:`SPILL_CHUNK_CELLS` block cells.
         """
-        sub_spill = spill[spilling]
-        sub_rem = remaining[spilling]
-        totals = sub_rem.sum(axis=1).astype(float)
-        if (sub_spill.sum(axis=1) > sub_rem.sum(axis=1)).any():
+        slack = remaining.sum(axis=1)
+        if (spill.sum(axis=1) > slack).any():
             raise RoutingError(
                 "spill exceeds available capacity — capacity invariant violated"
             )
-        exact = sub_spill[:, :, None] * (sub_rem / totals[:, None])[:, None, :]
-        shares = np.floor(exact).astype(np.int64)
-        row_left = sub_spill - shares.sum(axis=2)
-        col_slack = sub_rem - shares.sum(axis=1)
-        # Northwest-corner fill: walk rows and columns in index order,
-        # granting each (row, column) cell the overlap of the row's and the
-        # column's outstanding cumulative ranges.
-        rows_hi = np.cumsum(row_left, axis=1)
-        cols_hi = np.cumsum(col_slack, axis=1)
-        rows_lo = rows_hi - row_left
-        cols_lo = cols_hi - col_slack
-        upper = np.minimum(rows_hi[:, :, None], cols_hi[:, None, :])
-        lower = np.maximum(rows_lo[:, :, None], cols_lo[:, None, :])
-        shares += np.maximum(upper - lower, 0)
-        routes[spilling] += shares
+        if not spill.any():
+            empty = np.zeros(0, dtype=np.int64)
+            return SpillRoutes(empty, empty, empty, empty)
+        # Every block fits in experts x GPUs x GPUs cells.
+        if spill.size * spill.shape[1] <= SPILL_CHUNK_CELLS:
+            return _scatter_blocks(spill, remaining, slack, 0)
+        cells = np.count_nonzero(spill, axis=1) * np.count_nonzero(
+            remaining, axis=1
+        )
+        batch = (np.cumsum(cells) - cells) // SPILL_CHUNK_CELLS
+        cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(spill)]
+        parts = [
+            _scatter_blocks(spill[lo:hi], remaining[lo:hi], slack[lo:hi], lo)
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+            if cells[lo:hi].any()
+        ]
+        return SpillRoutes(*map(np.concatenate, zip(*parts)))
 
     def route_fractional(
         self, assignment: np.ndarray, placement: Placement
@@ -214,6 +360,24 @@ class FlexibleTokenRouter:
         return routes
 
 
+def _plan_from_dense(routes: np.ndarray, capacities: np.ndarray) -> RoutingPlan:
+    """The sparse plan of a dense ``(experts, src, dst)`` route tensor.
+
+    Consumes ``routes``: its diagonal is zeroed in place.
+    """
+    flow = routes.sum(axis=0)
+    diag = np.arange(routes.shape[1])
+    local = routes[:, diag, diag]
+    routes[:, diag, diag] = 0
+    expert, src, dst = np.nonzero(routes)
+    return RoutingPlan(
+        local=local,
+        spill=SpillRoutes(expert, src, dst, routes[expert, src, dst]),
+        capacities=capacities,
+        flow=flow,
+    )
+
+
 class ReferenceTokenRouter(FlexibleTokenRouter):
     """The original per-expert / per-source greedy router.
 
@@ -239,7 +403,7 @@ class ReferenceTokenRouter(FlexibleTokenRouter):
             cap = -(-total // n_e)  # ceil division
             capacities[expert] = cap
             self._route_expert(routes[expert], demand, replicas * cap)
-        return RoutingPlan(routes=routes, capacities=capacities)
+        return _plan_from_dense(routes, capacities)
 
     def _route_expert(
         self, routes: np.ndarray, demand: np.ndarray, capacity: np.ndarray
@@ -306,7 +470,9 @@ def validate_conservation(
         RoutingError: If any (expert, source) pair's tokens are lost or
             duplicated.
     """
-    sent = plan.routes.sum(axis=2)
+    sent = plan.local + _scatter_sum(
+        plan.spill.expert, plan.spill.src, plan.spill.tokens, plan.local.shape
+    )
     if not np.array_equal(sent, np.asarray(assignment)):
         diff = np.argwhere(sent != np.asarray(assignment))
         e, g = diff[0]

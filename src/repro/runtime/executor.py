@@ -171,13 +171,30 @@ class StepExecutor:
             raise SimulationError("tokens must be >= 0")
         return float(self._jittered(tokens / self._effective_tps()[gpu]))
 
-    def real_a2a_pass_time(self, routes: np.ndarray) -> float:
-        """Measured seconds of ONE All-to-All pass for a route tensor."""
-        flow = np.asarray(routes, dtype=float).sum(axis=0) * self._model.token_bytes
-        np.fill_diagonal(flow, 0.0)
+    def real_a2a_pass_time(self, flow: np.ndarray) -> float:
+        """Measured seconds of ONE All-to-All pass for a ``(src, dst)`` flow."""
+        return float(self._jittered(self._a2a_bottleneck(self._checked(flow))))
+
+    def _a2a_bottleneck(self, flow: np.ndarray) -> float:
+        """Unjittered seconds of the slowest destination's receive."""
+        wire = flow * self._model.token_bytes
+        np.fill_diagonal(wire, 0.0)
         # Cached read-only dense matrix: no O(G^2) copy per A2A pass.
-        per_dst = (flow / self._topology.bandwidth_model().dense()).sum(axis=0)
-        return float(self._jittered(per_dst.max()) if per_dst.size else 0.0)
+        per_dst = (wire / self._topology.bandwidth_model().dense()).sum(axis=0)
+        return per_dst.max()
+
+    def _checked(self, flow: np.ndarray) -> np.ndarray:
+        """``flow`` as a float ``(gpus, gpus)`` token matrix, validated."""
+        flow = np.asarray(flow, dtype=float)
+        num_gpus = self._topology.num_gpus
+        if flow.shape != (num_gpus, num_gpus):
+            raise SimulationError(
+                f"flow must be ({num_gpus}, {num_gpus}) tokens (src, dst), "
+                f"got shape {flow.shape}"
+            )
+        if not (np.isfinite(flow).all() and flow.min() >= 0):
+            raise SimulationError("flow token counts must be finite and >= 0")
+        return flow
 
     def real_allreduce_time(self, nbytes: float, group: tuple[int, ...]) -> float:
         """Measured seconds for one AllReduce of ``nbytes`` over ``group``."""
@@ -188,38 +205,43 @@ class StepExecutor:
     # ------------------------------------------------------------------
     def execute(
         self,
-        routes: np.ndarray,
+        flow: np.ndarray,
         placement: Placement,
         adjustment_blocking: float = 0.0,
     ) -> StepTiming:
         """Execute one step and return its measured timing.
 
         Args:
-            routes: ``(experts, src, dst)`` token flows from the router.
+            flow: ``(src, dst)`` token flow from the router
+                (:attr:`~repro.core.router.RoutingPlan.flow`).
             placement: Placement the step ran under (defines sync groups).
             adjustment_blocking: Non-overlapped adjustment seconds charged
                 to this step.
+
+        Raises:
+            SimulationError: On a flow that is not ``(gpus, gpus)``, a
+                negative or non-finite token count, or negative blocking.
         """
-        routes = np.asarray(routes, dtype=float)
-        if routes.ndim != 3:
-            raise SimulationError("routes must be (experts, src, dst)")
+        flow = self._checked(flow)
         if adjustment_blocking < 0:
             raise SimulationError("adjustment_blocking must be >= 0")
 
         # --- All-to-All: dispatch + combine (forward + backward when
-        # training; inference skips the backward passes) -----------------
+        # training; inference skips the backward passes). Every pass moves
+        # the same flow; each draws its own jitter.
         passes = 2 if self._inference else 4
-        a2a_time = sum(self.real_a2a_pass_time(routes) for _ in range(passes))
+        bottleneck = self._a2a_bottleneck(flow)
+        a2a_time = sum(float(self._jittered(bottleneck)) for _ in range(passes))
 
         # --- Expert compute: forward barrier (plus backward barrier when
         # training) ------------------------------------------------------
-        per_gpu_tokens = routes.sum(axis=(0, 1))
+        per_gpu_tokens = flow.sum(axis=0)
         busy = np.asarray(
             self._jittered(per_gpu_tokens / self._effective_tps()), dtype=float
         )
         if self._inference:
             busy = busy * FORWARD_FRACTION
-            compute_time = float(busy.max()) if busy.size else 0.0
+            compute_time = float(busy.max())
         else:
             forward = float((busy * FORWARD_FRACTION).max())
             backward = float((busy * (1 - FORWARD_FRACTION)).max())
@@ -366,7 +388,7 @@ class PipelinedStepExecutor:
     step:
 
     * each MoE layer runs its full dispatch/compute/combine/sync timeline
-      against its own placement and routes;
+      against its own placement and token flow;
     * the dense computation of the surrounding transformer blocks
       (:attr:`MoEModelConfig.dense_flops_per_moe_block`) executes between
       MoE blocks;
@@ -444,23 +466,23 @@ class PipelinedStepExecutor:
 
     def execute(
         self,
-        layer_routes: Sequence[np.ndarray],
+        layer_flows: Sequence[np.ndarray],
         placements: Sequence[Placement],
         adjustment_blocking: float = 0.0,
     ) -> PipelineStepTiming:
         """Execute one whole-transformer step and return its timing.
 
         Args:
-            layer_routes: One ``(experts, src, dst)`` route tensor per MoE
-                layer, in layer order.
+            layer_flows: One ``(src, dst)`` token flow per MoE layer, in
+                layer order.
             placements: The per-layer placements the step ran under.
             adjustment_blocking: Non-overlapped adjustment seconds charged
                 to this step.
         """
-        if len(layer_routes) != self._num_layers:
+        if len(layer_flows) != self._num_layers:
             raise SimulationError(
-                f"expected routes for {self._num_layers} layers, "
-                f"got {len(layer_routes)}"
+                f"expected flows for {self._num_layers} layers, "
+                f"got {len(layer_flows)}"
             )
         if len(placements) != self._num_layers:
             raise SimulationError(
@@ -472,11 +494,11 @@ class PipelinedStepExecutor:
         layer_timings = []
         dense_time = 0.0
         hidden = 0.0
-        for routes, placement in zip(layer_routes, placements):
-            timing = self._executor.execute(routes, placement)
+        for flow, placement in zip(layer_flows, placements):
+            timing = self._executor.execute(flow, placement)
             layer_timings.append(timing)
             if self._model_dense:
-                source_tokens = np.asarray(routes, dtype=float).sum(axis=(0, 2))
+                source_tokens = np.asarray(flow).sum(axis=1)
                 block = self.dense_block_time(source_tokens)
                 dense_time += block
                 hidden += min(

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bench.gates import CHURN_PAIR, seal
+from repro.bench.gates import seal
 from repro.bench.harness import cluster_for
 from repro.bench.serving import probe_batch_seconds
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
@@ -600,9 +600,10 @@ def churn_scenario_run(
 ) -> dict[str, object]:
     """Run the paired autoscaled-vs-fixed experiment; machine-readable.
 
-    Deterministic under a fixed seed. The named gates
-    (:data:`repro.bench.gates.CHURN_PAIR`, sealed into ``gates`` and
-    ``ok``) require genuine churn (every wave delivered, devices actually
+    Deterministic under a fixed seed. The named gates of the
+    ``churn_pair`` suite (:data:`repro.bench.gates.CHURN_PAIR`, sealed
+    into ``gates`` and ``ok``, so ``python -m repro check`` reads a bare
+    row) require genuine churn (every wave delivered, devices actually
     revoked), full request accounting in both arms, surviving experts in
     both arms, real controller activity (scale-ups, and notice reactions
     when a notice window is configured) -- and the autoscaled arm
@@ -619,7 +620,7 @@ def churn_scenario_run(
     scenario["standby_speed_factors"] = list(config.standby_speed_factors)
     scenario["total_gpus"] = config.total_gpus
     return seal({
-        "suite": "autoscale_churn",
+        "suite": "churn_pair",
         "smoke": smoke,
         "seed": config.seed,
         "scenario": scenario,
@@ -627,4 +628,4 @@ def churn_scenario_run(
         "fixed": fixed,
         "autoscaled": autoscaled,
         "attainment_gain": gain,
-    }, CHURN_PAIR)
+    })

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.gates import CHURN_ROWS, SUITES, evaluate, run_gates, seal
+from repro.bench.gates import (
+    CHURN_ROWS,
+    ENGINE_MUST_RUN_GPUS,
+    SUITES,
+    evaluate,
+    run_gates,
+    seal,
+)
 from repro.cli import main
 from repro.exceptions import ConfigurationError
 
@@ -25,6 +32,10 @@ ARTIFACTS = {
     "composed_scenario": "BENCH_composed_scenario.json",
     "autoscale_churn": "BENCH_autoscale_churn.json",
 }
+
+#: Suites committed only inside another suite's artifact:
+#: ``suite -> (host suite, dotted path to one instance)``.
+NESTED = {"churn_pair": ("autoscale_churn", "rows.spot")}
 
 #: Marks a field for deletion instead of replacement.
 DROP = object()
@@ -52,6 +63,7 @@ CHURN_PAIR_BREAKS = {
 }
 
 BREAKS = {
+    "churn_pair": CHURN_PAIR_BREAKS,
     "step_overhead": {
         "planner_decisions_match": ("planner.decisions_match", false),
         "pipeline_results_match": ("pipeline.simulated_results_match", false),
@@ -133,6 +145,12 @@ BREAKS = {
 
 
 def committed(suite: str) -> dict:
+    if suite in NESTED:
+        host, path = NESTED[suite]
+        report = committed(host)
+        for key in path.split("."):
+            report = report[key]
+        return report
     return json.loads((REPO / ARTIFACTS[suite]).read_text(encoding="utf-8"))
 
 
@@ -152,9 +170,9 @@ def broken(report: dict, path: str, value) -> dict:
 
 
 def test_every_suite_has_a_committed_artifact():
-    assert set(ARTIFACTS) == set(SUITES)
-    for suite, name in ARTIFACTS.items():
-        assert committed(suite)["suite"] == suite, name
+    assert set(ARTIFACTS) | set(NESTED) == set(SUITES)
+    for suite in SUITES:
+        assert committed(suite)["suite"] == suite, suite
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -168,7 +186,7 @@ def test_every_gate_has_a_breaking_edit(suite):
 )
 def test_check_names_the_broken_gate(suite, gate, tmp_path, capsys):
     path, value = BREAKS[suite][gate]
-    target = tmp_path / ARTIFACTS[suite]
+    target = tmp_path / ARTIFACTS.get(suite, f"{suite}.json")
     target.write_text(json.dumps(broken(committed(suite), path, value)))
     assert main(["check", str(target)]) == 1
     assert f"{target}: FAILED {gate}\n" in capsys.readouterr().out
@@ -209,6 +227,15 @@ def test_unreadable_file_outranks_a_failed_gate(tmp_path):
 def test_evaluate_rejects_unknown_suite():
     with pytest.raises(ConfigurationError):
         evaluate({"suite": "no_such_suite"})
+
+
+def test_scale_engine_may_skip_only_above_1024_devices():
+    report = committed("scale")
+    for index, size in enumerate(report["sizes"]):
+        skip = {"num_gpus": size["num_gpus"], "skipped": "out of memory"}
+        verdict = run_gates(broken(report, f"sizes.{index}.engine", skip),
+                            SUITES["scale"])["engines_ran"]
+        assert verdict is (size["num_gpus"] > ENGINE_MUST_RUN_GPUS)
 
 
 def test_missing_field_fails_instead_of_raising():

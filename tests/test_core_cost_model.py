@@ -97,20 +97,20 @@ class TestAdjustmentCost:
 class TestStepBreakdown:
     def test_step_time_is_max_over_gpus(self, cost_model, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        breakdown = cost_model.step_breakdown(plan.routes, placement)
+        breakdown = cost_model.step_breakdown(plan.dense(), placement)
         assert breakdown.step_time == pytest.approx(
             breakdown.per_gpu_total.max()
         )
 
     def test_monotone_in_load(self, cost_model, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        t1 = cost_model.step_time(plan.routes, placement)
-        t2 = cost_model.step_time(plan.routes * 2, placement)
+        t1 = cost_model.step_time(plan.dense(), placement)
+        t2 = cost_model.step_time(plan.dense() * 2, placement)
         assert t2 > t1
 
     def test_utilization_in_unit_interval(self, cost_model, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        breakdown = cost_model.step_breakdown(plan.routes, placement)
+        breakdown = cost_model.step_breakdown(plan.dense(), placement)
         assert 0.0 <= breakdown.compute_utilization <= 1.0
 
     def test_expert_count_mismatch_rejected(self, cost_model, placement):

@@ -23,7 +23,7 @@ class TestConservation:
     def test_zero_assignment(self, router):
         placement = Placement.balanced(4, 4, 2)
         plan = router.route(np.zeros((4, 4), dtype=int), placement)
-        assert plan.routes.sum() == 0
+        assert plan.dense().sum() == 0
         assert plan.locality_fraction == 1.0
 
 
@@ -42,8 +42,8 @@ class TestLocalityFirst:
         placement = Placement(counts, 1)
         assignment = np.array([[4, 6], [0, 0]])
         plan = router.route(assignment, placement)
-        assert plan.routes[0, 1, 0] == 6
-        assert plan.routes[0, 0, 0] == 4
+        assert plan.dense()[0, 1, 0] == 6
+        assert plan.dense()[0, 0, 0] == 4
 
 
 class TestCapacity:
@@ -72,8 +72,8 @@ class TestCapacity:
         placement = Placement(counts, 2)
         assignment = np.array([[0, 0, 90]])
         plan = router.route(assignment, placement)
-        assert plan.routes[0, 2, 0] == 60
-        assert plan.routes[0, 2, 1] == 30
+        assert plan.dense()[0, 2, 0] == 60
+        assert plan.dense()[0, 2, 1] == 30
 
 
 class TestValidation:

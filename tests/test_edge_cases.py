@@ -89,7 +89,7 @@ class TestRouterEdges:
         placement = Placement.balanced(1, 4, 1)
         assignment = np.array([[10, 10, 10, 10]])
         plan = FlexibleTokenRouter().route(assignment, placement)
-        assert plan.routes.sum() == 40
+        assert plan.dense().sum() == 40
 
     def test_one_token(self):
         placement = Placement.balanced(2, 2, 1)

@@ -103,3 +103,24 @@ def test_kernel_events_benchmark_floor():
     # fan=12 events per tick, a fifth of them (j % 5 == 0: 3 of 12)
     # re-scheduling one more at the same instant.
     assert result["total_events"] == 300 * (12 + 3)
+
+
+def test_engine_scale_benchmark_splits_stages_and_skips_over_budget():
+    from repro.bench.scale import (
+        ENGINE_MEMORY_BUDGET_BYTES,
+        engine_footprint_bytes,
+        engine_scale_benchmark,
+    )
+
+    result = engine_scale_benchmark(16, 16, 2, num_steps=2, tokens_per_gpu=1024)
+    stages = result["stage_seconds"]
+    assert set(stages) == {"router", "executor", "scheduler"}
+    assert all(seconds > 0 for seconds in stages.values())
+    assert sum(stages.values()) <= result["seconds"]
+    assert result["steps_per_sec"] > 0
+    # The footprint, not the device count, decides a skip.
+    footprint = engine_footprint_bytes(4096, 512, 32, 4)
+    assert sum(footprint.values()) > ENGINE_MEMORY_BUDGET_BYTES
+    skipped = engine_scale_benchmark(4096, 512, 32)
+    assert skipped["trace_bytes"] == footprint["trace_bytes"]
+    assert "2.15 GB" in skipped["skipped"]

@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.placement import Placement
-from repro.core.router import FlexibleTokenRouter, validate_conservation
+from repro.core.router import (
+    FlexibleTokenRouter,
+    ReferenceTokenRouter,
+    validate_conservation,
+)
 from repro.exceptions import PlacementError
 
 
@@ -101,6 +105,43 @@ def test_router_never_routes_to_gpu_without_replica(data):
     counts = placement.counts
     arrivals = plan.arrivals
     assert (arrivals[counts == 0] == 0).all()
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    slots=st.integers(1, 3),
+    moves=st.integers(0, 400),
+)
+def test_router_contract_matches_reference_at_1024_devices(seed, slots, moves):
+    """Conservation, per-vExpert capacity and locality-first at datacenter
+    width, against the greedy reference router."""
+    num_experts, num_gpus = 16, 1024
+    rng = np.random.default_rng(seed)
+    placement = Placement.balanced(num_experts, num_gpus, slots)
+    # Hand random replicas to one hot expert so replica counts, and so
+    # the holders' slack, differ across experts.
+    hot = int(rng.integers(0, num_experts))
+    for _ in range(moves):
+        victim = int(rng.integers(0, num_experts))
+        if victim != hot and placement.replicas(victim) > 1:
+            gpu = int(rng.choice(placement.gpus_of(victim)))
+            placement.remove_vexpert(victim, gpu)
+            placement.add_vexpert(hot, gpu)
+    popularity = rng.zipf(1.5, num_experts).clip(max=50)[:, None]
+    assignment = rng.integers(0, 40, (num_experts, num_gpus)) * popularity
+    plan = FlexibleTokenRouter().route(assignment, placement)
+    ref = ReferenceTokenRouter().route(assignment, placement)
+    for routed in (plan, ref):
+        validate_conservation(assignment, routed)
+    np.testing.assert_array_equal(plan.capacities, ref.capacities)
+    # Locality first is deterministic: the kept tokens match exactly.
+    np.testing.assert_array_equal(plan.local, ref.local)
+    assert plan.locality_fraction == ref.locality_fraction
+    counts = placement.counts
+    assert (plan.arrivals <= counts * plan.capacities[:, None]).all()
+    assert (plan.arrivals[counts == 0] == 0).all()
+    assert plan.flow.sum() == assignment.sum()
 
 
 @settings(max_examples=60, deadline=None)

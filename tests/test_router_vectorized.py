@@ -50,8 +50,8 @@ class TestAgreementWithReference:
         ref = ReferenceTokenRouter()
         diag_checked = 0
         for assignment, placement in random_cases(rng):
-            fast_routes = fast.route(assignment, placement).routes
-            ref_routes = ref.route(assignment, placement).routes
+            fast_routes = fast.route(assignment, placement).dense()
+            ref_routes = ref.route(assignment, placement).dense()
             num_gpus = placement.num_gpus
             idx = np.arange(num_gpus)
             np.testing.assert_array_equal(
@@ -81,7 +81,7 @@ class TestBatchedSpillScatter:
         placement = Placement(counts, 1)
         assignment = np.array([[0, 77]])
         plan = FlexibleTokenRouter().route(assignment, placement)
-        assert plan.routes[0, 1, 0] == 77
+        assert plan.dense()[0, 1, 0] == 77
 
     def test_spill_spread_is_proportional_within_one(self):
         # 3 destinations with capacity 2:1:1 of the remainder.
@@ -90,7 +90,7 @@ class TestBatchedSpillScatter:
         assignment = np.array([[0, 0, 0, 100]])
         plan = FlexibleTokenRouter().route(assignment, placement)
         cap = plan.capacities[0]
-        spread = plan.routes[0, 3]
+        spread = plan.dense()[0, 3]
         assert spread.sum() == 100
         # Proportional target is (2, 1, 1)/4 of 100 capped by capacity.
         assert spread[0] >= spread[1] >= 0

@@ -22,9 +22,9 @@ class TestRealOperations:
         )
 
     def test_local_a2a_free(self, executor):
-        routes = np.zeros((2, 8, 8))
-        routes[0, 3, 3] = 1000
-        assert executor.real_a2a_pass_time(routes) == 0.0
+        flow = np.zeros((8, 8))
+        flow[3, 3] = 1000
+        assert executor.real_a2a_pass_time(flow) == 0.0
 
     def test_allreduce_time_matches_collectives(self, executor, collectives, model_config):
         group = (0, 1, 4)
@@ -49,7 +49,7 @@ class TestRealOperations:
 class TestExecute:
     def test_step_composition(self, executor, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        timing = executor.execute(plan.routes, placement)
+        timing = executor.execute(plan.flow, placement)
         assert timing.step_time == pytest.approx(
             timing.a2a_time
             + timing.compute_time
@@ -63,23 +63,20 @@ class TestExecute:
         placement = Placement.expert_parallel(
             model_config.num_experts, topology.num_gpus
         )
-        routes = np.zeros(
-            (model_config.num_experts, topology.num_gpus, topology.num_gpus)
-        )
-        routes[0, 0, 0] = 100
-        timing = executor.execute(routes, placement)
+        flow = np.zeros((topology.num_gpus, topology.num_gpus))
+        flow[0, 0] = 100
+        timing = executor.execute(flow, placement)
         assert timing.sync_time == 0.0
 
     def test_replicated_placement_pays_sync(self, executor, placement):
-        routes = np.zeros((8, 8, 8))
-        timing = executor.execute(routes, placement)
+        timing = executor.execute(np.zeros((8, 8)), placement)
         assert timing.sync_time > 0  # balanced(8, 8, 2) replicates experts
 
     def test_adjustment_blocking_added(self, executor, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        base = executor.execute(plan.routes, placement)
+        base = executor.execute(plan.flow, placement)
         blocked = executor.execute(
-            plan.routes, placement, adjustment_blocking=0.5
+            plan.flow, placement, adjustment_blocking=0.5
         )
         assert blocked.step_time == pytest.approx(base.step_time + 0.5)
 
@@ -88,24 +85,34 @@ class TestExecute:
         executor = StepExecutor(
             topology, model_config, jitter=0.0, group_cache=cache
         )
-        routes = np.zeros((8, 8, 8))
-        first = executor.execute(routes, placement)
-        second = executor.execute(routes, placement)
+        flow = np.zeros((8, 8))
+        first = executor.execute(flow, placement)
+        second = executor.execute(flow, placement)
         assert first.sync_time > second.sync_time  # creations amortized
         assert cache.stats.misses > 0
         assert cache.stats.hits > 0
 
     def test_utilization_bounds(self, executor, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        timing = executor.execute(plan.routes, placement)
+        timing = executor.execute(plan.flow, placement)
         assert 0.0 <= timing.compute_utilization <= 1.0
 
     def test_validation(self, executor, placement):
-        with pytest.raises(SimulationError):
-            executor.execute(np.zeros((8, 8)), placement)
+        # Not a (gpus, gpus) flow: a dense route tensor, a non-square or a
+        # wrong-size matrix.
+        for shape in ((8, 8, 8), (8, 4), (4, 4), (8,)):
+            with pytest.raises(SimulationError):
+                executor.execute(np.zeros(shape), placement)
+        for bad in (-1.0, np.nan, np.inf):
+            flow = np.zeros((8, 8))
+            flow[2, 5] = bad
+            with pytest.raises(SimulationError):
+                executor.execute(flow, placement)
+            with pytest.raises(SimulationError):
+                executor.real_a2a_pass_time(flow)
         with pytest.raises(SimulationError):
             executor.execute(
-                np.zeros((8, 8, 8)), placement, adjustment_blocking=-1
+                np.zeros((8, 8)), placement, adjustment_blocking=-1
             )
         with pytest.raises(SimulationError):
             executor.real_compute_time(-5, 0)

@@ -67,9 +67,9 @@ class TestSingleLayerReduction:
         pipe = PipelinedStepExecutor(
             ctx.executor, num_moe_layers=1, model_dense_compute=False
         )
-        routes = np.zeros((8, 4, 4), dtype=np.int64)
-        routes[0, 0, 0] = 1000
-        timing = pipe.execute([routes], [_balanced_placement()])
+        flow = np.zeros((4, 4), dtype=np.int64)
+        flow[0, 0] = 1000
+        timing = pipe.execute([flow], [_balanced_placement()])
         layer = timing.layer_timings[0]
         assert timing.step_time == pytest.approx(layer.step_time)
         assert timing.dense_time == 0.0

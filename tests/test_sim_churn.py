@@ -494,7 +494,7 @@ class TestChurnScenario:
         assert smoke_report["attainment_gain"] > 0
 
     def test_report_shape(self, smoke_report):
-        assert smoke_report["suite"] == "autoscale_churn"
+        assert smoke_report["suite"] == "churn_pair"
         for arm in ("fixed", "autoscaled"):
             data = smoke_report[arm]
             assert data["requests_unaccounted"] == 0
@@ -506,6 +506,16 @@ class TestChurnScenario:
         assert controller["scale_ups"] > 0
         assert controller["notices"] > 0
         assert controller["decisions"]
+
+    def test_check_passes_a_bare_row(self, smoke_report, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        row = tmp_path / "churn_row.json"
+        row.write_text(json.dumps(smoke_report))
+        assert main(["check", str(row)]) == 0
+        assert f"{row}: OK (" in capsys.readouterr().out
 
     def test_waves_and_notices_delivered(self, smoke_report):
         scenario = smoke_report["scenario"]
