@@ -18,9 +18,7 @@ from repro.bench.harness import (
     scalability_sweep,
 )
 from repro.bench.perf import (
-    faults_overhead_benchmark,
     perf_suite,
-    pipeline_overhead_benchmark,
     planner_benchmark,
     write_report,
 )
@@ -30,12 +28,10 @@ from repro.bench.serving import ServingRunResult, serving_run
 __all__ = [
     "ExperimentScale",
     "ServingRunResult",
-    "faults_overhead_benchmark",
     "figure5_comparison",
     "format_series",
     "format_table",
     "perf_suite",
-    "pipeline_overhead_benchmark",
     "planner_benchmark",
     "quick_comparison",
     "scalability_sweep",

@@ -9,7 +9,8 @@ a missing field fails instead of raising: key presence is part of every
 gate.
 
 Suite builders finish with :func:`seal`, which stores the verdicts as
-``report["gates"]`` and their conjunction as ``report["ok"]``.
+``report["gates"]`` and their conjunction as ``report["ok"]``; a report
+whose stored verdicts disagree with the table is :func:`stale`.
 """
 
 from __future__ import annotations
@@ -50,15 +51,11 @@ def _nested(key: str, table: GateTable) -> GateTable:
 
 STEP_OVERHEAD: GateTable = (
     ("planner_decisions_match", lambda r: r["planner"]["decisions_match"]),
-    ("pipeline_results_match",
-     lambda r: r["pipeline"]["simulated_results_match"]),
-    ("faults_results_match", lambda r: r["faults"]["simulated_results_match"]),
     ("kernel_results_match", lambda r: r["kernel"]["simulated_results_match"]),
     ("kernel_overhead_within_tolerance",
      lambda r: r["kernel"]["within_tolerance"]),
-    ("zero_fallbacks", lambda r: r["total_fallbacks"] == 0 and all(
-        r[section]["fallbacks"] == 0
-        for section in ("planner", "pipeline", "faults")
+    ("zero_fallbacks", lambda r: (
+        r["total_fallbacks"] == 0 and r["planner"]["fallbacks"] == 0
     )),
     ("memo_hits", lambda r: r["memo_hit_rate"] > 0),
     ("serving_events_floor", lambda r: _floor(r["serving_events"])),
@@ -234,6 +231,15 @@ def evaluate(report: Mapping) -> dict[str, bool]:
     return run_gates(report, SUITES[suite])
 
 
+def stale(report: Mapping, gates: Mapping[str, bool]) -> bool:
+    """Whether the report's stored ``gates`` or ``ok`` disagree with the
+    re-evaluated ``gates``: the artifact was sealed by another table."""
+    return (
+        report.get("gates") != dict(gates)
+        or report.get("ok") != all(gates.values())
+    )
+
+
 def seal(report: dict, table: GateTable | None = None) -> dict:
     """Store the gate verdicts and ``ok`` on ``report``; returns it.
 
@@ -261,4 +267,5 @@ __all__ = [
     "evaluate",
     "run_gates",
     "seal",
+    "stale",
 ]

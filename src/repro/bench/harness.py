@@ -309,8 +309,8 @@ class FaultsRunResult:
             replica losses were genuinely rebuilt on the survivors.
         baseline_rehomed: Same for the static baseline.
         delta_fallbacks: Delta-evaluator fallbacks to full recomputation
-            across both engines (0 on the reference path or when the
-            delta hot path never went stale; the perf gate requires 0).
+            across both engines (0 when the delta hot path never went
+            stale; the faults identity test requires 0).
     """
 
     flexmoe: PipelineRunResult
@@ -409,16 +409,13 @@ def faults_run(
     slow_factor: float = 0.6,
     spike_period: int | None = None,
     seed: int = 0,
-    delta_evaluation: bool = True,
 ) -> FaultsRunResult:
     """Run one seeded failure/straggler scenario: FlexMoE vs Static.
 
     Both engines consume the identical elasticity schedule, trace and
     (seed-matched) substrate; they differ only in whether the dynamic
     placement machinery is allowed to react. Deterministic under a fixed
-    seed. ``delta_evaluation=False`` switches the schedulers to the
-    full-recompute reference evaluator (the perf harness measures the
-    delta path against it).
+    seed.
     """
     from repro.runtime.pipeline import build_engine
 
@@ -461,7 +458,6 @@ def faults_run(
         cluster, model, num_moe_layers=num_moe_layers,
         scheduler_config=SchedulerConfig(
             speed_aware_balance=True, min_replicas=2, slots_per_gpu=slots,
-            delta_evaluation=delta_evaluation,
         ),
         elasticity=schedule, seed=seed,
     )
@@ -472,7 +468,6 @@ def faults_run(
         scheduler_config=SchedulerConfig(
             balance_threshold=1e9, migrate=False,
             min_replicas=2, slots_per_gpu=slots,
-            delta_evaluation=delta_evaluation,
         ),
         elasticity=schedule, seed=seed,
     )

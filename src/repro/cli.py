@@ -11,9 +11,9 @@ Eleven subcommands expose the simulation engine without writing any code:
 * ``faults``  — the elastic-cluster scenario engine: seeded device
   failures, recoveries and stragglers injected into identical FlexMoE
   and static runs (see ``docs/elasticity.md``);
-* ``perf``    — the scheduling-overhead harness: planner rounds/sec and
-  end-to-end simulated steps/sec of the delta-cost search vs the
-  full-recompute reference evaluator, written to
+* ``perf``    — the scheduling-overhead harness: planner rounds/sec of
+  the delta-cost search vs the full-recompute reference evaluator, the
+  event kernel's hosting overhead and event throughput, written to
   ``BENCH_step_overhead.json`` (see ``docs/performance.md``);
 * ``scale``   — the datacenter-scale sweep (64 to 4096 devices):
   hierarchical vs flat placement search, written to ``BENCH_scale.json``;
@@ -333,13 +333,14 @@ def _add_faults_parser(sub: argparse._SubParsersAction) -> None:
 def _add_perf_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "perf",
-        help="scheduling-overhead benchmark (delta vs reference evaluator)",
+        help="scheduling-overhead benchmark (delta vs reference planner)",
         description=(
-            "Benchmark the placement search hot path: planner rounds/sec "
-            "and end-to-end simulated steps/sec with the incremental "
-            "delta-cost evaluator vs the full-recompute reference path, "
-            "asserting identical scheduling decisions. Writes the "
-            "machine-readable report to BENCH_step_overhead.json."
+            "Benchmark the scheduling hot path: planner rounds/sec with "
+            "the incremental delta-cost evaluator vs the full-recompute "
+            "reference planner, asserting identical decisions, plus the "
+            "event kernel's hosting overhead and serving/kernel event "
+            "throughput. Writes the machine-readable report to "
+            "BENCH_step_overhead.json."
         ),
     )
     p.add_argument(
@@ -612,9 +613,10 @@ def _add_check_parser(sub: argparse._SubParsersAction) -> None:
         description=(
             "Re-evaluate each report's gates from the file alone (the "
             "table in repro.bench.gates, chosen by the report's suite) "
-            "and print every failed gate by name. Exits 0 when every "
-            "gate holds, 1 when any gate fails, 2 for an unreadable "
-            "file or an unknown suite."
+            "and print every failed gate by name; a report whose stored "
+            "gates or ok disagree with the table fails stale_gates. "
+            "Exits 0 when every gate holds, 1 when any gate fails, 2 for "
+            "an unreadable file or an unknown suite."
         ),
     )
     p.add_argument("files", nargs="+", metavar="FILE")
@@ -904,14 +906,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         f"KiB  retained {allocation['live_blocks_per_step']:7.0f} blocks/step  "
         f"peak RSS {allocation['peak_rss_kb'] / 1024.0:7.0f} MiB"
     )
-    for name in ("pipeline", "faults"):
-        section = report[name]
-        print(
-            f"{name:<9} delta {section['delta_steps_per_sec']:8.1f} steps/s "
-            f"vs reference {section['reference_steps_per_sec']:8.1f} steps/s "
-            f"({section['speedup']:.1f}x), simulation "
-            f"{'identical' if section['simulated_results_match'] else 'DIVERGED'}"
-        )
     kernel = report["kernel"]
     print(
         f"kernel    event-kernel {kernel['kernel_steps_per_sec']:8.1f} steps/s "
@@ -1367,7 +1361,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.bench.gates import evaluate
+    from repro.bench.gates import evaluate, stale
 
     code = 0
     for name in args.files:
@@ -1379,6 +1373,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             code = 2
             continue
         failed = [gate for gate, held in gates.items() if not held]
+        if stale(report, gates):
+            failed.append("stale_gates")
         for gate in failed:
             print(f"{name}: FAILED {gate}")
         if failed:

@@ -442,20 +442,12 @@ class SchedulerConfig:
             vExpert); elastic runs use 2 so a single device failure never
             destroys an expert's only copy of its model states —
             replication headroom doubles as fault tolerance.
-        delta_evaluation: Score what-if candidates incrementally through
-            :class:`~repro.core.delta.DeltaStepCost` (default). ``False``
-            restores the full-recompute reference evaluator in both the
-            Policy Maker and the Migrate planner — the audited baseline
-            ``python -m repro perf`` benchmarks the delta path against.
         placement_search: ``"auto"`` (default — flat at or below
             :data:`HIERARCHICAL_AUTO_THRESHOLD` devices, hierarchical
             above), ``"flat"`` (every candidate scored in one sweep) or
             ``"hierarchical"`` (two-level: candidates in the hot expert's
             node group first, cross-node escalation only when no
-            intra-node candidate beats the trigger threshold). The
-            hierarchical search requires ``delta_evaluation``: an explicit
-            ``"hierarchical"`` with ``delta_evaluation=False`` is rejected,
-            while ``"auto"`` runs flat on the reference path.
+            intra-node candidate beats the trigger threshold).
     """
 
     balance_threshold: float = 1.15
@@ -469,7 +461,6 @@ class SchedulerConfig:
     slots_per_gpu: int | None = None
     speed_aware_balance: bool = False
     min_replicas: int = 1
-    delta_evaluation: bool = True
     placement_search: str = "auto"
 
     def __post_init__(self) -> None:
@@ -492,10 +483,6 @@ class SchedulerConfig:
             self.placement_search in PLACEMENT_SEARCHES,
             f"placement_search must be one of {PLACEMENT_SEARCHES}, "
             f"got {self.placement_search!r}",
-        )
-        _require(
-            self.placement_search != "hierarchical" or self.delta_evaluation,
-            "placement_search='hierarchical' requires delta_evaluation",
         )
 
     def replace(self, **changes: object) -> "SchedulerConfig":

@@ -65,7 +65,10 @@ class Scheduler:
 
     Args:
         placement: Placement to manage (mutated in place).
-        policy: The Policy Maker used for Expand/Shrink decisions.
+        policy: The Policy Maker used for Expand/Shrink decisions. The
+            Migrate planner follows its evaluation path: it shares a
+            delta policy's evaluator and runs the reference path with a
+            reference policy.
         config: Trigger metric/mode/threshold configuration.
         topology: Cluster locality, needed by the Migrate planner.
         trigger: When-to-schedule predicate. ``None`` (default) derives
@@ -95,7 +98,7 @@ class Scheduler:
             policy.cost_model,
             topology,
             min_replicas=config.min_replicas,
-            use_delta=config.delta_evaluation,
+            use_delta=policy.uses_delta,
             memo=policy.memo,
             placement_search=config.placement_search,
             # Share the policy's evaluator: the migrate pass then rebases

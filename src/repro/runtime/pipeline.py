@@ -150,7 +150,6 @@ class LayerPipeline:
         policy = PolicyMaker(
             self._cost_model,
             min_replicas=config.min_replicas,
-            use_delta=config.delta_evaluation,
             topology=topology,
             placement_search=config.placement_search,
         )
@@ -869,9 +868,9 @@ class MultiLayerFlexMoEEngine:
 
     def delta_fallbacks(self) -> int:
         """Total delta-evaluator fallbacks to full recomputation across
-        every layer's Policy Maker and Migrate planner (0 when the
-        reference evaluator is configured). The perf harness gates on
-        this staying zero."""
+        every layer's Policy Maker and Migrate planner. The scale suite's
+        ``zero_fallbacks`` gate and the delta-vs-reference identity tests
+        require it to stay zero."""
         total = 0
         for layer in self._layers:
             scheduler = layer.scheduler

@@ -66,11 +66,9 @@ BREAKS = {
     "churn_pair": CHURN_PAIR_BREAKS,
     "step_overhead": {
         "planner_decisions_match": ("planner.decisions_match", false),
-        "pipeline_results_match": ("pipeline.simulated_results_match", false),
-        "faults_results_match": ("faults.simulated_results_match", false),
         "kernel_results_match": ("kernel.simulated_results_match", false),
         "kernel_overhead_within_tolerance": ("kernel.within_tolerance", false),
-        "zero_fallbacks": ("pipeline.fallbacks", 1.0),
+        "zero_fallbacks": ("planner.fallbacks", 1.0),
         "memo_hits": ("memo_hit_rate", zero),
         "serving_events_floor": ("serving_events.events_per_sec", zero),
         "kernel_events_floor": ("kernel_events.events_per_sec", zero),
@@ -198,6 +196,24 @@ def test_check_passes_the_committed_artifacts(capsys):
     out = capsys.readouterr().out
     assert "FAILED" not in out
     assert out.count(": OK (") == len(files)
+
+
+def test_check_fails_an_extra_stored_gate(tmp_path, capsys):
+    report = committed("step_overhead")
+    report["gates"] = {**report["gates"], "retired_gate": True}
+    target = tmp_path / "stale.json"
+    target.write_text(json.dumps(report))
+    assert main(["check", str(target)]) == 1
+    assert capsys.readouterr().out == f"{target}: FAILED stale_gates\n"
+
+
+def test_check_fails_a_flipped_stored_ok(tmp_path, capsys):
+    report = committed("serving_latency")
+    report["ok"] = not report["ok"]
+    target = tmp_path / "stale.json"
+    target.write_text(json.dumps(report))
+    assert main(["check", str(target)]) == 1
+    assert capsys.readouterr().out == f"{target}: FAILED stale_gates\n"
 
 
 def test_unreadable_file_exits_2(tmp_path, capsys):

@@ -118,8 +118,7 @@ def test_perf_smoke_passes_and_writes_report(capsys, tmp_path):
     assert payload["ok"] is True
     assert payload["total_fallbacks"] == 0
     assert payload["planner"]["decisions_match"] is True
-    assert payload["pipeline"]["simulated_results_match"] is True
-    assert payload["faults"]["simulated_results_match"] is True
+    assert payload["kernel"]["simulated_results_match"] is True
     written = json.loads(out.read_text())
     assert written["suite"] == "step_overhead"
     assert written["smoke"] is True

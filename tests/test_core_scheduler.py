@@ -7,6 +7,7 @@ from repro.config import SchedulerConfig
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
 from repro.core.scheduler import Scheduler
+from repro.exceptions import SchedulingError
 
 
 def make_scheduler(cost_model, topology, **config_overrides):
@@ -111,3 +112,37 @@ class TestBookkeeping:
         assert scheduler.total_actions() == sum(
             len(o.actions) for o in scheduler.history
         )
+
+
+class TestMigratePath:
+    """The Migrate planner follows the Policy Maker it is given."""
+
+    @staticmethod
+    def build(cost_model, topology, use_delta, **config):
+        return Scheduler(
+            Placement.balanced(8, topology.num_gpus, 2),
+            PolicyMaker(cost_model, use_delta=use_delta),
+            SchedulerConfig(slots_per_gpu=2, **config),
+            topology,
+        )
+
+    def test_reference_policy_gets_reference_migrate(
+        self, cost_model, topology
+    ):
+        scheduler = self.build(cost_model, topology, use_delta=False)
+        assert scheduler.migration.uses_delta is False
+        assert scheduler.migration.delta is None
+
+    def test_delta_policy_shares_its_evaluator(self, cost_model, topology):
+        scheduler = self.build(cost_model, topology, use_delta=True)
+        assert scheduler.migration.uses_delta is True
+        assert scheduler.migration.delta is scheduler.policy.delta
+
+    def test_reference_policy_rejects_hierarchical_search(
+        self, cost_model, topology
+    ):
+        with pytest.raises(SchedulingError, match="hierarchical"):
+            self.build(
+                cost_model, topology, use_delta=False,
+                placement_search="hierarchical",
+            )

@@ -34,6 +34,26 @@ def test_readme_quickstart_runs():
     assert check.check_quickstart(REPO / "README.md") == []
 
 
+def test_config_field_check_names_a_missing_field(tmp_path):
+    check = load_check_docs()
+    fields = check.scheduler_config_fields()
+    assert {"min_replicas", "placement_search"} <= fields
+    doc = tmp_path / "stale.md"
+    doc.write_text(
+        "Set `SchedulerConfig.min_replicas`, or pass\n"
+        "`SchedulerConfig(placement_search=\"flat\", no_such_knob=False)`;\n"
+        "`SchedulerConfig.retired_flag` is gone.\n"
+    )
+    problems = check.check_config_fields(doc, fields)
+    assert len(problems) == 2
+    assert "SchedulerConfig.no_such_knob" in problems[0]
+    assert "SchedulerConfig.retired_flag" in problems[1]
+
+
+def test_docs_name_only_live_config_fields():
+    assert load_check_docs().check_docs_config_fields() == []
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "--help"],

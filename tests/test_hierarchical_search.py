@@ -174,15 +174,6 @@ class TestPlacementSearchValidation:
                 placement_search="hierarchical",
             )
 
-    def test_scheduler_config_rejects_hierarchical_reference(self):
-        with pytest.raises(ConfigurationError, match="hierarchical"):
-            SchedulerConfig(
-                placement_search="hierarchical", delta_evaluation=False
-            )
-        assert SchedulerConfig(
-            placement_search="auto", delta_evaluation=False
-        ).placement_search == "auto"
-
     def test_unknown_search_rejected(self, setup):
         cost_model, topology = setup
         with pytest.raises(SchedulingError):

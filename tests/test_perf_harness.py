@@ -2,12 +2,7 @@
 
 import json
 
-from repro.bench.perf import (
-    faults_overhead_benchmark,
-    pipeline_overhead_benchmark,
-    planner_benchmark,
-    write_report,
-)
+from repro.bench.perf import planner_benchmark, write_report
 
 
 def test_planner_benchmark_reports_equivalence_and_counters():
@@ -30,27 +25,6 @@ def test_planner_benchmark_reports_equivalence_and_counters():
     )
     assert allocation["live_blocks_per_step"] > 0
     assert allocation["peak_rss_kb"] > 0
-
-
-def test_pipeline_overhead_benchmark_simulations_match():
-    result = pipeline_overhead_benchmark(
-        num_moe_layers=2, num_gpus=4, num_experts=8, num_steps=6,
-        tokens_per_gpu=8192,
-    )
-    assert result["simulated_results_match"]
-    assert result["fallbacks"] == 0
-    assert result["delta_steps_per_sec"] > 0
-
-
-def test_faults_overhead_benchmark_simulations_match():
-    result = faults_overhead_benchmark(
-        num_moe_layers=2, num_gpus=8, num_experts=16, num_steps=20
-    )
-    assert result["simulated_results_match"]
-    assert result["flexmoe_actions"] > 0
-    # Elasticity events apply before the schedulers run, so even the
-    # faults scenario must never stale the delta base mid-search.
-    assert result["fallbacks"] == 0
 
 
 def test_write_report_round_trips(tmp_path):

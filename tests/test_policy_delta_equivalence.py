@@ -7,7 +7,10 @@ the full-recompute reference evaluator. Asserted here on evolving
 single-layer scenarios, the multi-layer pipelined engine and the elastic
 faults scenario (failures and stragglers mid-run), following the
 ``ReferenceTokenRouter`` precedent of keeping the seed implementation as
-the executable specification.
+the executable specification. The engines have no reference mode: the
+engine-level tests build their reference side by patching the engine's
+``PolicyMaker`` to ``use_delta=False``, and every Scheduler derives its
+Migrate path from that policy.
 """
 
 import numpy as np
@@ -29,6 +32,7 @@ from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
 from repro.core.scheduler import Scheduler
+from repro.runtime import pipeline
 from repro.runtime.pipeline import build_engine
 from repro.training.loop import simulate_pipeline
 from repro.workload.synthetic import (
@@ -44,6 +48,20 @@ def build_cost_model(noise: float = 0.02) -> tuple[MoECostModel, ClusterTopology
     topology = ClusterTopology(CLUSTER)
     profile = Profiler(topology, noise=noise, seed=0).profile(MODEL)
     return MoECostModel(profile, MODEL), topology
+
+
+def reference_planners(monkeypatch) -> list[PolicyMaker]:
+    """Make every engine built from now on run the full-recompute
+    reference planners; returns the Policy Makers as they are built."""
+    built = []
+
+    def reference_policy_maker(*args, **kwargs):
+        policy = PolicyMaker(*args, use_delta=False, **kwargs)
+        built.append(policy)
+        return policy
+
+    monkeypatch.setattr(pipeline, "PolicyMaker", reference_policy_maker)
+    return built
 
 
 def drifting_trace(num_steps: int = 25, seed: int = 0):
@@ -144,10 +162,7 @@ def test_scheduler_histories_identical():
         placement = Placement.balanced(16, 8, auto_slots_per_gpu(16, 8))
         policy = PolicyMaker(cost_model, use_delta=use_delta)
         schedulers[name] = Scheduler(
-            placement,
-            policy,
-            SchedulerConfig(delta_evaluation=use_delta),
-            topology,
+            placement, policy, SchedulerConfig(), topology
         )
     for step in range(trace.num_steps):
         assignment = trace.step(step)
@@ -163,7 +178,7 @@ def test_scheduler_histories_identical():
     )
 
 
-def test_multilayer_engine_runs_identical():
+def test_multilayer_engine_runs_identical(monkeypatch):
     """The pipelined engine produces identical placements and timings."""
     model = MoEModelConfig(
         "eq-pipe", num_layers=4, d_model=512, d_ffn=2048, num_experts=16
@@ -175,15 +190,22 @@ def test_multilayer_engine_runs_identical():
     results = {}
     signatures = {}
     for use_delta in (True, False):
+        if not use_delta:
+            built = reference_planners(monkeypatch)
         engine = build_engine(
             ClusterConfig(num_nodes=1, gpus_per_node=8),
             model,
             num_moe_layers=2,
-            scheduler_config=SchedulerConfig(delta_evaluation=use_delta),
             seed=0,
         )
         results[use_delta] = simulate_pipeline(engine, trace, warmup=2)
         signatures[use_delta] = engine.placement_signatures()
+        if use_delta:
+            assert engine.delta_fallbacks() == 0
+    assert len(built) == 2
+    assert all(
+        layer.scheduler.migration.delta is None for layer in engine.layers
+    )
     assert signatures[True] == signatures[False]
     assert np.array_equal(
         results[True].step_times, results[False].step_times
@@ -195,7 +217,7 @@ def test_multilayer_engine_runs_identical():
     assert actions[0] == actions[1] > 0
 
 
-def test_faults_scenario_runs_identical():
+def test_faults_scenario_runs_identical(monkeypatch):
     """Elastic runs with failures and stragglers mid-search agree too."""
     faults = FaultConfig(
         num_failures=1,
@@ -208,6 +230,8 @@ def test_faults_scenario_runs_identical():
     )
     summaries = {}
     for use_delta in (True, False):
+        if not use_delta:
+            built = reference_planners(monkeypatch)
         result = faults_run(
             num_moe_layers=2,
             num_gpus=8,
@@ -216,13 +240,18 @@ def test_faults_scenario_runs_identical():
             warmup=3,
             faults=faults,
             seed=0,
-            delta_evaluation=use_delta,
         )
         summaries[use_delta] = result.summary()
         assert result.flexmoe_rehomed
+        if use_delta:
+            # Elasticity events apply before the schedulers run, so even
+            # the faults scenario must never stale the delta base.
+            assert result.delta_fallbacks == 0
+    # FlexMoE and Static, two layers each.
+    assert len(built) == 4
     assert summaries[True]["flexmoe_actions"] == summaries[False][
         "flexmoe_actions"
-    ]
+    ] > 0
     assert summaries[True]["flexmoe"]["final"] == pytest.approx(
         summaries[False]["flexmoe"]["final"], rel=1e-12
     )

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs checks: encoding conventions + README quickstart + module drift.
 
-Four guarantees, all enforced in CI (see CONTRIBUTING.md):
+Six guarantees, all enforced in CI (see CONTRIBUTING.md):
 
 1. User-facing docs (README.md, CONTRIBUTING.md, docs/*.md) are valid
    UTF-8 and free of mojibake-prone characters: smart quotes, curly
@@ -31,12 +31,18 @@ Four guarantees, all enforced in CI (see CONTRIBUTING.md):
    CI-gated artifact (e.g. ``BENCH_multitenant.json``,
    ``BENCH_autoscale_churn.json``) cannot land without the doc
    explaining what gates it.
+6. Docs name only live config fields: every ``SchedulerConfig.<field>``
+   and ``SchedulerConfig(<field>=...)`` in README.md, docs/*.md and the
+   verify skill (``.claude/skills/verify/SKILL.md``) is a dataclass
+   field of :class:`repro.config.SchedulerConfig`, so a deleted option
+   cannot linger in the instructions.
 
 Exit status 0 on success, 1 with a report on any failure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -276,6 +282,45 @@ def check_bench_reports_documented() -> list[str]:
     ]
 
 
+#: ``SchedulerConfig.<name>`` and the keyword list of ``SchedulerConfig(...)``.
+CONFIG_ATTR_RE = re.compile(r"\bSchedulerConfig\.([A-Za-z_]\w*)")
+CONFIG_CALL_RE = re.compile(r"\bSchedulerConfig\(([^()]*)\)")
+KEYWORD_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*=(?!=)")
+
+#: The verify skill's build-and-run notes, checked for stale fields too.
+VERIFY_SKILL = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+
+
+def scheduler_config_fields() -> set[str]:
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.config import SchedulerConfig
+
+    return {field.name for field in dataclasses.fields(SchedulerConfig)}
+
+
+def check_config_fields(path: Path, fields: set[str]) -> list[str]:
+    """Every ``SchedulerConfig`` field ``path`` names is one of ``fields``."""
+    text = path.read_text(encoding="utf-8")
+    named = set(CONFIG_ATTR_RE.findall(text))
+    for call in CONFIG_CALL_RE.findall(text):
+        named.update(KEYWORD_RE.findall(call))
+    return [
+        f"{path.name}: names SchedulerConfig.{name}, which is not a "
+        "field of repro.config.SchedulerConfig"
+        for name in sorted(named - fields)
+    ]
+
+
+def check_docs_config_fields() -> list[str]:
+    """:func:`check_config_fields` over the docs and the verify skill."""
+    fields = scheduler_config_fields()
+    problems = []
+    for path in [*doc_paths(), VERIFY_SKILL]:
+        if path.exists():
+            problems.extend(check_config_fields(path, fields))
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     for path in doc_paths():
@@ -293,6 +338,7 @@ def main() -> int:
     )
     problems.extend(check_no_tracked_bytecode())
     problems.extend(check_bench_reports_documented())
+    problems.extend(check_docs_config_fields())
     if problems:
         print("docs check FAILED:")
         for problem in problems:
@@ -301,7 +347,7 @@ def main() -> int:
     print(
         f"docs check OK ({len(doc_paths())} files, quickstart ran, "
         "module map in sync, no tracked bytecode, bench reports "
-        "documented)"
+        "documented, config fields live)"
     )
     return 0
 
