@@ -99,11 +99,13 @@ def main() -> None:
         )
 
         # -- 3. the registry and tracer carry the rest ----------------
-        counters = tel.registry.snapshot()["counters"]
+        # Admission counters are labeled per tenant; sum the labels.
+        registry = tel.registry
         print(
-            f"  registry: {counters.get('serving.batches', 0):.0f} batches, "
-            f"{counters.get('admission.admitted', 0):.0f} admitted, "
-            f"{counters.get('scheduler.triggers', 0):.0f} trigger firings"
+            f"  registry: {registry.counter_total('serving.batches'):.0f} "
+            f"batches, {registry.counter_total('admission.admitted'):.0f} "
+            f"admitted, {registry.counter_total('scheduler.triggers'):.0f} "
+            "trigger firings"
         )
         events = len(tel.tracer.events) if tel.tracer is not None else 0
         print(

@@ -365,7 +365,7 @@ class FaultsRunResult:
         }
 
 
-def _placements_rehomed(engine, min_replicas: int) -> bool:
+def placements_rehomed(engine, min_replicas: int) -> bool:
     """Every expert is fully re-homed on the *live* pool.
 
     Eviction guarantees nothing maps to a dead device, so the meaningful
@@ -373,7 +373,9 @@ def _placements_rehomed(engine, min_replicas: int) -> bool:
     injected, every layer's active placement must keep each expert on at
     least ``min_replicas`` distinct live devices (capped by the pool
     size). A silently-lost replica that the rescue machinery failed to
-    rebuild fails this check.
+    rebuild fails this check. ``min_replicas=1`` is the survival check
+    of the serving scenarios: every expert of every layer still owns a
+    replica on a live device.
     """
     state = engine.cluster_state
     if state is None:
@@ -483,8 +485,8 @@ def faults_run(
         schedule=schedule,
         num_gpus=num_gpus,
         warmup=clamp_warmup(warmup, num_steps),
-        flexmoe_rehomed=_placements_rehomed(flexmoe, min_replicas=2),
-        baseline_rehomed=_placements_rehomed(static, min_replicas=2),
+        flexmoe_rehomed=placements_rehomed(flexmoe, min_replicas=2),
+        baseline_rehomed=placements_rehomed(static, min_replicas=2),
         delta_fallbacks=flexmoe.delta_fallbacks() + static.delta_fallbacks(),
     )
 

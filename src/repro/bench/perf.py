@@ -14,11 +14,10 @@ The benchmarks:
   footprint (tracemalloc peak, retained blocks per step, peak RSS) so
   per-step allocation storms regress visibly in the report.
 * :func:`kernel_overhead_benchmark` — simulated steps/second of the
-  unified discrete-event kernel (:mod:`repro.sim`) against the plain
-  inline step loop (``simulate_pipeline(kernel=False)``) on the
-  identical engine/trace, both with telemetry disabled: the kernel's
-  heap events must stay within 5% of the inline loop AND produce
-  identical simulated results.  A third pass per repeat runs under a
+  unified discrete-event kernel (:mod:`repro.sim`) against a plain
+  inline ``engine.step`` loop on the identical engine/trace, both with
+  telemetry disabled: the kernel's heap events must stay within 5% of
+  the inline loop AND produce identical simulated results.  A third pass per repeat runs under a
   full telemetry session and must reproduce those results while
   recording trace and timeline events -- observation must never change
   a decision.
@@ -279,8 +278,8 @@ def kernel_overhead_benchmark(
     (schedulers are stateful, so a trace cannot be replayed on the same
     engine):
 
-    * ``legacy`` -- the plain inline loop
-      (``simulate_pipeline(kernel=False)``), telemetry disabled;
+    * ``legacy`` -- a plain inline ``engine.step`` loop with no event
+      machinery, telemetry disabled;
     * ``kernel`` -- the same run hosted on the event kernel, telemetry
       disabled;
     * ``enabled`` -- the kernel-hosted run under a full telemetry session
@@ -306,7 +305,7 @@ def kernel_overhead_benchmark(
     """
     from repro import telemetry
     from repro.runtime.pipeline import build_engine
-    from repro.training.loop import simulate_pipeline
+    from repro.training.loop import PipelineRunResult, simulate_pipeline
 
     model = MoEModelConfig(
         name=f"perf-kernel-{num_moe_layers}L",
@@ -326,6 +325,8 @@ def kernel_overhead_benchmark(
         ),
     )
 
+    warmup = min(5, num_steps - 1)
+
     def one_pass(kernel: bool) -> tuple[float, float]:
         engine = build_engine(
             cluster_for(num_gpus), model,
@@ -333,9 +334,19 @@ def kernel_overhead_benchmark(
         )
         with _gc_quiet():
             start = time.perf_counter()
-            result = simulate_pipeline(
-                engine, trace, warmup=min(5, num_steps - 1), kernel=kernel
-            )
+            if kernel:
+                result = simulate_pipeline(engine, trace, warmup=warmup)
+            else:
+                results = [
+                    engine.step(trace.step(t), t)
+                    for t in range(trace.num_steps)
+                ]
+                result = PipelineRunResult(
+                    engine=engine.name,
+                    results=tuple(results[warmup:]),
+                    num_moe_layers=engine.num_moe_layers,
+                    final_placement_signatures=engine.placement_signatures(),
+                )
             elapsed = time.perf_counter() - start
         return elapsed, result.mean_step_time
 
@@ -413,27 +424,35 @@ class _StubBookkeeping:
     this benchmark measures. The stub replaces ONLY the model half of the
     server (``execute = batch_tokens / rate``, the rate probed from the
     real cost model) and keeps the genuine hot-path machinery: the
-    admission queue, the rolling latency window, the columnar record
-    bookkeeping, the serving event source and the kernel.
+    one-tenant admission queue, the rolling latency window, the columnar
+    record bookkeeping at completion, the serving event source and the
+    kernel.
     """
 
     def __init__(self, batching, window: int, tokens_per_s: float) -> None:
-        from repro.serving.admission import AdmissionQueue
-        from repro.serving.slo import LatencyWindow
+        from repro.serving.admission import PriorityAdmissionQueue
+        from repro.serving.engine import single_stream_tenant
+        from repro.serving.slo import LatencyWindow, SLOConfig
 
-        self.queue = AdmissionQueue(batching)
+        self.queue = PriorityAdmissionQueue(
+            batching, (single_stream_tenant(SLOConfig(latency_target=1.0)),)
+        )
         self.window = LatencyWindow(window)
         self.rate = float(tokens_per_s)
         self._served: list = []
         self._count = 0
         self._columns = np.empty((3, 256), dtype=float)
+        self._queue_col: np.ndarray | None = None
 
-    def serve(self, batch, now: float, index: int) -> float:
+    def dispatch(self, batch, now: float, index: int) -> float:
         # The trigger-signal reads every real batch performs.
         self.window.p99()
         float(self.queue.queued_tokens)
-        execute = float(self.queue.last_batch_tokens.sum()) / self.rate
-        queue_col = now - self.queue.last_batch_arrivals
+        self._queue_col = now - self.queue.last_batch_arrivals
+        return float(self.queue.last_batch_tokens.sum()) / self.rate
+
+    def complete(self, batch, start: float, execute: float) -> None:
+        queue_col = self._queue_col
         n = len(batch)
         capacity = self._columns.shape[1]
         if self._count + n > capacity:
@@ -443,13 +462,12 @@ class _StubBookkeeping:
             grown[:, : self._count] = self._columns[:, : self._count]
             self._columns = grown
         sl = slice(self._count, self._count + n)
-        self._columns[0, sl] = now
+        self._columns[0, sl] = start
         self._columns[1, sl] = queue_col
         self._columns[2, sl] = execute
         self._count += n
         self._served.extend(batch)
         self.window.observe_batch(queue_col + execute)
-        return execute
 
 
 def _probe_service_rate(
@@ -490,19 +508,18 @@ def serving_events_benchmark(
     """Serving event throughput of the serving event machinery.
 
     Replays a seeded stream through the shipped hot path (same-timestamp
-    kernel drain, lazy bulk admission, columnar numpy bookkeeping) with a
-    constant-rate execute model probed from the real cost model at the
-    16-GPU / 64-expert configuration (:class:`_StubBookkeeping` explains
+    kernel drain, one ARRIVAL event per request, columnar numpy
+    bookkeeping) with a constant-rate execute model probed from the real
+    cost model at the 16-GPU / 64-expert configuration (:class:`_StubBookkeeping` explains
     why the full engine is not timed here); best-of-``repeats``.
 
     ``events_per_sec`` counts *logical* serving events -- one per
-    arrival, dispatch and completion -- so the kernel's smaller heap
-    traffic is the mechanism, not the unit.
+    arrival, dispatch and completion.
     """
     from repro.serving.admission import BatchingConfig
     from repro.serving.requests import RequestStream, RequestStreamConfig
     from repro.sim.kernel import SimKernel
-    from repro.sim.sources import ServingSource
+    from repro.sim.sources import MultiTenantServingSource
 
     batch_tokens = 4096
     service_rate = _probe_service_rate(
@@ -510,8 +527,8 @@ def serving_events_benchmark(
     )
     # Offered load above saturation: sustained deep queues keep
     # micro-batches at the token budget, which is the regime the
-    # columnar bookkeeping targets (bursty gaps still exercise the
-    # idle-wake path).
+    # columnar bookkeeping targets (bursty gaps still idle the
+    # server between bursts).
     stream = RequestStream(
         RequestStreamConfig(
             arrival="bursty",
@@ -525,11 +542,13 @@ def serving_events_benchmark(
         max_batch_tokens=batch_tokens, max_queue_tokens=8 * batch_tokens
     )
 
-    def one_pass() -> tuple[float, ServingSource]:
+    def one_pass() -> tuple[float, MultiTenantServingSource]:
         book = _StubBookkeeping(
             batching, window=64, tokens_per_s=service_rate
         )
-        source = ServingSource(stream, book.queue, book.serve, vectorized=True)
+        source = MultiTenantServingSource(
+            stream, book.queue, book.dispatch, book.complete
+        )
         kernel = SimKernel()
         start = time.perf_counter()
         source.prime(kernel, None)

@@ -9,10 +9,11 @@ under an SLO, not steps/second.
   (Poisson/bursty/diurnal arrival, lognormal token counts, drifting
   topic mixes that shift expert popularity), plus multi-tenant specs
   (:class:`TenantSpec`, :func:`merge_tenant_requests`);
-* :mod:`repro.serving.admission` -- the front-end: FIFO continuous
-  micro-batching under a token budget with queue backpressure, and the
-  multi-tenant :class:`PriorityAdmissionQueue` (priority levels,
-  weighted-fair sharing, per-batch quotas, preemption re-queueing);
+* :mod:`repro.serving.admission` -- the front-end: continuous
+  micro-batching under a token budget with queue backpressure in
+  :class:`PriorityAdmissionQueue` (priority levels, weighted-fair
+  sharing, per-batch quotas, preemption re-queueing; one tenant is
+  plain FIFO);
 * :mod:`repro.serving.slo` -- per-request latency accounting
   (queue + execute), rolling-p99 windows, goodput and SLO attainment,
   service classes (:class:`TenantClass`) and per-class/fairness
@@ -32,7 +33,6 @@ and report format.
 """
 
 from repro.serving.admission import (
-    AdmissionQueue,
     BatchingConfig,
     PriorityAdmissionQueue,
 )
@@ -61,7 +61,6 @@ from repro.serving.slo import (
 )
 
 __all__ = [
-    "AdmissionQueue",
     "BatchingConfig",
     "LatencyWindow",
     "PriorityAdmissionQueue",

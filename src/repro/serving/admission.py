@@ -1,11 +1,13 @@
 """Admission control and continuous micro-batching.
 
 The serving front-end sits between the request stream and the engine: it
-queues arrivals in FIFO order, forms micro-batches bounded by a token
+queues arrivals per tenant, forms micro-batches bounded by a token
 budget (``max_batch_tokens``), and applies backpressure -- when the queue
 already holds more than ``max_queue_tokens`` tokens, new arrivals are
 rejected rather than queued, bounding worst-case latency the way a real
 serving tier sheds load instead of letting its queue grow without limit.
+A single-stream server is the one-tenant case: its queue is plain FIFO
+under the token budget.
 
 Rejections are an SLO event: the report counts every rejected request as
 a missed SLO when computing goodput (:mod:`repro.serving.slo`), and the
@@ -58,104 +60,6 @@ class BatchingConfig:
         return dataclasses.replace(self, **changes)
 
 
-class AdmissionQueue:
-    """FIFO request queue with token-depth backpressure.
-
-    Each pop exposes the batch's arrival/tokens/topic columns as numpy
-    arrays (:attr:`last_batch_arrivals`, :attr:`last_batch_tokens`,
-    :attr:`last_batch_topics`); the serving bookkeeping reads these
-    instead of looping over the batch's request objects.
-
-    Args:
-        config: Batch and backpressure bounds.
-    """
-
-    def __init__(self, config: BatchingConfig) -> None:
-        self._config = config
-        self._queue: deque[Request] = deque()
-        self._queued_tokens = 0
-        self._rejected = 0
-        self.last_batch_arrivals: np.ndarray | None = None
-        self.last_batch_tokens: np.ndarray | None = None
-        self.last_batch_topics: np.ndarray | None = None
-
-    @property
-    def config(self) -> BatchingConfig:
-        return self._config
-
-    @property
-    def queued_requests(self) -> int:
-        return len(self._queue)
-
-    @property
-    def queued_tokens(self) -> int:
-        """Tokens currently waiting (the backpressure/trigger signal)."""
-        return self._queued_tokens
-
-    @property
-    def rejected_requests(self) -> int:
-        """Arrivals turned away by backpressure so far."""
-        return self._rejected
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def offer(self, request: Request) -> bool:
-        """Admit ``request``; returns ``False`` when backpressure rejects it.
-
-        An empty queue always admits, even an oversized request --
-        rejection exists to bound *queueing*, not request size.
-        """
-        limit = self._config.max_queue_tokens
-        if (
-            limit is not None
-            and self._queue
-            and self._queued_tokens + request.tokens > limit
-        ):
-            self._rejected += 1
-            tel = telemetry.current()
-            if tel is not None:
-                tel.registry.counter("admission.rejected").inc()
-            return False
-        self._queue.append(request)
-        self._queued_tokens += request.tokens
-        tel = telemetry.current()
-        if tel is not None:
-            tel.registry.counter("admission.admitted").inc()
-        return True
-
-    def next_batch(self) -> tuple[Request, ...]:
-        """Pop the next micro-batch (FIFO, bounded by ``max_batch_tokens``).
-
-        Always returns at least one request when the queue is non-empty;
-        returns the empty tuple otherwise.
-        """
-        batch: list[Request] = []
-        tokens = 0
-        budget = self._config.max_batch_tokens
-        while self._queue:
-            head = self._queue[0]
-            if batch and tokens + head.tokens > budget:
-                break
-            batch.append(self._queue.popleft())
-            tokens += head.tokens
-        self._queued_tokens -= tokens
-        if batch:
-            meta = np.array(
-                [(r.arrival, r.tokens, r.topic) for r in batch], dtype=float
-            )
-            self.last_batch_arrivals = meta[:, 0]
-            self.last_batch_tokens = meta[:, 1].astype(np.int64)
-            self.last_batch_topics = meta[:, 2].astype(np.int64)
-        return tuple(batch)
-
-    def __repr__(self) -> str:
-        return (
-            f"AdmissionQueue(requests={len(self._queue)}, "
-            f"tokens={self._queued_tokens}, rejected={self._rejected})"
-        )
-
-
 class PriorityAdmissionQueue:
     """Multi-tenant admission: priority levels, weighted-fair sharing,
     per-batch quotas, per-tenant backpressure and preemption support.
@@ -175,7 +79,8 @@ class PriorityAdmissionQueue:
 
     Backpressure is two-level: the global ``max_queue_tokens`` bound of
     :class:`BatchingConfig` applies first (an empty queue always
-    admits, as in :class:`AdmissionQueue`), then the tenant's own
+    admits, even an oversized request -- rejection exists to bound
+    *queueing*, not request size), then the tenant's own
     ``max_queue_tokens`` (an empty *tenant* queue always admits).
 
     Preemption support: :meth:`requeue` puts an in-flight batch back at
@@ -183,9 +88,11 @@ class PriorityAdmissionQueue:
     the batch's fairness credit (the stride counters), so preempted work
     is never dropped and never double-billed.
 
-    Like :class:`AdmissionQueue`, the popped batch's arrival/tokens/
-    topic columns (plus :attr:`last_batch_tenants`) are exposed as numpy
-    arrays for the serving bookkeeping.
+    The popped batch's arrival/tokens/topic/tenant columns
+    (:attr:`last_batch_arrivals`, :attr:`last_batch_tokens`,
+    :attr:`last_batch_topics`, :attr:`last_batch_tenants`) are exposed
+    as numpy arrays; the serving bookkeeping reads these instead of
+    looping over the batch's request objects.
 
     Args:
         config: Global batch/backpressure bounds.
@@ -195,8 +102,7 @@ class PriorityAdmissionQueue:
             global arrival order ignoring priorities, quotas and
             weights (the baseline admission discipline; both levels of
             backpressure still apply). With one tenant and no per-tenant
-            bounds, both policies reduce exactly to
-            :class:`AdmissionQueue`.
+            bounds, both policies reduce exactly to one FIFO queue.
         shed_low_priority: Graceful degradation under capacity loss.
             When global backpressure would reject an arrival, queued
             requests of *strictly lower* priority are shed from the

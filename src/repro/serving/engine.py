@@ -10,8 +10,9 @@ event source -- time-keyed elasticity, stream budgets -- in one
 
 1. **Admit** -- requests whose arrival time has passed enter the
    admission queue (or are rejected by backpressure).
-2. **Batch** -- the front-end pops the next FIFO micro-batch under the
-   ``max_batch_tokens`` budget.
+2. **Batch** -- the front-end pops the next micro-batch under the
+   ``max_batch_tokens`` budget (FIFO for a single stream; priority
+   order, weighted-fair sharing and quotas across tenants).
 3. **Schedule** -- the engine pushes the rolling p99 latency and queue
    depth to every layer's Scheduler
    (:meth:`~repro.runtime.pipeline.MultiLayerFlexMoEEngine.observe_serving_signals`);
@@ -33,7 +34,6 @@ land mid-stream and serving continues on the surviving pool
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -41,20 +41,25 @@ import numpy as np
 from repro import telemetry
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.runtime.pipeline import MultiLayerFlexMoEEngine
-from repro.sim import MultiTenantServingSource, Scenario, ServingSource
+from repro.sim import MultiTenantServingSource, Scenario
 from repro.serving.admission import (
     ADMISSION_POLICIES,
-    AdmissionQueue,
     BatchingConfig,
     PriorityAdmissionQueue,
 )
-from repro.serving.requests import Request, TenantSpec, merge_tenant_requests
+from repro.serving.requests import (
+    Request,
+    RequestStreamConfig,
+    TenantSpec,
+    merge_tenant_requests,
+)
 from repro.serving.slo import (
     LatencyWindow,
     RequestRecord,
     ServingReport,
     SLOConfig,
     TenancyInfo,
+    TenantClass,
 )
 from repro.workload.synthetic import LAYER_SEED_STRIDE, stationary_skewed_probs
 
@@ -144,6 +149,17 @@ class TopicRoutingModel:
         return mixed / mixed.sum()
 
 
+def single_stream_tenant(slo: SLOConfig) -> TenantSpec:
+    """The one implicit tenant a server built without tenants admits
+    through: no quota, no per-tenant bound, nothing to preempt, so its
+    priority admission is plain FIFO under the batch token budget."""
+    return TenantSpec(
+        name="default",
+        stream=RequestStreamConfig(),
+        tenant_class=TenantClass("default", slo),
+    )
+
+
 class ServingEngine:
     """SLO-aware online serving over the multi-layer placement engine.
 
@@ -169,11 +185,14 @@ class ServingEngine:
             (schedulers see the raw batch, training-style).
         tenants: Multi-tenant mode: one
             :class:`~repro.serving.requests.TenantSpec` per tenant id.
-            The front-end becomes a
-            :class:`~repro.serving.admission.PriorityAdmissionQueue`,
-            arrivals may preempt lower-priority in-flight batches, and
-            the report grows per-class/per-tenant sections. ``requests``
-            may be ``None`` (the tenants' streams are merged via
+            The front-end is a
+            :class:`~repro.serving.admission.PriorityAdmissionQueue`
+            either way; with tenants, arrivals may preempt
+            lower-priority in-flight batches and the report grows
+            per-class/per-tenant sections. ``None`` serves the stream
+            as one implicit tenant (plain FIFO, nothing to preempt, no
+            tenancy section). ``requests`` may be ``None`` in
+            multi-tenant mode (the tenants' streams are merged via
             :func:`~repro.serving.requests.merge_tenant_requests`) or an
             explicitly merged sequence shared between servers.
         admission_policy: Multi-tenant batch ordering -- ``"priority"``
@@ -224,13 +243,13 @@ class ServingEngine:
                     "requests may only be omitted in multi-tenant mode"
                 )
             requests = merge_tenant_requests(tenants)
-        if tenants is not None:
-            bad = [r.index for r in requests if r.tenant >= len(tenants)]
-            if bad:
-                raise ConfigurationError(
-                    f"requests {bad[:3]} reference tenants outside the "
-                    f"configured {len(tenants)}"
-                )
+        num_tenants = 1 if tenants is None else len(tenants)
+        bad = [r.index for r in requests if r.tenant >= num_tenants]
+        if bad:
+            raise ConfigurationError(
+                f"requests {bad[:3]} reference tenants outside the "
+                f"configured {num_tenants}"
+            )
         if not requests:
             raise ConfigurationError("requests must not be empty")
         self._engine = engine
@@ -374,9 +393,7 @@ class ServingEngine:
                     cache.acquire(group)
 
     def event_source(
-        self,
-        stream_budget: float | None = None,
-        lazy_admission: bool = False,
+        self, stream_budget: float | None = None
     ) -> "_ServingRun":
         """The server as a kernel event source (arrival/dispatch/completion).
 
@@ -385,7 +402,9 @@ class ServingEngine:
         alongside time-keyed elasticity, stream-budget grants, or other
         traffic -- and whose ``report()`` assembles the
         :class:`~repro.serving.slo.ServingReport` once the kernel has
-        drained. :meth:`run` is the single-source case.
+        drained. :meth:`run` is the single-source case. Every arrival is
+        its own kernel event, so a finite scenario horizon leaves
+        not-yet-served arrivals queued, never un-offered.
 
         Args:
             stream_budget: Per-batch adjustment-stream budget forwarded
@@ -393,37 +412,17 @@ class ServingEngine:
                 each batch its own duration, the classic behaviour;
                 ``0.0`` defers all commits to an external
                 :class:`~repro.sim.sources.StreamBudgetSource`.
-            lazy_admission: Use the lazy bulk-admission source (arrivals
-                admitted in bulk at completions rather than as
-                per-request events). Only safe when the scenario runs to
-                drain: a finite ``duration`` horizon can truncate the
-                run before the completion that would have admitted
-                pending arrivals, so composed scenarios default to the
-                eager per-request source. Multi-tenant servers reject
-                this flag: priority admission and preemption must
-                observe every arrival at its arrival time.
         """
         self._warm_up()
-        if self._tenants is not None:
-            if lazy_admission:
-                raise ConfigurationError(
-                    "lazy bulk admission is incompatible with multi-tenant "
-                    "serving: priority admission and preemption must "
-                    "observe every arrival at its arrival time"
-                )
-            return _MultiTenantRun(self, stream_budget=stream_budget)
-        return _ServingRun(
-            self, stream_budget=stream_budget, lazy_admission=lazy_admission
-        )
+        return _ServingRun(self, stream_budget=stream_budget)
 
     def run(self) -> ServingReport:
         """Serve the whole stream and return the latency/goodput report.
 
         The stream runs as arrival/batch/completion events on the shared
-        discrete-event kernel; a single-stream server admits arrivals
-        lazily (the run always drains, so no horizon can strand them).
+        discrete-event kernel.
         """
-        run = self.event_source(lazy_admission=self._tenants is None)
+        run = self.event_source()
         Scenario(
             name=f"serve-{type(self).name}",
             sources=(run.source,),
@@ -437,19 +436,31 @@ class _ServingRun:
 
     Owns the admission queue, the rolling latency window, and the
     per-request latency columns;
-    :class:`~repro.sim.sources.ServingSource` drives it on the kernel
-    clock.
+    :class:`~repro.sim.sources.MultiTenantServingSource` drives it on
+    the kernel clock. The serve callback is split: :meth:`dispatch`
+    models and times the batch, but latencies are only recorded when
+    :meth:`complete` fires -- a preempted batch is re-queued instead and
+    never recorded until it genuinely finishes.
+
+    A server built without tenants runs as one implicit tenant (no
+    quota, no per-tenant bound, nothing to preempt), where priority
+    admission is plain FIFO; its report carries no tenancy section. A
+    multi-tenant report carries a
+    :class:`~repro.serving.slo.TenancyInfo` (per-class attainment,
+    preemption counters, fairness index).
     """
 
     def __init__(
-        self,
-        engine: ServingEngine,
-        stream_budget: float | None = None,
-        lazy_admission: bool = False,
+        self, engine: ServingEngine, stream_budget: float | None = None
     ) -> None:
         self._server = engine
         self._stream_budget = stream_budget
-        self.queue = self._make_queue()
+        self.queue = PriorityAdmissionQueue(
+            engine._batching,
+            engine._tenants or (single_stream_tenant(engine.slo),),
+            policy=engine._admission_policy,
+            shed_low_priority=engine._shed_low_priority,
+        )
         self.window = LatencyWindow(engine.slo.window)
         self.requests = engine._requests
         self.actions = 0
@@ -460,33 +471,24 @@ class _ServingRun:
         self._served: list[Request] = []
         self._count = 0
         self._columns = np.empty((3, 256), dtype=float)
-        self.source = self._make_source(lazy_admission)
-
-    def _make_queue(self) -> AdmissionQueue:
-        return AdmissionQueue(self._server._batching)
-
-    def _make_source(self, lazy_admission: bool) -> ServingSource:
-        return ServingSource(
-            self.requests, self.queue, self.serve, vectorized=lazy_admission
+        # The in-flight batch's queue-time column, stashed at dispatch
+        # for the completion (or discarded by a preemption). At most one
+        # batch is ever in flight, so a single slot suffices.
+        self._pending_queue_col: np.ndarray | None = None
+        self.source = MultiTenantServingSource(
+            self.requests,
+            self.queue,
+            self.dispatch,
+            self.complete,
+            preemption=engine._preemption,
         )
 
-    def serve(self, batch: Sequence[Request], now: float, index: int) -> float:
-        """Serve one micro-batch at simulated time ``now``; returns its
-        modelled duration."""
-        execute, queue_col = self._model_batch(batch, now, index)
-        self._account(batch, now, queue_col, execute)
-        return execute
-
-    def _model_batch(
+    def dispatch(
         self, batch: Sequence[Request], now: float, index: int
-    ) -> tuple[float, np.ndarray]:
-        """Push signals, route and execute one batch through the engine.
-
-        Returns the modelled execute time plus the batch's queue-time
-        column. The multi-tenant run reuses this half verbatim and defers
-        :meth:`_account` to the batch's completion, so preempted batches
-        are never recorded.
-        """
+    ) -> float:
+        """Push signals, route and execute one micro-batch through the
+        engine at simulated time ``now``; returns its modelled duration.
+        Accounting waits for its completion."""
         server = self._server
         server._engine.observe_serving_signals(
             p99_latency=self.window.p99(),
@@ -499,7 +501,7 @@ class _ServingRun:
             self.queue.last_batch_tokens.astype(float),
             self.queue.last_batch_topics % server._routing.num_topics,
         )
-        queue_col = now - self.queue.last_batch_arrivals
+        self._pending_queue_col = now - self.queue.last_batch_arrivals
         pending = server._engine.step_schedule(
             assignments,
             index,
@@ -510,16 +512,14 @@ class _ServingRun:
             pending, stream_budget=self._stream_budget
         )
         self.actions += result.scheduling_actions
-        return result.step_time, queue_col
+        return result.step_time
 
-    def _account(
-        self,
-        batch: Sequence[Request],
-        now: float,
-        queue_col: np.ndarray,
-        execute: float,
+    def complete(
+        self, batch: Sequence[Request], start: float, execute: float
     ) -> None:
-        """Append the batch's latency columns and feed the window."""
+        """Record the batch that genuinely finished (never preempted):
+        append its latency columns and feed the window."""
+        queue_col = self._pending_queue_col
         n = len(batch)
         capacity = self._columns.shape[1]
         if self._count + n > capacity:
@@ -529,7 +529,7 @@ class _ServingRun:
             grown[:, : self._count] = self._columns[:, : self._count]
             self._columns = grown
         sl = slice(self._count, self._count + n)
-        self._columns[0, sl] = now
+        self._columns[0, sl] = start
         self._columns[1, sl] = queue_col
         self._columns[2, sl] = execute
         self._count += n
@@ -548,98 +548,12 @@ class _ServingRun:
             for request, s, q, x in zip(self._served, starts, queues, execs)
         )
 
-    def _rejected(self) -> tuple[Request, ...]:
-        return tuple(self.source.rejected)
-
-    def report(self) -> ServingReport:
-        """Assemble the report from the kernel source's final state."""
-        report = ServingReport(
-            engine=type(self._server).name,
-            records=self._materialized_records(),
-            rejected=self._rejected(),
-            slo=self._server.slo,
-            num_batches=self.source.num_batches,
-            sim_duration=self.source.last_completion,
-            placement_actions=self.actions,
-        )
-        tel = telemetry.current()
-        if tel is not None:
-            # Publish the run's aggregates (percentiles, goodput,
-            # attainment) and the rolling window's final signals so
-            # readers consume the registry, not the report internals.
-            report.publish_metrics(tel.registry)
-            self.window.publish(tel.registry, engine=report.engine)
-        return report
-
-
-class _MultiTenantRun(_ServingRun):
-    """A serving run driven by the multi-tenant admission front-end.
-
-    Differences from the single-stream :class:`_ServingRun`:
-
-    * the front-end is a
-      :class:`~repro.serving.admission.PriorityAdmissionQueue` (priority
-      levels, weighted-fair sharing, quotas, two-level backpressure);
-    * the serve callback is split: :meth:`dispatch` models and times the
-      batch, but latencies are only recorded when :meth:`complete` fires
-      -- a preempted batch is re-queued instead and never recorded until
-      it genuinely finishes;
-    * the report carries a :class:`~repro.serving.slo.TenancyInfo`
-      (per-class attainment, preemption counters, fairness index).
-
-    With one tenant (no quota, no per-tenant bound, nothing to preempt)
-    every decision reduces to the single-stream path and the report is
-    byte-identical to it -- the reduction identity
-    ``tests/test_sim_identity.py`` pins.
-    """
-
-    # The in-flight batch's queue-time column, stashed at dispatch for
-    # the completion (or discarded by a preemption). At most one batch is
-    # ever in flight, so a single slot suffices.
-    _pending_queue_col: np.ndarray | None = None
-
-    def _make_queue(self) -> PriorityAdmissionQueue:
-        server = self._server
-        return PriorityAdmissionQueue(
-            server._batching,
-            server._tenants,
-            policy=server._admission_policy,
-            shed_low_priority=server._shed_low_priority,
-        )
-
-    def _make_source(self, lazy_admission: bool) -> MultiTenantServingSource:
-        return MultiTenantServingSource(
-            self.requests,
-            self.queue,
-            self.dispatch,
-            self.complete,
-            preemption=self._server._preemption,
-        )
-
-    def dispatch(
-        self, batch: Sequence[Request], now: float, index: int
-    ) -> float:
-        """Model one micro-batch; accounting waits for its completion."""
-        execute, queue_col = self._model_batch(batch, now, index)
-        self._pending_queue_col = queue_col
-        return execute
-
-    def complete(
-        self, batch: Sequence[Request], start: float, execute: float
-    ) -> None:
-        """Record the batch that genuinely finished (never preempted)."""
-        self._account(batch, start, self._pending_queue_col, execute)
-
-    def _rejected(self) -> tuple[Request, ...]:
-        # Shed requests are degraded load, not vanished load: they fold
-        # into the rejected set (counting as SLO misses everywhere) and
-        # the tenancy counters attribute them per tenant.
-        return super()._rejected() + self.queue.shed
-
-    def report(self) -> ServingReport:
-        source = self.source
+    def _tenancy(self) -> TenancyInfo | None:
         tenants = self._server._tenants
-        info = TenancyInfo(
+        if tenants is None:
+            return None
+        source = self.source
+        return TenancyInfo(
             names=tuple(t.name for t in tenants),
             class_names=tuple(t.tenant_class.name for t in tenants),
             priorities=tuple(t.tenant_class.priority for t in tenants),
@@ -653,4 +567,28 @@ class _MultiTenantRun(_ServingRun):
                 self.queue.shed_by_tenant(t) for t in range(len(tenants))
             ),
         )
-        return dataclasses.replace(super().report(), tenancy=info)
+
+    def report(self) -> ServingReport:
+        """Assemble the report from the kernel source's final state."""
+        report = ServingReport(
+            engine=type(self._server).name,
+            records=self._materialized_records(),
+            # Shed requests are degraded load, not vanished load: they
+            # fold into the rejected set (counting as SLO misses
+            # everywhere) and the tenancy counters attribute them per
+            # tenant.
+            rejected=tuple(self.source.rejected) + self.queue.shed,
+            slo=self._server.slo,
+            num_batches=self.source.num_batches,
+            sim_duration=self.source.last_completion,
+            placement_actions=self.actions,
+            tenancy=self._tenancy(),
+        )
+        tel = telemetry.current()
+        if tel is not None:
+            # Publish the run's aggregates (percentiles, goodput,
+            # attainment) and the rolling window's final signals so
+            # readers consume the registry, not the report internals.
+            report.publish_metrics(tel.registry)
+            self.window.publish(tel.registry, engine=report.engine)
+        return report

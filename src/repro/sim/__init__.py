@@ -25,7 +25,6 @@ from repro.sim.sources import (
     ElasticitySource,
     MultiTenantServingSource,
     PipelineStepSource,
-    ServingSource,
     StreamBudgetSource,
     SystemStepSource,
     TimedClusterEventSource,
@@ -41,7 +40,6 @@ __all__ = [
     "PipelineStepSource",
     "Priority",
     "Scenario",
-    "ServingSource",
     "SimClock",
     "SimEvent",
     "SimKernel",

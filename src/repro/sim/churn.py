@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.bench.gates import seal
-from repro.bench.harness import cluster_for
+from repro.bench.harness import cluster_for, placements_rehomed
 from repro.bench.serving import probe_batch_seconds
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
 from repro.config import MoEModelConfig
@@ -531,18 +531,6 @@ def build_churn_scenario(
     )
 
 
-def _experts_survive(engine) -> bool:
-    """Every expert of every layer still owns a replica on a live device."""
-    state = engine.cluster_state
-    if state is None:
-        return True
-    live = state.live_mask()
-    for placement in engine.placements():
-        if (placement.counts[:, live].sum(axis=1) < 1).any():
-            return False
-    return True
-
-
 def _run_arm(
     config: ChurnScenarioConfig, autoscale: bool
 ) -> tuple[dict[str, object], dict]:
@@ -574,7 +562,7 @@ def _run_arm(
         "notices_delivered": len(handles.spot.noticed),
         "floor_degradations": engine.floor_degradations,
         "committed_actions": engine.committed_actions,
-        "experts_survive": _experts_survive(engine),
+        "experts_survive": placements_rehomed(engine, min_replicas=1),
         "processed_events": kernel.processed_events,
     }
     if handles.autoscaler is not None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bench.gates import seal
-from repro.bench.harness import cluster_for
+from repro.bench.harness import cluster_for, placements_rehomed
 from repro.bench.serving import probe_batch_seconds
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
 from repro.config import MoEModelConfig
@@ -252,18 +252,6 @@ def build_composed_scenario(
     )
 
 
-def _experts_survive(engine) -> bool:
-    """Every expert of every layer still owns a replica on a live device."""
-    state = engine.cluster_state
-    if state is None:
-        return True
-    live = state.live_mask()
-    for placement in engine.placements():
-        if (placement.counts[:, live].sum(axis=1) < 1).any():
-            return False
-    return True
-
-
 def composed_scenario_run(
     smoke: bool = False,
     seed: int = 0,
@@ -318,5 +306,5 @@ def composed_scenario_run(
         "engine_committed_actions": engine.committed_actions,
         "placement_actions_total": engine.committed_actions,
         "processed_events": kernel.processed_events,
-        "experts_survive": _experts_survive(engine),
+        "experts_survive": placements_rehomed(engine, min_replicas=1),
     })

@@ -6,8 +6,8 @@ arrivals and batch completions -- runs on ONE substrate: a
 :class:`SimClock` driven by an :class:`EventQueue` with deterministic
 ``(time, priority, seq)`` ordering, so any mix of workloads composes on a
 shared clock (see ``docs/simulation.md``). The one other step loop is
-``simulate_pipeline(kernel=False)``, the plain inline baseline the perf
-harness times the kernel against.
+the plain inline ``engine.step`` baseline the perf harness times the
+kernel against.
 
 Ordering rules:
 
@@ -192,8 +192,8 @@ class SimKernel:
     the head time are popped together in ``(priority, seq)`` order and
     dispatched without touching the heap between them; a source that
     re-schedules at the *current* time (the dispatch-at-now idiom of
-    :class:`~repro.sim.sources.ServingSource`) lands in a small sorted
-    side buffer instead of churning the heap. Dispatch order is exactly
+    :class:`~repro.sim.sources.MultiTenantServingSource`) lands in a
+    small sorted side buffer instead of churning the heap. Dispatch order is exactly
     that of popping one event at a time off the heap.
     """
 

@@ -11,9 +11,10 @@ Each class here turns one formerly-bespoke loop into an
   schedule as FAILURE events, instead of per-step polling;
 * :class:`TimedClusterEventSource` -- cluster events keyed by simulated
   *seconds*, which the old step-indexed loops could not express;
-* :class:`ServingSource` -- request arrival / batch dispatch / batch
-  completion on one clock (the "advance to next arrival vs. completion"
-  logic the serving engine used to hand-roll);
+* :class:`MultiTenantServingSource` -- request arrival / batch dispatch
+  / batch completion on one clock (the "advance to next arrival vs.
+  completion" logic the serving engine used to hand-roll), with
+  priority preemption of in-flight work;
 * :class:`StreamBudgetSource` -- periodic bandwidth grants draining the
   engines' best-effort adjustment streams, so background migration
   traffic competes for bandwidth as an explicit budgeted event stream;
@@ -229,72 +230,91 @@ class TimedClusterEventSource:
             )
 
 
-class ServingSource:
+class MultiTenantServingSource:
     """Arrival / dispatch / completion events of one batch server.
 
     Owns the "advance the clock to the next arrival vs. the in-flight
-    batch's completion" logic every serving loop needs: arrivals are
-    ARRIVAL events, the server dispatches the next FIFO micro-batch as a
+    batch's completion" logic every serving loop needs: each request is
+    an ARRIVAL event, the server dispatches the next micro-batch as a
     STEP event whenever it is idle and the queue is non-empty, and the
     batch's modelled duration schedules a COMPLETION event that frees
     the server. Priorities fix the admission order at any instant:
     completions free the server first, then arrivals are admitted, then
     the dispatch forms its batch.
 
+    The serve callback is split so preempted batches can be
+    un-recorded: ``dispatch(batch, now, index)`` models and times the
+    batch, but its requests are only accounted when
+    ``complete(batch, start, execute)`` fires. An arrival of strictly
+    higher priority than a preemptible in-flight batch preempts it: the
+    scheduled completion is invalidated (a generation counter -- the
+    kernel has no event cancellation), the batch's requests are
+    re-queued at the *front* of their sub-queues with their fairness
+    credit refunded, and the partial execution is wasted work
+    (:attr:`wasted_seconds`). Preempted requests are never dropped:
+    they re-dispatch later, paying their full execute time again and a
+    queue time measured from their original arrival. A single-stream
+    server is the one-tenant case, where no arrival can outrank the
+    in-flight batch.
+
     Args:
         requests: The stream (any order; sorted by ``(arrival, index)``).
-        queue: An :class:`~repro.serving.admission.AdmissionQueue`-shaped
-            object (``offer`` / ``next_batch`` / ``queued_requests``).
-        serve: ``serve(batch, now, batch_index) -> execute_seconds`` --
-            the model/engine half of the server; everything time lives
-            here.
-        vectorized: Lazy bulk admission: instead of one ARRIVAL heap
-            event per request, arrivals are admitted in bulk (in arrival
-            order) whenever the server reaches a decision point -- a
-            batch completion, or a single "wake" event at the next
-            arrival when the server idles on an empty queue. The server
-            is a single FIFO consumer, so no dispatch can intervene
-            between two admissions of a busy period and the queue and
-            rejection evolution is identical to the per-request mode;
-            only the event count (and therefore the heap traffic)
-            shrinks. ``False`` (default) keeps the per-request ARRIVAL
-            events -- required when the source composes into a scenario
-            with a finite ``duration`` horizon, where bulk admission at
-            a completion past the horizon would never run.
+        queue: A :class:`~repro.serving.admission.PriorityAdmissionQueue`
+            -shaped object (``offer`` / ``next_batch`` /
+            ``queued_requests`` / ``highest_queued_priority`` /
+            ``batch_priority`` / ``batch_preemptible`` / ``requeue``).
+        dispatch: ``dispatch(batch, now, batch_index) -> execute_seconds``
+            -- the model/engine half of the server.
+        complete: ``complete(batch, start, execute)`` for every batch
+            that genuinely finished (never for a preempted one).
+        preempted: ``preempted(batch, start, elapsed)`` for every
+            preempted batch.
+        preemption: Whether higher-priority arrivals preempt.
 
     Attributes:
         rejected: Requests turned away by admission backpressure.
         num_batches: Micro-batches dispatched so far.
         last_completion: Simulated time the latest batch finished.
+        preemptions: In-flight batches preempted.
+        preempted_requests: Requests re-queued by preemptions.
+        wasted_seconds: Partial execute time thrown away.
     """
 
     def __init__(
         self,
         requests: Sequence,
         queue,
-        serve: Callable[[tuple, float, int], float],
-        vectorized: bool = False,
+        dispatch: Callable[[tuple, float, int], float],
+        complete: Callable[[tuple, float, float], None] | None = None,
+        preempted: Callable[[tuple, float, float], None] | None = None,
+        preemption: bool = True,
     ) -> None:
         self._requests = tuple(
             sorted(requests, key=lambda r: (r.arrival, r.index))
         )
         self._queue = queue
-        self._serve = serve
+        self._dispatch_cb = dispatch
+        self._complete_cb = complete
+        self._preempted_cb = preempted
+        self._preemption = bool(preemption)
         self._kernel: SimKernel | None = None
         self._busy = False
         self._dispatch_scheduled = False
-        self._vectorized = bool(vectorized)
-        self._next = 0  # admission cursor into _requests (vectorized mode)
+        # (batch, start, execute, priority, preemptible) of the batch on
+        # the server, or None when idle.
+        self._inflight: tuple | None = None
+        # Bumped on every preemption; a completion scheduled for an
+        # older generation is stale and must not fire.
+        self._generation = 0
         self.rejected: list = []
         self.num_batches = 0
         self.last_completion = 0.0
+        self.preemptions = 0
+        self.preempted_requests = 0
+        self.wasted_seconds = 0.0
 
     def prime(self, kernel: SimKernel, scenario: "Scenario") -> None:
         self._kernel = kernel
-        if self._vectorized:
-            if self._requests:
-                self._schedule_wake()
-            return
         for request in self._requests:
             kernel.schedule_at(
                 request.arrival,
@@ -310,38 +330,15 @@ class ServingSource:
         if not self._queue.offer(request):
             self.rejected.append(request)
             return
+        if (
+            self._preemption
+            and self._busy
+            and self._inflight[4]  # the in-flight batch is preemptible
+        ):
+            queued = self._queue.highest_queued_priority()
+            if queued is not None and queued > self._inflight[3]:
+                self._preempt_inflight()
         self._maybe_dispatch()
-
-    def _schedule_wake(self) -> None:
-        """One ARRIVAL event at the next pending request's arrival time.
-
-        Only scheduled while the server idles on an empty queue, so at
-        most one wake is ever outstanding."""
-        self._kernel.schedule_at(
-            self._requests[self._next].arrival,
-            self._wake,
-            Priority.ARRIVAL,
-            label=f"admit[{self._next}]",
-        )
-
-    def _wake(self) -> None:
-        self._admit_due()
-        self._maybe_dispatch()
-
-    def _admit_due(self) -> None:
-        """Admit every not-yet-offered request with ``arrival <= now``,
-        in arrival order -- exactly the offers the per-request mode
-        would have made since the last decision point."""
-        now = self._kernel.now
-        requests = self._requests
-        index = self._next
-        n = len(requests)
-        while index < n and requests[index].arrival <= now:
-            request = requests[index]
-            if not self._queue.offer(request):
-                self.rejected.append(request)
-            index += 1
-        self._next = index
 
     def _maybe_dispatch(self) -> None:
         if self._busy or self._dispatch_scheduled:
@@ -361,13 +358,22 @@ class ServingSource:
         if self._busy or not self._queue.queued_requests:
             return
         batch = self._queue.next_batch()
-        execute = self._serve(batch, self._kernel.now, self.num_batches)
+        now = self._kernel.now
+        execute = self._dispatch_cb(batch, now, self.num_batches)
         self._busy = True
         self._observe_batch(batch, execute)
+        self._inflight = (
+            batch,
+            now,
+            execute,
+            self._queue.batch_priority(batch),
+            self._queue.batch_preemptible(batch),
+        )
         self.num_batches += 1
+        generation = self._generation
         self._kernel.schedule(
             execute,
-            self._complete,
+            lambda: self._finish(generation),
             Priority.COMPLETION,
             label=f"complete[{self.num_batches - 1}]",
         )
@@ -390,117 +396,6 @@ class ServingSource:
                 cat="serving",
                 args={"requests": len(batch)},
             )
-
-    def _complete(self) -> None:
-        self._busy = False
-        self.last_completion = self._kernel.now
-        if self._vectorized:
-            self._admit_due()
-        self._maybe_dispatch()
-        if (
-            self._vectorized
-            and not self._busy
-            and not self._dispatch_scheduled
-            and not self._queue.queued_requests
-            and self._next < len(self._requests)
-        ):
-            self._schedule_wake()
-
-
-class MultiTenantServingSource(ServingSource):
-    """A :class:`ServingSource` with priority preemption of in-flight work.
-
-    Drives a multi-tenant admission queue (an object additionally
-    exposing ``highest_queued_priority`` / ``batch_priority`` /
-    ``batch_preemptible`` / ``requeue``) and splits the serve callback
-    into dispatch and completion halves so preempted batches can be
-    un-recorded: ``dispatch(batch, now, index)`` models and times the
-    batch, but its requests are only accounted when
-    ``complete(batch, start, execute)`` fires. An arrival of strictly
-    higher priority than a preemptible in-flight batch preempts it: the
-    scheduled completion is invalidated (a generation counter -- the
-    kernel has no event cancellation), the batch's requests are
-    re-queued at the *front* of their sub-queues with their fairness
-    credit refunded, and the partial execution is wasted work
-    (:attr:`wasted_seconds`). Preempted requests are never dropped:
-    they re-dispatch later, paying their full execute time again and a
-    queue time measured from their original arrival.
-
-    Arrivals are always eager (one ARRIVAL event per request): lazy
-    bulk admission would only observe arrivals at completions, exactly
-    the moments preemption must *interrupt*.
-
-    Attributes:
-        preemptions: In-flight batches preempted.
-        preempted_requests: Requests re-queued by preemptions.
-        wasted_seconds: Partial execute time thrown away.
-    """
-
-    def __init__(
-        self,
-        requests: Sequence,
-        queue,
-        dispatch: Callable[[tuple, float, int], float],
-        complete: Callable[[tuple, float, float], None] | None = None,
-        preempted: Callable[[tuple, float, float], None] | None = None,
-        preemption: bool = True,
-    ) -> None:
-        super().__init__(requests, queue, dispatch, vectorized=False)
-        self._complete_cb = complete
-        self._preempted_cb = preempted
-        self._preemption = bool(preemption)
-        # (batch, start, execute, priority, preemptible) of the batch on
-        # the server, or None when idle.
-        self._inflight: tuple | None = None
-        # Bumped on every preemption; a completion scheduled for an
-        # older generation is stale and must not fire.
-        self._generation = 0
-        self.preemptions = 0
-        self.preempted_requests = 0
-        self.wasted_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    # Event handlers
-    # ------------------------------------------------------------------
-    def _on_arrival(self, request) -> None:
-        if not self._queue.offer(request):
-            self.rejected.append(request)
-            return
-        if (
-            self._preemption
-            and self._busy
-            and self._inflight is not None
-            and self._inflight[4]  # the in-flight batch is preemptible
-        ):
-            queued = self._queue.highest_queued_priority()
-            if queued is not None and queued > self._inflight[3]:
-                self._preempt_inflight()
-        self._maybe_dispatch()
-
-    def _dispatch(self) -> None:
-        self._dispatch_scheduled = False
-        if self._busy or not self._queue.queued_requests:
-            return
-        batch = self._queue.next_batch()
-        now = self._kernel.now
-        execute = self._serve(batch, now, self.num_batches)
-        self._busy = True
-        self._observe_batch(batch, execute)
-        self._inflight = (
-            batch,
-            now,
-            execute,
-            self._queue.batch_priority(batch),
-            self._queue.batch_preemptible(batch),
-        )
-        self.num_batches += 1
-        generation = self._generation
-        self._kernel.schedule(
-            execute,
-            lambda: self._finish(generation),
-            Priority.COMPLETION,
-            label=f"complete[{self.num_batches - 1}]",
-        )
 
     def _finish(self, generation: int) -> None:
         if generation != self._generation:

@@ -170,6 +170,15 @@ class MetricsRegistry:
             return gauge.value
         return None
 
+    def counter_total(self, name: str) -> float:
+        """Counter ``name`` summed over every label set (0.0 if absent),
+        e.g. the per-tenant ``admission.admitted`` counters."""
+        return sum(
+            counter.value
+            for (counter_name, _), counter in self._counters.items()
+            if counter_name == name
+        )
+
     def snapshot(self) -> dict[str, object]:
         """Deterministic flat view: ``{"counters": {...}, "gauges":
         {...}, "histograms": {...}}`` with ``name{k=v}`` keys sorted."""

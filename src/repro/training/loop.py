@@ -15,9 +15,8 @@ Both simulators are hosted on the unified discrete-event kernel
 (:mod:`repro.sim`): steps are event sources on the shared clock, so the
 same runs compose with elasticity schedules, serving traffic and stream
 budgets declared in one :class:`~repro.sim.scenario.Scenario`.
-:func:`simulate_pipeline` also takes ``kernel=False``, a plain inline step
-loop with no event machinery: the perf harness times the kernel against
-it (both with telemetry disabled), and ``tests/test_sim_identity.py``
+The perf harness times the kernel against a plain inline ``engine.step``
+loop (both with telemetry disabled), and ``tests/test_sim_identity.py``
 asserts the two are decision- and metric-identical on seeded runs.
 """
 
@@ -216,21 +215,18 @@ def simulate_pipeline(
     engine: MultiLayerFlexMoEEngine,
     trace: MultiLayerTrace,
     warmup: int = 0,
-    kernel: bool = True,
 ) -> PipelineRunResult:
     """Run the multi-layer engine over every step of ``trace``.
+
+    The run is hosted on the shared discrete-event kernel: steps become
+    TRIGGER/STEP/STREAM events and any elasticity schedule becomes a
+    FAILURE event source, instead of being polled per step.
 
     Args:
         engine: The pipelined engine (one scheduler per MoE layer).
         trace: Per-layer per-step token assignments; its layer count must
             match the engine's.
         warmup: Initial steps executed but excluded from the aggregates.
-        kernel: Host the run on the shared discrete-event kernel (the
-            default): steps become TRIGGER/STEP/STREAM events and any
-            elasticity schedule becomes a FAILURE event source, instead
-            of being polled per step. ``False`` runs a plain inline
-            loop (the instrumentation-free baseline the perf harness
-            times against). Identical results either way.
     """
     if trace.num_layers != engine.num_moe_layers:
         raise SimulationError(
@@ -241,19 +237,16 @@ def simulate_pipeline(
         raise SimulationError(
             f"warmup must be in [0, {trace.num_steps}), got {warmup}"
         )
-    if kernel:
-        step_source = PipelineStepSource(engine, trace)
-        sources: tuple = (step_source,)
-        if getattr(engine, "elasticity", None) is not None:
-            sources = (ElasticitySource(engine), step_source)
-        Scenario(
-            name=f"pipeline-{engine.name}",
-            sources=sources,
-            duration=trace.num_steps,
-        ).run()
-        results = step_source.results
-    else:
-        results = [engine.step(trace.step(t), t) for t in range(trace.num_steps)]
+    step_source = PipelineStepSource(engine, trace)
+    sources: tuple = (step_source,)
+    if getattr(engine, "elasticity", None) is not None:
+        sources = (ElasticitySource(engine), step_source)
+    Scenario(
+        name=f"pipeline-{engine.name}",
+        sources=sources,
+        duration=trace.num_steps,
+    ).run()
+    results = step_source.results
     return PipelineRunResult(
         engine=engine.name,
         results=tuple(results[warmup:]),

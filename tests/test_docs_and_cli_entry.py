@@ -50,6 +50,24 @@ def test_config_field_check_names_a_missing_field(tmp_path):
     assert "SchedulerConfig.retired_flag" in problems[1]
 
 
+def test_call_keyword_check_names_a_deleted_parameter(tmp_path):
+    """Check 6 covers any public callable of the API modules, not just
+    SchedulerConfig: a doc still passing a deleted keyword fails."""
+    check = load_check_docs()
+    keywords = check.public_keywords()
+    fields = keywords["SchedulerConfig"][1]
+    doc = tmp_path / "stale.md"
+    doc.write_text(
+        "Time it against `simulate_pipeline(kernel=False)`, or serve with\n"
+        "`ServingEngine(engine, requests, batching, slo, tenants=None)`;\n"
+        "`Scenario(name=\"x\", sources=(a, b), duration=5.0)` runs.\n"
+    )
+    problems = check.check_config_fields(doc, fields, keywords)
+    assert len(problems) == 1
+    assert "simulate_pipeline.kernel" in problems[0]
+    assert "repro.training.loop.simulate_pipeline" in problems[0]
+
+
 def test_docs_name_only_live_config_fields():
     assert load_check_docs().check_docs_config_fields() == []
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.harness import faults_run
+from repro.bench.harness import faults_run, placements_rehomed
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
 from repro.config import (
     ClusterConfig,
@@ -226,6 +226,36 @@ class TestEngineRecovery:
 # ----------------------------------------------------------------------
 # Faults harness
 # ----------------------------------------------------------------------
+class TestPlacementsRehomed:
+    """The one survival check behind the faults report's ``rehomed``
+    flags (``min_replicas=2``) and the serving scenarios'
+    ``experts_survive`` (``min_replicas=1``)."""
+
+    class _Engine:
+        def __init__(self, counts, live):
+            self._placement = Placement(np.array(counts), slots_per_gpu=2)
+            self.cluster_state = type(
+                "State", (), {"live_mask": lambda _: np.array(live)}
+            )()
+
+        def placements(self):
+            return (self._placement,)
+
+    def test_expert_only_on_dead_device_fails_survival(self):
+        # Expert 1 lives only on GPU 2, which is dead.
+        engine = self._Engine(
+            [[1, 1, 0], [0, 0, 1]], live=[True, True, False]
+        )
+        assert not placements_rehomed(engine, min_replicas=1)
+
+    def test_one_live_replica_survives_but_misses_a_floor_of_two(self):
+        engine = self._Engine(
+            [[1, 1, 0], [0, 1, 1]], live=[True, True, False]
+        )
+        assert placements_rehomed(engine, min_replicas=1)
+        assert not placements_rehomed(engine, min_replicas=2)
+
+
 class TestFaultsRun:
     def test_seeded_scenario_is_deterministic(self):
         kwargs = dict(num_moe_layers=1, num_gpus=4, num_experts=8,

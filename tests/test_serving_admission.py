@@ -1,14 +1,24 @@
-"""Admission queue: FIFO micro-batching and token-depth backpressure."""
+"""Single-stream admission: FIFO micro-batching and token-depth
+backpressure of the one-tenant :class:`PriorityAdmissionQueue`."""
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.serving.admission import AdmissionQueue, BatchingConfig
+from repro.serving.admission import BatchingConfig, PriorityAdmissionQueue
+from repro.serving.engine import single_stream_tenant
 from repro.serving.requests import Request
+from repro.serving.slo import SLOConfig
 
 
 def request(index, tokens, arrival=0.0, topic=0):
     return Request(index=index, arrival=arrival, tokens=tokens, topic=topic)
+
+
+def single_stream_queue(config):
+    """The queue a server built without tenants admits through."""
+    return PriorityAdmissionQueue(
+        config, (single_stream_tenant(SLOConfig(latency_target=1.0)),)
+    )
 
 
 class TestBatchingConfig:
@@ -25,7 +35,7 @@ class TestBatchingConfig:
 
 class TestBatching:
     def test_fifo_order_and_token_budget(self):
-        queue = AdmissionQueue(BatchingConfig(max_batch_tokens=100))
+        queue = single_stream_queue(BatchingConfig(max_batch_tokens=100))
         for i, tokens in enumerate((40, 40, 40, 10)):
             assert queue.offer(request(i, tokens))
         batch = queue.next_batch()
@@ -36,7 +46,7 @@ class TestBatching:
         assert queue.queued_tokens == 0
 
     def test_oversized_request_forms_its_own_batch(self):
-        queue = AdmissionQueue(BatchingConfig(max_batch_tokens=100))
+        queue = single_stream_queue(BatchingConfig(max_batch_tokens=100))
         assert queue.offer(request(0, 500))
         assert queue.offer(request(1, 10))
         batch = queue.next_batch()
@@ -44,7 +54,7 @@ class TestBatching:
         assert [r.index for r in queue.next_batch()] == [1]
 
     def test_token_accounting(self):
-        queue = AdmissionQueue(BatchingConfig(max_batch_tokens=64))
+        queue = single_stream_queue(BatchingConfig(max_batch_tokens=64))
         queue.offer(request(0, 30))
         queue.offer(request(1, 20))
         assert queue.queued_tokens == 50
@@ -54,7 +64,7 @@ class TestBatching:
 
 class TestBackpressure:
     def test_rejects_beyond_queue_limit(self):
-        queue = AdmissionQueue(
+        queue = single_stream_queue(
             BatchingConfig(max_batch_tokens=100, max_queue_tokens=100)
         )
         assert queue.offer(request(0, 60))
@@ -64,14 +74,14 @@ class TestBackpressure:
         assert queue.queued_tokens == 100
 
     def test_empty_queue_always_admits(self):
-        queue = AdmissionQueue(
+        queue = single_stream_queue(
             BatchingConfig(max_batch_tokens=100, max_queue_tokens=50)
         )
         assert queue.offer(request(0, 500))  # oversized but queue empty
         assert not queue.offer(request(1, 1))
 
     def test_unbounded_by_default(self):
-        queue = AdmissionQueue(BatchingConfig(max_batch_tokens=10))
+        queue = single_stream_queue(BatchingConfig(max_batch_tokens=10))
         for i in range(100):
             assert queue.offer(request(i, 1000))
         assert queue.rejected_requests == 0

@@ -325,10 +325,16 @@ class TestAdmissionQueueMeta:
             for i, (a, t, p) in enumerate(specs)
         ]
 
-    def test_meta_columns_mirror_popped_batch(self):
-        from repro.serving.admission import AdmissionQueue
+    def _queue(self, config):
+        from repro.serving.admission import PriorityAdmissionQueue
+        from repro.serving.engine import single_stream_tenant
 
-        queue = AdmissionQueue(BatchingConfig(max_batch_tokens=300))
+        return PriorityAdmissionQueue(
+            config, (single_stream_tenant(SLOConfig(latency_target=1.0)),)
+        )
+
+    def test_meta_columns_mirror_popped_batch(self):
+        queue = self._queue(BatchingConfig(max_batch_tokens=300))
         requests = self._requests(
             [(0.0, 100, 1), (0.5, 150, 2), (1.0, 200, 0), (1.5, 50, 3)]
         )
@@ -347,9 +353,7 @@ class TestAdmissionQueueMeta:
         np.testing.assert_array_equal(queue.last_batch_tokens, [200, 50])
 
     def test_rejected_requests_never_enter_meta(self):
-        from repro.serving.admission import AdmissionQueue
-
-        queue = AdmissionQueue(
+        queue = self._queue(
             BatchingConfig(max_batch_tokens=100, max_queue_tokens=150)
         )
         admitted = self._requests([(0.0, 100, 0)])[0]

@@ -15,15 +15,14 @@ Around them: config validation, weighted-fair/stride selection,
 two-level backpressure, preemption semantics of
 :class:`~repro.sim.sources.MultiTenantServingSource` (generation-stale
 completions, requeue-at-front, credit refund), per-class/fairness
-reporting, and the eager-admission default the multi-tenant path
-requires (see docs/serving.md).
+reporting, and eager admission under a finite scenario horizon (see
+docs/serving.md).
 """
 
-import inspect
 from collections import Counter, defaultdict, deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.serving.admission import (
@@ -45,7 +44,7 @@ from repro.serving.slo import (
     TenancyInfo,
     TenantClass,
 )
-from repro.sim import MultiTenantServingSource, Scenario, ServingSource
+from repro.sim import MultiTenantServingSource, Scenario
 
 SLO = SLOConfig(latency_target=1.0)
 INTERACTIVE = TenantClass("interactive", SLO, priority=10, preemptible=False)
@@ -468,18 +467,31 @@ def test_property_priority_ordering_invariant(
     max_batch_tokens=st.integers(20, 200),
     max_queue_tokens=st.one_of(st.none(), st.integers(50, 400)),
 )
+# Exact fills: a batch and the queue each land precisely on their bound.
+@example(offers=[50, 50, 50, 1], max_batch_tokens=100, max_queue_tokens=150)
 def test_property_single_tenant_reduces_to_plain_queue(
     offers, max_batch_tokens, max_queue_tokens
 ):
     """With one tenant and no per-tenant bounds, both policies drain
-    batches identical to the plain :class:`AdmissionQueue` -- the
-    reduction the single-tenant identity tests rely on."""
-    from repro.serving.admission import AdmissionQueue
-
-    config = BatchingConfig(
-        max_batch_tokens=max_batch_tokens, max_queue_tokens=max_queue_tokens
-    )
-    reference = AdmissionQueue(config)
+    batches identical to a plain FIFO queue with token backpressure --
+    the single-stream server's front-end. The oracle is the deque model
+    below: an empty queue always admits, a non-empty one rejects past
+    ``max_queue_tokens``, and each batch pops FIFO heads until the next
+    would exceed ``max_batch_tokens`` (the first always pops)."""
+    fifo: deque = deque()
+    for index, tokens in enumerate(offers):
+        queued = sum(t for _, t in fifo)
+        limit = max_queue_tokens
+        if not fifo or limit is None or queued + tokens <= limit:
+            fifo.append((index, tokens))
+    expected = []
+    while fifo:
+        batch, batch_tokens = [], 0
+        while fifo and (not batch or batch_tokens + fifo[0][1]
+                        <= max_batch_tokens):
+            batch.append(fifo[0][0])
+            batch_tokens += fifo.popleft()[1]
+        expected.append(tuple(batch))
     drained = {}
     for policy in ADMISSION_POLICIES:
         queue = make_queue(
@@ -494,11 +506,6 @@ def test_property_single_tenant_reduces_to_plain_queue(
         while queue.queued_requests:
             batches.append(tuple(r.index for r in queue.next_batch()))
         drained[policy] = batches
-    for index, tokens in enumerate(offers):
-        reference.offer(request(index, tokens))
-    expected = []
-    while reference.queued_requests:
-        expected.append(tuple(r.index for r in reference.next_batch()))
     assert drained["priority"] == expected
     assert drained["fifo"] == expected
 
@@ -631,44 +638,22 @@ class TestPreemption:
 
 
 # ---------------------------------------------------------------------------
-# Eager-vs-lazy admission default (ISSUE-7 satellite: the composed-
-# scenario bug class documented in docs/serving.md)
+# Eager admission under a finite horizon (the composed-scenario bug class
+# documented in docs/serving.md)
 # ---------------------------------------------------------------------------
-class TestEagerAdmissionDefault:
-    def test_event_source_defaults_to_eager(self):
-        parameters = inspect.signature(ServingEngine.event_source).parameters
-        assert parameters["lazy_admission"].default is False
-
-    def test_lazy_admission_strands_arrivals_under_finite_horizon(self):
-        """Why eager is the default: lazy bulk admission only observes
-        arrivals at completions, and a completion past the scenario
-        horizon never fires -- requests 1 and 2 are never even offered.
-        The eager source has them queued at the horizon."""
-        queued = {}
-        for lazy in (False, True):
-            queue_holder = {}
-
-            def serve(batch, now, index):
-                return 10.0
-
-            from repro.serving.admission import AdmissionQueue
-
-            queue = AdmissionQueue(BatchingConfig(max_batch_tokens=100))
-            requests = tuple(
-                request(i, 100, arrival=float(i)) for i in range(3)
-            )
-            source = ServingSource(requests, queue, serve, vectorized=lazy)
-            Scenario(
-                name="horizon", sources=(source,), duration=5.0
-            ).run()
-            queued[lazy] = queue.queued_requests
-        assert queued[False] == 2
-        assert queued[True] == 0
-
-    def test_multitenant_event_source_rejects_lazy(self):
-        engine = _tiny_engine()
-        with pytest.raises(ConfigurationError):
-            engine.event_source(lazy_admission=True)
+class TestEagerAdmission:
+    def test_arrivals_are_queued_under_finite_horizon(self):
+        """Every arrival is its own kernel event, so a scenario horizon
+        that cuts the run mid-batch leaves later arrivals queued -- never
+        stranded un-offered."""
+        queue = make_queue((spec(name="only"),), max_batch_tokens=100)
+        requests = tuple(request(i, 100, arrival=float(i)) for i in range(3))
+        source = MultiTenantServingSource(
+            requests, queue, lambda batch, now, index: 10.0
+        )
+        Scenario(name="horizon", sources=(source,), duration=5.0).run()
+        assert source.num_batches == 1
+        assert queue.queued_requests == 2
 
 
 def _tiny_engine(policy="priority", preemption=True, dynamic=True):

@@ -3,9 +3,10 @@
 Two kinds of check:
 
 * production-path identities -- the kernel-hosted pipeline and faults runs
-  against ``simulate_pipeline(kernel=False)``, the kernel-hosted
-  single-layer training run against an inline ``system.step`` loop, and
-  one-tenant multi-tenant serving against the single-stream server;
+  against an inline ``engine.step`` loop, the kernel-hosted single-layer
+  training run against an inline ``system.step`` loop, and a server built
+  without tenants (one implicit tenant) against an explicit one-tenant
+  ``TenantSpec`` server;
 * golden pins -- the serving scenarios' reports (and one kernel trace)
   against ``tests/data/serving_golden.json``. The values were recorded
   while the pre-kernel clock loop and the per-request accounting still
@@ -44,6 +45,7 @@ from repro.serving.requests import RequestStream, RequestStreamConfig, TenantSpe
 from repro.serving.slo import SLOConfig, TenantClass
 from repro.sim import Scenario
 from repro.training.loop import (
+    PipelineRunResult,
     TrainingRunResult,
     simulate_pipeline,
     simulate_training,
@@ -75,6 +77,19 @@ def _trace(num_steps=8, num_gpus=8, seed=0):
     )
 
 
+def _inline_pipeline(engine, trace):
+    """The plain inline step loop: no kernel, no event sources."""
+    return PipelineRunResult(
+        engine=engine.name,
+        results=tuple(
+            engine.step(trace.step(t), t) for t in range(trace.num_steps)
+        ),
+        num_moe_layers=engine.num_moe_layers,
+        final_placement_signatures=engine.placement_signatures(),
+        event_log=getattr(engine, "event_log", ()),
+    )
+
+
 def _assert_pipeline_runs_identical(a, b):
     np.testing.assert_array_equal(a.step_times, b.step_times)
     assert a.final_placement_signatures == b.final_placement_signatures
@@ -88,11 +103,13 @@ def _assert_pipeline_runs_identical(a, b):
 class TestRunPathIdentity:
     def test_pipeline_kernel_matches_legacy_loop(self):
         trace = _trace()
-        runs = {}
-        for kernel in (True, False):
-            engine = build_engine(cluster_for(8), MODEL, num_moe_layers=2, seed=0)
-            runs[kernel] = simulate_pipeline(engine, trace, kernel=kernel)
-        _assert_pipeline_runs_identical(runs[True], runs[False])
+
+        def engine():
+            return build_engine(cluster_for(8), MODEL, num_moe_layers=2, seed=0)
+
+        _assert_pipeline_runs_identical(
+            simulate_pipeline(engine(), trace), _inline_pipeline(engine(), trace)
+        )
 
     def test_single_layer_training_kernel_matches_legacy_loop(self):
         """The kernel-hosted run against the plain inline step loop."""
@@ -134,9 +151,9 @@ class TestFaultsPathIdentity:
         )
         trace = _trace(num_steps=8)
         slots = auto_slots_per_gpu(MODEL.num_experts, 8) + 2
-        runs = {}
-        for kernel in (True, False):
-            engine = build_engine(
+
+        def engine():
+            return build_engine(
                 cluster_for(8),
                 MODEL,
                 num_moe_layers=2,
@@ -147,10 +164,11 @@ class TestFaultsPathIdentity:
                 elasticity=schedule,
                 seed=0,
             )
-            runs[kernel] = simulate_pipeline(engine, trace, kernel=kernel)
-        _assert_pipeline_runs_identical(runs[True], runs[False])
+
+        hosted = simulate_pipeline(engine(), trace)
+        _assert_pipeline_runs_identical(hosted, _inline_pipeline(engine(), trace))
         # The elasticity genuinely fired (this is not a vacuous identity).
-        assert len(runs[True].event_log) == len(schedule)
+        assert len(hosted.event_log) == len(schedule)
 
 
 def _serving_setup(seed):
@@ -269,13 +287,14 @@ def _assert_reports_identical(a, b):
 
 
 class TestMultiTenantIdentity:
-    """One-tenant multi-tenant serving reduces exactly to the
-    single-stream path."""
+    """A server built without tenants is the one-tenant case of the
+    multi-tenant server."""
 
     def test_single_tenant_reduction_matches_single_stream_path(self):
-        """A one-tenant TenantSpec run (priority admission, preemption
-        armed but unreachable) is report-identical to the plain
-        single-stream dynamic server on the same seeded scenario."""
+        """An explicit one-tenant TenantSpec run (priority admission,
+        preemption armed but unreachable) is report-identical to the
+        dynamic server built without tenants (one implicit tenant) on
+        the same seeded scenario."""
         kwargs, stream, slo = _multitenant_fixture(seed=0)
         mt_report = build_multitenant_serving(**kwargs).run()
         plain_report = build_flexmoe_serving(

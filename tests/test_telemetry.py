@@ -19,9 +19,10 @@ from repro.config import ClusterConfig, MoEModelConfig
 from repro.core.cost_model import MemoizedStepCost, MoECostModel
 from repro.core.placement import Placement
 from repro.exceptions import ConfigurationError
-from repro.serving.admission import AdmissionQueue, BatchingConfig
+from repro.serving.admission import BatchingConfig, PriorityAdmissionQueue
+from repro.serving.engine import single_stream_tenant
 from repro.serving.requests import Request
-from repro.serving.slo import LatencyWindow
+from repro.serving.slo import LatencyWindow, SLOConfig
 from repro.telemetry import (
     DecisionTimeline,
     KernelTraceSink,
@@ -239,16 +240,105 @@ def _request(index: int, tokens: int = 100) -> Request:
     return Request(index=index, arrival=0.0, tokens=tokens, topic=0)
 
 
+def _single_stream_queue(config: BatchingConfig) -> PriorityAdmissionQueue:
+    return PriorityAdmissionQueue(
+        config, (single_stream_tenant(SLOConfig(latency_target=1.0)),)
+    )
+
+
 def test_admission_taps_count_admit_and_reject():
-    queue = AdmissionQueue(
+    queue = _single_stream_queue(
         BatchingConfig(max_batch_tokens=256, max_queue_tokens=256)
     )
     with telemetry.session() as tel:
         assert queue.offer(_request(0, 200))
         assert not queue.offer(_request(1, 100))  # 300 > 256: rejected
         counters = tel.registry.snapshot()["counters"]
-    assert counters["admission.admitted"] == 1.0
-    assert counters["admission.rejected"] == 1.0
+    # Admission counters are always per tenant; a single stream is
+    # tenant 0.
+    assert counters["admission.admitted{tenant=0}"] == 1.0
+    assert counters["admission.rejected{tenant=0}"] == 1.0
+    assert "admission.admitted" not in counters
+
+
+def test_counter_total_sums_every_label_set():
+    registry = MetricsRegistry()
+    registry.counter("admission.admitted", tenant=0).inc(3)
+    registry.counter("admission.admitted", tenant=1).inc(2)
+    registry.counter("admission.rejected", tenant=1).inc()
+    assert registry.counter_total("admission.admitted") == 5.0
+    assert registry.counter_total("admission.rejected") == 1.0
+    assert registry.counter_total("admission.shed") == 0.0
+
+
+def test_admission_counters_account_every_offered_request_composed():
+    """A tenant-less composed scenario (it drains: every request is
+    offered): admitted + rejected counters equal the requests offered,
+    and every admitted request is served."""
+    from repro.sim.composed import (
+        ComposedScenarioConfig,
+        build_composed_scenario,
+    )
+
+    config = ComposedScenarioConfig(seed=0).smoke()
+    handles = build_composed_scenario(config)
+    with telemetry.session(reuse=False) as tel:
+        handles.scenario.run()
+        report = handles.serving_run.report()
+        registry = tel.registry
+    admitted = registry.counter_total("admission.admitted")
+    rejected = registry.counter_total("admission.rejected")
+    assert admitted + rejected == config.num_requests
+    assert admitted == len(report.records) > 0
+    assert rejected == len(report.rejected)
+    assert registry.counter_total("admission.shed") == 0.0
+
+
+def test_admission_counters_account_every_offered_request_two_tenants():
+    """A two-tenant server under overload with shedding: admitted +
+    rejected counters equal the requests offered; shed requests were
+    admitted first, so admitted - shed are exactly the served ones."""
+    from repro.bench.harness import cluster_for
+    from repro.serving.baseline import build_multitenant_serving
+    from repro.serving.requests import RequestStreamConfig, TenantSpec
+    from repro.serving.slo import TenantClass
+
+    def stream(seed):
+        return RequestStreamConfig(
+            arrival="bursty", rate_rps=1e6, num_requests=40,
+            mean_tokens=128, max_tokens=512, seed=seed,
+        )
+
+    tenants = (
+        TenantSpec("chat", stream(0), TenantClass(
+            "interactive", SLOConfig(latency_target=0.05), priority=10
+        )),
+        TenantSpec("bulk", stream(1), TenantClass(
+            "batch", SLOConfig(latency_target=1.0)
+        )),
+    )
+    server = build_multitenant_serving(
+        cluster_for(4),
+        MoEModelConfig(
+            name="acct", num_layers=2, d_model=256, d_ffn=1024,
+            num_experts=8,
+        ),
+        tenants,
+        BatchingConfig(max_batch_tokens=512, max_queue_tokens=1024),
+        num_moe_layers=1,
+        seed=0,
+        shed_low_priority=True,
+    )
+    with telemetry.session(reuse=False) as tel:
+        report = server.run()
+        registry = tel.registry
+    admitted = registry.counter_total("admission.admitted")
+    rejected = registry.counter_total("admission.rejected")
+    shed = registry.counter_total("admission.shed")
+    assert admitted + rejected == 80
+    assert rejected > 0 and shed > 0  # the overload genuinely bit
+    assert admitted - shed == len(report.records)
+    assert rejected + shed == len(report.rejected)
 
 
 def test_latency_window_publish():
@@ -264,7 +354,7 @@ def test_latency_window_publish():
 
 def test_taps_are_silent_without_session():
     # No session: the same calls must neither record nor raise.
-    queue = AdmissionQueue(BatchingConfig(max_batch_tokens=256))
+    queue = _single_stream_queue(BatchingConfig(max_batch_tokens=256))
     assert queue.offer(_request(0))
     assert telemetry.current() is None
 

@@ -31,11 +31,15 @@ Six guarantees, all enforced in CI (see CONTRIBUTING.md):
    CI-gated artifact (e.g. ``BENCH_multitenant.json``,
    ``BENCH_autoscale_churn.json``) cannot land without the doc
    explaining what gates it.
-6. Docs name only live config fields: every ``SchedulerConfig.<field>``
-   and ``SchedulerConfig(<field>=...)`` in README.md, docs/*.md and the
-   verify skill (``.claude/skills/verify/SKILL.md``) is a dataclass
-   field of :class:`repro.config.SchedulerConfig`, so a deleted option
-   cannot linger in the instructions.
+6. Docs name only live options: every ``SchedulerConfig.<field>`` in
+   README.md, docs/*.md and the verify skill
+   (``.claude/skills/verify/SKILL.md``) is a dataclass field of
+   :class:`repro.config.SchedulerConfig`, and every ``Name(...kw=...)``
+   call there, where ``Name`` is a public callable exported by
+   ``repro``, ``repro.sim``, ``repro.serving`` or
+   ``repro.training.loop``, passes only keywords in that callable's
+   signature (dataclass fields count), so a deleted option cannot
+   linger in the instructions.
 
 Exit status 0 on success, 1 with a report on any failure.
 """
@@ -43,6 +47,8 @@ Exit status 0 on success, 1 with a report on any failure.
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -282,42 +288,93 @@ def check_bench_reports_documented() -> list[str]:
     ]
 
 
-#: ``SchedulerConfig.<name>`` and the keyword list of ``SchedulerConfig(...)``.
+#: Modules whose public callables check 6 holds doc calls against.
+API_MODULES = ("repro", "repro.sim", "repro.serving", "repro.training.loop")
+
+#: ``SchedulerConfig.<name>``, and ``Name(<args>)`` with at most one
+#: level of nested parentheses inside the argument list.
 CONFIG_ATTR_RE = re.compile(r"\bSchedulerConfig\.([A-Za-z_]\w*)")
-CONFIG_CALL_RE = re.compile(r"\bSchedulerConfig\(([^()]*)\)")
+CALL_RE = re.compile(r"(?<!\w)([A-Za-z_]\w*)\(((?:[^()]|\([^()]*\))*)\)")
+NESTED_CALL_RE = re.compile(r"\([^()]*\)")
 KEYWORD_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*=(?!=)")
 
 #: The verify skill's build-and-run notes, checked for stale fields too.
 VERIFY_SKILL = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
 
 
-def scheduler_config_fields() -> set[str]:
+def _accepted_keywords(obj) -> set[str] | None:
+    """Keyword names ``obj`` accepts; ``None`` when it takes ``**kwargs``."""
+    try:
+        parameters = inspect.signature(obj).parameters.values()
+    except (TypeError, ValueError):
+        return None
+    if any(p.kind is p.VAR_KEYWORD for p in parameters):
+        return None
+    names = {p.name for p in parameters if p.kind is not p.VAR_POSITIONAL}
+    if dataclasses.is_dataclass(obj):
+        names.update(field.name for field in dataclasses.fields(obj))
+    return names
+
+
+def public_keywords() -> dict[str, tuple[str, set[str] | None]]:
+    """``name -> (module, accepted keywords)`` of every public callable
+    exported by :data:`API_MODULES` (``__all__``, or the module's own
+    public definitions when it has none)."""
     sys.path.insert(0, str(REPO / "src"))
-    from repro.config import SchedulerConfig
+    table: dict[str, tuple[str, set[str] | None]] = {}
+    for module_name in API_MODULES:
+        module = importlib.import_module(module_name)
+        names = getattr(module, "__all__", None) or [
+            name for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and getattr(obj, "__module__", None) == module_name
+        ]
+        for name in names:
+            obj = getattr(module, name)
+            if callable(obj) and name not in table:
+                table[name] = (module_name, _accepted_keywords(obj))
+    return table
 
-    return {field.name for field in dataclasses.fields(SchedulerConfig)}
+
+def scheduler_config_fields() -> set[str]:
+    return public_keywords()["SchedulerConfig"][1]
 
 
-def check_config_fields(path: Path, fields: set[str]) -> list[str]:
-    """Every ``SchedulerConfig`` field ``path`` names is one of ``fields``."""
+def check_config_fields(
+    path: Path,
+    fields: set[str],
+    keywords: dict[str, tuple[str, set[str] | None]] | None = None,
+) -> list[str]:
+    """Every ``SchedulerConfig`` field and every public-callable keyword
+    ``path`` names is live: ``fields`` are SchedulerConfig's, and
+    ``keywords`` (default :func:`public_keywords`) the callables'."""
+    table = dict(public_keywords() if keywords is None else keywords)
+    table["SchedulerConfig"] = ("repro", fields)
     text = path.read_text(encoding="utf-8")
-    named = set(CONFIG_ATTR_RE.findall(text))
-    for call in CONFIG_CALL_RE.findall(text):
-        named.update(KEYWORD_RE.findall(call))
-    return [
-        f"{path.name}: names SchedulerConfig.{name}, which is not a "
-        "field of repro.config.SchedulerConfig"
-        for name in sorted(named - fields)
-    ]
+    named = {("SchedulerConfig", f) for f in CONFIG_ATTR_RE.findall(text)}
+    for name, args in CALL_RE.findall(text):
+        if name in table:
+            flat = NESTED_CALL_RE.sub("()", args)
+            named.update((name, kw) for kw in KEYWORD_RE.findall(flat))
+    problems = []
+    for name, keyword in sorted(named):
+        module, accepted = table[name]
+        if accepted is not None and keyword not in accepted:
+            problems.append(
+                f"{path.name}: names {name}.{keyword}, which is not a "
+                f"parameter or field of {module}.{name}"
+            )
+    return problems
 
 
 def check_docs_config_fields() -> list[str]:
     """:func:`check_config_fields` over the docs and the verify skill."""
-    fields = scheduler_config_fields()
+    keywords = public_keywords()
+    fields = keywords["SchedulerConfig"][1]
     problems = []
     for path in [*doc_paths(), VERIFY_SKILL]:
         if path.exists():
-            problems.extend(check_config_fields(path, fields))
+            problems.extend(check_config_fields(path, fields, keywords))
     return problems
 
 
@@ -347,7 +404,7 @@ def main() -> int:
     print(
         f"docs check OK ({len(doc_paths())} files, quickstart ran, "
         "module map in sync, no tracked bytecode, bench reports "
-        "documented, config fields live)"
+        "documented, doc options live)"
     )
     return 0
 
