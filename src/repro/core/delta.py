@@ -35,8 +35,9 @@ Eq. 5's max over a copy of the base per-GPU times with the changed
 experts' old contributions scattered out and their new ones scattered in.
 Pricing is split in two: *routing* a batch of candidates touches no
 AllReduce group, and *finishing* a contiguous range of them probes the
-sync groups of their flipped rows and takes the max.  Three query shapes
-cover the searchers:
+sync groups of their flipped rows and takes the max (a cost model with
+no gradient sync has nothing to probe, so its batches finish in one pass).
+Three query shapes cover the searchers:
 
 * :meth:`pair_candidates` — routes (Shrink, Expand) candidates of any
   mix of pairs in one pass and returns a :class:`CandidateBatch` whose
@@ -512,11 +513,6 @@ class DeltaStepCost:
         with its replaced rows' old contributions scattered out and the
         new ones scattered in.
         """
-        if batch.rebases != self.rebases:
-            raise SchedulingError(
-                "candidate batch outlived its base: finish it before the "
-                "next rebase"
-            )
         if hi <= lo:
             return np.zeros(0)
         base_row, base_index, row_all, gpu_all, count_all = batch.entries
@@ -789,7 +785,11 @@ class CandidateBatch:
     other query shapes).  Routing is AllReduce-free, so routing candidates
     a search may never reach costs no probe; :meth:`times` finishes one
     contiguous range -- sync probes in row order, then Eq. 5's max -- and
-    counts it in :attr:`DeltaStepCost.evaluations`.  Finish a batch before
+    counts it in :attr:`DeltaStepCost.evaluations`.  Ranges exist only to
+    keep the probe order, so when the cost model has no gradient sync to
+    probe (inference-shaped steps) the first :meth:`times` call finishes
+    the whole batch, counts all of it, and later calls slice that result;
+    each candidate's time is the same either way.  Finish a batch before
     the evaluator's next rebase.
     """
 
@@ -810,6 +810,9 @@ class CandidateBatch:
         # Each edited entry's Eq. 5 contribution before AllReduce.
         self.contrib = contrib
         self.rebases = delta.rebases
+        # Every candidate's time, once finished in one pass (probe-free
+        # cost models only).
+        self._times: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.num_cands
@@ -821,4 +824,13 @@ class CandidateBatch:
             raise SchedulingError(
                 f"candidate range [{lo}, {hi}) outside [0, {self.num_cands})"
             )
-        return self._delta._finish(self, lo, hi)
+        if self.rebases != self._delta.rebases:
+            raise SchedulingError(
+                "candidate batch outlived its base: finish it before the "
+                "next rebase"
+            )
+        if self._delta._grad_bytes:
+            return self._delta._finish(self, lo, hi)
+        if self._times is None:
+            self._times = self._delta._finish(self, 0, self.num_cands)
+        return self._times[lo:hi].copy()

@@ -330,7 +330,7 @@ class MigrationPlanner:
         placement: Placement,
         expansions: list[tuple[int, int, list[int]]],
         index: HolderIndex,
-    ) -> list[Migrate]:
+    ) -> np.ndarray:
         """Candidate exchanges in search order, pre-validated.
 
         ``expansions`` holds ``(expert, source gpu, destination pool)``
@@ -340,52 +340,62 @@ class MigrationPlanner:
         cross-cluster candidate list is never materialized unless this
         method is called with it.
 
-        Validity (both cells occupied, distinct experts/GPUs) is guaranteed
-        by construction; the distinct-device replication floor is checked
-        arithmetically on the base counts so no candidate ever needs a
-        placement mutation just to be rejected.
+        Returns an ``(N, 4)`` integer array of ``(expert_a, gpu_a,
+        expert_b, gpu_b)`` rows: per ``(source, destination)`` pair in
+        pool order, one row per co-resident of the destination in
+        ascending expert order, so each pair's rows form one contiguous
+        run.  The co-residents of every destination come from one scan
+        of the pools' count columns.  Validity (both cells occupied,
+        distinct experts/GPUs) is guaranteed by construction; the
+        distinct-device replication floor is checked arithmetically on
+        the base counts so no candidate ever needs a placement mutation
+        just to be rejected.
         """
+        pair = np.array(
+            [
+                (expert, src, dst)
+                for expert, src, targets in expansions
+                for dst in targets
+                if dst != src
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
         counts = placement.counts_view
-        distinct = np.diff(index.ptr)
-        actions: list[Migrate] = []
-        for expert, src, targets in expansions:
-            for dst in targets:
-                if dst == src:
-                    continue
-                for partner in placement.experts_on(dst):
-                    if partner == expert:
-                        continue
-                    if self._min_replicas > 1:
-                        after_expert = (
-                            distinct[expert]
-                            - (counts[expert, src] == 1)
-                            + (counts[expert, dst] == 0)
-                        )
-                        after_partner = (
-                            distinct[partner]
-                            - (counts[partner, dst] == 1)
-                            + (counts[partner, src] == 0)
-                        )
-                        if (
-                            after_expert < self._min_replicas
-                            or after_partner < self._min_replicas
-                        ):
-                            continue  # would consolidate below the floor
-                    actions.append(
-                        Migrate(
-                            expert_a=expert, gpu_a=src,
-                            expert_b=partner, gpu_b=dst,
-                        )
-                    )
-        return actions
+        dsts, column = np.unique(pair[:, 2], return_inverse=True)
+        # Co-residents of each distinct destination, destination-major.
+        held, residents = np.nonzero(counts[:, dsts].T)
+        first = np.searchsorted(held, np.arange(dsts.size + 1))
+        lengths = np.diff(first)[column]
+        row = np.repeat(np.arange(len(pair)), lengths)
+        offset = np.arange(row.size) - (np.cumsum(lengths) - lengths)[row]
+        partner = residents[first[column][row] + offset]
+        expert, src, dst = pair[row].T
+        keep = partner != expert
+        if self._min_replicas > 1:
+            distinct = np.diff(index.ptr)
+            after_expert = (
+                distinct[expert]
+                - (counts[expert, src] == 1)
+                + (counts[expert, dst] == 0)
+            )
+            after_partner = (
+                distinct[partner]
+                - (counts[partner, dst] == 1)
+                + (counts[partner, src] == 0)
+            )
+            # Drop moves consolidating either expert below the floor.
+            keep &= (after_expert >= self._min_replicas) & (
+                after_partner >= self._min_replicas
+            )
+        return np.stack([expert, src, partner, dst], axis=1)[keep]
 
     def _prune_by_proxy(
         self,
-        actions: list[Migrate],
+        pairs: np.ndarray,
         per_replica: np.ndarray,
         gpu_loads: np.ndarray,
         index: HolderIndex,
-    ) -> list[Migrate]:
+    ) -> np.ndarray:
         """Coarse level of the two-level scoring: O(1) proxy per pair.
 
         Exact pricing of an exchange is O(G) (full per-GPU re-aggregation
@@ -404,37 +414,34 @@ class MigrationPlanner:
         invisible to device loads, so such pairs are always priced).
         Survivors keep their original search order.
         """
-        if (
-            not self._proxy_prune
-            or len(actions) <= HIERARCHICAL_SCORE_TOP_K
-        ):
-            return actions
-        groups: dict[tuple[int, int, int], list[int]] = {}
-        for i, action in enumerate(actions):
-            key = (action.expert_a, action.gpu_a, action.gpu_b)
-            groups.setdefault(key, []).append(i)
-        keys = np.array(list(groups))
-        load = per_replica[keys[:, 0]]
-        proxy = np.maximum(
-            gpu_loads[keys[:, 1]] - load, gpu_loads[keys[:, 2]] + load
+        if not self._proxy_prune or len(pairs) <= HIERARCHICAL_SCORE_TOP_K:
+            return pairs
+        # One group per (expert_a, gpu_a, gpu_b): a contiguous run of rows
+        # (see _expand_exchanges), groups in search order.
+        pair = pairs[:, [0, 1, 3]]
+        start = np.flatnonzero(
+            np.r_[True, (pair[1:] != pair[:-1]).any(axis=1)]
         )
+        sizes = np.diff(np.r_[start, len(pairs)])
+        experts, src, dst = pair[start].T
+        load = per_replica[experts]
+        proxy = np.maximum(gpu_loads[src] - load, gpu_loads[dst] + load)
         per_node = self._gpus_per_node
-        experts = keys[:, 0]
         span_delta = (
-            self._node_replicas(index, experts, keys[:, 2] // per_node) == 0
+            self._node_replicas(index, experts, dst // per_node) == 0
         ).astype(int) - (
-            self._node_replicas(index, experts, keys[:, 1] // per_node) == 1
+            self._node_replicas(index, experts, src // per_node) == 1
         ).astype(int)
-        chosen: list[int] = []
-        budget = 0
-        for rank in np.argsort(proxy, kind="stable"):
-            if budget >= HIERARCHICAL_SCORE_TOP_K and span_delta[rank] >= 0:
-                continue
-            members = groups[tuple(keys[rank])]
-            chosen.extend(members)
-            budget += len(members)
-        chosen.sort()
-        return [actions[i] for i in chosen]
+        # Walking the groups by proxy, every group is priced until the
+        # priced rows reach the top-k budget; after that only the
+        # span-shrinking ones are.
+        order = np.argsort(proxy, kind="stable")
+        before = np.cumsum(sizes[order]) - sizes[order]
+        chosen = np.empty(start.size, dtype=bool)
+        chosen[order] = (before < HIERARCHICAL_SCORE_TOP_K) | (
+            span_delta[order] < 0
+        )
+        return pairs[np.repeat(chosen, sizes)]
 
     def _node_replicas(
         self, index: HolderIndex, experts: np.ndarray, nodes: np.ndarray
@@ -456,30 +463,32 @@ class MigrationPlanner:
     def _score_exchanges(
         self,
         placement: Placement,
-        actions: list[Migrate],
+        pairs: np.ndarray,
         baseline: float,
     ) -> tuple[Migrate, float] | None:
         """Delta-score one batch of exchanges.
 
         Returns the best strict improvement over ``baseline`` and its
         modelled step time, or ``None`` when nothing in the batch beats
-        it.
+        it.  A later row displaces the running best only when cheaper by
+        more than 1e-12, so only rows beating the baseline by that much
+        are walked.
         """
-        if not actions:
-            return None
-        pairs = np.array(
-            [(a.expert_a, a.gpu_a, a.expert_b, a.gpu_b) for a in actions]
-        )
         times = self._delta.exchange_candidate_times(placement, pairs)
-        best_action: Migrate | None = None
+        best = None
         best_time = baseline
-        for action, time in zip(actions, times):
-            if time < best_time - 1e-12:
-                best_time = float(time)
-                best_action = action
-        if best_action is None:
+        for i in np.flatnonzero(times < baseline - 1e-12).tolist():
+            if times[i] < best_time - 1e-12:
+                best, best_time = i, float(times[i])
+        if best is None:
             return None
-        return best_action, best_time
+        expert_a, gpu_a, expert_b, gpu_b = pairs[best].tolist()
+        return (
+            Migrate(
+                expert_a=expert_a, gpu_a=gpu_a, expert_b=expert_b, gpu_b=gpu_b
+            ),
+            best_time,
+        )
 
     def _best_move(
         self, assignment: np.ndarray, placement: Placement

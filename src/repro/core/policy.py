@@ -270,7 +270,9 @@ class PolicyMaker:
         stage opens a new wave, and a round stops at the first rank with
         a viable candidate, so exactly the candidates the per-pair loop
         of :meth:`_best_pair` reaches are finished, in its order -- noisy
-        profiles therefore draw identical AllReduce values.  Selection
+        profiles therefore draw identical AllReduce values (a cost model
+        without gradient sync finishes the whole batch on the first
+        wave; see :class:`~repro.core.delta.CandidateBatch`).  Selection
         matches it too: strict ``<`` against ``t0``, first candidate wins
         ties, within a pair and across pairs.
         """
@@ -319,27 +321,34 @@ class PolicyMaker:
             ):
                 j += 1
             lo, hi = stages[i][1], stages[j - 1][2]
-            e0 = int(expand[lo])
-            sources, adjustments = self._expand_sources_batch(
-                placement,
-                e0,
-                index.gpu[index.ptr[e0] : index.ptr[e0 + 1]],
-                gpus[lo:hi],
-            )
-            effective = batch.times(lo, hi) + self._amortized_vec(adjustments)
+            times = batch.times(lo, hi)
             found = False
-            for _, s_lo, s_hi, _ in stages[i:j]:
-                stage = effective[s_lo - lo : s_hi - lo]
-                viable = stage < t0
-                found = bool(viable.any())
-                if not found:
-                    continue
-                # First-best wins ties, exactly like the reference loop's
-                # strict `effective < best.time_after` update rule.
-                pick = int(np.argmin(np.where(viable, stage, np.inf)))
-                if best is None or stage[pick] < best[0]:
-                    k = s_lo - lo + pick
-                    best = (stage[pick], lo + k, sources[k], adjustments[k])
+            # Amortized adjustments are never negative, so a wave with no
+            # raw time below t0 has no viable candidate: its expand
+            # sources are never priced.
+            if (times < t0).any():
+                e0 = int(expand[lo])
+                sources, adjustments = self._expand_sources_batch(
+                    placement,
+                    e0,
+                    index.gpu[index.ptr[e0] : index.ptr[e0 + 1]],
+                    gpus[lo:hi],
+                )
+                effective = times + self._amortized_vec(adjustments)
+                for _, s_lo, s_hi, _ in stages[i:j]:
+                    stage = effective[s_lo - lo : s_hi - lo]
+                    viable = stage < t0
+                    found = bool(viable.any())
+                    if not found:
+                        continue
+                    # First-best wins ties, exactly like the reference
+                    # loop's strict `effective < best.time_after` rule.
+                    pick = int(np.argmin(np.where(viable, stage, np.inf)))
+                    if best is None or stage[pick] < best[0]:
+                        k = s_lo - lo + pick
+                        best = (
+                            stage[pick], lo + k, sources[k], adjustments[k]
+                        )
             i = j
             if found and i < len(stages) and stages[i][3]:
                 i += 1  # the intra-node stage found a move: no escalation

@@ -261,7 +261,10 @@ class Scheduler:
         outcome = SchedulingOutcome(
             triggered=True,
             metric_before=metric_before,
-            metric_after=self.current_metric(assignment),
+            # Nothing applied: same assignment and placement, same metric.
+            metric_after=(
+                self.current_metric(assignment) if applied else metric_before
+            ),
             actions=tuple(applied),
             rounds=rounds,
             adjustment_time=adjustment_time,

@@ -328,24 +328,17 @@ class ServingEngine:
 
         ``tokens``/``topics`` are the batch's columns from the admission
         queue (``topics`` reduced modulo the routing model's vocabulary).
-        One multinomial draw per GPU, in GPU order: the seeded RNG
-        stream, and with it every seeded serving result, depends on that
-        draw order.
+        One multinomial draw per layer over the per-GPU shard sizes: the
+        same samples and RNG stream as one draw per GPU in GPU order (an
+        empty shard draws nothing), which every seeded serving result
+        depends on.
         """
-        total = int(tokens.sum())
-        per_gpu = total // self._num_gpus
-        remainder = total - per_gpu * self._num_gpus
+        per_gpu, remainder = divmod(int(tokens.sum()), self._num_gpus)
+        counts = per_gpu + (np.arange(self._num_gpus) < remainder)
         layers = []
         for layer in range(self._engine.num_moe_layers):
             probs = self._routing.batch_probs_arrays(layer, tokens, topics)
-            assignment = np.zeros(
-                (self._routing.num_experts, self._num_gpus), dtype=np.int64
-            )
-            for gpu in range(self._num_gpus):
-                count = per_gpu + (1 if gpu < remainder else 0)
-                if count:
-                    assignment[:, gpu] = self._rng.multinomial(count, probs)
-            layers.append(assignment)
+            layers.append(self._rng.multinomial(counts, probs).T)
         return np.stack(layers)
 
     def _update_demand(self, assignments: np.ndarray) -> np.ndarray:

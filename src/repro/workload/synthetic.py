@@ -78,6 +78,13 @@ def expert_load_cdf(loads: np.ndarray) -> np.ndarray:
     return np.cumsum(ordered) / total
 
 
+#: Shards drawn per multinomial call in :meth:`DriftingRoutingGenerator
+#: .next_step`. Large enough to amortize the call; small enough that the
+#: block's ``(GPUs, experts)`` draws stay a small transient beside the
+#: step matrix (one draw of a whole 4096-GPU step would add 16 MB).
+DRAW_BLOCK_GPUS = 256
+
+
 class DriftingRoutingGenerator:
     """Streaming generator of smoothly drifting token assignments.
 
@@ -197,26 +204,34 @@ class DriftingRoutingGenerator:
 
     def next_step(self) -> np.ndarray:
         """Generate the next step's assignment matrix ``I`` of shape
-        ``(num_experts, num_gpus)``."""
+        ``(num_experts, num_gpus)``.
+
+        One multinomial call per block of :data:`DRAW_BLOCK_GPUS` shards
+        draws the same samples, and leaves the RNG in the same state, as
+        one call per GPU in GPU order; each block is written straight
+        into the matrix, so the draws add only a small transient to it.
+        """
         self._advance_logits()
         global_probs = self.current_probs()
-        per_gpu = self._config.tokens_per_step // self._num_gpus
-        remainder = self._config.tokens_per_step - per_gpu * self._num_gpus
-        assignment = np.zeros((self._num_experts, self._num_gpus), dtype=np.int64)
-        for gpu in range(self._num_gpus):
-            probs = self._gpu_probs(global_probs, gpu)
-            count = per_gpu + (1 if gpu < remainder else 0)
-            assignment[:, gpu] = self._rng.multinomial(count, probs)
+        per_gpu, remainder = divmod(self._config.tokens_per_step, self._num_gpus)
+        counts = per_gpu + (np.arange(self._num_gpus) < remainder)
+        assignment = np.empty((self._num_experts, self._num_gpus), dtype=np.int64)
+        for lo in range(0, self._num_gpus, DRAW_BLOCK_GPUS):
+            gpus = slice(lo, lo + DRAW_BLOCK_GPUS)
+            probs = self._gpu_probs(global_probs, gpus)
+            assignment[:, gpus] = self._rng.multinomial(counts[gpus], probs).T
         return assignment
 
-    def _gpu_probs(self, global_probs: np.ndarray, gpu: int) -> np.ndarray:
+    def _gpu_probs(self, global_probs: np.ndarray, gpus: slice) -> np.ndarray:
+        """Expert distribution of the shards of ``gpus``: ``(E,)`` when all
+        shards share the global one, else one row per GPU."""
         if self._locality_bias == 0:
             return global_probs
-        local = np.zeros(self._num_experts)
-        prefs = self._gpu_preferences[gpu]
-        local[prefs] = 1.0 / len(prefs)
+        prefs = self._gpu_preferences[gpus]
+        local = np.zeros((len(prefs), self._num_experts))
+        local[np.arange(len(prefs))[:, None], prefs] = 1.0 / prefs.shape[1]
         mixed = (1 - self._locality_bias) * global_probs + self._locality_bias * local
-        return mixed / mixed.sum()
+        return mixed / mixed.sum(axis=1, keepdims=True)
 
     def generate(self, num_steps: int | None = None) -> RoutingTrace:
         """Materialize a :class:`RoutingTrace` of ``num_steps`` steps."""

@@ -477,6 +477,61 @@ class TestPairCandidates:
             batch.times()
 
 
+class TestProbeFreeBatch:
+    """Without gradient sync a batch has no probe order to keep: its first
+    :meth:`CandidateBatch.times` call finishes every candidate at once."""
+
+    @staticmethod
+    def inference_batch(name, rng):
+        case = CASES[name]
+        training = case.cost_model()
+        cost_model = MoECostModel(
+            training.profile, training.model, inference=True
+        )
+        assert cost_model.sync_bytes == 0
+        _, placement, expand, shrink, gpus = TestPairCandidates.batch_inputs(
+            case, rng
+        )
+        expand, shrink, gpus = map(np.concatenate, (expand, shrink, gpus))
+        delta = DeltaStepCost(cost_model)
+        delta.rebase(case.assignment(rng), placement)
+        return delta, placement, (expand, shrink, gpus)
+
+    @pytest.mark.parametrize("name", ["dense-8g", "sparse-256g"])
+    def test_range_equals_the_slice_of_the_whole(self, name, rng):
+        delta, placement, candidates = self.inference_batch(name, rng)
+        whole = delta.pair_candidates(placement, *candidates).times()
+        num = whole.size
+        cuts = np.sort(rng.choice(np.arange(1, num), 3, replace=False))
+        bounds = [0, *cuts.tolist(), num]
+        for lo, hi in zip(bounds, bounds[1:]):
+            # A fresh batch per range: its first call is this range.
+            batch = delta.pair_candidates(placement, *candidates)
+            np.testing.assert_array_equal(batch.times(lo, hi), whole[lo:hi])
+            np.testing.assert_array_equal(
+                delta._finish(batch, lo, hi), whole[lo:hi]
+            )
+
+    def test_first_call_counts_the_whole_batch(self, rng):
+        delta, placement, candidates = self.inference_batch("dense-8g", rng)
+        before = delta.evaluations
+        batch = delta.pair_candidates(placement, *candidates)
+        first = batch.times(2, 5)
+        assert delta.evaluations == before + len(batch)
+        first[:] = -1.0  # callers own what they get back
+        np.testing.assert_array_equal(batch.times(2, 5), batch.times()[2:5])
+        assert (batch.times(2, 5) >= 0).all()
+        assert delta.evaluations == before + len(batch)
+
+    def test_finished_batch_still_expires_on_rebase(self, rng):
+        delta, placement, candidates = self.inference_batch("dense-8g", rng)
+        batch = delta.pair_candidates(placement, *candidates)
+        batch.times(0, 1)
+        delta.rebase(CASES["dense-8g"].assignment(rng), placement)
+        with pytest.raises(SchedulingError, match="rebase"):
+            batch.times(1, 2)
+
+
 class TestExchangeSweep:
     def test_matches_applying_the_exchange(self, rng):
         self.check(CASES["dense-8g"], rng)

@@ -275,12 +275,9 @@ def test_escalation_never_skips_viable_intra_candidate(seed):
         index,
     )
     best_intra = float("inf")
-    if intra_pool:
-        pairs = np.array(
-            [(a.expert_a, a.gpu_a, a.expert_b, a.gpu_b) for a in intra_pool]
-        )
+    if len(intra_pool):
         best_intra = float(
-            planner._delta.exchange_candidate_times(placement, pairs).min()
+            planner._delta.exchange_candidate_times(placement, intra_pool).min()
         )
 
     move = planner._best_move(assignment, placement)

@@ -177,6 +177,29 @@ class TestDeterminismAndBaseline:
         assert static.run().engine == "StaticServing"
 
 
+class TestBatchAssignments:
+    @pytest.mark.parametrize("tokens", [[1, 1], [300, 7]])
+    def test_one_draw_matches_a_draw_per_gpu(self, tokens):
+        """One multinomial call per layer samples exactly what one call per
+        GPU shard in GPU order would -- 0-token shards (2 tokens over 4
+        GPUs) draw nothing -- and leaves the RNG where that loop would."""
+        engine, _ = build_pair(small_stream(num_requests=4))
+        tokens, topics = np.array(tokens), np.array([0, 1])
+        twin = np.random.default_rng()
+        twin.bit_generator.state = engine._rng.bit_generator.state
+        got = engine._batch_assignments(tokens, topics)
+        per_gpu, remainder = divmod(int(tokens.sum()), 4)
+        expected = np.zeros_like(got)
+        for layer in range(got.shape[0]):
+            probs = engine._routing.batch_probs_arrays(layer, tokens, topics)
+            for gpu in range(4):
+                count = per_gpu + (gpu < remainder)
+                if count:
+                    expected[layer, :, gpu] = twin.multinomial(count, probs)
+        np.testing.assert_array_equal(got, expected)
+        assert twin.bit_generator.state == engine._rng.bit_generator.state
+
+
 class TestElasticityComposition:
     def test_serving_continues_through_failure_and_recovery(self):
         requests = small_stream(num_requests=120, rate_rps=40_000.0)

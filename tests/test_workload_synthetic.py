@@ -1,11 +1,14 @@
 """Unit tests for the synthetic routing generators (Figure 3 calibration)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.config import WorkloadConfig
 from repro.exceptions import ConfigurationError
 from repro.workload.synthetic import (
+    DRAW_BLOCK_GPUS,
     DriftingRoutingGenerator,
     expert_load_cdf,
     make_trace,
@@ -72,6 +75,46 @@ class TestDriftingGenerator:
         cfg = WorkloadConfig(tokens_per_step=10_001, num_steps=5, seed=0)
         gen = DriftingRoutingGenerator(8, 4, cfg)
         assert gen.next_step().sum() == 10_001
+
+    @pytest.mark.parametrize(
+        "tokens, bias, gpus",
+        [
+            (10_001, 0.0, 4),
+            (10_001, 0.3, 4),
+            (3, 0.0, 4),
+            (3, 0.3, 4),
+            (100_003, 0.3, DRAW_BLOCK_GPUS + 5),
+        ],
+    )
+    def test_one_draw_matches_a_draw_per_gpu(self, tokens, bias, gpus):
+        """One multinomial call per block of GPUs samples exactly what one
+        call per GPU shard in GPU order would -- a 0-token shard included
+        -- and leaves the RNG where that loop would."""
+        gen = DriftingRoutingGenerator(
+            16, gpus,
+            WorkloadConfig(tokens_per_step=tokens, num_steps=5, seed=2),
+            locality_bias=bias,
+        )
+        twin = copy.deepcopy(gen)
+        frame = gen.next_step()
+        twin._advance_logits()
+        probs = twin.current_probs()
+        per_gpu, remainder = divmod(tokens, gpus)
+        expected = np.zeros((16, gpus), dtype=np.int64)
+        for gpu in range(gpus):
+            shard = probs
+            if bias:
+                local = np.zeros(16)
+                prefs = twin._gpu_preferences[gpu]
+                local[prefs] = 1.0 / len(prefs)
+                mixed = (1 - bias) * probs + bias * local
+                shard = mixed / mixed.sum()
+            expected[:, gpu] = twin._rng.multinomial(
+                per_gpu + (gpu < remainder), shard
+            )
+        np.testing.assert_array_equal(frame, expected)
+        assert frame.flags.c_contiguous
+        assert gen._rng.bit_generator.state == twin._rng.bit_generator.state
 
     def test_generate_trace_shape(self):
         trace = self.make().generate()
