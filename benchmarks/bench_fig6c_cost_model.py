@@ -43,8 +43,14 @@ def run_fig6c():
         routes = np.zeros((model.num_experts, 16, 16))
         for g in range(16):
             routes[rng.integers(0, model.num_experts), g, (g + 5) % 16] = tokens / 16
-        est = cost_model.all_to_all_times(routes).max()
         flow = routes.sum(axis=0)
+        # Eq. 8 as the cost model prices it: its passes over the profiled
+        # fabric's receive times.
+        est = cost_model.a2a_passes * (
+            context.profile.bandwidth_model()
+            .receive_times(flow, model.token_bytes)
+            .max()
+        )
         real = 4 * np.mean(
             [executor.real_a2a_pass_time(flow) for _ in range(5)]
         )

@@ -54,8 +54,8 @@ class WaterFillingPolicy(PolicyMaker):
         source = self._expand_source(trial, e0, gpu)
         expand = Expand(expert=e0, gpu=gpu, source_gpu=source)
         expand.apply(trial)
-        routes = self._router.route_fractional(assignment, trial)
-        t1 = self._cost_model.step_time(routes, trial)
+        plan = self._router.route_fractional(assignment, trial)
+        t1 = self._cost_model.step_time(plan, trial)
         if t1 >= t0:
             return PolicyDecision((), t0, t0, 0.0)
         adjustment = self._cost_model.adjustment_cost([shrink, expand])

@@ -70,14 +70,14 @@ class FasterMoESystem(MoESystem):
         order = np.argsort(-loads, kind="stable")
         shadowed: set[int] = set()
         placement = self._placement_with_shadows(shadowed)
-        routes = self._router.route_fractional(assignment, placement)
-        best_time = self._cost_model.step_time(routes, placement)
+        plan = self._router.route_fractional(assignment, placement)
+        best_time = self._cost_model.step_time(plan, placement)
         for expert in order[: self._max_shadowed * 2]:
             candidate = shadowed | {int(expert)}
             placement = self._placement_with_shadows(candidate)
-            routes = self._router.route_fractional(assignment, placement)
+            plan = self._router.route_fractional(assignment, placement)
             time = self._cost_model.step_time(
-                routes, placement
+                plan, placement
             ) + self._broadcast_estimate(len(candidate))
             if time < best_time:
                 best_time = time

@@ -20,9 +20,10 @@ shape and answers every query the cost models make:
   at just the destinations asked for -- an expert's replica holders --
   in O(1) each from per-node partial sums of the source rows
   (:meth:`source_rows`), instead of the O(G^2) matrix product;
-* a lazily-cached dense view (:meth:`dense`) for consumers that
-  genuinely need the full matrix (the ground-truth executor's route
-  pricing, which only runs at engine-feasible cluster sizes).
+* one All-to-All pass over a ``G x G`` token flow (:meth:`receive_times`,
+  Eq. 8 for both the cost model and the ground-truth executor) through a
+  lazily-cached dense view (:meth:`dense`); flows only exist at
+  engine-feasible cluster sizes.
 
 Clusters with per-GPU NIC scale factors
 (:attr:`~repro.config.ClusterConfig.bandwidth_scales`) break the
@@ -194,8 +195,8 @@ class BandwidthModel:
     def dense(self) -> np.ndarray:
         """Full read-only ``(G, G)`` matrix, materialized once and cached.
 
-        Reserved for consumers that need the matrix itself (the
-        ground-truth executor); the placement search must stay on the
+        Reserved for consumers that need the matrix itself (All-to-All
+        pricing over a full flow); the placement search must stay on the
         implicit queries.
         """
         if self._dense is None:
@@ -207,6 +208,18 @@ class BandwidthModel:
             dense.setflags(write=False)
             self._dense = dense
         return self._dense
+
+    def receive_times(self, flow: np.ndarray, token_bytes: float) -> np.ndarray:
+        """Eq. 8's per-destination seconds of ONE All-to-All pass.
+
+        ``flow`` is a ``(src, dst)`` token matrix; destination ``d``
+        receives ``sum_{s != d} flow[s, d] * token_bytes / Bw(s, d)``.
+        Local tokens never cross a link. The cost model and the
+        ground-truth executor both price the All-to-All through here.
+        """
+        wire = flow * token_bytes
+        np.fill_diagonal(wire, 0.0)
+        return (wire / self.dense()).sum(axis=0)
 
     def inv_diag(self) -> np.ndarray:
         """``1 / Bw(g, g)`` per GPU (cached)."""
@@ -299,30 +312,3 @@ class BandwidthModel:
         return (same_node - own) * (1.0 / self._intra) + (
             total - same_node
         ) * (1.0 / self._inter)
-
-    def min_offdiag(self, gpus) -> float:
-        """Slowest pairwise link within a group (off-diagonal minimum).
-
-        The ring-collective bottleneck behind
-        :meth:`~repro.cluster.topology.ClusterTopology.min_group_bandwidth`.
-        The group must contain at least two distinct devices.
-        """
-        gpus = np.asarray(gpus, dtype=np.int64)
-        if gpus.size < 2:
-            raise TopologyError(
-                "off-diagonal minimum needs a group of >= 2 devices"
-            )
-        if not self._blocked:
-            sub = self._dense[np.ix_(gpus, gpus)]
-            return float(sub[~np.eye(gpus.size, dtype=bool)].min())
-        devices, dev_counts = np.unique(gpus, return_counts=True)
-        nodes = np.unique(self._nodes_of(devices), return_counts=True)
-        candidates = []
-        if (dev_counts > 1).any():
-            # A repeated index contributes a (g, g) "pair" at local speed.
-            candidates.append(self._local)
-        if (nodes[1] > 1).any():
-            candidates.append(self._intra)
-        if nodes[0].size > 1:
-            candidates.append(self._inter)
-        return min(candidates)

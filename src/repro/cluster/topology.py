@@ -158,16 +158,6 @@ class ClusterTopology:
             return float(cfg.intra_node_latency)
         return float(cfg.inter_node_latency)
 
-    @property
-    def bandwidth_matrix(self) -> np.ndarray:
-        """Copy of the full ``Bw(g, g')`` matrix (bytes/s).
-
-        Materializes O(G^2) — reserved for consumers that need the dense
-        matrix (the ground-truth executor); planner paths should query
-        :meth:`bandwidth_model` instead.
-        """
-        return self.bandwidth_model().dense().copy()
-
     def gpus_on_node(self, node: int) -> tuple[int, ...]:
         if not 0 <= node < self.num_nodes:
             raise TopologyError(f"node {node} out of range [0, {self.num_nodes})")
@@ -178,47 +168,54 @@ class ClusterTopology:
         """Sorted node ids touched by ``gpus`` (dedup'd)."""
         return tuple(sorted({self.node_of(g) for g in gpus}))
 
-    def min_group_bandwidth(self, gpus: Sequence[int]) -> float:
-        """Slowest pairwise link within a device group.
+    def group_link(self, gpus: Sequence[int]) -> tuple[float, float]:
+        """Slowest link and worst one-way hop latency within a device group.
 
-        Ring-style collectives are bottlenecked by their slowest hop; for
-        groups that span nodes this is the inter-node link.
+        The fabric terms of a ring collective over the group (Eq. 9's
+        ``BPS(G')``, via
+        :meth:`~repro.cluster.collectives.CollectiveCostModel.allreduce_time`).
+        ``gpus`` may come in any order; a repeated id names the same
+        device, and one device is a local copy:
+        ``(LOCAL_COPY_BANDWIDTH, 0.0)``.
+
+        Node arithmetic on the sorted holders: the group spans nodes iff
+        its first and last devices do, and two distinct devices share a
+        node iff some neighbouring pair does. NIC-scaled links are not
+        one value per class, so that fabric's bandwidth is the minimum of
+        its dense submatrix.
         """
-        gpus = list(gpus)
-        if not gpus:
+        holders = np.array(gpus, dtype=np.int64)
+        if holders.size == 0:
             raise TopologyError("device group must be non-empty")
-        for g in gpus:
-            self._check_gpu(g)
-        if len(gpus) == 1:
-            return self.LOCAL_COPY_BANDWIDTH
-        return self.bandwidth_model().min_offdiag(np.asarray(gpus, dtype=np.int64))
-
-    def max_group_latency(self, gpus: Sequence[int]) -> float:
-        """Slowest pairwise one-way latency within a device group.
-
-        O(n) class logic: the worst hop is inter-node when the group spans
-        nodes, intra-node when two distinct devices share a node, and zero
-        for a single (possibly repeated) device.
-        """
-        gpus = np.asarray(list(gpus), dtype=np.int64)
-        if gpus.size == 0:
-            raise TopologyError("device group must be non-empty")
-        if gpus.min() < 0 or gpus.max() >= self.num_gpus:
+        holders.sort()
+        first, last = int(holders[0]), int(holders[-1])
+        if first < 0 or last >= self.num_gpus:
             raise TopologyError(
                 f"gpu out of range [0, {self.num_gpus}) in group"
             )
-        devices = np.unique(gpus)
-        if devices.size < 2:
-            return 0.0
-        node_ids, node_counts = np.unique(
-            devices // self._config.gpus_per_node, return_counts=True
+        if first == last:
+            return self.LOCAL_COPY_BANDWIDTH, 0.0
+        cfg = self._config
+        nodes = holders // cfg.gpus_per_node
+        spans = nodes[0] != nodes[-1]
+        # A repeated device is also a same-node neighbour pair.
+        shares = np.count_nonzero(nodes[1:] == nodes[:-1]) > np.count_nonzero(
+            holders[1:] == holders[:-1]
         )
-        worst = 0.0
-        if (node_counts > 1).any():
-            worst = float(self._config.intra_node_latency)
-        if node_ids.size > 1:
-            worst = max(worst, float(self._config.inter_node_latency))
-        return worst
+        latency = max(
+            cfg.intra_node_latency if shares else 0.0,
+            cfg.inter_node_latency if spans else 0.0,
+        )
+        if cfg.bandwidth_scales is None:
+            bandwidth = min(
+                cfg.intra_node_bandwidth if shares else np.inf,
+                cfg.inter_node_bandwidth if spans else np.inf,
+            )
+        else:
+            devices = np.unique(holders)
+            sub = self.bandwidth_model().submatrix(devices, devices)
+            bandwidth = sub[~np.eye(devices.size, dtype=bool)].min()
+        return float(bandwidth), float(latency)
 
     def _check_gpu(self, gpu: int) -> None:
         if not 0 <= gpu < self.num_gpus:

@@ -9,7 +9,8 @@ with per-term models:
 
 * computation (Eq. 7):   ``T_C = I_eg / TPS``
 * All-to-All (Eq. 8):    ``T_A2A = 4 * sum_g' I_eg.count(g') / Bw(g, g')``
-  (four All-to-Alls per step: dispatch + combine, forward + backward)
+  (four All-to-Alls per step: dispatch + combine, forward + backward),
+  priced from the routing plan's ``G x G`` flow
 * synchronization (Eq. 9): ``T_Sync = size(e.gradients) / BPS(P.index(e))``
 * adjustment:            ``size(e.model_states) / Bw(g, g')``
 
@@ -37,7 +38,7 @@ from repro.exceptions import ConfigurationError, RoutingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cluster.events import ClusterState
-    from repro.core.router import FlexibleTokenRouter
+    from repro.core.router import FlexibleTokenRouter, RoutingPlan
 
 
 @dataclass(frozen=True)
@@ -187,52 +188,33 @@ class MoECostModel:
             tps /= FORWARD_FRACTION
         return tokens / tps
 
-    def compute_times(self, arrivals: np.ndarray) -> np.ndarray:
-        """Per-GPU compute seconds from an arrivals matrix ``(experts, gpus)``."""
-        arrivals = np.asarray(arrivals, dtype=float)
-        per_gpu_tokens = arrivals.sum(axis=0)
-        return per_gpu_tokens / self.effective_tps()
+    def group_sync_time(self, holders: np.ndarray) -> float:
+        """Eq. 9 for one replica group: seconds each member spends in the
+        group's gradient AllReduce, ``sync_bytes / BPS(holders)``.
 
-    def all_to_all_times(self, routes: np.ndarray) -> np.ndarray:
-        """Per-GPU All-to-All seconds (Eq. 8) from a route tensor.
-
-        Args:
-            routes: ``(experts, src_gpus, dst_gpus)`` token counts.
+        Zero for a single holder and for inference-shaped steps. Prices
+        through the profile's lazy BPS cache, so the callers' call order
+        is the probe order.
         """
-        routes = np.asarray(routes, dtype=float)
-        if routes.ndim != 3:
-            raise RoutingError("routes must be (experts, src, dst)")
-        # Bytes entering each destination from each source, all experts.
-        flow = routes.sum(axis=0) * self._model.token_bytes  # (src, dst)
-        np.fill_diagonal(flow, 0.0)  # local tokens never cross a link
-        # Route tensors are (E, G, G) and only exist at engine-feasible
-        # cluster sizes, so the dense (lazily cached) matrix is fine here.
-        per_dst = (flow / self._profile.bandwidth_model().dense()).sum(axis=0)
-        return self.a2a_passes * per_dst
+        nbytes = self.sync_bytes
+        if not nbytes or holders.size < 2:
+            return 0.0
+        return nbytes / self._profile.allreduce_bps(tuple(holders.tolist()))
 
     def sync_times(self, placement: Placement) -> np.ndarray:
         """Per-GPU AllReduce seconds (Eq. 9) for replicated experts.
 
-        Distinct replica groups are priced once (first-seen order, so the
-        profile's lazy noisy-measurement stream is unchanged) and the
-        per-GPU accumulation is a single membership-matrix product.
+        Groups are priced in ascending expert order (the profile's lazy
+        noisy-measurement stream sees them first-seen in that order) and
+        the per-GPU accumulation is a single membership-matrix product.
         """
-        if self._inference:
-            return np.zeros(placement.num_gpus)
         member = placement.counts_view > 0  # (experts, gpus)
         multi = np.flatnonzero(member.sum(axis=1) > 1)
-        if multi.size == 0:
+        if not self.sync_bytes or multi.size == 0:
             return np.zeros(placement.num_gpus)
-        grad_bytes = self._model.expert_bytes
-        bps_seen: dict[tuple[int, ...], float] = {}
-        t_sync = np.empty(multi.size)
-        for i, expert in enumerate(multi):
-            group = tuple(int(g) for g in np.flatnonzero(member[expert]))
-            bps = bps_seen.get(group)
-            if bps is None:
-                bps = self._profile.allreduce_bps(group)
-                bps_seen[group] = bps
-            t_sync[i] = grad_bytes / bps
+        t_sync = np.array(
+            [self.group_sync_time(np.flatnonzero(member[e])) for e in multi]
+        )
         return member[multi].T.astype(float) @ t_sync
 
     def adjustment_cost(self, actions: Sequence[PlacementAction]) -> float:
@@ -265,27 +247,32 @@ class MoECostModel:
     # Full step
     # ------------------------------------------------------------------
     def step_breakdown(
-        self, routes: np.ndarray, placement: Placement
+        self, plan: "RoutingPlan", placement: Placement
     ) -> CostBreakdown:
-        """Eq. 5's inner sums, decomposed per GPU."""
-        routes = np.asarray(routes, dtype=float)
-        if routes.ndim != 3:
-            raise RoutingError("routes must be (experts, src, dst)")
-        if routes.shape[0] != placement.num_experts:
+        """Eq. 5's inner sums, decomposed per GPU, for a routed step.
+
+        Eq. 7 reads the tokens each GPU processes off the plan's flow
+        column sums, and Eq. 8 prices the flow through
+        :meth:`~repro.cluster.bandwidth.BandwidthModel.receive_times`,
+        the same pass the ground-truth executor plays.
+        """
+        if plan.local.shape != (placement.num_experts, placement.num_gpus):
             raise RoutingError(
-                f"routes cover {routes.shape[0]} experts but placement has "
-                f"{placement.num_experts}"
+                f"plan covers {plan.local.shape} (experts, gpus) but "
+                f"placement has ({placement.num_experts}, "
+                f"{placement.num_gpus})"
             )
-        arrivals = routes.sum(axis=1)  # (experts, dst_gpus)
+        bandwidth = self._profile.bandwidth_model()
         return CostBreakdown(
-            compute=self.compute_times(arrivals),
-            all_to_all=self.all_to_all_times(routes),
+            compute=plan.flow.sum(axis=0) / self.effective_tps(),
+            all_to_all=self.a2a_passes
+            * bandwidth.receive_times(plan.flow, self._model.token_bytes),
             sync=self.sync_times(placement),
         )
 
-    def step_time(self, routes: np.ndarray, placement: Placement) -> float:
+    def step_time(self, plan: "RoutingPlan", placement: Placement) -> float:
         """Eq. 5: modelled wall-clock of one MoE-layer step."""
-        return self.step_breakdown(routes, placement).step_time
+        return self.step_breakdown(plan, placement).step_time
 
 
 class MemoizedStepCost:
@@ -441,8 +428,8 @@ class MemoizedStepCost:
                     "memo.hits", phase=phase or "unscoped"
                 ).inc()
             return cached
-        routes = self._router.route_fractional(assignment, placement)
-        value = self._cost_model.step_time(routes, placement)
+        plan = self._router.route_fractional(assignment, placement)
+        value = self._cost_model.step_time(plan, placement)
         self._cache[key] = value
         if len(self._cache) > self._capacity:
             self._cache.popitem(last=False)

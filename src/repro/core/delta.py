@@ -259,18 +259,6 @@ class DeltaStepCost:
         inflow = self._bw.inflow_at(self._sources, expert, row, gpu, local)
         return arrivals, self._a2a_factor * weights * inflow
 
-    def _group_sync(self, holders: np.ndarray) -> float:
-        """Per-member sync seconds (Eq. 9) of one replica group.
-
-        Prices the group through the profile's lazy AllReduce cache; the
-        caller's call order is the probe order.
-        """
-        if not self._grad_bytes or holders.size < 2:
-            return 0.0
-        return self._grad_bytes / self._cost_model.profile.allreduce_bps(
-            tuple(holders.tolist())
-        )
-
     def _per_gpu(self, gpu, arrivals, a2a, sync, eff_tps) -> np.ndarray:
         """Eq. 5's per-GPU times from holder entries (sync per entry)."""
         num_gpus = eff_tps.size
@@ -364,7 +352,7 @@ class DeltaStepCost:
         if changed.size:
             self._keys = self._expert * num_gpus + self._gpu
             for expert_id in changed:
-                self._sync[expert_id] = self._group_sync(
+                self._sync[expert_id] = self._cost_model.group_sync_time(
                     self._gpu[self._ptr[expert_id] : self._ptr[expert_id + 1]]
                 )
         self._replicas = replicas
@@ -544,7 +532,9 @@ class DeltaStepCost:
                 bounds = np.searchsorted(row[order], np.arange(num_rows + 1))
                 for r in np.flatnonzero(flips):
                     span = order[bounds[r] : bounds[r + 1]]
-                    row_sync[r] = self._group_sync(gpu[span][member[span]])
+                    row_sync[r] = self._cost_model.group_sync_time(
+                        gpu[span][member[span]]
+                    )
             contrib += row_sync[row] * member
         num_gpus = self._base_per_gpu.size
         per_gpu = np.empty((hi - lo, num_gpus))
@@ -742,7 +732,10 @@ class DeltaStepCost:
             np.arange(counts.shape[0]), expert, gpu, counts[expert, gpu]
         )
         sync = np.array(
-            [self._group_sync(np.flatnonzero(row)) for row in counts]
+            [
+                self._cost_model.group_sync_time(np.flatnonzero(row))
+                for row in counts
+            ]
         )
         return float(
             self._per_gpu(gpu, arrivals, a2a, sync[expert], eff_tps).max()

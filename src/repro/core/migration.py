@@ -143,15 +143,11 @@ class MigrationPlanner:
     def uses_delta(self) -> bool:
         return self._use_delta
 
-    def total_sync_time(self, placement: Placement) -> float:
-        """Sum of per-GPU sync seconds (diagnostic helper)."""
-        return float(self._cost_model.sync_times(placement).sum())
-
     def step_time(self, assignment: np.ndarray, placement: Placement) -> float:
         if self._memo is not None:
             return self._memo.step_time(assignment, placement, phase="migration")
-        routes = self._router.route_fractional(assignment, placement)
-        return self._cost_model.step_time(routes, placement)
+        plan = self._router.route_fractional(assignment, placement)
+        return self._cost_model.step_time(plan, placement)
 
     def plan(
         self, assignment: np.ndarray, placement: Placement

@@ -31,8 +31,9 @@ orders are valid under the capacity contract), but they agree on
 conservation, capacities, locality, and never exceed per-vExpert capacity.
 
 A :class:`RoutingPlan` is sparse: the per-source local tokens, the spill
-as COO entries and the ``G x G`` flow the executors consume. The dense
-``(E, G, G)`` tensor exists only on request (:meth:`RoutingPlan.dense`).
+as COO entries and the ``G x G`` flow the executors and the cost model
+consume. :meth:`FlexibleTokenRouter.route_fractional` returns the same
+form with fractional token counts.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ class RoutingPlan:
             ``(experts, gpus)`` — the diagonal of the route tensor.
         spill: Every off-diagonal route as a COO entry.
         capacities: Per-expert per-vExpert capacity ``cap_e`` used.
-        flow: Integer ``(src, dst)`` token flow summed over experts — what
-            the executors consume.
+        flow: ``(src, dst)`` token flow summed over experts -- what the
+            executors and the cost model consume.
+
+    Token counts are integers from ``route``, floats from
+    ``route_fractional``.
     """
 
     local: np.ndarray
@@ -109,33 +113,17 @@ class RoutingPlan:
         spilled = self.spill.tokens[self.spill.expert == expert].sum()
         return int(self.local[expert].sum() + spilled)
 
-    def dense(self) -> np.ndarray:
-        """The ``(experts, src, dst)`` integer route tensor.
-
-        O(E * G^2) memory: for tests and the full-recompute cost-model
-        oracle only.
-        """
-        num_experts, num_gpus = self.local.shape
-        routes = np.zeros((num_experts, num_gpus, num_gpus), dtype=np.int64)
-        diag = np.arange(num_gpus)
-        routes[:, diag, diag] = self.local
-        routes[self.spill.expert, self.spill.src, self.spill.dst] = (
-            self.spill.tokens
-        )
-        return routes
-
 
 def _scatter_sum(
     rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple
 ) -> np.ndarray:
-    """Integer ``out[rows, cols] += values`` over a zero ``shape`` matrix.
-
-    ``bincount``'s float weights are exact for token counts (< 2**53).
-    """
+    """``out[rows, cols] += values`` over a zero ``shape`` matrix, in the
+    values' dtype (``bincount``'s float sums are exact for integer token
+    counts < 2**53)."""
     flat = np.bincount(
         rows * shape[1] + cols, weights=values, minlength=shape[0] * shape[1]
     )
-    return flat.astype(np.int64).reshape(shape)
+    return flat.astype(values.dtype, copy=False).reshape(shape)
 
 
 def _validate_assignment(assignment: np.ndarray, placement: Placement) -> np.ndarray:
@@ -154,6 +142,25 @@ def _validate_assignment(assignment: np.ndarray, placement: Placement) -> np.nda
     return assignment
 
 
+def _block_cells(
+    row_e: np.ndarray, col_e: np.ndarray, num_experts: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cell layout of every expert's (row x column) block, row by row.
+
+    Rows and columns are entries sorted by expert; a row's cells span its
+    expert's columns in order. Returns each row's cell count and first
+    cell, each expert's first column entry, and every cell's column.
+    """
+    n_cols = np.bincount(col_e, minlength=num_experts)
+    col_first = np.cumsum(n_cols) - n_cols
+    width = n_cols[row_e]
+    row_first = np.cumsum(width) - width
+    cell_col = np.arange(width.sum()) - np.repeat(
+        row_first - col_first[row_e], width
+    )
+    return width, row_first, col_first, cell_col
+
+
 def _scatter_blocks(
     spill: np.ndarray, remaining: np.ndarray, slack: np.ndarray, first: int
 ) -> SpillRoutes:
@@ -169,13 +176,8 @@ def _scatter_blocks(
     col_e, col_g = np.nonzero(remaining)
     row_tokens = spill[row_e, row_g]
     col_slack = remaining[col_e, col_g]
-    n_cols = np.bincount(col_e, minlength=len(spill))
-    col_first = np.cumsum(n_cols) - n_cols
-    width = n_cols[row_e]
-    row_first = np.cumsum(width) - width
-    # Column entry of every cell.
-    cell_col = np.arange(row_first[-1] + width[-1]) - np.repeat(
-        row_first - col_first[row_e], width
+    width, row_first, col_first, cell_col = _block_cells(
+        row_e, col_e, len(spill)
     )
     # The same per-cell float arithmetic as a dense (rows x GPUs) pass.
     # Shares stay float from here on: sums of token counts are exact.
@@ -318,25 +320,26 @@ class FlexibleTokenRouter:
 
     def route_fractional(
         self, assignment: np.ndarray, placement: Placement
-    ) -> np.ndarray:
+    ) -> RoutingPlan:
         """Fast continuous-relaxation routing for cost estimation.
 
-        Identical policy to :meth:`route` — locality first, spill spread
-        proportionally to available capacity — but token counts stay
-        fractional, avoiding the per-source integer apportionment. The
-        Policy Maker and Migrate planner evaluate hundreds of candidate
-        placements per step; their decisions only need modelled *costs*, for
-        which the relaxation is exact up to rounding.
+        Identical policy to :meth:`route` -- locality first, spill spread
+        proportionally to available capacity -- but token counts stay
+        fractional. This is the full-recompute oracle's router; the
+        delta evaluator (:mod:`repro.core.delta`) derives the same routes
+        per holder entry on its own, and tests hold the two together.
 
         Returns:
-            Float route tensor ``(experts, src, dst)``.
+            A :class:`RoutingPlan` with float counts: expert ``e`` sends
+            ``spill[e, s] * weights[e, d]`` tokens from each spilling
+            source ``s`` to each holder ``d`` with spare capacity.
 
         Raises:
             RoutingError: On shape mismatch, non-finite or negative counts.
         """
         assignment = _validate_assignment(assignment, placement).astype(float)
         counts = placement.counts_view
-        num_experts, num_gpus = assignment.shape
+        num_gpus = assignment.shape[1]
         totals = assignment.sum(axis=1)
         replicas = counts.sum(axis=1).astype(float)
         # Fractional per-GPU capacity: counts[e, g] * (total_e / n_e).
@@ -354,10 +357,26 @@ class FlexibleTokenRouter:
             out=np.zeros_like(avail),
             where=avail_totals[:, None] > 0,
         )
-        routes = spill[:, :, None] * weights[:, None, :]
-        diag = np.arange(num_gpus)
-        routes[:, diag, diag] += local
-        return routes
+        # One cell per (spilling source, holder with slack) of an expert,
+        # laid out row by row: the COO comes out in (expert, src, dst)
+        # order. A spilling source has no slack, so no cell is diagonal.
+        row_e, row_g = np.nonzero(spill)
+        col_e, col_g = np.nonzero(weights)
+        width, _, _, cell_col = _block_cells(row_e, col_e, len(spill))
+        routes = SpillRoutes(
+            expert=np.repeat(row_e, width),
+            src=np.repeat(row_g, width),
+            dst=col_g[cell_col],
+            tokens=np.repeat(spill[row_e, row_g], width)
+            * weights[col_e, col_g][cell_col],
+        )
+        flow = _scatter_sum(
+            routes.src, routes.dst, routes.tokens, (num_gpus, num_gpus)
+        )
+        flow.flat[:: num_gpus + 1] += local.sum(axis=0)
+        return RoutingPlan(
+            local=local, spill=routes, capacities=per_replica, flow=flow
+        )
 
 
 def _plan_from_dense(routes: np.ndarray, capacities: np.ndarray) -> RoutingPlan:

@@ -166,22 +166,27 @@ class StepExecutor:
     # Individual "real" operations (Figure 6c ground truth)
     # ------------------------------------------------------------------
     def real_compute_time(self, tokens: float, gpu: int) -> float:
-        """Measured forward+backward compute seconds for ``tokens``."""
+        """Measured compute seconds for ``tokens`` on ``gpu``: forward +
+        backward when training, the forward share at inference."""
         if tokens < 0:
             raise SimulationError("tokens must be >= 0")
-        return float(self._jittered(tokens / self._effective_tps()[gpu]))
+        return float(self._busy(tokens, self._effective_tps()[gpu]))
 
     def real_a2a_pass_time(self, flow: np.ndarray) -> float:
-        """Measured seconds of ONE All-to-All pass for a ``(src, dst)`` flow."""
-        return float(self._jittered(self._a2a_bottleneck(self._checked(flow))))
+        """Measured seconds of ONE All-to-All pass for a ``(src, dst)`` flow:
+        the slowest destination's receive (Eq. 8)."""
+        receive = self._topology.bandwidth_model().receive_times(
+            self._checked(flow), self._model.token_bytes
+        )
+        return float(self._jittered(receive.max()))
 
-    def _a2a_bottleneck(self, flow: np.ndarray) -> float:
-        """Unjittered seconds of the slowest destination's receive."""
-        wire = flow * self._model.token_bytes
-        np.fill_diagonal(wire, 0.0)
-        # Cached read-only dense matrix: no O(G^2) copy per A2A pass.
-        per_dst = (wire / self._topology.bandwidth_model().dense()).sum(axis=0)
-        return per_dst.max()
+    def _busy(
+        self, tokens: float | np.ndarray, tps: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Eq. 7 as played: jittered compute seconds of ``tokens`` at
+        ``tps``, cut to the forward share at inference."""
+        busy = self._jittered(tokens / tps)
+        return busy * FORWARD_FRACTION if self._inference else busy
 
     def _checked(self, flow: np.ndarray) -> np.ndarray:
         """``flow`` as a float ``(gpus, gpus)`` token matrix, validated."""
@@ -230,17 +235,17 @@ class StepExecutor:
         # training; inference skips the backward passes). Every pass moves
         # the same flow; each draws its own jitter.
         passes = 2 if self._inference else 4
-        bottleneck = self._a2a_bottleneck(flow)
+        bottleneck = self._topology.bandwidth_model().receive_times(
+            flow, self._model.token_bytes
+        ).max()
         a2a_time = sum(float(self._jittered(bottleneck)) for _ in range(passes))
 
-        # --- Expert compute: forward barrier (plus backward barrier when
-        # training) ------------------------------------------------------
-        per_gpu_tokens = flow.sum(axis=0)
+        # --- Expert compute off the flow's column sums: forward barrier
+        # (plus backward barrier when training) --------------------------
         busy = np.asarray(
-            self._jittered(per_gpu_tokens / self._effective_tps()), dtype=float
+            self._busy(flow.sum(axis=0), self._effective_tps()), dtype=float
         )
         if self._inference:
-            busy = busy * FORWARD_FRACTION
             compute_time = float(busy.max())
         else:
             forward = float((busy * FORWARD_FRACTION).max())
@@ -271,27 +276,21 @@ class StepExecutor:
         if not schedules:
             return 0.0
         grad_bytes = self._model.expert_bytes
-        times: dict[tuple[int, ...], float] = {}
-        overhead: dict[tuple[int, ...], float] = {}
+        # Each distinct group is priced (and its communicator acquired)
+        # once, in first-launch order.
+        seconds: dict[tuple[int, ...], float] = {}
         for launches in schedules.values():
             for launch in launches:
-                if launch.group in times:
+                if launch.group in seconds:
                     continue
-                times[launch.group] = self.real_allreduce_time(
-                    grad_bytes, launch.group
-                )
+                cost = self.real_allreduce_time(grad_bytes, launch.group)
                 if self._group_cache is not None:
-                    overhead[launch.group] = self._group_cache.acquire(launch.group)
-                else:
-                    overhead[launch.group] = 0.0
-        per_gpu_chain = {
-            rank: sum(
-                times[launch.group] + overhead[launch.group]
-                for launch in launches
-            )
-            for rank, launches in schedules.items()
-        }
-        return max(per_gpu_chain.values())
+                    cost += self._group_cache.acquire(launch.group)
+                seconds[launch.group] = cost
+        return max(
+            sum(seconds[launch.group] for launch in launches)
+            for launches in schedules.values()
+        )
 
 
 @dataclass(frozen=True)

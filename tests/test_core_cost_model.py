@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.placement import Placement
 from repro.core.primitives import Expand, Migrate, Shrink
-from repro.core.router import FlexibleTokenRouter
+from repro.core.router import FlexibleTokenRouter, RoutingPlan, SpillRoutes
 from repro.exceptions import RoutingError
 
 
@@ -23,30 +23,45 @@ class TestComputeCost:
             cost_model.compute_time(-1, 0)
 
 
+def flow_plan(flow: np.ndarray, num_experts: int = 8) -> RoutingPlan:
+    """A plan carrying only a ``(src, dst)`` flow: Eq. 8 reads nothing else."""
+    num_gpus = flow.shape[0]
+    empty = np.zeros(0, dtype=np.int64)
+    return RoutingPlan(
+        local=np.zeros((num_experts, num_gpus)),
+        spill=SpillRoutes(empty, empty, empty, empty),
+        capacities=np.zeros(num_experts),
+        flow=flow,
+    )
+
+
 class TestAllToAllCost:
     def test_pure_local_traffic_free(self, cost_model, placement):
-        routes = np.zeros((8, 8, 8))
-        for g in range(8):
-            routes[0, g, g] = 1000  # all tokens stay local
-        times = cost_model.all_to_all_times(routes)
-        assert np.allclose(times, 0.0)
+        flow = np.diag(np.full(8, 1000.0))  # all tokens stay local
+        times = cost_model.step_breakdown(flow_plan(flow), placement)
+        assert np.allclose(times.all_to_all, 0.0)
 
-    def test_four_passes_counted(self, cost_model, model_config, exact_profile):
-        routes = np.zeros((8, 8, 8))
-        routes[0, 0, 1] = 1000
-        times = cost_model.all_to_all_times(routes)
+    def test_four_passes_counted(
+        self, cost_model, model_config, exact_profile, placement
+    ):
+        flow = np.zeros((8, 8))
+        flow[0, 1] = 1000
+        times = cost_model.step_breakdown(flow_plan(flow), placement)
         expected = 4 * 1000 * model_config.token_bytes / exact_profile.link_bandwidth(0, 1)
-        assert times[1] == pytest.approx(expected)
+        assert times.all_to_all[1] == pytest.approx(expected)
 
-    def test_inter_node_traffic_costlier(self, cost_model):
-        intra = np.zeros((8, 8, 8))
-        intra[0, 0, 1] = 1000
-        inter = np.zeros((8, 8, 8))
-        inter[0, 0, 4] = 1000
-        assert (
-            cost_model.all_to_all_times(inter).max()
-            > cost_model.all_to_all_times(intra).max()
-        )
+    def test_inter_node_traffic_costlier(self, cost_model, placement):
+        intra = np.zeros((8, 8))
+        intra[0, 1] = 1000
+        inter = np.zeros((8, 8))
+        inter[0, 4] = 1000
+
+        def a2a(flow):
+            return cost_model.step_breakdown(
+                flow_plan(flow), placement
+            ).all_to_all.max()
+
+        assert a2a(inter) > a2a(intra)
 
 
 class TestSyncCost:
@@ -97,22 +112,25 @@ class TestAdjustmentCost:
 class TestStepBreakdown:
     def test_step_time_is_max_over_gpus(self, cost_model, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        breakdown = cost_model.step_breakdown(plan.dense(), placement)
+        breakdown = cost_model.step_breakdown(plan, placement)
         assert breakdown.step_time == pytest.approx(
             breakdown.per_gpu_total.max()
         )
 
     def test_monotone_in_load(self, cost_model, placement, assignment):
-        plan = FlexibleTokenRouter().route(assignment, placement)
-        t1 = cost_model.step_time(plan.dense(), placement)
-        t2 = cost_model.step_time(plan.dense() * 2, placement)
+        router = FlexibleTokenRouter()
+        t1 = cost_model.step_time(router.route(assignment, placement), placement)
+        t2 = cost_model.step_time(
+            router.route(assignment * 2, placement), placement
+        )
         assert t2 > t1
 
     def test_utilization_in_unit_interval(self, cost_model, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        breakdown = cost_model.step_breakdown(plan.dense(), placement)
+        breakdown = cost_model.step_breakdown(plan, placement)
         assert 0.0 <= breakdown.compute_utilization <= 1.0
 
     def test_expert_count_mismatch_rejected(self, cost_model, placement):
+        plan = flow_plan(np.zeros((8, 8)), num_experts=3)
         with pytest.raises(RoutingError):
-            cost_model.step_breakdown(np.zeros((3, 8, 8)), placement)
+            cost_model.step_breakdown(plan, placement)

@@ -76,11 +76,6 @@ class TestPlanner:
         with pytest.raises(SchedulingError):
             MigrationPlanner(cost_model, topology, max_candidates=0)
 
-    def test_total_sync_time_helper(self, planner):
-        single = Placement.expert_parallel(8, 8)
-        assert planner.total_sync_time(single) == 0.0
-        assert planner.total_sync_time(scattered_placement()) > 0.0
-
 
 class TestPlanLeavesInputUntouched:
     """A pass reads the caller's placement and copies it on the first move

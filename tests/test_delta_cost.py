@@ -36,6 +36,7 @@ from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
 from repro.core.primitives import Expand, Migrate, Shrink
+from repro.core.router import FlexibleTokenRouter
 from repro.exceptions import RoutingError, SchedulingError
 
 MODEL = MoEModelConfig("delta", num_layers=2, d_model=256, d_ffn=1024, num_experts=8)
@@ -191,6 +192,26 @@ class TestRebase:
             base = delta.rebase(assignment, placement)
             assert base == pytest.approx(
                 memo.step_time(assignment, placement), rel=RTOL
+            )
+
+    def test_full_recompute_oracle_at_1024_devices(self, rng):
+        """The fractional plan is sparse, so the full-recompute oracle
+        prices a 1024-device step without an ``(E, G, G)`` tensor."""
+        case = Case(
+            32, ClusterConfig(num_nodes=128, gpus_per_node=8), slots=2,
+            moves=64, packs=8,
+        )
+        cost_model = case.cost_model()
+        router = FlexibleTokenRouter()
+        delta = DeltaStepCost(cost_model)
+        for _ in range(2):
+            placement = case.placement(rng)
+            assignment = case.assignment(rng)
+            oracle = cost_model.step_time(
+                router.route_fractional(assignment, placement), placement
+            )
+            assert delta.rebase(assignment, placement) == pytest.approx(
+                oracle, rel=DeltaStepCost.AUDIT_RTOL
             )
 
     def test_shape_mismatch_rejected(self, cost_model):

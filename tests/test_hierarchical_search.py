@@ -357,11 +357,3 @@ class TestBandwidthModelEquivalence:
             others = np.arange(num_gpus) != devices[k]
             expected = (spill[others] / bw[others, devices[k]]).sum()
             assert got_blocked[k] == pytest.approx(expected, rel=1e-12)
-
-    def test_min_offdiag_matches(self, blocked, dense):
-        rng = np.random.default_rng(2)
-        for size in (2, 3, 6):
-            group = rng.choice(blocked.num_gpus, size=size, replace=False)
-            assert blocked.min_offdiag(group) == dense.min_offdiag(group)
-        # Repeated devices contribute a local-speed "pair".
-        assert blocked.min_offdiag([1, 1]) == dense.min_offdiag([1, 1])

@@ -20,6 +20,8 @@ from repro.core.router import (
 )
 from repro.exceptions import PlacementError
 
+from routing_oracle import dense_routes
+
 
 def placements(max_experts=12, max_gpus=8, max_slots=3):
     """Strategy producing valid random placements."""
@@ -149,7 +151,9 @@ def test_router_contract_matches_reference_at_1024_devices(seed, slots, moves):
 def test_fractional_routing_conserves_and_bounds(data):
     placement = data.draw(placements())
     assignment = data.draw(assignments_for(placement))
-    routes = FlexibleTokenRouter().route_fractional(assignment, placement)
+    routes = dense_routes(
+        FlexibleTokenRouter().route_fractional(assignment, placement)
+    )
     assert np.allclose(routes.sum(axis=2), assignment)
     assert (routes >= -1e-9).all()
 

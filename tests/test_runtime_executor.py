@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.groups import CommunicatorGroupCache
+from repro.core.cost_model import MoECostModel
 from repro.core.placement import Placement
 from repro.core.router import FlexibleTokenRouter
 from repro.exceptions import SimulationError
@@ -32,6 +33,26 @@ class TestRealOperations:
             model_config.expert_bytes, group
         ) == pytest.approx(
             collectives.allreduce_time(model_config.expert_bytes, group)
+        )
+
+    @pytest.mark.parametrize("inference", [False, True])
+    def test_compute_priced_like_execute_and_cost_model(
+        self, topology, model_config, exact_profile, placement, inference
+    ):
+        """One Eq. 7 term: at inference every pricer charges the forward
+        share, training charges forward + backward."""
+        executor = StepExecutor(
+            topology, model_config, jitter=0.0, inference=inference
+        )
+        cost_model = MoECostModel(
+            exact_profile, model_config, inference=inference
+        )
+        flow = np.zeros((8, 8))
+        flow[3, 3] = 10_000
+        real = executor.real_compute_time(10_000, 3)
+        assert real == pytest.approx(cost_model.compute_time(10_000, 3))
+        assert real == pytest.approx(
+            executor.execute(flow, placement).compute_time
         )
 
     def test_jitter_perturbs_but_reproducibly(self, topology, model_config):
