@@ -20,20 +20,6 @@ from repro.core.placement import Placement
 from repro.exceptions import RoutingError
 
 
-def gpu_loads_from_routes(routes: np.ndarray) -> np.ndarray:
-    """Per-GPU processed-token counts from a route tensor.
-
-    Args:
-        routes: Integer tensor ``(experts, src_gpus, dst_gpus)``; entry
-            ``[e, s, d]`` is the number of tokens for expert ``e`` sent from
-            GPU ``s`` to be processed on GPU ``d``.
-    """
-    routes = np.asarray(routes)
-    if routes.ndim != 3:
-        raise RoutingError("routes must be (experts, src, dst)")
-    return routes.sum(axis=(0, 1))
-
-
 def gpu_loads_even_split(assignment: np.ndarray, placement: Placement) -> np.ndarray:
     """Per-GPU loads assuming each expert's tokens split evenly over its
     vExperts (the vExpert contract of Section 3.2).

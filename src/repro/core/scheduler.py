@@ -40,8 +40,10 @@ class SchedulingOutcome:
         triggered: Whether a scheduling round ran at all.
         metric_before: Balance metric before any adjustment.
         metric_after: Balance metric after the applied adjustments.
-        actions: Placement actions applied this step (Expand/Shrink pairs
-            followed by Migrates).
+        actions: Placement actions planned this step (Expand/Shrink pairs
+            followed by Migrates). They are applied to the target placement
+            the scheduler manages at once and commit to the active placement
+            later, when the layer's best-effort stream has paid for them.
         rounds: Number of Policy Maker invocations that returned a plan.
         adjustment_time: Total modelled transfer seconds of the actions.
     """
@@ -56,8 +58,9 @@ class SchedulingOutcome:
     # ``metric_before``/``metric_after`` are NaN on untriggered steps of
     # triggers that do not consume the balance metric (LatencyTrigger,
     # NeverTrigger): computing the O(E*D) loads purely for the record
-    # would defeat the point of such triggers. Triggered steps always
-    # carry real values.
+    # would defeat the point of such triggers. They are NaN too on the
+    # steps a layer held its scheduler behind in-flight adjustments.
+    # Triggered steps always carry real values.
 
 
 class Scheduler:
@@ -279,7 +282,12 @@ class Scheduler:
         return sum(len(outcome.actions) for outcome in self._history)
 
     def trigger_rate(self) -> float:
-        """Fraction of observed steps that started a scheduling round."""
+        """Fraction of observed steps that started a scheduling round.
+
+        Only steps that reached :meth:`on_step` count: a layer whose
+        best-effort stream still holds uncommitted actions skips the call,
+        so those held steps are neither in :attr:`history` nor here.
+        """
         if not self._history:
             return 0.0
         return sum(o.triggered for o in self._history) / len(self._history)

@@ -72,6 +72,11 @@ from repro.runtime.executor import (
     StepExecutor,
 )
 
+# Outcome of a step whose scheduler was held behind in-flight adjustments.
+_HELD = SchedulingOutcome(
+    triggered=False, metric_before=float("nan"), metric_after=float("nan")
+)
+
 
 class LayerPipeline:
     """Scheduling + best-effort adjustment state of ONE MoE layer.
@@ -274,8 +279,19 @@ class LayerPipeline:
         (or applies them immediately when best-effort is off) and returns
         the seconds of blocking adjustment time plus the scheduling
         outcome.
+
+        While the stream still holds uncommitted actions the scheduler is
+        held: it is not called, nothing is emitted, and the step returns
+        an untriggered outcome with NaN metrics. The scheduler therefore
+        only plans when ``target == active``, pricing every emission on
+        the placement routing actually uses. A held step stays out of
+        ``Scheduler.history`` (the scheduler never observed it); under
+        static-interval or ``migrate_period`` triggers a held boundary
+        step skips that round.
         """
         self._last_assignment = np.asarray(assignment)
+        if self._pending:
+            return 0.0, _HELD
         outcome = self._scheduler.on_step(assignment, step_index)
         return self._emit_actions(outcome.actions), outcome
 

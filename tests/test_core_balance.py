@@ -6,7 +6,6 @@ import pytest
 from repro.core.balance import (
     balance_ratio,
     gpu_loads_even_split,
-    gpu_loads_from_routes,
     metric_threshold_exceeded,
     metric_value,
     variance_ratio,
@@ -73,12 +72,6 @@ class TestMetricDispatch:
 
 
 class TestLoadDerivations:
-    def test_loads_from_routes(self):
-        routes = np.zeros((2, 2, 2), dtype=np.int64)
-        routes[0, 0, 1] = 5
-        routes[1, 1, 1] = 3
-        assert np.array_equal(gpu_loads_from_routes(routes), [0, 8])
-
     def test_even_split_respects_replica_shares(self):
         placement = Placement.balanced(2, 4, 1)  # each expert on 2 GPUs
         assignment = np.array([[8, 0, 0, 0], [0, 0, 0, 4]])

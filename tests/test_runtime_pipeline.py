@@ -5,15 +5,22 @@ import pytest
 
 from repro.baselines import FlexMoESystem
 from repro.baselines.base import build_context
+from repro.bench.serving import multitenant_run
+from repro.cluster.events import ClusterEvent, ElasticitySchedule
 from repro.config import (
     ClusterConfig,
     MoEModelConfig,
     SchedulerConfig,
     WorkloadConfig,
 )
+from repro.core.scheduler import Scheduler
 from repro.exceptions import SimulationError
 from repro.runtime.executor import PipelinedStepExecutor
-from repro.runtime.pipeline import MultiLayerFlexMoEEngine, build_engine
+from repro.runtime.pipeline import (
+    LayerPipeline,
+    MultiLayerFlexMoEEngine,
+    build_engine,
+)
 from repro.training.loop import simulate_pipeline
 from repro.workload.synthetic import make_multilayer_trace, make_trace
 
@@ -204,3 +211,119 @@ class TestEngineSemantics:
         ):
             assert key in summary
         assert summary["moe_layers"] == 4.0
+
+
+# ----------------------------------------------------------------------
+# The scheduler is held while the layer's stream has work in flight
+# ----------------------------------------------------------------------
+def _skewed_assignment():
+    """One hot expert: the default balance trigger fires and plans."""
+    assignment = np.full((MODEL.num_experts, CLUSTER.num_gpus), 100)
+    assignment[0] = 20_000
+    return assignment
+
+
+def _count_on_step(monkeypatch, scheduler):
+    calls = []
+    on_step = scheduler.on_step
+
+    def counted(assignment, step):
+        calls.append(step)
+        return on_step(assignment, step)
+
+    monkeypatch.setattr(scheduler, "on_step", counted)
+    return calls
+
+
+@pytest.fixture
+def on_step_audit(monkeypatch):
+    """Record, at every ``Scheduler.on_step`` call, whether the calling
+    layer's target placement equalled its active one, and how many
+    ``begin_step`` calls found the stream busy."""
+    audit = {"layer": None, "target_is_active": [], "busy_steps": 0}
+    begin_step = LayerPipeline.begin_step
+    on_step = Scheduler.on_step
+
+    def tracked_begin_step(self, assignment, step_index):
+        audit["layer"] = self
+        audit["busy_steps"] += self.pending_actions > 0
+        return begin_step(self, assignment, step_index)
+
+    def audited_on_step(self, assignment, step):
+        layer = audit["layer"]
+        assert layer is not None and layer.scheduler is self
+        audit["target_is_active"].append(
+            layer.target_placement == layer.active_placement
+        )
+        return on_step(self, assignment, step)
+
+    monkeypatch.setattr(LayerPipeline, "begin_step", tracked_begin_step)
+    monkeypatch.setattr(Scheduler, "on_step", audited_on_step)
+    return audit
+
+
+class TestSchedulerHeldWhileStreamBusy:
+    def test_busy_stream_skips_the_scheduling_round(self, monkeypatch):
+        layer = small_engine().layer(0)
+        calls = _count_on_step(monkeypatch, layer.scheduler)
+        assignment = _skewed_assignment()
+        _, outcome = layer.begin_step(assignment, 0)
+        assert outcome.actions and layer.pending_actions > 0
+        for step in (1, 2):
+            blocking, held = layer.begin_step(assignment, step)
+            assert blocking == 0.0
+            assert not held.triggered and held.actions == ()
+            assert np.isnan(held.metric_before) and np.isnan(held.metric_after)
+        assert calls == [0]
+        # Held steps never reached the scheduler, so its history skips them.
+        assert len(layer.scheduler.history) == 1
+        layer.advance_stream(1e9)
+        assert layer.pending_actions == 0
+        assert layer.target_placement == layer.active_placement
+        layer.begin_step(assignment, 3)
+        assert calls == [0, 3]
+
+    def test_without_best_effort_every_step_is_scheduled(self, monkeypatch):
+        engine = small_engine(scheduler_config=SchedulerConfig(best_effort=False))
+        layer = engine.layer(0)
+        calls = _count_on_step(monkeypatch, layer.scheduler)
+        assignment = _skewed_assignment()
+        emitted = 0
+        for step in range(4):
+            _, outcome = layer.begin_step(assignment, step)
+            emitted += len(outcome.actions)
+            assert layer.pending_actions == 0
+        assert emitted > 0
+        assert calls == [0, 1, 2, 3]
+
+    def test_multitenant_serving_plans_only_on_the_active_placement(
+        self, on_step_audit
+    ):
+        run = multitenant_run(num_gpus=16, num_experts=64, seed=1)
+        assert run.flexmoe.placement_actions > 0
+        assert on_step_audit["busy_steps"] > 0
+        assert on_step_audit["target_is_active"]
+        assert all(on_step_audit["target_is_active"])
+
+    def test_elastic_training_plans_only_on_the_active_placement(
+        self, on_step_audit
+    ):
+        # Spare slots and a two-replica floor make the failure re-home.
+        config = SchedulerConfig(min_replicas=2, slots_per_gpu=5)
+        schedule = ElasticitySchedule([ClusterEvent(step=3, kind="fail", gpu=1)])
+        engine = small_engine(scheduler_config=config, elasticity=schedule)
+        trace = small_trace(4, num_steps=8, seed=1)
+        for step in range(3):
+            engine.step(trace.step(step), step)
+        before = [layer.pending_actions for layer in engine.layers]
+        engine.apply_elasticity(3)
+        rehomed = [
+            layer.pending_actions - count
+            for layer, count in zip(engine.layers, before)
+        ]
+        assert max(rehomed) > 0  # re-homing Expands now ride the streams
+        for step in range(3, 8):
+            engine.step(trace.step(step), step)
+        assert on_step_audit["busy_steps"] > 0
+        assert on_step_audit["target_is_active"]
+        assert all(on_step_audit["target_is_active"])
