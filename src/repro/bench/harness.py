@@ -491,6 +491,29 @@ def faults_run(
     )
 
 
+def faults_smoke(seed: int = 0) -> dict[str, object]:
+    """:func:`faults_run` arguments of ``faults --smoke``: the fixed CI
+    scenario, one failure at step 10 that rejoins 10 steps later plus one
+    persistent half-speed straggler from step 4, on 2 MoE layers x 16
+    experts over 8 GPUs for 40 steps."""
+    return {
+        "num_moe_layers": 2,
+        "num_gpus": 8,
+        "num_experts": 16,
+        "num_steps": 40,
+        "faults": FaultConfig(
+            num_failures=1,
+            failure_step=10,
+            recovery_steps=10,
+            num_stragglers=1,
+            straggler_factor=0.5,
+            straggler_step=4,
+            seed=seed,
+        ),
+        "seed": seed,
+    }
+
+
 def quick_comparison(
     num_gpus: int = 8,
     num_experts: int = 16,

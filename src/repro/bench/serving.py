@@ -281,6 +281,20 @@ def serving_run(
     )
 
 
+def serving_suite(
+    smoke: bool = False, seed: int = 0, **scenario: object
+) -> dict[str, object]:
+    """The sealed ``serving_latency`` report of one :func:`serving_run`
+    of ``scenario``.
+
+    ``smoke`` runs the fixed scenario CI gates on instead: the default
+    skewed bursty stream near saturation, 250 requests, no faults.
+    """
+    if smoke:
+        scenario = {"num_requests": 250}
+    return serving_run(seed=seed, **scenario).summary(smoke=smoke)
+
+
 @dataclass(frozen=True)
 class MultiTenantRunResult:
     """Outcome of one multi-tenant admission-discipline comparison.
@@ -518,3 +532,18 @@ def multitenant_run(
         tenants=tenant_rows,
         fairness_floor=fairness_floor,
     )
+
+
+def multitenant_suite(
+    smoke: bool = False, seed: int = 0, **scenario: object
+) -> dict[str, object]:
+    """The sealed ``multitenant_serving`` report of one
+    :func:`multitenant_run` of ``scenario``.
+
+    ``smoke`` runs the fixed scenario CI gates on instead: 2 MoE layers x
+    16 experts on 8 GPUs, 200 requests, one interactive tenant against two
+    batch tenants near saturation.
+    """
+    if smoke:
+        scenario = {"num_requests": 200}
+    return multitenant_run(seed=seed, **scenario).summary(smoke=smoke)

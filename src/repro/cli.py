@@ -1,52 +1,13 @@
 """Command-line entry point: ``python -m repro``.
 
-Eleven subcommands expose the simulation engine without writing any code:
-
-* ``run``     — multi-layer pipelined FlexMoE run with an overlap-aware
-  step-time breakdown and per-layer placement divergence;
-* ``bench``   — the routing microbenchmark (vectorized vs reference
-  router), plus ``--smoke`` for the fast end-to-end suite CI runs;
-* ``compare`` — the paper's system line-up (DeepSpeed-style expert
-  parallelism / FasterMoE / FlexMoE) on one workload;
-* ``faults``  — the elastic-cluster scenario engine: seeded device
-  failures, recoveries and stragglers injected into identical FlexMoE
-  and static runs (see ``docs/elasticity.md``);
-* ``perf``    — the scheduling-overhead harness: planner rounds/sec of
-  the delta-cost search vs the full-recompute reference evaluator, the
-  event kernel's hosting overhead and event throughput, written to
-  ``BENCH_step_overhead.json`` (see ``docs/performance.md``);
-* ``scale``   — the datacenter-scale sweep (64 to 4096 devices):
-  hierarchical vs flat placement search, written to ``BENCH_scale.json``;
-* ``serve``   — the online serving harness: an SLO-aware request stream
-  (bursty/diurnal arrival, drifting topics) served by the dynamic
-  FlexMoE server vs the frozen ``StaticServing`` baseline, with
-  p50/p95/p99 latency and goodput written to
-  ``BENCH_serving_latency.json``; ``serve --multi-tenant`` runs the
-  multi-tenant comparison instead (SLO classes, priority admission,
-  preemption vs a global FIFO, ``BENCH_multitenant.json``) — see
-  ``docs/serving.md``;
-* ``scenario`` — the composed discrete-event scenario on the unified
-  simulation kernel: serving under diurnal load WHILE devices fail and
-  recover at wall-clock times WHILE a metered migration budget competes
-  for bandwidth, written to ``BENCH_composed_scenario.json`` (see
-  ``docs/simulation.md``);
-* ``churn``   — the closed SLO loop under capacity loss: paired
-  autoscaled-vs-fixed runs through spot revocation waves (plus outage,
-  heterogeneous-standby and multi-day variants) and the multi-tenant
-  graceful-degradation pair, written to ``BENCH_autoscale_churn.json``
-  (see ``docs/autoscaling.md``);
-* ``trace``   — the composed scenario under a full telemetry session:
-  kernel event spans, step-phase spans, serving-batch spans, the
-  control-plane decision timeline and a metrics snapshot, exported as
-  one Chrome trace-event JSON artifact loadable in Perfetto
-  (see ``docs/observability.md``).
-* ``check``   — re-evaluates the named gates of ``BENCH_*.json`` reports
-  (:mod:`repro.bench.gates`) from the files alone and prints every
-  failed gate by name; CI runs it after each benchmark suite.
-
-``run``, ``serve``, ``scenario`` and ``churn`` additionally accept
-``--trace-out PATH`` (write the same Chrome trace artifact for that run)
-and ``--telemetry`` (print the metrics-registry snapshot afterwards).
+``python -m repro --help`` lists the subcommands and ``python -m repro
+COMMAND --help`` describes one. ``run``, ``bench``, ``compare``,
+``faults`` and ``check`` have handlers of their own. Every other
+subcommand drives a report suite: :data:`REPORTS` holds one
+:class:`ReportSuite` record per suite, keyed by its
+:data:`repro.bench.gates.SUITES` name, and :func:`_cmd_report` runs
+every record the same way. A flag several subcommands take is declared
+once, in :data:`_FLAGS`; each subcommand gives its own default.
 
 Every benchmark in ``benchmarks/`` and example in ``examples/`` builds on
 the same harness functions these commands call, so the CLI is the quickest
@@ -61,48 +22,115 @@ import dataclasses
 import json
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from repro.bench.harness import (
     SMOKE,
     faults_run,
+    faults_smoke,
     figure5_comparison,
     pipeline_run,
     quick_comparison,
     router_microbenchmark,
 )
 from repro.config import FaultConfig
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.model.zoo import MODEL_ZOO
 
+#: Flags more than one subcommand takes: ``dest -> (type, help)``, where a
+#: ``None`` type is a store_true switch. :func:`_add_flags` declares them.
+_FLAGS: dict[str, tuple[type | None, str]] = {
+    "smoke": (None, "the fixed CI-scale scenario (what CI runs)"),
+    "json": (None, "machine-readable output"),
+    "telemetry": (None, "print the metrics-registry snapshot after the run"),
+    "output": (str, "where to write the report"),
+    "trace_out": (
+        str,
+        "write a Chrome trace-event JSON artifact for this run (kernel "
+        "spans, decision timeline, metrics snapshot; open in Perfetto or "
+        "chrome://tracing, see docs/observability.md)",
+    ),
+    "seed": (int, "seed of every random draw"),
+    "layers": (int, "MoE layers"),
+    "experts": (int, "experts per layer"),
+    "gpus": (int, "cluster size (below 8, or a multiple of 8)"),
+    "steps": (int, "trace length in steps"),
+    "tokens_per_gpu": (int, "tokens per device and step"),
+    "warmup": (int, "cold-start steps left out of the statistics"),
+    "requests": (int, "request-stream length"),
+    "load": (float, "offered load vs the balanced token capacity"),
+    "failures": (int, "devices that fail mid-run"),
+}
 
-def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome trace-event JSON artifact for this run "
-        "(kernel spans, decision timeline, metrics snapshot; open in "
-        "Perfetto or chrome://tracing, see docs/observability.md)",
-    )
-    p.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="print the metrics-registry snapshot after the run",
-    )
+
+def _add_flags(
+    p: argparse.ArgumentParser, *switches: str, **defaults: object
+) -> None:
+    """Declare :data:`_FLAGS` on ``p``: each of ``switches`` as a
+    store_true flag, each of ``defaults`` with this subcommand's default."""
+    for dest in (*switches, *defaults):
+        kind, text = _FLAGS[dest]
+        option = "--" + dest.replace("_", "-")
+        if kind is None:
+            p.add_argument(option, action="store_true", help=text)
+            continue
+        default = defaults[dest]
+        p.add_argument(
+            option,
+            type=kind,
+            default=default,
+            metavar="PATH" if kind is str else None,
+            help=text if default is None else f"{text} (default: %(default)s)",
+        )
+
+
+class _PathError(ReproError):
+    """An output path cannot take its artifact."""
+
+    def __init__(self, what: str, path: str | Path, exc: OSError) -> None:
+        super().__init__(f"cannot write {what} to {path}: {exc}")
 
 
 @contextmanager
-def _telemetry_scope(
-    args: argparse.Namespace, force: bool = False
-) -> Iterator[object]:
-    """An active telemetry session when ``--trace-out``/``--telemetry``
-    ask for one (or ``force``), else ``None`` -- so default runs stay on
-    the telemetry-disabled fast path."""
-    wanted = force or bool(
-        getattr(args, "trace_out", None) or getattr(args, "telemetry", False)
-    )
+def _probed(what: str, path: str | None) -> Iterator[Path | None]:
+    """``path`` (``None``: nothing to write), checked writable up front.
+
+    An unwritable path fails in milliseconds instead of after the whole
+    simulation, and the empty probe file never outlives a failed run.
+    """
+    if path is None:
+        yield None
+        return
+    target = Path(path)
+    created = not target.exists()
+    try:
+        open(target, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _PathError(what, path, exc) from exc
+    try:
+        yield target
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                if target.stat().st_size == 0:
+                    target.unlink()
+        raise
+
+
+def _save(what: str, path: Path, write: Callable[[Path], object]) -> None:
+    try:
+        write(path)
+    except OSError as exc:
+        raise _PathError(what, path, exc) from exc
+
+
+@contextmanager
+def _telemetry_scope(wanted: bool) -> Iterator[object]:
+    """A fresh telemetry session when ``wanted``, else ``None`` -- so
+    default runs stay on the telemetry-disabled fast path."""
     if not wanted:
         yield None
         return
@@ -112,84 +140,26 @@ def _telemetry_scope(
         yield tel
 
 
-def _emit_telemetry(args: argparse.Namespace, tel, quiet: bool = False) -> int:
-    """Write the trace artifact / print the snapshot a command's
-    telemetry flags requested. Returns non-zero only on write failure."""
-    if tel is None:
-        return 0
-    if getattr(args, "trace_out", None):
-        try:
-            path = tel.write(args.trace_out)
-        except OSError as exc:
-            print(
-                f"error: cannot write trace to {args.trace_out}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        if not quiet:
+def _emit_telemetry(
+    args: argparse.Namespace, tel, trace_path: Path | None
+) -> None:
+    """Write the ``--trace-out`` artifact and print what ``--trace-out``
+    and ``--telemetry`` ask for (nothing under ``--json``)."""
+    if trace_path is not None:
+        _save("trace", trace_path, tel.write)
+        if not args.json:
             events = len(tel.tracer.events) if tel.tracer is not None else 0
             print(
-                f"trace written to {path} ({events} trace events, "
+                f"trace written to {trace_path} ({events} trace events, "
                 f"{len(tel.timeline)} timeline entries)"
             )
-    if getattr(args, "telemetry", False) and not quiet:
+    if args.telemetry and not args.json:
         print(tel.registry.to_json())
-    return 0
 
 
-class _ReportPathError(ReproError):
-    """``--output`` cannot take the report."""
-
-    def __init__(self, output: str, exc: OSError) -> None:
-        super().__init__(f"cannot write report to {output}: {exc}")
-
-
-def _run_to_report(
-    output: str | None, build: Callable[[], dict]
-) -> tuple[dict, Path | None]:
-    """Run ``build`` and write its report to ``output`` (``None``: no file).
-
-    The path is probed before the run, so an unwritable ``--output``
-    fails in milliseconds instead of after the whole simulation, and the
-    empty probe file never outlives a failed run.
-    """
-    if output is None:
-        return build(), None
-    from repro.bench.perf import write_report
-
-    path = Path(output)
-    probe = not path.exists()
-    try:
-        open(path, "a", encoding="utf-8").close()
-    except OSError as exc:
-        raise _ReportPathError(output, exc) from exc
-    try:
-        report = build()
-    except BaseException:
-        if probe:
-            with suppress(OSError):
-                if path.stat().st_size == 0:
-                    path.unlink()
-        raise
-    try:
-        write_report(report, path)
-    except OSError as exc:
-        raise _ReportPathError(output, exc) from exc
-    return report, path
-
-
-def _verdict(label: str | None, report: dict, enforce: bool = True) -> int:
-    """Exit code of a sealed report: 1 on a failed gate when ``enforce``.
-
-    With a ``label``, prints ``label: OK`` or ``label: FAILED`` followed
-    by the names of the failed gates.
-    """
-    failed = [name for name, held in report["gates"].items() if not held]
-    if label is not None:
-        print(f"{label}:", f"FAILED {', '.join(failed)}" if failed else "OK")
-    return 1 if failed and enforce else 0
-
-
+# ----------------------------------------------------------------------
+# run / bench / compare / faults / check
+# ----------------------------------------------------------------------
 def _add_run_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "run",
@@ -197,18 +167,15 @@ def _add_run_parser(sub: argparse._SubParsersAction) -> None:
         description=(
             "Simulate FlexMoE over every MoE layer of a transformer: "
             "per-layer placements and adjustment streams, with All-to-All "
-            "overlapped against the dense blocks."
+            "overlapped against the dense blocks. Prints the step-time "
+            "breakdown and the per-layer placement divergence."
         ),
     )
-    p.add_argument("--layers", type=int, default=4, help="MoE layers (default 4)")
-    p.add_argument("--experts", type=int, default=32, help="experts per layer")
-    p.add_argument("--gpus", type=int, default=16, help="cluster size")
-    p.add_argument("--steps", type=int, default=30, help="trace length")
-    p.add_argument("--tokens-per-gpu", type=int, default=32_768)
+    _add_flags(
+        p, layers=4, experts=32, gpus=16, steps=30, tokens_per_gpu=32_768
+    )
     p.add_argument("--d-model", type=int, default=2048)
     p.add_argument("--d-ffn", type=int, default=8192)
-    p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--no-overlap",
         action="store_true",
@@ -219,8 +186,7 @@ def _add_run_parser(sub: argparse._SubParsersAction) -> None:
         action="store_true",
         help="skip dense-block modelling (bare stacked MoE layers)",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_telemetry_flags(p)
+    _add_flags(p, "json", "telemetry", warmup=5, seed=0, trace_out=None)
 
 
 def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
@@ -233,16 +199,8 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
             "pipeline and comparison pass (what CI runs)."
         ),
     )
-    p.add_argument("--experts", type=int, default=64)
-    p.add_argument("--gpus", type=int, default=16)
+    _add_flags(p, "smoke", "json", experts=64, gpus=16, seed=0)
     p.add_argument("--repeats", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fast end-to-end suite: router + pipeline + comparison",
-    )
-    p.add_argument("--json", action="store_true")
 
 
 def _add_compare_parser(sub: argparse._SubParsersAction) -> None:
@@ -261,11 +219,7 @@ def _add_compare_parser(sub: argparse._SubParsersAction) -> None:
         help=f"model-zoo config (one of: {', '.join(sorted(MODEL_ZOO))}); "
         "omit for a small custom model",
     )
-    p.add_argument("--experts", type=int, default=16, help="custom-model experts")
-    p.add_argument("--gpus", type=int, default=8)
-    p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    _add_flags(p, "json", experts=16, gpus=8, steps=40, seed=0)
 
 
 def _add_faults_parser(sub: argparse._SubParsersAction) -> None:
@@ -276,17 +230,15 @@ def _add_faults_parser(sub: argparse._SubParsersAction) -> None:
             "Inject a seeded elasticity schedule (device failures, "
             "recoveries, stragglers, optional static heterogeneity) into "
             "two identical runs -- FlexMoE with dynamic placement vs a "
-            "static baseline -- and report how each absorbs the events."
+            "static baseline -- and report how each absorbs the events. "
+            "--smoke runs a small fixed scenario and fails unless FlexMoE "
+            "re-homes and recovers."
         ),
     )
-    p.add_argument("--layers", type=int, default=2, help="MoE layers (default 2)")
-    p.add_argument("--experts", type=int, default=16, help="experts per layer")
-    p.add_argument("--gpus", type=int, default=8, help="cluster size")
-    p.add_argument("--steps", type=int, default=50, help="trace length")
-    p.add_argument("--tokens-per-gpu", type=int, default=16_384)
-    p.add_argument("--warmup", type=int, default=5)
-    p.add_argument(
-        "--failures", type=int, default=1, help="devices that fail (default 1)"
+    _add_flags(
+        p, "smoke", "json",
+        layers=2, experts=16, gpus=8, steps=50, tokens_per_gpu=16_384,
+        warmup=5, failures=1, seed=0,
     )
     p.add_argument(
         "--fail-step", type=int, default=None,
@@ -321,289 +273,6 @@ def _add_faults_parser(sub: argparse._SubParsersAction) -> None:
         "--spike-period", type=int, default=None,
         help="workload spikes: one expert surges every ~N steps",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fixed scenario + recovery assertions (what CI runs)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-
-
-def _add_perf_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "perf",
-        help="scheduling-overhead benchmark (delta vs reference planner)",
-        description=(
-            "Benchmark the scheduling hot path: planner rounds/sec with "
-            "the incremental delta-cost evaluator vs the full-recompute "
-            "reference planner, asserting identical decisions, plus the "
-            "event kernel's hosting overhead and serving/kernel event "
-            "throughput. Writes the machine-readable report to "
-            "BENCH_step_overhead.json."
-        ),
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-scale scenarios; fails if the delta path ever falls back "
-        "to full recomputation or decisions diverge",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--output",
-        default="BENCH_step_overhead.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: "
-        "BENCH_step_overhead.json in the current directory)",
-    )
-    p.add_argument("--json", action="store_true", help="print the report too")
-
-
-def _add_scale_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "scale",
-        help="datacenter-scale sweep: 64 to 4096 devices",
-        description=(
-            "Sweep cluster size from 64 to 4096 devices (experts and "
-            "layers scaled alongside) and record planner rounds/sec of "
-            "the hierarchical two-level placement search vs the flat "
-            "full-cluster sweep, engine steps/sec where the ground-truth "
-            "executor is feasible, and kernel events/sec with fan-out "
-            "scaled to the layer count. Writes the machine-readable "
-            "report to BENCH_scale.json."
-        ),
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="64- and 1024-device columns only (what CI runs); fails "
-        "unless every named gate holds",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--output",
-        default="BENCH_scale.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: BENCH_scale.json "
-        "in the current directory)",
-    )
-    p.add_argument("--json", action="store_true", help="print the report too")
-
-
-def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "serve",
-        help="online serving: SLO-aware request stream, FlexMoE vs Static",
-        description=(
-            "Serve an identical seeded request stream (bursty or diurnal "
-            "arrival, drifting topic mix shifting expert popularity) with "
-            "the dynamic FlexMoE server and the frozen StaticServing "
-            "baseline, and report p50/p95/p99 latency and goodput under "
-            "the SLO. The report lands in BENCH_serving_latency.json."
-        ),
-    )
-    p.add_argument("--layers", type=int, default=2, help="MoE layers (default 2)")
-    p.add_argument("--experts", type=int, default=16, help="experts per layer")
-    p.add_argument("--gpus", type=int, default=8, help="cluster size")
-    p.add_argument(
-        "--requests", type=int, default=400, help="stream length (default 400)"
-    )
-    p.add_argument(
-        "--mean-tokens", type=int, default=512,
-        help="median request length in tokens",
-    )
-    p.add_argument(
-        "--batch-tokens", type=int, default=4096,
-        help="micro-batch token budget",
-    )
-    p.add_argument(
-        "--arrival", choices=("poisson", "bursty", "diurnal"),
-        default="bursty", help="arrival process (default bursty)",
-    )
-    p.add_argument(
-        "--load", type=float, default=0.9,
-        help="offered load vs the balanced token capacity (default 0.9)",
-    )
-    p.add_argument(
-        "--skew", type=float, default=2.0,
-        help="Zipf exponent of each topic's expert profile",
-    )
-    p.add_argument(
-        "--topics", type=int, default=4, help="topic vocabulary size"
-    )
-    p.add_argument(
-        "--topic-drift", type=float, default=0.4,
-        help="per-request drift of the topic mix",
-    )
-    p.add_argument(
-        "--slo-batches", type=float, default=8.0,
-        help="per-request SLO in balanced-batch durations",
-    )
-    p.add_argument(
-        "--failures", type=int, default=0,
-        help="devices failing mid-stream (elasticity; default 0)",
-    )
-    p.add_argument(
-        "--fail-batch", type=int, default=None,
-        help="batch index of the first failure (default: a third in)",
-    )
-    p.add_argument(
-        "--recover-after", type=int, default=None,
-        help="batches until a failed device rejoins (0 = never)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--multi-tenant",
-        action="store_true",
-        help="multi-tenant comparison: an interactive tenant plus two "
-        "batch tenants; FlexMoE placement with priority admission and "
-        "preemption vs static placement with a global FIFO "
-        "(BENCH_multitenant.json)",
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fixed CI scenario; fails on any SLO-comparison regression",
-    )
-    p.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="where to write the JSON report (default with --smoke: "
-        "BENCH_serving_latency.json, or BENCH_multitenant.json with "
-        "--multi-tenant, in the current directory; custom runs write "
-        "no report unless given a path)",
-    )
-    p.add_argument("--json", action="store_true", help="print the report too")
-    _add_telemetry_flags(p)
-
-
-def _add_scenario_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "scenario",
-        help="composed scenario on the unified simulation kernel",
-        description=(
-            "Run a declarative composed scenario on the shared "
-            "discrete-event kernel: an SLO-aware diurnal serving stream, "
-            "wall-clock-timed device failures and recoveries, and a "
-            "metered background migration budget all advance one clock. "
-            "None of the retired bespoke loops could express this "
-            "combination; see docs/simulation.md."
-        ),
-    )
-    p.add_argument("--layers", type=int, default=2, help="MoE layers (default 2)")
-    p.add_argument("--experts", type=int, default=16, help="experts per layer")
-    p.add_argument("--gpus", type=int, default=8, help="cluster size")
-    p.add_argument(
-        "--requests", type=int, default=400, help="stream length (default 400)"
-    )
-    p.add_argument(
-        "--load", type=float, default=0.85,
-        help="offered load vs the balanced token capacity (default 0.85)",
-    )
-    p.add_argument(
-        "--failures", type=int, default=1,
-        help="devices failing (and later recovering) mid-stream; above 1, "
-        "a budget-starved re-home can legitimately abort the run with "
-        "'model states are gone'",
-    )
-    p.add_argument(
-        "--budget-bandwidth", type=float, default=0.5,
-        help="fraction of link time each migration-budget grant hands "
-        "the adjustment streams (default 0.5)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-scale scenario (shared smoke-duration policy); fails "
-        "unless every named gate holds",
-    )
-    p.add_argument(
-        "--output",
-        default="BENCH_composed_scenario.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: "
-        "BENCH_composed_scenario.json in the current directory)",
-    )
-    p.add_argument("--json", action="store_true", help="print the report too")
-    _add_telemetry_flags(p)
-
-
-def _add_churn_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "churn",
-        help="autoscaler vs fixed pool under spot churn + degradation pair",
-        description=(
-            "Close the SLO loop under capacity loss: paired "
-            "autoscaled-vs-fixed serving runs through correlated spot "
-            "revocation waves (plus outage, heterogeneous-standby and "
-            "multi-day variants), and a multi-tenant graceful-degradation "
-            "pair that sheds lowest-priority work first when devices "
-            "vanish. See docs/autoscaling.md."
-        ),
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-scale matrix (shared smoke-duration policy); fails "
-        "unless every named gate holds",
-    )
-    p.add_argument(
-        "--output",
-        default="BENCH_autoscale_churn.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: "
-        "BENCH_autoscale_churn.json in the current directory)",
-    )
-    p.add_argument("--json", action="store_true", help="print the report too")
-    _add_telemetry_flags(p)
-
-
-def _add_trace_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "trace",
-        help="composed scenario under a full telemetry session",
-        description=(
-            "Run the composed kernel scenario (serving + timed outages + "
-            "migration budget) with the telemetry layer fully on, and "
-            "export one Chrome trace-event JSON artifact: kernel event "
-            "spans per priority lane, serving-batch spans, control-plane "
-            "decision instants, plus the decision timeline and metrics "
-            "snapshot in metadata. Open it in Perfetto (ui.perfetto.dev) "
-            "or chrome://tracing; see docs/observability.md."
-        ),
-    )
-    p.add_argument("--layers", type=int, default=2, help="MoE layers (default 2)")
-    p.add_argument("--experts", type=int, default=16, help="experts per layer")
-    p.add_argument("--gpus", type=int, default=8, help="cluster size")
-    p.add_argument(
-        "--requests", type=int, default=400, help="stream length (default 400)"
-    )
-    p.add_argument(
-        "--load", type=float, default=0.85,
-        help="offered load vs the balanced token capacity (default 0.85)",
-    )
-    p.add_argument(
-        "--failures", type=int, default=1,
-        help="devices failing (and later recovering) mid-stream",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-scale scenario; fails unless every named gate holds",
-    )
-    p.add_argument(
-        "--output",
-        default="trace.json",
-        metavar="PATH",
-        help="where to write the trace artifact (default: trace.json in "
-        "the current directory)",
-    )
-    p.add_argument("--json", action="store_true", help="print a summary too")
 
 
 def _add_check_parser(sub: argparse._SubParsersAction) -> None:
@@ -622,49 +291,24 @@ def _add_check_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("files", nargs="+", metavar="FILE")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="FlexMoE reproduction: dynamic device placement for "
-        "sparse MoE training (Nie et al., SIGMOD 2023).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_run_parser(sub)
-    _add_bench_parser(sub)
-    _add_compare_parser(sub)
-    _add_faults_parser(sub)
-    _add_perf_parser(sub)
-    _add_scale_parser(sub)
-    _add_serve_parser(sub)
-    _add_scenario_parser(sub)
-    _add_churn_parser(sub)
-    _add_trace_parser(sub)
-    _add_check_parser(sub)
-    return parser
-
-
-# ----------------------------------------------------------------------
-# Subcommand implementations
-# ----------------------------------------------------------------------
 def _cmd_run(args: argparse.Namespace) -> int:
-    with _telemetry_scope(args) as tel:
-        run = pipeline_run(
-            num_moe_layers=args.layers,
-            num_gpus=args.gpus,
-            num_experts=args.experts,
-            num_steps=args.steps,
-            tokens_per_gpu=args.tokens_per_gpu,
-            d_model=args.d_model,
-            d_ffn=args.d_ffn,
-            warmup=args.warmup,
-            seed=args.seed,
-            overlap_efficiency=0.0 if args.no_overlap else 1.0,
-            model_dense_compute=not args.no_dense,
-        )
+    with _probed("trace", args.trace_out) as trace_path:
+        with _telemetry_scope(bool(trace_path or args.telemetry)) as tel:
+            run = pipeline_run(
+                num_moe_layers=args.layers,
+                num_gpus=args.gpus,
+                num_experts=args.experts,
+                num_steps=args.steps,
+                tokens_per_gpu=args.tokens_per_gpu,
+                d_model=args.d_model,
+                d_ffn=args.d_ffn,
+                warmup=args.warmup,
+                seed=args.seed,
+                overlap_efficiency=0.0 if args.no_overlap else 1.0,
+                model_dense_compute=not args.no_dense,
+            )
+        _emit_telemetry(args, tel, trace_path)
     summary = run.summary()
-    emit_rc = _emit_telemetry(args, tel, quiet=args.json)
-    if emit_rc:
-        return emit_rc
     if args.json:
         payload = dict(summary)
         payload["distinct_final_placements"] = run.distinct_final_placements
@@ -801,46 +445,46 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    if args.smoke:
-        # Fixed small scenario CI asserts on: one failure that recovers,
-        # one persistent straggler.
-        args.layers, args.experts, args.gpus = 2, 16, 8
-        args.steps, args.tokens_per_gpu, args.warmup = 40, 16_384, 5
-        args.failures, args.fail_step, args.recover_after = 1, 10, 10
-        args.stragglers, args.straggler_factor, args.straggler_step = 1, 0.5, 4
-        args.slow_gpus, args.spike_period = 0, None
-
-    fail_step = args.fail_step if args.fail_step is not None else args.steps // 4
+def _faults_scenario(args: argparse.Namespace) -> dict[str, object]:
+    """:func:`faults_run` arguments of a custom ``faults`` run."""
     recover = (
         args.recover_after if args.recover_after is not None else args.steps // 4
     )
-    faults = FaultConfig(
-        num_failures=args.failures,
-        failure_step=fail_step,
-        recovery_steps=recover if recover > 0 else None,
-        num_stragglers=args.stragglers,
-        straggler_factor=args.straggler_factor,
-        straggler_step=(
-            args.straggler_step
-            if args.straggler_step is not None
-            else max(2, args.steps // 10)
+    return {
+        "num_moe_layers": args.layers,
+        "num_gpus": args.gpus,
+        "num_experts": args.experts,
+        "num_steps": args.steps,
+        "tokens_per_gpu": args.tokens_per_gpu,
+        "warmup": args.warmup,
+        "faults": FaultConfig(
+            num_failures=args.failures,
+            failure_step=(
+                args.fail_step if args.fail_step is not None
+                else args.steps // 4
+            ),
+            recovery_steps=recover if recover > 0 else None,
+            num_stragglers=args.stragglers,
+            straggler_factor=args.straggler_factor,
+            straggler_step=(
+                args.straggler_step
+                if args.straggler_step is not None
+                else max(2, args.steps // 10)
+            ),
+            seed=args.seed,
         ),
-        seed=args.seed,
+        "slow_gpus": args.slow_gpus,
+        "slow_factor": args.slow_factor,
+        "spike_period": args.spike_period,
+        "seed": args.seed,
+    }
+
+
+def _cmd_faults(args: argparse.Namespace) -> int:
+    scenario = (
+        faults_smoke(args.seed) if args.smoke else _faults_scenario(args)
     )
-    result = faults_run(
-        num_moe_layers=args.layers,
-        num_gpus=args.gpus,
-        num_experts=args.experts,
-        num_steps=args.steps,
-        tokens_per_gpu=args.tokens_per_gpu,
-        warmup=args.warmup,
-        faults=faults,
-        slow_gpus=args.slow_gpus,
-        slow_factor=args.slow_factor,
-        spike_period=args.spike_period,
-        seed=args.seed,
-    )
+    result = faults_run(**scenario)
     summary = result.summary()
     ok = bool(summary["ok"]) or not args.smoke
     if args.json:
@@ -853,8 +497,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     print(
-        f"elastic scenario: {args.layers} MoE layers x {args.experts} experts "
-        f"on {args.gpus} GPUs, {args.steps} steps, seed {args.seed}"
+        f"elastic scenario: {scenario['num_moe_layers']} MoE layers x "
+        f"{scenario['num_experts']} experts on {scenario['num_gpus']} GPUs, "
+        f"{scenario['num_steps']} steps, seed {scenario['seed']}"
     )
     print("  events:")
     for ev in result.schedule.events:
@@ -883,16 +528,96 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.bench.gates import evaluate, stale
+
+    code = 0
+    for name in args.files:
+        try:
+            report = json.loads(Path(name).read_text(encoding="utf-8"))
+            gates = evaluate(report)
+        except (OSError, ValueError, ReproError) as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            code = 2
+            continue
+        failed = [gate for gate, held in gates.items() if not held]
+        if stale(report, gates):
+            failed.append("stale_gates")
+        for gate in failed:
+            print(f"{name}: FAILED {gate}")
+        if failed:
+            code = max(code, 1)
+        else:
+            print(f"{name}: OK ({report['suite']}, {len(gates)} gates)")
+    return code
+
+
+# ----------------------------------------------------------------------
+# Report suites
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ReportSuite:
+    """How ``python -m repro`` drives one report suite.
+
+    Attributes:
+        command: The invocation, e.g. ``serve --multi-tenant`` for a suite
+            a flag of another suite's subcommand selects.
+        output: The report's canonical path, the ``--output`` default.
+        build: Runs the suite from the parsed flags; returns the sealed
+            report (``"gates"`` and ``"ok"``, see :mod:`repro.bench.gates`).
+        show: Prints the human-readable table of a report.
+        help: The subcommand's one-line help; empty when the suite shares
+            its subcommand with another record.
+        description: The subcommand's ``--help`` text.
+        flags: Declares the flags the suite takes beyond ``--seed``,
+            ``--smoke``, ``--output`` and ``--json``.
+        gated: A failed gate fails every run, not only ``--smoke``.
+        custom_output: Runs without ``--smoke`` write ``output`` too;
+            otherwise they write only to an explicit ``--output``.
+        trace_output: ``--output`` takes the run's Chrome trace (the run
+            is always under a telemetry session) instead of the JSON
+            report, and ``--json`` prints :func:`_trace_summary`.
+        indent: Leading spaces of the "report written to" line.
+    """
+
+    command: str
+    output: str
+    build: Callable[[argparse.Namespace], dict]
+    show: Callable[[dict], None]
+    help: str = ""
+    description: str = ""
+    flags: Callable[[argparse.ArgumentParser], None] = lambda p: None
+    gated: bool = False
+    custom_output: bool = True
+    trace_output: bool = False
+    indent: str = "  "
+
+    @property
+    def label(self) -> str:
+        """The verdict line's name: ``serve multi-tenant``, ``perf``, ..."""
+        return self.command.replace(" --", " ")
+
+
+def _scenario(args: argparse.Namespace) -> dict[str, object]:
+    """The scenario flags ``serve``, ``scenario`` and ``trace`` share, as
+    suite keyword arguments."""
+    return {
+        "num_moe_layers": args.layers,
+        "num_gpus": args.gpus,
+        "num_experts": args.experts,
+        "num_requests": args.requests,
+        "load": args.load,
+        "seed": args.seed,
+    }
+
+
+def _perf(args: argparse.Namespace) -> dict:
     from repro.bench.perf import perf_suite
 
-    report, path = _run_to_report(
-        args.output, lambda: perf_suite(smoke=args.smoke, seed=args.seed)
-    )
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return _verdict(None, report)
+    return perf_suite(smoke=args.smoke, seed=args.seed)
 
+
+def _show_perf(report: dict) -> None:
     planner = report["planner"]
     print(
         f"planner   delta {planner['delta_rounds_per_sec']:8.1f} rounds/s vs "
@@ -953,20 +678,15 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     print(
         f"delta fallbacks to full recompute: {int(report['total_fallbacks'])}"
     )
-    print(f"report written to {path}")
-    return _verdict("perf", report)
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
+def _scale(args: argparse.Namespace) -> dict:
     from repro.bench.scale import scale_suite
 
-    report, path = _run_to_report(
-        args.output, lambda: scale_suite(smoke=args.smoke, seed=args.seed)
-    )
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return _verdict(None, report)
+    return scale_suite(smoke=args.smoke, seed=args.seed)
 
+
+def _show_scale(report: dict) -> None:
     for entry in report["sizes"]:
         planner = entry["planner"]
         engine = entry["engine"]
@@ -991,45 +711,159 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         f"{'yes' if hier_wins else 'NO'}; "
         f"delta fallbacks: {int(report['total_fallbacks'])}"
     )
-    print(f"report written to {path}")
-    return _verdict("scale", report)
 
 
-def _cmd_serve_multitenant(args: argparse.Namespace) -> int:
-    from repro.bench.serving import (
-        MULTITENANT_REPORT_FILENAME,
-        multitenant_run,
+def _serve_flags(p: argparse.ArgumentParser) -> None:
+    _add_flags(
+        p, "telemetry",
+        layers=2, experts=16, gpus=8, requests=400, load=0.9, failures=0,
+        trace_out=None,
+    )
+    p.add_argument(
+        "--mean-tokens", type=int, default=512,
+        help="median request length in tokens",
+    )
+    p.add_argument(
+        "--batch-tokens", type=int, default=4096,
+        help="micro-batch token budget",
+    )
+    p.add_argument(
+        "--arrival", choices=("poisson", "bursty", "diurnal"),
+        default="bursty", help="arrival process (default bursty)",
+    )
+    p.add_argument(
+        "--skew", type=float, default=2.0,
+        help="Zipf exponent of each topic's expert profile",
+    )
+    p.add_argument(
+        "--topics", type=int, default=4, help="topic vocabulary size"
+    )
+    p.add_argument(
+        "--topic-drift", type=float, default=0.4,
+        help="per-request drift of the topic mix",
+    )
+    p.add_argument(
+        "--slo-batches", type=float, default=8.0,
+        help="per-request SLO in balanced-batch durations",
+    )
+    p.add_argument(
+        "--fail-batch", type=int, default=None,
+        help="batch index of the first failure (default: a third in)",
+    )
+    p.add_argument(
+        "--recover-after", type=int, default=None,
+        help="batches until a failed device rejoins (0 = never)",
+    )
+    p.add_argument(
+        "--multi-tenant",
+        action="store_true",
+        help="multi-tenant comparison: an interactive tenant plus two "
+        "batch tenants; FlexMoE placement with priority admission and "
+        "preemption vs static placement with a global FIFO "
+        "(BENCH_multitenant.json)",
     )
 
-    if args.output is None and args.smoke:
-        args.output = MULTITENANT_REPORT_FILENAME
-    num_requests = 200 if args.smoke else args.requests
-    seed = 0 if args.smoke else args.seed
-    # Smoke pins the CI scenario: 2 layers x 16 experts on 8 GPUs, one
-    # interactive tenant against two batch tenants near saturation.
-    with _telemetry_scope(args) as tel:
-        summary, path = _run_to_report(
-            args.output,
-            lambda: multitenant_run(
-                num_requests=num_requests, seed=seed
-            ).summary(smoke=args.smoke),
-        )
-    emit_rc = _emit_telemetry(args, tel, quiet=args.json)
-    if emit_rc:
-        return emit_rc
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return _verdict(None, summary, enforce=args.smoke)
 
-    scenario = summary["scenario"]
+def _serve(args: argparse.Namespace) -> dict:
+    from repro.bench.serving import serving_suite
+
+    faults = None
+    if args.failures > 0:
+        expected_batches = max(
+            args.requests * args.mean_tokens // args.batch_tokens, 3
+        )
+        recover = (
+            args.recover_after
+            if args.recover_after is not None
+            else expected_batches // 3
+        )
+        faults = FaultConfig(
+            num_failures=args.failures,
+            failure_step=(
+                args.fail_batch
+                if args.fail_batch is not None
+                else max(1, expected_batches // 3)
+            ),
+            recovery_steps=recover if recover > 0 else None,
+            seed=args.seed,
+        )
+    return serving_suite(
+        smoke=args.smoke,
+        **_scenario(args),
+        mean_tokens=args.mean_tokens,
+        max_batch_tokens=args.batch_tokens,
+        arrival=args.arrival,
+        slo_batches=args.slo_batches,
+        skew=args.skew,
+        topic_drift=args.topic_drift,
+        num_topics=args.topics,
+        faults=faults,
+    )
+
+
+def _show_serve(report: dict) -> None:
+    scenario = report["scenario"]
+    print(
+        f"serving: {scenario['num_moe_layers']} MoE layers x "
+        f"{scenario['num_experts']} experts on {scenario['num_gpus']} GPUs, "
+        f"{scenario['num_requests']} requests ({scenario['arrival']} "
+        f"arrival, load {scenario['load']:.2f}, "
+        f"{scenario['rate_rps']:.0f} req/s calibrated)"
+    )
+    slo = report["slo_latency_s"]
+    print(
+        f"  SLO: {1e3 * slo:.3f} ms per request "
+        f"({slo / scenario['balanced_batch_s']:g} balanced batches)"
+    )
+    print(
+        f"  {'server':<16} {'p50':>9} {'p95':>9} {'p99':>9} "
+        f"{'goodput':>12} {'SLO-att':>8} {'actions':>8}"
+    )
+    for name, key in (("FlexMoE-serving", "flexmoe"), ("StaticServing", "static")):
+        s = report[key]
+        print(
+            f"  {name:<16} {1e3 * s['p50_latency_s']:>7.3f}ms "
+            f"{1e3 * s['p95_latency_s']:>7.3f}ms "
+            f"{1e3 * s['p99_latency_s']:>7.3f}ms "
+            f"{s['goodput_tokens_per_s']:>10.0f}/s "
+            f"{s['slo_attainment']:>8.3f} "
+            f"{int(s['placement_actions']):>8}"
+        )
+    print(
+        f"  p99 speedup over Static: {report['p99_speedup']:.2f}x, "
+        f"goodput gain: {report['goodput_gain']:.2f}x"
+    )
+
+
+def _serve_multitenant(args: argparse.Namespace) -> dict:
+    from repro.bench.serving import multitenant_suite
+
+    if args.failures > 0:
+        raise ConfigurationError(
+            "serve --multi-tenant injects no device failures; drop "
+            "--failures (the composed scenario and churn commands run "
+            "serving under capacity loss)"
+        )
+    return multitenant_suite(
+        smoke=args.smoke,
+        **_scenario(args),
+        max_batch_tokens=args.batch_tokens,
+        skew=args.skew,
+        topic_drift=args.topic_drift,
+        num_topics=args.topics,
+    )
+
+
+def _show_serve_multitenant(report: dict) -> None:
+    scenario = report["scenario"]
     print(
         f"multi-tenant serving: {scenario['num_moe_layers']} MoE layers x "
         f"{scenario['num_experts']} experts on {scenario['num_gpus']} GPUs, "
         f"{scenario['num_requests']} requests across "
-        f"{len(summary['tenants'])} tenants (load {scenario['load']:.2f}, "
+        f"{len(report['tenants'])} tenants (load {scenario['load']:.2f}, "
         f"{scenario['rate_rps']:.0f} req/s calibrated)"
     )
-    for row in summary["tenants"]:
+    for row in report["tenants"]:
         print(
             f"  tenant {row['name']:<8} class={row['class']:<11} "
             f"priority={row['priority']:>2} weight={row['weight']:g} "
@@ -1043,7 +877,7 @@ def _cmd_serve_multitenant(args: argparse.Namespace) -> int:
         ("FlexMoE+priority", "flexmoe"),
         ("Static+FIFO", "fifo"),
     ):
-        for cls_name, s in sorted(summary[key]["per_class"].items()):
+        for cls_name, s in sorted(report[key]["per_class"].items()):
             print(
                 f"  {name:<22} {cls_name:<11} "
                 f"{1e3 * s['slo_latency_s']:>7.3f}ms "
@@ -1053,159 +887,48 @@ def _cmd_serve_multitenant(args: argparse.Namespace) -> int:
             )
     print(
         f"  interactive attainment: FlexMoE+priority "
-        f"{summary['interactive_attainment']['flexmoe']:.3f} vs Static+FIFO "
-        f"{summary['interactive_attainment']['fifo']:.3f} "
-        f"(gain {summary['attainment_gain']:+.3f})"
+        f"{report['interactive_attainment']['flexmoe']:.3f} vs Static+FIFO "
+        f"{report['interactive_attainment']['fifo']:.3f} "
+        f"(gain {report['attainment_gain']:+.3f})"
     )
     print(
         f"  Jain fairness (FlexMoE+priority): "
-        f"{summary['jain_fairness']:.3f} (floor "
-        f"{summary['fairness_floor']:.2f}), preemptions "
-        f"{int(summary['flexmoe']['preemptions'])}"
-    )
-    if path is not None:
-        print(f"  report written to {path}")
-    return _verdict(
-        "serve multi-tenant smoke" if args.smoke else None,
-        summary,
-        enforce=args.smoke,
+        f"{report['jain_fairness']:.3f} (floor "
+        f"{report['fairness_floor']:.2f}), preemptions "
+        f"{int(report['flexmoe']['preemptions'])}"
     )
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.bench.serving import serving_run
-
-    if args.multi_tenant:
-        return _cmd_serve_multitenant(args)
-    if args.smoke:
-        if args.output is None:
-            args.output = "BENCH_serving_latency.json"
-        # Fixed scenario CI gates on: skewed bursty stream near
-        # saturation, no faults. Must show dynamic placement strictly
-        # beating StaticServing on p99 AND goodput.
-        args.layers, args.experts, args.gpus = 2, 16, 8
-        args.requests, args.mean_tokens, args.batch_tokens = 250, 512, 4096
-        args.arrival, args.load, args.slo_batches = "bursty", 0.9, 8.0
-        args.skew, args.topics, args.topic_drift = 2.0, 4, 0.4
-        args.failures = 0
-
-    faults = None
-    if args.failures > 0:
-        expected_batches = max(
-            args.requests * args.mean_tokens // args.batch_tokens, 3
-        )
-        fail_batch = (
-            args.fail_batch
-            if args.fail_batch is not None
-            else max(1, expected_batches // 3)
-        )
-        recover = (
-            args.recover_after
-            if args.recover_after is not None
-            else expected_batches // 3
-        )
-        faults = FaultConfig(
-            num_failures=args.failures,
-            failure_step=fail_batch,
-            recovery_steps=recover if recover > 0 else None,
-            seed=args.seed,
-        )
-    # serve always runs under a session: the latency table below is read
-    # from the metrics registry the engines publish into, not from
-    # report internals (tracing only when --trace-out asks for it).
-    with _telemetry_scope(args, force=True) as tel:
-        summary, path = _run_to_report(args.output, lambda: serving_run(
-            num_moe_layers=args.layers,
-            num_gpus=args.gpus,
-            num_experts=args.experts,
-            num_requests=args.requests,
-            mean_tokens=args.mean_tokens,
-            max_batch_tokens=args.batch_tokens,
-            arrival=args.arrival,
-            load=args.load,
-            slo_batches=args.slo_batches,
-            skew=args.skew,
-            topic_drift=args.topic_drift,
-            num_topics=args.topics,
-            faults=faults,
-            seed=args.seed,
-        ).summary(smoke=args.smoke))
-    emit_rc = _emit_telemetry(args, tel, quiet=args.json)
-    if emit_rc:
-        return emit_rc
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return _verdict(None, summary, enforce=args.smoke)
-
-    scenario = summary["scenario"]
-    print(
-        f"serving: {args.layers} MoE layers x {args.experts} experts on "
-        f"{args.gpus} GPUs, {args.requests} requests ({args.arrival} "
-        f"arrival, load {args.load:.2f}, "
-        f"{scenario['rate_rps']:.0f} req/s calibrated)"
-    )
-    print(
-        f"  SLO: {1e3 * summary['slo_latency_s']:.3f} ms per request "
-        f"({args.slo_batches:g} balanced batches)"
-    )
-    print(
-        f"  {'server':<16} {'p50':>9} {'p95':>9} {'p99':>9} "
-        f"{'goodput':>12} {'SLO-att':>8} {'actions':>8}"
-    )
-    gauges = tel.registry.snapshot()["gauges"]
-
-    def _gauge(metric: str, engine: str) -> float:
-        from repro.telemetry import metric_key
-
-        return float(gauges[metric_key(f"serving.{metric}", engine=engine)])
-
-    for name in ("FlexMoE-serving", "StaticServing"):
-        print(
-            f"  {name:<16} {1e3 * _gauge('p50_latency_s', name):>7.3f}ms "
-            f"{1e3 * _gauge('p95_latency_s', name):>7.3f}ms "
-            f"{1e3 * _gauge('p99_latency_s', name):>7.3f}ms "
-            f"{_gauge('goodput_tokens_per_s', name):>10.0f}/s "
-            f"{_gauge('slo_attainment', name):>8.3f} "
-            f"{int(_gauge('placement_actions', name)):>8}"
-        )
-    print(
-        f"  p99 speedup over Static: {summary['p99_speedup']:.2f}x, "
-        f"goodput gain: {summary['goodput_gain']:.2f}x"
-    )
-    if path is not None:
-        print(f"  report written to {path}")
-    return _verdict(
-        "serve smoke" if args.smoke else None, summary, enforce=args.smoke
-    )
-
-
-def _cmd_scenario(args: argparse.Namespace) -> int:
+def _composed(args: argparse.Namespace, **config: object) -> dict:
     from repro.sim.composed import ComposedScenarioConfig, composed_scenario_run
 
-    config = ComposedScenarioConfig(
-        num_moe_layers=args.layers,
-        num_gpus=args.gpus,
-        num_experts=args.experts,
-        num_requests=args.requests,
-        load=args.load,
-        num_failures=args.failures,
-        budget_bandwidth=args.budget_bandwidth,
-        seed=args.seed,
+    return composed_scenario_run(
+        smoke=args.smoke,
+        config=ComposedScenarioConfig(
+            **_scenario(args), num_failures=args.failures, **config
+        ),
     )
-    with _telemetry_scope(args) as tel:
-        summary, path = _run_to_report(
-            args.output,
-            lambda: composed_scenario_run(smoke=args.smoke, config=config),
-        )
-    emit_rc = _emit_telemetry(args, tel, quiet=args.json)
-    if emit_rc:
-        return emit_rc
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return _verdict(None, summary, enforce=args.smoke)
 
-    scenario = summary["scenario"]
-    serving = summary["serving"]
+
+def _composed_flags(p: argparse.ArgumentParser) -> None:
+    _add_flags(
+        p, layers=2, experts=16, gpus=8, requests=400, load=0.85, failures=1
+    )
+
+
+def _scenario_flags(p: argparse.ArgumentParser) -> None:
+    _composed_flags(p)
+    p.add_argument(
+        "--budget-bandwidth", type=float, default=0.5,
+        help="fraction of link time each migration-budget grant hands "
+        "the adjustment streams (default 0.5)",
+    )
+    _add_flags(p, "telemetry", trace_out=None)
+
+
+def _show_scenario(report: dict) -> None:
+    scenario = report["scenario"]
+    serving = report["serving"]
     print(
         f"composed scenario: {scenario['num_moe_layers']} MoE layers x "
         f"{scenario['num_experts']} experts on {scenario['num_gpus']} GPUs, "
@@ -1219,7 +942,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         f"every {1e3 * scenario['budget_interval_s']:.3f} ms"
     )
     print("  cluster events (wall-clock, not batch-quantized):")
-    for event in summary["cluster_events"]:
+    for event in report["cluster_events"]:
         print(
             f"    t={1e3 * event['time_s']:9.3f} ms  {event['kind']:<8} "
             f"gpu {event['gpu']}"
@@ -1232,35 +955,23 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         f"{serving['goodput_tokens_per_s']:.0f} tokens/s)"
     )
     print(
-        f"  migration budget: {summary['budget_grants']} grants committed "
-        f"{summary['budget_committed_actions']} placement actions "
+        f"  migration budget: {report['budget_grants']} grants committed "
+        f"{report['budget_committed_actions']} placement actions "
         f"(in-step commits are deferred in this scenario)"
     )
     print(
-        f"  kernel processed {summary['processed_events']} events; experts "
-        f"survive: {'yes' if summary['experts_survive'] else 'NO'}"
-    )
-    print(f"  report written to {path}")
-    return _verdict(
-        "scenario smoke" if args.smoke else None, summary, enforce=args.smoke
+        f"  kernel processed {report['processed_events']} events; experts "
+        f"survive: {'yes' if report['experts_survive'] else 'NO'}"
     )
 
 
-def _cmd_churn(args: argparse.Namespace) -> int:
+def _churn(args: argparse.Namespace) -> dict:
     from repro.bench.churn import churn_bench_run
 
-    with _telemetry_scope(args) as tel:
-        report, path = _run_to_report(
-            args.output,
-            lambda: churn_bench_run(smoke=args.smoke, seed=args.seed),
-        )
-    emit_rc = _emit_telemetry(args, tel, quiet=args.json)
-    if emit_rc:
-        return emit_rc
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return _verdict(None, report, enforce=args.smoke)
+    return churn_bench_run(smoke=args.smoke, seed=args.seed)
 
+
+def _show_churn(report: dict) -> None:
     print(
         "autoscale churn: paired autoscaled-vs-fixed serving under "
         "correlated spot revocations"
@@ -1289,51 +1000,24 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         f"{int(degradation['shed_on']['serving']['shed_requests'])} "
         "batch-class requests shed (tracked, none silently dropped)"
     )
-    print(f"  report written to {path}")
-    return _verdict(
-        "churn smoke" if args.smoke else None, report, enforce=args.smoke
-    )
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro import telemetry
-    from repro.sim.composed import ComposedScenarioConfig, composed_scenario_run
+def _trace_summary(report: dict, path: Path, tel) -> dict:
+    """What ``trace --json`` prints: the scenario report plus what the
+    trace artifact at ``path`` captured."""
+    return {
+        "scenario": report,
+        "trace_path": str(path),
+        "trace_events": len(tel.tracer.events) if tel.tracer is not None else 0,
+        "timeline_kinds": dict(sorted(tel.timeline.kinds().items())),
+        "metric_series": len(tel.registry),
+    }
 
-    config = ComposedScenarioConfig(
-        num_moe_layers=args.layers,
-        num_gpus=args.gpus,
-        num_experts=args.experts,
-        num_requests=args.requests,
-        load=args.load,
-        num_failures=args.failures,
-        seed=args.seed,
-    )
-    with telemetry.session(reuse=False) as tel:
-        summary = composed_scenario_run(smoke=args.smoke, config=config)
-        try:
-            path = tel.write(Path(args.output))
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.output}: {exc}",
-                  file=sys.stderr)
-            return 2
-        events = tel.tracer.events if tel.tracer is not None else []
-        kinds = dict(sorted(tel.timeline.kinds().items()))
-        num_series = len(tel.registry)
-    if args.json:
-        print(json.dumps(
-            {
-                "scenario": summary,
-                "trace_path": str(path),
-                "trace_events": len(events),
-                "timeline_kinds": kinds,
-                "metric_series": num_series,
-            },
-            indent=2, sort_keys=True,
-        ))
-        return _verdict(None, summary, enforce=args.smoke)
 
-    scenario = summary["scenario"]
-    serving = summary["serving"]
+def _show_trace(summary: dict) -> None:
+    scenario = summary["scenario"]["scenario"]
+    serving = summary["scenario"]["serving"]
+    kinds = summary["timeline_kinds"]
     print(
         f"traced composed scenario: {scenario['num_moe_layers']} MoE layers "
         f"x {scenario['num_experts']} experts on {scenario['num_gpus']} "
@@ -1343,45 +1027,222 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(
         f"  served {int(serving['requests_served'])} requests "
         f"(SLO attainment {serving['slo_attainment']:.3f}); kernel "
-        f"processed {summary['processed_events']} events"
+        f"processed {summary['scenario']['processed_events']} events"
     )
     print(
-        f"  captured {len(events)} trace events, "
+        f"  captured {summary['trace_events']} trace events, "
         f"{sum(kinds.values())} decision-timeline entries, "
-        f"{num_series} metric series"
+        f"{summary['metric_series']} metric series"
     )
     print(
         "  decisions: "
         + "  ".join(f"{kind}={count}" for kind, count in kinds.items())
     )
-    print(f"  trace written to {path} (open in Perfetto: ui.perfetto.dev)")
-    return _verdict(
-        "trace smoke" if args.smoke else None, summary, enforce=args.smoke
+    print(
+        f"  trace written to {summary['trace_path']} "
+        "(open in Perfetto: ui.perfetto.dev)"
     )
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.bench.gates import evaluate, stale
+#: Every report suite the CLI drives, keyed by its
+#: :data:`repro.bench.gates.SUITES` name; ``trace`` re-runs the composed
+#: scenario for its Chrome trace.
+REPORTS: dict[str, ReportSuite] = {
+    "step_overhead": ReportSuite(
+        command="perf",
+        output="BENCH_step_overhead.json",
+        build=_perf,
+        show=_show_perf,
+        help="scheduling-overhead benchmark (delta vs reference planner)",
+        description=(
+            "Benchmark the scheduling hot path: planner rounds/sec with "
+            "the incremental delta-cost evaluator vs the full-recompute "
+            "reference planner, asserting identical decisions, plus the "
+            "event kernel's hosting overhead and serving/kernel event "
+            "throughput. --smoke runs CI-scale scenarios. Every run fails "
+            "unless each named gate holds, e.g. no delta fallback to full "
+            "recomputation and no diverged decision."
+        ),
+        gated=True,
+        indent="",
+    ),
+    "scale": ReportSuite(
+        command="scale",
+        output="BENCH_scale.json",
+        build=_scale,
+        show=_show_scale,
+        help="datacenter-scale sweep: 64 to 4096 devices",
+        description=(
+            "Sweep cluster size from 64 to 4096 devices (experts and "
+            "layers scaled alongside) and record planner rounds/sec of "
+            "the hierarchical two-level placement search vs the flat "
+            "full-cluster sweep, engine steps/sec where the ground-truth "
+            "executor is feasible, and kernel events/sec with fan-out "
+            "scaled to the layer count. --smoke keeps the 64- and "
+            "1024-device columns. Every run fails unless each named gate "
+            "holds."
+        ),
+        gated=True,
+        indent="",
+    ),
+    "serving_latency": ReportSuite(
+        command="serve",
+        output="BENCH_serving_latency.json",
+        build=_serve,
+        show=_show_serve,
+        help="online serving: SLO-aware request stream, FlexMoE vs Static",
+        description=(
+            "Serve an identical seeded request stream (bursty or diurnal "
+            "arrival, drifting topic mix shifting expert popularity) with "
+            "the dynamic FlexMoE server and the frozen StaticServing "
+            "baseline, and report p50/p95/p99 latency and goodput under "
+            "the SLO. --smoke runs the fixed CI scenario, writes "
+            "BENCH_serving_latency.json (BENCH_multitenant.json with "
+            "--multi-tenant) and fails on any SLO-comparison regression; "
+            "custom runs write no report unless given --output. Under "
+            "--multi-tenant, --layers, --experts, --gpus, --requests, "
+            "--batch-tokens, --load, --skew, --topics, --topic-drift and "
+            "--seed apply; --failures is refused."
+        ),
+        flags=_serve_flags,
+        custom_output=False,
+    ),
+    "multitenant_serving": ReportSuite(
+        command="serve --multi-tenant",
+        output="BENCH_multitenant.json",
+        build=_serve_multitenant,
+        show=_show_serve_multitenant,
+        custom_output=False,
+    ),
+    "composed_scenario": ReportSuite(
+        command="scenario",
+        output="BENCH_composed_scenario.json",
+        build=lambda args: _composed(
+            args, budget_bandwidth=args.budget_bandwidth
+        ),
+        show=_show_scenario,
+        help="composed scenario on the unified simulation kernel",
+        description=(
+            "Run a declarative composed scenario on the shared "
+            "discrete-event kernel: an SLO-aware diurnal serving stream, "
+            "wall-clock-timed device failures and recoveries, and a "
+            "metered background migration budget all advance one clock "
+            "(see docs/simulation.md). Above one failure, a "
+            "budget-starved re-home can legitimately abort the run with "
+            "'model states are gone'. --smoke runs the CI-scale scenario "
+            "and fails unless every named gate holds."
+        ),
+        flags=_scenario_flags,
+    ),
+    "autoscale_churn": ReportSuite(
+        command="churn",
+        output="BENCH_autoscale_churn.json",
+        build=_churn,
+        show=_show_churn,
+        help="autoscaler vs fixed pool under spot churn + degradation pair",
+        description=(
+            "Close the SLO loop under capacity loss: paired "
+            "autoscaled-vs-fixed serving runs through correlated spot "
+            "revocation waves (plus outage, heterogeneous-standby and "
+            "multi-day variants), and a multi-tenant graceful-degradation "
+            "pair that sheds lowest-priority work first when devices "
+            "vanish (see docs/autoscaling.md). --smoke runs the CI-scale "
+            "matrix and fails unless every named gate holds."
+        ),
+        flags=lambda p: _add_flags(p, "telemetry", trace_out=None),
+    ),
+    "trace": ReportSuite(
+        command="trace",
+        output="trace.json",
+        build=_composed,
+        show=_show_trace,
+        help="composed scenario under a full telemetry session",
+        description=(
+            "Run the composed kernel scenario (serving + timed outages + "
+            "migration budget) with the telemetry layer fully on, and "
+            "export one Chrome trace-event JSON artifact: kernel event "
+            "spans per priority lane, serving-batch spans, control-plane "
+            "decision instants, plus the decision timeline and metrics "
+            "snapshot in metadata. Open it in Perfetto (ui.perfetto.dev) "
+            "or chrome://tracing; see docs/observability.md. --smoke runs "
+            "the CI-scale scenario and fails unless every named gate holds."
+        ),
+        flags=_composed_flags,
+        trace_output=True,
+    ),
+}
 
-    code = 0
-    for name in args.files:
-        try:
-            report = json.loads(Path(name).read_text(encoding="utf-8"))
-            gates = evaluate(report)
-        except (OSError, ValueError, ReproError) as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            code = 2
-            continue
-        failed = [gate for gate, held in gates.items() if not held]
-        if stale(report, gates):
-            failed.append("stale_gates")
-        for gate in failed:
-            print(f"{name}: FAILED {gate}")
-        if failed:
-            code = max(code, 1)
-        else:
-            print(f"{name}: OK ({report['suite']}, {len(gates)} gates)")
-    return code
+
+def _add_report_parser(
+    sub: argparse._SubParsersAction, suite: ReportSuite
+) -> None:
+    p = sub.add_parser(
+        suite.command, help=suite.help, description=suite.description
+    )
+    p.set_defaults(trace_out=None, telemetry=False, multi_tenant=False)
+    suite.flags(p)
+    _add_flags(
+        p, "smoke", "json",
+        seed=0, output=suite.output if suite.custom_output else None,
+    )
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    """Run one :class:`ReportSuite`: probe the output paths, build the
+    report under the telemetry scope, write it, emit telemetry, print
+    JSON or the table, and return the verdict."""
+    from repro.bench.perf import write_report
+
+    command = args.command + (" --multi-tenant" if args.multi_tenant else "")
+    suite = next(s for s in REPORTS.values() if s.command == command)
+    output = args.output
+    if output is None and args.smoke:
+        output = suite.output
+    with _probed("report", output) as path, \
+            _probed("trace", args.trace_out) as trace_path:
+        with _telemetry_scope(
+            bool(suite.trace_output or trace_path or args.telemetry)
+        ) as tel:
+            report = suite.build(args)
+        if path is not None:
+            _save("report", path, (
+                tel.write if suite.trace_output
+                else partial(write_report, report)
+            ))
+        _emit_telemetry(args, tel, trace_path)
+    shown = _trace_summary(report, path, tel) if suite.trace_output else report
+    if args.json:
+        print(json.dumps(shown, indent=2, sort_keys=True))
+    else:
+        suite.show(shown)
+        if path is not None and not suite.trace_output:
+            print(f"{suite.indent}report written to {path}")
+    enforce = suite.gated or args.smoke
+    failed = [name for name, held in report["gates"].items() if not held]
+    if enforce and not args.json:
+        print(
+            f"{suite.label}{'' if suite.gated else ' smoke'}:",
+            f"FAILED {', '.join(failed)}" if failed else "OK",
+        )
+    return 1 if failed and enforce else 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="FlexMoE reproduction: dynamic device placement for "
+        "sparse MoE training (Nie et al., SIGMOD 2023).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    _add_run_parser(sub)
+    _add_bench_parser(sub)
+    _add_compare_parser(sub)
+    _add_faults_parser(sub)
+    for suite in REPORTS.values():
+        if suite.help:
+            _add_report_parser(sub, suite)
+    _add_check_parser(sub)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1391,16 +1252,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bench": _cmd_bench,
         "compare": _cmd_compare,
         "faults": _cmd_faults,
-        "perf": _cmd_perf,
-        "scale": _cmd_scale,
-        "serve": _cmd_serve,
-        "scenario": _cmd_scenario,
-        "churn": _cmd_churn,
-        "trace": _cmd_trace,
         "check": _cmd_check,
     }
     try:
-        return handlers[args.command](args)
+        return handlers.get(args.command, _cmd_report)(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,6 @@
-"""CLI smoke tests: python -m repro run|bench|compare|faults|perf|churn."""
+"""CLI tests: python -m repro run|bench|compare|faults|perf|scale|serve|
+scenario|churn|trace, and the fail-fast output probes every report command
+shares."""
 
 import importlib
 import json
@@ -188,8 +190,15 @@ REPORT_COMMANDS = [
     ),
     (["scenario", "--smoke"], "repro.sim.composed", "composed_scenario_run"),
     (["churn", "--smoke"], "repro.bench.churn", "churn_bench_run"),
+    (["trace", "--smoke"], "repro.sim.composed", "composed_scenario_run"),
 ]
 IDS = [" ".join(argv) for argv, _, _ in REPORT_COMMANDS]
+
+#: The report commands that also take ``--trace-out``.
+TRACE_OUT_COMMANDS = [
+    case for case in REPORT_COMMANDS
+    if case[0][0] in {"serve", "scenario", "churn"}
+]
 
 
 def _refuse_to_run(monkeypatch, module: str, name: str) -> None:
@@ -218,3 +227,105 @@ def test_failed_suite_leaves_no_empty_report(
     with pytest.raises(RuntimeError, match="the suite ran"):
         main(argv + ["--output", str(target)])
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    TRACE_OUT_COMMANDS,
+    ids=[" ".join(argv) for argv, _, _ in TRACE_OUT_COMMANDS],
+)
+def test_unwritable_trace_out_fails_before_the_suite_runs(
+    argv, module, name, monkeypatch, capsys, tmp_path
+):
+    _refuse_to_run(monkeypatch, module, name)
+    report = tmp_path / "report.json"
+    trace = tmp_path / "missing-dir" / "trace.json"
+    assert main(argv + ["--output", str(report), "--trace-out", str(trace)]) == 2
+    assert "error: cannot write trace" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_run_unwritable_trace_out_fails_before_the_run(
+    monkeypatch, capsys, tmp_path
+):
+    def refuse(**kwargs):
+        raise RuntimeError("the run ran")
+
+    monkeypatch.setattr("repro.cli.pipeline_run", refuse)
+    trace = tmp_path / "missing-dir" / "trace.json"
+    assert main(RUN_ARGS + ["--trace-out", str(trace)]) == 2
+    assert "error: cannot write trace" in capsys.readouterr().err
+
+
+class _SuiteCalled(Exception):
+    pass
+
+
+def _capture_multitenant_run(monkeypatch) -> dict:
+    """Patch ``multitenant_run`` to record its arguments and stop."""
+    seen: dict = {}
+
+    def capture(**kwargs):
+        seen.update(kwargs)
+        raise _SuiteCalled
+
+    monkeypatch.setattr(
+        importlib.import_module("repro.bench.serving"),
+        "multitenant_run",
+        capture,
+    )
+    return seen
+
+
+def test_multi_tenant_passes_its_scenario_flags_through(monkeypatch):
+    seen = _capture_multitenant_run(monkeypatch)
+    argv = [
+        "serve", "--multi-tenant",
+        "--layers", "1", "--experts", "8", "--gpus", "4",
+        "--requests", "40", "--batch-tokens", "2048", "--load", "0.7",
+        "--skew", "1.5", "--topics", "3", "--topic-drift", "0.2",
+        "--seed", "5",
+    ]
+    with pytest.raises(_SuiteCalled):
+        main(argv)
+    assert seen == {
+        "num_moe_layers": 1,
+        "num_gpus": 4,
+        "num_experts": 8,
+        "num_requests": 40,
+        "max_batch_tokens": 2048,
+        "load": 0.7,
+        "skew": 1.5,
+        "num_topics": 3,
+        "topic_drift": 0.2,
+        "seed": 5,
+    }
+
+
+def test_multi_tenant_smoke_honours_seed(monkeypatch, tmp_path):
+    seen = _capture_multitenant_run(monkeypatch)
+    argv = [
+        "serve", "--multi-tenant", "--smoke", "--gpus", "4", "--seed", "3",
+        "--output", str(tmp_path / "report.json"),
+    ]
+    with pytest.raises(_SuiteCalled):
+        main(argv)
+    assert seen == {"num_requests": 200, "seed": 3}
+
+
+def test_multi_tenant_reports_the_shape_it_ran(capsys):
+    argv = [
+        "serve", "--multi-tenant", "--gpus", "4", "--experts", "8",
+        "--layers", "1", "--requests", "40", "--json",
+    ]
+    assert main(argv) == 0
+    scenario = json.loads(capsys.readouterr().out)["scenario"]
+    assert scenario["num_gpus"] == 4
+    assert scenario["num_experts"] == 8
+    assert scenario["num_moe_layers"] == 1
+
+
+def test_multi_tenant_refuses_failures(monkeypatch, capsys):
+    _refuse_to_run(monkeypatch, "repro.bench.serving", "multitenant_run")
+    assert main(["serve", "--multi-tenant", "--failures", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
