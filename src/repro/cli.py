@@ -715,9 +715,7 @@ def _show_scale(report: dict) -> None:
 
 def _serve_flags(p: argparse.ArgumentParser) -> None:
     _add_flags(
-        p, "telemetry",
-        layers=2, experts=16, gpus=8, requests=400, load=0.9, failures=0,
-        trace_out=None,
+        p, layers=2, experts=16, gpus=8, requests=400, load=0.9, failures=0
     )
     p.add_argument(
         "--mean-tokens", type=int, default=512,
@@ -762,6 +760,7 @@ def _serve_flags(p: argparse.ArgumentParser) -> None:
         "preemption vs static placement with a global FIFO "
         "(BENCH_multitenant.json)",
     )
+    _add_flags(p, "telemetry", trace_out=None)
 
 
 def _serve(args: argparse.Namespace) -> dict:
@@ -1198,8 +1197,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     output = args.output
     if output is None and args.smoke:
         output = suite.output
-    with _probed("report", output) as path, \
-            _probed("trace", args.trace_out) as trace_path:
+    with (
+        _probed("report", output) as path,
+        _probed("trace", args.trace_out) as trace_path,
+    ):
         with _telemetry_scope(
             bool(suite.trace_output or trace_path or args.telemetry)
         ) as tel:

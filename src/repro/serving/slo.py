@@ -410,8 +410,8 @@ class ServingReport:
     def publish_metrics(self, registry) -> None:
         """Publish this report's aggregates into a
         :class:`~repro.telemetry.registry.MetricsRegistry`, labeled by
-        engine -- the tap the CLI reads its percentile table from
-        instead of reaching into the report object."""
+        engine, so a session's metrics snapshot carries every server's
+        latency percentiles and goodput."""
         for name, value in self.summary().items():
             registry.gauge(f"serving.{name}", engine=self.engine).set(value)
 

@@ -261,8 +261,9 @@ class _SuiteCalled(Exception):
     pass
 
 
-def _capture_multitenant_run(monkeypatch) -> dict:
-    """Patch ``multitenant_run`` to record its arguments and stop."""
+def _capture_serving_run(monkeypatch, name: str) -> dict:
+    """Patch ``repro.bench.serving.<name>`` to record its arguments and
+    stop."""
     seen: dict = {}
 
     def capture(**kwargs):
@@ -270,15 +271,13 @@ def _capture_multitenant_run(monkeypatch) -> dict:
         raise _SuiteCalled
 
     monkeypatch.setattr(
-        importlib.import_module("repro.bench.serving"),
-        "multitenant_run",
-        capture,
+        importlib.import_module("repro.bench.serving"), name, capture
     )
     return seen
 
 
 def test_multi_tenant_passes_its_scenario_flags_through(monkeypatch):
-    seen = _capture_multitenant_run(monkeypatch)
+    seen = _capture_serving_run(monkeypatch, "multitenant_run")
     argv = [
         "serve", "--multi-tenant",
         "--layers", "1", "--experts", "8", "--gpus", "4",
@@ -303,7 +302,7 @@ def test_multi_tenant_passes_its_scenario_flags_through(monkeypatch):
 
 
 def test_multi_tenant_smoke_honours_seed(monkeypatch, tmp_path):
-    seen = _capture_multitenant_run(monkeypatch)
+    seen = _capture_serving_run(monkeypatch, "multitenant_run")
     argv = [
         "serve", "--multi-tenant", "--smoke", "--gpus", "4", "--seed", "3",
         "--output", str(tmp_path / "report.json"),
@@ -329,3 +328,16 @@ def test_multi_tenant_refuses_failures(monkeypatch, capsys):
     _refuse_to_run(monkeypatch, "repro.bench.serving", "multitenant_run")
     assert main(["serve", "--multi-tenant", "--failures", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_serve_smoke_pins_its_scenario(monkeypatch, tmp_path):
+    """``serve --smoke`` runs the suite module's fixed scenario: shape and
+    fault flags are ignored, ``--seed`` is honoured."""
+    seen = _capture_serving_run(monkeypatch, "serving_run")
+    argv = [
+        "serve", "--smoke", "--gpus", "4", "--failures", "1", "--seed", "2",
+        "--output", str(tmp_path / "report.json"),
+    ]
+    with pytest.raises(_SuiteCalled):
+        main(argv)
+    assert seen == {"num_requests": 250, "seed": 2}

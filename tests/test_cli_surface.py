@@ -8,7 +8,8 @@ table in the same change.
 
 import argparse
 
-from repro.cli import build_parser
+from repro.bench.gates import SUITES
+from repro.cli import REPORTS, build_parser
 
 _VALUE, _FLAG = (None, None, False), (None, 0, True)
 
@@ -170,3 +171,9 @@ def test_every_subcommand_flag_is_pinned():
     for command, options in SURFACE.items():
         assert surface[command] == options, command
 
+
+
+def test_report_records_are_keyed_by_gate_suite():
+    """Each report record carries its gate suite's name; ``trace`` alone
+    re-runs another suite (the composed scenario) for its trace."""
+    assert set(REPORTS) - {"trace"} <= set(SUITES)

@@ -72,6 +72,54 @@ def test_docs_name_only_live_config_fields():
     assert load_check_docs().check_docs_config_fields() == []
 
 
+def test_cli_command_check_names_a_stale_command():
+    """Check 7 parses documented command lines from code, not prose or
+    CI job names: a renamed flag fails, alternatives and optional
+    flags expand."""
+    check = load_check_docs()
+    doc = (
+        "Run `python -m repro perf|scale [--smoke]`, or\n"
+        "```sh\n"
+        "python -m repro serve --multi-tenant \\\n"
+        "  --smoke          # CI\n"
+        "python -m repro serve --no-such-flag\n"
+        "```\n"
+        "then `python -m repro\ncheck BENCH_scale.json`; prose such as\n"
+        "python -m repro bogus is not a command.\n"
+    )
+    workflow = (
+        "jobs:\n"
+        "  smoke:\n"
+        "    name: smoke (python -m repro nope)\n"
+        "    steps:\n"
+        "      - run: python -m repro scale --smoke\n"
+        "      - name: churn\n"
+        "        run: |\n"
+        "          python -m repro churn --fast | tail -n 1\n"
+    )
+    sources = {
+        "doc.md": check.markdown_code(doc),
+        "ci.yml": check.ci_run_steps(workflow),
+    }
+    commands = [
+        argv for snippets in sources.values()
+        for code in snippets for argv in check.repro_commands(code)
+    ]
+    assert ["perf", "--smoke"] in commands
+    assert ["scale", "--smoke"] in commands
+    assert ["serve", "--multi-tenant", "--smoke"] in commands
+    assert ["check", "BENCH_scale.json"] in commands
+    problems = check.check_cli_commands(sources)
+    assert len(problems) == 2
+    assert "--no-such-flag" in problems[0]
+    assert "--fast" in problems[1]
+
+
+def test_documented_cli_commands_parse():
+    check = load_check_docs()
+    assert check.check_cli_commands(check.documented_cli_commands()) == []
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "--help"],

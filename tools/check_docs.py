@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs checks: encoding conventions + README quickstart + module drift.
 
-Six guarantees, all enforced in CI (see CONTRIBUTING.md):
+Seven guarantees, all enforced in CI (see CONTRIBUTING.md):
 
 1. User-facing docs (README.md, CONTRIBUTING.md, docs/*.md) are valid
    UTF-8 and free of mojibake-prone characters: smart quotes, curly
@@ -40,16 +40,30 @@ Six guarantees, all enforced in CI (see CONTRIBUTING.md):
    ``repro.training.loop``, passes only keywords in that callable's
    signature (dataclass fields count), so a deleted option cannot
    linger in the instructions.
+7. Docs name only live commands: every ``python -m repro ...`` command
+   line in the fenced code blocks and inline code of README.md,
+   CONTRIBUTING.md, docs/*.md and the verify skill, and in the ``run:``
+   steps of ``.github/workflows/ci.yml``, parses with
+   :func:`repro.cli.build_parser`. A ``|``-separated subcommand is each
+   of its alternatives and ``[...]`` marks an optional flag that counts
+   as given, so ``perf|scale [--smoke]`` checks ``perf --smoke`` and
+   ``scale --smoke``. A bare ``python -m repro`` names the entry point,
+   and a bare ``python -m repro check`` the command, which must exist.
+   Prose and CI job names are not checked.
 
 Exit status 0 on success, 1 with a report on any failure.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -378,6 +392,116 @@ def check_docs_config_fields() -> list[str]:
     return problems
 
 
+#: A documented command line: what follows the module name on its line.
+REPRO_COMMAND_RE = re.compile(r"python -m repro\b([^\n]*)")
+FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+INLINE_CODE_RE = re.compile(r"`([^`]+)`")
+CI_RUN_RE = re.compile(r"^(\s*)(?:- )?run:\s*(.*)$")
+
+#: Shell tokens that end a command line.
+SHELL_OPERATORS = {"|", "||", "&&", ";", "&", ">", ">>", "2>&1"}
+
+#: The CI workflow whose ``run:`` steps check 7 reads.
+CI_WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
+
+
+def markdown_code(text: str) -> list[str]:
+    """The fenced blocks and inline code spans of a Markdown text; a
+    span's line breaks become spaces, a block's continuations join."""
+    blocks = [block.replace("\\\n", " ") for block in FENCE_RE.findall(text)]
+    prose = FENCE_RE.sub("", text)
+    spans = [
+        " ".join(span.split()) for span in INLINE_CODE_RE.findall(prose)
+    ]
+    return blocks + spans
+
+
+def ci_run_steps(text: str) -> list[str]:
+    """The ``run:`` step bodies of a workflow, one-line or block."""
+    steps = []
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        match = CI_RUN_RE.match(line)
+        if match is None:
+            continue
+        indent, value = len(match.group(1)), match.group(2)
+        if value not in {"|", ">"}:
+            steps.append(value)
+            continue
+        body = []
+        for follow in lines[index + 1:]:
+            if follow.strip() and len(follow) - len(follow.lstrip()) <= indent:
+                break
+            body.append(follow)
+        steps.append("\n".join(body).replace("\\\n", " "))
+    return steps
+
+
+def repro_commands(code: str) -> list[list[str]]:
+    """Each ``python -m repro`` argv in ``code``, its alternatives and
+    optional flags expanded (see check 7)."""
+    commands = []
+    for rest in REPRO_COMMAND_RE.findall(code):
+        try:
+            tokens = shlex.split(rest, comments=True)
+        except ValueError:  # an unbalanced quote in a trailing comment
+            tokens = rest.split("#")[0].split()
+        end = next(
+            (i for i, token in enumerate(tokens) if token in SHELL_OPERATORS),
+            len(tokens),
+        )
+        argv = [token.strip("[]") for token in tokens[:end]]
+        if argv:  # a bare ``python -m repro`` names the entry point
+            head, *tail = argv
+            commands.extend(
+                [alternative, *tail] for alternative in head.split("|")
+            )
+    return commands
+
+
+def check_cli_commands(sources: dict[str, list[str]]) -> list[str]:
+    """Every ``python -m repro`` command in ``sources`` (``name -> code
+    snippets``) parses with the CLI's own parser."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    subcommands = next(
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    problems = []
+    for name, snippets in sources.items():
+        for code in snippets:
+            for argv in repro_commands(code):
+                if len(argv) == 1 and argv[0] in subcommands:
+                    continue  # names the command, as in "run `... check`"
+                try:
+                    with contextlib.redirect_stderr(io.StringIO()) as err:
+                        parser.parse_args(argv)
+                except SystemExit:
+                    reason = err.getvalue().strip().splitlines()[-1:]
+                    problems.append(
+                        f"{name}: `python -m repro {shlex.join(argv)}` does "
+                        f"not parse ({' '.join(reason)})"
+                    )
+    return problems
+
+
+def documented_cli_commands() -> dict[str, list[str]]:
+    """Check 7's sources: docs, the verify skill and CI ``run:`` steps."""
+    sources = {
+        path.name: markdown_code(path.read_text(encoding="utf-8"))
+        for path in [*doc_paths(), VERIFY_SKILL]
+        if path.exists()
+    }
+    if CI_WORKFLOW.exists():
+        sources[CI_WORKFLOW.name] = ci_run_steps(
+            CI_WORKFLOW.read_text(encoding="utf-8")
+        )
+    return sources
+
+
 def main() -> int:
     problems: list[str] = []
     for path in doc_paths():
@@ -396,6 +520,7 @@ def main() -> int:
     problems.extend(check_no_tracked_bytecode())
     problems.extend(check_bench_reports_documented())
     problems.extend(check_docs_config_fields())
+    problems.extend(check_cli_commands(documented_cli_commands()))
     if problems:
         print("docs check FAILED:")
         for problem in problems:
@@ -404,7 +529,7 @@ def main() -> int:
     print(
         f"docs check OK ({len(doc_paths())} files, quickstart ran, "
         "module map in sync, no tracked bytecode, bench reports "
-        "documented, doc options live)"
+        "documented, doc options and commands live)"
     )
     return 0
 
