@@ -32,16 +32,15 @@ from pathlib import Path
 from repro.bench.gates import DEGRADATION, seal
 from repro.bench.harness import cluster_for
 from repro.bench.perf import write_report
-from repro.bench.serving import _serving_model, probe_batch_seconds
+from repro.bench.serving import (
+    _serving_model,
+    probe_batch_seconds,
+    tenant_mix,
+)
 from repro.serving.admission import BatchingConfig
 from repro.serving.baseline import build_multitenant_serving
 from repro.serving.engine import TopicRoutingModel
-from repro.serving.requests import (
-    RequestStreamConfig,
-    TenantSpec,
-    merge_tenant_requests,
-)
-from repro.serving.slo import SLOConfig, TenantClass
+from repro.serving.requests import merge_tenant_requests
 from repro.sim.churn import ChurnScenarioConfig, churn_scenario_run
 from repro.sim.scenario import Scenario, smoke_scale
 
@@ -69,75 +68,6 @@ def churn_matrix_configs(seed: int = 0) -> dict[str, ChurnScenarioConfig]:
         # expert, so its failure mode is congestion, not state loss.
         "multiday": base.replace(days=5.0, num_waves=3, wave_size=1),
     }
-
-
-def _degradation_tenants(
-    base: float,
-    max_batch_tokens: int,
-    num_requests: int,
-    rate_rps: float,
-    interactive_share: float,
-    num_topics: int,
-    topic_drift: float,
-    seed: int,
-) -> tuple[TenantSpec, ...]:
-    """Interactive + two batch tenants over one shared horizon."""
-    interactive_class = TenantClass(
-        name="interactive",
-        slo=SLOConfig(
-            latency_target=6.0 * base,
-            trigger_p99=2.0 * base,
-            queue_limit_tokens=2.0 * max_batch_tokens,
-        ),
-        priority=10,
-        preemptible=False,
-    )
-    batch_class = TenantClass(
-        name="batch",
-        slo=SLOConfig(latency_target=20.0 * base),
-        priority=0,
-        preemptible=True,
-    )
-    n_interactive = max(num_requests // 2, 1)
-    n_batch = max(num_requests // 4, 1)
-    interactive_rate = interactive_share * rate_rps
-    batch_rate = (1.0 - interactive_share) * rate_rps / 2.0
-    specs = [
-        TenantSpec(
-            name="chat",
-            stream=RequestStreamConfig(
-                arrival="bursty",
-                rate_rps=interactive_rate,
-                num_requests=n_interactive,
-                mean_tokens=256,
-                max_tokens=max_batch_tokens,
-                num_topics=num_topics,
-                topic_drift=topic_drift,
-                seed=seed,
-            ),
-            tenant_class=interactive_class,
-        ),
-    ]
-    for index, name in enumerate(("batch-a", "batch-b")):
-        specs.append(
-            TenantSpec(
-                name=name,
-                stream=RequestStreamConfig(
-                    arrival="poisson",
-                    rate_rps=batch_rate,
-                    num_requests=n_batch,
-                    mean_tokens=768,
-                    max_tokens=max_batch_tokens,
-                    num_topics=num_topics,
-                    topic_drift=topic_drift,
-                    seed=seed + 1 + index,
-                ),
-                tenant_class=batch_class,
-                quota_tokens=max_batch_tokens // 2,
-                max_queue_tokens=4 * max_batch_tokens,
-            )
-        )
-    return tuple(specs)
 
 
 def degradation_run(
@@ -179,15 +109,19 @@ def degradation_run(
     )
     rate_rps = token_rate / mean_tokens
     expected_duration = num_requests / rate_rps
-    tenants = _degradation_tenants(
+    tenants = tenant_mix(
         base,
         max_batch_tokens,
         num_requests,
-        rate_rps,
-        interactive_share,
-        num_topics,
-        topic_drift,
-        seed,
+        interactive_rate=interactive_share * rate_rps,
+        batch_rate=(1.0 - interactive_share) * rate_rps / 2.0,
+        interactive_slo_batches=6.0,
+        batch_slo_batches=20.0,
+        interactive_tokens=256,
+        batch_tokens=768,
+        num_topics=num_topics,
+        topic_drift=topic_drift,
+        seed=seed,
     )
     requests = merge_tenant_requests(tenants)
     cluster = cluster_for(num_gpus)

@@ -13,7 +13,10 @@ skewed expert popularity, the static server's imbalance-inflated batch
 times push it past saturation while the dynamic server rebalances and
 keeps queues bounded -- the serving analogue of the paper's Figure 5
 gap. The SLO itself is ``slo_batches`` balanced batch times, i.e. "a
-request may wait a few batches, not a meltdown".
+request may wait a few batches, not a meltdown". :func:`calibrate_serving`
+is that calibration, and every single-stream scenario starts from it:
+``serve`` here, the composed scenario (:mod:`repro.sim.composed`) and the
+churn scenario (:mod:`repro.sim.churn`).
 
 The report's named gates (:data:`repro.bench.gates.SERVING_LATENCY`)
 require the dynamic server to beat the static one on BOTH p99 latency
@@ -24,7 +27,8 @@ and goodput; ``ok`` is their conjunction.
 tenant and two batch tenants contend for one expert pool, and FlexMoE
 placement with priority admission + preemption is compared against
 static placement with a single global FIFO on interactive-class SLO
-attainment and Jain fairness.
+attainment and Jain fairness. Its tenants come from :func:`tenant_mix`,
+which the churn benchmark's graceful-degradation pair shares.
 """
 
 from __future__ import annotations
@@ -39,16 +43,17 @@ from repro.bench.perf import write_report
 from repro.cluster.events import ElasticitySchedule
 from repro.config import FaultConfig, MoEModelConfig
 from repro.core.trigger import NeverTrigger
+from repro.exceptions import ConfigurationError
 from repro.runtime.pipeline import build_engine
 from repro.serving.admission import BatchingConfig
 from repro.serving.baseline import (
     build_flexmoe_serving,
     build_multitenant_serving,
-    build_static_serving,
     serving_scheduler_config,
 )
 from repro.serving.engine import TopicRoutingModel
 from repro.serving.requests import (
+    Request,
     RequestStream,
     RequestStreamConfig,
     TenantSpec,
@@ -95,6 +100,8 @@ def probe_batch_seconds(
     the one-time communicator-group creations that a long-running server
     amortizes away.
     """
+    if batch_tokens < 1:
+        raise ConfigurationError("batch_tokens must be >= 1")
     cluster = cluster_for(num_gpus)
     model = _serving_model(num_moe_layers, num_experts)
     engine = build_engine(
@@ -120,6 +127,113 @@ def probe_batch_seconds(
         for step in range(repeats)
     ]
     return float(np.mean(times))
+
+
+@dataclass(frozen=True)
+class ServingCalibration:
+    """One single-stream serving scenario, calibrated to its substrate.
+
+    Attributes:
+        balanced_batch_s: Probed seconds of one balanced full batch.
+        rate_rps: Arrival rate putting ``load`` times the balanced token
+            capacity on the server.
+        expected_duration: Seconds the stream takes at ``rate_rps``.
+        slo: The shared objective, in balanced-batch units.
+        batching: Micro-batch budget and backpressure bound.
+        requests: The materialized stream every server consumes.
+        model: The serving model.
+        routing: The topic-to-expert routing model.
+    """
+
+    balanced_batch_s: float
+    rate_rps: float
+    expected_duration: float
+    slo: SLOConfig
+    batching: BatchingConfig
+    requests: tuple[Request, ...]
+    model: MoEModelConfig
+    routing: TopicRoutingModel
+
+
+def calibrate_serving(
+    num_moe_layers: int,
+    num_gpus: int,
+    num_experts: int,
+    num_requests: int,
+    mean_tokens: int,
+    max_batch_tokens: int,
+    arrival: str,
+    load: float,
+    slo_batches: float,
+    queue_factor: float,
+    skew: float,
+    topic_drift: float,
+    num_topics: int,
+    seed: int,
+    diurnal_cycles: float = 3.0,
+) -> ServingCalibration:
+    """Calibrate one single-stream serving scenario to its substrate.
+
+    A probe on ``num_gpus`` devices measures the balanced batch; the
+    arrival rate is ``load`` times the resulting token capacity, the SLO
+    ``slo_batches`` balanced batches, and a diurnal stream spans
+    ``diurnal_cycles`` day/night periods over its expected duration.
+    ``serve``, the composed scenario and the churn scenario all start
+    here, so every comparison they make shares one calibration.
+    """
+    if num_requests < 1:
+        raise ConfigurationError("num_requests must be >= 1")
+    if mean_tokens < 1:
+        raise ConfigurationError("mean_tokens must be >= 1")
+    if not load > 0:
+        raise ConfigurationError("load must be > 0")
+    base = probe_batch_seconds(
+        num_moe_layers, num_gpus, num_experts, max_batch_tokens, seed=seed
+    )
+    capacity_tokens_per_s = max_batch_tokens / base
+    rate_rps = load * capacity_tokens_per_s / mean_tokens
+    slo = SLOConfig(
+        latency_target=slo_batches * base,
+        # React early: a couple of batch-times of p99 or two queued
+        # batches of backlog starts rebalancing well before the SLO
+        # itself is in danger.
+        trigger_p99=3.0 * base,
+        queue_limit_tokens=2.0 * max_batch_tokens,
+    )
+    batching = BatchingConfig(
+        max_batch_tokens=max_batch_tokens,
+        max_queue_tokens=int(queue_factor * max_batch_tokens),
+    )
+    # The calibrated clock runs on modelled step seconds (milliseconds of
+    # simulated time for the whole stream), so the diurnal period must be
+    # compressed to the stream's own timescale: a few day/night cycles
+    # over the expected duration, not a literal 60 s wall-clock day.
+    expected_duration = num_requests / rate_rps
+    requests = RequestStream(
+        RequestStreamConfig(
+            arrival=arrival,
+            rate_rps=rate_rps,
+            num_requests=num_requests,
+            mean_tokens=mean_tokens,
+            max_tokens=max_batch_tokens,
+            diurnal_period_s=expected_duration / diurnal_cycles,
+            num_topics=num_topics,
+            topic_drift=topic_drift,
+            seed=seed,
+        )
+    ).generate()
+    return ServingCalibration(
+        balanced_batch_s=base,
+        rate_rps=rate_rps,
+        expected_duration=expected_duration,
+        slo=slo,
+        batching=batching,
+        requests=requests,
+        model=_serving_model(num_moe_layers, num_experts),
+        routing=TopicRoutingModel(
+            num_moe_layers, num_experts, num_topics, skew=skew, seed=seed
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -202,61 +316,24 @@ def serving_run(
     seed-matched substrates; they differ only in whether dynamic
     placement reacts. Deterministic under a fixed seed.
     """
-    base = probe_batch_seconds(
-        num_moe_layers, num_gpus, num_experts, max_batch_tokens, seed=seed
+    setup = calibrate_serving(
+        num_moe_layers, num_gpus, num_experts, num_requests, mean_tokens,
+        max_batch_tokens, arrival, load, slo_batches, queue_factor, skew,
+        topic_drift, num_topics, seed,
     )
-    capacity_tokens_per_s = max_batch_tokens / base
-    rate_rps = load * capacity_tokens_per_s / mean_tokens
-    slo = SLOConfig(
-        latency_target=slo_batches * base,
-        # React early: a couple of batch-times of p99 or two queued
-        # batches of backlog starts rebalancing well before the SLO
-        # itself is in danger.
-        trigger_p99=3.0 * base,
-        queue_limit_tokens=2.0 * max_batch_tokens,
-    )
-    batching = BatchingConfig(
-        max_batch_tokens=max_batch_tokens,
-        max_queue_tokens=int(queue_factor * max_batch_tokens),
-    )
-    # The calibrated clock runs on modelled step seconds (milliseconds of
-    # simulated time for the whole stream), so the diurnal period must be
-    # compressed to the stream's own timescale: three day/night cycles
-    # over the expected duration, not a literal 60 s wall-clock day.
-    expected_duration = num_requests / rate_rps
-    stream = RequestStream(
-        RequestStreamConfig(
-            arrival=arrival,
-            rate_rps=rate_rps,
-            num_requests=num_requests,
-            mean_tokens=mean_tokens,
-            max_tokens=max_batch_tokens,
-            diurnal_period_s=expected_duration / 3.0,
-            num_topics=num_topics,
-            topic_drift=topic_drift,
-            seed=seed,
-        )
-    )
-    requests = stream.generate()
     cluster = cluster_for(num_gpus)
-    model = _serving_model(num_moe_layers, num_experts)
-    routing = TopicRoutingModel(
-        num_moe_layers, num_experts, num_topics, skew=skew, seed=seed
-    )
     elasticity = (
         ElasticitySchedule.from_fault_config(faults, num_gpus)
         if faults is not None
         else None
     )
-    flex_server = build_flexmoe_serving(
-        cluster, model, requests, batching, slo,
-        num_moe_layers=num_moe_layers, routing=routing,
-        elasticity=elasticity, skew=skew, seed=seed,
-    )
-    static_server = build_static_serving(
-        cluster, model, requests, batching, slo,
-        num_moe_layers=num_moe_layers, routing=routing,
-        elasticity=elasticity, skew=skew, seed=seed,
+    flex_server, static_server = (
+        build_flexmoe_serving(
+            cluster, setup.model, setup.requests, setup.batching, setup.slo,
+            num_moe_layers=num_moe_layers, routing=setup.routing,
+            elasticity=elasticity, skew=skew, seed=seed, dynamic=dynamic,
+        )
+        for dynamic in (True, False)
     )
     scenario = {
         "num_moe_layers": num_moe_layers,
@@ -267,8 +344,8 @@ def serving_run(
         "max_batch_tokens": max_batch_tokens,
         "arrival": arrival,
         "load": load,
-        "rate_rps": rate_rps,
-        "balanced_batch_s": base,
+        "rate_rps": setup.rate_rps,
+        "balanced_batch_s": setup.balanced_batch_s,
         "skew": skew,
         "num_faults": 0 if elasticity is None else len(elasticity),
         "seed": seed,
@@ -276,7 +353,7 @@ def serving_run(
     return ServingRunResult(
         flexmoe=flex_server.run(),
         static=static_server.run(),
-        slo=slo,
+        slo=setup.slo,
         scenario=scenario,
     )
 
@@ -293,6 +370,88 @@ def serving_suite(
     if smoke:
         scenario = {"num_requests": 250}
     return serving_run(seed=seed, **scenario).summary(smoke=smoke)
+
+
+def _mix_counts(num_requests: int) -> tuple[int, int]:
+    """Requests per tenant of :func:`tenant_mix`: half the stream is
+    interactive traffic, the rest splits across the two batch tenants."""
+    return max(num_requests // 2, 1), max(num_requests // 4, 1)
+
+
+def tenant_mix(
+    base: float,
+    max_batch_tokens: int,
+    num_requests: int,
+    interactive_rate: float,
+    batch_rate: float,
+    interactive_slo_batches: float,
+    batch_slo_batches: float,
+    interactive_tokens: int,
+    batch_tokens: int,
+    num_topics: int,
+    topic_drift: float,
+    seed: int,
+) -> tuple[TenantSpec, ...]:
+    """The interactive + two-batch tenant mix, priced in balanced batches.
+
+    ``chat`` is the ``interactive`` class (priority 10, not preemptible,
+    bursty, SLO ``interactive_slo_batches`` batches of ``base`` seconds,
+    placement trigger at two); ``batch-a`` and ``batch-b`` are the
+    ``batch`` class (priority 0, preemptible, Poisson, SLO
+    ``batch_slo_batches`` batches, a half-batch quota per micro-batch and
+    four batches of per-tenant backpressure). Callers set the rates.
+    """
+    n_interactive, n_batch = _mix_counts(num_requests)
+    interactive_class = TenantClass(
+        name="interactive",
+        slo=SLOConfig(
+            latency_target=interactive_slo_batches * base,
+            trigger_p99=2.0 * base,
+            queue_limit_tokens=2.0 * max_batch_tokens,
+        ),
+        priority=10,
+        preemptible=False,
+    )
+    batch_class = TenantClass(
+        name="batch",
+        slo=SLOConfig(latency_target=batch_slo_batches * base),
+        priority=0,
+        preemptible=True,
+    )
+    chat = TenantSpec(
+        name="chat",
+        stream=RequestStreamConfig(
+            arrival="bursty",
+            rate_rps=interactive_rate,
+            num_requests=n_interactive,
+            mean_tokens=interactive_tokens,
+            max_tokens=max_batch_tokens,
+            num_topics=num_topics,
+            topic_drift=topic_drift,
+            seed=seed,
+        ),
+        tenant_class=interactive_class,
+    )
+    batch = tuple(
+        TenantSpec(
+            name=name,
+            stream=RequestStreamConfig(
+                arrival="poisson",
+                rate_rps=batch_rate,
+                num_requests=n_batch,
+                mean_tokens=batch_tokens,
+                max_tokens=max_batch_tokens,
+                num_topics=num_topics,
+                topic_drift=topic_drift,
+                seed=seed + 1 + index,
+            ),
+            tenant_class=batch_class,
+            quota_tokens=max_batch_tokens // 2,
+            max_queue_tokens=4 * max_batch_tokens,
+        )
+        for index, name in enumerate(("batch-a", "batch-b"))
+    )
+    return (chat, *batch)
 
 
 @dataclass(frozen=True)
@@ -388,15 +547,16 @@ def multitenant_run(
     a Jain fairness index of at least ``fairness_floor`` across tenants.
     Deterministic under a fixed seed.
     """
+    if num_requests < 1:
+        raise ConfigurationError("num_requests must be >= 1")
+    if not load > 0:
+        raise ConfigurationError("load must be > 0")
     base = probe_batch_seconds(
         num_moe_layers, num_gpus, num_experts, max_batch_tokens, seed=seed
     )
     capacity_tokens_per_s = max_batch_tokens / base
     token_rate = load * capacity_tokens_per_s
-    # Request counts per tenant: half the stream is interactive traffic,
-    # the rest splits across the two batch tenants.
-    n_interactive = max(num_requests // 2, 1)
-    n_batch = max(num_requests // 4, 1)
+    n_interactive, _ = _mix_counts(num_requests)
     # One shared horizon T makes the streams overlap: each tenant's rate
     # is its request count over T, and T is chosen so the combined token
     # rate equals the calibrated load.
@@ -408,70 +568,10 @@ def multitenant_run(
     )
     interactive_rate = n_interactive / horizon
     batch_rate = batch_token_rate / batch_tokens
-
-    interactive_class = TenantClass(
-        name="interactive",
-        slo=SLOConfig(
-            latency_target=interactive_slo_batches * base,
-            trigger_p99=2.0 * base,
-            queue_limit_tokens=2.0 * max_batch_tokens,
-        ),
-        priority=10,
-        preemptible=False,
-    )
-    batch_class = TenantClass(
-        name="batch",
-        slo=SLOConfig(latency_target=batch_slo_batches * base),
-        priority=0,
-        preemptible=True,
-    )
-    tenants = (
-        TenantSpec(
-            name="chat",
-            stream=RequestStreamConfig(
-                arrival="bursty",
-                rate_rps=interactive_rate,
-                num_requests=n_interactive,
-                mean_tokens=interactive_tokens,
-                max_tokens=max_batch_tokens,
-                num_topics=num_topics,
-                topic_drift=topic_drift,
-                seed=seed,
-            ),
-            tenant_class=interactive_class,
-        ),
-        TenantSpec(
-            name="batch-a",
-            stream=RequestStreamConfig(
-                arrival="poisson",
-                rate_rps=batch_rate,
-                num_requests=n_batch,
-                mean_tokens=batch_tokens,
-                max_tokens=max_batch_tokens,
-                num_topics=num_topics,
-                topic_drift=topic_drift,
-                seed=seed + 1,
-            ),
-            tenant_class=batch_class,
-            quota_tokens=max_batch_tokens // 2,
-            max_queue_tokens=4 * max_batch_tokens,
-        ),
-        TenantSpec(
-            name="batch-b",
-            stream=RequestStreamConfig(
-                arrival="poisson",
-                rate_rps=batch_rate,
-                num_requests=n_batch,
-                mean_tokens=batch_tokens,
-                max_tokens=max_batch_tokens,
-                num_topics=num_topics,
-                topic_drift=topic_drift,
-                seed=seed + 2,
-            ),
-            tenant_class=batch_class,
-            quota_tokens=max_batch_tokens // 2,
-            max_queue_tokens=4 * max_batch_tokens,
-        ),
+    tenants = tenant_mix(
+        base, max_batch_tokens, num_requests, interactive_rate, batch_rate,
+        interactive_slo_batches, batch_slo_batches, interactive_tokens,
+        batch_tokens, num_topics, topic_drift, seed,
     )
     requests = merge_tenant_requests(tenants)
     cluster = cluster_for(num_gpus)
@@ -483,17 +583,14 @@ def multitenant_run(
         max_batch_tokens=max_batch_tokens,
         max_queue_tokens=16 * max_batch_tokens,
     )
-    flex_server = build_multitenant_serving(
-        cluster, model, tenants, batching, requests=requests,
-        num_moe_layers=num_moe_layers, routing=routing, skew=skew,
-        seed=seed, dynamic=True, admission_policy="priority",
-        preemption=True,
-    )
-    fifo_server = build_multitenant_serving(
-        cluster, model, tenants, batching, requests=requests,
-        num_moe_layers=num_moe_layers, routing=routing, skew=skew,
-        seed=seed, dynamic=False, admission_policy="fifo",
-        preemption=False,
+    flex_server, fifo_server = (
+        build_multitenant_serving(
+            cluster, model, tenants, batching, requests=requests,
+            num_moe_layers=num_moe_layers, routing=routing, skew=skew,
+            seed=seed, dynamic=dynamic, admission_policy=policy,
+            preemption=dynamic,
+        )
+        for dynamic, policy in ((True, "priority"), (False, "fifo"))
     )
     scenario = {
         "num_moe_layers": num_moe_layers,

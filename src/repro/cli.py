@@ -768,8 +768,9 @@ def _serve(args: argparse.Namespace) -> dict:
 
     faults = None
     if args.failures > 0:
+        # The probe rejects a zero budget; only size the faults here.
         expected_batches = max(
-            args.requests * args.mean_tokens // args.batch_tokens, 3
+            args.requests * args.mean_tokens // max(args.batch_tokens, 1), 3
         )
         recover = (
             args.recover_after

@@ -150,10 +150,6 @@ class ClusterState:
         """Number of devices alive at construction (the seed pool size)."""
         return int(self._initial_alive.sum())
 
-    def initial_live_mask(self) -> np.ndarray:
-        """Boolean construction-time liveness vector (copy)."""
-        return self._initial_alive.copy()
-
     def standby_gpus(self) -> tuple[int, ...]:
         """Devices currently dark that were standby at construction."""
         return tuple(

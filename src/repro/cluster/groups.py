@@ -73,10 +73,6 @@ class CommunicatorGroupCache:
     def stats(self) -> GroupCacheStats:
         return self._stats
 
-    @property
-    def live_groups(self) -> tuple[GroupKey, ...]:
-        return tuple(self._groups)
-
     def __len__(self) -> int:
         return len(self._groups)
 

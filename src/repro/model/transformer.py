@@ -43,10 +43,6 @@ class TransformerBlock(Module):
         self.ffn = None if moe is not None else FFNExpert(d_model, d_ffn, rng)
         self._shape: tuple | None = None
 
-    @property
-    def is_moe(self) -> bool:
-        return self.moe is not None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
             raise ModelError(f"expected (B, T, D), got {x.shape}")

@@ -40,7 +40,6 @@ from repro.serving.baseline import (
     StaticServing,
     build_flexmoe_serving,
     build_multitenant_serving,
-    build_static_serving,
     strictest_tenant_slo,
 )
 from repro.serving.engine import ServingEngine, TopicRoutingModel
@@ -78,7 +77,6 @@ __all__ = [
     "TopicRoutingModel",
     "build_flexmoe_serving",
     "build_multitenant_serving",
-    "build_static_serving",
     "merge_tenant_requests",
     "strictest_tenant_slo",
 ]

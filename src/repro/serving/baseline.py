@@ -1,22 +1,24 @@
 """Serving-engine builders: dynamic FlexMoE vs the static baseline.
 
-Two servers over the identical substrate, stream and front-end:
+Two servers over the identical substrate, stream and front-end, chosen
+by one ``dynamic`` flag of :func:`build_flexmoe_serving` (single stream)
+and :func:`build_multitenant_serving` (tenant mix):
 
-* :func:`build_flexmoe_serving` -- the dynamic server: every layer's
-  Scheduler carries a :class:`~repro.core.trigger.LatencyTrigger` derived
-  from the SLO, so p99/queue-depth pressure starts Policy Maker rounds
-  and the background Migrate pass keeps consolidating replicas.
-* :func:`build_static_serving` -- :class:`StaticServing`: the placement
-  frozen at the balanced initial layout
-  (:class:`~repro.core.trigger.NeverTrigger`, Migrate off). Forced
-  eviction still happens under device failures -- routing to a dead
-  device is never valid -- but nothing rebalances afterwards, exactly
-  like the training faults baseline.
+* ``dynamic=True`` -- the FlexMoE server: every layer's Scheduler
+  carries a :class:`~repro.core.trigger.LatencyTrigger` derived from the
+  SLO, so p99/queue-depth pressure starts Policy Maker rounds and the
+  background Migrate pass keeps consolidating replicas.
+* ``dynamic=False`` -- :class:`StaticServing`: the placement frozen at
+  the balanced initial layout (:class:`~repro.core.trigger.NeverTrigger`,
+  Migrate off). Forced eviction still happens under device failures --
+  routing to a dead device is never valid -- but nothing rebalances
+  afterwards, exactly like the training faults baseline.
 
-Both builders delegate to
-:func:`repro.runtime.pipeline.build_engine`, so a shared seed gives both
-servers the same profiled figures and jitter stream; they differ only in
-whether dynamic placement is allowed to react.
+Both builders construct their engine in one place (:func:`_server`),
+which delegates to :func:`repro.runtime.pipeline.build_engine`, so a
+shared seed gives both servers the same profiled figures and jitter
+stream; they differ only in whether dynamic placement is allowed to
+react.
 """
 
 from __future__ import annotations
@@ -80,6 +82,58 @@ def serving_scheduler_config(
     )
 
 
+def _server(
+    cluster: ClusterConfig,
+    model: MoEModelConfig,
+    requests: Sequence[Request] | None,
+    batching: BatchingConfig,
+    slo: SLOConfig,
+    num_moe_layers: int | None,
+    routing: TopicRoutingModel | None,
+    elasticity: ElasticitySchedule | None,
+    skew: float,
+    seed: int,
+    dynamic: bool,
+    initial_live: int | None,
+    **front_end: object,
+) -> ServingEngine:
+    """Build one server over an inference-shaped engine.
+
+    ``dynamic`` picks the front-end class and, with it, the engine's
+    scheduler shape, trigger and name. ``front_end`` carries the
+    multi-tenant keywords of :class:`~repro.serving.engine.ServingEngine`
+    through unchanged.
+    """
+    cls = ServingEngine if dynamic else StaticServing
+    engine = build_engine(
+        cluster,
+        model,
+        num_moe_layers=num_moe_layers,
+        scheduler_config=serving_scheduler_config(
+            model, cluster, elasticity, migrate=dynamic
+        ),
+        elasticity=elasticity,
+        seed=seed,
+        initial_live=initial_live,
+        trigger_factory=(
+            (
+                lambda: LatencyTrigger(
+                    p99_target=slo.effective_trigger_p99,
+                    queue_limit_tokens=slo.queue_limit_tokens,
+                )
+            )
+            if dynamic
+            else NeverTrigger
+        ),
+        inference=True,
+    )
+    engine.name = cls.name
+    return cls(
+        engine, requests, batching, slo, routing=routing, skew=skew,
+        seed=seed, **front_end,
+    )
+
+
 def build_flexmoe_serving(
     cluster: ClusterConfig,
     model: MoEModelConfig,
@@ -92,66 +146,22 @@ def build_flexmoe_serving(
     skew: float = 1.3,
     seed: int = 0,
     initial_live: int | None = None,
+    dynamic: bool = True,
 ) -> ServingEngine:
-    """The dynamic server: SLO-triggered placement over the live pool.
+    """A single-stream server over the live pool.
+
+    ``dynamic=True`` is the FlexMoE server (SLO-triggered placement);
+    ``dynamic=False`` the frozen :class:`StaticServing` baseline on the
+    identical substrate.
 
     ``initial_live`` starts the pool smaller than the substrate: the
     first ``initial_live`` devices serve from the seed layout while the
     rest sit dark as standby capacity an
     :class:`~repro.sim.sources.AutoscalerSource` can provision into.
     """
-    engine = build_engine(
-        cluster,
-        model,
-        num_moe_layers=num_moe_layers,
-        scheduler_config=serving_scheduler_config(
-            model, cluster, elasticity, migrate=True
-        ),
-        elasticity=elasticity,
-        seed=seed,
-        initial_live=initial_live,
-        trigger_factory=lambda: LatencyTrigger(
-            p99_target=slo.effective_trigger_p99,
-            queue_limit_tokens=slo.queue_limit_tokens,
-        ),
-        inference=True,
-    )
-    engine.name = "FlexMoE-serving"
-    return ServingEngine(
-        engine, requests, batching, slo, routing=routing, skew=skew,
-        seed=seed,
-    )
-
-
-def build_static_serving(
-    cluster: ClusterConfig,
-    model: MoEModelConfig,
-    requests: Sequence[Request],
-    batching: BatchingConfig,
-    slo: SLOConfig,
-    num_moe_layers: int | None = None,
-    routing: TopicRoutingModel | None = None,
-    elasticity: ElasticitySchedule | None = None,
-    skew: float = 1.3,
-    seed: int = 0,
-) -> StaticServing:
-    """The frozen-placement baseline on the identical substrate."""
-    engine = build_engine(
-        cluster,
-        model,
-        num_moe_layers=num_moe_layers,
-        scheduler_config=serving_scheduler_config(
-            model, cluster, elasticity, migrate=False
-        ),
-        elasticity=elasticity,
-        seed=seed,
-        trigger_factory=NeverTrigger,
-        inference=True,
-    )
-    engine.name = "StaticServing"
-    return StaticServing(
-        engine, requests, batching, slo, routing=routing, skew=skew,
-        seed=seed,
+    return _server(
+        cluster, model, requests, batching, slo, num_moe_layers, routing,
+        elasticity, skew, seed, dynamic, initial_live,
     )
 
 
@@ -196,34 +206,9 @@ def build_multitenant_serving(
         initial_live: Start the pool smaller than the substrate; the
             remaining devices sit dark as autoscaler standby capacity.
     """
-    slo = strictest_tenant_slo(tenants)
-    engine = build_engine(
-        cluster,
-        model,
-        num_moe_layers=num_moe_layers,
-        scheduler_config=serving_scheduler_config(
-            model, cluster, elasticity, migrate=dynamic
-        ),
-        elasticity=elasticity,
-        seed=seed,
-        initial_live=initial_live,
-        trigger_factory=(
-            (
-                lambda: LatencyTrigger(
-                    p99_target=slo.effective_trigger_p99,
-                    queue_limit_tokens=slo.queue_limit_tokens,
-                )
-            )
-            if dynamic
-            else NeverTrigger
-        ),
-        inference=True,
-    )
-    cls = ServingEngine if dynamic else StaticServing
-    engine.name = cls.name
-    return cls(
-        engine, requests, batching, slo, routing=routing, skew=skew,
-        seed=seed, tenants=tenants,
-        admission_policy=admission_policy, preemption=preemption,
-        shed_low_priority=shed_low_priority,
+    return _server(
+        cluster, model, requests, batching, strictest_tenant_slo(tenants),
+        num_moe_layers, routing, elasticity, skew, seed, dynamic,
+        initial_live, tenants=tenants, admission_policy=admission_policy,
+        preemption=preemption, shed_low_priority=shed_low_priority,
     )

@@ -39,16 +39,13 @@ import numpy as np
 
 from repro.bench.gates import seal
 from repro.bench.harness import cluster_for, placements_rehomed
-from repro.bench.serving import probe_batch_seconds
+from repro.bench.serving import calibrate_serving
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
-from repro.config import MoEModelConfig
 from repro.core.trigger import TriggerSignals
 from repro.exceptions import ConfigurationError
-from repro.serving.admission import BatchingConfig
 from repro.serving.baseline import build_flexmoe_serving
-from repro.serving.engine import ServingEngine, TopicRoutingModel
-from repro.serving.requests import RequestStream, RequestStreamConfig
-from repro.serving.slo import ServingReport, SLOConfig
+from repro.serving.engine import ServingEngine
+from repro.serving.slo import ServingReport
 from repro.sim.kernel import Priority, SimKernel
 from repro.sim.scenario import Scenario, smoke_scale
 from repro.sim.sources import AutoscalerSource
@@ -365,65 +362,26 @@ def build_churn_scenario(
     revocation schedule; ``autoscale`` only decides whether the standby
     headroom has a controller in front of it.
     """
-    base = probe_batch_seconds(
-        config.num_moe_layers,
-        config.seed_gpus,
-        config.num_experts,
-        config.max_batch_tokens,
-        seed=config.seed,
+    setup = calibrate_serving(
+        config.num_moe_layers, config.seed_gpus, config.num_experts,
+        config.num_requests, config.mean_tokens, config.max_batch_tokens,
+        "diurnal", config.load, config.slo_batches, config.queue_factor,
+        config.skew, config.topic_drift, config.num_topics, config.seed,
+        diurnal_cycles=config.days,
     )
-    capacity_tokens_per_s = config.max_batch_tokens / base
-    rate_rps = config.load * capacity_tokens_per_s / config.mean_tokens
-    expected_duration = config.num_requests / rate_rps
-    slo = SLOConfig(
-        latency_target=config.slo_batches * base,
-        trigger_p99=3.0 * base,
-        queue_limit_tokens=2.0 * config.max_batch_tokens,
-    )
-    batching = BatchingConfig(
-        max_batch_tokens=config.max_batch_tokens,
-        max_queue_tokens=int(config.queue_factor * config.max_batch_tokens),
-    )
-    stream = RequestStream(
-        RequestStreamConfig(
-            arrival="diurnal",
-            rate_rps=rate_rps,
-            num_requests=config.num_requests,
-            mean_tokens=config.mean_tokens,
-            max_tokens=config.max_batch_tokens,
-            diurnal_period_s=expected_duration / config.days,
-            num_topics=config.num_topics,
-            topic_drift=config.topic_drift,
-            seed=config.seed,
-        )
-    )
-    requests = stream.generate()
-    model = MoEModelConfig(
-        name=f"churn-{config.num_moe_layers}L-{config.num_experts}e",
-        num_layers=2 * config.num_moe_layers,
-        d_model=1024,
-        d_ffn=8192,
-        num_experts=config.num_experts,
-    )
-    routing = TopicRoutingModel(
-        config.num_moe_layers,
-        config.num_experts,
-        config.num_topics,
-        skew=config.skew,
-        seed=config.seed,
-    )
+    slo, expected_duration = setup.slo, setup.expected_duration
     # The substrate spans seed + standby devices; ``initial_live`` darks
     # the headroom so the seed layout (and the fixed arm's whole run)
     # never touches it. The empty schedule provisions the ClusterState
     # and elastic scheduler shape, as in the composed scenario.
     server = build_flexmoe_serving(
         cluster_for(config.total_gpus),
-        model,
-        requests,
-        batching,
+        setup.model,
+        setup.requests,
+        setup.batching,
         slo,
         num_moe_layers=config.num_moe_layers,
-        routing=routing,
+        routing=setup.routing,
         elasticity=ElasticitySchedule(()),
         skew=config.skew,
         seed=config.seed,
@@ -506,8 +464,8 @@ def build_churn_scenario(
         "arrival": "diurnal",
         "days": config.days,
         "load": config.load,
-        "rate_rps": rate_rps,
-        "balanced_batch_s": base,
+        "rate_rps": setup.rate_rps,
+        "balanced_batch_s": setup.balanced_batch_s,
         "expected_duration_s": expected_duration,
         "waves": [
             {"time_s": when, "gpus": list(gpus)} for when, gpus in waves

@@ -341,3 +341,26 @@ def test_serve_smoke_pins_its_scenario(monkeypatch, tmp_path):
     with pytest.raises(_SuiteCalled):
         main(argv)
     assert seen == {"num_requests": 250, "seed": 2}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--load", "0"],
+        ["serve", "--batch-tokens", "0"],
+        ["serve", "--mean-tokens", "0"],
+        ["serve", "--failures", "1", "--batch-tokens", "0"],
+        ["serve", "--multi-tenant", "--load", "0"],
+        ["serve", "--multi-tenant", "--batch-tokens", "0"],
+        ["serve", "--multi-tenant", "--requests", "0"],
+    ],
+    ids=" ".join,
+)
+def test_serve_rejects_degenerate_scenarios(argv, capsys):
+    """A zero load, batch budget, request length or request count is an
+    input error (exit 2), never a traceback or a silently resized run."""
+    small = ["--layers", "1", "--experts", "8", "--gpus", "4", "--json"]
+    assert main(argv + small) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""

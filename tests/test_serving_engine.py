@@ -18,7 +18,6 @@ from repro.serving import (
     ServingReport,
     TopicRoutingModel,
     build_flexmoe_serving,
-    build_static_serving,
 )
 from repro.serving.slo import LatencyWindow, RequestRecord
 
@@ -64,8 +63,8 @@ def build_pair(requests, seed=0, faults=None, num_moe_layers=2, num_experts=8):
     flex = build_flexmoe_serving(
         cluster, model, requests, batching, slo, **kwargs
     )
-    static = build_static_serving(
-        cluster, model, requests, batching, slo, **kwargs
+    static = build_flexmoe_serving(
+        cluster, model, requests, batching, slo, dynamic=False, **kwargs
     )
     return flex, static
 

@@ -38,7 +38,6 @@ from repro.serving.admission import BatchingConfig
 from repro.serving.baseline import (
     build_flexmoe_serving,
     build_multitenant_serving,
-    build_static_serving,
 )
 from repro.serving.engine import TopicRoutingModel
 from repro.serving.requests import RequestStream, RequestStreamConfig, TenantSpec
@@ -54,6 +53,8 @@ from repro.workload.synthetic import (
     DriftingRoutingGenerator,
     make_multilayer_trace,
 )
+
+from golden_compare import assert_matches_golden
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "serving_golden.json"
 
@@ -236,7 +237,7 @@ def _build_servers(seed=0, with_faults=False):
     )
     return (
         lambda: build_flexmoe_serving(*args, **kwargs),
-        lambda: build_static_serving(*args, **kwargs),
+        lambda: build_flexmoe_serving(*args, **kwargs, dynamic=False),
     )
 
 
@@ -382,21 +383,6 @@ GOLDEN_SCENARIOS = {
 }
 
 
-def _assert_matches_golden(observed, golden, path="golden"):
-    if isinstance(golden, dict):
-        assert sorted(observed) == sorted(golden), path
-        for key in golden:
-            _assert_matches_golden(observed[key], golden[key], f"{path}.{key}")
-    elif isinstance(golden, list):
-        assert len(observed) == len(golden), path
-        for i, (a, b) in enumerate(zip(observed, golden)):
-            _assert_matches_golden(a, b, f"{path}[{i}]")
-    elif isinstance(golden, float):
-        assert observed == pytest.approx(golden, rel=1e-9), path
-    else:
-        assert type(observed) is type(golden) and observed == golden, path
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
@@ -405,7 +391,7 @@ def golden():
 class TestServingGolden:
     def _check(self, golden, name):
         observed = GOLDEN_SCENARIOS[name]()
-        _assert_matches_golden(observed, golden[name], name)
+        assert_matches_golden(observed, golden[name], name)
         return observed
 
     def test_dynamic_server_matches_golden(self, golden):
