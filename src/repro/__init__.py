@@ -19,8 +19,8 @@ self-contained Python system:
 * :mod:`repro.sim` — the unified discrete-event simulation kernel:
   one clock, ``(time, priority, seq)``-ordered events, composable
   :class:`~repro.sim.scenario.Scenario` specs (``docs/simulation.md``);
-* :mod:`repro.runtime` — ground-truth step execution and the
-  adjustment queue;
+* :mod:`repro.runtime` — ground-truth step execution, adjustment
+  transfer pricing and the per-layer best-effort pipelines;
 * :mod:`repro.training` — end-to-end simulated training loops, efficiency
   metrics and the convergence model;
 * :mod:`repro.serving` — the online serving subsystem: SLO-aware request

@@ -41,7 +41,6 @@ from repro.config import SchedulerConfig
 from repro.core.flow_control import GateFlowController
 from repro.core.placement import Placement
 from repro.core.scheduler import Scheduler
-from repro.runtime.adjustment import AdjustmentQueue
 from repro.runtime.pipeline import LayerPipeline
 
 
@@ -113,10 +112,6 @@ class FlexMoESystem(MoESystem):
     @property
     def scheduler(self) -> Scheduler:
         return self._layer.scheduler
-
-    @property
-    def adjustment_queue(self) -> AdjustmentQueue:
-        return self._layer.adjustment_queue
 
     @property
     def pending_adjustments(self) -> int:

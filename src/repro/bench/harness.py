@@ -215,9 +215,11 @@ def router_microbenchmark(
     balanced placement; the returned ``speedup`` is the reference's mean
     per-call latency over the vectorized router's.
     """
+    if repeats < 1:
+        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     config = WorkloadConfig(
         tokens_per_step=tokens_per_gpu * num_gpus,
-        num_steps=max(repeats, 1),
+        num_steps=repeats,
         skew=skew,
         seed=seed,
     )

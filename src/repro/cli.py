@@ -40,9 +40,23 @@ from repro.config import FaultConfig
 from repro.exceptions import ConfigurationError, ReproError
 from repro.model.zoo import MODEL_ZOO
 
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: NumPy seeds random draws with integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 #: Flags more than one subcommand takes: ``dest -> (type, help)``, where a
 #: ``None`` type is a store_true switch. :func:`_add_flags` declares them.
-_FLAGS: dict[str, tuple[type | None, str]] = {
+_FLAGS: dict[str, tuple[Callable[[str], object] | None, str]] = {
     "smoke": (None, "the fixed CI-scale scenario (what CI runs)"),
     "json": (None, "machine-readable output"),
     "telemetry": (None, "print the metrics-registry snapshot after the run"),
@@ -53,7 +67,7 @@ _FLAGS: dict[str, tuple[type | None, str]] = {
         "spans, decision timeline, metrics snapshot; open in Perfetto or "
         "chrome://tracing, see docs/observability.md)",
     ),
-    "seed": (int, "seed of every random draw"),
+    "seed": (_seed, "seed of every random draw"),
     "layers": (int, "MoE layers"),
     "experts": (int, "experts per layer"),
     "gpus": (int, "cluster size (below 8, or a multiple of 8)"),

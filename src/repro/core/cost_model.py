@@ -221,26 +221,22 @@ class MoECostModel:
         """Seconds of sequential transfer time for a list of primitives.
 
         Uses the profiled bandwidth table (the paper's
-        ``size(model_states) / Bw(g, g')``). The runtime's adjustment queue
-        may merge/parallelize these; this is the conservative serial bound
-        the Policy Maker reasons with.
+        ``size(model_states) / Bw(g, g')``): each action costs its slowest
+        copy (a Migrate's two directions overlap). The runtime's
+        :func:`~repro.runtime.adjustment.transfer_seconds` may
+        merge/parallelize these; this is the conservative serial bound the
+        Policy Maker reasons with.
         """
         total = 0.0
         state_bytes = self._model.expert_state_bytes
         for action in actions:
-            endpoints = getattr(action, "gpu_a", None)
-            if endpoints is not None:  # Migrate
-                bw_ab = self._profile.link_bandwidth(action.gpu_a, action.gpu_b)
-                bw_ba = self._profile.link_bandwidth(action.gpu_b, action.gpu_a)
-                total += max(state_bytes / bw_ab, state_bytes / bw_ba)
-                continue
-            source = getattr(action, "source_gpu", None)
-            if source is None:  # Shrink
-                continue
-            if source == action.gpu:  # intra-GPU Expand: parameter sharing
-                continue
-            bw = self._profile.link_bandwidth(source, action.gpu)
-            total += state_bytes / bw
+            total += max(
+                (
+                    state_bytes / self._profile.link_bandwidth(src, dst)
+                    for src, dst in action.transfers()
+                ),
+                default=0.0,
+            )
         return total
 
     # ------------------------------------------------------------------
@@ -295,11 +291,10 @@ class MemoizedStepCost:
       counts);
     * a *token* shortcut maps ``(id(placement),``
       :attr:`~repro.core.placement.Placement.state_token`\\ ``)`` to the
-      content signature, so repeated queries on a placement that mutated
-      and rolled back in between (the trial-journal workflow) never
-      re-digest the count matrix. The token is globally unique per
-      content state, which makes the shortcut exact — unlike the
-      per-object ``version`` counter, which trial rollbacks can alias.
+      content signature, so repeated queries on an unchanged placement
+      never re-digest the count matrix. The token is globally unique per
+      content state (every mutation draws a fresh one), which makes the
+      shortcut exact.
 
     Entries priced against an older device pool are keyed out by the
     cluster-state version; :meth:`invalidate` is the explicit hook for

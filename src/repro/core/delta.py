@@ -28,7 +28,7 @@ assignment row's total and its per-node sums (see
 :meth:`~repro.cluster.bandwidth.BandwidthModel.inflow_at`), so at an
 expert density of ~1% (32 holders of 4096 devices) a route costs O(holders)
 instead of O(D).  A single kernel, :meth:`DeltaStepCost._route`, prices
-holder entries for the rebase, all three query shapes and the audit.
+holder entries for the rebase, both query shapes and the audit.
 
 Scoring a candidate re-routes only the changed experts' entries and takes
 Eq. 5's max over a copy of the base per-GPU times with the changed
@@ -37,20 +37,15 @@ Pricing is split in two: *routing* a batch of candidates touches no
 AllReduce group, and *finishing* a contiguous range of them probes the
 sync groups of their flipped rows and takes the max (a cost model with
 no gradient sync has nothing to probe, so its batches finish in one pass).
-Three query shapes cover the searchers:
+Two query shapes cover the searchers:
 
 * :meth:`pair_candidates` — routes (Shrink, Expand) candidates of any
   mix of pairs in one pass and returns a :class:`CandidateBatch` whose
   :meth:`~CandidateBatch.times` finishes a range, so the Policy Maker
   routes a whole round at once yet finishes only the candidates its
-  search reaches; :meth:`pair_candidate_times` is its one-pair,
-  one-range form;
+  search reaches;
 * :meth:`exchange_candidate_times` — batch-scores every vExpert exchange
-  of one Migrate planner pass;
-* :meth:`trial_time` — scores an arbitrarily mutated trial placement
-  given the set of changed experts; the single-candidate what-if API for
-  custom planners, driven through
-  :meth:`~repro.core.placement.Placement.trial`.
+  of one Migrate planner pass.
 
 The evaluator matches :class:`~repro.core.cost_model.MemoizedStepCost` (the
 retained, audited reference path) to float tolerance; the equivalence suite
@@ -381,25 +376,16 @@ class DeltaStepCost:
         self.rebases += 1
         return self._base_time
 
-    def _base_matches(self, placement: Placement, trial: bool) -> bool:
-        """Whether the cached base still describes ``placement``'s base.
-
-        During a trial the version has legitimately advanced past the
-        base's (the caller vouches for the changed-expert set); outside a
-        trial the versions must agree exactly.
-        """
-        if self._placement is not placement:
-            return False
-        if self._cost_model.state_version != self._state_version:
-            return False
-        return trial or placement.version == self._placement_version
-
     def _require_base(self, placement: Placement) -> None:
         """Ensure the cached base matches ``placement`` before a batched
         sweep; a stale base is rebuilt (for the assignment of the last
         rebase) and counted as a fallback — the slow path the perf smoke
         gate requires to stay unused."""
-        if self._base_matches(placement, trial=False):
+        if (
+            self._placement is placement
+            and self._cost_model.state_version == self._state_version
+            and placement.version == self._placement_version
+        ):
             return
         self.fallbacks += 1
         if self._assignment is None or self._assignment.shape != (
@@ -618,21 +604,6 @@ class DeltaStepCost:
         )
         return self._route_candidates(num, row_cand, row_expert, entries)
 
-    def pair_candidate_times(
-        self,
-        placement: Placement,
-        expand_expert: int,
-        shrink_expert: int,
-        gpus: np.ndarray,
-    ) -> np.ndarray:
-        """Score (Shrink ``shrink_expert``@g, Expand ``expand_expert``@g)
-        for every g in ``gpus``: :meth:`pair_candidates` finished as one
-        range.  Returns the modelled step times, one per candidate GPU.
-        """
-        return self.pair_candidates(
-            placement, expand_expert, shrink_expert, gpus
-        ).times()
-
     def exchange_candidate_times(
         self,
         placement: Placement,
@@ -670,63 +641,12 @@ class DeltaStepCost:
             pairs.shape[0], row_cand, row_expert, entries
         ).times()
 
-    def trial_time(
-        self, placement: Placement, changed: tuple[int, ...]
-    ) -> float:
-        """Step time of a trial-mutated placement.
-
-        ``placement`` is the base placement mutated inside an open
-        :meth:`~repro.core.placement.Placement.trial`; ``changed`` names
-        every expert whose replica row differs from the base (at most a
-        handful for any primitive).  Experts outside ``changed`` are
-        assumed untouched — that is the caller's contract, checked in
-        audit mode.
-        """
-        if not self._base_matches(placement, trial=True):
-            self.fallbacks += 1
-            return self._full_time(placement.counts_view)
-        row_expert = np.unique(np.asarray(changed, dtype=np.int64))
-        # Express each changed row as edits of its base row.
-        base_row, base_index, _ = self._base_rows(row_expert)
-        rows = placement.counts_view[row_expert]
-        diff = rows.copy()
-        diff[base_row, self._gpu[base_index]] -= self._count[base_index]
-        edit_row, edit_gpu = np.nonzero(diff)
-        if self._audit:
-            expected = self._base_counts()
-            expected[row_expert] = rows
-            if not np.array_equal(expected, placement.counts_view):
-                raise SchedulingError(
-                    "delta audit: changed-expert set does not cover the "
-                    "trial mutations (caller contract violated)"
-                )
-        entries = self._edited_rows(
-            row_expert, edit_row, edit_gpu, diff[edit_row, edit_gpu]
-        )
-        batch = self._route_candidates(
-            1, np.zeros(row_expert.size, dtype=np.int64), row_expert, entries
-        )
-        return float(batch.times()[0])
-
     # ------------------------------------------------------------------
-    # Full recomputation (fallback + audit)
+    # Full recomputation (audit)
     # ------------------------------------------------------------------
-    def _full_time(
-        self, counts: np.ndarray, eff_tps: np.ndarray | None = None
-    ) -> float:
-        """Price a count matrix from scratch through the same kernel.
-
-        Used when the cached base cannot answer (stale device pool or a
-        foreign placement object; priced against the live pool) and by
-        the audit.  Requires the assignment of the last rebase; without
-        one the evaluator cannot answer at all.
-        """
-        if self._assignment is None:
-            raise SchedulingError(
-                "DeltaStepCost has no base: call rebase() before querying"
-            )
-        if eff_tps is None:
-            eff_tps = self._cost_model.effective_tps()
+    def _full_time(self, counts: np.ndarray) -> float:
+        """Price a count matrix from scratch through the same kernel,
+        against the device pool of the last rebase."""
         expert, gpu = np.nonzero(counts)
         arrivals, a2a = self._route(
             np.arange(counts.shape[0]), expert, gpu, counts[expert, gpu]
@@ -738,7 +658,7 @@ class DeltaStepCost:
             ]
         )
         return float(
-            self._per_gpu(gpu, arrivals, a2a, sync[expert], eff_tps).max()
+            self._per_gpu(gpu, arrivals, a2a, sync[expert], self._eff_tps).max()
         )
 
     def _base_counts(self) -> np.ndarray:
@@ -763,7 +683,7 @@ class DeltaStepCost:
 
     def _audit_check(self, claimed: float, counts: np.ndarray) -> None:
         """Cross-check a delta evaluation against a full recomputation."""
-        full = self._full_time(counts, self._eff_tps)
+        full = self._full_time(counts)
         if not np.isclose(claimed, full, rtol=self.AUDIT_RTOL, atol=0.0):
             raise SchedulingError(
                 f"delta audit: incremental time {claimed!r} != full "

@@ -56,9 +56,8 @@ class MigrationPlanner:
             move (1 in the paper's setting; 2 in elastic runs so a single
             device failure never orphans an expert).
         use_delta: Score candidate exchanges incrementally through
-            :class:`~repro.core.delta.DeltaStepCost` and the placement
-            trial journal (default). ``False`` restores the
-            copy-per-candidate full-recompute reference path.
+            :class:`~repro.core.delta.DeltaStepCost` (default). ``False``
+            restores the copy-per-candidate full-recompute reference path.
         memo: Optional shared :class:`MemoizedStepCost`. When provided,
             reference-path evaluations (notably the per-pass baseline
             ``step_time(assignment, placement)``, which re-prices the
@@ -155,7 +154,7 @@ class MigrationPlanner:
         """Propose up to ``max_moves`` exchanges strictly improving Eq. 5.
 
         The placement is *not* modified; the scheduler applies the returned
-        actions through its adjustment queue.  The first search reads the
+        actions through its adjustment stream.  The first search reads the
         caller's placement directly (:meth:`_best_move` never mutates its
         argument); only when it finds a move is the placement copied, and
         every found move is applied -- and so checked -- on that copy

@@ -17,15 +17,11 @@ A :class:`Placement` therefore reduces to an integer count matrix
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from repro.exceptions import PlacementError
-
-#: A rollback token: (journal depth, version) captured by :meth:`begin_trial`.
-TrialToken = tuple[int, int]
 
 
 class Placement:
@@ -50,16 +46,12 @@ class Placement:
             raise PlacementError("counts must be integral")
         self._counts = arr.astype(np.int64, copy=True)
         # Per-expert replica totals ``n_e``, kept in step with the matrix
-        # by the two mutation funnels (:meth:`_mutate`, :meth:`rollback`).
+        # by the one mutation funnel (:meth:`_mutate`).
         self._replicas = self._counts.sum(axis=1)
         self._slots_per_gpu = int(slots_per_gpu)
         self._version = 0
         self._state_token = next(Placement._state_counter)
         self._signature_cache: bytes | None = None
-        self._journal: list[tuple[int, int, int]] | None = None
-        # Open trials, outermost first, each with the state token it
-        # started from.
-        self._trials: list[tuple[TrialToken, int]] = []
         self.validate()
 
     # ------------------------------------------------------------------
@@ -210,9 +202,7 @@ class Placement:
 
         A (placement object, version) pair identifies a placement state
         cheaply: evaluator caches use it to detect staleness in O(1) instead
-        of hashing the full count matrix. :meth:`rollback` restores the
-        version captured by its token, so a trial that was fully undone
-        compares equal to the state it started from.
+        of hashing the full count matrix.
         """
         return self._version
 
@@ -220,12 +210,9 @@ class Placement:
     def state_token(self) -> int:
         """Globally unique identifier of this object's *current* content.
 
-        Unlike :attr:`version` (a per-object counter, so two different
-        mutations branching from the same rolled-back state can share a
-        version number while holding different counts), the token is drawn
+        Unlike :attr:`version` (a per-object counter), the token is drawn
         from a process-wide monotone counter on construction and on every
-        mutation, and :meth:`rollback` restores the token captured when
-        its trial began. A ``(id(placement), state_token)`` pair therefore
+        mutation. A ``(id(placement), state_token)`` pair therefore
         identifies placement content unambiguously for the object's
         lifetime -- the property the step-cost memo's O(1) re-key relies
         on (:class:`~repro.core.cost_model.MemoizedStepCost`).
@@ -276,13 +263,11 @@ class Placement:
     # ------------------------------------------------------------------
     def _mutate(self, *cells: tuple[int, int, int]) -> None:
         """Apply per-cell count deltas; the single funnel every mutation
-        goes through, so the journal, replica totals, version and
-        signature cache can never drift from the count matrix."""
+        goes through, so the replica totals, version and signature cache
+        can never drift from the count matrix."""
         for expert, gpu, delta in cells:
             self._counts[expert, gpu] += delta
             self._replicas[expert] += delta
-        if self._journal is not None:
-            self._journal.extend(cells)
         self._version += 1
         self._state_token = next(Placement._state_counter)
         self._signature_cache = None
@@ -339,75 +324,6 @@ class Placement:
             (expert_a, gpu_b, 1),
             (expert_b, gpu_a, 1),
         )
-
-    # ------------------------------------------------------------------
-    # Trial journal (what-if search without per-candidate copies)
-    # ------------------------------------------------------------------
-    def begin_trial(self) -> TrialToken:
-        """Start recording mutations for a later :meth:`rollback`.
-
-        Returns an opaque token; trials nest (roll back inner tokens before
-        outer ones). While a journal is active the placement can be mutated
-        freely — including through the normal primitives — and restored to
-        the token's state in O(mutations) instead of copying the whole
-        E x D matrix per candidate.
-        """
-        if self._journal is None:
-            self._journal = []
-        token = (len(self._journal), self._version)
-        self._trials.append((token, self._state_token))
-        return token
-
-    def rollback(self, token: TrialToken) -> None:
-        """Undo every mutation recorded after ``token`` was issued.
-
-        Restores the count matrix, the replica totals, the version counter
-        and (implicitly) the signature, so caches keyed on ``(placement,
-        version)`` remain valid across a trial that was fully undone.
-        """
-        depth, version = token
-        journal = self._journal
-        if journal is None or depth > len(journal):
-            raise PlacementError("rollback token does not match an open trial")
-        while len(journal) > depth:
-            expert, gpu, delta = journal.pop()
-            self._counts[expert, gpu] -= delta
-            self._replicas[expert] -= delta
-        self._version = version
-        # Close the token's trial and every trial opened inside it, and
-        # restore the state token captured when it began.  An empty inner
-        # trial shares its outer trial's token, so the innermost match is
-        # the one to close.  A forged token that passed the depth check
-        # closes nothing and falls back to a fresh token, which is always
-        # safe -- it can only cause a cache miss.
-        state_token = None
-        for i in range(len(self._trials) - 1, -1, -1):
-            if self._trials[i][0] == token:
-                state_token = self._trials[i][1]
-                del self._trials[i:]
-                break
-        self._state_token = state_token or next(Placement._state_counter)
-        if not self._trials:
-            self._journal = None
-        self._signature_cache = None
-
-    @contextmanager
-    def trial(self) -> Iterator["Placement"]:
-        """Context manager: mutate freely inside, always rolled back on exit.
-
-        The single-candidate what-if idiom (custom planners, tests; the
-        built-in searchers batch candidates arithmetically instead)::
-
-            with placement.trial() as t:
-                action.apply(t)
-                time = evaluator.trial_time(t, changed=(e0, e1))
-            # placement is back to its pre-trial state here
-        """
-        token = self.begin_trial()
-        try:
-            yield self
-        finally:
-            self.rollback(token)
 
     # ------------------------------------------------------------------
     # Utility

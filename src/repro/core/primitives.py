@@ -1,16 +1,17 @@
 """Placement-modification primitives: Expand, Shrink, Migrate (Section 3.3).
 
 Each primitive is a small immutable action object that knows how to apply
-itself to a :class:`~repro.core.placement.Placement` and what data movement
-it implies:
+itself to a :class:`~repro.core.placement.Placement` and, through
+``transfers()``, which ``(src, dst)`` copies of one vExpert's model states
+it implies -- the one statement of its data movement that the runtime's
+adjustment stream and the cost model both price:
 
 * **Expand** copies an expert's parameters and optimizer states from a
   source vExpert to a newly bound slot — free when source and target share a
   GPU (parameter sharing), a NCCL point-to-point transfer otherwise.
 * **Shrink** releases a vExpert by marking a tag; no communication.
 * **Migrate** exchanges the model states of two vExperts on different GPUs,
-  costing two point-to-point transfers (modelled as overlapping, so the
-  wall-clock cost is one transfer over the slower direction).
+  one point-to-point transfer in each direction.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.cluster.collectives import CollectiveCostModel
-from repro.config import MoEModelConfig
 from repro.core.placement import Placement
 from repro.exceptions import PlacementError
 
@@ -47,17 +46,12 @@ class Expand:
             )
         placement.add_vexpert(self.expert, self.gpu)
 
-    def transfer_bytes(self, model: MoEModelConfig) -> int:
-        """Bytes of model states moved by this action."""
+    def transfers(self) -> tuple[tuple[int, int], ...]:
+        """``(src, dst)`` copies of one vExpert's model states; none when
+        the new vExpert packs onto its source GPU."""
         if self.gpu == self.source_gpu:
-            return 0
-        return model.expert_state_bytes
-
-    def cost(self, model: MoEModelConfig, collectives: CollectiveCostModel) -> float:
-        """Seconds of point-to-point transfer implied by this action."""
-        return collectives.p2p_time(
-            self.transfer_bytes(model), self.source_gpu, self.gpu
-        )
+            return ()
+        return ((self.source_gpu, self.gpu),)
 
 
 @dataclass(frozen=True)
@@ -70,11 +64,8 @@ class Shrink:
     def apply(self, placement: Placement) -> None:
         placement.remove_vexpert(self.expert, self.gpu)
 
-    def transfer_bytes(self, model: MoEModelConfig) -> int:
-        return 0
-
-    def cost(self, model: MoEModelConfig, collectives: CollectiveCostModel) -> float:
-        return 0.0
+    def transfers(self) -> tuple[tuple[int, int], ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -90,17 +81,8 @@ class Migrate:
     def apply(self, placement: Placement) -> None:
         placement.swap_vexperts(self.expert_a, self.gpu_a, self.expert_b, self.gpu_b)
 
-    def transfer_bytes(self, model: MoEModelConfig) -> int:
-        return 2 * model.expert_state_bytes
-
-    def cost(self, model: MoEModelConfig, collectives: CollectiveCostModel) -> float:
-        forward = collectives.p2p_time(
-            model.expert_state_bytes, self.gpu_a, self.gpu_b
-        )
-        backward = collectives.p2p_time(
-            model.expert_state_bytes, self.gpu_b, self.gpu_a
-        )
-        return max(forward, backward)
+    def transfers(self) -> tuple[tuple[int, int], ...]:
+        return ((self.gpu_a, self.gpu_b), (self.gpu_b, self.gpu_a))
 
 
 PlacementAction = Union[Expand, Shrink, Migrate]
@@ -131,41 +113,3 @@ def action_gpus(action: PlacementAction) -> tuple[int, ...]:
     if isinstance(action, Migrate):
         return (action.gpu_a, action.gpu_b)
     raise PlacementError(f"unknown primitive {action!r}")
-
-
-def can_merge(a: PlacementAction, b: PlacementAction) -> bool:
-    """Whether two queued transfers can be merged into one launch.
-
-    Section 4 ("Paralleled Operation Modification"): operations sharing both
-    source and destination are merged to increase message size.
-    """
-    endpoints_a = _endpoints(a)
-    endpoints_b = _endpoints(b)
-    if endpoints_a is None or endpoints_b is None:
-        return False
-    return endpoints_a == endpoints_b
-
-
-def can_parallelize(a: PlacementAction, b: PlacementAction) -> bool:
-    """Whether two queued transfers can run concurrently.
-
-    Operations sharing neither source nor destination use disjoint links and
-    are executed in parallel (Section 4).
-    """
-    endpoints_a = _endpoints(a)
-    endpoints_b = _endpoints(b)
-    if endpoints_a is None or endpoints_b is None:
-        # A Shrink involves no transfer: always parallel-safe.
-        return True
-    return not (set(endpoints_a) & set(endpoints_b))
-
-
-def _endpoints(action: PlacementAction) -> tuple[int, int] | None:
-    """(src, dst) GPU pair of the action's transfer, or None if no transfer."""
-    if isinstance(action, Expand):
-        if action.source_gpu == action.gpu:
-            return None
-        return (action.source_gpu, action.gpu)
-    if isinstance(action, Migrate):
-        return (action.gpu_a, action.gpu_b)
-    return None

@@ -8,7 +8,7 @@ an SLO/queue-depth violation in serving runs) — repeatedly asks the Policy
 Maker for (Shrink, Expand) pairs until no beneficial modification remains.
 A background Migrate pass then consolidates replica groups.
 
-Adjustment transfers are pushed into an adjustment queue; with best-effort
+Adjustment transfers ride the layer's adjustment stream; with best-effort
 mode they overlap training on a separate stream (Section 4), otherwise they
 block the step.
 """

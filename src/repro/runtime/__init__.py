@@ -4,12 +4,13 @@ Replaces the paper's PyTorch + CUDA/NCCL runtime. The executor plays one
 training step's timeline per GPU (dispatch All-to-All, expert compute,
 combine All-to-All, replica AllReduce) against ground-truth hardware
 figures plus jitter, producing the "real cost" the paper's Figure 6c
-compares its cost-model estimates against. The adjustment queue reproduces
-Section 4's operation merging, parallel execution and best-effort
-background transfers.
+compares its cost-model estimates against. :func:`transfer_seconds` prices
+a batch of placement adjustments with Section 4's operation merging and
+parallel execution; each layer pipeline's background stream is the
+best-effort overlap.
 """
 
-from repro.runtime.adjustment import AdjustmentQueue, AdjustmentReport
+from repro.runtime.adjustment import transfer_seconds
 from repro.runtime.executor import (
     PipelinedStepExecutor,
     PipelineStepTiming,
@@ -24,8 +25,6 @@ from repro.runtime.pipeline import (
 )
 
 __all__ = [
-    "AdjustmentQueue",
-    "AdjustmentReport",
     "LayerPipeline",
     "MultiLayerFlexMoEEngine",
     "PipelineStepResult",
@@ -34,4 +33,5 @@ __all__ = [
     "StepExecutor",
     "StepTiming",
     "build_engine",
+    "transfer_seconds",
 ]

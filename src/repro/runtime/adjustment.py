@@ -1,205 +1,59 @@
-"""The placement-adjustment queue (Section 4).
+"""Transfer time of a batch of placement adjustments (Section 4).
 
-FlexMoE inserts modification primitives into a queue and drains it with
-three optimizations:
+FlexMoE drains Expand/Shrink/Migrate primitives with three optimizations.
+:func:`transfer_seconds` prices the first two for one batch of
+primitives:
 
-* **Merge** — consecutive transfers sharing both source and destination are
-  merged into one message, paying a single launch latency for the combined
-  payload;
-* **Parallelize** — transfers sharing neither source nor destination use
-  disjoint links and run concurrently (a *wave* costs its slowest member);
-* **Best-effort** — the drained transfers run on a separate stream
-  overlapping the training step; only the part exceeding the step's
-  duration blocks training.
+* **Merge** — copies sharing both source and destination are merged into
+  one message, paying a single launch latency for the combined payload;
+* **Parallelize** — copies sharing neither source nor destination use
+  disjoint links and run concurrently (a *wave* costs its slowest member).
+
+The third, **best-effort** overlap, is the layer stream of
+:class:`~repro.runtime.pipeline.LayerPipeline`: the priced seconds ride a
+background stream whose budget is the training step itself, and the
+active placement commits the batch once the stream has paid for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from repro.cluster.collectives import CollectiveCostModel
-from repro.config import MoEModelConfig
-from repro.core.primitives import Expand, Migrate, PlacementAction, Shrink
-from repro.exceptions import SimulationError
+from repro.core.primitives import PlacementAction
 
 
-@dataclass(frozen=True)
-class _Transfer:
-    """A materialized point-to-point transfer implied by queued actions."""
+def transfer_seconds(
+    actions: Iterable[PlacementAction],
+    state_bytes: int,
+    collectives: CollectiveCostModel,
+) -> float:
+    """Wall-clock seconds to move the model states ``actions`` imply.
 
-    src: int
-    dst: int
-    nbytes: int
-
-
-@dataclass(frozen=True)
-class AdjustmentReport:
-    """Outcome of draining the adjustment queue for one step.
-
-    Attributes:
-        executed: Number of primitives drained.
-        transfer_time: Wall-clock seconds on the adjustment stream (after
-            merging and parallelization).
-        blocking_time: Seconds by which the adjustments extended the
-            training step (0 when fully overlapped).
-        merged: Transfers eliminated by message merging.
-        waves: Number of sequential transfer waves.
+    Every ``(src, dst)`` copy named by an action's ``transfers()`` moves
+    ``state_bytes``. Copies over the same link merge into one message, in
+    first-seen link order; merged links are packed greedily into waves of
+    endpoint-disjoint links; a wave costs its slowest ground-truth
+    ``p2p_time`` and waves run one after another.
     """
-
-    executed: int
-    transfer_time: float
-    blocking_time: float
-    merged: int
-    waves: int
-
-
-class AdjustmentQueue:
-    """Queue of placement primitives with merge/parallel/best-effort drain.
-
-    Args:
-        model: Supplies model-state byte counts.
-        collectives: Ground-truth transfer timing.
-        merge: Enable message merging (Section 4).
-        parallelize: Enable concurrent waves (Section 4).
-    """
-
-    def __init__(
-        self,
-        model: MoEModelConfig,
-        collectives: CollectiveCostModel,
-        merge: bool = True,
-        parallelize: bool = True,
-    ) -> None:
-        self._model = model
-        self._collectives = collectives
-        self._merge = merge
-        self._parallelize = parallelize
-        self._pending: list[PlacementAction] = []
-        self._total_transferred_bytes = 0
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
-    def total_transferred_bytes(self) -> int:
-        return self._total_transferred_bytes
-
-    def enqueue(self, actions: list[PlacementAction] | tuple[PlacementAction, ...]) -> None:
-        self._pending.extend(actions)
-
-    # ------------------------------------------------------------------
-    # Drain
-    # ------------------------------------------------------------------
-    def drain(
-        self,
-        overlap_window: float,
-        best_effort: bool = True,
-        extra_stream_time: float = 0.0,
-    ) -> AdjustmentReport:
-        """Execute all pending primitives.
-
-        Args:
-            overlap_window: Seconds of training-step time the transfers can
-                hide behind when ``best_effort`` is on.
-            best_effort: Overlap on a separate stream; otherwise the whole
-                transfer time blocks training.
-            extra_stream_time: Additional seconds of background work riding
-                the adjustment stream this step (e.g. communicator-group
-                creation for newly formed replica groups).
-        """
-        if overlap_window < 0:
-            raise SimulationError("overlap_window must be >= 0")
-        if extra_stream_time < 0:
-            raise SimulationError("extra_stream_time must be >= 0")
-        actions = self._pending
-        self._pending = []
-        transfers = self._materialize(actions)
-        merged_away = 0
-        if self._merge:
-            transfers, merged_away = self._merge_transfers(transfers)
-        waves = self._schedule_waves(transfers)
-        transfer_time = sum(wave_time for wave_time, _ in waves) + extra_stream_time
-        self._total_transferred_bytes += sum(t.nbytes for t in transfers)
-        if best_effort:
-            blocking = max(0.0, transfer_time - overlap_window)
-        else:
-            blocking = transfer_time
-        return AdjustmentReport(
-            executed=len(actions),
-            transfer_time=transfer_time,
-            blocking_time=blocking,
-            merged=merged_away,
-            waves=len(waves),
-        )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _materialize(self, actions: list[PlacementAction]) -> list[_Transfer]:
-        transfers: list[_Transfer] = []
-        state_bytes = self._model.expert_state_bytes
-        for action in actions:
-            if isinstance(action, Shrink):
-                continue  # zero-cost tag
-            if isinstance(action, Expand):
-                if action.source_gpu == action.gpu:
-                    continue  # intra-GPU parameter sharing
-                transfers.append(
-                    _Transfer(action.source_gpu, action.gpu, state_bytes)
-                )
-            elif isinstance(action, Migrate):
-                transfers.append(_Transfer(action.gpu_a, action.gpu_b, state_bytes))
-                transfers.append(_Transfer(action.gpu_b, action.gpu_a, state_bytes))
-            else:
-                raise SimulationError(f"unknown primitive {action!r}")
-        return transfers
-
-    @staticmethod
-    def _merge_transfers(
-        transfers: list[_Transfer],
-    ) -> tuple[list[_Transfer], int]:
-        """Coalesce transfers sharing (src, dst) into single messages."""
-        by_link: dict[tuple[int, int], int] = {}
-        order: list[tuple[int, int]] = []
-        for t in transfers:
-            key = (t.src, t.dst)
-            if key not in by_link:
-                by_link[key] = 0
-                order.append(key)
-            by_link[key] += t.nbytes
-        merged = [
-            _Transfer(src=key[0], dst=key[1], nbytes=by_link[key]) for key in order
-        ]
-        return merged, len(transfers) - len(merged)
-
-    def _schedule_waves(
-        self, transfers: list[_Transfer]
-    ) -> list[tuple[float, list[_Transfer]]]:
-        """Greedily pack endpoint-disjoint transfers into concurrent waves."""
-        waves: list[tuple[float, list[_Transfer]]] = []
-        remaining = list(transfers)
-        while remaining:
-            wave: list[_Transfer] = []
-            busy: set[int] = set()
-            rest: list[_Transfer] = []
-            for t in remaining:
-                endpoints = {t.src, t.dst}
-                if self._parallelize and not (endpoints & busy):
-                    wave.append(t)
-                    busy |= endpoints
-                elif not self._parallelize and not wave:
-                    wave.append(t)
-                    busy |= endpoints
-                else:
-                    rest.append(t)
+    copies: dict[tuple[int, int], int] = {}
+    for action in actions:
+        for link in action.transfers():
+            copies[link] = copies.get(link, 0) + 1
+    remaining = list(copies.items())
+    total = 0.0
+    while remaining:
+        busy: set[int] = set()
+        wave_time = 0.0
+        rest = []
+        for (src, dst), count in remaining:
+            if src in busy or dst in busy:
+                rest.append(((src, dst), count))
+                continue
+            busy.update((src, dst))
             wave_time = max(
-                (
-                    self._collectives.p2p_time(t.nbytes, t.src, t.dst)
-                    for t in wave
-                ),
-                default=0.0,
+                wave_time, collectives.p2p_time(count * state_bytes, src, dst)
             )
-            waves.append((wave_time, wave))
-            remaining = rest
-        return waves
+        total += wave_time
+        remaining = rest
+    return total

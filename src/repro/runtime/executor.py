@@ -55,7 +55,7 @@ class StepTiming:
         compute_time: Seconds across forward+backward compute (barriered).
         sync_time: Seconds of replica AllReduce, including communicator
             creation overheads.
-        adjustment_blocking: Seconds the adjustment queue failed to hide.
+        adjustment_blocking: Seconds the adjustment stream failed to hide.
         per_gpu_compute: Per-GPU busy compute seconds (utilization metric).
     """
 

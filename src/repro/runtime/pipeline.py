@@ -7,12 +7,12 @@ layers overlaps the full training-step pipeline. This module provides that
 engine:
 
 * :class:`LayerPipeline` — the per-layer unit: target/active placements,
-  Scheduler (Algorithm 1), Policy Maker with memoized what-if costs, an
-  adjustment queue pricing the layer's parameter transfers, and the
-  best-effort commit pipeline that lets the active placement lag the
-  target until the stream work is paid for. The single-layer
-  :class:`~repro.baselines.flexmoe.FlexMoESystem` is this class wrapped in
-  the ``MoESystem`` interface.
+  Scheduler (Algorithm 1), Policy Maker with memoized what-if costs, and
+  the best-effort commit pipeline that lets the active placement lag the
+  target until the stream has paid for the emitted actions' transfers
+  (:func:`~repro.runtime.adjustment.transfer_seconds`) and communicator
+  creations. The single-layer :class:`~repro.baselines.flexmoe.FlexMoESystem`
+  is this class wrapped in the ``MoESystem`` interface.
 * :class:`MultiLayerFlexMoEEngine` — one :class:`LayerPipeline` per MoE
   layer plus a :class:`~repro.runtime.executor.PipelinedStepExecutor`
   composing the layers into an overlap-aware whole-transformer step.
@@ -65,7 +65,7 @@ from repro.core.scheduler import Scheduler, SchedulingOutcome
 from repro.core.trigger import Trigger
 from repro.exceptions import PlacementError, SimulationError
 from repro import telemetry
-from repro.runtime.adjustment import AdjustmentQueue
+from repro.runtime.adjustment import transfer_seconds
 from repro.runtime.executor import (
     PipelinedStepExecutor,
     PipelineStepTiming,
@@ -85,7 +85,7 @@ class LayerPipeline:
         model: MoE architecture (sizes cost models and transfers).
         topology: The simulated cluster.
         profile: Noisy profiled figures driving scheduling decisions.
-        collectives: Ground-truth transfer timing for the adjustment queue.
+        collectives: Ground-truth timing of the layer's parameter transfers.
         scheduler_config: Scheduler knobs; auto-sizes ``slots_per_gpu``
             exactly like the seed FlexMoE system when unset.
         group_cache: Communicator cache charged for newly formed replica
@@ -161,7 +161,7 @@ class LayerPipeline:
         self._scheduler = Scheduler(
             self._target, policy, config, topology, trigger=trigger
         )
-        self._queue = AdjustmentQueue(model, collectives)
+        self._collectives = collectives
         # Each entry: [remaining_stream_seconds, actions_tuple]
         self._pending: deque[list] = deque()
         self._committed_actions = 0
@@ -195,10 +195,6 @@ class LayerPipeline:
         return self._scheduler
 
     @property
-    def adjustment_queue(self) -> AdjustmentQueue:
-        return self._queue
-
-    @property
     def cost_model(self) -> MoECostModel:
         return self._cost_model
 
@@ -230,9 +226,9 @@ class LayerPipeline:
     def _stream_work_seconds(self, actions: tuple[PlacementAction, ...]) -> float:
         """Background seconds needed before ``actions`` can commit:
         parameter/optimizer transfers plus new communicator creations."""
-        self._queue.enqueue(actions)
-        report = self._queue.drain(overlap_window=0.0, best_effort=True)
-        return report.transfer_time + self._group_creation_cost()
+        return transfer_seconds(
+            actions, self._model.expert_state_bytes, self._collectives
+        ) + self._group_creation_cost()
 
     def _group_creation_cost(self) -> float:
         """Seconds to create communicators for new replica groups.
@@ -779,7 +775,8 @@ class MultiLayerFlexMoEEngine:
         executor: Ground-truth single-layer executor (supplies topology,
             model, jitter stream and the communicator-group cache).
         profile: Noisy profiled figures for the per-layer schedulers.
-        collectives: Ground-truth transfer timing for adjustment queues.
+        collectives: Ground-truth timing of every layer's parameter
+            transfers.
         num_moe_layers: MoE layers per step; defaults to the model's
             ``num_moe_layers``.
         scheduler_config: Shared scheduler knobs (each layer gets its own

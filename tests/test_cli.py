@@ -364,3 +364,42 @@ def test_serve_rejects_degenerate_scenarios(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run"],
+        ["bench"],
+        ["compare"],
+        ["faults"],
+        ["perf"],
+        ["scale"],
+        ["serve"],
+        ["serve", "--multi-tenant"],
+        ["scenario"],
+        ["churn"],
+        ["trace"],
+    ],
+    ids=" ".join,
+)
+def test_negative_seed_is_an_input_error(argv, capsys):
+    """NumPy refuses negative seeds, so the flag does too: exit 2 with a
+    one-line message before anything runs, never a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: must be >= 0, got -1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("repeats", ["0", "-5"])
+@pytest.mark.parametrize("smoke", [[], ["--smoke"]], ids=["custom", "smoke"])
+def test_bench_rejects_non_positive_repeats(repeats, smoke, capsys):
+    argv = ["bench", "--experts", "8", "--gpus", "4", "--repeats", repeats]
+    assert main(argv + smoke) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: repeats must be >= 1, got {repeats}\n"
+    assert captured.out == ""

@@ -239,7 +239,7 @@ class TestRebase:
     def test_query_without_base_raises(self, cost_model):
         delta = DeltaStepCost(cost_model)
         with pytest.raises(SchedulingError):
-            delta.trial_time(Placement.balanced(8, 8, 2), (0,))
+            delta.pair_candidates(Placement.balanced(8, 8, 2), 0, 1, 0)
 
 
 #: Rebase regimes: 16 devices on the dense (per-link) bandwidth model,
@@ -335,8 +335,8 @@ class TestRebaseBitIdentity:
         )
         gpus = np.array(placement.gpus_of(shrink))
         assert np.array_equal(
-            delta.pair_candidate_times(placement, expand, shrink, gpus),
-            fresh.pair_candidate_times(placement, expand, shrink, gpus),
+            delta.pair_candidates(placement, expand, shrink, gpus).times(),
+            fresh.pair_candidates(placement, expand, shrink, gpus).times(),
         )
         pairs = []
         for _ in range(16):
@@ -374,7 +374,7 @@ class TestPairSweep:
             if placement.replicas(e1) <= 1:
                 continue
             gpus = np.array(placement.gpus_of(e1))
-            times = delta.pair_candidate_times(placement, e0, e1, gpus)
+            times = delta.pair_candidates(placement, e0, e1, gpus).times()
             for i, gpu in enumerate(gpus):
                 trial = placement.copy()
                 trial.remove_vexpert(e1, int(gpu))
@@ -389,7 +389,7 @@ class TestPairSweep:
         placement = Placement.balanced(8, 8, 4)
         delta.rebase(rng.integers(0, 1000, (8, 8)), placement)
         with pytest.raises(SchedulingError):
-            delta.pair_candidate_times(placement, 3, 3, np.array([0]))
+            delta.pair_candidates(placement, 3, 3, np.array([0]))
 
 
 class TestPairCandidates:
@@ -421,7 +421,7 @@ class TestPairCandidates:
         delta, placement, expand, shrink, gpus = self.batch_inputs(case, rng)
         per_pair = np.concatenate(
             [
-                delta.pair_candidate_times(placement, e[0], s[0], g)
+                delta.pair_candidates(placement, e[0], s[0], g).times()
                 for e, s, g in zip(expand, shrink, gpus)
             ]
         )
@@ -600,56 +600,6 @@ class TestExchangeSweep:
             assert delta.fallbacks == 0
 
 
-class TestTrialTime:
-    def test_matches_reference_through_the_journal(self, rng):
-        self.check(CASES["dense-8g"], rng)
-
-    @pytest.mark.parametrize("name", SPARSE_CASES)
-    def test_sparse_regime(self, name, rng):
-        self.check(CASES[name], rng)
-
-    @staticmethod
-    def check(case: Case, rng) -> None:
-        cost_model = case.cost_model()
-        memo = MemoizedStepCost(cost_model)
-        delta = DeltaStepCost(cost_model, audit=True)
-        placement = case.placement(rng)
-        assignment = case.assignment(rng)
-        delta.rebase(assignment, placement)
-        checked = 0
-        for _ in range(2 * case.rounds):
-            e0, e1 = (
-                int(e) for e in rng.choice(case.num_experts, 2, replace=False)
-            )
-            if placement.replicas(e1) <= 1:
-                continue
-            gpu = int(rng.choice(placement.gpus_of(e1)))
-            with placement.trial() as trial:
-                trial.remove_vexpert(e1, gpu)
-                trial.add_vexpert(e0, gpu)
-                incremental = delta.trial_time(trial, (e0, e1))
-                reference = memo.step_time(assignment, trial)
-            assert incremental == pytest.approx(reference, rel=RTOL)
-            checked += 1
-        assert checked > 0
-        assert delta.fallbacks == 0
-
-    def test_audit_catches_wrong_changed_set(self, cost_model, rng):
-        delta = DeltaStepCost(cost_model, audit=True)
-        placement = random_placement(rng)
-        assignment = rng.integers(1000, 30_000, (8, 8))
-        delta.rebase(assignment, placement)
-        e1 = next(e for e in range(8) if placement.replicas(e) > 1)
-        e0 = (e1 + 1) % 8
-        gpu = placement.gpus_of(e1)[0]
-        with placement.trial() as trial:
-            trial.remove_vexpert(e1, gpu)
-            trial.add_vexpert(e0, gpu)
-            with pytest.raises(SchedulingError):
-                # Claiming only e0 changed hides e1's mutation.
-                delta.trial_time(trial, (e0,))
-
-
 class TestFallbacks:
     def test_foreign_placement_counts_a_fallback(self, cost_model, rng):
         delta = DeltaStepCost(cost_model)
@@ -658,7 +608,7 @@ class TestFallbacks:
         assignment = rng.integers(0, 10_000, (8, 8))
         delta.rebase(assignment, placement)
         gpus = np.array(other.gpus_of(1))
-        delta.pair_candidate_times(other, 0, 1, gpus)
+        delta.pair_candidates(other, 0, 1, gpus).times()
         assert delta.fallbacks == 1
 
     def test_cluster_state_change_falls_back_correctly(self, rng):
@@ -673,12 +623,12 @@ class TestFallbacks:
         state.set_speed(3, 0.5)
         e1 = next(e for e in range(8) if placement.replicas(e) > 1)
         e0 = (e1 + 1) % 8
-        with placement.trial() as trial:
-            gpu = placement.gpus_of(e1)[0]
-            trial.remove_vexpert(e1, gpu)
-            trial.add_vexpert(e0, gpu)
-            stale_safe = delta.trial_time(trial, (e0, e1))
-            reference = memo.step_time(assignment, trial)
+        gpu = placement.gpus_of(e1)[0]
+        stale_safe = delta.pair_candidates(placement, e0, e1, gpu).times()[0]
+        trial = placement.copy()
+        trial.remove_vexpert(e1, gpu)
+        trial.add_vexpert(e0, gpu)
+        reference = memo.step_time(assignment, trial)
         assert delta.fallbacks == 1
         assert stale_safe == pytest.approx(reference, rel=RTOL)
 
@@ -755,7 +705,7 @@ def test_property_pair_sweep_matches_full_evaluation(data, slots, e0, e1):
     delta = DeltaStepCost(EXACT_COST_MODEL)
     delta.rebase(assignment, placement)
     gpus = np.array(placement.gpus_of(e1))
-    times = delta.pair_candidate_times(placement, e0, e1, gpus)
+    times = delta.pair_candidates(placement, e0, e1, gpus).times()
     for i, gpu in enumerate(gpus):
         trial = placement.copy()
         trial.remove_vexpert(e1, int(gpu))

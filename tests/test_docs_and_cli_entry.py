@@ -120,6 +120,35 @@ def test_documented_cli_commands_parse():
     assert check.check_cli_commands(check.documented_cli_commands()) == []
 
 
+def test_class_attr_check_names_a_stale_attribute(tmp_path):
+    """Check 8 resolves inline ``Class.attr`` against the classes the
+    packages export: methods, dataclass fields and ``self.`` attributes
+    count; a deleted method fails, fenced blocks and unexported names
+    are not checked."""
+    check = load_check_docs()
+    classes = check.exported_classes()
+    doc = tmp_path / "stale.md"
+    doc.write_text(
+        "Call `Placement.replica_counts()`, read `StepTiming.a2a_time`\n"
+        "and `MemoizedStepCost.hits`; `Placement.begin_trial` is gone.\n"
+        "```python\n"
+        "Placement.not_checked_in_a_block()\n"
+        "```\n"
+        "`NotExported.anything` and `x = Placement.copy(p)`, but not\n"
+        "`LayerPipeline.adjustment_queue`.\n"
+    )
+    assert check.check_class_attrs(doc, classes) == [
+        "stale.md:2: names `Placement.begin_trial`, which is not an "
+        "attribute of repro.core.Placement",
+        "stale.md:7: names `LayerPipeline.adjustment_queue`, which is not "
+        "an attribute of repro.runtime.LayerPipeline",
+    ]
+
+
+def test_docs_name_only_live_class_attributes():
+    assert load_check_docs().check_docs_class_attrs() == []
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "--help"],

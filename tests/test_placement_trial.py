@@ -1,11 +1,10 @@
-"""Trial journal, version counter and signature caching on Placement."""
+"""Version counter, signature caching and replica totals on Placement."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.placement import Placement
-from repro.core.primitives import Expand, Migrate, Shrink
 from repro.exceptions import PlacementError
 
 
@@ -70,95 +69,6 @@ class TestVersionAndSignature:
         assert placement.replicas(0) > 0
 
 
-class TestTrialJournal:
-    def test_rollback_restores_counts_version_signature(self, placement):
-        counts = placement.counts
-        sig = placement.signature()
-        version = placement.version
-        token = placement.begin_trial()
-        placement.remove_vexpert(0, placement.gpus_of(0)[0])
-        placement.add_vexpert(1, placement.gpus_of(1)[0])
-        placement.rollback(token)
-        assert np.array_equal(placement.counts, counts)
-        assert placement.signature() == sig
-        assert placement.version == version
-
-    def test_trial_context_manager_always_rolls_back(self, placement):
-        counts = placement.counts
-        with placement.trial() as trial:
-            assert trial is placement
-            Shrink(expert=0, gpu=placement.gpus_of(0)[0]).apply(trial)
-        assert np.array_equal(placement.counts, counts)
-
-    def test_trial_rolls_back_on_exception(self, placement):
-        counts = placement.counts
-        with pytest.raises(RuntimeError):
-            with placement.trial():
-                placement.remove_vexpert(0, placement.gpus_of(0)[0])
-                raise RuntimeError("search aborted")
-        assert np.array_equal(placement.counts, counts)
-
-    def test_partial_action_failure_rolls_back_cleanly(self, placement):
-        counts = placement.counts
-        with placement.trial() as trial:
-            gpu = placement.gpus_of(0)[0]
-            Shrink(expert=0, gpu=gpu).apply(trial)
-            with pytest.raises(PlacementError):
-                # Source GPU holds no replica of expert 1: Expand refuses.
-                Expand(expert=1, gpu=gpu, source_gpu=99).apply(trial)
-        assert np.array_equal(placement.counts, counts)
-
-    def test_nested_trials(self, placement):
-        counts = placement.counts
-        outer = placement.begin_trial()
-        placement.add_vexpert(0, placement.gpus_of(0)[0])
-        mid = placement.counts
-        inner = placement.begin_trial()
-        placement.add_vexpert(1, placement.gpus_of(1)[0])
-        placement.rollback(inner)
-        assert np.array_equal(placement.counts, mid)
-        placement.rollback(outer)
-        assert np.array_equal(placement.counts, counts)
-
-    def test_empty_inner_trial_keeps_the_outer_one_open(self, placement):
-        counts = placement.counts
-        with placement.trial():
-            with placement.trial():
-                pass  # shares the outer trial's (depth, version) token
-            placement.add_vexpert(2, 3)
-        assert np.array_equal(placement.counts, counts)
-
-    def test_rollback_without_trial_raises(self, placement):
-        with pytest.raises(PlacementError):
-            placement.rollback((0, 0))
-
-    def test_migrate_round_trips_through_journal(self, placement):
-        counts = placement.counts
-        gpu_a = placement.gpus_of(0)[0]
-        partner_gpu = next(
-            g for g in range(placement.num_gpus)
-            if g != gpu_a and placement.experts_on(g)
-        )
-        partner = next(
-            e for e in placement.experts_on(partner_gpu) if e != 0
-        )
-        with placement.trial() as trial:
-            Migrate(
-                expert_a=0, gpu_a=gpu_a,
-                expert_b=partner, gpu_b=partner_gpu,
-            ).apply(trial)
-            assert not np.array_equal(trial.counts, counts)
-        assert np.array_equal(placement.counts, counts)
-
-    def test_mutations_after_rollback_are_clean(self, placement):
-        token = placement.begin_trial()
-        placement.add_vexpert(0, placement.gpus_of(0)[0])
-        placement.rollback(token)
-        # Journal closed: normal mutations must not try to journal.
-        placement.add_vexpert(2, placement.gpus_of(2)[0])
-        placement.validate()
-
-
 # One expert and one GPU past the edge, so range refusals are drawn too.
 _EXPERT = st.integers(0, 8)
 _GPU = st.integers(0, 4)
@@ -168,8 +78,6 @@ _OPS = st.lists(
         st.tuples(st.just("remove_vexpert"), _EXPERT, _GPU),
         st.tuples(st.just("move_vexpert"), _EXPERT, _GPU, _GPU),
         st.tuples(st.just("swap_vexperts"), _EXPERT, _GPU, _EXPERT, _GPU),
-        st.just(("begin_trial",)),
-        st.just(("rollback",)),
     ),
     max_size=40,
 )
@@ -188,23 +96,13 @@ class TestReplicaTotals:
 
     @settings(max_examples=80, deadline=None)
     @given(ops=_OPS)
-    def test_totals_track_every_mutation_and_rollback(self, ops):
+    def test_totals_track_every_mutation(self, ops):
         placement = striped_placement()
-        tokens = []
         for name, *args in ops:
-            if name == "begin_trial":
-                tokens.append(placement.begin_trial())
-            elif name == "rollback":
-                if tokens:
-                    placement.rollback(tokens.pop())
-            else:
-                try:
-                    getattr(placement, name)(*args)
-                except PlacementError:
-                    pass  # refused: nothing may have changed
-            self.assert_in_step(placement)
-        while tokens:
-            placement.rollback(tokens.pop())
+            try:
+                getattr(placement, name)(*args)
+            except PlacementError:
+                pass  # refused: nothing may have changed
             self.assert_in_step(placement)
         placement.validate()
 

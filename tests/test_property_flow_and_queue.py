@@ -1,7 +1,6 @@
-"""Property-based tests: flow-control and adjustment-queue invariants."""
+"""Property-based tests: flow-control and adjustment-transfer invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.collectives import CollectiveCostModel
@@ -10,7 +9,7 @@ from repro.config import ClusterConfig, MoEModelConfig
 from repro.core.flow_control import GateFlowController
 from repro.core.placement import Placement
 from repro.core.primitives import Expand, Migrate, Shrink
-from repro.runtime.adjustment import AdjustmentQueue
+from repro.runtime.adjustment import transfer_seconds
 
 TOPOLOGY = ClusterTopology(ClusterConfig(num_nodes=2, gpus_per_node=4))
 COLLECTIVES = CollectiveCostModel(TOPOLOGY)
@@ -77,33 +76,13 @@ def actions_strategy():
 
 
 @settings(max_examples=60, deadline=None)
-@given(actions=actions_strategy(), window=st.floats(0, 1.0))
-def test_queue_blocking_never_exceeds_transfer(actions, window):
-    queue = AdjustmentQueue(MODEL, COLLECTIVES)
-    queue.enqueue(actions)
-    report = queue.drain(overlap_window=window, best_effort=True)
-    assert 0 <= report.blocking_time <= report.transfer_time + 1e-12
-    assert report.executed == len(actions)
-    assert queue.pending_count == 0
-
-
-@settings(max_examples=60, deadline=None)
 @given(actions=actions_strategy())
 def test_queue_merging_never_slower(actions):
     """Merging + parallel waves never exceed the naive serial schedule."""
-    merged = AdjustmentQueue(MODEL, COLLECTIVES, merge=True, parallelize=True)
-    serial = AdjustmentQueue(MODEL, COLLECTIVES, merge=False, parallelize=False)
-    merged.enqueue(list(actions))
-    serial.enqueue(list(actions))
-    t_merged = merged.drain(overlap_window=0.0).transfer_time
-    t_serial = serial.drain(overlap_window=0.0).transfer_time
-    assert t_merged <= t_serial + 1e-9
-
-
-@settings(max_examples=60, deadline=None)
-@given(actions=actions_strategy())
-def test_queue_synchronous_blocking_equals_transfer(actions):
-    queue = AdjustmentQueue(MODEL, COLLECTIVES)
-    queue.enqueue(actions)
-    report = queue.drain(overlap_window=123.0, best_effort=False)
-    assert report.blocking_time == pytest.approx(report.transfer_time)
+    merged = transfer_seconds(actions, MODEL.expert_state_bytes, COLLECTIVES)
+    serial = sum(
+        COLLECTIVES.p2p_time(MODEL.expert_state_bytes, src, dst)
+        for action in actions
+        for src, dst in action.transfers()
+    )
+    assert merged <= serial + 1e-9

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs checks: encoding conventions + README quickstart + module drift.
 
-Seven guarantees, all enforced in CI (see CONTRIBUTING.md):
+Eight guarantees, all enforced in CI (see CONTRIBUTING.md):
 
 1. User-facing docs (README.md, CONTRIBUTING.md, docs/*.md) are valid
    UTF-8 and free of mojibake-prone characters: smart quotes, curly
@@ -50,6 +50,13 @@ Seven guarantees, all enforced in CI (see CONTRIBUTING.md):
    ``scale --smoke``. A bare ``python -m repro`` names the entry point,
    and a bare ``python -m repro check`` the command, which must exist.
    Prose and CI job names are not checked.
+8. Docs name only live attributes: every ``Class.attr`` in the inline
+   code of README.md, CONTRIBUTING.md, docs/*.md and the verify skill,
+   where ``Class`` is a public class exported (``__all__``) by a
+   ``repro`` package, resolves: ``attr`` is a class attribute (method,
+   property, constant), a dataclass field, or an instance attribute the
+   class (or a ``repro`` base) sets as ``self.attr``. A deleted method
+   such as a retired ``Placement`` API cannot linger in the docs.
 
 Exit status 0 on success, 1 with a report on any failure.
 """
@@ -57,6 +64,7 @@ Exit status 0 on success, 1 with a report on any failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import importlib
@@ -66,6 +74,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -502,6 +511,94 @@ def documented_cli_commands() -> dict[str, list[str]]:
     return sources
 
 
+#: ``Class.attr`` inside inline code; a class name starts uppercase.
+CLASS_ATTR_RE = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
+
+
+def exported_classes() -> dict[str, tuple[str, list[type]]]:
+    """``name -> (package, classes)`` of every public class a package
+    under ``src/repro/`` exports through ``__all__``."""
+    sys.path.insert(0, str(REPO / "src"))
+    table: dict[str, tuple[str, list[type]]] = {}
+    for init in sorted((REPO / "src" / "repro").rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(REPO / "src").parts)
+        module = importlib.import_module(package)
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name, None)
+            if not inspect.isclass(obj):
+                continue
+            _, classes = table.setdefault(name, (package, []))
+            if obj not in classes:
+                classes.append(obj)
+    return table
+
+
+def _instance_attributes(cls: type) -> set[str]:
+    """Names ``cls`` or any of its ``repro`` bases assigns as
+    ``self.<name>``."""
+    names: set[str] = set()
+    for klass in cls.__mro__:
+        if not klass.__module__.startswith("repro"):
+            continue
+        try:
+            source = textwrap.dedent(inspect.getsource(klass))
+        except (OSError, TypeError):
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                names.add(node.attr)
+    return names
+
+
+def _has_attribute(cls: type, attr: str) -> bool:
+    if hasattr(cls, attr):
+        return True
+    if dataclasses.is_dataclass(cls) and attr in {
+        field.name for field in dataclasses.fields(cls)
+    }:
+        return True
+    return attr in _instance_attributes(cls)
+
+
+def check_class_attrs(
+    path: Path, classes: dict[str, tuple[str, list[type]]]
+) -> list[str]:
+    """Every ``Class.attr`` in ``path``'s inline code resolves (check 8)."""
+    text = path.read_text(encoding="utf-8")
+    # Blank fenced blocks line for line, so offsets keep their line.
+    prose = FENCE_RE.sub(lambda block: "\n" * block.group(0).count("\n"), text)
+    problems = []
+    for span in INLINE_CODE_RE.finditer(prose):
+        for ref in CLASS_ATTR_RE.finditer(span.group(1)):
+            name, attr = ref.groups()
+            if name not in classes:
+                continue
+            package, candidates = classes[name]
+            if any(_has_attribute(cls, attr) for cls in candidates):
+                continue
+            lineno = prose.count("\n", 0, span.start(1) + ref.start()) + 1
+            problems.append(
+                f"{path.name}:{lineno}: names `{name}.{attr}`, which is not "
+                f"an attribute of {package}.{name}"
+            )
+    return problems
+
+
+def check_docs_class_attrs() -> list[str]:
+    """:func:`check_class_attrs` over the docs and the verify skill."""
+    classes = exported_classes()
+    problems = []
+    for path in [*doc_paths(), VERIFY_SKILL]:
+        if path.exists():
+            problems.extend(check_class_attrs(path, classes))
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     for path in doc_paths():
@@ -521,6 +618,7 @@ def main() -> int:
     problems.extend(check_bench_reports_documented())
     problems.extend(check_docs_config_fields())
     problems.extend(check_cli_commands(documented_cli_commands()))
+    problems.extend(check_docs_class_attrs())
     if problems:
         print("docs check FAILED:")
         for problem in problems:
@@ -529,7 +627,7 @@ def main() -> int:
     print(
         f"docs check OK ({len(doc_paths())} files, quickstart ran, "
         "module map in sync, no tracked bytecode, bench reports "
-        "documented, doc options and commands live)"
+        "documented, doc options, commands and attributes live)"
     )
     return 0
 
