@@ -290,6 +290,9 @@ class DeltaStepCost:
             and np.array_equal(self._assignment, assignment)
         )
         if not same_demand:
+            # Drop the old demand first so two snapshots never coexist;
+            # until the new one is in, the evaluator has no base.
+            self._assignment = self._sources = self._placement = None
             # Snapshot, never alias: the next rebase compares its
             # assignment against this one, which must see the values as
             # passed even if the caller mutates theirs.

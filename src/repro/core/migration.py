@@ -199,15 +199,21 @@ class MigrationPlanner:
         )
 
     def _weighted_gpu_loads(
-        self, per_replica: np.ndarray, placement: Placement
+        self, per_replica: np.ndarray, index: HolderIndex
     ) -> np.ndarray:
         """Per-GPU loads, divided by dynamic device speed when elastic.
 
-        A straggler running at half speed takes twice the wall-clock per
-        token, so time-weighting surfaces it as the most loaded device
-        even when raw token counts are balanced.
+        Summed over the holder index's entries, so the cost follows the
+        vExperts placed, not the ``E x G`` matrix.  A straggler running
+        at half speed takes twice the wall-clock per token, so
+        time-weighting surfaces it as the most loaded device even when
+        raw token counts are balanced.
         """
-        gpu_loads = placement.counts_view.T.astype(float) @ per_replica
+        gpu_loads = np.bincount(
+            index.gpu,
+            weights=index.count * per_replica[index.expert],
+            minlength=self._topology.num_gpus,
+        )
         state = self._cost_model.cluster_state
         if state is not None:
             gpu_loads = gpu_loads / state.speed_view()
@@ -492,7 +498,7 @@ class MigrationPlanner:
             baseline = self._delta.rebase(assignment, placement)
             index = self._delta.holders
             per_replica = self._per_replica_loads(assignment, index)
-            gpu_loads = self._weighted_gpu_loads(per_replica, placement)
+            gpu_loads = self._weighted_gpu_loads(per_replica, index)
             sources = self._candidate_sources(
                 per_replica, placement, gpu_loads, index
             )
@@ -558,7 +564,7 @@ class MigrationPlanner:
         best_time = baseline
         index = HolderIndex.of(placement.counts_view)
         per_replica = self._per_replica_loads(assignment, index)
-        gpu_loads = self._weighted_gpu_loads(per_replica, placement)
+        gpu_loads = self._weighted_gpu_loads(per_replica, index)
         targets = self._candidate_targets(gpu_loads)
         for expert, src in self._candidate_sources(
             per_replica, placement, gpu_loads, index

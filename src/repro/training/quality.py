@@ -77,7 +77,7 @@ class QualityRunResult:
                     frames[t, e] = rng.multinomial(
                         count, np.full(num_gpus, 1.0 / num_gpus)
                     )
-        return RoutingTrace(frames)
+        return RoutingTrace.adopt(frames)
 
 
 def _record_moe(model) -> tuple[np.ndarray, int, int, float]:

@@ -204,23 +204,27 @@ class DriftingRoutingGenerator:
 
     def next_step(self) -> np.ndarray:
         """Generate the next step's assignment matrix ``I`` of shape
-        ``(num_experts, num_gpus)``.
+        ``(num_experts, num_gpus)``."""
+        assignment = np.empty((self._num_experts, self._num_gpus), dtype=np.int64)
+        self._draw_step(assignment)
+        return assignment
+
+    def _draw_step(self, out: np.ndarray) -> None:
+        """Draw the next step's ``(num_experts, num_gpus)`` matrix into ``out``.
 
         One multinomial call per block of :data:`DRAW_BLOCK_GPUS` shards
         draws the same samples, and leaves the RNG in the same state, as
         one call per GPU in GPU order; each block is written straight
-        into the matrix, so the draws add only a small transient to it.
+        into ``out``, so the draws add only a small transient to it.
         """
         self._advance_logits()
         global_probs = self.current_probs()
         per_gpu, remainder = divmod(self._config.tokens_per_step, self._num_gpus)
         counts = per_gpu + (np.arange(self._num_gpus) < remainder)
-        assignment = np.empty((self._num_experts, self._num_gpus), dtype=np.int64)
         for lo in range(0, self._num_gpus, DRAW_BLOCK_GPUS):
             gpus = slice(lo, lo + DRAW_BLOCK_GPUS)
             probs = self._gpu_probs(global_probs, gpus)
-            assignment[:, gpus] = self._rng.multinomial(counts[gpus], probs).T
-        return assignment
+            out[:, gpus] = self._rng.multinomial(counts[gpus], probs).T
 
     def _gpu_probs(self, global_probs: np.ndarray, gpus: slice) -> np.ndarray:
         """Expert distribution of the shards of ``gpus``: ``(E,)`` when all
@@ -234,12 +238,24 @@ class DriftingRoutingGenerator:
         return mixed / mixed.sum(axis=1, keepdims=True)
 
     def generate(self, num_steps: int | None = None) -> RoutingTrace:
-        """Materialize a :class:`RoutingTrace` of ``num_steps`` steps."""
+        """Materialize a :class:`RoutingTrace` of ``num_steps`` steps.
+
+        Steps are drawn straight into the trace's one buffer, which the
+        trace then adopts: the ``(steps, E, G)`` history exists once.
+        """
         steps = num_steps if num_steps is not None else self._config.num_steps
         if steps < 1:
             raise ConfigurationError("num_steps must be >= 1")
-        frames = np.stack([self.next_step() for _ in range(steps)])
-        return RoutingTrace(frames)
+        frames = np.empty(
+            (steps, self._num_experts, self._num_gpus), dtype=np.int64
+        )
+        self._draw_steps(frames)
+        return RoutingTrace.adopt(frames)
+
+    def _draw_steps(self, frames: np.ndarray) -> None:
+        """Draw the next ``len(frames)`` steps into ``frames`` in order."""
+        for frame in frames:
+            self._draw_step(frame)
 
 
 def make_trace(
@@ -294,12 +310,18 @@ def make_multilayer_trace(
     cfg = config or WorkloadConfig()
     if overrides:
         cfg = cfg.replace(**overrides)
-    layers = [
+    generators = [
         DriftingRoutingGenerator(
             num_experts,
             num_gpus,
             cfg.replace(seed=cfg.seed + layer * LAYER_SEED_STRIDE),
-        ).generate()
+        )
         for layer in range(num_layers)
     ]
-    return MultiLayerTrace.from_layers(layers)
+    # Each layer draws straight into its slice of the one stacked buffer.
+    buffer = np.empty(
+        (num_layers, cfg.num_steps, num_experts, num_gpus), dtype=np.int64
+    )
+    for generator, frames in zip(generators, buffer):
+        generator._draw_steps(frames)
+    return MultiLayerTrace.adopt(buffer)

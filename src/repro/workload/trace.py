@@ -14,14 +14,76 @@ its own assignment history over the shared step/expert/GPU axes.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from repro.exceptions import RoutingError
 
 
-class RoutingTrace:
+def _checked_counts(
+    assignments: np.ndarray, axes: tuple[str, ...], copy: bool
+) -> np.ndarray:
+    """Validate a token-count array and return it as read-only int64.
+
+    Float counts must be finite, integral and below ``2**63``: the int64
+    cast would wrap anything else into a garbage, often negative, count.
+    With ``copy`` false an int64 array is kept as it is, so a caller
+    that built the buffer hands it over without a second copy.
+    """
+    arr = np.asarray(assignments)
+    if arr.ndim != len(axes):
+        raise RoutingError(
+            f"assignments must have shape ({', '.join(axes)}); "
+            f"got ndim={arr.ndim}"
+        )
+    integer = arr.dtype.kind in "iu"
+    if not integer and not np.isfinite(arr).all():
+        raise RoutingError("token counts must be finite")
+    if arr.size and arr.min() < 0:
+        raise RoutingError("token counts must be non-negative")
+    if arr.size and arr.dtype.kind in "uf" and arr.max() >= 2**63:
+        raise RoutingError("token counts must fit in int64")
+    if not integer:
+        rounded = np.round(arr)
+        if not np.allclose(arr, rounded):
+            raise RoutingError("token counts must be integral")
+        arr, copy = rounded, False
+    counts = arr.astype(np.int64, copy=copy)
+    counts.setflags(write=False)
+    return counts
+
+
+_Trace = TypeVar("_Trace", bound="_CountHistory")
+
+
+class _CountHistory:
+    """Shared construction of the trace containers.
+
+    The constructor copies, so a caller's array never changes under the
+    trace; :meth:`adopt` takes a freshly built buffer over in place.
+    """
+
+    #: Names of the ``_assignments`` axes, outermost first.
+    AXES: tuple[str, ...] = ()
+
+    def __init__(self, assignments: np.ndarray) -> None:
+        self._assignments = _checked_counts(assignments, self.AXES, copy=True)
+
+    @classmethod
+    def adopt(cls: type[_Trace], buffer: np.ndarray) -> _Trace:
+        """Wrap ``buffer`` without copying it.
+
+        The trace owns the buffer from here on and marks it read-only;
+        the caller must not keep writing to it.  It passes the same
+        validation as the constructor's input.
+        """
+        trace = cls.__new__(cls)
+        trace._assignments = _checked_counts(buffer, cls.AXES, copy=False)
+        return trace
+
+
+class RoutingTrace(_CountHistory):
     """Immutable per-step token-assignment history.
 
     Args:
@@ -31,21 +93,7 @@ class RoutingTrace:
             ``t``.
     """
 
-    def __init__(self, assignments: np.ndarray) -> None:
-        arr = np.asarray(assignments)
-        if arr.ndim != 3:
-            raise RoutingError(
-                f"assignments must have shape (steps, experts, gpus); "
-                f"got ndim={arr.ndim}"
-            )
-        if arr.size and arr.min() < 0:
-            raise RoutingError("token counts must be non-negative")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.allclose(arr, np.round(arr)):
-                raise RoutingError("token counts must be integral")
-            arr = np.round(arr).astype(np.int64)
-        self._assignments = arr.astype(np.int64, copy=True)
-        self._assignments.setflags(write=False)
+    AXES = ("steps", "experts", "gpus")
 
     # ------------------------------------------------------------------
     # Shape accessors
@@ -114,7 +162,7 @@ class RoutingTrace:
         with np.load(Path(path)) as data:
             if "assignments" not in data:
                 raise RoutingError(f"{path} is not a routing trace file")
-            return cls(data["assignments"])
+            return cls.adopt(data["assignments"])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoutingTrace):
@@ -128,7 +176,7 @@ class RoutingTrace:
         )
 
 
-class MultiLayerTrace:
+class MultiLayerTrace(_CountHistory):
     """Immutable per-layer, per-step token-assignment history.
 
     Args:
@@ -138,37 +186,19 @@ class MultiLayerTrace:
             expert ``e`` of MoE layer ``l`` at step ``t``.
     """
 
-    def __init__(self, assignments: np.ndarray) -> None:
-        arr = np.asarray(assignments)
-        if arr.ndim != 4:
-            raise RoutingError(
-                f"assignments must have shape (layers, steps, experts, gpus); "
-                f"got ndim={arr.ndim}"
-            )
-        if arr.size and arr.min() < 0:
-            raise RoutingError("token counts must be non-negative")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.allclose(arr, np.round(arr)):
-                raise RoutingError("token counts must be integral")
-            arr = np.round(arr).astype(np.int64)
-        self._assignments = arr.astype(np.int64, copy=True)
-        self._assignments.setflags(write=False)
+    AXES = ("layers", "steps", "experts", "gpus")
 
     @classmethod
     def from_layers(cls, layers: Sequence[RoutingTrace]) -> "MultiLayerTrace":
         """Stack per-layer :class:`RoutingTrace` objects into one trace."""
         if not layers:
             raise RoutingError("at least one layer trace is required")
-        frames = [
-            np.stack([layer.step(t) for t in range(layer.num_steps)])
-            for layer in layers
-        ]
-        shapes = {frame.shape for frame in frames}
+        shapes = {layer._assignments.shape for layer in layers}
         if len(shapes) != 1:
             raise RoutingError(
                 f"layer traces disagree on shape: {sorted(shapes)}"
             )
-        return cls(np.stack(frames))
+        return cls.adopt(np.stack([layer._assignments for layer in layers]))
 
     # ------------------------------------------------------------------
     # Shape accessors
@@ -242,7 +272,7 @@ class MultiLayerTrace:
         with np.load(Path(path)) as data:
             if "layer_assignments" not in data:
                 raise RoutingError(f"{path} is not a multi-layer trace file")
-            return cls(data["layer_assignments"])
+            return cls.adopt(data["layer_assignments"])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiLayerTrace):

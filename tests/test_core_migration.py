@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cluster.events import ClusterState
+from repro.core.cost_model import MoECostModel
+from repro.core.delta import HolderIndex
 from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.primitives import Migrate
@@ -107,3 +110,51 @@ class TestPlanLeavesInputUntouched:
         for action in actions:
             action.apply(trial)
         trial.validate()
+
+
+class TestWeightedGpuLoads:
+    """Per-GPU loads summed over the holder index match the dense
+    ``counts.T @ per_replica`` product."""
+
+    @staticmethod
+    def random_placement(rng) -> Placement:
+        """8 experts on 8 GPUs x 4 slots, some stacked two deep."""
+        counts = np.zeros((8, 8), dtype=np.int64)
+        for gpu in range(8):
+            counts[gpu, gpu] += 1
+            for expert in rng.integers(0, 8, size=3):
+                counts[expert, gpu] += 1
+        return Placement(counts, 4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dense_product(self, planner, seed):
+        rng = np.random.default_rng(seed)
+        placement = self.random_placement(rng)
+        per_replica = rng.random(8) * 1000.0
+        loads = planner._weighted_gpu_loads(
+            per_replica, HolderIndex.of(placement.counts_view)
+        )
+        dense = placement.counts_view.T.astype(float) @ per_replica
+        np.testing.assert_allclose(loads, dense, rtol=1e-12, atol=0)
+
+    def test_elastic_loads_are_speed_weighted(
+        self, exact_profile, model_config, topology
+    ):
+        state = ClusterState(8)
+        state.set_speed(3, 0.5)
+        state.set_speed(6, 1.25)
+        planner = MigrationPlanner(
+            MoECostModel(exact_profile, model_config, cluster_state=state),
+            topology,
+        )
+        rng = np.random.default_rng(11)
+        placement = self.random_placement(rng)
+        per_replica = rng.random(8) * 1000.0
+        loads = planner._weighted_gpu_loads(
+            per_replica, HolderIndex.of(placement.counts_view)
+        )
+        dense = placement.counts_view.T.astype(float) @ per_replica
+        np.testing.assert_allclose(
+            loads, dense / state.speed_view(), rtol=1e-12, atol=0
+        )
+        assert loads[3] == pytest.approx(2 * dense[3], rel=1e-12)

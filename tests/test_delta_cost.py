@@ -236,6 +236,25 @@ class TestRebase:
         with pytest.raises(RoutingError, match="finite"):
             delta.rebase(assignment, Placement.balanced(8, 8, 2))
 
+    def test_rejected_new_demand_leaves_no_base(self, cost_model):
+        """A new-demand rebase drops the old snapshot before taking the
+        new one, so a rejected demand leaves no stale base to query."""
+        delta = DeltaStepCost(cost_model)
+        placement = Placement.balanced(8, 8, 2)
+        good = np.full((8, 8), 100.0)
+        delta.rebase(good, placement)
+        bad = good.copy()
+        bad[2, 3] = -1
+        with pytest.raises(RoutingError):
+            delta.rebase(bad, placement)
+        with pytest.raises(SchedulingError):
+            delta.pair_candidates(placement, 0, 1, 0)
+        with pytest.raises(SchedulingError):
+            delta.expert_loads
+        assert delta.rebase(good, placement) == DeltaStepCost(
+            cost_model
+        ).rebase(good, placement)
+
     def test_query_without_base_raises(self, cost_model):
         delta = DeltaStepCost(cost_model)
         with pytest.raises(SchedulingError):

@@ -34,6 +34,7 @@ from repro.config import (
     resolve_placement_search,
 )
 from repro.core.cost_model import MoECostModel
+from repro.core.delta import HolderIndex
 from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
@@ -258,7 +259,9 @@ def test_escalation_never_skips_viable_intra_candidate(seed):
     baseline = planner._delta.rebase(assignment, placement)
     index = planner._delta.holders
     per_replica = planner._per_replica_loads(assignment, index)
-    gpu_loads = planner._weighted_gpu_loads(per_replica, placement)
+    gpu_loads = planner._weighted_gpu_loads(
+        per_replica, HolderIndex.of(placement.counts_view)
+    )
     sources = planner._candidate_sources(
         per_replica, placement, gpu_loads, index
     )

@@ -210,7 +210,7 @@ def reference_hierarchical_move(
     planner.delta.rebase(assignment, placement)
     index = HolderIndex.of(placement.counts_view)
     per_replica = planner._per_replica_loads(assignment, index)
-    gpu_loads = planner._weighted_gpu_loads(per_replica, placement)
+    gpu_loads = planner._weighted_gpu_loads(per_replica, index)
     sources = planner._candidate_sources(
         per_replica, placement, gpu_loads, index
     )

@@ -5,7 +5,13 @@ import pytest
 
 from repro.config import WorkloadConfig
 from repro.exceptions import RoutingError
-from repro.workload.synthetic import make_multilayer_trace, make_trace
+from repro.workload.synthetic import (
+    DRAW_BLOCK_GPUS,
+    LAYER_SEED_STRIDE,
+    DriftingRoutingGenerator,
+    make_multilayer_trace,
+    make_trace,
+)
 from repro.workload.trace import MultiLayerTrace, RoutingTrace
 
 
@@ -72,6 +78,21 @@ class TestContainer:
             MultiLayerTrace(np.zeros((2, 3, 4), dtype=np.int64))
         with pytest.raises(RoutingError):
             MultiLayerTrace(-np.ones((1, 2, 3, 4), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e30, 2.0**63])
+    def test_rejects_counts_int64_cannot_hold(self, bad):
+        frames = np.ones((2, 1, 2, 2))
+        frames[1, 0, 1, 0] = bad
+        with pytest.raises(RoutingError):
+            MultiLayerTrace(frames)
+        with pytest.raises(RoutingError):
+            MultiLayerTrace.adopt(frames)
+
+    def test_adopt_takes_the_buffer_without_a_copy(self):
+        buffer = np.ones((2, 3, 4, 2), dtype=np.int64)
+        trace = MultiLayerTrace.adopt(buffer)
+        assert np.shares_memory(trace.step(0), buffer)
+        assert not buffer.flags.writeable
 
     def test_out_of_range_access(self):
         trace = make_multilayer_trace(2, 8, 4, small_config())
@@ -151,6 +172,22 @@ class TestGenerator:
         multi = make_multilayer_trace(2, 8, 4, config)
         single = make_trace(8, 4, config)
         assert multi.layer(0) == single
+
+    def test_every_layer_matches_its_single_layer_generator(self):
+        """Layer ``l`` is the stream of a single-layer generator seeded
+        ``seed + l * LAYER_SEED_STRIDE``, across a partial draw block."""
+        config = small_config(num_steps=3)
+        gpus = DRAW_BLOCK_GPUS + 5
+        multi = make_multilayer_trace(3, 8, gpus, config)
+        for layer in range(3):
+            generator = DriftingRoutingGenerator(
+                8, gpus,
+                config.replace(seed=config.seed + layer * LAYER_SEED_STRIDE),
+            )
+            for t in range(config.num_steps):
+                np.testing.assert_array_equal(
+                    multi.layer(layer).step(t), generator.next_step()
+                )
 
     def test_rejects_bad_layer_count(self):
         from repro.exceptions import ConfigurationError

@@ -1,6 +1,7 @@
 """Unit tests for the synthetic routing generators (Figure 3 calibration)."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.workload.synthetic import (
     DRAW_BLOCK_GPUS,
     DriftingRoutingGenerator,
     expert_load_cdf,
+    make_multilayer_trace,
     make_trace,
     stationary_skewed_probs,
     top_share,
@@ -116,6 +118,29 @@ class TestDriftingGenerator:
         assert frame.flags.c_contiguous
         assert gen._rng.bit_generator.state == twin._rng.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "gpus, bias",
+        [(4, 0.3), (DRAW_BLOCK_GPUS + 5, 0.0), (DRAW_BLOCK_GPUS + 5, 0.3)],
+    )
+    def test_generate_matches_successive_next_steps(self, gpus, bias):
+        """Drawing a trace in place samples exactly the ``next_step()``
+        stream of a generator with the same seed."""
+
+        def generator():
+            return DriftingRoutingGenerator(
+                16, gpus,
+                WorkloadConfig(
+                    tokens_per_step=100_003, num_steps=4, seed=3,
+                    spike_period=2,
+                ),
+                locality_bias=bias,
+            )
+
+        trace = generator().generate(4)
+        stream = generator()
+        for t in range(4):
+            np.testing.assert_array_equal(trace.step(t), stream.next_step())
+
     def test_generate_trace_shape(self):
         trace = self.make().generate()
         assert trace.num_steps == 20
@@ -152,3 +177,54 @@ class TestDriftingGenerator:
         trace = make_trace(8, 4, num_steps=3, tokens_per_step=1000, seed=1)
         assert trace.num_steps == 3
         assert trace.tokens_per_step().sum() == 3000
+
+
+class TestTraceBuildingMemory:
+    """Building a trace holds its ``(steps, E, G)`` history once: the
+    tracemalloc peak stays near the trace's own size."""
+
+    LIMIT = 1.25
+    EXPERTS, GPUS = 64, 4096
+
+    @staticmethod
+    def traced_peak(build):
+        """``build()``'s result and the peak bytes it allocated."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = build()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return result, peak
+
+    def config(self, steps: int) -> WorkloadConfig:
+        return WorkloadConfig(
+            tokens_per_step=8 * self.GPUS, num_steps=steps, seed=0
+        )
+
+    def test_generate(self):
+        generator = DriftingRoutingGenerator(
+            self.EXPERTS, self.GPUS, self.config(8)
+        )
+        trace, peak = self.traced_peak(generator.generate)
+        size = 8 * trace.num_steps * trace.num_experts * trace.num_gpus
+        assert size >= 16 * 2**20
+        assert peak <= self.LIMIT * size
+
+    def test_make_multilayer_trace(self):
+        trace, peak = self.traced_peak(
+            lambda: make_multilayer_trace(
+                2, self.EXPERTS, self.GPUS, self.config(4)
+            )
+        )
+        size = (
+            8 * trace.num_layers * trace.num_steps
+            * trace.num_experts * trace.num_gpus
+        )
+        assert size >= 16 * 2**20
+        assert peak <= self.LIMIT * size

@@ -59,6 +59,39 @@ class TestRoutingTrace:
         with pytest.raises(RoutingError):
             RoutingTrace(np.array([[[0.5]]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e30, 2.0**63])
+    def test_rejects_counts_int64_cannot_hold(self, bad):
+        """A non-finite or out-of-range float must not be cast into a
+        wrapped (often negative) int64 count."""
+        with pytest.raises(RoutingError):
+            RoutingTrace(np.array([[[bad, 1.0]]]))
+
+    def test_rejects_unsigned_counts_above_int64(self):
+        with pytest.raises(RoutingError):
+            RoutingTrace(np.array([[[2**63]]], dtype=np.uint64))
+
+    def test_constructor_copies_caller_array(self):
+        frames = np.ones((2, 3, 4), dtype=np.int64)
+        trace = RoutingTrace(frames)
+        frames[0, 0, 0] = 7
+        assert trace.step(0)[0, 0] == 1
+        assert frames.flags.writeable
+
+    def test_adopt_takes_the_buffer_without_a_copy(self):
+        buffer = np.ones((2, 3, 4), dtype=np.int64)
+        trace = RoutingTrace.adopt(buffer)
+        assert trace == RoutingTrace(np.ones((2, 3, 4), dtype=np.int64))
+        assert np.shares_memory(trace.step(0), buffer)
+        assert not buffer.flags.writeable
+
+    def test_adopt_validates_like_the_constructor(self):
+        with pytest.raises(RoutingError):
+            RoutingTrace.adopt(-np.ones((1, 2, 3), dtype=np.int64))
+        with pytest.raises(RoutingError):
+            RoutingTrace.adopt(np.ones((2, 3), dtype=np.int64))
+        with pytest.raises(RoutingError):
+            RoutingTrace.adopt(np.array([[[np.inf]]]))
+
     def test_accepts_integral_floats(self):
         trace = RoutingTrace(np.array([[[2.0]]]))
         assert trace.step(0)[0, 0] == 2
