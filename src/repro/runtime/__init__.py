@@ -6,11 +6,11 @@ combine All-to-All, replica AllReduce) against ground-truth hardware
 figures plus jitter, producing the "real cost" the paper's Figure 6c
 compares its cost-model estimates against. :func:`transfer_seconds` prices
 a batch of placement adjustments with Section 4's operation merging and
-parallel execution; each layer pipeline's background stream is the
+parallel execution; each layer pipeline's :class:`AdjustmentStream` is the
 best-effort overlap.
 """
 
-from repro.runtime.adjustment import transfer_seconds
+from repro.runtime.adjustment import AdjustmentStream, transfer_seconds
 from repro.runtime.executor import (
     PipelinedStepExecutor,
     PipelineStepTiming,
@@ -25,6 +25,7 @@ from repro.runtime.pipeline import (
 )
 
 __all__ = [
+    "AdjustmentStream",
     "LayerPipeline",
     "MultiLayerFlexMoEEngine",
     "PipelineStepResult",

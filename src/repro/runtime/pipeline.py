@@ -7,12 +7,14 @@ layers overlaps the full training-step pipeline. This module provides that
 engine:
 
 * :class:`LayerPipeline` — the per-layer unit: target/active placements,
-  Scheduler (Algorithm 1), Policy Maker with memoized what-if costs, and
-  the best-effort commit pipeline that lets the active placement lag the
-  target until the stream has paid for the emitted actions' transfers
-  (:func:`~repro.runtime.adjustment.transfer_seconds`) and communicator
-  creations. The single-layer :class:`~repro.baselines.flexmoe.FlexMoESystem`
-  is this class wrapped in the ``MoESystem`` interface.
+  Scheduler (Algorithm 1), Policy Maker with memoized what-if costs,
+  elastic re-homing, and the price of each emission: its transfers
+  (:func:`~repro.runtime.adjustment.transfer_seconds`) plus communicator
+  creations. Its :class:`~repro.runtime.adjustment.AdjustmentStream`
+  lets the active placement lag the target until that price is paid,
+  and alone commits or drops actions. The single-layer
+  :class:`~repro.baselines.flexmoe.FlexMoESystem` is this class wrapped
+  in the ``MoESystem`` interface.
 * :class:`MultiLayerFlexMoEEngine` — one :class:`LayerPipeline` per MoE
   layer plus a :class:`~repro.runtime.executor.PipelinedStepExecutor`
   composing the layers into an overlap-aware whole-transformer step.
@@ -22,7 +24,6 @@ See ``docs/architecture.md`` for the step timeline and overlap rules.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,20 +53,13 @@ from repro.core.migration import (
 )
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
-from repro.core.primitives import (
-    Expand,
-    Migrate,
-    PlacementAction,
-    Shrink,
-    action_gpus,
-    apply_actions,
-)
+from repro.core.primitives import Expand, PlacementAction, Shrink, apply_actions
 from repro.core.router import FlexibleTokenRouter, RoutingPlan
 from repro.core.scheduler import Scheduler, SchedulingOutcome
 from repro.core.trigger import Trigger
-from repro.exceptions import PlacementError, SimulationError
+from repro.exceptions import SimulationError
 from repro import telemetry
-from repro.runtime.adjustment import transfer_seconds
+from repro.runtime.adjustment import AdjustmentStream, transfer_seconds
 from repro.runtime.executor import (
     PipelinedStepExecutor,
     PipelineStepTiming,
@@ -90,7 +84,6 @@ class LayerPipeline:
             exactly like the seed FlexMoE system when unset.
         group_cache: Communicator cache charged for newly formed replica
             groups (``None`` makes group creation free).
-        layer_index: Which MoE layer this pipeline manages (labelling).
         cluster_state: Live device-pool view shared with the executor;
             attaches to the layer's cost model so scheduling prices
             against the current pool. ``None`` keeps the pool static.
@@ -112,7 +105,6 @@ class LayerPipeline:
         collectives: CollectiveCostModel,
         scheduler_config: SchedulerConfig | None = None,
         group_cache: CommunicatorGroupCache | None = None,
-        layer_index: int = 0,
         cluster_state: ClusterState | None = None,
         trigger: Trigger | None = None,
         inference: bool = False,
@@ -129,7 +121,6 @@ class LayerPipeline:
         self._topology = topology
         self._group_cache = group_cache
         self._config = config
-        self._layer_index = layer_index
         self._cluster_state = cluster_state
         self._inference = inference
         self._router = FlexibleTokenRouter()
@@ -162,20 +153,18 @@ class LayerPipeline:
             self._target, policy, config, topology, trigger=trigger
         )
         self._collectives = collectives
-        # Each entry: [remaining_stream_seconds, actions_tuple]
-        self._pending: deque[list] = deque()
-        self._committed_actions = 0
-        self._dropped_actions = 0
+        self._stream = AdjustmentStream(
+            self._active,
+            self._target,
+            best_effort=config.best_effort,
+            elastic=cluster_state is not None,
+        )
         self._floor_degradations = 0
         self._last_assignment: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-    @property
-    def layer_index(self) -> int:
-        return self._layer_index
-
     @property
     def config(self) -> SchedulerConfig:
         return self._config
@@ -201,16 +190,21 @@ class LayerPipeline:
     @property
     def pending_actions(self) -> int:
         """Actions emitted but not yet committed to the active placement."""
-        return sum(len(entry[1]) for entry in self._pending)
+        return self._stream.pending
+
+    @property
+    def emitted_actions(self) -> int:
+        """Scheduler plans, re-homes, refills and drain copies emitted."""
+        return self._stream.emitted
 
     @property
     def committed_actions(self) -> int:
-        return self._committed_actions
+        return self._stream.committed
 
     @property
     def dropped_actions(self) -> int:
-        """Queued actions discarded because a device failure obsoleted them."""
-        return self._dropped_actions
+        """Pending actions obsoleted, stolen by a drain or cancelled."""
+        return self._stream.dropped
 
     @property
     def floor_degradations(self) -> int:
@@ -223,48 +217,28 @@ class LayerPipeline:
     # ------------------------------------------------------------------
     # Best-effort pipeline
     # ------------------------------------------------------------------
-    def _stream_work_seconds(self, actions: tuple[PlacementAction, ...]) -> float:
-        """Background seconds needed before ``actions`` can commit:
-        parameter/optimizer transfers plus new communicator creations."""
-        return transfer_seconds(
-            actions, self._model.expert_state_bytes, self._collectives
-        ) + self._group_creation_cost()
-
-    def _group_creation_cost(self) -> float:
-        """Seconds to create communicators for new replica groups.
+    def _stream_work_seconds(self, actions: Sequence[PlacementAction]) -> float:
+        """Background seconds needed before ``actions`` can commit: their
+        transfers plus communicators for new replica groups (none for no
+        actions).
 
         Creations are independent handshakes issued from the background
         thread pool, so concurrent creations cost the slowest one, not the
         sum. Inference runs never synchronize gradients, so replica
         groups need no communicators and creation is free.
         """
-        if self._group_cache is None or self._inference:
-            return 0.0
-        cost = 0.0
-        for group in self._target.replica_groups().values():
-            if len(group) > 1:
-                cost = max(cost, self._group_cache.acquire(group))
-        return cost
-
-    def _emit_actions(self, actions: tuple[PlacementAction, ...]) -> float:
-        """Push actions into the best-effort pipeline (already applied to
-        the TARGET placement by the caller).
-
-        Returns the blocking seconds charged to the step: zero under
-        best-effort (the stream pays for the work later), the full
-        transfer time otherwise (actions commit to the active placement
-        immediately).
-        """
         if not actions:
             return 0.0
-        work = self._stream_work_seconds(actions)
-        if self._config.best_effort:
-            self._pending.append([work, actions])
-            return 0.0
-        for action in actions:
-            action.apply(self._active)
-        self._committed_actions += len(actions)
-        return work
+        work = transfer_seconds(
+            actions, self._model.expert_state_bytes, self._collectives
+        )
+        if self._group_cache is None or self._inference:
+            return work
+        creation = 0.0
+        for group in self._target.replica_groups().values():
+            if len(group) > 1:
+                creation = max(creation, self._group_cache.acquire(group))
+        return work + creation
 
     def begin_step(
         self, assignment: np.ndarray, step_index: int
@@ -286,10 +260,11 @@ class LayerPipeline:
         step skips that round.
         """
         self._last_assignment = np.asarray(assignment)
-        if self._pending:
+        if self._stream.held:
             return 0.0, _HELD
         outcome = self._scheduler.on_step(assignment, step_index)
-        return self._emit_actions(outcome.actions), outcome
+        actions = outcome.actions
+        return self._stream.emit(actions, self._stream_work_seconds(actions)), outcome
 
     def route(self, assignment: np.ndarray) -> RoutingPlan:
         """Route ``assignment`` over the layer's ACTIVE placement."""
@@ -297,183 +272,47 @@ class LayerPipeline:
 
     def advance_stream(self, budget: float) -> int:
         """Spend ``budget`` seconds of stream bandwidth; commit ready actions."""
-        committed = 0
-        while self._pending and budget > 0:
-            entry = self._pending[0]
-            if entry[0] > budget:
-                entry[0] -= budget
-                budget = 0.0
-                break
-            budget -= entry[0]
-            for action in entry[1]:
-                if self._cluster_state is not None:
-                    # Elastic runs only: a commit obsoleted by an
-                    # elasticity event (e.g. its source replica died with
-                    # a device) is discarded — and undone on the target,
-                    # preserving ``target == active + pending``. Static
-                    # runs keep the loud failure — a bad commit there is
-                    # a scheduler bug.
-                    try:
-                        action.apply(self._active)
-                    except PlacementError:
-                        self._revert_on_target(action)
-                        self._dropped_actions += 1
-                        continue
-                else:
-                    action.apply(self._active)
-                committed += 1
-            self._pending.popleft()
-        self._committed_actions += committed
-        return committed
+        return self._stream.advance(budget)
 
     # ------------------------------------------------------------------
     # Elasticity
     # ------------------------------------------------------------------
-    def _drop_pending_touching(self, gpus: frozenset[int]) -> int:
-        """Discard queued actions referencing any of ``gpus`` (they died).
-
-        Dropped actions were already applied to the TARGET placement when
-        they were emitted; since they will now never commit, their effect
-        on the target is undone too, restoring the invariant
-        ``target == active + pending``. (Without this, dropping one half
-        of a (Shrink, Expand) pair would leave the active placement
-        permanently diverged from what the scheduler reasons about.)
-        """
-        dropped: list[PlacementAction] = []
-        kept: deque[list] = deque()
-        for work, actions in self._pending:
-            remaining = tuple(
-                a for a in actions if not gpus.intersection(action_gpus(a))
-            )
-            dropped.extend(
-                a for a in actions if gpus.intersection(action_gpus(a))
-            )
-            if remaining:
-                # The dropped transfers no longer consume stream
-                # bandwidth; rescale the entry's remaining work so the
-                # survivors are not delayed paying for them.
-                work = work * len(remaining) / len(actions)
-                kept.append([work, remaining])
-        self._pending = kept
-        for action in reversed(dropped):
-            self._revert_on_target(action)
-        self._dropped_actions += len(dropped)
-        return len(dropped)
-
-    def _find_pending_expand(
-        self, expert: int | None, gpu: int, safe: Sequence[int]
-    ) -> PlacementAction | None:
-        """The first queued Expand onto ``gpu`` (of ``expert`` if given).
-
-        Only expansions whose target-side replica still exists qualify:
-        stealing one must actually free a slot when undone on the
-        target, and a later queued action may have re-removed it. The
-        victim must also keep at least one other replica on a safe
-        device -- a steal that orphans another expert on the target just
-        moves the revocation loss around.
-        """
-        for entry in self._pending:
-            for action in entry[1]:
-                if not (
-                    isinstance(action, Expand)
-                    and action.gpu == gpu
-                    and (expert is None or action.expert == expert)
-                    and self._target.count(action.expert, gpu) > 0
-                ):
-                    continue
-                survivors = sum(
-                    self._target.count(action.expert, g)
-                    for g in safe
-                    if g != gpu
-                )
-                if survivors + self._target.count(action.expert, gpu) - 1 > 0:
-                    return action
-        return None
-
-    def _remove_pending_action(self, target: PlacementAction) -> None:
-        """Drop one queued action from the stream (by identity).
-
-        The entry's remaining transfer work is rescaled down like
-        :meth:`_drop_pending_touching` so surviving actions are not
-        delayed paying for the cancelled one.
-        """
-        for entry in self._pending:
-            if target in entry[1]:
-                before = len(entry[1])
-                entry[1] = tuple(a for a in entry[1] if a is not target)
-                entry[0] = entry[0] * len(entry[1]) / before
-                return
-
     def _cancel_orphaning_shrinks(self, dead: frozenset[int]) -> None:
         """Cancel pending Shrinks that the failure turned into death traps.
 
         A queued Shrink of an expert's only live-device replica was a
         sound plan when emitted, but once the expert's other copies die
         with their devices, committing it would discard the last copy of
-        the model states. Such Shrinks are removed from the stream and
-        undone on the target, making the shrunk replica the expert's
-        lifeline.
+        the model states. Such Shrinks are cancelled and undone on the
+        target, making the shrunk replica the expert's lifeline.
         """
         while True:
-            counts = self._target.counts
-            live_cols = [
-                g for g in range(self._target.num_gpus) if g not in dead
-            ]
-            at_risk = set(np.flatnonzero(counts[:, live_cols].sum(axis=1) == 0))
+            live_cols = [g for g in range(self._target.num_gpus) if g not in dead]
+            live_counts = self._target.counts_view[:, live_cols]
+            at_risk = set(np.flatnonzero(live_counts.sum(axis=1) == 0))
             if not at_risk:
                 return
-            cancelled = False
-            for entry in self._pending:
-                for action in entry[1]:
-                    if not (
-                        isinstance(action, Shrink)
-                        and action.expert in at_risk
-                        and action.gpu not in dead
-                    ):
+            for action in self._stream.actions():
+                if not (
+                    isinstance(action, Shrink)
+                    and action.expert in at_risk
+                    and action.gpu not in dead
+                ):
+                    continue
+                if self._target.free_slots(action.gpu) < 1:
+                    # Slot since reused -- usually by a queued Expand
+                    # of some well-replicated expert. The lifeline
+                    # outranks that plan: steal its slot if a victim
+                    # with another safe replica exists, else try
+                    # another shrink.
+                    steal = self._stream.find_expand(None, action.gpu, live_cols)
+                    if steal is None:
                         continue
-                    try:
-                        self._target.add_vexpert(action.expert, action.gpu)
-                    except PlacementError:
-                        # Slot since reused -- usually by a queued Expand
-                        # of some well-replicated expert. The lifeline
-                        # outranks that plan: steal its slot if a victim
-                        # with another safe replica exists, else try
-                        # another shrink.
-                        steal = self._find_pending_expand(
-                            None, action.gpu, live_cols
-                        )
-                        if steal is None:
-                            continue
-                        self._remove_pending_action(steal)
-                        self._revert_on_target(steal)
-                        self._dropped_actions += 1
-                        self._target.add_vexpert(action.expert, action.gpu)
-                    entry[1] = tuple(a for a in entry[1] if a is not action)
-                    self._dropped_actions += 1
-                    cancelled = True
-                    break
-                if cancelled:
-                    break
-            if not cancelled:
+                    self._stream.cancel(steal)
+                self._stream.cancel(action)
+                break
+            else:
                 return  # remaining at-risk experts orphan; eviction raises
-
-    def _revert_on_target(self, action: PlacementAction) -> None:
-        """Best-effort inverse of ``action`` on the target placement.
-
-        Reverts that have become impossible (later interleaved actions or
-        the imminent eviction already account for the state) are skipped.
-        """
-        try:
-            if isinstance(action, Expand):
-                self._target.remove_vexpert(action.expert, action.gpu)
-            elif isinstance(action, Shrink):
-                self._target.add_vexpert(action.expert, action.gpu)
-            elif isinstance(action, Migrate):
-                self._target.swap_vexperts(
-                    action.expert_a, action.gpu_b, action.expert_b, action.gpu_a
-                )
-        except PlacementError:
-            pass
 
     def handle_failure(
         self, dead: tuple[int, ...], live: tuple[int, ...]
@@ -493,7 +332,7 @@ class LayerPipeline:
                 states are gone).
         """
         dead_set = frozenset(dead)
-        self._drop_pending_touching(dead_set)
+        self._stream.drop_touching(dead_set)
         self._cancel_orphaning_shrinks(dead_set)
         # Validate BOTH placements before mutating either, so an orphan
         # aborts the step without leaving the layer half-evicted.
@@ -515,10 +354,8 @@ class LayerPipeline:
             profile=self._cost_model.profile,
             min_replicas=floor,
         )
-        if not rehome:
-            return 0.0
-        apply_actions(self._target, list(rehome))
-        return self._emit_actions(tuple(rehome))
+        apply_actions(self._target, rehome)
+        return self._stream.emit(rehome, self._stream_work_seconds(rehome))
 
     def handle_recovery(self, gpu: int) -> float:
         """Refill a recovered (empty) device with the hottest experts.
@@ -551,10 +388,8 @@ class LayerPipeline:
             holders = self._target.gpus_of(expert)
             source = max(holders, key=lambda h: profile.link_bandwidth(h, gpu))
             actions.append(Expand(expert=expert, gpu=gpu, source_gpu=int(source)))
-        if not actions:
-            return 0.0
-        apply_actions(self._target, list(actions))
-        return self._emit_actions(tuple(actions))
+        apply_actions(self._target, actions)
+        return self._stream.emit(actions, self._stream_work_seconds(actions))
 
     def prepare_drain(
         self, doomed: tuple[int, ...], live: tuple[int, ...]
@@ -568,11 +403,10 @@ class LayerPipeline:
         replacement replica copied onto a safe live device NOW, applied
         to both placements immediately: an emergency copy racing the
         revocation deadline cannot ride the lazy best-effort stream.
-        Sources and destinations must be valid on *both* placements (a
-        source replica the target has pending-shrunk may vanish before
-        the copy matters), which keeps the ``target == active +
-        pending`` invariant intact without touching the queued stream.
-        Returns the blocking seconds charged for the copies.
+        Destinations need a free slot on *both* placements, which may
+        mean stealing one from a pending Expand; the stream records the
+        copies as committed at once. Returns the blocking seconds charged
+        for the copies.
         """
         doomed_set = frozenset(doomed)
         safe = [g for g in live if g not in doomed_set]
@@ -580,8 +414,6 @@ class LayerPipeline:
             return 0.0
         active_counts = self._active.counts_view
         at_risk = np.flatnonzero(active_counts[:, safe].sum(axis=1) == 0)
-        if at_risk.size == 0:
-            return 0.0
         profile = self._cost_model.profile
         actions: list[PlacementAction] = []
         for expert in at_risk:
@@ -589,9 +421,7 @@ class LayerPipeline:
             active_holders = self._active.gpus_of(expert)
             if not active_holders:
                 continue
-            best: tuple[float, int, int, PlacementAction | None] | None = (
-                None
-            )
+            best = None  # (bandwidth, src, dst, Expand to steal or None)
             for dst in safe:
                 if (
                     self._active.free_slots(dst) <= 0
@@ -605,12 +435,11 @@ class LayerPipeline:
                 # slot of one queued Expand onto this device (preferring
                 # the expert's own -- the copy supersedes it).
                 steal: PlacementAction | None = None
-                if self._target.count(expert, dst) > 0:
-                    steal = self._find_pending_expand(expert, dst, safe)
-                    if steal is None:
-                        continue
-                elif self._target.free_slots(dst) <= 0:
-                    steal = self._find_pending_expand(None, dst, safe)
+                own = self._target.count(expert, dst) > 0
+                if own or self._target.free_slots(dst) <= 0:
+                    steal = self._stream.find_expand(
+                        expert if own else None, dst, safe
+                    )
                     if steal is None:
                         continue
                 for src in active_holders:
@@ -636,9 +465,7 @@ class LayerPipeline:
             else:
                 _, src, dst, steal = best
                 if steal is not None:
-                    self._remove_pending_action(steal)
-                    self._revert_on_target(steal)
-                    self._dropped_actions += 1
+                    self._stream.cancel(steal)
             action = Expand(expert=expert, gpu=dst, source_gpu=src)
             action.apply(self._active)
             # The active-side source may be a doomed device the target
@@ -647,10 +474,8 @@ class LayerPipeline:
             # ledger only needs the replica booked at the destination.
             self._target.add_vexpert(expert, dst)
             actions.append(action)
-        if not actions:
-            return 0.0
-        self._committed_actions += len(actions)
-        return self._stream_work_seconds(tuple(actions))
+        self._stream.record_drain(actions)
+        return self._stream_work_seconds(actions)
 
     def _plan_emergency_eviction(
         self,
@@ -840,12 +665,11 @@ class MultiLayerFlexMoEEngine:
                 collectives=collectives,
                 scheduler_config=scheduler_config,
                 group_cache=executor.group_cache,
-                layer_index=index,
                 cluster_state=state,
                 trigger=trigger_factory() if trigger_factory is not None else None,
                 inference=executor.inference,
             )
-            for index in range(self._pipe.num_moe_layers)
+            for _ in range(self._pipe.num_moe_layers)
         ]
         self._steps_run = 0
 
@@ -864,9 +688,6 @@ class MultiLayerFlexMoEEngine:
     def pipelined_executor(self) -> PipelinedStepExecutor:
         return self._pipe
 
-    def layer(self, index: int) -> LayerPipeline:
-        return self._layers[index]
-
     def placements(self) -> tuple[Placement, ...]:
         """Active per-layer placements, in layer order."""
         return tuple(layer.active_placement for layer in self._layers)
@@ -874,10 +695,6 @@ class MultiLayerFlexMoEEngine:
     def placement_signatures(self) -> tuple[bytes, ...]:
         """Per-layer placement snapshots (for divergence checks)."""
         return tuple(layer.active_placement.signature() for layer in self._layers)
-
-    def distinct_placements(self) -> int:
-        """Number of distinct active placements across layers."""
-        return len(set(self.placement_signatures()))
 
     def delta_fallbacks(self) -> int:
         """Total delta-evaluator fallbacks to full recomputation across
@@ -1130,25 +947,14 @@ class MultiLayerFlexMoEEngine:
             actions=len(outcome.actions),
         )
         for action in outcome.actions:
-            if isinstance(action, Migrate):
-                kind, detail = "migrate", {
-                    "expert_a": int(action.expert_a),
-                    "gpu_a": int(action.gpu_a),
-                    "expert_b": int(action.expert_b),
-                    "gpu_b": int(action.gpu_b),
-                }
-            elif isinstance(action, Expand):
-                kind, detail = "expand", {
-                    "expert": int(action.expert),
-                    "gpu": int(action.gpu),
-                }
-            elif isinstance(action, Shrink):
-                kind, detail = "shrink", {
-                    "expert": int(action.expert),
-                    "gpu": int(action.gpu),
-                }
-            else:  # pragma: no cover - no other primitives today
-                kind, detail = type(action).__name__.lower(), {}
+            kind = type(action).__name__.lower()
+            # Where an Expand copies from is a transfer detail, not part
+            # of the placement decision.
+            detail = {
+                name: int(value)
+                for name, value in vars(action).items()
+                if name != "source_gpu"
+            }
             registry.counter("scheduler.actions", kind=kind).inc()
             tel.decision(now, kind, subject, step=step_index, **detail)
 
@@ -1221,11 +1027,7 @@ class MultiLayerFlexMoEEngine:
         stream; returns the placement actions that committed."""
         if budget < 0:
             raise SimulationError("stream budget must be >= 0")
-        return sum(
-            layer.advance_stream(budget)
-            for layer in self._layers
-            if layer.config.best_effort
-        )
+        return sum(layer.advance_stream(budget) for layer in self._layers)
 
     def step(
         self,

@@ -129,7 +129,6 @@ class TestOverlapModel:
 
 class TestPerLayerDivergence:
     def test_skewed_layers_diverge(self):
-        engine = small_engine()
         trace = make_multilayer_trace(
             4,
             MODEL.num_experts,
@@ -138,11 +137,10 @@ class TestPerLayerDivergence:
                 tokens_per_step=65_536, num_steps=15, skew=1.5, seed=3
             ),
         )
-        run = simulate_pipeline(engine, trace)
+        run = simulate_pipeline(small_engine(), trace)
         # Each layer's hot experts differ, so the schedulers must have
         # walked the placements apart.
         assert run.distinct_final_placements >= 2
-        assert engine.distinct_placements() == run.distinct_final_placements
 
     def test_per_layer_loads_reported(self):
         run = simulate_pipeline(small_engine(), small_trace(4, num_steps=4))
@@ -264,7 +262,7 @@ def on_step_audit(monkeypatch):
 
 class TestSchedulerHeldWhileStreamBusy:
     def test_busy_stream_skips_the_scheduling_round(self, monkeypatch):
-        layer = small_engine().layer(0)
+        layer = small_engine().layers[0]
         calls = _count_on_step(monkeypatch, layer.scheduler)
         assignment = _skewed_assignment()
         _, outcome = layer.begin_step(assignment, 0)
@@ -285,7 +283,7 @@ class TestSchedulerHeldWhileStreamBusy:
 
     def test_without_best_effort_every_step_is_scheduled(self, monkeypatch):
         engine = small_engine(scheduler_config=SchedulerConfig(best_effort=False))
-        layer = engine.layer(0)
+        layer = engine.layers[0]
         calls = _count_on_step(monkeypatch, layer.scheduler)
         assignment = _skewed_assignment()
         emitted = 0
