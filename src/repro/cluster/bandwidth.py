@@ -49,9 +49,10 @@ from repro.exceptions import TopologyError
 class SourceRows(NamedTuple):
     """Dense source rows prepared for :meth:`BandwidthModel.inflow_at`.
 
-    ``matrix`` is the ``(R, G)`` rows themselves, ``totals`` their sums and
-    ``node_sums`` their ``(R, num_nodes)`` per-node partial sums (``None``
-    for a dense model, which has no node structure to exploit).
+    ``matrix`` is the ``(R, G)`` rows themselves (int64 or float64),
+    ``totals`` their float sums and ``node_sums`` their float
+    ``(R, num_nodes)`` per-node partial sums (``None`` for a dense model,
+    which has no node structure to exploit).
     """
 
     matrix: np.ndarray
@@ -237,9 +238,14 @@ class BandwidthModel:
 
         One O(R * G) pass per source matrix (the delta evaluator makes it
         once per assignment); every inflow query after it reads only the
-        row totals and, for the blocked model, the per-node sums.
+        row totals and, for the blocked model, the per-node sums.  Int64
+        rows are kept as they are, not copied to float: their sums are
+        exact, and only the ``(R,)`` totals and ``(R, num_nodes)`` node
+        sums become float.  Any other dtype is read as float.
         """
-        sources = np.asarray(sources, dtype=float)
+        sources = np.asarray(sources)
+        if sources.dtype != np.int64:
+            sources = sources.astype(float, copy=False)
         if sources.ndim != 2 or sources.shape[1] != self._num_gpus:
             raise TopologyError(
                 f"source rows must be (R, {self._num_gpus}), got "
@@ -251,9 +257,13 @@ class BandwidthModel:
             # short per-node axis several times over.
             node_sums = (
                 sources.reshape(-1, self._gpus_per_node)
-                @ np.ones(self._gpus_per_node)
-            ).reshape(sources.shape[0], self._num_nodes)
-        return SourceRows(sources, sources.sum(axis=1), node_sums)
+                @ np.ones(self._gpus_per_node, dtype=sources.dtype)
+            ).reshape(sources.shape[0], self._num_nodes).astype(
+                float, copy=False
+            )
+        return SourceRows(
+            sources, sources.sum(axis=1).astype(float, copy=False), node_sums
+        )
 
     def inflow_at(
         self,
@@ -293,7 +303,7 @@ class BandwidthModel:
             num_segments = int(segments.max()) + 1 if segments.size else 0
             segment_rows = np.zeros(num_segments, dtype=np.int64)
             segment_rows[segments] = rows
-            spill = sources.matrix[segment_rows]
+            spill = sources.matrix[segment_rows].astype(float, copy=False)
             spill[segments, devices] -= kept
             into = np.einsum(
                 "kg,gk->k", spill[segments], self._inv_dense[:, devices]

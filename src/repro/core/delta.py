@@ -30,6 +30,18 @@ expert density of ~1% (32 holders of 4096 devices) a route costs O(holders)
 instead of O(D).  A single kernel, :meth:`DeltaStepCost._route`, prices
 holder entries for the rebase, both query shapes and the audit.
 
+The demand matrix is the one ``E x D`` input a rebase must read, and it
+reads a new one once (one check pass and one node-sum pass) and an
+unchanged one not at all.  A frozen demand -- read-only, with every
+``.base`` up to its owner read-only, C-contiguous int64 or float64, as
+every trace step is -- is kept by reference rather than copied, and
+passing that same array again settles "same demand" by identity.  Any
+other input is snapshotted in its own kind (integers as int64, the rest
+as float), so a caller's writeable array changed in place still reads
+as a new demand.  Integer demand stays integer through the row and node
+sums, which are exact; only those ``(E,)`` and ``(E, nodes)`` sums
+become float.
+
 Scoring a candidate re-routes only the changed experts' entries and takes
 Eq. 5's max over a copy of the base per-GPU times with the changed
 experts' old contributions scattered out and their new ones scattered in.
@@ -104,6 +116,41 @@ class HolderIndex(NamedTuple):
             counts[expert, gpu],
             np.searchsorted(expert, np.arange(counts.shape[0] + 1)),
         )
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """Whether ``array`` and every ``.base`` up to its owner are read-only.
+
+    NumPy refuses a write through such an array, and refuses to make a
+    view of a read-only base writeable again; only the owner's holder
+    could lift the flag, and a trace never does (every
+    :class:`~repro.workload.trace.RoutingTrace` and
+    :class:`~repro.workload.trace.MultiLayerTrace` step is frozen).
+    """
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
+
+
+def _held_demand(assignment: np.ndarray) -> np.ndarray:
+    """The demand matrix :meth:`DeltaStepCost.rebase` keeps.
+
+    A frozen C-contiguous int64 or float64 array is kept by reference:
+    its values cannot change, so the next rebase may compare against it
+    (or settle it by identity) without a copy.  Anything else is
+    snapshotted, so a caller mutating their array in place is seen as a
+    new demand: integers as int64, any other dtype as float.
+    """
+    if (
+        assignment.dtype in (np.int64, np.float64)
+        and assignment.flags.c_contiguous
+        and _frozen(assignment)
+    ):
+        return assignment
+    dtype = np.int64 if assignment.dtype.kind in "iu" else float
+    return np.array(assignment, dtype=dtype, order="C")
 
 
 class DeltaStepCost:
@@ -273,6 +320,13 @@ class DeltaStepCost:
         Call once per scheduling round (or whenever the placement or
         assignment changes); every subsequent what-if query is evaluated
         as a delta against this base.
+
+        A new demand is read once: one check pass and one node-sum pass.
+        A frozen C-contiguous int64 or float64 ``assignment`` (every
+        trace step) is kept by reference, anything else is snapshotted
+        (integers as int64, the rest as float), so a caller's writeable
+        array changed in place is seen as a new demand.  Passing the same
+        frozen array again reads none of it.
         """
         assignment = np.asarray(assignment)
         if assignment.shape != (placement.num_experts, placement.num_gpus):
@@ -282,9 +336,11 @@ class DeltaStepCost:
             )
         counts = placement.counts_view
         num_experts, num_gpus = assignment.shape
-        # A new step's demand differs in its first row, so comparing that
+        # The evaluator's own demand (a frozen alias, or the snapshot
+        # _require_base passes back) is settled by identity.  Otherwise a
+        # new step's demand differs in its first row, so comparing that
         # row first settles the common case without the full comparison.
-        same_demand = (
+        same_demand = assignment is self._assignment or (
             self._assignment is not None
             and np.array_equal(self._assignment[:1], assignment[:1])
             and np.array_equal(self._assignment, assignment)
@@ -293,11 +349,8 @@ class DeltaStepCost:
             # Drop the old demand first so two snapshots never coexist;
             # until the new one is in, the evaluator has no base.
             self._assignment = self._sources = self._placement = None
-            # Snapshot, never alias: the next rebase compares its
-            # assignment against this one, which must see the values as
-            # passed even if the caller mutates theirs.
-            demand = np.array(assignment, dtype=float, order="C")
-            if (demand < 0).any():
+            demand = _held_demand(assignment)
+            if demand.size and demand.min() < 0:
                 raise RoutingError("token counts must be non-negative")
             sources = self._bw.source_rows(demand)
             # A non-finite count makes its row total non-finite.

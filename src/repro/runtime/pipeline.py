@@ -671,6 +671,8 @@ class MultiLayerFlexMoEEngine:
             )
             for _ in range(self._pipe.num_moe_layers)
         ]
+        # Each blocking layer's committed count at its last step_commit.
+        self._reported_commits = [0] * len(self._layers)
         self._steps_run = 0
 
     # ------------------------------------------------------------------
@@ -995,12 +997,17 @@ class MultiLayerFlexMoEEngine:
         budget = (
             pending.timing.step_time if stream_budget is None else stream_budget
         )
-        committed = tuple(
-            layer.advance_stream(budget)
-            if layer.config.best_effort
-            else len(outcome.actions)
-            for layer, outcome in zip(self._layers, pending.outcomes)
-        )
+        committed = []
+        for index, layer in enumerate(self._layers):
+            if layer.config.best_effort:
+                committed.append(layer.advance_stream(budget))
+                continue
+            # A blocking layer commits at emission, re-homes and refills
+            # included, so its step count is every commit since the
+            # previous step_commit.
+            total = layer.committed_actions
+            committed.append(total - self._reported_commits[index])
+            self._reported_commits[index] = total
 
         assigned = int(pending.assignments.sum())
         state = self._cluster_state
@@ -1015,7 +1022,7 @@ class MultiLayerFlexMoEEngine:
             layer_locality=np.array(
                 [plan.locality_fraction for plan in pending.plans]
             ),
-            layer_actions=committed,
+            layer_actions=tuple(committed),
             live_gpus=(
                 state.num_live if state is not None
                 else self._executor.topology.num_gpus

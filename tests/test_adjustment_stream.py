@@ -12,7 +12,12 @@ import pytest
 
 from repro.bench.churn import degradation_run
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
-from repro.config import ClusterConfig, MoEModelConfig, WorkloadConfig
+from repro.config import (
+    ClusterConfig,
+    MoEModelConfig,
+    SchedulerConfig,
+    WorkloadConfig,
+)
 from repro.core.placement import Placement
 from repro.core.primitives import Expand, Migrate, Shrink
 from repro.exceptions import PlacementError
@@ -307,6 +312,53 @@ def test_elastic_engine_run_conserves_actions(conservation):
         for outcome in layer.scheduler.history
     )
     assert totals["emitted"] > planned
+
+
+@pytest.mark.parametrize("best_effort", [False, True])
+def test_per_step_actions_sum_to_committed(best_effort):
+    """Every commit is reported by exactly one step: a blocking layer's
+    re-homes and refills (committed at once, outside the scheduler's
+    plan) count in the step whose elasticity event emitted them."""
+    model = MoEModelConfig(
+        "per-step", num_layers=4, d_model=256, d_ffn=1024, num_experts=16
+    )
+    cluster = ClusterConfig(num_nodes=2, gpus_per_node=4)
+    elasticity = ElasticitySchedule(
+        [
+            ClusterEvent(step=4, kind="fail", gpu=2),
+            ClusterEvent(step=9, kind="recover", gpu=2),
+        ]
+    )
+    engine = build_engine(
+        cluster,
+        model,
+        num_moe_layers=4,
+        seed=1,
+        elasticity=elasticity,
+        scheduler_config=SchedulerConfig(
+            best_effort=best_effort, min_replicas=2
+        ),
+    )
+    trace = make_multilayer_trace(
+        4,
+        model.num_experts,
+        cluster.num_gpus,
+        WorkloadConfig(
+            tokens_per_step=262_144, num_steps=20, skew=1.3, drift=0.3, seed=3
+        ),
+    )
+    results = simulate_pipeline(engine, trace).results
+    per_step = sum(sum(r.layer_actions) for r in results)
+    assert engine.committed_actions > 0
+    assert per_step == engine.committed_actions
+    # The blocking run re-homes more than its scheduler ever planned.
+    planned = sum(
+        len(outcome.actions)
+        for layer in engine.layers
+        for outcome in layer.scheduler.history
+    )
+    if not best_effort:
+        assert per_step > planned
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ packed vExperts, an expert without demand, and per-GPU NIC scales (which
 route the All-to-All term through the dense bandwidth model).
 """
 
+import tracemalloc
 from dataclasses import dataclass
 from functools import cache
 
@@ -22,6 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.harness import cluster_for
+from repro.cluster.bandwidth import BandwidthModel
 from repro.cluster.events import ClusterState
 from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
@@ -29,6 +32,8 @@ from repro.config import (
     HIERARCHICAL_AUTO_THRESHOLD,
     ClusterConfig,
     MoEModelConfig,
+    WorkloadConfig,
+    auto_slots_per_gpu,
 )
 from repro.core.cost_model import MemoizedStepCost, MoECostModel
 from repro.core.delta import DeltaStepCost
@@ -38,6 +43,10 @@ from repro.core.policy import PolicyMaker
 from repro.core.primitives import Expand, Migrate, Shrink
 from repro.core.router import FlexibleTokenRouter
 from repro.exceptions import RoutingError, SchedulingError
+from repro.workload.synthetic import (
+    DriftingRoutingGenerator,
+    make_multilayer_trace,
+)
 
 MODEL = MoEModelConfig("delta", num_layers=2, d_model=256, d_ffn=1024, num_experts=8)
 CLUSTER = ClusterConfig(num_nodes=2, gpus_per_node=4)
@@ -259,6 +268,149 @@ class TestRebase:
         delta = DeltaStepCost(cost_model)
         with pytest.raises(SchedulingError):
             delta.pair_candidates(Placement.balanced(8, 8, 2), 0, 1, 0)
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only array owning its memory: no holder can write it."""
+    array = np.array(array)
+    array.setflags(write=False)
+    return array
+
+
+class TestDemandContract:
+    """A frozen demand is kept by reference, anything else snapshotted.
+
+    Kept or copied, the evaluator must read the values as passed: a
+    caller's writeable array changed in place is a new demand, and bad
+    counts are rejected either way.
+    """
+
+    CASE = CASES["packed-256g"]
+
+    def test_frozen_trace_steps_are_not_copied(self, rng):
+        case = self.CASE
+        delta = DeltaStepCost(case.cost_model())
+        placement = case.placement(rng)
+        config = WorkloadConfig(tokens_per_step=1 << 20, num_steps=2, seed=4)
+        trace = DriftingRoutingGenerator(
+            case.num_experts, case.num_gpus, config
+        ).generate()
+        layers = make_multilayer_trace(
+            2, case.num_experts, case.num_gpus, config
+        )
+        for step in (trace.step(0), trace.step(1), layers.step(1)[1]):
+            delta.rebase(step, placement)
+            assert np.shares_memory(delta._assignment, step)
+            assert delta._assignment.dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_writeable_input_is_snapshotted(self, dtype, rng):
+        case = self.CASE
+        cost_model = case.cost_model()
+        delta = DeltaStepCost(cost_model)
+        placement = case.placement(rng)
+        assignment = case.assignment(rng).astype(dtype)
+        delta.rebase(assignment, placement)
+        assert not np.shares_memory(delta._assignment, assignment)
+        # A change past the first row is only seen by the full compare.
+        assignment[-1, -1] += 50_000
+        changed = delta.rebase(assignment, placement)
+        assert changed == DeltaStepCost(cost_model).rebase(
+            assignment.copy(), placement
+        )
+        assert np.array_equal(delta.expert_loads, assignment.sum(axis=1))
+
+    def test_read_only_view_of_a_writeable_base_is_snapshotted(self, rng):
+        case = self.CASE
+        delta = DeltaStepCost(case.cost_model())
+        placement = case.placement(rng)
+        base = case.assignment(rng)
+        view = base.view()
+        view.flags.writeable = False
+        delta.rebase(view, placement)
+        assert not np.shares_memory(delta._assignment, base)
+        base[-1, -1] += 50_000
+        delta.rebase(view, placement)
+        assert np.array_equal(delta.expert_loads, base.sum(axis=1))
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int32, np.uint16, np.uint64, ">i8"]
+    )
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_other_integers_are_read_as_int64(self, dtype, read_only, rng):
+        case = self.CASE
+        cost_model = case.cost_model()
+        delta = DeltaStepCost(cost_model)
+        placement = case.placement(rng)
+        assignment = case.assignment(rng)
+        narrow = assignment.astype(dtype)
+        if read_only:
+            narrow = frozen(narrow)
+        base = delta.rebase(narrow, placement)
+        assert delta._assignment.dtype == np.int64
+        assert base == DeltaStepCost(cost_model).rebase(
+            frozen(assignment), placement
+        )
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(-1, "non-negative"), (np.nan, "finite"), (np.inf, "finite")],
+    )
+    def test_bad_counts_rejected_kept_or_copied(
+        self, read_only, bad, match, rng
+    ):
+        case = self.CASE
+        delta = DeltaStepCost(case.cost_model())
+        placement = case.placement(rng)
+        dtype = np.int64 if bad == -1 else np.float64
+        assignment = case.assignment(rng).astype(dtype)
+        assignment[7, 100] = bad
+        if read_only:
+            assignment = frozen(assignment)
+        with pytest.raises(RoutingError, match=match):
+            delta.rebase(assignment, placement)
+
+    def test_require_base_after_a_frozen_rebase_reroutes_only_moved_rows(
+        self, monkeypatch, rng
+    ):
+        """A stale base is rebuilt from the evaluator's own frozen demand:
+        identity settles it, so only the two experts a Migrate moved are
+        re-routed and no source rows are prepared."""
+        case = self.CASE
+        delta = DeltaStepCost(case.cost_model())
+        placement = case.placement(rng)
+        delta.rebase(frozen(case.assignment(rng)), placement)
+        routed, prepared = [], []
+        route, source_rows = DeltaStepCost._route, BandwidthModel.source_rows
+
+        def counted_route(self, row_expert, *args):
+            routed.append(row_expert.size)
+            return route(self, row_expert, *args)
+
+        def counted_source_rows(self, sources):
+            prepared.append(sources.shape)
+            return source_rows(self, sources)
+
+        monkeypatch.setattr(DeltaStepCost, "_route", counted_route)
+        monkeypatch.setattr(BandwidthModel, "source_rows", counted_source_rows)
+        gpu_a, gpu_b = 0, case.num_gpus - 1
+        expert_a = placement.experts_on(gpu_a)[0]
+        expert_b = next(
+            e for e in placement.experts_on(gpu_b) if e != expert_a
+        )
+        Migrate(
+            expert_a=expert_a, gpu_a=gpu_a, expert_b=expert_b, gpu_b=gpu_b
+        ).apply(placement)
+        routed.clear()
+        delta.exchange_candidate_times(
+            placement, [(expert_b, gpu_a, expert_a, gpu_b)]
+        )
+        assert delta.fallbacks == 1
+        assert prepared == []
+        # The fallback rebase routes the two moved rows; the query after
+        # it routes its own candidate rows.
+        assert routed[0] == 2
 
 
 #: Rebase regimes: 16 devices on the dense (per-link) bandwidth model,
@@ -700,6 +852,83 @@ def test_audited_planner_replay_in_the_sparse_regime(search, rng):
     assert acted > 0
     assert audited.evaluations > 0
     assert audited.fallbacks == 0
+
+
+def _planner_replay(steps, audit: bool) -> list:
+    """Policy Maker + Migrate on one evaluator at 64 experts x 256
+    devices; returns every decision, base time and the final time."""
+    case = Case(64, SPARSE_CLUSTER, slots=2, moves=0)
+    cost_model = case.cost_model()
+    topology = ClusterTopology(case.cluster)
+    delta = DeltaStepCost(cost_model, audit=audit)
+    policy = PolicyMaker(cost_model, topology=topology, placement_search="auto")
+    policy._delta = delta
+    migration = MigrationPlanner(
+        cost_model, topology, placement_search="auto", delta=delta
+    )
+    placement = Placement.balanced(case.num_experts, case.num_gpus, case.slots)
+    record = []
+    for assignment in steps:
+        decision = policy.make_plan(assignment, placement)
+        record.append((decision.actions, delta.base_time))
+        for action in decision.actions:
+            action.apply(placement)
+        moves = migration.plan(assignment, placement)
+        record.append((tuple(moves), delta.base_time))
+        for move in moves:
+            move.apply(placement)
+    record.append(delta.rebase(steps[-1], placement))
+    assert delta.fallbacks == 0
+    return record
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_frozen_and_writeable_demand_replay_identically(audit):
+    """Kept by reference or snapshotted, the same demand drives the same
+    decisions and prices them to the last bit."""
+    trace = DriftingRoutingGenerator(
+        64, 256,
+        WorkloadConfig(tokens_per_step=256 * 4096, num_steps=3, skew=1.3, seed=5),
+    ).generate()
+    steps = [trace.step(t) for t in range(trace.num_steps)]
+    kept = _planner_replay(steps, audit)
+    copied = _planner_replay([step.copy() for step in steps], audit)
+    assert kept == copied
+    assert any(actions for actions, _ in kept[:-1])
+
+
+def test_rebase_peak_memory_at_4096_devices():
+    """A new 512 x 4096 frozen demand is read without an E x G float copy,
+    and an unchanged one without any E x G temporary."""
+    model = MoEModelConfig(
+        "delta-4096", num_layers=2, d_model=256, d_ffn=1024, num_experts=512
+    )
+    topology = ClusterTopology(cluster_for(4096))
+    cost_model = MoECostModel(
+        Profiler(topology, noise=0.0, seed=0).profile(model), model
+    )
+    placement = Placement.balanced(512, 4096, auto_slots_per_gpu(512, 4096))
+    rng = np.random.default_rng(0)
+    first, second = (
+        frozen(rng.integers(0, 128, (512, 4096))) for _ in range(2)
+    )
+    delta = DeltaStepCost(cost_model)
+    delta.rebase(first, placement)
+
+    def peak(assignment) -> int:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        delta.rebase(assignment, placement)
+        return tracemalloc.get_traced_memory()[1] - held
+
+    tracemalloc.start()
+    try:
+        new_demand = peak(second)
+        same_demand = peak(second)
+    finally:
+        tracemalloc.stop()
+    assert new_demand <= 0.5 * second.nbytes
+    assert same_demand <= 0.1 * second.nbytes
 
 
 EXACT_COST_MODEL = build_cost_model(noise=0.0)

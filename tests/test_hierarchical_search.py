@@ -360,3 +360,32 @@ class TestBandwidthModelEquivalence:
             others = np.arange(num_gpus) != devices[k]
             expected = (spill[others] / bw[others, devices[k]]).sum()
             assert got_blocked[k] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["blocked", "dense"])
+    def test_integer_rows_read_exactly_as_their_float_copy(
+        self, blocked, dense, kind
+    ):
+        """Int64 source rows are kept as they are, not copied to float,
+        and their totals, node sums and inflows equal the float copy's
+        bit for bit."""
+        model = blocked if kind == "blocked" else dense
+        rng = np.random.default_rng(2)
+        ints = rng.integers(0, 2**40, size=(6, model.num_gpus))
+        exact = model.source_rows(ints)
+        floats = model.source_rows(ints.astype(float))
+        assert exact.matrix is ints
+        assert exact.totals.dtype == floats.totals.dtype == np.float64
+        assert np.array_equal(exact.totals, floats.totals)
+        if kind == "blocked":
+            assert exact.node_sums.dtype == np.float64
+            assert np.array_equal(exact.node_sums, floats.node_sums)
+        else:
+            assert exact.node_sums is floats.node_sums is None
+        rows = np.array([1, 1, 1, 4, 4])
+        segments = np.array([0, 0, 0, 1, 1])
+        devices = np.array([0, 5, 9, 2, 11])
+        kept = ints[rows, devices] * 0.25
+        assert np.array_equal(
+            model.inflow_at(exact, rows, segments, devices, kept),
+            model.inflow_at(floats, rows, segments, devices, kept),
+        )
