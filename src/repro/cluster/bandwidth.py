@@ -213,14 +213,16 @@ class BandwidthModel:
     def receive_times(self, flow: np.ndarray, token_bytes: float) -> np.ndarray:
         """Eq. 8's per-destination seconds of ONE All-to-All pass.
 
-        ``flow`` is a ``(src, dst)`` token matrix; destination ``d``
-        receives ``sum_{s != d} flow[s, d] * token_bytes / Bw(s, d)``.
-        Local tokens never cross a link. The cost model and the
-        ground-truth executor both price the All-to-All through here.
+        ``flow`` is a ``(src, dst)`` token matrix, or a stack of them
+        ``(..., src, dst)``; destination ``d`` receives
+        ``sum_{s != d} flow[s, d] * token_bytes / Bw(s, d)``. Local
+        tokens never cross a link. The cost model and the ground-truth
+        executor both price the All-to-All through here.
         """
         wire = flow * token_bytes
-        np.fill_diagonal(wire, 0.0)
-        return (wire / self.dense()).sum(axis=0)
+        diag = np.arange(self._num_gpus)
+        wire[..., diag, diag] = 0.0
+        return (wire / self.dense()).sum(axis=-2)
 
     def inv_diag(self) -> np.ndarray:
         """``1 / Bw(g, g)`` per GPU (cached)."""

@@ -27,6 +27,7 @@ from repro.core.policy import PolicyMaker
 from repro.core.primitives import Expand, Migrate, PlacementAction, Shrink
 from repro.core.router import (
     FlexibleTokenRouter,
+    LayerPlans,
     ReferenceTokenRouter,
     RoutingPlan,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "GateFlowController",
     "ImbalanceTrigger",
     "LatencyTrigger",
+    "LayerPlans",
     "MemoizedStepCost",
     "Migrate",
     "MoECostModel",

@@ -21,7 +21,9 @@ Two implementations share this contract:
   batched NumPy: locality and capacities are computed for all experts at
   once and each expert's spill is scattered in one proportional
   floor-plus-northwest-corner pass over its block of (spilling sources x
-  replica holders with slack).
+  replica holders with slack). :meth:`~FlexibleTokenRouter.route_layers`
+  routes every MoE layer of a step in one pass over the layers stacked
+  along the expert axis; ``route`` is its one-layer case.
 * :class:`ReferenceTokenRouter` — the original per-expert / per-source
   greedy loop, kept as the executable specification the vectorized router
   is benchmarked and property-tested against.
@@ -39,7 +41,7 @@ form with fractional token counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,6 +116,20 @@ class RoutingPlan:
         return int(self.local[expert].sum() + spilled)
 
 
+class LayerPlans(NamedTuple):
+    """Every MoE layer's plan of one step, from
+    :meth:`FlexibleTokenRouter.route_layers`.
+
+    Attributes:
+        plans: One :class:`RoutingPlan` per layer, in layer order.
+        flows: The layers' flows stacked ``(layers, src, dst)``; each
+            plan's ``flow`` is a view of its row.
+    """
+
+    plans: list[RoutingPlan]
+    flows: np.ndarray
+
+
 def _scatter_sum(
     rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple
 ) -> np.ndarray:
@@ -127,6 +143,12 @@ def _scatter_sum(
 
 
 def _validate_assignment(assignment: np.ndarray, placement: Placement) -> np.ndarray:
+    assignment = _checked_shape(assignment, placement)
+    _check_counts(assignment)
+    return assignment
+
+
+def _checked_shape(assignment: np.ndarray, placement: Placement) -> np.ndarray:
     assignment = np.asarray(assignment)
     if assignment.ndim != 2:
         raise RoutingError("assignment must be (experts, gpus)")
@@ -135,11 +157,32 @@ def _validate_assignment(assignment: np.ndarray, placement: Placement) -> np.nda
             f"assignment shape {assignment.shape} does not match placement "
             f"({placement.num_experts}, {placement.num_gpus})"
         )
-    if not np.isfinite(assignment).all():
-        raise RoutingError("token counts must be finite")
-    if (assignment < 0).any():
-        raise RoutingError("token counts must be non-negative")
     return assignment
+
+
+def _check_counts(counts: np.ndarray) -> None:
+    if counts.dtype.kind not in "iub" and not np.isfinite(counts).all():
+        raise RoutingError("token counts must be finite")
+    if counts.size and counts.min() < 0:
+        raise RoutingError("token counts must be non-negative")
+
+
+def _integral(counts: np.ndarray) -> np.ndarray:
+    """Validated token counts as int64; a fractional count raises instead
+    of being truncated (:meth:`FlexibleTokenRouter.route_fractional`
+    routes those)."""
+    _check_counts(counts)
+    if counts.dtype.kind not in "iub" and (counts != np.trunc(counts)).any():
+        raise RoutingError(
+            "token counts must be integers; route_fractional routes "
+            "fractional counts"
+        )
+    return counts.astype(np.int64, copy=False)
+
+
+def _stacked(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """``matrices`` stacked along their first axis (a lone one as is)."""
+    return matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
 
 
 def _block_cells(
@@ -244,18 +287,84 @@ class FlexibleTokenRouter:
     """Locality-first router over replicated experts, fully vectorized."""
 
     def route(self, assignment: np.ndarray, placement: Placement) -> RoutingPlan:
-        """Compute the routing plan for one step.
+        """Compute the routing plan for one step: the one-layer case of
+        :meth:`route_layers`.
 
         Args:
             assignment: Integer ``I`` matrix ``(experts, src_gpus)``.
             placement: Current expert-to-device mapping.
 
         Raises:
-            RoutingError: On shape mismatch, non-finite or negative counts.
+            RoutingError: On shape mismatch, non-finite, negative or
+                fractional counts.
         """
-        demand = _validate_assignment(assignment, placement).astype(np.int64)
-        num_gpus = demand.shape[1]
-        counts = placement.counts_view
+        return self.route_layers((assignment,), (placement,)).plans[0]
+
+    def route_layers(
+        self,
+        assignments: Sequence[np.ndarray],
+        placements: Sequence[Placement],
+    ) -> LayerPlans:
+        """Route every MoE layer of a step, one plan per layer.
+
+        Routing is separable per expert, so layers are stacked along the
+        expert axis and routed as one ``(layers * experts, gpus)``
+        demand; the plans are exactly the per-layer ones. A stack holds
+        as many layers as keep its ``experts x gpus x gpus`` block cells
+        within :data:`SPILL_CHUNK_CELLS` (at least one), so from 1024
+        devices up every layer routes on its own and the scatter's peak
+        memory is the single-layer one.
+
+        Args:
+            assignments: One integer ``(experts, src_gpus)`` matrix per
+                layer (a ``(layers, experts, gpus)`` array will do).
+            placements: Each layer's expert-to-device mapping; all share
+                one ``(experts, gpus)`` shape.
+
+        Raises:
+            RoutingError: On no layers, a count mismatch between
+                assignments and placements, placements of different
+                shapes, or any layer's shape mismatch, non-finite,
+                negative or fractional counts.
+        """
+        if len(assignments) != len(placements):
+            raise RoutingError(
+                f"{len(assignments)} assignments for {len(placements)} "
+                "placements"
+            )
+        if not placements:
+            raise RoutingError("no layers to route")
+        num_experts, num_gpus = placements[0].num_experts, placements[0].num_gpus
+        if any(
+            (p.num_experts, p.num_gpus) != (num_experts, num_gpus)
+            for p in placements
+        ):
+            raise RoutingError(
+                "placements must share one (experts, gpus) shape"
+            )
+        layers = [_checked_shape(a, p) for a, p in zip(assignments, placements)]
+        per_stack = max(
+            1, SPILL_CHUNK_CELLS // max(1, num_experts * num_gpus * num_gpus)
+        )
+        flows = np.empty((len(layers), num_gpus, num_gpus), dtype=np.int64)
+        plans: list[RoutingPlan] = []
+        for lo in range(0, len(layers), per_stack):
+            stack = slice(lo, lo + per_stack)
+            plans += self._route_stack(
+                _integral(_stacked(layers[stack])),
+                _stacked([p.counts_view for p in placements[stack]]),
+                flows[stack],
+            )
+        return LayerPlans(plans, flows)
+
+    def _route_stack(
+        self, demand: np.ndarray, counts: np.ndarray, flows: np.ndarray
+    ) -> list[RoutingPlan]:
+        """Route layers stacked as ``(layers * experts, gpus)`` int64
+        demand over their stacked placement counts, writing each layer's
+        flow into ``flows`` ``(layers, gpus, gpus)``."""
+        num_layers, num_gpus = len(flows), demand.shape[1]
+        num_experts = len(demand) // num_layers
 
         # ceil(I_e / n_e); an expert without replicas keeps no tokens
         # locally, so its spill fails the capacity check below.
@@ -266,17 +375,38 @@ class FlexibleTokenRouter:
         # local replicas' capacity.
         cap_matrix = counts * capacities[:, None]
         local = np.minimum(demand, cap_matrix)
-        remaining = cap_matrix - local
-        spill_matrix = demand - local
+        spill = self._scatter_spill(demand - local, cap_matrix - local)
 
-        spill = self._scatter_spill(spill_matrix, remaining)
-        flow = _scatter_sum(
-            spill.src, spill.dst, spill.tokens, (num_gpus, num_gpus)
-        )
-        flow.flat[:: num_gpus + 1] += local.sum(axis=0)
-        return RoutingPlan(
-            local=local, spill=spill, capacities=capacities, flow=flow
-        )
+        # The spill COO is sorted by expert: cut it at the layer starts,
+        # and number the experts of every later layer from 0.
+        firsts = np.arange(num_layers + 1) * num_experts
+        cuts = np.searchsorted(spill.expert, firsts)
+        later = slice(cuts[1], None)
+        layer = np.repeat(np.arange(1, num_layers), np.diff(cuts[1:]))
+        spill.expert[later] -= layer * num_experts
+        # Every layer's (src, dst) flow from one bincount with a layer
+        # offset; the diagonal is each layer's local tokens.
+        cells = num_gpus * num_gpus
+        cell = spill.src * num_gpus + spill.dst
+        cell[later] += layer * cells
+        by_layer = flows.reshape(num_layers, cells)
+        by_layer[:] = np.bincount(
+            cell, weights=spill.tokens, minlength=num_layers * cells
+        ).reshape(num_layers, cells)
+        by_layer[:, :: num_gpus + 1] += local.reshape(
+            num_layers, num_experts, num_gpus
+        ).sum(axis=1)
+        plans = []
+        for index in range(num_layers):
+            rows = slice(firsts[index], firsts[index + 1])
+            cut = slice(cuts[index], cuts[index + 1])
+            plans.append(RoutingPlan(
+                local=local[rows],
+                spill=SpillRoutes(*(field[cut] for field in spill)),
+                capacities=capacities[rows],
+                flow=flows[index],
+            ))
+        return plans
 
     @staticmethod
     def _scatter_spill(spill: np.ndarray, remaining: np.ndarray) -> SpillRoutes:
@@ -407,13 +537,13 @@ class ReferenceTokenRouter(FlexibleTokenRouter):
     """
 
     def route(self, assignment: np.ndarray, placement: Placement) -> RoutingPlan:
-        demand_matrix = _validate_assignment(assignment, placement)
+        demand_matrix = _integral(_checked_shape(assignment, placement))
         num_experts, num_gpus = demand_matrix.shape
         counts = placement.counts
         routes = np.zeros((num_experts, num_gpus, num_gpus), dtype=np.int64)
         capacities = np.zeros(num_experts, dtype=np.int64)
         for expert in range(num_experts):
-            demand = demand_matrix[expert].astype(np.int64)
+            demand = demand_matrix[expert]
             total = int(demand.sum())
             if total == 0:
                 continue

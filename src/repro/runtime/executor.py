@@ -30,7 +30,7 @@ the step timeline and the overlap rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from repro.cluster.groups import CommunicatorGroupCache, ordered_allreduce_sched
 from repro.cluster.topology import ClusterTopology
 from repro.config import FORWARD_FRACTION, MoEModelConfig
 from repro.core.placement import Placement
+from repro.core.router import SPILL_CHUNK_CELLS
 from repro.exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -176,7 +177,7 @@ class StepExecutor:
         """Measured seconds of ONE All-to-All pass for a ``(src, dst)`` flow:
         the slowest destination's receive (Eq. 8)."""
         receive = self._topology.bandwidth_model().receive_times(
-            self._checked(flow), self._model.token_bytes
+            self._checked((flow,))[0], self._model.token_bytes
         )
         return float(self._jittered(receive.max()))
 
@@ -188,18 +189,20 @@ class StepExecutor:
         busy = self._jittered(tokens / tps)
         return busy * FORWARD_FRACTION if self._inference else busy
 
-    def _checked(self, flow: np.ndarray) -> np.ndarray:
-        """``flow`` as a float ``(gpus, gpus)`` token matrix, validated."""
-        flow = np.asarray(flow, dtype=float)
+    def _checked(self, layer_flows: Sequence[np.ndarray]) -> np.ndarray:
+        """The layers' flows as one float ``(layers, gpus, gpus)`` token
+        stack, validated."""
         num_gpus = self._topology.num_gpus
-        if flow.shape != (num_gpus, num_gpus):
-            raise SimulationError(
-                f"flow must be ({num_gpus}, {num_gpus}) tokens (src, dst), "
-                f"got shape {flow.shape}"
-            )
-        if not (np.isfinite(flow).all() and flow.min() >= 0):
+        for flow in layer_flows:
+            if np.shape(flow) != (num_gpus, num_gpus):
+                raise SimulationError(
+                    f"flow must be ({num_gpus}, {num_gpus}) tokens (src, dst), "
+                    f"got shape {np.shape(flow)}"
+                )
+        flows = np.asarray(layer_flows, dtype=float)
+        if not (np.isfinite(flows).all() and flows.min() >= 0):
             raise SimulationError("flow token counts must be finite and >= 0")
-        return flow
+        return flows
 
     def real_allreduce_time(self, nbytes: float, group: tuple[int, ...]) -> float:
         """Measured seconds for one AllReduce of ``nbytes`` over ``group``."""
@@ -214,7 +217,8 @@ class StepExecutor:
         placement: Placement,
         adjustment_blocking: float = 0.0,
     ) -> StepTiming:
-        """Execute one step and return its measured timing.
+        """Execute one step and return its measured timing: the one-layer
+        case of :meth:`execute_layers`.
 
         Args:
             flow: ``(src, dst)`` token flow from the router
@@ -227,42 +231,93 @@ class StepExecutor:
             SimulationError: On a flow that is not ``(gpus, gpus)``, a
                 negative or non-finite token count, or negative blocking.
         """
-        flow = self._checked(flow)
         if adjustment_blocking < 0:
             raise SimulationError("adjustment_blocking must be >= 0")
+        (timing,) = self.execute_layers((flow,), (placement,))
+        if adjustment_blocking:
+            timing = replace(timing, adjustment_blocking=adjustment_blocking)
+        return timing
 
+    def execute_layers(
+        self,
+        layer_flows: Sequence[np.ndarray],
+        placements: Sequence[Placement],
+    ) -> list[StepTiming]:
+        """Execute every MoE layer of a step; one timing per layer, in
+        layer order, none charged adjustment blocking.
+
+        Eq. 8's receive maxima and Eq. 7's busy vectors are computed for
+        a stack of layers at once -- as many as keep the stack's
+        ``gpus x gpus`` flow cells within
+        :data:`~repro.core.router.SPILL_CHUNK_CELLS`, at least one. Each
+        layer then makes one jitter draw of ``passes + gpus`` values:
+        the same values, in the same order, as one draw per All-to-All
+        pass followed by one for the busy vector. When training, the
+        layer's replica AllReduce draws follow before the next layer's.
+
+        Args:
+            layer_flows: One ``(src, dst)`` token flow per layer (a
+                ``(layers, gpus, gpus)`` array will do).
+            placements: The placement each layer ran under.
+
+        Raises:
+            SimulationError: On a count mismatch between flows and
+                placements, or any flow that :meth:`execute` rejects.
+        """
+        if len(layer_flows) != len(placements):
+            raise SimulationError(
+                f"{len(layer_flows)} flows for {len(placements)} placements"
+            )
+        num_gpus = self._topology.num_gpus
+        per_stack = max(1, SPILL_CHUNK_CELLS // (num_gpus * num_gpus))
+        timings: list[StepTiming] = []
+        for lo in range(0, len(placements), per_stack):
+            timings += self._play(
+                self._checked(layer_flows[lo : lo + per_stack]),
+                placements[lo : lo + per_stack],
+            )
+        return timings
+
+    def _play(
+        self, flows: np.ndarray, placements: Sequence[Placement]
+    ) -> list[StepTiming]:
+        """The timelines of a validated ``(layers, gpus, gpus)`` stack."""
         # --- All-to-All: dispatch + combine (forward + backward when
         # training; inference skips the backward passes). Every pass moves
         # the same flow; each draws its own jitter.
         passes = 2 if self._inference else 4
-        bottleneck = self._topology.bandwidth_model().receive_times(
-            flow, self._model.token_bytes
-        ).max()
-        a2a_time = sum(float(self._jittered(bottleneck)) for _ in range(passes))
-
-        # --- Expert compute off the flow's column sums: forward barrier
-        # (plus backward barrier when training) --------------------------
-        busy = np.asarray(
-            self._busy(flow.sum(axis=0), self._effective_tps()), dtype=float
-        )
-        if self._inference:
-            compute_time = float(busy.max())
-        else:
-            forward = float((busy * FORWARD_FRACTION).max())
-            backward = float((busy * (1 - FORWARD_FRACTION)).max())
-            compute_time = forward + backward
-
-        # --- Replica gradient AllReduce, deadlock-free launch order
-        # (training only: serving never synchronizes gradients) ----------
-        sync_time = 0.0 if self._inference else self._run_sync(placement)
-
-        return StepTiming(
-            a2a_time=a2a_time,
-            compute_time=compute_time,
-            sync_time=sync_time,
-            adjustment_blocking=adjustment_blocking,
-            per_gpu_compute=busy,
-        )
+        bottlenecks = self._topology.bandwidth_model().receive_times(
+            flows, self._model.token_bytes
+        ).max(axis=-1)
+        # --- Expert compute off the flows' column sums (Eq. 7) ----------
+        seconds = flows.sum(axis=1) / self._effective_tps()
+        timings = []
+        for bottleneck, busy, placement in zip(bottlenecks, seconds, placements):
+            # One jitter draw: the passes' values, then the busy vector's.
+            played = self._jittered(
+                np.concatenate((np.full(passes, bottleneck), busy))
+            )
+            a2a_time = sum(played[:passes].tolist())
+            busy = played[passes:]
+            # Forward barrier (plus backward barrier when training).
+            if self._inference:
+                busy = busy * FORWARD_FRACTION
+                compute_time = float(busy.max())
+            else:
+                forward = float((busy * FORWARD_FRACTION).max())
+                backward = float((busy * (1 - FORWARD_FRACTION)).max())
+                compute_time = forward + backward
+            # --- Replica gradient AllReduce, deadlock-free launch order
+            # (training only: serving never synchronizes gradients) ------
+            sync_time = 0.0 if self._inference else self._run_sync(placement)
+            timings.append(StepTiming(
+                a2a_time=a2a_time,
+                compute_time=compute_time,
+                sync_time=sync_time,
+                adjustment_blocking=0.0,
+                per_gpu_compute=busy,
+            ))
+        return timings
 
     def _run_sync(self, placement: Placement) -> float:
         """AllReduce every replicated expert's gradients, in id order.
@@ -444,14 +499,16 @@ class PipelinedStepExecutor:
     def overlap_efficiency(self) -> float:
         return self._overlap_efficiency
 
-    def dense_block_time(self, source_tokens: np.ndarray) -> float:
-        """Barriered dense-computation seconds of one transformer block.
+    def dense_block_times(self, source_tokens: np.ndarray) -> list[float]:
+        """Barriered dense-computation seconds of each layer's transformer
+        block.
 
         Args:
-            source_tokens: Tokens resident on each source GPU this step.
+            source_tokens: ``(layers, gpus)`` tokens resident on each
+                source GPU this step.
         """
         if not self._model_dense:
-            return 0.0
+            return [0.0] * len(source_tokens)
         dense_tps = self._dense_tps
         state = self._executor.cluster_state
         if state is not None:
@@ -461,7 +518,7 @@ class PipelinedStepExecutor:
             # Dense figures are calibrated forward+backward too; serving
             # runs only the forward share.
             per_gpu = per_gpu * FORWARD_FRACTION
-        return float(per_gpu.max()) if per_gpu.size else 0.0
+        return per_gpu.max(axis=-1).tolist()
 
     def execute(
         self,
@@ -490,19 +547,13 @@ class PipelinedStepExecutor:
         if adjustment_blocking < 0:
             raise SimulationError("adjustment_blocking must be >= 0")
 
-        layer_timings = []
+        layer_timings = self._executor.execute_layers(layer_flows, placements)
+        blocks = self.dense_block_times(np.asarray(layer_flows).sum(axis=2))
         dense_time = 0.0
         hidden = 0.0
-        for flow, placement in zip(layer_flows, placements):
-            timing = self._executor.execute(flow, placement)
-            layer_timings.append(timing)
-            if self._model_dense:
-                source_tokens = np.asarray(flow).sum(axis=1)
-                block = self.dense_block_time(source_tokens)
-                dense_time += block
-                hidden += min(
-                    timing.a2a_time, self._overlap_efficiency * block
-                )
+        for timing, block in zip(layer_timings, blocks):
+            dense_time += block
+            hidden += min(timing.a2a_time, self._overlap_efficiency * block)
         return PipelineStepTiming(
             layer_timings=tuple(layer_timings),
             dense_time=dense_time,

@@ -54,7 +54,7 @@ from repro.core.migration import (
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
 from repro.core.primitives import Expand, PlacementAction, Shrink, apply_actions
-from repro.core.router import FlexibleTokenRouter, RoutingPlan
+from repro.core.router import FlexibleTokenRouter, LayerPlans, RoutingPlan
 from repro.core.scheduler import Scheduler, SchedulingOutcome
 from repro.core.trigger import Trigger
 from repro.exceptions import SimulationError
@@ -538,6 +538,7 @@ class PendingStep:
     outcomes: list = None
     blocking: float = 0.0
     plans: list = None
+    flows: np.ndarray = None
     timing: PipelineStepTiming = None
 
 
@@ -651,6 +652,7 @@ class MultiLayerFlexMoEEngine:
         self._event_log: list[tuple[int, ClusterEvent]] = []
         self._pending_event_blocking = 0.0
         self._elastic_applied_through = -1
+        self._router = FlexibleTokenRouter()
         self._pipe = PipelinedStepExecutor(
             executor,
             num_moe_layers=num_moe_layers,
@@ -960,19 +962,27 @@ class MultiLayerFlexMoEEngine:
             registry.counter("scheduler.actions", kind=kind).inc()
             tel.decision(now, kind, subject, step=step_index, **detail)
 
+    def route(self, assignments: np.ndarray) -> LayerPlans:
+        """Route every layer's assignment over its ACTIVE placement: the
+        step's one router call
+        (:meth:`~repro.core.router.FlexibleTokenRouter.route_layers`).
+
+        Args:
+            assignments: ``(layers, experts, gpus)`` integer gate
+                assignments, one matrix per MoE layer.
+        """
+        return self._router.route_layers(assignments, self.placements())
+
     def step_execute(self, pending: PendingStep) -> PipelineStepTiming:
         """The execute phase (kernel priority STEP).
 
-        Routes every layer over its ACTIVE placement and plays the
-        pipelined whole-transformer step.
+        Routes every layer over its ACTIVE placement in one stacked
+        router pass and plays the pipelined whole-transformer step.
         """
-        pending.plans = [
-            layer.route(assignment)
-            for layer, assignment in zip(self._layers, pending.assignments)
-        ]
+        pending.plans, pending.flows = self.route(pending.assignments)
         pending.timing = self._pipe.execute(
-            [plan.flow for plan in pending.plans],
-            [layer.active_placement for layer in self._layers],
+            pending.flows,
+            self.placements(),
             adjustment_blocking=pending.blocking,
         )
         return pending.timing
@@ -1012,15 +1022,18 @@ class MultiLayerFlexMoEEngine:
         assigned = int(pending.assignments.sum())
         state = self._cluster_state
         self._steps_run += 1
+        # Per-layer loads and locality off the stacked (layers, src, dst)
+        # flows; a layer that routed nothing counts as fully local.
+        flows = pending.flows
+        totals = flows.sum(axis=(1, 2))
+        kept = np.trace(flows, axis1=1, axis2=2)
         return PipelineStepResult(
             timing=pending.timing,
             assigned_tokens=assigned,
             processed_tokens=assigned,
-            layer_gpu_loads=np.stack(
-                [plan.gpu_loads for plan in pending.plans]
-            ),
-            layer_locality=np.array(
-                [plan.locality_fraction for plan in pending.plans]
+            layer_gpu_loads=flows.sum(axis=1),
+            layer_locality=np.divide(
+                kept, totals, out=np.ones(len(flows)), where=totals > 0
             ),
             layer_actions=tuple(committed),
             live_gpus=(

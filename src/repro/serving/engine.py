@@ -328,18 +328,19 @@ class ServingEngine:
 
         ``tokens``/``topics`` are the batch's columns from the admission
         queue (``topics`` reduced modulo the routing model's vocabulary).
-        One multinomial draw per layer over the per-GPU shard sizes: the
-        same samples and RNG stream as one draw per GPU in GPU order (an
-        empty shard draws nothing), which every seeded serving result
-        depends on.
+        One multinomial draw over every layer's per-GPU shard sizes: the
+        same samples and RNG stream as one draw per layer and GPU, layer
+        by layer and GPU by GPU (an empty shard draws nothing), which
+        every seeded serving result depends on.
         """
         per_gpu, remainder = divmod(int(tokens.sum()), self._num_gpus)
         counts = per_gpu + (np.arange(self._num_gpus) < remainder)
-        layers = []
-        for layer in range(self._engine.num_moe_layers):
-            probs = self._routing.batch_probs_arrays(layer, tokens, topics)
-            layers.append(self._rng.multinomial(counts, probs).T)
-        return np.stack(layers)
+        probs = np.stack([
+            self._routing.batch_probs_arrays(layer, tokens, topics)
+            for layer in range(self._engine.num_moe_layers)
+        ])
+        draws = self._rng.multinomial(counts, probs[:, None, :])
+        return np.ascontiguousarray(draws.transpose(0, 2, 1))
 
     def _update_demand(self, assignments: np.ndarray) -> np.ndarray:
         """Fold one batch into the smoothed demand estimate.

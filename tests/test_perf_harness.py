@@ -98,3 +98,25 @@ def test_engine_scale_benchmark_splits_stages_and_skips_over_budget():
     skipped = engine_scale_benchmark(4096, 512, 32)
     assert skipped["trace_bytes"] == footprint["trace_bytes"]
     assert "2.15 GB" in skipped["skipped"]
+
+
+def test_planner_scale_speedup_is_the_median_of_alternating_pairs(monkeypatch):
+    from repro.bench import scale
+
+    timed = {"flat": iter([1.0, 5.0, 2.0]), "hierarchical": iter([2.0, 1.0, 1.0])}
+    calls = []
+
+    def replay(cost_model, topology, trace, slots, placement_search):
+        calls.append(placement_search)
+        # The first call per mode is the untimed warm-up.
+        seconds = next(timed[placement_search]) if len(calls) > 2 else 9.0
+        return seconds, [placement_search], 1.0, 0
+
+    monkeypatch.setattr(scale, "_planner_replay", replay)
+    result = scale.planner_scale_benchmark(16, 16, num_steps=2, tokens_per_gpu=64)
+    assert calls == ["flat", "hierarchical"] * (1 + scale.PLANNER_TIMED_REPLAYS)
+    assert result["timed_replays"] == 3
+    # Per-pair ratios 0.5, 5 and 2: one slow flat replay cannot decide it.
+    assert result["speedup"] == 2.0
+    assert result["flat_seconds"] == 2.0
+    assert result["hierarchical_seconds"] == 1.0
