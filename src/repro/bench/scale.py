@@ -69,6 +69,7 @@ from repro.workload.synthetic import (
     DriftingRoutingGenerator,
     make_multilayer_trace,
 )
+from repro.workload.trace import COUNT_DTYPE
 
 #: Default report location (repo root when run from a checkout).
 REPORT_FILENAME = "BENCH_scale.json"
@@ -80,7 +81,7 @@ SWEEP_SIZES = (64, 256, 1024, 4096)
 SMOKE_SIZES = (64, 1024)
 
 #: Resident bytes the engine benchmark may hold in its two size-bound
-#: arrays: the dense ``(layers, steps, experts, gpus)`` int64 input trace
+#: arrays: the dense ``(layers, steps, experts, gpus)`` int32 input trace
 #: and one step's per-layer ``(gpus, gpus)`` int64 flows. Beyond it the
 #: run is an allocation test, not a benchmark.
 ENGINE_MEMORY_BUDGET_BYTES = 1 << 30
@@ -259,9 +260,11 @@ def planner_scale_benchmark(
 def engine_footprint_bytes(
     num_gpus: int, num_experts: int, num_moe_layers: int, num_steps: int
 ) -> dict[str, int]:
-    """Bytes of the engine benchmark's two size-bound int64 arrays."""
+    """Bytes of the engine benchmark's two size-bound arrays: the input
+    trace, in the traces' count dtype, and one step's int64 flows."""
+    cells = num_moe_layers * num_steps * num_experts * num_gpus
     return {
-        "trace_bytes": 8 * num_moe_layers * num_steps * num_experts * num_gpus,
+        "trace_bytes": COUNT_DTYPE.itemsize * cells,
         "flow_bytes": 8 * num_moe_layers * num_gpus * num_gpus,
     }
 
@@ -292,7 +295,7 @@ def engine_scale_benchmark(
             **footprint,
             "skipped": (
                 f"dense input trace ({num_moe_layers}, {num_steps}, "
-                f"{num_experts}, {num_gpus}) int64 is "
+                f"{num_experts}, {num_gpus}) {COUNT_DTYPE} is "
                 f"{footprint['trace_bytes'] / 1e9:.2f} GB and one step's "
                 f"{num_moe_layers} ({num_gpus}, {num_gpus}) int64 flows are "
                 f"{footprint['flow_bytes'] / 1e9:.2f} GB, over the "

@@ -49,10 +49,10 @@ from repro.exceptions import TopologyError
 class SourceRows(NamedTuple):
     """Dense source rows prepared for :meth:`BandwidthModel.inflow_at`.
 
-    ``matrix`` is the ``(R, G)`` rows themselves (int64 or float64),
-    ``totals`` their float sums and ``node_sums`` their float
-    ``(R, num_nodes)`` per-node partial sums (``None`` for a dense model,
-    which has no node structure to exploit).
+    ``matrix`` is the ``(R, G)`` rows themselves (int32, int64 or
+    float64), ``totals`` their float sums and ``node_sums`` their
+    ``(R, num_nodes)`` per-node partial sums in the rows' own dtype
+    (``None`` for a dense model, which has no node structure to exploit).
     """
 
     matrix: np.ndarray
@@ -240,32 +240,43 @@ class BandwidthModel:
 
         One O(R * G) pass per source matrix (the delta evaluator makes it
         once per assignment); every inflow query after it reads only the
-        row totals and, for the blocked model, the per-node sums.  Int64
-        rows are kept as they are, not copied to float: their sums are
-        exact, and only the ``(R,)`` totals and ``(R, num_nodes)`` node
-        sums become float.  Any other dtype is read as float.
+        row totals and, for the blocked model, the per-node sums.  Int32
+        and int64 rows are kept as they are, not copied to float.  The
+        blocked model sums their nodes in one pass and keeps the node sums
+        in the rows' own dtype, so every per-node sum of an int32 row must
+        stay below ``2**31`` (a trace step's per-expert total does); the
+        row totals add those node sums in int64.  Only the ``(R,)``
+        totals become float.  Any other dtype is read as float.
         """
         sources = np.asarray(sources)
-        if sources.dtype != np.int64:
+        integer = sources.dtype in (np.int32, np.int64)
+        if not integer:
             sources = sources.astype(float, copy=False)
         if sources.ndim != 2 or sources.shape[1] != self._num_gpus:
             raise TopologyError(
                 f"source rows must be (R, {self._num_gpus}), got "
                 f"{sources.shape}"
             )
-        node_sums = None
-        if self._blocked:
+        if not self._blocked:
+            # An int32 sum accumulates in int64.
+            totals = sources.sum(axis=1)
+            return SourceRows(sources, totals.astype(float, copy=False), None)
+        blocks = sources.reshape(-1, self._gpus_per_node)
+        if integer:
+            # Integer sums are exact in any order: one einsum pass beats
+            # both a product with a ones vector and a separate row sum.
+            node_sums = np.einsum("ij->i", blocks).reshape(
+                sources.shape[0], self._num_nodes
+            )
+            totals = node_sums.sum(axis=1, dtype=np.int64)
+        else:
             # A product with a ones vector beats a reduction over the
             # short per-node axis several times over.
-            node_sums = (
-                sources.reshape(-1, self._gpus_per_node)
-                @ np.ones(self._gpus_per_node, dtype=sources.dtype)
-            ).reshape(sources.shape[0], self._num_nodes).astype(
-                float, copy=False
+            node_sums = (blocks @ np.ones(self._gpus_per_node)).reshape(
+                sources.shape[0], self._num_nodes
             )
-        return SourceRows(
-            sources, sources.sum(axis=1).astype(float, copy=False), node_sums
-        )
+            totals = sources.sum(axis=1)
+        return SourceRows(sources, totals.astype(float, copy=False), node_sums)
 
     def inflow_at(
         self,

@@ -33,14 +33,14 @@ holder entries for the rebase, both query shapes and the audit.
 The demand matrix is the one ``E x D`` input a rebase must read, and it
 reads a new one once (one check pass and one node-sum pass) and an
 unchanged one not at all.  A frozen demand -- read-only, with every
-``.base`` up to its owner read-only, C-contiguous int64 or float64, as
-every trace step is -- is kept by reference rather than copied, and
-passing that same array again settles "same demand" by identity.  Any
-other input is snapshotted in its own kind (integers as int64, the rest
-as float), so a caller's writeable array changed in place still reads
-as a new demand.  Integer demand stays integer through the row and node
-sums, which are exact; only those ``(E,)`` and ``(E, nodes)`` sums
-become float.
+``.base`` up to its owner read-only, C-contiguous int32, int64 or
+float64; every trace step is a frozen int32 one -- is kept by reference
+rather than copied, and passing that same array again settles "same
+demand" by identity.  Any other input is snapshotted in its own kind
+(integers as int64, the rest as float), so a caller's writeable array
+changed in place still reads as a new demand.  Integer demand stays
+integer through its node sums and the row totals taken from them, which
+are exact; only the ``(E,)`` totals become float.
 
 Scoring a candidate re-routes only the changed experts' entries and takes
 Eq. 5's max over a copy of the base per-GPU times with the changed
@@ -137,20 +137,45 @@ def _frozen(array: np.ndarray) -> bool:
 def _held_demand(assignment: np.ndarray) -> np.ndarray:
     """The demand matrix :meth:`DeltaStepCost.rebase` keeps.
 
-    A frozen C-contiguous int64 or float64 array is kept by reference:
-    its values cannot change, so the next rebase may compare against it
-    (or settle it by identity) without a copy.  Anything else is
-    snapshotted, so a caller mutating their array in place is seen as a
-    new demand: integers as int64, any other dtype as float.
+    A frozen C-contiguous int32, int64 or float64 array is kept by
+    reference: its values cannot change, so the next rebase may compare
+    against it (or settle it by identity) without a copy.  Anything else
+    is snapshotted, so a caller mutating their array in place is seen as
+    a new demand: integers as int64, any other dtype as float.
     """
     if (
-        assignment.dtype in (np.int64, np.float64)
+        assignment.dtype in (np.int32, np.int64, np.float64)
         and assignment.flags.c_contiguous
         and _frozen(assignment)
     ):
         return assignment
     dtype = np.int64 if assignment.dtype.kind in "iu" else float
     return np.array(assignment, dtype=dtype, order="C")
+
+
+def _checked_demand(demand: np.ndarray) -> np.ndarray:
+    """``demand`` once checked for negative counts, widened to int64 if
+    it is int32 and its rows could reach ``2**31``.
+
+    An integer demand is read in one pass, through its unsigned view: a
+    negative count reads as at least ``2**(bits - 1)`` there, and the same
+    maximum bounds every row total by ``peak * columns``.
+    :meth:`~repro.cluster.bandwidth.BandwidthModel.source_rows` sums int32
+    rows in int32, so the rare int32 demand whose bound reaches ``2**31``
+    (no trace step's does) is copied to int64 and prices exactly.
+    """
+    if not demand.size:
+        return demand
+    if demand.dtype.kind == "f":
+        if demand.min() < 0:
+            raise RoutingError("token counts must be non-negative")
+        return demand
+    peak = int(demand.view(f"u{demand.itemsize}").max())
+    if peak > np.iinfo(demand.dtype).max:
+        raise RoutingError("token counts must be non-negative")
+    if demand.dtype == np.int32 and peak * demand.shape[1] >= 2**31:
+        return demand.astype(np.int64)
+    return demand
 
 
 class DeltaStepCost:
@@ -322,11 +347,11 @@ class DeltaStepCost:
         as a delta against this base.
 
         A new demand is read once: one check pass and one node-sum pass.
-        A frozen C-contiguous int64 or float64 ``assignment`` (every
-        trace step) is kept by reference, anything else is snapshotted
-        (integers as int64, the rest as float), so a caller's writeable
-        array changed in place is seen as a new demand.  Passing the same
-        frozen array again reads none of it.
+        A frozen C-contiguous int32, int64 or float64 ``assignment``
+        (every trace step is frozen int32) is kept by reference, anything
+        else is snapshotted (integers as int64, the rest as float), so a
+        caller's writeable array changed in place is seen as a new
+        demand.  Passing the same frozen array again reads none of it.
         """
         assignment = np.asarray(assignment)
         if assignment.shape != (placement.num_experts, placement.num_gpus):
@@ -349,9 +374,7 @@ class DeltaStepCost:
             # Drop the old demand first so two snapshots never coexist;
             # until the new one is in, the evaluator has no base.
             self._assignment = self._sources = self._placement = None
-            demand = _held_demand(assignment)
-            if demand.size and demand.min() < 0:
-                raise RoutingError("token counts must be non-negative")
+            demand = _checked_demand(_held_demand(assignment))
             sources = self._bw.source_rows(demand)
             # A non-finite count makes its row total non-finite.
             if not np.isfinite(sources.totals).all():

@@ -329,7 +329,18 @@ class Placement:
     # Utility
     # ------------------------------------------------------------------
     def copy(self) -> "Placement":
-        clone = Placement(self._counts, self._slots_per_gpu)
+        """Independent clone with a fresh version and state token.
+
+        The original is valid (every mutation keeps it so), so the clone
+        takes its count matrix and replica totals as they are instead of
+        re-validating them.
+        """
+        clone = object.__new__(Placement)
+        clone._counts = self._counts.copy()
+        clone._replicas = self._replicas.copy()
+        clone._slots_per_gpu = self._slots_per_gpu
+        clone._version = 0
+        clone._state_token = next(Placement._state_counter)
         clone._signature_cache = self._signature_cache
         return clone
 

@@ -168,15 +168,22 @@ def _check_counts(counts: np.ndarray) -> None:
 
 
 def _integral(counts: np.ndarray) -> np.ndarray:
-    """Validated token counts as int64; a fractional count raises instead
-    of being truncated (:meth:`FlexibleTokenRouter.route_fractional`
-    routes those)."""
+    """Validated token counts as int32 or int64; a fractional count
+    raises instead of being truncated
+    (:meth:`FlexibleTokenRouter.route_fractional` routes those).
+
+    Int32 counts (every trace step) are kept as they are: the router's
+    first arithmetic on them meets int64 capacities and widens there.
+    Any other dtype becomes int64.
+    """
     _check_counts(counts)
     if counts.dtype.kind not in "iub" and (counts != np.trunc(counts)).any():
         raise RoutingError(
             "token counts must be integers; route_fractional routes "
             "fractional counts"
         )
+    if counts.dtype == np.int32:
+        return counts
     return counts.astype(np.int64, copy=False)
 
 

@@ -20,7 +20,12 @@ import numpy as np
 
 from repro.config import WorkloadConfig
 from repro.exceptions import ConfigurationError
-from repro.workload.trace import MultiLayerTrace, RoutingTrace
+from repro.workload.trace import (
+    COUNT_DTYPE,
+    COUNT_LIMIT,
+    MultiLayerTrace,
+    RoutingTrace,
+)
 
 
 def stationary_skewed_probs(
@@ -123,6 +128,11 @@ class DriftingRoutingGenerator:
             raise ConfigurationError("num_gpus must be >= 1")
         if not 0 <= locality_bias < 1:
             raise ConfigurationError("locality_bias must be in [0, 1)")
+        if config.tokens_per_step >= COUNT_LIMIT:
+            raise ConfigurationError(
+                f"tokens_per_step must be below 2**31 ({COUNT_LIMIT}): "
+                "trace counts are int32"
+            )
         self._num_experts = num_experts
         self._num_gpus = num_gpus
         self._config = config
@@ -204,8 +214,10 @@ class DriftingRoutingGenerator:
 
     def next_step(self) -> np.ndarray:
         """Generate the next step's assignment matrix ``I`` of shape
-        ``(num_experts, num_gpus)``."""
-        assignment = np.empty((self._num_experts, self._num_gpus), dtype=np.int64)
+        ``(num_experts, num_gpus)``, int32 like every trace step."""
+        assignment = np.empty(
+            (self._num_experts, self._num_gpus), dtype=COUNT_DTYPE
+        )
         self._draw_step(assignment)
         return assignment
 
@@ -240,14 +252,14 @@ class DriftingRoutingGenerator:
     def generate(self, num_steps: int | None = None) -> RoutingTrace:
         """Materialize a :class:`RoutingTrace` of ``num_steps`` steps.
 
-        Steps are drawn straight into the trace's one buffer, which the
-        trace then adopts: the ``(steps, E, G)`` history exists once.
+        Steps are drawn straight into the trace's one int32 buffer, which
+        the trace then adopts: the ``(steps, E, G)`` history exists once.
         """
         steps = num_steps if num_steps is not None else self._config.num_steps
         if steps < 1:
             raise ConfigurationError("num_steps must be >= 1")
         frames = np.empty(
-            (steps, self._num_experts, self._num_gpus), dtype=np.int64
+            (steps, self._num_experts, self._num_gpus), dtype=COUNT_DTYPE
         )
         self._draw_steps(frames)
         return RoutingTrace.adopt(frames)
@@ -320,7 +332,7 @@ def make_multilayer_trace(
     ]
     # Each layer draws straight into its slice of the one stacked buffer.
     buffer = np.empty(
-        (num_layers, cfg.num_steps, num_experts, num_gpus), dtype=np.int64
+        (num_layers, cfg.num_steps, num_experts, num_gpus), dtype=COUNT_DTYPE
     )
     for generator, frames in zip(generators, buffer):
         generator._draw_steps(frames)

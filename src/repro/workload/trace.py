@@ -9,6 +9,13 @@ A :class:`MultiLayerTrace` stacks one such trace per MoE layer of the
 transformer: routing is observed (and placements are adjusted) per layer,
 and expert popularity is uncorrelated across layers, so every layer carries
 its own assignment history over the shared step/expert/GPU axes.
+
+Both store their counts as read-only int32 (:data:`COUNT_DTYPE`), half
+the size of int64.  Every count, and every step's per-expert total, must
+stay below :data:`COUNT_LIMIT` (``2**31``), so every per-expert sum of a
+step is exact in int32.  Sums over a trace axis
+(:meth:`RoutingTrace.expert_loads`, :meth:`RoutingTrace.tokens_per_step`)
+come out int64.
 """
 
 from __future__ import annotations
@@ -21,15 +28,27 @@ import numpy as np
 from repro.exceptions import RoutingError
 
 
+#: The dtype every trace stores its token counts in.
+COUNT_DTYPE = np.dtype(np.int32)
+
+#: Exclusive bound of every token count a trace holds, and of every
+#: step's per-expert total (``2**31``): a total below it keeps every
+#: per-expert sum of one step exact in :data:`COUNT_DTYPE` too.
+COUNT_LIMIT = int(np.iinfo(COUNT_DTYPE).max) + 1
+
+
 def _checked_counts(
     assignments: np.ndarray, axes: tuple[str, ...], copy: bool
 ) -> np.ndarray:
-    """Validate a token-count array and return it as read-only int64.
+    """Validate a token-count array and return it as read-only
+    :data:`COUNT_DTYPE` (int32).
 
-    Float counts must be finite, integral and below ``2**63``: the int64
-    cast would wrap anything else into a garbage, often negative, count.
-    With ``copy`` false an int64 array is kept as it is, so a caller
-    that built the buffer hands it over without a second copy.
+    Counts must be finite, integral and non-negative, and each step's
+    per-expert total (the sum over the last, GPU axis) below
+    :data:`COUNT_LIMIT`; the int32 cast would wrap anything else into a
+    garbage, often negative, count.  With ``copy`` false an int32 array
+    is kept as it is, so a caller that built the buffer hands it over
+    without a second copy.
     """
     arr = np.asarray(assignments)
     if arr.ndim != len(axes):
@@ -38,18 +57,29 @@ def _checked_counts(
             f"got ndim={arr.ndim}"
         )
     integer = arr.dtype.kind in "iu"
-    if not integer and not np.isfinite(arr).all():
-        raise RoutingError("token counts must be finite")
-    if arr.size and arr.min() < 0:
-        raise RoutingError("token counts must be non-negative")
-    if arr.size and arr.dtype.kind in "uf" and arr.max() >= 2**63:
-        raise RoutingError("token counts must fit in int64")
     if not integer:
+        if not np.isfinite(arr).all():
+            raise RoutingError("token counts must be finite")
         rounded = np.round(arr)
         if not np.allclose(arr, rounded):
             raise RoutingError("token counts must be integral")
         arr, copy = rounded, False
-    counts = arr.astype(np.int64, copy=copy)
+    if arr.size and arr.min() < 0:
+        raise RoutingError("token counts must be non-negative")
+    # A Python number: NumPy 2 keeps ``int32 * int`` in int32 (NEP 50).
+    peak = arr.max().item() if arr.size else 0
+    # Counts are non-negative, so a total can reach the limit only if the
+    # largest count times the row length does; only then sum the rows.
+    if peak >= COUNT_LIMIT or (
+        peak * arr.shape[-1] >= COUNT_LIMIT
+        and arr.sum(axis=-1, dtype=np.int64 if integer else float).max()
+        >= COUNT_LIMIT
+    ):
+        raise RoutingError(
+            "token counts and each step's per-expert total must stay "
+            f"below 2**31 ({COUNT_LIMIT}), the int32 limit"
+        )
+    counts = arr.astype(COUNT_DTYPE, copy=copy)
     counts.setflags(write=False)
     return counts
 
@@ -158,7 +188,11 @@ class RoutingTrace(_CountHistory):
 
     @classmethod
     def load(cls, path: str | Path) -> "RoutingTrace":
-        """Load a trace previously written by :meth:`save`."""
+        """Load a trace previously written by :meth:`save`.
+
+        A file holding int64 counts (as earlier versions saved them)
+        loads as int32 with equal values, through the same validation.
+        """
         with np.load(Path(path)) as data:
             if "assignments" not in data:
                 raise RoutingError(f"{path} is not a routing trace file")
@@ -268,7 +302,11 @@ class MultiLayerTrace(_CountHistory):
 
     @classmethod
     def load(cls, path: str | Path) -> "MultiLayerTrace":
-        """Load a trace previously written by :meth:`save`."""
+        """Load a trace previously written by :meth:`save`.
+
+        A file holding int64 counts loads as int32, as in
+        :meth:`RoutingTrace.load`.
+        """
         with np.load(Path(path)) as data:
             if "layer_assignments" not in data:
                 raise RoutingError(f"{path} is not a multi-layer trace file")

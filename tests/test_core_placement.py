@@ -133,6 +133,36 @@ class TestQueries:
         q.remove_vexpert(0, victim)
         assert p.replicas(0) != q.replicas(0) or p.count(0, victim) != q.count(0, victim)
 
+    def test_copy_clones_without_revalidating(self, monkeypatch):
+        """A clone equals the original, validates, shares no array with
+        it, and its own mutations leave the original untouched -- without
+        re-running :meth:`Placement.validate` on the way."""
+        p = Placement.balanced(6, 4, 3)
+        p.swap_vexperts(0, p.gpus_of(0)[0], 1, p.gpus_of(1)[0])
+        sig, counts = p.signature(), p.counts
+        validated = []
+        monkeypatch.setattr(
+            Placement, "validate", lambda self: validated.append(self)
+        )
+        q = p.copy()
+        assert validated == []
+        monkeypatch.undo()
+        assert q == p and q.signature() == sig
+        assert q.replica_counts().tolist() == p.replica_counts().tolist()
+        q.validate()
+        assert q.version == 0
+        assert q.state_token != p.state_token
+        assert not np.shares_memory(q.counts_view, p.counts_view)
+        assert not np.shares_memory(q._replicas, p._replicas)
+        victim = q.gpus_of(2)[0]
+        q.remove_vexpert(2, victim)
+        q.add_vexpert(3, victim)
+        assert q != p and q.signature() != sig
+        assert np.array_equal(p.counts, counts) and p.signature() == sig
+        assert p.replicas(2) == q.replicas(2) + 1
+        p.validate()
+        q.validate()
+
     def test_signature_changes_on_mutation(self):
         p = Placement.balanced(4, 4, 2)
         sig = p.signature()

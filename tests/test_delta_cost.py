@@ -300,10 +300,10 @@ class TestDemandContract:
         )
         for step in (trace.step(0), trace.step(1), layers.step(1)[1]):
             delta.rebase(step, placement)
-            assert np.shares_memory(delta._assignment, step)
-            assert delta._assignment.dtype == np.int64
+            assert delta._assignment is step
+            assert delta._assignment.dtype == np.int32
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
     def test_writeable_input_is_snapshotted(self, dtype, rng):
         case = self.CASE
         cost_model = case.cost_model()
@@ -334,7 +334,7 @@ class TestDemandContract:
         assert np.array_equal(delta.expert_loads, base.sum(axis=1))
 
     @pytest.mark.parametrize(
-        "dtype", [np.int32, np.uint16, np.uint64, ">i8"]
+        "dtype", [np.int16, np.uint16, np.uint64, ">i8"]
     )
     @pytest.mark.parametrize("read_only", [False, True])
     def test_other_integers_are_read_as_int64(self, dtype, read_only, rng):
@@ -370,6 +370,41 @@ class TestDemandContract:
             assignment = frozen(assignment)
         with pytest.raises(RoutingError, match=match):
             delta.rebase(assignment, placement)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_negative_frozen_integers_rejected(self, dtype, rng):
+        """The one-pass unsigned read still sees a negative count."""
+        case = self.CASE
+        delta = DeltaStepCost(case.cost_model())
+        assignment = case.assignment(rng).astype(dtype)
+        assignment[-1, -1] = np.iinfo(dtype).min
+        with pytest.raises(RoutingError, match="non-negative"):
+            delta.rebase(frozen(assignment), case.placement(rng))
+
+    @pytest.mark.parametrize("row_total", [2**31 - 1, 2**31, 2**32 + 5])
+    def test_int32_demand_near_the_limit_prices_like_int64(
+        self, row_total, rng
+    ):
+        """A frozen int32 demand whose row total, and the node sum of the
+        one node it sits on, reach 2**31 never wraps: it prices exactly
+        like its int64 copy."""
+        case = self.CASE
+        cost_model = case.cost_model()
+        placement = case.placement(rng)
+        assignment = case.assignment(rng)
+        cells = cluster_for(case.num_gpus).gpus_per_node
+        assignment[3] = 0
+        assignment[3, :cells] = row_total // cells
+        assignment[3, cells] = row_total % cells
+        assert assignment.max() < 2**31
+        assert assignment[3].sum() == row_total
+        narrow = frozen(assignment.astype(np.int32))
+        delta = DeltaStepCost(cost_model)
+        base = delta.rebase(narrow, placement)
+        twin = DeltaStepCost(cost_model)
+        assert base == twin.rebase(frozen(assignment), placement)
+        assert delta.expert_loads[3] == row_total
+        np.testing.assert_array_equal(delta.expert_loads, twin.expert_loads)
 
     def test_require_base_after_a_frozen_rebase_reroutes_only_moved_rows(
         self, monkeypatch, rng
@@ -897,9 +932,9 @@ def test_frozen_and_writeable_demand_replay_identically(audit):
     assert any(actions for actions, _ in kept[:-1])
 
 
-def test_rebase_peak_memory_at_4096_devices():
-    """A new 512 x 4096 frozen demand is read without an E x G float copy,
-    and an unchanged one without any E x G temporary."""
+def _rebase_peaks_at_4096_devices(dtype) -> tuple[int, int, int]:
+    """Traced peak bytes of a new and of an unchanged frozen 512 x 4096
+    demand's rebase, and the demand's own ``nbytes``."""
     model = MoEModelConfig(
         "delta-4096", num_layers=2, d_model=256, d_ffn=1024, num_experts=512
     )
@@ -910,7 +945,8 @@ def test_rebase_peak_memory_at_4096_devices():
     placement = Placement.balanced(512, 4096, auto_slots_per_gpu(512, 4096))
     rng = np.random.default_rng(0)
     first, second = (
-        frozen(rng.integers(0, 128, (512, 4096))) for _ in range(2)
+        frozen(rng.integers(0, 128, (512, 4096), dtype=dtype))
+        for _ in range(2)
     )
     delta = DeltaStepCost(cost_model)
     delta.rebase(first, placement)
@@ -927,8 +963,24 @@ def test_rebase_peak_memory_at_4096_devices():
         same_demand = peak(second)
     finally:
         tracemalloc.stop()
-    assert new_demand <= 0.5 * second.nbytes
-    assert same_demand <= 0.1 * second.nbytes
+    return new_demand, same_demand, second.nbytes
+
+
+def test_rebase_peak_memory_at_4096_devices():
+    """A new 512 x 4096 frozen demand is read without an E x G float copy,
+    and an unchanged one without any E x G temporary."""
+    new_demand, same_demand, nbytes = _rebase_peaks_at_4096_devices(np.int64)
+    assert new_demand <= 0.5 * nbytes
+    assert same_demand <= 0.1 * nbytes
+
+
+def test_rebase_peak_memory_at_4096_devices_int32():
+    """The same bounds against a trace step's own int32 size: the demand
+    is read in int32, without an int64 or float copy of it."""
+    new_demand, same_demand, nbytes = _rebase_peaks_at_4096_devices(np.int32)
+    assert nbytes == 4 * 512 * 4096
+    assert new_demand <= 0.5 * nbytes
+    assert same_demand <= 0.1 * nbytes
 
 
 EXACT_COST_MODEL = build_cost_model(noise=0.0)

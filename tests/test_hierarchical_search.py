@@ -362,12 +362,41 @@ class TestBandwidthModelEquivalence:
             assert got_blocked[k] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["blocked", "dense"])
+    def test_int32_rows_read_exactly_as_their_int64_copy(
+        self, blocked, dense, kind
+    ):
+        """Int32 rows (a trace step) are read in int32 without a copy,
+        with node sums up to 2**31 - 1 and totals past 2**31, and price
+        like their int64 copy bit for bit."""
+        model = blocked if kind == "blocked" else dense
+        rng = np.random.default_rng(3)
+        per_node = (2**31 - 1) // 4
+        ints = rng.integers(per_node - 8, per_node, size=(6, model.num_gpus))
+        narrow = ints.astype(np.int32)
+        exact = model.source_rows(narrow)
+        wide = model.source_rows(ints)
+        assert exact.matrix is narrow
+        assert exact.totals.max() >= 2**31
+        assert np.array_equal(exact.totals, wide.totals)
+        if kind == "blocked":
+            assert exact.node_sums.dtype == np.int32
+            assert np.array_equal(exact.node_sums, wide.node_sums)
+        rows = np.array([1, 1, 1, 4, 4])
+        segments = np.array([0, 0, 0, 1, 1])
+        devices = np.array([0, 5, 9, 2, 11])
+        kept = ints[rows, devices] * 0.25
+        assert np.array_equal(
+            model.inflow_at(exact, rows, segments, devices, kept),
+            model.inflow_at(wide, rows, segments, devices, kept),
+        )
+
+    @pytest.mark.parametrize("kind", ["blocked", "dense"])
     def test_integer_rows_read_exactly_as_their_float_copy(
         self, blocked, dense, kind
     ):
-        """Int64 source rows are kept as they are, not copied to float,
-        and their totals, node sums and inflows equal the float copy's
-        bit for bit."""
+        """Int64 source rows are kept as they are, not copied to float;
+        their node sums stay int64, and their totals, node sums and
+        inflows equal the float copy's bit for bit."""
         model = blocked if kind == "blocked" else dense
         rng = np.random.default_rng(2)
         ints = rng.integers(0, 2**40, size=(6, model.num_gpus))
@@ -377,7 +406,7 @@ class TestBandwidthModelEquivalence:
         assert exact.totals.dtype == floats.totals.dtype == np.float64
         assert np.array_equal(exact.totals, floats.totals)
         if kind == "blocked":
-            assert exact.node_sums.dtype == np.float64
+            assert exact.node_sums.dtype == np.int64
             assert np.array_equal(exact.node_sums, floats.node_sums)
         else:
             assert exact.node_sums is floats.node_sums is None

@@ -97,7 +97,9 @@ def test_engine_scale_benchmark_splits_stages_and_skips_over_budget():
     assert sum(footprint.values()) > ENGINE_MEMORY_BUDGET_BYTES
     skipped = engine_scale_benchmark(4096, 512, 32)
     assert skipped["trace_bytes"] == footprint["trace_bytes"]
-    assert "2.15 GB" in skipped["skipped"]
+    # The trace is sized at its int32 cells: 32 x 4 x 512 x 4096 x 4 bytes.
+    assert footprint["trace_bytes"] == 4 * 32 * 4 * 512 * 4096
+    assert "int32 is 1.07 GB" in skipped["skipped"]
 
 
 def test_planner_scale_speedup_is_the_median_of_alternating_pairs(monkeypatch):

@@ -14,7 +14,12 @@ import pytest
 
 from repro.cluster.groups import CommunicatorGroupCache
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, MoEModelConfig, SchedulerConfig
+from repro.config import (
+    ClusterConfig,
+    MoEModelConfig,
+    SchedulerConfig,
+    WorkloadConfig,
+)
 from repro.core import router as router_module
 from repro.core.placement import Placement
 from repro.core.router import (
@@ -26,6 +31,7 @@ from repro.exceptions import RoutingError, SimulationError
 from repro.runtime import executor as executor_module
 from repro.runtime.executor import StepExecutor
 from repro.runtime.pipeline import build_engine
+from repro.workload.synthetic import make_multilayer_trace
 
 EXPERTS, GPUS, SLOTS = 12, 8, 4
 
@@ -183,6 +189,45 @@ class TestIntegralCounts:
         want = router.route(assignments[0], placements[0])
         got = router.route(assignments[0].astype(dtype), placements[0])
         assert_plans_equal(got, want)
+
+    @pytest.mark.parametrize("num_gpus, num_layers", [(16, 3), (256, 2)])
+    def test_int32_trace_steps_route_like_their_int64_copy(
+        self, num_gpus, num_layers, monkeypatch
+    ):
+        """A trace step's int32 counts route without an int64 copy of
+        them into plans identical to the int64 copy's -- dtypes too."""
+        experts = 32
+        trace = make_multilayer_trace(
+            num_layers, experts, num_gpus,
+            WorkloadConfig(
+                tokens_per_step=512 * num_gpus, num_steps=2, skew=1.3, seed=6
+            ),
+        )
+        step = trace.step(1)
+        assert step.dtype == np.int32
+        rng = np.random.default_rng(num_gpus)
+        placements = [
+            random_placement(rng, experts, num_gpus, slots=4)
+            for _ in range(num_layers)
+        ]
+        router = FlexibleTokenRouter()
+        want = router.route_layers(step.astype(np.int64), placements)
+        demands = []
+        inner = FlexibleTokenRouter._route_stack
+
+        def seen(self, demand, counts, flows):
+            demands.append(demand.dtype)
+            return inner(self, demand, counts, flows)
+
+        monkeypatch.setattr(FlexibleTokenRouter, "_route_stack", seen)
+        got = router.route_layers(step, placements)
+        assert set(demands) == {np.dtype(np.int32)}
+        assert got.flows.dtype == want.flows.dtype == np.int64
+        np.testing.assert_array_equal(got.flows, want.flows)
+        for got_plan, want_plan in zip(got.plans, want.plans):
+            assert got_plan.local.dtype == np.int64
+            assert got_plan.spill.tokens.dtype == np.int64
+            assert_plans_equal(got_plan, want_plan)
 
 
 # ----------------------------------------------------------------------

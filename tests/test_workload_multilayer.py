@@ -88,8 +88,18 @@ class TestContainer:
         with pytest.raises(RoutingError):
             MultiLayerTrace.adopt(frames)
 
+    def test_rejects_counts_int32_cannot_hold(self):
+        """Counts, and each step's per-expert total, stay below 2**31 in
+        every layer."""
+        frames = np.ones((2, 1, 2, 2), dtype=np.int64)
+        frames[1, 0, 1] = [2**31 - 1, 1]
+        with pytest.raises(RoutingError, match=r"2\*\*31"):
+            MultiLayerTrace(frames)
+        with pytest.raises(RoutingError, match=r"2\*\*31"):
+            MultiLayerTrace.adopt(frames)
+
     def test_adopt_takes_the_buffer_without_a_copy(self):
-        buffer = np.ones((2, 3, 4, 2), dtype=np.int64)
+        buffer = np.ones((2, 3, 4, 2), dtype=np.int32)
         trace = MultiLayerTrace.adopt(buffer)
         assert np.shares_memory(trace.step(0), buffer)
         assert not buffer.flags.writeable
@@ -120,8 +130,17 @@ class TestContainer:
             assert loaded.layer(layer) == trace.layer(layer)
         for t in range(trace.num_steps):
             frame = loaded.step(t)
-            assert frame.dtype == np.int64
+            assert frame.dtype == np.int32
             assert np.array_equal(frame, trace.step(t))
+
+    def test_loads_an_int64_file_as_int32(self, tmp_path):
+        trace = make_multilayer_trace(2, 8, 4, small_config(seed=3))
+        counts = np.stack(list(trace), axis=1).astype(np.int64)
+        path = tmp_path / "int64.npz"
+        np.savez_compressed(path, layer_assignments=counts)
+        loaded = MultiLayerTrace.load(path)
+        assert loaded.step(0).dtype == np.int32
+        assert loaded == trace
 
     def test_loaded_trace_is_immutable(self, tmp_path):
         trace = make_multilayer_trace(2, 8, 4, small_config())

@@ -173,6 +173,33 @@ class TestDriftingGenerator:
         with pytest.raises(ConfigurationError):
             DriftingRoutingGenerator(4, 2, WorkloadConfig(), locality_bias=1.5)
 
+    def test_steps_are_drawn_as_int32(self):
+        assert self.make().next_step().dtype == np.int32
+        assert self.make().generate(2).step(1).dtype == np.int32
+        layers = make_multilayer_trace(
+            2, 16, 4, WorkloadConfig(tokens_per_step=1000, num_steps=2)
+        )
+        assert layers.step(1).dtype == np.int32
+
+    @pytest.mark.parametrize("tokens", [2**31, 2**40])
+    def test_rejects_steps_int32_cannot_hold(self, tokens, monkeypatch):
+        """A step of 2**31 tokens or more fails before anything is drawn."""
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a step")
+
+        monkeypatch.setattr(DriftingRoutingGenerator, "_draw_step", no_draw)
+        config = WorkloadConfig(tokens_per_step=tokens, num_steps=2)
+        with pytest.raises(ConfigurationError, match=r"2\*\*31"):
+            DriftingRoutingGenerator(4, 2, config).generate()
+        with pytest.raises(ConfigurationError, match=r"2\*\*31"):
+            make_multilayer_trace(2, 4, 2, config)
+
+    def test_accepts_a_step_just_below_the_int32_limit(self):
+        config = WorkloadConfig(tokens_per_step=2**31 - 1, num_steps=1)
+        trace = DriftingRoutingGenerator(2, 1, config).generate()
+        assert trace.tokens_per_step().tolist() == [2**31 - 1]
+
     def test_make_trace_helper(self):
         trace = make_trace(8, 4, num_steps=3, tokens_per_step=1000, seed=1)
         assert trace.num_steps == 3
@@ -207,23 +234,30 @@ class TestTraceBuildingMemory:
             tokens_per_step=8 * self.GPUS, num_steps=steps, seed=0
         )
 
+    @staticmethod
+    def nbytes(trace) -> int:
+        """Bytes of the trace's one buffer, at its own cell size."""
+        return trace.num_steps * trace.step(0).nbytes
+
     def test_generate(self):
         generator = DriftingRoutingGenerator(
-            self.EXPERTS, self.GPUS, self.config(8)
+            self.EXPERTS, self.GPUS, self.config(16)
         )
         trace, peak = self.traced_peak(generator.generate)
-        size = 8 * trace.num_steps * trace.num_experts * trace.num_gpus
+        size = self.nbytes(trace)
+        assert size == 4 * trace.num_steps * trace.num_experts * trace.num_gpus
         assert size >= 16 * 2**20
         assert peak <= self.LIMIT * size
 
     def test_make_multilayer_trace(self):
         trace, peak = self.traced_peak(
             lambda: make_multilayer_trace(
-                2, self.EXPERTS, self.GPUS, self.config(4)
+                2, self.EXPERTS, self.GPUS, self.config(8)
             )
         )
-        size = (
-            8 * trace.num_layers * trace.num_steps
+        size = self.nbytes(trace)
+        assert size == (
+            4 * trace.num_layers * trace.num_steps
             * trace.num_experts * trace.num_gpus
         )
         assert size >= 16 * 2**20

@@ -70,6 +70,29 @@ class TestRoutingTrace:
         with pytest.raises(RoutingError):
             RoutingTrace(np.array([[[2**63]]], dtype=np.uint64))
 
+    @pytest.mark.parametrize(
+        "frames",
+        [
+            [[[2**31, 0]]],
+            [[[2**31 - 1, 1]]],
+            [[[1, 1]], [[1, 2**31 - 1]]],
+        ],
+        ids=["count", "expert_total", "later_step_total"],
+    )
+    def test_rejects_counts_int32_cannot_hold(self, frames):
+        """A count, or one step's per-expert total, of 2**31 or more is
+        refused by name instead of wrapping in the int32 trace."""
+        frames = np.array(frames, dtype=np.int64)
+        with pytest.raises(RoutingError, match=r"2\*\*31"):
+            RoutingTrace(frames)
+        with pytest.raises(RoutingError, match=r"2\*\*31"):
+            RoutingTrace.adopt(frames)
+
+    def test_accepts_totals_just_below_the_int32_limit(self):
+        trace = RoutingTrace(np.array([[[2**31 - 2, 1], [0, 5]]]))
+        assert trace.expert_loads(0).tolist() == [2**31 - 1, 5]
+        assert trace.expert_loads(0).dtype == np.int64
+
     def test_constructor_copies_caller_array(self):
         frames = np.ones((2, 3, 4), dtype=np.int64)
         trace = RoutingTrace(frames)
@@ -78,9 +101,9 @@ class TestRoutingTrace:
         assert frames.flags.writeable
 
     def test_adopt_takes_the_buffer_without_a_copy(self):
-        buffer = np.ones((2, 3, 4), dtype=np.int64)
+        buffer = np.ones((2, 3, 4), dtype=np.int32)
         trace = RoutingTrace.adopt(buffer)
-        assert trace == RoutingTrace(np.ones((2, 3, 4), dtype=np.int64))
+        assert trace == RoutingTrace(np.ones((2, 3, 4), dtype=np.int32))
         assert np.shares_memory(trace.step(0), buffer)
         assert not buffer.flags.writeable
 
@@ -117,7 +140,7 @@ class TestRoutingTrace:
         )
         for t in range(5):
             frame = loaded.step(t)
-            assert frame.dtype == np.int64
+            assert frame.dtype == np.int32
             assert np.array_equal(frame, trace.step(t))
 
     def test_roundtrip_of_integral_float_input(self, tmp_path):
@@ -126,7 +149,20 @@ class TestRoutingTrace:
         trace.save(path)
         loaded = RoutingTrace.load(path)
         assert loaded == trace
-        assert loaded.step(0).dtype == np.int64
+        assert loaded.step(0).dtype == np.int32
+
+    def test_loads_an_int64_file_as_int32(self, tmp_path):
+        """A trace file written with int64 counts (as earlier versions
+        saved every trace) loads as int32 with equal values."""
+        counts = np.random.default_rng(3).integers(0, 1000, (4, 6, 3))
+        assert counts.dtype == np.int64
+        path = tmp_path / "int64.npz"
+        np.savez_compressed(path, assignments=counts)
+        loaded = RoutingTrace.load(path)
+        assert loaded.step(0).dtype == np.int32
+        assert loaded == RoutingTrace(counts)
+        for t in range(4):
+            assert np.array_equal(loaded.step(t), counts[t])
 
     def test_loaded_trace_is_immutable(self, tmp_path):
         trace = make_trace()
