@@ -12,6 +12,12 @@ A :class:`Placement` therefore reduces to an integer count matrix
 
 * every expert owns at least one vExpert,
 * no GPU hosts more vExperts than it has slots.
+
+Counts are stored as int16 (:data:`VEXPERT_DTYPE`), a quarter of the
+bytes of int64: a count never exceeds ``slots_per_gpu``, which must stay
+below :data:`VEXPERT_LIMIT` (``2**15``).  Sums along an axis come out
+int64, but elementwise ``int16 * int`` stays int16 under NumPy 2 (NEP
+50), so code that multiplies counts by a token quantity widens first.
 """
 
 from __future__ import annotations
@@ -22,6 +28,48 @@ from typing import Iterable
 import numpy as np
 
 from repro.exceptions import PlacementError
+
+
+#: The dtype every placement stores its vExpert count matrix in.
+VEXPERT_DTYPE = np.dtype(np.int16)
+
+#: Exclusive bound of every vExpert count and of ``slots_per_gpu``
+#: (``2**15``): no GPU holds more vExperts than it has slots, so no
+#: mutation can push a count past :data:`VEXPERT_DTYPE`.
+VEXPERT_LIMIT = int(np.iinfo(VEXPERT_DTYPE).max) + 1
+
+
+def _check_slots(slots_per_gpu: int) -> None:
+    if slots_per_gpu >= VEXPERT_LIMIT:
+        raise PlacementError(
+            f"slots_per_gpu {slots_per_gpu} must stay below 2**15 "
+            f"({VEXPERT_LIMIT}), the int16 limit of vExpert counts"
+        )
+
+
+def _checked_counts(
+    counts: np.ndarray, slots_per_gpu: int, copy: bool
+) -> np.ndarray:
+    """Check a count matrix's shape, kind and range, and return it as
+    :data:`VEXPERT_DTYPE` (int16).
+
+    The range is checked before the cast narrows, so a count the cast
+    would wrap (``65537`` into ``1``) raises instead of passing
+    :meth:`Placement.validate`.  With ``copy`` false an int16 matrix is
+    kept as it is, so a builder hands its buffer over without a copy.
+    """
+    arr = np.asarray(counts)
+    if arr.ndim != 2:
+        raise PlacementError("counts must be a (experts, gpus) matrix")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise PlacementError("counts must be integral")
+    _check_slots(slots_per_gpu)
+    if arr.size and (arr.min() < 0 or arr.max().item() >= VEXPERT_LIMIT):
+        raise PlacementError(
+            "vExpert counts must be non-negative and below 2**15 "
+            f"({VEXPERT_LIMIT}), the int16 limit"
+        )
+    return arr.astype(VEXPERT_DTYPE, copy=copy)
 
 
 class Placement:
@@ -39,15 +87,28 @@ class Placement:
     _state_counter = itertools.count(1)
 
     def __init__(self, counts: np.ndarray, slots_per_gpu: int) -> None:
-        arr = np.asarray(counts)
-        if arr.ndim != 2:
-            raise PlacementError("counts must be a (experts, gpus) matrix")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise PlacementError("counts must be integral")
-        self._counts = arr.astype(np.int64, copy=True)
-        # Per-expert replica totals ``n_e``, kept in step with the matrix
-        # by the one mutation funnel (:meth:`_mutate`).
-        self._replicas = self._counts.sum(axis=1)
+        self._take(
+            _checked_counts(counts, slots_per_gpu, copy=True),
+            slots_per_gpu,
+        )
+
+    @classmethod
+    def _adopt(cls, counts: np.ndarray, slots_per_gpu: int) -> "Placement":
+        """A placement over a freshly built ``counts``, taken over without
+        a copy when it is int16; the caller must not write to it again.
+        It passes the same checks as the constructor's input."""
+        placement = cls.__new__(cls)
+        placement._take(
+            _checked_counts(counts, slots_per_gpu, copy=False),
+            slots_per_gpu,
+        )
+        return placement
+
+    def _take(self, counts: np.ndarray, slots_per_gpu: int) -> None:
+        self._counts = counts
+        # Per-expert replica totals ``n_e`` (int64), kept in step with the
+        # matrix by the one mutation funnel (:meth:`_mutate`).
+        self._replicas = counts.sum(axis=1)
         self._slots_per_gpu = int(slots_per_gpu)
         self._version = 0
         self._state_token = next(Placement._state_counter)
@@ -68,24 +129,9 @@ class Placement:
         (striped), which is the natural generalization of classic expert
         parallelism's one-expert-per-GPU layout.
         """
-        if num_experts < 1 or num_gpus < 1 or slots_per_gpu < 1:
-            raise PlacementError("experts, gpus and slots must all be >= 1")
-        total_slots = num_gpus * slots_per_gpu
-        if total_slots < num_experts:
-            raise PlacementError(
-                f"{total_slots} slots cannot host {num_experts} experts "
-                "(every expert needs at least one vExpert)"
-            )
-        base, extra = divmod(total_slots, num_experts)
-        replica_counts = [base + (1 if e < extra else 0) for e in range(num_experts)]
-        counts = np.zeros((num_experts, num_gpus), dtype=np.int64)
-        slot_cursor = 0
-        for expert, n_replicas in enumerate(replica_counts):
-            for _ in range(n_replicas):
-                gpu = slot_cursor % num_gpus
-                counts[expert, gpu] += 1
-                slot_cursor += 1
-        return cls(counts, slots_per_gpu)
+        return cls._striped(
+            num_experts, num_gpus, slots_per_gpu, np.arange(num_gpus)
+        )
 
     @classmethod
     def balanced_subset(
@@ -112,12 +158,43 @@ class Placement:
             raise PlacementError(
                 f"subset gpus must be in [0, {num_gpus}), got {active}"
             )
-        if len(active) == num_gpus:
-            return cls.balanced(num_experts, num_gpus, slots_per_gpu)
-        inner = cls.balanced(num_experts, len(active), slots_per_gpu)
-        counts = np.zeros((num_experts, num_gpus), dtype=np.int64)
-        counts[:, active] = inner.counts_view
-        return cls(counts, slots_per_gpu)
+        return cls._striped(
+            num_experts, num_gpus, slots_per_gpu, np.array(active)
+        )
+
+    @classmethod
+    def _striped(
+        cls,
+        num_experts: int,
+        num_gpus: int,
+        slots_per_gpu: int,
+        columns: np.ndarray,
+    ) -> "Placement":
+        """Every slot of the ``columns`` GPUs, striped over the experts.
+
+        Slot ``s`` lands on ``columns[s % len(columns)]``; expert ``e``
+        takes the next ``n_e`` slots, with the slots spread as evenly as
+        possible (the first ``total % E`` experts take one more).  One lap
+        of the slots visits each column once, so a lap's ``(expert,
+        column)`` cells are distinct and add in one indexed step.
+        """
+        if num_experts < 1 or num_gpus < 1 or slots_per_gpu < 1:
+            raise PlacementError("experts, gpus and slots must all be >= 1")
+        _check_slots(slots_per_gpu)
+        total_slots = len(columns) * slots_per_gpu
+        if total_slots < num_experts:
+            raise PlacementError(
+                f"{total_slots} slots cannot host {num_experts} experts "
+                "(every expert needs at least one vExpert)"
+            )
+        base, extra = divmod(total_slots, num_experts)
+        replicas = np.full(num_experts, base)
+        replicas[:extra] += 1
+        counts = np.zeros((num_experts, num_gpus), dtype=VEXPERT_DTYPE)
+        owners = np.repeat(np.arange(num_experts), replicas)
+        for lap in owners.reshape(slots_per_gpu, len(columns)):
+            counts[lap, columns] += 1
+        return cls._adopt(counts, slots_per_gpu)
 
     @classmethod
     def expert_parallel(cls, num_experts: int, num_gpus: int) -> "Placement":
@@ -128,11 +205,10 @@ class Placement:
         """
         if num_experts < 1 or num_gpus < 1:
             raise PlacementError("experts and gpus must be >= 1")
-        counts = np.zeros((num_experts, num_gpus), dtype=np.int64)
-        for expert in range(num_experts):
-            counts[expert, expert % num_gpus] += 1
-        slots = int(counts.sum(axis=0).max())
-        return cls(counts, slots)
+        counts = np.zeros((num_experts, num_gpus), dtype=VEXPERT_DTYPE)
+        experts = np.arange(num_experts)
+        counts[experts, experts % num_gpus] = 1
+        return cls._adopt(counts, -(-num_experts // num_gpus))
 
     # ------------------------------------------------------------------
     # Validation & invariants
@@ -141,7 +217,7 @@ class Placement:
         """Raise :class:`PlacementError` if any invariant is violated."""
         if self._slots_per_gpu < 1:
             raise PlacementError("slots_per_gpu must be >= 1")
-        if (self._counts < 0).any():
+        if self._counts.size and self._counts.min() < 0:
             raise PlacementError("vExpert counts must be non-negative")
         per_expert = self._counts.sum(axis=1)
         if not np.array_equal(per_expert, self._replicas):

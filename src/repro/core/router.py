@@ -558,7 +558,10 @@ class ReferenceTokenRouter(FlexibleTokenRouter):
             n_e = int(replicas.sum())
             cap = -(-total // n_e)  # ceil division
             capacities[expert] = cap
-            self._route_expert(routes[expert], demand, replicas * cap)
+            # Widen first: NumPy 2 keeps ``int16 * int`` in int16.
+            self._route_expert(
+                routes[expert], demand, replicas.astype(np.int64) * cap
+            )
         return _plan_from_dense(routes, capacities)
 
     def _route_expert(

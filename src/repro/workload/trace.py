@@ -61,7 +61,7 @@ def _checked_counts(
         if not np.isfinite(arr).all():
             raise RoutingError("token counts must be finite")
         rounded = np.round(arr)
-        if not np.allclose(arr, rounded):
+        if (arr != rounded).any():
             raise RoutingError("token counts must be integral")
         arr, copy = rounded, False
     if arr.size and arr.min() < 0:

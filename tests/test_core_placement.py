@@ -1,9 +1,11 @@
 """Unit tests for the Placement / vExpert model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core.placement import Placement
+from repro.core.placement import VEXPERT_DTYPE, VEXPERT_LIMIT, Placement
 from repro.exceptions import PlacementError
 
 
@@ -178,3 +180,91 @@ class TestQueries:
             p.replicas(7)
         with pytest.raises(PlacementError):
             p.used_slots(9)
+
+
+class TestInt16Counts:
+    """Counts are stored as int16 and checked before the cast narrows."""
+
+    def test_every_builder_stores_int16(self):
+        built = [
+            Placement.balanced(8, 4, 2),
+            Placement.balanced_subset(8, 6, 3, [0, 2, 4]),
+            Placement.expert_parallel(8, 4),
+            Placement(np.ones((2, 3), dtype=np.int64), 2),
+            Placement(np.ones((2, 3), dtype=np.uint8), 2),
+        ]
+        built.append(built[0].copy())
+        for p in built:
+            assert p.counts_view.dtype == VEXPERT_DTYPE
+            assert p.counts.dtype == VEXPERT_DTYPE
+            assert p.replica_counts().dtype == np.int64
+            assert p.signature() == p.counts.tobytes()
+
+    def test_constructor_copies_int16_input(self):
+        counts = np.ones((2, 2), dtype=VEXPERT_DTYPE)
+        p = Placement(counts, 2)
+        assert not np.shares_memory(p.counts_view, counts)
+        p.remove_vexpert(0, 0)
+        assert counts[0, 0] == 1
+
+    @pytest.mark.parametrize("bad", [65537, VEXPERT_LIMIT, -1])
+    def test_rejects_counts_int16_cannot_hold(self, bad):
+        """65537 would wrap to 1 and pass validate(); it raises instead."""
+        assert np.array([65537]).astype(VEXPERT_DTYPE)[0] == 1
+        with pytest.raises(PlacementError, match=r"2\*\*15"):
+            Placement(np.array([[bad]]), 4)
+
+    def test_rejects_unsigned_counts_above_int64(self):
+        with pytest.raises(PlacementError, match=r"2\*\*15"):
+            Placement(np.array([[2**63 + 1]], dtype=np.uint64), 4)
+
+    def test_rejects_slots_int16_cannot_hold(self):
+        with pytest.raises(PlacementError, match=r"2\*\*15"):
+            Placement(np.array([[1]]), VEXPERT_LIMIT)
+        with pytest.raises(PlacementError, match=r"2\*\*15"):
+            Placement.balanced(2, 1, VEXPERT_LIMIT)
+        assert Placement(np.array([[1]]), VEXPERT_LIMIT - 1).slots_per_gpu == (
+            VEXPERT_LIMIT - 1
+        )
+
+    def test_largest_count_fits(self):
+        top = VEXPERT_LIMIT - 1
+        p = Placement(np.array([[top, 0], [0, 1]]), top)
+        assert p.count(0, 0) == top and p.replicas(0) == top
+        p.move_vexpert(0, 0, 1)
+        assert p.count(0, 0) == top - 1 and p.used_slots(1) == 2
+
+
+class TestPlacementMemory:
+    """A 4096-device placement holds its int16 matrix once: the
+    tracemalloc peak of building and copying stays near its own size."""
+
+    LIMIT = 1.25
+
+    @staticmethod
+    def traced_peak(build):
+        """``build()``'s result and the peak bytes it allocated."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = build()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return result, peak
+
+    def test_balanced_builds_its_matrix_once(self):
+        p, peak = self.traced_peak(lambda: Placement.balanced(512, 4096, 4))
+        size = p.counts_view.nbytes
+        assert size == 2 * 512 * 4096
+        assert peak <= self.LIMIT * size
+
+    def test_copy_allocates_one_matrix(self):
+        p = Placement.balanced(512, 4096, 4)
+        clone, peak = self.traced_peak(p.copy)
+        assert clone == p
+        assert peak <= self.LIMIT * p.counts_view.nbytes

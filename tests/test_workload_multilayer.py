@@ -79,6 +79,14 @@ class TestContainer:
         with pytest.raises(RoutingError):
             MultiLayerTrace(-np.ones((1, 2, 3, 4), dtype=np.int64))
 
+    def test_rejects_large_fractional_counts(self):
+        frames = np.ones((2, 1, 2, 2))
+        frames[1, 0, 1] = [1e6 + 0.5, 3.25e5 + 0.25]
+        with pytest.raises(RoutingError, match="integral"):
+            MultiLayerTrace(frames)
+        with pytest.raises(RoutingError, match="integral"):
+            MultiLayerTrace.adopt(frames)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e30, 2.0**63])
     def test_rejects_counts_int64_cannot_hold(self, bad):
         frames = np.ones((2, 1, 2, 2))

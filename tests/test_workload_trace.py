@@ -59,6 +59,14 @@ class TestRoutingTrace:
         with pytest.raises(RoutingError):
             RoutingTrace(np.array([[[0.5]]]))
 
+    def test_rejects_large_fractional_counts(self):
+        """Integrality is exact: a fraction of a large count is not
+        rounded away within a relative tolerance."""
+        with pytest.raises(RoutingError, match="integral"):
+            RoutingTrace(np.array([[[1e6 + 0.5, 3.25e5 + 0.25]]]))
+        with pytest.raises(RoutingError, match="integral"):
+            RoutingTrace.adopt(np.array([[[2.5e5 + 0.5, 7.0]]]))
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e30, 2.0**63])
     def test_rejects_counts_int64_cannot_hold(self, bad):
         """A non-finite or out-of-range float must not be cast into a
