@@ -29,6 +29,11 @@ from repro.core.balance import balance_ratio
 from repro.runtime.executor import StepExecutor, StepTiming
 from repro.exceptions import SimulationError
 
+#: Relative noise of the profiled figures every system schedules against.
+PROFILE_NOISE = 0.02
+#: Communicator groups the shared LRU cache holds before it evicts.
+GROUP_CACHE_CAPACITY = 64
+
 
 @dataclass(frozen=True)
 class SystemContext:
@@ -57,9 +62,7 @@ def build_context(
     cluster: ClusterConfig,
     model: MoEModelConfig,
     seed: int = 0,
-    profile_noise: float = 0.02,
     jitter: float = 0.02,
-    group_cache_capacity: int = 64,
     cluster_state: ClusterState | None = None,
     inference: bool = False,
 ) -> SystemContext:
@@ -69,8 +72,8 @@ def build_context(
     steps, no gradient sync) for the online serving engine.
     """
     topology = ClusterTopology(cluster)
-    profile = Profiler(topology, noise=profile_noise, seed=seed).profile(model)
-    cache = CommunicatorGroupCache(capacity=group_cache_capacity)
+    profile = Profiler(topology, noise=PROFILE_NOISE, seed=seed).profile(model)
+    cache = CommunicatorGroupCache(capacity=GROUP_CACHE_CAPACITY)
     executor = StepExecutor(
         topology,
         model,
@@ -157,9 +160,6 @@ class MoESystem(abc.ABC):
     @abc.abstractmethod
     def step(self, assignment: np.ndarray, step_index: int) -> StepResult:
         """Process one training step's gate assignment."""
-
-    def reset(self) -> None:
-        """Return the system to its initial placement/state."""
 
     def _check_assignment(self, assignment: np.ndarray) -> np.ndarray:
         assignment = np.asarray(assignment)

@@ -88,11 +88,6 @@ class ExpertParallelSystem(MoESystem):
     def placement(self) -> Placement:
         return self._placement
 
-    def reset(self) -> None:
-        self._placement = Placement.expert_parallel(
-            self._ctx.model.num_experts, self._ctx.topology.num_gpus
-        )
-
     def step(self, assignment: np.ndarray, step_index: int) -> StepResult:
         assignment = self._check_assignment(assignment)
         assigned = int(assignment.sum())

@@ -24,20 +24,21 @@ from repro.core.cost_model import MoECostModel
 from repro.core.placement import Placement
 from repro.core.router import FlexibleTokenRouter
 
+#: Upper bound on the experts shadowed in one step.
+MAX_SHADOWED = 8
+
 
 class FasterMoESystem(MoESystem):
     """Expert parallelism + per-step all-GPU shadowing of hot experts.
 
     Args:
         context: Shared substrate.
-        max_shadowed: Upper bound on experts shadowed per step.
     """
 
     name = "FasterMoE"
 
-    def __init__(self, context: SystemContext, max_shadowed: int = 8) -> None:
+    def __init__(self, context: SystemContext) -> None:
         super().__init__(context)
-        self._max_shadowed = max_shadowed
         self._router = FlexibleTokenRouter()
         self._cost_model = MoECostModel(context.profile, context.model)
         self._base_counts = Placement.expert_parallel(
@@ -72,7 +73,7 @@ class FasterMoESystem(MoESystem):
         placement = self._placement_with_shadows(shadowed)
         plan = self._router.route_fractional(assignment, placement)
         best_time = self._cost_model.step_time(plan, placement)
-        for expert in order[: self._max_shadowed * 2]:
+        for expert in order[: MAX_SHADOWED * 2]:
             candidate = shadowed | {int(expert)}
             placement = self._placement_with_shadows(candidate)
             plan = self._router.route_fractional(assignment, placement)
@@ -82,7 +83,7 @@ class FasterMoESystem(MoESystem):
             if time < best_time:
                 best_time = time
                 shadowed = candidate
-                if len(shadowed) >= self._max_shadowed:
+                if len(shadowed) >= MAX_SHADOWED:
                     break
             else:
                 break  # loads are sorted: colder experts help even less

@@ -64,37 +64,20 @@ class FlexMoESystem(MoESystem):
         flow_control: GateFlowController | None = None,
     ) -> None:
         super().__init__(context)
-        self._scheduler_config = scheduler_config or SchedulerConfig()
         self._flow_control = flow_control
         # The adjustment stream overlaps the *whole model's* training step,
         # of which the simulated MoE layer is one slice: the stream budget
         # per simulated step is scaled by the number of MoE layers.
         self._overlap_factor = context.model.num_moe_layers
-        self._build()
-
-    def _build(self) -> None:
-        ctx = self._ctx
         self._layer = LayerPipeline(
-            model=ctx.model,
-            topology=ctx.topology,
-            profile=ctx.profile,
-            collectives=ctx.collectives,
-            scheduler_config=self._scheduler_config,
-            group_cache=ctx.executor.group_cache,
+            model=context.model,
+            topology=context.topology,
+            profile=context.profile,
+            collectives=context.collectives,
+            scheduler_config=scheduler_config or SchedulerConfig(),
+            group_cache=context.executor.group_cache,
         )
         self._scheduler_config = self._layer.config
-
-    def reset(self) -> None:
-        # Communicator warmth gates when pending adjustments commit (a
-        # cached group's creation is free), so a warm cache would make a
-        # replayed run adjust earlier than the original. Restore the
-        # cold-start condition along with the placement state.
-        cache = self._ctx.executor.group_cache
-        if cache is not None:
-            cache.clear()
-        self._build()
-        if self._flow_control is not None:
-            self._flow_control = GateFlowController()
 
     # ------------------------------------------------------------------
     # Accessors

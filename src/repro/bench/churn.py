@@ -27,11 +27,8 @@ Run via ``python -m repro churn [--smoke]``.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.bench.gates import DEGRADATION, seal
 from repro.bench.harness import cluster_for
-from repro.bench.perf import write_report
 from repro.bench.serving import (
     _serving_model,
     probe_batch_seconds,
@@ -43,8 +40,6 @@ from repro.serving.engine import TopicRoutingModel
 from repro.serving.requests import merge_tenant_requests
 from repro.sim.churn import ChurnScenarioConfig, churn_scenario_run
 from repro.sim.scenario import Scenario, smoke_scale
-
-CHURN_REPORT_FILENAME = "BENCH_autoscale_churn.json"
 
 
 def churn_matrix_configs(seed: int = 0) -> dict[str, ChurnScenarioConfig]:
@@ -70,36 +65,30 @@ def churn_matrix_configs(seed: int = 0) -> dict[str, ChurnScenarioConfig]:
     }
 
 
-def degradation_run(
-    smoke: bool = False,
-    seed: int = 0,
-    num_moe_layers: int = 2,
-    num_gpus: int = 8,
-    num_experts: int = 16,
-    num_requests: int = 400,
-    max_batch_tokens: int = 4096,
-    load: float = 1.3,
-    interactive_share: float = 0.4,
-    lost_devices: int = 3,
-    loss_at_fraction: float = 0.25,
-    notice_fraction: float = 0.05,
-    num_topics: int = 4,
-    topic_drift: float = 0.4,
-    skew: float = 2.0,
-) -> dict[str, object]:
+def degradation_run(smoke: bool = False, seed: int = 0) -> dict[str, object]:
     """Shed-on vs shed-off under the same mid-stream capacity loss.
 
     Both servers run the identical multi-tenant stream and lose the same
-    ``lost_devices`` devices to one correlated revocation (with a notice
-    window, so expert states are drained, never lost). ``load`` is
-    calibrated slightly above the *full* pool's capacity: after the loss
-    the global queue saturates, which is exactly the regime the shedding
-    policy exists for. Deterministic under a fixed seed.
+    3 of 8 devices to one correlated revocation a quarter of the way in
+    (with a notice window, so expert states are drained, never lost).
+    The load is calibrated slightly above the *full* pool's capacity:
+    after the loss the global queue saturates, which is exactly the
+    regime the shedding policy exists for. Deterministic under a fixed
+    seed.
     """
     from repro.sim.churn import SpotRevocationSource
 
-    if smoke:
-        num_requests = smoke_scale(num_requests, floor=200)
+    num_moe_layers, num_gpus, num_experts = 2, 8, 16
+    num_requests = smoke_scale(400, floor=200) if smoke else 400
+    max_batch_tokens = 4096
+    load = 1.3
+    interactive_share = 0.4
+    lost_devices = 3
+    loss_at_fraction = 0.25
+    notice_fraction = 0.05
+    num_topics = 4
+    topic_drift = 0.4
+    skew = 2.0
     base = probe_batch_seconds(
         num_moe_layers, num_gpus, num_experts, max_batch_tokens, seed=seed
     )
@@ -208,10 +197,3 @@ def churn_bench_run(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         "rows": rows,
         "degradation": degradation_run(smoke=smoke, seed=seed),
     })
-
-
-def write_churn_report(
-    report: dict[str, object], path: str | Path = CHURN_REPORT_FILENAME
-) -> Path:
-    """Persist the churn benchmark report as JSON."""
-    return write_report(report, path)

@@ -6,7 +6,7 @@ reproduction can be compared against the published numbers at a glance.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -47,16 +47,6 @@ def format_series(
         raise ConfigurationError("series xs and ys must have equal length")
     pairs = ", ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in zip(xs, ys))
     return f"{name}: {pairs}"
-
-
-def format_speedups(
-    title: str, speedups: Mapping[str, float], baseline: str
-) -> str:
-    """Figure 5-style speedup annotation block."""
-    lines = [f"{title} (normalized to {baseline} = 1.0)"]
-    for name, value in speedups.items():
-        lines.append(f"  {name:<12} {value:.2f}x")
-    return "\n".join(lines)
 
 
 def _fmt(value: object) -> str:

@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.bench.gates import seal
 from repro.bench.harness import cluster_for
-from repro.bench.perf import write_report
 from repro.cluster.events import ElasticitySchedule
 from repro.config import FaultConfig, MoEModelConfig
 from repro.core.trigger import NeverTrigger
@@ -66,6 +65,10 @@ REPORT_FILENAME = "BENCH_serving_latency.json"
 
 #: Default multi-tenant report location.
 MULTITENANT_REPORT_FILENAME = "BENCH_multitenant.json"
+
+#: :func:`serving_run`'s backpressure bound, in units of
+#: ``max_batch_tokens``.
+QUEUE_FACTOR = 16.0
 
 
 def _serving_model(num_moe_layers: int, num_experts: int) -> MoEModelConfig:
@@ -291,7 +294,6 @@ def serving_run(
     arrival: str = "bursty",
     load: float = 0.9,
     slo_batches: float = 8.0,
-    queue_factor: float = 16.0,
     skew: float = 2.0,
     topic_drift: float = 0.4,
     num_topics: int = 4,
@@ -305,9 +307,6 @@ def serving_run(
             capacity (1.0 = exactly saturating an ideally balanced
             server; skew pushes the real servers past it).
         slo_batches: Per-request SLO in balanced-batch durations.
-        queue_factor: Backpressure bound in units of
-            ``max_batch_tokens`` (also scales the trigger's queue-depth
-            threshold at half that).
         faults: Optional elasticity injection; its ``failure_step`` /
             ``recovery_steps`` are interpreted in *batch* indices.
         seed: Drives the stream, substrates, profiles and gate sampling.
@@ -318,7 +317,7 @@ def serving_run(
     """
     setup = calibrate_serving(
         num_moe_layers, num_gpus, num_experts, num_requests, mean_tokens,
-        max_batch_tokens, arrival, load, slo_batches, queue_factor, skew,
+        max_batch_tokens, arrival, load, slo_batches, QUEUE_FACTOR, skew,
         topic_drift, num_topics, seed,
     )
     cluster = cluster_for(num_gpus)

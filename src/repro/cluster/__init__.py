@@ -14,7 +14,7 @@ from repro.cluster.events import (
     ClusterEvent,
     ClusterState,
     ElasticitySchedule,
-    redistribute_assignment,
+    redistribute_assignments,
 )
 from repro.cluster.groups import CommunicatorGroupCache, ordered_allreduce_schedule
 from repro.cluster.profiler import ClusterProfile, Profiler
@@ -31,5 +31,5 @@ __all__ = [
     "ElasticitySchedule",
     "Profiler",
     "ordered_allreduce_schedule",
-    "redistribute_assignment",
+    "redistribute_assignments",
 ]

@@ -34,14 +34,5 @@ class Device:
         """Ground-truth expert throughput of this device for ``model``."""
         return self.spec.tokens_per_second(model) * self.compute_scale
 
-    def expert_memory_capacity(self, model: MoEModelConfig) -> int:
-        """How many experts' model states fit in device memory.
-
-        Used as a sanity bound when configuring vExpert slots; the simulated
-        experiments never exceed it, matching the paper's implicit assumption
-        that every GPU can hold a handful of expert replicas.
-        """
-        return max(1, self.spec.memory_bytes // max(1, model.expert_state_bytes))
-
     def __str__(self) -> str:
         return f"gpu{self.index}(node{self.node}.{self.local_rank})"

@@ -36,7 +36,7 @@ that baseline. See ``docs/elasticity.md`` for the full model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -132,18 +132,6 @@ class ClusterState:
     def version(self) -> int:
         """Monotone counter bumped by every mutation (memo invalidation)."""
         return self._version
-
-    @property
-    def pristine(self) -> bool:
-        """True when no event has moved the pool off its initial state.
-
-        Standby headroom (``initial_live``) does not count against
-        pristineness: a pool is pristine while liveness matches the
-        construction-time layout and every device runs at full speed.
-        """
-        return bool(
-            (self._alive == self._initial_alive).all()
-        ) and bool((self._speed == 1.0).all())
 
     @property
     def initial_live(self) -> int:
@@ -310,10 +298,6 @@ class ElasticitySchedule:
         steps = [ev.step for ev in self._events if ev.kind == "fail"]
         return min(steps) if steps else None
 
-    def affected_gpus(self) -> tuple[int, ...]:
-        """Sorted distinct GPUs referenced by any event."""
-        return tuple(sorted({ev.gpu for ev in self._events}))
-
     @classmethod
     def from_fault_config(
         cls, config: FaultConfig, num_gpus: int
@@ -372,71 +356,8 @@ class ElasticitySchedule:
                 )
         return cls(events)
 
-    @classmethod
-    def node_outage(
-        cls,
-        node_gpus: Sequence[int],
-        fail_step: int,
-        recovery_steps: int | None = None,
-    ) -> "ElasticitySchedule":
-        """Whole-node leave (and optional rejoin): one event per GPU."""
-        events = [
-            ClusterEvent(step=fail_step, kind="fail", gpu=int(g)) for g in node_gpus
-        ]
-        if recovery_steps is not None:
-            events.extend(
-                ClusterEvent(
-                    step=fail_step + recovery_steps, kind="recover", gpu=int(g)
-                )
-                for g in node_gpus
-            )
-        return cls(events)
-
     def __repr__(self) -> str:
         return f"ElasticitySchedule(events={len(self._events)})"
-
-
-def redistribute_assignment(
-    assignment: np.ndarray, live_mask: np.ndarray
-) -> np.ndarray:
-    """Re-shard a gate assignment over the surviving source GPUs.
-
-    When a device leaves the pool its data-parallel shard is redistributed
-    over the survivors (elastic training re-shards the batch). Dead
-    columns are zeroed and their per-expert token counts are spread as
-    evenly as possible over the live columns, deterministically (the
-    remainder goes to the lowest-indexed live GPUs). Token totals are
-    conserved exactly.
-
-    Args:
-        assignment: Integer ``I`` matrix ``(experts, gpus)``.
-        live_mask: Boolean liveness vector of length ``gpus``.
-    """
-    assignment = np.asarray(assignment)
-    live_mask = np.asarray(live_mask, dtype=bool)
-    if assignment.ndim != 2 or assignment.shape[1] != live_mask.size:
-        raise ElasticityError(
-            f"assignment shape {assignment.shape} does not match "
-            f"{live_mask.size} devices"
-        )
-    if live_mask.all():
-        return assignment
-    live = np.flatnonzero(live_mask)
-    if live.size == 0:
-        raise ElasticityError("cannot redistribute tokens: no live device")
-    dead = np.flatnonzero(~live_mask)
-    dead_totals = assignment[:, dead].sum(axis=1)
-    out = assignment.copy()
-    out[:, dead] = 0
-    # Only experts that actually routed tokens to a dead device need
-    # re-sharding; everyone else's row is already correct.
-    rows = np.flatnonzero(dead_totals)
-    if rows.size:
-        base, remainder = np.divmod(dead_totals[rows], live.size)
-        out[np.ix_(rows, live)] += base[:, None] + (
-            np.arange(live.size)[None, :] < remainder[:, None]
-        )
-    return out
 
 
 def redistribute_assignments(

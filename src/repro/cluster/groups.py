@@ -14,7 +14,7 @@ group-creation overheads and assert deadlock freedom.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.exceptions import SimulationError
@@ -99,9 +99,6 @@ class CommunicatorGroupCache:
             self._groups.popitem(last=False)
             self._stats.evictions += 1
         return self._creation_cost
-
-    def clear(self) -> None:
-        self._groups.clear()
 
 
 @dataclass(frozen=True)

@@ -207,13 +207,3 @@ class Profiler:
         profile._noise = self._noise / np.sqrt(self._repeats)
         profile._rng_state = self._rng
         return profile
-
-    def exact_profile(self, model: MoEModelConfig) -> ClusterProfile:
-        """Noise-free profile (ground truth), useful for unit tests."""
-        saved_noise = self._noise
-        self._noise = 0.0
-        try:
-            profile = self.profile(model)
-        finally:
-            self._noise = saved_noise
-        return profile

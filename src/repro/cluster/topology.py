@@ -158,12 +158,6 @@ class ClusterTopology:
             return float(cfg.intra_node_latency)
         return float(cfg.inter_node_latency)
 
-    def gpus_on_node(self, node: int) -> tuple[int, ...]:
-        if not 0 <= node < self.num_nodes:
-            raise TopologyError(f"node {node} out of range [0, {self.num_nodes})")
-        start = node * self._config.gpus_per_node
-        return tuple(range(start, start + self._config.gpus_per_node))
-
     def nodes_spanned(self, gpus: Iterable[int]) -> tuple[int, ...]:
         """Sorted node ids touched by ``gpus`` (dedup'd)."""
         return tuple(sorted({self.node_of(g) for g in gpus}))

@@ -65,7 +65,6 @@ class MoEModelConfig:
         top_k: Gate sparsity (the paper uses Top-2 for every evaluation model).
         capacity_factor: Expert capacity multiplier used by capacity-based
             baselines; ``None`` disables capacity limits entirely.
-        balance_loss_coef: Weight of the auxiliary load-balancing loss.
     """
 
     name: str
@@ -75,7 +74,6 @@ class MoEModelConfig:
     num_experts: int
     top_k: int = 2
     capacity_factor: float | None = 1.0
-    balance_loss_coef: float = 0.001
 
     def __post_init__(self) -> None:
         _require(self.num_layers >= 1, "num_layers must be >= 1")
@@ -88,7 +86,6 @@ class MoEModelConfig:
         )
         if self.capacity_factor is not None:
             _require(self.capacity_factor > 0, "capacity_factor must be > 0")
-        _require(self.balance_loss_coef >= 0, "balance_loss_coef must be >= 0")
 
     @property
     def expert_params(self) -> int:
@@ -168,12 +165,10 @@ class DeviceSpec:
     """
 
     name: str = "A100"
-    memory_bytes: int = 80 * 1024**3
     peak_flops: float = 312e12
     mfu: float = 0.40
 
     def __post_init__(self) -> None:
-        _require(self.memory_bytes > 0, "memory_bytes must be > 0")
         _require(self.peak_flops > 0, "peak_flops must be > 0")
         _require(0 < self.mfu <= 1.0, "mfu must be in (0, 1]")
 

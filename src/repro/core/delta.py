@@ -240,11 +240,6 @@ class DeltaStepCost:
         return self._cost_model
 
     @property
-    def base_time(self) -> float:
-        """Step time of the configuration cached by the last rebase."""
-        return self._base_time
-
-    @property
     def holders(self) -> HolderIndex:
         """Holder index of the placement cached by the last rebase.
 

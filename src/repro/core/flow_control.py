@@ -45,13 +45,6 @@ class GateFlowController:
         self._max_backlog_steps = max_backlog_steps
         self._backlog: np.ndarray | None = None  # (experts, gpus)
         self._backlog_age = 0
-        self._deferred_total = 0
-        self._released_total = 0
-
-    @property
-    def deferred_total(self) -> int:
-        """Tokens ever deferred (cumulative)."""
-        return self._deferred_total
 
     @property
     def backlog_tokens(self) -> int:
@@ -91,8 +84,6 @@ class GateFlowController:
             if self._backlog.shape != assignment.shape:
                 raise RoutingError("assignment shape changed mid-stream")
             assignment += self._backlog
-            released = int(self._backlog.sum())
-            self._released_total += released
             self._backlog = None
 
         if not np.isfinite(self._watermark_factor):
@@ -115,7 +106,6 @@ class GateFlowController:
             )
         self._backlog = deferred
         self._backlog_age += 1
-        self._deferred_total += int(deferred.sum())
         return assignment - deferred
 
     @staticmethod

@@ -368,19 +368,6 @@ class Placement:
             )
         self._mutate((expert, gpu, -1))
 
-    def move_vexpert(self, expert: int, src: int, dst: int) -> None:
-        """Relocate one vExpert of ``expert`` from ``src`` to ``dst``."""
-        if src == dst:
-            raise PlacementError("migrate source and destination must differ")
-        self._check_expert(expert)
-        self._check_gpu(src)
-        self._check_gpu(dst)
-        if self._counts[expert, src] < 1:
-            raise PlacementError(f"expert {expert} has no vExpert on gpu {src}")
-        if self.free_slots(dst) < 1:
-            raise PlacementError(f"gpu {dst} has no free vExpert slot")
-        self._mutate((expert, src, -1), (expert, dst, 1))
-
     def swap_vexperts(self, expert_a: int, gpu_a: int, expert_b: int, gpu_b: int) -> None:
         """Exchange one vExpert of ``expert_a``@``gpu_a`` with one of
         ``expert_b``@``gpu_b`` (the paper's Migrate exchange)."""
@@ -430,15 +417,6 @@ class Placement:
         if self._signature_cache is None:
             self._signature_cache = self._counts.tobytes()
         return self._signature_cache
-
-    def memory_bytes_per_gpu(self, expert_state_bytes: int) -> np.ndarray:
-        """Model-state bytes held by each GPU.
-
-        Packed vExperts (same expert, same GPU) share one copy of the
-        weights, so memory counts *distinct* experts per GPU.
-        """
-        distinct = (self._counts > 0).sum(axis=0)
-        return distinct * expert_state_bytes
 
     def _check_expert(self, expert: int) -> None:
         if not 0 <= expert < self.num_experts:

@@ -59,6 +59,12 @@ from repro.exceptions import PlacementError, SchedulingError
 if TYPE_CHECKING:
     from repro.cluster.topology import ClusterTopology
 
+#: Hottest experts (by per-replica load) a round tries to Expand.
+EXPAND_CANDIDATES = 3
+#: Least-loaded experts above the replication floor each hot expert may
+#: Shrink.
+SHRINK_CANDIDATES = 2
+
 
 @dataclass(frozen=True)
 class PolicyDecision:
@@ -109,8 +115,6 @@ class PolicyMaker:
         cost_model: MoECostModel,
         router: FlexibleTokenRouter | None = None,
         adjustment_horizon: int = 25,
-        expand_candidates: int = 3,
-        shrink_candidates: int = 2,
         min_replicas: int = 1,
         use_delta: bool = True,
         topology: "ClusterTopology | None" = None,
@@ -118,8 +122,6 @@ class PolicyMaker:
     ) -> None:
         if adjustment_horizon < 0:
             raise SchedulingError("adjustment_horizon must be >= 0")
-        if expand_candidates < 1 or shrink_candidates < 1:
-            raise SchedulingError("candidate counts must be >= 1")
         if min_replicas < 1:
             raise SchedulingError("min_replicas must be >= 1")
         if placement_search not in ("auto", "flat", "hierarchical"):
@@ -139,8 +141,6 @@ class PolicyMaker:
         self._use_delta = use_delta
         self._delta = DeltaStepCost(cost_model) if use_delta else None
         self._adjustment_horizon = adjustment_horizon
-        self._expand_candidates = expand_candidates
-        self._shrink_candidates = shrink_candidates
         self._min_replicas = min_replicas
         num_gpus = int(np.asarray(cost_model.profile.tps).shape[0])
         if placement_search == "auto":
@@ -207,12 +207,12 @@ class PolicyMaker:
         replicas = placement.replica_counts().astype(float)
         caps = expert_loads / replicas
 
-        hot = np.argsort(-caps, kind="stable")[: self._expand_candidates]
+        hot = np.argsort(-caps, kind="stable")[:EXPAND_CANDIDATES]
         # Every hot expert draws its shrink partners from the same
         # ascending-load list; one spare covers excluding the hot expert.
         order_asc = np.argsort(caps, kind="stable")
         shrinkable = order_asc[replicas[order_asc] > self._min_replicas][
-            : self._shrink_candidates + 1
+            : SHRINK_CANDIDATES + 1
         ]
         if self._use_delta:
             best = self._sweep_round(placement, hot, shrinkable, t0)
@@ -242,9 +242,7 @@ class PolicyMaker:
         """Shrink partners of hot expert ``e0``: the least-loaded experts
         above the replication floor (1 in the paper's setting, 2 in
         elastic runs so failures never orphan an expert), ``e0`` excluded."""
-        return [e for e in shrinkable.tolist() if e != e0][
-            : self._shrink_candidates
-        ]
+        return [e for e in shrinkable.tolist() if e != e0][:SHRINK_CANDIDATES]
 
     def _sweep_round(
         self,

@@ -111,10 +111,6 @@ class RoutingPlan:
             return 1.0
         return float(np.trace(self.flow) / total)
 
-    def tokens_for(self, expert: int) -> int:
-        spilled = self.spill.tokens[self.spill.expert == expert].sum()
-        return int(self.local[expert].sum() + spilled)
-
 
 class LayerPlans(NamedTuple):
     """Every MoE layer's plan of one step, from

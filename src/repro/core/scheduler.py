@@ -15,7 +15,7 @@ block the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
 from repro.core.primitives import PlacementAction, apply_actions
-from repro.core.router import FlexibleTokenRouter
 from repro.core.trigger import Trigger, TriggerSignals, trigger_from_config
-from repro.exceptions import SchedulingError
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,6 @@ class Scheduler:
         self._p99_latency: float | None = None
         self._queue_tokens: float | None = None
         self._slo_attainment: float | None = None
-        self._router = FlexibleTokenRouter()
         self._migration = MigrationPlanner(
             policy.cost_model,
             topology,
@@ -274,20 +271,3 @@ class Scheduler:
         )
         self._history.append(outcome)
         return outcome
-
-    # ------------------------------------------------------------------
-    # Introspection helpers
-    # ------------------------------------------------------------------
-    def total_actions(self) -> int:
-        return sum(len(outcome.actions) for outcome in self._history)
-
-    def trigger_rate(self) -> float:
-        """Fraction of observed steps that started a scheduling round.
-
-        Only steps that reached :meth:`on_step` count: a layer whose
-        best-effort stream still holds uncommitted actions skips the call,
-        so those held steps are neither in :attr:`history` nor here.
-        """
-        if not self._history:
-            return 0.0
-        return sum(o.triggered for o in self._history) / len(self._history)

@@ -12,7 +12,7 @@ MoE transformers on the synthetic datasets and reproduce those trade-offs.
 * :mod:`repro.model.expert` — the two-layer FFN expert;
 * :mod:`repro.model.moe_layer` — dispatch/combine over experts;
 * :mod:`repro.model.transformer` — blocks and task heads;
-* :mod:`repro.model.optimizer` — SGD / Adam;
+* :mod:`repro.model.optimizer` — Adam;
 * :mod:`repro.model.losses` — cross-entropy and perplexity;
 * :mod:`repro.model.zoo` — the Table 1 model registry.
 """
@@ -20,7 +20,7 @@ MoE transformers on the synthetic datasets and reproduce those trade-offs.
 from repro.model.gate import GateStats, TopKGate
 from repro.model.layers import Linear, Module, Parameter
 from repro.model.moe_layer import MoELayer
-from repro.model.optimizer import Adam, SGD
+from repro.model.optimizer import Adam
 from repro.model.transformer import MoEClassifier, MoELanguageModel
 from repro.model.zoo import MODEL_ZOO, get_model_config
 
@@ -34,7 +34,6 @@ __all__ = [
     "MoELayer",
     "Module",
     "Parameter",
-    "SGD",
     "TopKGate",
     "get_model_config",
 ]

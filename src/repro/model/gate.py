@@ -52,8 +52,6 @@ class TopKGate(Module):
         balance_coef: Weight of the auxiliary balance loss added to the
             gradient during :meth:`backward` (0 disables it).
         rng: Initializer RNG.
-        noise_std: Std of gaussian logit noise at routing time (Shazeer-
-            style exploration); 0 disables.
     """
 
     def __init__(
@@ -63,22 +61,17 @@ class TopKGate(Module):
         top_k: int,
         balance_coef: float,
         rng: np.random.Generator,
-        noise_std: float = 0.0,
     ) -> None:
         if not 1 <= top_k <= num_experts:
             raise ModelError("top_k must be in [1, num_experts]")
         if balance_coef < 0:
             raise ModelError("balance_coef must be >= 0")
-        if noise_std < 0:
-            raise ModelError("noise_std must be >= 0")
         self.num_experts = num_experts
         self.top_k = top_k
         self.balance_coef = balance_coef
-        self.noise_std = noise_std
         self.w_gate = Parameter(
             rng.normal(0.0, 0.02, (d_model, num_experts)), "gate.w"
         )
-        self._rng = rng
         self._cache: tuple | None = None
         self.last_stats: GateStats | None = None
 
@@ -100,13 +93,8 @@ class TopKGate(Module):
                 f"expected (N, {self.w_gate.shape[0]}), got {x.shape}"
             )
         logits = x @ self.w_gate.data
-        routing_logits = logits
-        if self.noise_std > 0:
-            routing_logits = logits + self._rng.normal(
-                0.0, self.noise_std, logits.shape
-            )
         n = x.shape[0]
-        order = np.argsort(-routing_logits, axis=1, kind="stable")
+        order = np.argsort(-logits, axis=1, kind="stable")
         indices = order[:, : self.top_k]
         rows = np.arange(n)[:, None]
         selected = logits[rows, indices]

@@ -60,9 +60,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
@@ -136,29 +133,6 @@ class ReLU(Module):
         return grad * self._cache
 
 
-class GELU(Module):
-    """Gaussian error linear unit (tanh approximation)."""
-
-    _C = np.sqrt(2.0 / np.pi)
-
-    def __init__(self) -> None:
-        self._cache: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        inner = self._C * (x + 0.044715 * x**3)
-        tanh = np.tanh(inner)
-        self._cache = (x, tanh)
-        return 0.5 * x * (1.0 + tanh)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        self._require_cache(self._cache, "GELU")
-        x, tanh = self._cache
-        sech2 = 1.0 - tanh**2
-        d_inner = self._C * (1.0 + 3 * 0.044715 * x**2)
-        local = 0.5 * (1.0 + tanh) + 0.5 * x * sech2 * d_inner
-        return grad * local
-
-
 class LayerNorm(Module):
     """Layer normalization over the last axis."""
 
@@ -221,23 +195,6 @@ class Embedding(Module):
             self.table.grad, ids.reshape(-1), grad.reshape(-1, grad.shape[-1])
         )
         return np.zeros(ids.shape + (0,))  # ids carry no gradient
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        self.modules = list(modules)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for module in self.modules:
-            x = module.forward(x)
-        return x
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for module in reversed(self.modules):
-            grad = module.backward(grad)
-        return grad
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -160,9 +160,3 @@ class MoELayer(Module):
             np.add.at(grad_x, tokens, grad_in)
         grad_x += self.gate.backward(grad_weights)
         return grad_x
-
-    def assignment_matrix(self) -> np.ndarray:
-        """Last forward's per-expert token counts (``I`` with one source)."""
-        if self.last_stats is None:
-            raise ModelError("assignment_matrix requires a prior forward")
-        return self.last_stats.expert_counts.copy()

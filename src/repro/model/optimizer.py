@@ -1,4 +1,4 @@
-"""Optimizers for the NumPy training stack.
+"""The optimizer of the NumPy training stack.
 
 Adam keeps per-parameter first/second moments — the "optimizer states"
 whose transfer the paper's Expand/Migrate primitives must pay for
@@ -15,52 +15,8 @@ from repro.exceptions import ModelError
 from repro.model.layers import Parameter
 
 
-class Optimizer:
-    """Base optimizer over a fixed parameter list."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
-        if lr <= 0:
-            raise ModelError("learning rate must be > 0")
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ModelError("optimizer needs at least one parameter")
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.1,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0 <= momentum < 1:
-            raise ModelError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-
-class Adam(Optimizer):
-    """Adam with bias correction."""
+class Adam:
+    """Adam with bias correction over a fixed parameter list."""
 
     def __init__(
         self,
@@ -69,7 +25,12 @@ class Adam(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ) -> None:
-        super().__init__(parameters, lr)
+        if lr <= 0:
+            raise ModelError("learning rate must be > 0")
+        self.parameters = list(parameters)
+        if not self.parameters:
+            raise ModelError("optimizer needs at least one parameter")
+        self.lr = lr
         beta1, beta2 = betas
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ModelError("betas must be in [0, 1)")

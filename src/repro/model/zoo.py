@@ -88,16 +88,3 @@ def estimate_total_params(config: MoEModelConfig, vocab_size: int = 0) -> int:
     total += moe_layers * (config.num_experts * ffn + gate)
     total += vocab_size * d * 2  # input embedding + output head
     return total
-
-
-def params_match_paper(name: str, tolerance: float = 0.35) -> bool:
-    """Whether the derived count is within ``tolerance`` of Table 1."""
-    config = get_model_config(name)
-    vocab = 0
-    if name.startswith("BERT"):
-        vocab = NLP_VOCAB
-    elif name.startswith("GPT"):
-        vocab = GPT_VOCAB
-    derived = estimate_total_params(config, vocab)
-    paper = PAPER_PARAMS[name]
-    return abs(derived - paper) / paper <= tolerance

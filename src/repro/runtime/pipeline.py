@@ -118,7 +118,6 @@ class LayerPipeline:
                 )
             )
         self._model = model
-        self._topology = topology
         self._group_cache = group_cache
         self._config = config
         self._cluster_state = cluster_state
@@ -640,9 +639,7 @@ class MultiLayerFlexMoEEngine:
         trigger_factory: Callable[[], Trigger] | None = None,
     ) -> None:
         self._executor = executor
-        self._profile = profile
         self._collectives = collectives
-        self._scheduler_config = scheduler_config
         self._elasticity = elasticity
         state = executor.cluster_state
         if state is None and elasticity is not None:
@@ -675,7 +672,6 @@ class MultiLayerFlexMoEEngine:
         ]
         # Each blocking layer's committed count at its last step_commit.
         self._reported_commits = [0] * len(self._layers)
-        self._steps_run = 0
 
     # ------------------------------------------------------------------
     # Accessors
@@ -1021,7 +1017,6 @@ class MultiLayerFlexMoEEngine:
 
         assigned = int(pending.assignments.sum())
         state = self._cluster_state
-        self._steps_run += 1
         # Per-layer loads and locality off the stacked (layers, src, dst)
         # flows; a layer that routed nothing counts as fully local.
         flows = pending.flows
@@ -1087,7 +1082,6 @@ def build_engine(
     overlap_efficiency: float = 1.0,
     model_dense_compute: bool = True,
     seed: int = 0,
-    profile_noise: float = 0.02,
     jitter: float = 0.02,
     elasticity: ElasticitySchedule | None = None,
     trigger_factory: Callable[[], Trigger] | None = None,
@@ -1109,7 +1103,6 @@ def build_engine(
         cluster,
         model,
         seed=seed,
-        profile_noise=profile_noise,
         jitter=jitter,
         cluster_state=(
             ClusterState(cluster.num_gpus, initial_live=initial_live)

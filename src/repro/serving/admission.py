@@ -196,11 +196,6 @@ class PriorityAdmissionQueue:
         return self._queued_tokens
 
     @property
-    def rejected_requests(self) -> int:
-        """Arrivals turned away by backpressure so far."""
-        return self._rejected
-
-    @property
     def shed(self) -> tuple[Request, ...]:
         """Queued requests shed to make room for higher-priority arrivals.
 
@@ -217,13 +212,6 @@ class PriorityAdmissionQueue:
     def shed_by_tenant(self, tenant: int) -> int:
         """How many of ``tenant``'s queued requests were shed so far."""
         return self._shed_counts[tenant]
-
-    def tenant_queued_tokens(self, tenant: int) -> int:
-        return self._tenant_tokens[tenant]
-
-    def tenant_served_tokens(self, tenant: int) -> float:
-        """The tenant's stride counter (dispatched minus refunded)."""
-        return self._served_tokens[tenant]
 
     def __len__(self) -> int:
         return self._queued_requests

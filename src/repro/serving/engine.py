@@ -63,6 +63,12 @@ from repro.serving.slo import (
 )
 from repro.workload.synthetic import LAYER_SEED_STRIDE, stationary_skewed_probs
 
+#: EWMA factor of the demand estimate the schedulers observe: each batch
+#: contributes this fraction, the running estimate the rest. A
+#: micro-batch is a small sample of the live distribution, so scheduling
+#: on the raw batch would chase sampling noise.
+POPULARITY_SMOOTHING = 0.3
+
 
 class TopicRoutingModel:
     """Maps a batch's topic composition to per-layer expert popularity.
@@ -121,18 +127,6 @@ class TopicRoutingModel:
     def num_experts(self) -> int:
         return self._profiles.shape[2]
 
-    def topic_profile(self, layer: int, topic: int) -> np.ndarray:
-        """Expert-popularity vector of one (layer, topic) pair."""
-        return self._profiles[layer, topic]
-
-    def batch_probs(self, layer: int, batch: Sequence[Request]) -> np.ndarray:
-        """Token-weighted expert distribution of ``batch`` at ``layer``."""
-        if not batch:
-            raise SimulationError("batch must not be empty")
-        tokens = np.array([r.tokens for r in batch], dtype=float)
-        topics = np.array([r.topic for r in batch]) % self.num_topics
-        return self.batch_probs_arrays(layer, tokens, topics)
-
     def batch_probs_arrays(
         self, layer: int, tokens: np.ndarray, topics: np.ndarray
     ) -> np.ndarray:
@@ -177,12 +171,6 @@ class ServingEngine:
             engine's shape and the requests' topic range.
         skew: Zipf exponent for a default-built routing model.
         seed: Seed of the multinomial token-scatter RNG (gate sampling).
-        popularity_smoothing: EWMA factor in ``(0, 1]`` for the demand
-            estimate the schedulers observe: each batch contributes this
-            fraction, the running estimate the rest. A micro-batch is a
-            small sample of the live distribution, so scheduling on the
-            raw batch chases sampling noise; ``1.0`` disables smoothing
-            (schedulers see the raw batch, training-style).
         tenants: Multi-tenant mode: one
             :class:`~repro.serving.requests.TenantSpec` per tenant id.
             The front-end is a
@@ -220,16 +208,11 @@ class ServingEngine:
         routing: TopicRoutingModel | None = None,
         skew: float = 1.3,
         seed: int = 0,
-        popularity_smoothing: float = 0.3,
         tenants: Sequence[TenantSpec] | None = None,
         admission_policy: str = "priority",
         preemption: bool = True,
         shed_low_priority: bool = False,
     ) -> None:
-        if not 0 < popularity_smoothing <= 1:
-            raise ConfigurationError(
-                "popularity_smoothing must be in (0, 1]"
-            )
         if admission_policy not in ADMISSION_POLICIES:
             raise ConfigurationError(
                 f"admission_policy must be one of {ADMISSION_POLICIES}, "
@@ -274,7 +257,6 @@ class ServingEngine:
         self._batching = batching
         self._slo = slo
         self._rng = np.random.default_rng(seed)
-        self._smoothing = popularity_smoothing
         if shed_low_priority and tenants is None:
             raise ConfigurationError(
                 "shed_low_priority requires multi-tenant mode: the "
@@ -354,12 +336,12 @@ class ServingEngine:
         total = batch.sum(axis=(1, 2), keepdims=True)
         scale = np.where(total > 0, self._batching.max_batch_tokens / total, 1.0)
         batch = batch * scale
-        if self._demand_estimate is None or self._smoothing == 1.0:
+        if self._demand_estimate is None:
             self._demand_estimate = batch
         else:
             self._demand_estimate = (
-                self._smoothing * batch
-                + (1.0 - self._smoothing) * self._demand_estimate
+                POPULARITY_SMOOTHING * batch
+                + (1.0 - POPULARITY_SMOOTHING) * self._demand_estimate
             )
         return self._demand_estimate
 

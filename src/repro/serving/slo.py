@@ -182,10 +182,6 @@ class RequestRecord:
         """Total request latency: queue wait plus execute time."""
         return self.queue_time + self.execute_time
 
-    @property
-    def finish(self) -> float:
-        return self.start + self.execute_time
-
 
 class LatencyWindow:
     """Rolling window of recent request latencies (the trigger's p99).

@@ -577,7 +577,6 @@ class AutoscalerSource:
         self._kernel: SimKernel | None = None
         self._horizon: float | None = None
         self._scaled_up: list[int] = []  # LIFO scale-down order
-        self._outstanding = 0  # requested but not yet arrived
         self._calm_ticks = 0
         self.decisions: list[tuple[float, str, int]] = []
         self.scale_ups = 0
@@ -685,7 +684,6 @@ class AutoscalerSource:
         now = self._kernel.now
         while requested < count and self._standby:
             gpu = self._standby.pop(0)
-            self._outstanding += 1
             self._record_decision(now, "request", gpu)
             arrive_at = now + self._delay
             if self._horizon is not None and arrive_at > self._horizon:
@@ -704,7 +702,6 @@ class AutoscalerSource:
         return requested
 
     def _deliver_provision(self, gpu: int) -> None:
-        self._outstanding -= 1
         factor = float(self._speed_factors.get(gpu, 1.0))
         state = self._engine.cluster_state
         if state is not None and state.is_alive(gpu):

@@ -28,14 +28,12 @@ is *biased*: it starves exactly the hot experts the data distribution cares
 most about, so the quality cost per dropped token exceeds a uniform-token
 loss. The small-scale real runs in :mod:`repro.training.quality` show the
 same ordering qualitatively (no-drop > cap-1.0 > cap-0.5 at a fixed step
-budget); ``calibrate_alpha`` fits the exponent from such runs.
+budget).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.exceptions import SimulationError
 
@@ -99,29 +97,3 @@ class ConvergenceModel:
             raise SimulationError("base_iterations must be >= 1")
         multiplier = self.iteration_multiplier(token_efficiency, diverted_fraction)
         return mean_step_time * base_iterations * multiplier
-
-
-def calibrate_alpha(
-    drop_fractions: np.ndarray, iteration_ratios: np.ndarray
-) -> float:
-    """Fit ``alpha`` from measured (drop fraction, iterations ratio) pairs.
-
-    Args:
-        drop_fractions: Fractions of tokens dropped in the measured runs.
-        iteration_ratios: Measured iterations-to-target relative to the
-            zero-drop run.
-
-    Returns:
-        Least-squares ``alpha`` of
-        ``log(ratio) = alpha * log(1 / (1 - drop))``.
-    """
-    drop_fractions = np.asarray(drop_fractions, dtype=float)
-    iteration_ratios = np.asarray(iteration_ratios, dtype=float)
-    if drop_fractions.shape != iteration_ratios.shape:
-        raise SimulationError("inputs must have matching shapes")
-    mask = (drop_fractions > 0) & (drop_fractions < 1) & (iteration_ratios > 0)
-    if not mask.any():
-        raise SimulationError("need at least one run with 0 < drop < 1")
-    x = np.log(1.0 / (1.0 - drop_fractions[mask]))
-    y = np.log(iteration_ratios[mask])
-    return float(x @ y / (x @ x))

@@ -31,7 +31,6 @@ from repro.baselines.base import MoESystem, StepResult, SystemContext, build_con
 from repro.baselines.expert_parallel import ExpertParallelSystem
 from repro.baselines.fastermoe import FasterMoESystem
 from repro.baselines.flexmoe import FlexMoESystem
-from repro.baselines.swipe import SwipeSystem
 from repro.config import ClusterConfig, MoEModelConfig, WorkloadConfig
 from repro.exceptions import SimulationError
 from repro.runtime.pipeline import MultiLayerFlexMoEEngine, PipelineStepResult
@@ -273,18 +272,6 @@ class ComparisonResult:
     def speedup(self, system: str, baseline: str = "DeepSpeed") -> float:
         """Mean-step-time speedup of ``system`` over ``baseline``."""
         return self.runs[baseline].mean_step_time / self.runs[system].mean_step_time
-
-    def time_to_quality_speedup(
-        self,
-        system: str,
-        baseline: str = "DeepSpeed",
-        base_iterations: int = 10_000,
-        convergence: ConvergenceModel | None = None,
-    ) -> float:
-        """Figure 5's speedup: time-to-quality ratio over ``baseline``."""
-        return self.runs[baseline].time_to_quality(
-            base_iterations, convergence
-        ) / self.runs[system].time_to_quality(base_iterations, convergence)
 
     def summary(self) -> str:
         """Human-readable comparison table."""

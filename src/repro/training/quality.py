@@ -19,7 +19,7 @@ synthetic datasets and measures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,11 @@ from repro.model.optimizer import Adam
 from repro.model.transformer import MoEClassifier, MoELanguageModel
 from repro.workload.datasets import ClusterClassificationDataset, MarkovLMDataset
 from repro.workload.trace import RoutingTrace
+
+#: Held-out examples :func:`train_classifier` evaluates on.
+EVAL_SIZE = 1024
+#: Held-out batches :func:`train_language_model` evaluates on.
+EVAL_BATCHES = 8
 
 
 @dataclass
@@ -101,7 +106,6 @@ def train_classifier(
     batch_size: int = 128,
     lr: float = 3e-3,
     eval_every: int = 50,
-    eval_size: int = 1024,
     target_metric: float | None = None,
     metric: str = "top1",
     d_model: int = 32,
@@ -134,7 +138,7 @@ def train_classifier(
     optimizer = Adam(model.parameters(), lr=lr)
     data_rng = np.random.default_rng(seed + 1)
     eval_rng = np.random.default_rng(seed + 2)
-    eval_x, eval_y, _ = dataset.sample(eval_size, eval_rng)
+    eval_x, eval_y, _ = dataset.sample(EVAL_SIZE, eval_rng)
     k = 1 if metric == "top1" else 5
 
     loss_history: list[float] = []
@@ -193,7 +197,6 @@ def train_language_model(
     seq_len: int = 32,
     lr: float = 3e-3,
     eval_every: int = 50,
-    eval_batches: int = 8,
     target_metric: float | None = None,
     d_model: int = 32,
     num_layers: int = 4,
@@ -218,7 +221,7 @@ def train_language_model(
     eval_rng = np.random.default_rng(seed + 2)
     eval_sets = [
         dataset.sample(batch_size, seq_len, eval_rng)[0]
-        for _ in range(eval_batches)
+        for _ in range(EVAL_BATCHES)
     ]
 
     loss_history: list[float] = []

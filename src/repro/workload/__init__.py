@@ -17,14 +17,11 @@ from repro.workload.datasets import (
     ClusterClassificationDataset,
     MarkovLMDataset,
 )
-from repro.workload.stats import TraceStats, analyze_trace
 from repro.workload.synthetic import (
     DriftingRoutingGenerator,
     expert_load_cdf,
     make_multilayer_trace,
-    make_trace,
     stationary_skewed_probs,
-    top_share,
 )
 from repro.workload.trace import MultiLayerTrace, RoutingTrace
 
@@ -34,11 +31,7 @@ __all__ = [
     "MarkovLMDataset",
     "MultiLayerTrace",
     "RoutingTrace",
-    "TraceStats",
-    "analyze_trace",
     "expert_load_cdf",
     "make_multilayer_trace",
-    "make_trace",
     "stationary_skewed_probs",
-    "top_share",
 ]

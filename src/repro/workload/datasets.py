@@ -94,10 +94,6 @@ class ClusterClassificationDataset:
         labels = logits.argmax(axis=1)
         return inputs, labels, clusters
 
-    @property
-    def cluster_probs(self) -> np.ndarray:
-        return self._cluster_probs.copy()
-
 
 class MarkovLMDataset:
     """Hidden-Markov language-modelling task.
@@ -167,23 +163,3 @@ class MarkovLMDataset:
             u = rng.random((batch_size, 1))
             tokens[:, t] = (u > cum).sum(axis=1)
         return tokens, states
-
-    def oracle_perplexity(self) -> float:
-        """Perplexity of the true generative model (lower bound).
-
-        Computed from the stationary entropy of emissions conditioned on the
-        hidden state; a trained model cannot beat this.
-        """
-        stationary = self._stationary_distribution()
-        entropy = 0.0
-        for s, pi in enumerate(stationary):
-            p = self._emissions[s]
-            entropy += pi * float(-(p * np.log(np.maximum(p, 1e-12))).sum())
-        return float(np.exp(entropy))
-
-    def _stationary_distribution(self) -> np.ndarray:
-        eigvals, eigvecs = np.linalg.eig(self._transition.T)
-        idx = int(np.argmin(np.abs(eigvals - 1.0)))
-        pi = np.real(eigvecs[:, idx])
-        pi = np.abs(pi)
-        return pi / pi.sum()

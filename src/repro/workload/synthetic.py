@@ -57,14 +57,6 @@ def stationary_skewed_probs(
     return probs
 
 
-def top_share(probs: np.ndarray, k: int) -> float:
-    """Fraction of total load captured by the ``k`` most popular experts."""
-    probs = np.asarray(probs, dtype=float)
-    if not 1 <= k <= probs.size:
-        raise ConfigurationError(f"k must be in [1, {probs.size}], got {k}")
-    return float(np.sort(probs)[::-1][:k].sum())
-
-
 def expert_load_cdf(loads: np.ndarray) -> np.ndarray:
     """CDF over experts sorted by descending load (Figure 3a's y-axis).
 
@@ -268,26 +260,6 @@ class DriftingRoutingGenerator:
         """Draw the next ``len(frames)`` steps into ``frames`` in order."""
         for frame in frames:
             self._draw_step(frame)
-
-
-def make_trace(
-    num_experts: int,
-    num_gpus: int,
-    config: WorkloadConfig | None = None,
-    **overrides: object,
-) -> RoutingTrace:
-    """Convenience one-call trace construction.
-
-    Args:
-        num_experts: Experts per MoE layer.
-        num_gpus: Source GPUs.
-        config: Base workload config (defaults constructed if omitted).
-        **overrides: Field overrides applied to ``config``.
-    """
-    cfg = config or WorkloadConfig()
-    if overrides:
-        cfg = cfg.replace(**overrides)
-    return DriftingRoutingGenerator(num_experts, num_gpus, cfg).generate()
 
 
 #: Seed offset between adjacent layers' generators. Large enough that the

@@ -21,7 +21,7 @@ come out int64.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, TypeVar
 
 import numpy as np
 
@@ -221,18 +221,6 @@ class MultiLayerTrace(_CountHistory):
     """
 
     AXES = ("layers", "steps", "experts", "gpus")
-
-    @classmethod
-    def from_layers(cls, layers: Sequence[RoutingTrace]) -> "MultiLayerTrace":
-        """Stack per-layer :class:`RoutingTrace` objects into one trace."""
-        if not layers:
-            raise RoutingError("at least one layer trace is required")
-        shapes = {layer._assignments.shape for layer in layers}
-        if len(shapes) != 1:
-            raise RoutingError(
-                f"layer traces disagree on shape: {sorted(shapes)}"
-            )
-        return cls.adopt(np.stack([layer._assignments for layer in layers]))
 
     # ------------------------------------------------------------------
     # Shape accessors

@@ -16,7 +16,8 @@ from repro.exceptions import (
     TopologyError,
 )
 from repro.training.loop import compare_systems
-from repro.workload.synthetic import make_trace
+
+from trace_helpers import make_trace
 
 
 class TestPublicApi:
@@ -81,20 +82,18 @@ class TestDeterminism:
         cfg = WorkloadConfig(tokens_per_step=10_000, num_steps=4, seed=9)
         assert make_trace(8, 4, cfg) == make_trace(8, 4, cfg)
 
-    def test_system_reset_reproduces_run(self):
+    def test_same_seed_system_reproduces_run(self):
         model = MoEModelConfig("det2", 2, 128, 512, 8)
         cluster = ClusterConfig(num_nodes=1, gpus_per_node=4)
-        context = build_context(cluster, model, seed=3)
         trace = make_trace(
             8, 4, WorkloadConfig(tokens_per_step=65_536, num_steps=5, seed=3)
         )
-        system = FlexMoESystem(context)
-        first = [system.step(trace.step(t), t).balance for t in range(5)]
-        system.reset()
-        # Placement state resets; executor jitter streams do not rewind, so
-        # compare the placement-driven metric, not raw times.
-        second = [system.step(trace.step(t), t).balance for t in range(5)]
-        assert first == second
+
+        def balances():
+            system = FlexMoESystem(build_context(cluster, model, seed=3))
+            return [system.step(trace.step(t), t).balance for t in range(5)]
+
+        assert balances() == balances()
 
 
 class TestQuickSimulation:

@@ -156,14 +156,6 @@ class TestFlexMoESystem:
         if result.scheduling_actions:
             assert result.timing.adjustment_blocking > 0
 
-    def test_reset_restores_initial_state(self, context, rng):
-        system = FlexMoESystem(context)
-        for step in range(5):
-            system.step(skewed_assignment(rng), step)
-        system.reset()
-        assert system.pending_adjustments == 0
-        assert system.placement == system.target_placement
-
     def test_rejects_wrong_shape(self, context):
         system = FlexMoESystem(context)
         from repro.exceptions import SimulationError

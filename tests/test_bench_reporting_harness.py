@@ -10,7 +10,6 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import (
     format_series,
-    format_speedups,
     format_table,
 )
 from repro.exceptions import ConfigurationError
@@ -38,10 +37,6 @@ class TestReporting:
     def test_series_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             format_series("x", [1], [1, 2])
-
-    def test_speedups_block(self):
-        out = format_speedups("Fig5", {"FlexMoE": 1.7}, "DeepSpeed")
-        assert "1.70x" in out
 
 
 class TestHarness:

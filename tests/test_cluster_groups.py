@@ -50,12 +50,6 @@ class TestCommunicatorGroupCache:
         with pytest.raises(SimulationError):
             CommunicatorGroupCache(capacity=0)
 
-    def test_clear(self):
-        cache = CommunicatorGroupCache()
-        cache.acquire([0, 1])
-        cache.clear()
-        assert len(cache) == 0
-
 
 class TestAllReduceOrdering:
     def test_singleton_groups_skipped(self):

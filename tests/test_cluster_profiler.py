@@ -31,13 +31,6 @@ class TestProfiler:
         second = profile.allreduce_bps([4, 1, 0])
         assert first == second
 
-    def test_exact_profile_helper_restores_noise(self, topology, model_config):
-        profiler = Profiler(topology, noise=0.1, seed=0)
-        profiler.exact_profile(model_config)
-        noisy = profiler.profile(model_config)
-        truth = topology.devices[0].tokens_per_second(model_config)
-        assert noisy.tokens_per_second(0) != truth
-
     def test_unknown_gpu_rejected(self, exact_profile):
         with pytest.raises(ProfilingError):
             exact_profile.tokens_per_second(99)

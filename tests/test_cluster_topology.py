@@ -5,16 +5,11 @@ import pytest
 
 from repro.cluster.device import Device
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, DeviceSpec, MoEModelConfig
+from repro.config import ClusterConfig, DeviceSpec
 from repro.exceptions import TopologyError
 
 
 class TestDevice:
-    def test_memory_capacity_positive(self):
-        model = MoEModelConfig("m", 2, 64, 256, 4)
-        device = Device(0, 0, 0, DeviceSpec())
-        assert device.expert_memory_capacity(model) >= 1
-
     def test_str(self):
         device = Device(9, 1, 1, DeviceSpec())
         assert "gpu9" in str(device)
@@ -43,11 +38,6 @@ class TestClusterTopology:
     def test_latency_zero_on_diagonal(self, topology):
         assert topology.latency(2, 2) == 0.0
         assert topology.latency(0, 4) > topology.latency(0, 1)
-
-    def test_gpus_on_node(self, topology):
-        assert topology.gpus_on_node(1) == (4, 5, 6, 7)
-        with pytest.raises(TopologyError):
-            topology.gpus_on_node(5)
 
     def test_nodes_spanned(self, topology):
         assert topology.nodes_spanned([0, 1]) == (0,)

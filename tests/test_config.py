@@ -59,10 +59,6 @@ class TestMoEModelConfig:
         assert m2.num_experts == 8
         assert m.num_experts == 4
 
-    def test_rejects_negative_balance_coef(self):
-        with pytest.raises(ConfigurationError):
-            make_model(balance_loss_coef=-0.1)
-
 
 class TestDeviceSpec:
     def test_effective_flops(self):

@@ -19,7 +19,7 @@ class TestAdmission:
         assignment = np.full((4, 4), 100, dtype=np.int64)
         admitted = controller.admit(assignment, small_placement)
         assert np.array_equal(admitted, assignment)
-        assert controller.deferred_total == 0
+        assert controller.backlog_tokens == 0
 
     def test_spike_deferred(self, small_placement):
         controller = GateFlowController(watermark_factor=1.5)
@@ -28,7 +28,6 @@ class TestAdmission:
         admitted = controller.admit(assignment, small_placement)
         assert admitted.sum() < assignment.sum()
         assert controller.backlog_tokens > 0
-        assert controller.deferred_total > 0
 
     def test_deferred_tokens_reinjected_next_step(self, small_placement):
         controller = GateFlowController(watermark_factor=1.5)

@@ -90,17 +90,6 @@ class TestMutations:
         with pytest.raises(PlacementError):
             p.add_vexpert(0, 0)
 
-    def test_move_vexpert(self):
-        p = Placement.expert_parallel(2, 4)  # gpus 2, 3 empty
-        p.move_vexpert(0, 0, 2)
-        assert p.count(0, 2) == 1
-        assert p.count(0, 0) == 0
-
-    def test_move_same_gpu_rejected(self):
-        p = Placement.expert_parallel(2, 4)
-        with pytest.raises(PlacementError):
-            p.move_vexpert(0, 0, 0)
-
     def test_swap_vexperts(self):
         p = Placement.expert_parallel(4, 2)  # e0,e2 on g0; e1,e3 on g1
         p.swap_vexperts(0, 0, 1, 1)
@@ -120,13 +109,6 @@ class TestQueries:
         groups = p.replica_groups()
         assert set(groups) == {0, 1}
         assert all(len(g) == 2 for g in groups.values())
-
-    def test_memory_counts_distinct_experts(self):
-        counts = np.array([[2, 0], [0, 1], [0, 1]], dtype=np.int64)
-        p = Placement(counts, 2)
-        mem = p.memory_bytes_per_gpu(100)
-        assert mem[0] == 100  # packed replicas share weights
-        assert mem[1] == 200
 
     def test_copy_is_independent(self):
         p = Placement.balanced(4, 4, 2)
@@ -231,7 +213,8 @@ class TestInt16Counts:
         top = VEXPERT_LIMIT - 1
         p = Placement(np.array([[top, 0], [0, 1]]), top)
         assert p.count(0, 0) == top and p.replicas(0) == top
-        p.move_vexpert(0, 0, 1)
+        p.add_vexpert(0, 1)
+        p.remove_vexpert(0, 0)
         assert p.count(0, 0) == top - 1 and p.used_slots(1) == 2
 
 

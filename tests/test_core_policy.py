@@ -77,8 +77,6 @@ class TestMakePlan:
     def test_adjustment_horizon_validation(self, cost_model):
         with pytest.raises(SchedulingError):
             PolicyMaker(cost_model, adjustment_horizon=-1)
-        with pytest.raises(SchedulingError):
-            PolicyMaker(cost_model, expand_candidates=0)
 
     def test_zero_horizon_ignores_adjustment_cost(self, cost_model):
         policy = PolicyMaker(cost_model, adjustment_horizon=0)

@@ -145,5 +145,5 @@ class TestPlanProperties:
         placement = Placement.balanced(2, 2, 1)
         assignment = np.array([[5, 3], [2, 2]])
         plan = router.route(assignment, placement)
-        assert plan.tokens_for(0) == 8
-        assert plan.tokens_for(1) == 4
+        per_expert = dense_routes(plan).sum(axis=(1, 2))
+        assert per_expert.tolist() == [8, 4]

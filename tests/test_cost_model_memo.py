@@ -250,7 +250,8 @@ def test_memo_exact_under_random_mutation(cost_model, ops, seed):
                 placement.remove_vexpert(expert, gpu)
             elif op == "move":
                 src = placement.gpus_of(expert)[0]
-                placement.move_vexpert(expert, src, gpu)
+                placement.add_vexpert(expert, gpu)
+                placement.remove_vexpert(expert, src)
         except Exception:
             # Illegal mutations (full GPU, last replica, same GPU...)
             # are not the property under test; the memo must stay exact

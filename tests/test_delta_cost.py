@@ -527,7 +527,7 @@ class TestRebaseBitIdentity:
 
     @staticmethod
     def assert_identical(delta, fresh, placement, assignment, rng) -> None:
-        assert delta.base_time == fresh.base_time
+        assert delta._base_time == fresh._base_time
         for mine, theirs in zip(delta.holders, fresh.holders):
             assert np.array_equal(mine, theirs)
         assert np.array_equal(delta.expert_loads, fresh.expert_loads)
@@ -905,11 +905,11 @@ def _planner_replay(steps, audit: bool) -> list:
     record = []
     for assignment in steps:
         decision = policy.make_plan(assignment, placement)
-        record.append((decision.actions, delta.base_time))
+        record.append((decision.actions, delta._base_time))
         for action in decision.actions:
             action.apply(placement)
         moves = migration.plan(assignment, placement)
-        record.append((tuple(moves), delta.base_time))
+        record.append((tuple(moves), delta._base_time))
         for move in moves:
             move.apply(placement)
     record.append(delta.rebase(steps[-1], placement))

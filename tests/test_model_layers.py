@@ -5,14 +5,12 @@ import pytest
 
 from repro.exceptions import ModelError
 from repro.model.layers import (
-    GELU,
     Embedding,
     LayerNorm,
     Linear,
     Module,
     Parameter,
     ReLU,
-    Sequential,
     softmax,
 )
 
@@ -54,9 +52,14 @@ class TestParameterAndModule:
         assert (p.grad == 0).all()
 
     def test_parameters_recurse(self, rng):
-        seq = Sequential(Linear(4, 8, rng), ReLU(), Linear(8, 2, rng))
-        assert len(list(seq.parameters())) == 4
-        assert seq.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
+        class Stack(Module):
+            def __init__(self, *modules):
+                self.modules = list(modules)
+
+        stack = Stack(Linear(4, 8, rng), ReLU(), Linear(8, 2, rng))
+        params = list(stack.parameters())
+        assert len(params) == 4
+        assert sum(p.data.size for p in params) == 4 * 8 + 8 + 8 * 2 + 2
 
 
 class TestLinear:
@@ -97,9 +100,6 @@ class TestLinear:
 class TestActivations:
     def test_relu_gradient(self, rng):
         check_input_gradient(ReLU(), rng.normal(0, 1, (6, 4)) + 0.1)
-
-    def test_gelu_gradient(self, rng):
-        check_input_gradient(GELU(), rng.normal(0, 1, (6, 4)), atol=1e-5)
 
     def test_relu_clips_negative(self):
         relu = ReLU()

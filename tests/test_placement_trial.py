@@ -76,7 +76,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add_vexpert"), _EXPERT, _GPU),
         st.tuples(st.just("remove_vexpert"), _EXPERT, _GPU),
-        st.tuples(st.just("move_vexpert"), _EXPERT, _GPU, _GPU),
         st.tuples(st.just("swap_vexperts"), _EXPERT, _GPU, _EXPERT, _GPU),
     ),
     max_size=40,

@@ -171,7 +171,7 @@ def test_scheduler_histories_identical():
         assert out_d.actions == out_r.actions, f"diverged at step {step}"
         assert out_d.triggered == out_r.triggered
         assert out_d.rounds == out_r.rounds
-    assert schedulers["delta"].total_actions() > 0
+    assert any(o.actions for o in schedulers["delta"].history)
     assert (
         schedulers["delta"].placement.signature()
         == schedulers["reference"].placement.signature()

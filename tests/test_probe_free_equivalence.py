@@ -134,7 +134,7 @@ def test_scheduler_histories_identical_at_16_gpus():
         if out_d.triggered and not out_d.actions:
             assert out_d.metric_after == out_d.metric_before
             idle_rounds += 1
-    assert schedulers["delta"].total_actions() > 0
+    assert any(o.actions for o in schedulers["delta"].history)
     assert idle_rounds > 0
     assert (
         schedulers["delta"].placement.signature()

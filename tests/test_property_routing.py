@@ -46,7 +46,8 @@ def placements(max_experts=12, max_gpus=8, max_slots=3):
                     src = int(rng.choice(gpus))
                     dst = int(rng.integers(0, num_gpus))
                     if dst != src and placement.free_slots(dst) > 0:
-                        placement.move_vexpert(e, src, dst)
+                        placement.add_vexpert(e, dst)
+                        placement.remove_vexpert(e, src)
                 else:
                     e = int(rng.integers(0, num_experts))
                     victim = int(rng.integers(0, num_experts))

@@ -22,7 +22,9 @@ from repro.runtime.pipeline import (
     build_engine,
 )
 from repro.training.loop import simulate_pipeline
-from repro.workload.synthetic import make_multilayer_trace, make_trace
+from repro.workload.synthetic import make_multilayer_trace
+
+from trace_helpers import make_trace
 
 MODEL = MoEModelConfig("pipe", num_layers=8, d_model=256, d_ffn=1024, num_experts=8)
 CLUSTER = ClusterConfig(num_nodes=1, gpus_per_node=4)

@@ -70,7 +70,7 @@ class TestBackpressure:
         assert queue.offer(request(0, 60))
         assert queue.offer(request(1, 40))
         assert not queue.offer(request(2, 10))  # 110 > 100
-        assert queue.rejected_requests == 1
+        assert queue._rejected == 1
         assert queue.queued_tokens == 100
 
     def test_empty_queue_always_admits(self):
@@ -84,4 +84,4 @@ class TestBackpressure:
         queue = single_stream_queue(BatchingConfig(max_batch_tokens=10))
         for i in range(100):
             assert queue.offer(request(i, 1000))
-        assert queue.rejected_requests == 0
+        assert queue._rejected == 0

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
+from repro.bench.perf import write_report
 from repro.bench.serving import (
     MULTITENANT_REPORT_FILENAME,
     REPORT_FILENAME,
     multitenant_run,
     probe_batch_seconds,
     serving_run,
-    write_report,
 )
 from repro.cli import main
 from repro.config import FaultConfig

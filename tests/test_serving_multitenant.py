@@ -250,14 +250,14 @@ class TestTwoLevelBackpressure:
         assert queue.offer(request(0, 60))
         assert queue.offer(request(1, 40))
         assert not queue.offer(request(2, 10))
-        assert queue.rejected_requests == 1
+        assert queue._rejected == 1
 
     def test_per_tenant_limit(self):
         queue = make_queue([spec(limit=50), spec(name="other")])
         assert queue.offer(request(0, 40, tenant=0))
         assert not queue.offer(request(1, 20, tenant=0))  # 60 > 50
         assert queue.offer(request(2, 20, tenant=1))  # other tenant free
-        assert queue.rejected_requests == 1
+        assert queue._rejected == 1
 
     def test_empty_tenant_queue_always_admits(self):
         queue = make_queue([spec(limit=50)])
@@ -279,7 +279,7 @@ class TestRequeue:
         queue.requeue(batch)
         assert queue.queued_requests == 4
         assert queue.queued_tokens == 40
-        assert queue.tenant_queued_tokens(0) == 20
+        assert queue._tenant_tokens[0] == 20
         # Re-dispatch reproduces the identical batch.
         assert queue.next_batch() == batch
 
@@ -287,9 +287,9 @@ class TestRequeue:
         queue = make_queue([spec(name="a"), spec(name="b")])
         queue.offer(request(0, 30, tenant=0))
         batch = queue.next_batch()
-        assert queue.tenant_served_tokens(0) == 30.0
+        assert queue._served_tokens[0] == 30.0
         queue.requeue(batch)
-        assert queue.tenant_served_tokens(0) == 0.0
+        assert queue._served_tokens[0] == 0.0
 
     def test_requeued_head_precedes_later_arrivals(self):
         queue = make_queue([spec()], max_batch_tokens=10)
@@ -392,7 +392,7 @@ def test_property_request_conservation(
         # Conservation holds at every intermediate state.
         queued = sum(admitted.values()) - sum(dispatched.values())
         assert queue.queued_requests == queued
-        assert queue.rejected_requests == rejected
+        assert queue._rejected == rejected
     while queue.queued_requests:
         for r in queue.next_batch():
             dispatched[r.index] += 1
@@ -834,7 +834,7 @@ class TestShedding:
         queue = shed_queue(self.two_class, shed=False)
         assert queue.offer(request(0, 100, tenant=1))
         assert not queue.offer(request(1, 50, tenant=0))
-        assert queue.rejected_requests == 1
+        assert queue._rejected == 1
         assert queue.shed_requests == 0
 
     def test_sheds_newest_lower_priority_work_first(self):
@@ -860,7 +860,7 @@ class TestShedding:
         assert queue.offer(request(2, 20, tenant=0))
         assert [r.index for r in queue.shed] == [1]
         assert queue.queued_tokens == 80
-        assert queue.tenant_queued_tokens(1) == 60
+        assert queue._tenant_tokens[1] == 60
 
     def test_never_sheds_equal_or_higher_priority(self):
         queue = shed_queue(self.two_class)
@@ -870,7 +870,7 @@ class TestShedding:
         # Another interactive arrival cannot shed its own class either.
         assert not queue.offer(request(2, 30, tenant=0))
         assert queue.shed_requests == 0
-        assert queue.rejected_requests == 2
+        assert queue._rejected == 2
         assert queue.queued_tokens == 100
 
     def test_hopeless_arrival_sheds_nothing(self):
@@ -882,7 +882,7 @@ class TestShedding:
         assert not queue.offer(request(2, 80, tenant=0))
         assert queue.shed_requests == 0
         assert queue.queued_tokens == 90
-        assert queue.tenant_queued_tokens(1) == 30
+        assert queue._tenant_tokens[1] == 30
 
     def test_shed_accounting_is_conserved(self):
         queue = shed_queue(self.two_class)

@@ -590,11 +590,8 @@ class TestChurnBench:
         )
 
     def test_full_report_shape_and_persistence(self, tmp_path):
-        from repro.bench.churn import (
-            CHURN_REPORT_FILENAME,
-            churn_bench_run,
-            write_churn_report,
-        )
+        from repro.bench.churn import churn_bench_run
+        from repro.bench.perf import write_report
 
         report = churn_bench_run(smoke=True)
         assert report["suite"] == "autoscale_churn"
@@ -606,7 +603,7 @@ class TestChurnBench:
         for row in report["rows"].values():
             assert row["ok"] is True
             assert row["attainment_gain"] > 0
-        path = write_churn_report(report, tmp_path / CHURN_REPORT_FILENAME)
+        path = write_report(report, tmp_path / "BENCH_autoscale_churn.json")
         import json
 
         persisted = json.loads(path.read_text())

@@ -1,15 +1,15 @@
 """Unit tests for the training loop, metrics and convergence model."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import ExpertParallelSystem, FlexMoESystem, build_context
 from repro.config import ClusterConfig, MoEModelConfig, WorkloadConfig
 from repro.exceptions import SimulationError
-from repro.training.convergence import ConvergenceModel, calibrate_alpha
+from repro.training.convergence import ConvergenceModel
 from repro.training.loop import compare_systems, simulate_training
 from repro.training.metrics import summarize_run, trajectory_from_results
-from repro.workload.synthetic import make_trace
+
+from trace_helpers import make_trace
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +55,12 @@ class TestSimulateTraining:
         context = build_context(cluster, model, seed=0)
         trace = make_trace(model.num_experts, context.topology.num_gpus,
                            workload)
-        system = ExpertParallelSystem(context)
-        one = simulate_training(system, trace, moe_layers=1)
-        system.reset()
-        four = simulate_training(system, trace, moe_layers=4)
+        one = simulate_training(
+            ExpertParallelSystem(context), trace, moe_layers=1
+        )
+        four = simulate_training(
+            ExpertParallelSystem(context), trace, moe_layers=4
+        )
         assert four.total_time == pytest.approx(4 * one.total_time, rel=0.2)
 
 
@@ -150,13 +152,3 @@ class TestConvergenceModel:
         model = ConvergenceModel()
         with pytest.raises(SimulationError):
             model.iteration_multiplier(1.5)
-
-    def test_calibrate_alpha_recovers_exponent(self):
-        drops = np.array([0.2, 0.4, 0.6])
-        truth = 0.9
-        ratios = (1 / (1 - drops)) ** truth
-        assert calibrate_alpha(drops, ratios) == pytest.approx(truth, abs=1e-6)
-
-    def test_calibrate_rejects_empty(self):
-        with pytest.raises(SimulationError):
-            calibrate_alpha(np.array([0.0]), np.array([1.0]))

@@ -103,9 +103,8 @@ class TestComparisonResult:
     def test_ttq_speedup_uses_convergence(self):
         clean = TrainingRunResult("clean", (make_result(0.02, 1000, 1000),))
         droppy = TrainingRunResult("droppy", (make_result(0.01, 1000, 400),))
-        cmp = ComparisonResult(runs={"clean": clean, "droppy": droppy})
         model = ConvergenceModel(alpha=1.25)
         # droppy is 2x faster per step but pays (1/0.4)^1.25 ~ 3.1x steps.
-        assert cmp.time_to_quality_speedup(
-            "clean", baseline="droppy", convergence=model
-        ) > 1.0
+        assert droppy.time_to_quality(10_000, model) > clean.time_to_quality(
+            10_000, model
+        )

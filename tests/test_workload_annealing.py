@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.config import WorkloadConfig
-from repro.workload.synthetic import DriftingRoutingGenerator, top_share
+from repro.workload.synthetic import DriftingRoutingGenerator
+
+from trace_helpers import top_share
 
 
 class TestSkewAnnealing:

@@ -29,9 +29,9 @@ class TestClusterClassification:
 
     def test_cluster_skew_applied(self, rng):
         ds = ClusterClassificationDataset(num_clusters=8, cluster_skew=2.0)
-        probs = ds.cluster_probs
-        assert probs.max() > 2 * probs.min()
-        assert probs.sum() == pytest.approx(1.0)
+        _, _, clusters = ds.sample(20_000, rng)
+        freq = np.bincount(clusters, minlength=8)
+        assert freq.max() > 2 * freq.min()
 
     def test_labels_depend_on_cluster_structure(self, rng):
         """Low-noise inputs from one cluster mostly share a label pattern
@@ -73,16 +73,6 @@ class TestMarkovLM:
         _, states = ds.sample(16, 50, rng)
         stays = (states[:, 1:] == states[:, :-1]).mean()
         assert stays > 0.85
-
-    def test_oracle_perplexity_bounds(self):
-        ds = MarkovLMDataset(vocab_size=32, emission_concentration=0.2)
-        ppl = ds.oracle_perplexity()
-        assert 1.0 < ppl < 32.0
-
-    def test_peakier_emissions_lower_oracle_ppl(self):
-        peaky = MarkovLMDataset(emission_concentration=0.1, seed=0)
-        flat = MarkovLMDataset(emission_concentration=5.0, seed=0)
-        assert peaky.oracle_perplexity() < flat.oracle_perplexity()
 
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):

@@ -10,9 +10,10 @@ from repro.workload.synthetic import (
     LAYER_SEED_STRIDE,
     DriftingRoutingGenerator,
     make_multilayer_trace,
-    make_trace,
 )
 from repro.workload.trace import MultiLayerTrace, RoutingTrace
+
+from trace_helpers import make_trace
 
 
 def small_config(**overrides) -> WorkloadConfig:
@@ -47,19 +48,11 @@ class TestContainer:
         layers = [
             make_trace(8, 4, small_config(seed=seed)) for seed in (1, 2)
         ]
-        stacked = MultiLayerTrace.from_layers(layers)
+        stacked = MultiLayerTrace(
+            np.stack([np.stack(list(layer)) for layer in layers])
+        )
         assert stacked.layer(0) == layers[0]
         assert stacked.layer(1) == layers[1]
-
-    def test_from_layers_shape_mismatch(self):
-        a = make_trace(8, 4, small_config())
-        b = make_trace(4, 4, small_config())
-        with pytest.raises(RoutingError):
-            MultiLayerTrace.from_layers([a, b])
-
-    def test_from_layers_empty(self):
-        with pytest.raises(RoutingError):
-            MultiLayerTrace.from_layers([])
 
     def test_slice(self):
         trace = make_multilayer_trace(2, 8, 4, small_config())

@@ -13,10 +13,10 @@ from repro.workload.synthetic import (
     DriftingRoutingGenerator,
     expert_load_cdf,
     make_multilayer_trace,
-    make_trace,
     stationary_skewed_probs,
-    top_share,
 )
+
+from trace_helpers import make_trace, top_share
 
 
 class TestStationaryProbs:
@@ -54,10 +54,6 @@ class TestCdfHelpers:
     def test_cdf_rejects_empty_load(self):
         with pytest.raises(ConfigurationError):
             expert_load_cdf(np.zeros(4))
-
-    def test_top_share_bounds(self):
-        with pytest.raises(ConfigurationError):
-            top_share(np.ones(4) / 4, 0)
 
 
 class TestDriftingGenerator:
