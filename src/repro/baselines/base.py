@@ -31,6 +31,8 @@ from repro.exceptions import SimulationError
 
 #: Relative noise of the profiled figures every system schedules against.
 PROFILE_NOISE = 0.02
+#: Relative execution-time noise of the ground-truth executor.
+EXECUTION_JITTER = 0.02
 #: Communicator groups the shared LRU cache holds before it evicts.
 GROUP_CACHE_CAPACITY = 64
 
@@ -62,7 +64,6 @@ def build_context(
     cluster: ClusterConfig,
     model: MoEModelConfig,
     seed: int = 0,
-    jitter: float = 0.02,
     cluster_state: ClusterState | None = None,
     inference: bool = False,
 ) -> SystemContext:
@@ -77,7 +78,7 @@ def build_context(
     executor = StepExecutor(
         topology,
         model,
-        jitter=jitter,
+        jitter=EXECUTION_JITTER,
         seed=seed + 1,
         group_cache=cache,
         cluster_state=cluster_state,

@@ -169,13 +169,12 @@ def scalability_sweep(
     gpu_counts: tuple[int, ...] = (8, 16, 32, 64),
     num_experts: int = 64,
     scale: ExperimentScale = SMOKE,
-    tokens_per_gpu: int = 32_768,
     seed: int = 0,
 ) -> dict[int, ComparisonResult]:
     """Figure 7b: single MoE layer with 64 experts across cluster sizes.
 
     Weak scaling, as in the paper: each GPU contributes a constant token
-    batch, so the global workload grows with the cluster.
+    batch of 32,768, so the global workload grows with the cluster.
     """
     model = MoEModelConfig(
         name=f"MoE-layer-{num_experts}e",
@@ -187,7 +186,7 @@ def scalability_sweep(
     results: dict[int, ComparisonResult] = {}
     for num_gpus in gpu_counts:
         workload = scale.workload(
-            seed=seed, tokens_per_step=tokens_per_gpu * num_gpus
+            seed=seed, tokens_per_step=32_768 * num_gpus
         )
         results[num_gpus] = compare_systems(
             model=model,
@@ -205,22 +204,21 @@ def router_microbenchmark(
     num_experts: int = 64,
     num_gpus: int = 16,
     repeats: int = 30,
-    tokens_per_gpu: int = 32_768,
-    skew: float = 1.3,
     seed: int = 0,
 ) -> dict[str, float]:
     """Time the vectorized router against the seed reference implementation.
 
-    Both routers process the same skewed drifting assignments over the same
-    balanced placement; the returned ``speedup`` is the reference's mean
-    per-call latency over the vectorized router's.
+    Both routers process the same skewed drifting assignments (32,768
+    tokens per GPU, skew 1.3) over the same balanced placement; the
+    returned ``speedup`` is the reference's mean per-call latency over
+    the vectorized router's.
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     config = WorkloadConfig(
-        tokens_per_step=tokens_per_gpu * num_gpus,
+        tokens_per_step=32_768 * num_gpus,
         num_steps=repeats,
-        skew=skew,
+        skew=1.3,
         seed=seed,
     )
     trace = DriftingRoutingGenerator(num_experts, num_gpus, config).generate()

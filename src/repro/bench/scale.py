@@ -51,25 +51,17 @@ from repro.bench.harness import cluster_for
 from repro.bench.perf import (
     KERNEL_EVENTS_PER_SEC_FLOOR,
     kernel_events_benchmark,
+    planner_setup,
+    replay_planners,
     write_report,
 )
-from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
-from repro.config import (
-    MoEModelConfig,
-    SchedulerConfig,
-    WorkloadConfig,
-    auto_slots_per_gpu,
-)
+from repro.config import MoEModelConfig, SchedulerConfig, WorkloadConfig
 from repro.core.cost_model import MoECostModel
 from repro.core.migration import MigrationPlanner
-from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
-from repro.workload.synthetic import (
-    DriftingRoutingGenerator,
-    make_multilayer_trace,
-)
-from repro.workload.trace import COUNT_DTYPE
+from repro.workload.synthetic import make_multilayer_trace
+from repro.workload.trace import COUNT_DTYPE, RoutingTrace
 
 #: Default report location (repo root when run from a checkout).
 REPORT_FILENAME = "BENCH_scale.json"
@@ -123,18 +115,15 @@ def _scale_model(num_gpus: int, num_experts: int, layers: int) -> MoEModelConfig
 def _planner_replay(
     cost_model: MoECostModel,
     topology: ClusterTopology,
-    trace,
-    slots: int,
+    trace: RoutingTrace,
     placement_search: str,
 ) -> tuple[float, list, float, int]:
     """One full planner replay in the given search mode.
 
     Returns ``(seconds, decision log, final estimated step time,
-    fallbacks)``.  Decisions are applied so the placement evolves exactly
-    as a live scheduler's would; the final estimate is what the quality
-    gate compares across modes.
+    fallbacks)``; the final estimate is what the quality gate compares
+    across modes.
     """
-    num_experts = cost_model.model.num_experts
     policy = PolicyMaker(
         cost_model,
         use_delta=True,
@@ -149,19 +138,7 @@ def _planner_replay(
         placement_search=placement_search,
         delta=policy.delta,
     )
-    placement = Placement.balanced(num_experts, topology.num_gpus, slots)
-    decisions: list = []
-    start = time.perf_counter()
-    for step in range(trace.num_steps):
-        assignment = trace.step(step)
-        decision = policy.make_plan(assignment, placement)
-        for action in decision.actions:
-            action.apply(placement)
-        moves = migration.plan(assignment, placement)
-        for move in moves:
-            move.apply(placement)
-        decisions.append((decision.actions, tuple(moves)))
-    elapsed = time.perf_counter() - start
+    elapsed, decisions, placement = replay_planners(policy, migration, trace)
     # Price the final configuration through the delta evaluator's O(E*G)
     # rebase — the reference estimate_step_time solves the full router's
     # fractional relaxation, which is exactly the O(cluster^2) work this
@@ -171,8 +148,7 @@ def _planner_replay(
     )
     # The planners share one evaluator (see MigrationPlanner's ``delta``),
     # so its counter already covers both passes.
-    fallbacks = policy.delta.fallbacks
-    return elapsed, decisions, float(final_time), int(fallbacks)
+    return elapsed, decisions, float(final_time), int(policy.delta.fallbacks)
 
 
 def planner_scale_benchmark(
@@ -180,7 +156,6 @@ def planner_scale_benchmark(
     num_experts: int,
     num_steps: int = 4,
     tokens_per_gpu: int = 32_768,
-    skew: float = 1.3,
     seed: int = 0,
 ) -> dict[str, object]:
     """Flat vs hierarchical planner rounds/sec at one cluster size.
@@ -195,35 +170,25 @@ def planner_scale_benchmark(
     seconds are each mode's median and ``speedup`` is the median of the
     per-pair ``flat / hierarchical`` ratios.
     """
-    model = _scale_model(num_gpus, num_experts, layers=2)
-    topology = ClusterTopology(cluster_for(num_gpus))
-    profile = Profiler(topology, noise=0.02, seed=seed).profile(model)
-    cost_model = MoECostModel(profile, model)
-    trace = DriftingRoutingGenerator(
-        num_experts,
+    topology, cost_model, trace = planner_setup(
+        _scale_model(num_gpus, num_experts, layers=2),
         num_gpus,
-        WorkloadConfig(
-            tokens_per_step=tokens_per_gpu * num_gpus,
-            num_steps=num_steps,
-            skew=skew,
-            seed=seed,
-        ),
-    ).generate()
-    slots = auto_slots_per_gpu(num_experts, num_gpus)
+        num_steps,
+        tokens_per_gpu,
+        seed,
+    )
     rounds = 2 * trace.num_steps  # policy round + migrate round per step
 
     # Warm-up: each mode visits its own replica groups; replaying both
     # untimed keeps lazy AllReduce probes out of both timed passes.
-    _planner_replay(cost_model, topology, trace, slots, "flat")
-    _planner_replay(cost_model, topology, trace, slots, "hierarchical")
+    _planner_replay(cost_model, topology, trace, "flat")
+    _planner_replay(cost_model, topology, trace, "hierarchical")
 
     flat_runs, hier_runs = [], []
     for _ in range(PLANNER_TIMED_REPLAYS):
-        flat_runs.append(
-            _planner_replay(cost_model, topology, trace, slots, "flat")
-        )
+        flat_runs.append(_planner_replay(cost_model, topology, trace, "flat"))
         hier_runs.append(
-            _planner_replay(cost_model, topology, trace, slots, "hierarchical")
+            _planner_replay(cost_model, topology, trace, "hierarchical")
         )
     # Replays of one mode are deterministic: any one's decisions and
     # final estimate stand for all of them.
@@ -361,10 +326,7 @@ def _time_stage(owner: object, method: str, stages: dict, stage: str) -> None:
 
 
 def kernel_events_scale_benchmark(
-    num_moe_layers: int,
-    num_ticks: int = 1500,
-    seed: int = 0,
-    repeats: int = 2,
+    num_moe_layers: int, num_ticks: int = 1500, seed: int = 0
 ) -> dict[str, object]:
     """Kernel dispatch throughput with fan-out scaled to the layer count.
 
@@ -378,7 +340,7 @@ def kernel_events_scale_benchmark(
         num_ticks=num_ticks,
         fan=3 * num_moe_layers,
         seed=seed,
-        repeats=repeats,
+        repeats=2,
     )
     result["num_moe_layers"] = num_moe_layers
     return result

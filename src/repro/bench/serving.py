@@ -91,9 +91,9 @@ def probe_batch_seconds(
     num_experts: int,
     batch_tokens: int,
     seed: int = 0,
-    repeats: int = 3,
 ) -> float:
-    """Modelled seconds of one BALANCED full micro-batch.
+    """Modelled seconds of one BALANCED full micro-batch: the mean of
+    three steps.
 
     Uses a throwaway never-scheduling engine on the same substrate seed:
     uniform expert load over the balanced initial placement is the
@@ -127,7 +127,7 @@ def probe_batch_seconds(
     engine.step(assignments, 0)  # warm-up: one-time group creations
     times = [
         engine.step(assignments, step + 1).step_time
-        for step in range(repeats)
+        for step in range(3)
     ]
     return float(np.mean(times))
 

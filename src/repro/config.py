@@ -417,11 +417,9 @@ class SchedulerConfig:
             every ``static_interval`` steps unconditionally.
         static_interval: Period of the static trigger (Figure 6b uses
             10/50/100).
-        max_plans_per_round: Safety bound on Expand/Shrink pairs applied in a
-            single scheduling round.
-        migrate: Whether the background Migrate pass runs after each round.
-        migrate_period: Steps between background Migrate passes when no
-            Expand/Shrink fired (the pass always follows applied pairs).
+        migrate: Whether the background Migrate pass runs: after every
+            round that applied Expand/Shrink pairs, and every
+            :data:`~repro.core.scheduler.MIGRATE_PERIOD` steps otherwise.
         best_effort: Overlap adjustments with training on a separate stream
             (Section 4); when ``False`` adjustments block the step.
         slots_per_gpu: Number of vExpert slots hosted by each GPU.
@@ -449,9 +447,7 @@ class SchedulerConfig:
     metric: str = "max"
     mode: str = "dynamic"
     static_interval: int = 50
-    max_plans_per_round: int = 64
     migrate: bool = True
-    migrate_period: int = 10
     best_effort: bool = True
     slots_per_gpu: int | None = None
     speed_aware_balance: bool = False
@@ -469,8 +465,6 @@ class SchedulerConfig:
             f"mode must be one of {SCHEDULER_MODES}, got {self.mode!r}",
         )
         _require(self.static_interval >= 1, "static_interval must be >= 1")
-        _require(self.max_plans_per_round >= 1, "max_plans_per_round must be >= 1")
-        _require(self.migrate_period >= 1, "migrate_period must be >= 1")
         if self.slots_per_gpu is not None:
             _require(self.slots_per_gpu >= 1, "slots_per_gpu must be >= 1")
         _require(self.min_replicas >= 1, "min_replicas must be >= 1")

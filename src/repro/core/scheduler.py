@@ -29,6 +29,12 @@ from repro.core.policy import PolicyMaker
 from repro.core.primitives import PlacementAction, apply_actions
 from repro.core.trigger import Trigger, TriggerSignals, trigger_from_config
 
+#: Safety bound on Expand/Shrink pairs applied in one scheduling round.
+MAX_PLANS_PER_ROUND = 64
+#: Steps between background Migrate passes when no Expand/Shrink fired
+#: (the pass always follows applied pairs).
+MIGRATE_PERIOD = 10
+
 
 @dataclass(frozen=True)
 class SchedulingOutcome:
@@ -226,7 +232,7 @@ class Scheduler:
         applied: list[PlacementAction] = []
         rounds = 0
         adjustment_time = 0.0
-        while rounds < self._config.max_plans_per_round:
+        while rounds < MAX_PLANS_PER_ROUND:
             decision = self._policy.make_plan(assignment, self._placement)
             if not decision.beneficial:
                 break
@@ -247,7 +253,7 @@ class Scheduler:
                 break
 
         run_migrate = self._config.migrate and (
-            rounds > 0 or step % self._config.migrate_period == 0
+            rounds > 0 or step % MIGRATE_PERIOD == 0
         )
         if run_migrate:
             migrations = self._migration.plan(assignment, self._placement)

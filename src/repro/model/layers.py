@@ -19,6 +19,9 @@ import numpy as np
 
 from repro.exceptions import ModelError
 
+#: LayerNorm's variance offset.
+LAYER_NORM_EPS = 1e-5
+
 
 class Parameter:
     """A trainable tensor with its gradient accumulator."""
@@ -134,20 +137,20 @@ class ReLU(Module):
 
 
 class LayerNorm(Module):
-    """Layer normalization over the last axis."""
+    """Layer normalization over the last axis, with
+    :data:`LAYER_NORM_EPS` added to the variance."""
 
-    def __init__(self, features: int, eps: float = 1e-5) -> None:
+    def __init__(self, features: int) -> None:
         if features < 1:
             raise ModelError("features must be >= 1")
         self.gamma = Parameter(np.ones(features), "ln.gamma")
         self.beta = Parameter(np.zeros(features), "ln.beta")
-        self._eps = eps
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self._eps)
+        inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         normed = (x - mean) * inv_std
         self._cache = (normed, inv_std)
         return normed * self.gamma.data + self.beta.data

@@ -14,6 +14,9 @@ import numpy as np
 from repro.exceptions import ModelError
 from repro.model.layers import Parameter
 
+#: Adam's denominator offset (keeps the update finite at zero variance).
+EPS = 1e-8
+
 
 class Adam:
     """Adam with bias correction over a fixed parameter list."""
@@ -23,7 +26,6 @@ class Adam:
         parameters: Iterable[Parameter],
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
     ) -> None:
         if lr <= 0:
             raise ModelError("learning rate must be > 0")
@@ -34,10 +36,7 @@ class Adam:
         beta1, beta2 = betas
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ModelError("betas must be in [0, 1)")
-        if eps <= 0:
-            raise ModelError("eps must be > 0")
         self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
         self._t = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
@@ -54,4 +53,4 @@ class Adam:
             v += (1 - b2) * p.grad**2
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -23,6 +23,9 @@ from repro.model.expert import FFNExpert
 from repro.model.layers import Embedding, LayerNorm, Linear, Module
 from repro.model.moe_layer import MoELayer, MoELayerStats
 
+#: Experts each token activates in the task models' MoE layers.
+TOP_K = 2
+
 
 class TransformerBlock(Module):
     """Pre-norm transformer block with an FFN or MoE second half."""
@@ -76,7 +79,6 @@ def _build_blocks(
     num_heads: int,
     d_ffn: int,
     num_experts: int,
-    top_k: int,
     balance_coef: float,
     capacity_factor: float | None,
     rng: np.random.Generator,
@@ -88,7 +90,7 @@ def _build_blocks(
         moe = None
         if layer % 2 == 1:
             moe = MoELayer(
-                d_model, d_ffn, num_experts, top_k,
+                d_model, d_ffn, num_experts, TOP_K,
                 balance_coef, capacity_factor, rng,
             )
         blocks.append(
@@ -155,7 +157,6 @@ class MoEClassifier(Module, _MoEStackMixin):
         num_heads: int = 4,
         d_ffn: int = 128,
         num_experts: int = 8,
-        top_k: int = 2,
         balance_coef: float = 0.0,
         capacity_factor: float | None = None,
         num_patches: int = 4,
@@ -170,7 +171,7 @@ class MoEClassifier(Module, _MoEStackMixin):
         self.patch_dim = input_dim // num_patches
         self.embed = Linear(self.patch_dim, d_model, rng, "patch_embed")
         self.blocks = _build_blocks(
-            num_layers, d_model, num_heads, d_ffn, num_experts, top_k,
+            num_layers, d_model, num_heads, d_ffn, num_experts,
             balance_coef, capacity_factor, rng, causal=False,
         )
         self.ln_out = LayerNorm(d_model)
@@ -213,7 +214,6 @@ class MoELanguageModel(Module, _MoEStackMixin):
         num_heads: int = 4,
         d_ffn: int = 128,
         num_experts: int = 8,
-        top_k: int = 2,
         balance_coef: float = 0.0,
         capacity_factor: float | None = None,
         seed: int = 0,
@@ -223,7 +223,7 @@ class MoELanguageModel(Module, _MoEStackMixin):
         self.embed = Embedding(vocab_size, d_model, rng)
         self.pos_embed = Embedding(512, d_model, rng)
         self.blocks = _build_blocks(
-            num_layers, d_model, num_heads, d_ffn, num_experts, top_k,
+            num_layers, d_model, num_heads, d_ffn, num_experts,
             balance_coef, capacity_factor, rng, causal=True,
         )
         self.ln_out = LayerNorm(d_model)

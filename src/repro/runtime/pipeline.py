@@ -255,8 +255,9 @@ class LayerPipeline:
         only plans when ``target == active``, pricing every emission on
         the placement routing actually uses. A held step stays out of
         ``Scheduler.history`` (the scheduler never observed it); under
-        static-interval or ``migrate_period`` triggers a held boundary
-        step skips that round.
+        a static-interval trigger or a
+        :data:`~repro.core.scheduler.MIGRATE_PERIOD` boundary a held
+        boundary step skips that round.
         """
         self._last_assignment = np.asarray(assignment)
         if self._stream.held:
@@ -648,7 +649,6 @@ class MultiLayerFlexMoEEngine:
         self._cluster_state = state
         self._event_log: list[tuple[int, ClusterEvent]] = []
         self._pending_event_blocking = 0.0
-        self._elastic_applied_through = -1
         self._router = FlexibleTokenRouter()
         self._pipe = PipelinedStepExecutor(
             executor,
@@ -718,10 +718,6 @@ class MultiLayerFlexMoEEngine:
         return self._cluster_state
 
     @property
-    def elasticity(self) -> ElasticitySchedule | None:
-        return self._elasticity
-
-    @property
     def event_log(self) -> tuple[tuple[int, ClusterEvent], ...]:
         """Elasticity events applied so far, as ``(step, event)`` pairs."""
         return tuple(self._event_log)
@@ -764,22 +760,29 @@ class MultiLayerFlexMoEEngine:
     # Elasticity
     # ------------------------------------------------------------------
     def apply_elasticity(self, step_index: int) -> None:
-        """Apply the engine's schedule due at ``step_index`` (idempotent).
+        """Apply the engine's step-keyed schedule due at ``step_index``.
 
-        A high-water mark makes double delivery harmless: when a kernel
-        scenario fires the same step's elasticity as an explicit FAILURE
-        event, the schedule phase's just-in-time call becomes a no-op --
-        and without such a source, the schedule phase still applies the
-        events exactly as the retired internal loop did.
+        The schedule phase calls this at the start of every step, so a
+        step-keyed schedule reaches the pool through this one path. A
+        step with events due is tapped as ``cluster.elasticity_steps``
+        and an ``elasticity`` decision, stamped with the bound simulation
+        clock (the step's tick on a training kernel, ``step_index``
+        without one).
         """
         if self._elasticity is None:
             return
-        if step_index <= self._elastic_applied_through:
-            return
-        self._elastic_applied_through = step_index
         events = self._elasticity.events_at(step_index)
-        if events:
-            self.apply_cluster_events(events, when=step_index)
+        if not events:
+            return
+        self.apply_cluster_events(events, when=step_index)
+        tel = telemetry.current()
+        if tel is not None:
+            tel.registry.counter("cluster.elasticity_steps").inc()
+            tel.decision(
+                tel.now(default=float(step_index)),
+                "elasticity",
+                f"step[{step_index}]",
+            )
 
     def apply_cluster_events(
         self, events: tuple[ClusterEvent, ...] | list[ClusterEvent], when: float
@@ -867,11 +870,11 @@ class MultiLayerFlexMoEEngine:
     ) -> PendingStep:
         """The schedule phase (kernel priority TRIGGER).
 
-        Applies any still-pending elasticity for ``step_index``,
-        re-shards dead devices' batch shards over the survivors, and runs
-        every layer's monitoring loop: the Scheduler observes its
-        assignment (or the caller's smoothed scheduling view) and emits
-        actions into its best-effort stream.
+        Applies the elasticity due at ``step_index``, re-shards dead
+        devices' batch shards over the survivors, and runs every layer's
+        monitoring loop: the Scheduler observes its assignment (or the
+        caller's smoothed scheduling view) and emits actions into its
+        best-effort stream.
         """
         assignments = np.asarray(assignments)
         if assignments.ndim != 3 or assignments.shape[0] != len(self._layers):
@@ -887,10 +890,7 @@ class MultiLayerFlexMoEEngine:
                     f"{assignments.shape}; got {scheduling_assignments.shape}"
                 )
 
-        # Elasticity due at this step (no-op when an ElasticitySource on
-        # the kernel already delivered it at FAILURE priority).
-        if self._elasticity is not None:
-            self.apply_elasticity(step_index)
+        self.apply_elasticity(step_index)
         state = self._cluster_state
         if state is not None:
             live = state.live_view()
@@ -1082,7 +1082,6 @@ def build_engine(
     overlap_efficiency: float = 1.0,
     model_dense_compute: bool = True,
     seed: int = 0,
-    jitter: float = 0.02,
     elasticity: ElasticitySchedule | None = None,
     trigger_factory: Callable[[], Trigger] | None = None,
     inference: bool = False,
@@ -1103,7 +1102,6 @@ def build_engine(
         cluster,
         model,
         seed=seed,
-        jitter=jitter,
         cluster_state=(
             ClusterState(cluster.num_gpus, initial_live=initial_live)
             if elasticity is not None

@@ -253,13 +253,13 @@ class LatencyWindow:
             return b - diff * (1.0 - gamma)
         return a + diff * gamma
 
-    def publish(self, registry, prefix: str = "serving.window", **labels) -> None:
-        """Publish the window's rolling signals as gauges into a
-        :class:`~repro.telemetry.registry.MetricsRegistry`."""
+    def publish(self, registry, **labels) -> None:
+        """Publish the window's rolling signals as ``serving.window.*``
+        gauges into a :class:`~repro.telemetry.registry.MetricsRegistry`."""
         p99 = self.p99()
         if p99 is not None:
-            registry.gauge(f"{prefix}.p99_s", **labels).set(p99)
-        registry.gauge(f"{prefix}.size", **labels).set(self._size)
+            registry.gauge("serving.window.p99_s", **labels).set(p99)
+        registry.gauge("serving.window.size", **labels).set(self._size)
 
     def attainment(self, target: float) -> float | None:
         """Rolling SLO attainment: the fraction of the window's

@@ -1,6 +1,6 @@
 """Unified discrete-event simulation kernel and scenario specs.
 
-One clock for every workload: training steps, elasticity schedules,
+One clock for every workload: training steps, timed cluster events,
 adjustment-stream budgets and serving arrivals all run as event sources
 on the :class:`~repro.sim.kernel.SimKernel`, composed declaratively by
 :class:`~repro.sim.scenario.Scenario` specs. ``repro.sim.composed``
@@ -22,7 +22,6 @@ from repro.sim.kernel import (
 from repro.sim.scenario import Scenario, clamp_warmup, smoke_scale
 from repro.sim.sources import (
     AutoscalerSource,
-    ElasticitySource,
     MultiTenantServingSource,
     PipelineStepSource,
     StreamBudgetSource,
@@ -33,7 +32,6 @@ from repro.sim.sources import (
 __all__ = [
     "Actor",
     "AutoscalerSource",
-    "ElasticitySource",
     "EventQueue",
     "EventSource",
     "MultiTenantServingSource",

@@ -86,10 +86,11 @@ class SimEvent:
 
 
 class SimClock:
-    """Monotone simulation clock (seconds or steps; the scenario decides)."""
+    """Monotone simulation clock (seconds or steps; the scenario decides),
+    starting at zero."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -7,8 +7,6 @@ Each class here turns one formerly-bespoke loop into an
   steps (the multi-layer engine's three step phases become TRIGGER /
   STEP / STREAM events at the step's tick; single-layer systems become
   plain STEP events);
-* :class:`ElasticitySource` -- the engine's step-indexed elasticity
-  schedule as FAILURE events, instead of per-step polling;
 * :class:`TimedClusterEventSource` -- cluster events keyed by simulated
   *seconds*, which the old step-indexed loops could not express;
 * :class:`MultiTenantServingSource` -- request arrival / batch dispatch
@@ -65,10 +63,8 @@ class PipelineStepSource:
       streams receive the step's duration as transfer budget and ready
       actions commit.
 
-    Elasticity due at ``t`` fires first (``(t, FAILURE)``) when an
-    :class:`ElasticitySource` shares the kernel; the engine's own
-    just-in-time application covers it otherwise, so decision/metric
-    identity with the retired internal loop holds either way.
+    A step-keyed elasticity schedule is the engine's own: the schedule
+    phase applies the events due at ``t`` before the layers observe.
 
     Attributes:
         results: Per-step :class:`~repro.runtime.pipeline.PipelineStepResult`
@@ -146,46 +142,6 @@ class SystemStepSource:
                 lambda t=t: self.results.append(system.step(trace.step(t), t)),
                 Priority.STEP,
                 label=f"step[{t}]",
-            )
-
-
-class ElasticitySource:
-    """A step-indexed :class:`~repro.cluster.events.ElasticitySchedule`
-    as FAILURE events.
-
-    Schedules one ``(step, FAILURE)`` event per step that carries
-    elasticity events, calling the engine's idempotent
-    ``apply_elasticity`` -- the same entry point the engine's schedule
-    phase uses as a fallback, so the pool mutates exactly once per step
-    whichever event fires first.
-    """
-
-    def __init__(self, engine) -> None:
-        if getattr(engine, "elasticity", None) is None:
-            raise SimulationError(
-                "ElasticitySource requires an engine with an elasticity schedule"
-            )
-        self._engine = engine
-
-    def prime(self, kernel: SimKernel, scenario: "Scenario") -> None:
-        engine = self._engine
-        steps = sorted({event.step for event in engine.elasticity.events})
-        for step in steps:
-            if scenario.duration is not None and step >= scenario.duration:
-                continue
-
-            def fire(step=step) -> None:
-                engine.apply_elasticity(step)
-                tel = telemetry.current()
-                if tel is not None:
-                    tel.registry.counter("cluster.elasticity_steps").inc()
-                    tel.decision(float(step), "elasticity", f"step[{step}]")
-
-            kernel.schedule_at(
-                step,
-                fire,
-                Priority.FAILURE,
-                label=f"elasticity[{step}]",
             )
 
 

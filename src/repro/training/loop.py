@@ -13,7 +13,7 @@ dense-compute / adjustment phases overlap per the paper's pipeline.
 
 Both simulators are hosted on the unified discrete-event kernel
 (:mod:`repro.sim`): steps are event sources on the shared clock, so the
-same runs compose with elasticity schedules, serving traffic and stream
+same runs compose with timed cluster events, serving traffic and stream
 budgets declared in one :class:`~repro.sim.scenario.Scenario`.
 The perf harness times the kernel against a plain inline ``engine.step``
 loop (both with telemetry disabled), and ``tests/test_sim_identity.py``
@@ -34,12 +34,7 @@ from repro.baselines.flexmoe import FlexMoESystem
 from repro.config import ClusterConfig, MoEModelConfig, WorkloadConfig
 from repro.exceptions import SimulationError
 from repro.runtime.pipeline import MultiLayerFlexMoEEngine, PipelineStepResult
-from repro.sim import (
-    ElasticitySource,
-    PipelineStepSource,
-    Scenario,
-    SystemStepSource,
-)
+from repro.sim import PipelineStepSource, Scenario, SystemStepSource
 from repro.training.convergence import ConvergenceModel
 from repro.training.metrics import (
     EfficiencyTrajectory,
@@ -218,8 +213,8 @@ def simulate_pipeline(
     """Run the multi-layer engine over every step of ``trace``.
 
     The run is hosted on the shared discrete-event kernel: steps become
-    TRIGGER/STEP/STREAM events and any elasticity schedule becomes a
-    FAILURE event source, instead of being polled per step.
+    TRIGGER/STEP/STREAM events, and each step's schedule phase applies
+    the engine's elasticity due at that step.
 
     Args:
         engine: The pipelined engine (one scheduler per MoE layer).
@@ -237,12 +232,9 @@ def simulate_pipeline(
             f"warmup must be in [0, {trace.num_steps}), got {warmup}"
         )
     step_source = PipelineStepSource(engine, trace)
-    sources: tuple = (step_source,)
-    if getattr(engine, "elasticity", None) is not None:
-        sources = (ElasticitySource(engine), step_source)
     Scenario(
         name=f"pipeline-{engine.name}",
-        sources=sources,
+        sources=(step_source,),
         duration=trace.num_steps,
     ).run()
     results = step_source.results

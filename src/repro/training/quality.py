@@ -38,6 +38,8 @@ from repro.workload.trace import RoutingTrace
 EVAL_SIZE = 1024
 #: Held-out batches :func:`train_language_model` evaluates on.
 EVAL_BATCHES = 8
+#: Adam learning rate of both training runs.
+LEARNING_RATE = 3e-3
 
 
 @dataclass
@@ -53,8 +55,9 @@ class QualityRunResult:
         balance_loss: Mean auxiliary balance loss observed.
         expert_load_history: Per-step per-expert token counts of the first
             MoE layer (feeds the simulator).
-        steps_to_target: First step whose evaluation metric reached the
-            target, or ``None`` if never reached.
+        steps_to_target: First step whose evaluation metric reached
+            :func:`train_classifier`'s ``target_metric``, or ``None`` if
+            never reached (always ``None`` for language-model runs).
     """
 
     metric_name: str
@@ -104,7 +107,6 @@ def train_classifier(
     num_experts: int = 8,
     steps: int = 300,
     batch_size: int = 128,
-    lr: float = 3e-3,
     eval_every: int = 50,
     target_metric: float | None = None,
     metric: str = "top1",
@@ -135,7 +137,7 @@ def train_classifier(
         capacity_factor=capacity_factor,
         seed=seed,
     )
-    optimizer = Adam(model.parameters(), lr=lr)
+    optimizer = Adam(model.parameters(), lr=LEARNING_RATE)
     data_rng = np.random.default_rng(seed + 1)
     eval_rng = np.random.default_rng(seed + 2)
     eval_x, eval_y, _ = dataset.sample(EVAL_SIZE, eval_rng)
@@ -195,18 +197,12 @@ def train_language_model(
     steps: int = 300,
     batch_size: int = 32,
     seq_len: int = 32,
-    lr: float = 3e-3,
     eval_every: int = 50,
-    target_metric: float | None = None,
     d_model: int = 32,
     num_layers: int = 4,
     seed: int = 0,
 ) -> QualityRunResult:
-    """Train the BERT/GPT-MoE stand-in and measure validation perplexity.
-
-    ``target_metric`` (when set) is a perplexity *ceiling*: the run records
-    the first evaluation at or below it.
-    """
+    """Train the BERT/GPT-MoE stand-in and measure validation perplexity."""
     model = MoELanguageModel(
         vocab_size=dataset.vocab_size,
         d_model=d_model,
@@ -216,7 +212,7 @@ def train_language_model(
         capacity_factor=capacity_factor,
         seed=seed,
     )
-    optimizer = Adam(model.parameters(), lr=lr)
+    optimizer = Adam(model.parameters(), lr=LEARNING_RATE)
     data_rng = np.random.default_rng(seed + 1)
     eval_rng = np.random.default_rng(seed + 2)
     eval_sets = [
@@ -230,7 +226,6 @@ def train_language_model(
     dropped_total = 0
     assigned_total = 0
     balance_sum = 0.0
-    steps_to_target: int | None = None
 
     def _evaluate() -> float:
         model.set_training(False)
@@ -260,14 +255,7 @@ def train_language_model(
         assigned_total += assigned
         balance_sum += balance
         if (step + 1) % eval_every == 0 or step == steps - 1:
-            ppl = _evaluate()
-            eval_history.append((step + 1, ppl))
-            if (
-                target_metric is not None
-                and steps_to_target is None
-                and ppl <= target_metric
-            ):
-                steps_to_target = step + 1
+            eval_history.append((step + 1, _evaluate()))
 
     return QualityRunResult(
         metric_name="ppl",
@@ -277,5 +265,4 @@ def train_language_model(
         dropped_fraction=dropped_total / max(assigned_total, 1),
         balance_loss=balance_sum / steps,
         expert_load_history=np.stack(loads),
-        steps_to_target=steps_to_target,
     )

@@ -149,6 +149,33 @@ def test_docs_name_only_live_class_attributes():
     assert load_check_docs().check_docs_class_attrs() == []
 
 
+def test_script_path_check_names_a_deleted_script(tmp_path):
+    """Check 9: script paths under benchmarks/, examples/ and tools/, and
+    bare ``bench_*.py`` names, must exist; globs and longer paths that
+    merely end in such a name are not checked."""
+    check = load_check_docs()
+    doc = tmp_path / "stale.md"
+    doc.write_text(
+        "Run `python tools/check_docs.py` and examples/quickstart.py;\n"
+        "| `bench_fig2_balance_loss.py` | Figure 2 |\n"
+        "| `bench_retired.py` | gone |\n"
+        "Every benchmarks/bench_*.py script, src/repro/tools/x.py and\n"
+        "`benchmarks/bench_gone.py`, `examples/missing.py` too.\n"
+    )
+    assert check.check_script_paths(doc) == [
+        "stale.md:3: names bench_retired.py, but "
+        "benchmarks/bench_retired.py does not exist",
+        "stale.md:5: names benchmarks/bench_gone.py, but "
+        "benchmarks/bench_gone.py does not exist",
+        "stale.md:5: names examples/missing.py, but "
+        "examples/missing.py does not exist",
+    ]
+
+
+def test_docs_name_only_live_scripts():
+    assert load_check_docs().check_docs_script_paths() == []
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "--help"],

@@ -1,8 +1,11 @@
 """Elastic runtime end to end: eviction, re-homing, recovery, faults harness."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.bench.harness import faults_run, placements_rehomed
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
 from repro.config import (
@@ -46,6 +49,49 @@ def small_trace(num_steps, num_moe_layers=2, seed=0, tokens_per_step=16_384):
             tokens_per_step=tokens_per_step, num_steps=num_steps, seed=seed
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# Elasticity telemetry: the engine's own delivery taps each due step once
+# ----------------------------------------------------------------------
+class TestElasticityTelemetry:
+    def test_each_step_with_events_is_tapped_and_applied_once(self):
+        schedule = ElasticitySchedule.from_fault_config(
+            FaultConfig(
+                num_failures=1,
+                failure_step=2,
+                recovery_steps=3,
+                num_stragglers=1,
+                straggler_factor=0.5,
+                straggler_step=1,
+                seed=0,
+            ),
+            num_gpus=SMALL_CLUSTER.num_gpus,
+        )
+        kinds = sorted(event.kind for event in schedule.events)
+        assert kinds == ["fail", "recover", "slowdown"]
+        event_steps = sorted({event.step for event in schedule.events})
+        assert len(event_steps) == 3
+        engine = small_engine(
+            schedule,
+            SchedulerConfig(
+                speed_aware_balance=True, min_replicas=2, slots_per_gpu=6
+            ),
+        )
+        with telemetry.session(reuse=False) as tel:
+            run = simulate_pipeline(engine, small_trace(8))
+        assert tel.registry.value("cluster.elasticity_steps") == len(
+            event_steps
+        )
+        decisions = tel.timeline.of_kind("elasticity")
+        assert [d.time for d in decisions] == [float(s) for s in event_steps]
+        assert [d.subject for d in decisions] == [
+            f"step[{s}]" for s in event_steps
+        ]
+        assert Counter(run.event_log) == Counter(
+            (event.step, event) for event in schedule.events
+        )
+        assert len(run.event_log) == len(schedule)
 
 
 # ----------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_planner_scale_speedup_is_the_median_of_alternating_pairs(monkeypatch):
     timed = {"flat": iter([1.0, 5.0, 2.0]), "hierarchical": iter([2.0, 1.0, 1.0])}
     calls = []
 
-    def replay(cost_model, topology, trace, slots, placement_search):
+    def replay(cost_model, topology, trace, placement_search):
         calls.append(placement_search)
         # The first call per mode is the untimed warm-up.
         seconds = next(timed[placement_search]) if len(calls) > 2 else 9.0

@@ -135,9 +135,9 @@ class TestRunPathIdentity:
 
 class TestFaultsPathIdentity:
     def test_elastic_kernel_matches_legacy_loop(self):
-        """Failure + recovery + straggler via an ElasticitySource vs the
-        inline loop's per-step polling: identical runs, identical event
-        logs."""
+        """Failure + recovery + straggler on the kernel-hosted run vs the
+        inline step loop; both deliver the schedule through the engine's
+        schedule phase: identical runs, identical event logs."""
         schedule = ElasticitySchedule.from_fault_config(
             FaultConfig(
                 num_failures=1,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs checks: encoding conventions + README quickstart + module drift.
 
-Eight guarantees, all enforced in CI (see CONTRIBUTING.md):
+Nine guarantees, all enforced in CI (see CONTRIBUTING.md):
 
 1. User-facing docs (README.md, CONTRIBUTING.md, docs/*.md) are valid
    UTF-8 and free of mojibake-prone characters: smart quotes, curly
@@ -57,6 +57,13 @@ Eight guarantees, all enforced in CI (see CONTRIBUTING.md):
    property, constant), a dataclass field, or an instance attribute the
    class (or a ``repro`` base) sets as ``self.attr``. A deleted method
    such as a retired ``Placement`` API cannot linger in the docs.
+9. Docs name only live scripts: every ``benchmarks/``, ``examples/`` or
+   ``tools/`` script path (``*.py``) named anywhere in README.md,
+   CONTRIBUTING.md, docs/*.md or the verify skill exists in the repo.
+   A bare ``bench_*.py`` name, as in docs/paper_mapping.md's table,
+   resolves under ``benchmarks/``. Glob patterns such as
+   ``benchmarks/bench_*.py`` are not names and are not checked, so a
+   deleted benchmark script cannot linger in the docs.
 
 Exit status 0 on success, 1 with a report on any failure.
 """
@@ -599,6 +606,38 @@ def check_docs_class_attrs() -> list[str]:
     return problems
 
 
+#: A script path under ``benchmarks/``, ``examples/`` or ``tools/``, or
+#: a bare benchmark file name; never the tail of a longer path.
+SCRIPT_PATH_RE = re.compile(
+    r"(?<![\w./-])((?:benchmarks|examples|tools)/[\w./-]*\.py|bench_\w+\.py)"
+    r"(?![\w*])"
+)
+
+
+def check_script_paths(path: Path) -> list[str]:
+    """Every script path ``path`` names exists (check 9)."""
+    problems = []
+    text = path.read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for name in SCRIPT_PATH_RE.findall(line):
+            target = name if "/" in name else f"benchmarks/{name}"
+            if not (REPO / target).is_file():
+                problems.append(
+                    f"{path.name}:{lineno}: names {name}, but {target} "
+                    "does not exist"
+                )
+    return problems
+
+
+def check_docs_script_paths() -> list[str]:
+    """:func:`check_script_paths` over the docs and the verify skill."""
+    problems = []
+    for path in [*doc_paths(), VERIFY_SKILL]:
+        if path.exists():
+            problems.extend(check_script_paths(path))
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     for path in doc_paths():
@@ -619,6 +658,7 @@ def main() -> int:
     problems.extend(check_docs_config_fields())
     problems.extend(check_cli_commands(documented_cli_commands()))
     problems.extend(check_docs_class_attrs())
+    problems.extend(check_docs_script_paths())
     if problems:
         print("docs check FAILED:")
         for problem in problems:
@@ -627,7 +667,7 @@ def main() -> int:
     print(
         f"docs check OK ({len(doc_paths())} files, quickstart ran, "
         "module map in sync, no tracked bytecode, bench reports "
-        "documented, doc options, commands and attributes live)"
+        "documented, doc options, commands, attributes and scripts live)"
     )
     return 0
 
