@@ -147,7 +147,6 @@ def degradation_run(smoke: bool = False, seed: int = 0) -> dict[str, object]:
             name=f"degradation-{label}",
             sources=(spot, run.source),
             duration=2.5 * expected_duration,
-            seed=seed,
         ).run()
         report = run.report()
         summary = report.multitenant_summary()

@@ -454,7 +454,7 @@ class _StubBookkeeping:
 
     def __init__(self, batching, window: int, tokens_per_s: float) -> None:
         from repro.serving.admission import PriorityAdmissionQueue
-        from repro.serving.engine import single_stream_tenant
+        from repro.serving.engine import ServedColumns, single_stream_tenant
         from repro.serving.slo import LatencyWindow, SLOConfig
 
         self.queue = PriorityAdmissionQueue(
@@ -462,9 +462,7 @@ class _StubBookkeeping:
         )
         self.window = LatencyWindow(window)
         self.rate = float(tokens_per_s)
-        self._served: list = []
-        self._count = 0
-        self._columns = np.empty((3, 256), dtype=float)
+        self._served = ServedColumns()
         self._queue_col: np.ndarray | None = None
 
     def dispatch(self, batch, now: float, index: int) -> float:
@@ -476,20 +474,7 @@ class _StubBookkeeping:
 
     def complete(self, batch, start: float, execute: float) -> None:
         queue_col = self._queue_col
-        n = len(batch)
-        capacity = self._columns.shape[1]
-        if self._count + n > capacity:
-            grown = np.empty(
-                (3, max(2 * capacity, self._count + n)), dtype=float
-            )
-            grown[:, : self._count] = self._columns[:, : self._count]
-            self._columns = grown
-        sl = slice(self._count, self._count + n)
-        self._columns[0, sl] = start
-        self._columns[1, sl] = queue_col
-        self._columns[2, sl] = execute
-        self._count += n
-        self._served.extend(batch)
+        self._served.append(batch, start, queue_col, execute)
         self.window.observe_batch(queue_col + execute)
 
 
@@ -529,8 +514,8 @@ def serving_events_benchmark(
 ) -> dict[str, object]:
     """Serving event throughput of the serving event machinery.
 
-    Replays a seeded stream through the shipped hot path (same-timestamp
-    kernel drain, one ARRIVAL event per request, columnar numpy
+    Replays a seeded stream through the shipped hot path (one kernel
+    event per arrival, dispatch and completion, columnar numpy
     bookkeeping) with a constant-rate execute model probed from the real
     cost model at the 16-GPU / 64-expert configuration (:class:`_StubBookkeeping` explains
     why the full engine is not timed here); best-of-``repeats``.

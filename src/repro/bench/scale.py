@@ -328,13 +328,15 @@ def _time_stage(owner: object, method: str, stages: dict, stage: str) -> None:
 def kernel_events_scale_benchmark(
     num_moe_layers: int, num_ticks: int = 1500, seed: int = 0
 ) -> dict[str, object]:
-    """Kernel dispatch throughput with fan-out scaled to the layer count.
+    """Kernel dispatch throughput on a synthetic tie load that grows
+    with the layer count.
 
-    A ``num_moe_layers``-layer engine schedules roughly three events per
-    layer per step (begin / drain / complete), so the per-tick fan is
-    ``3 * num_moe_layers`` — the multi-dozen-layer configs push the
-    kernel's tie-heavy same-timestamp drain exactly as the pipelined engine
-    does at that scale.
+    The per-tick fan is ``3 * num_moe_layers`` same-time events (see
+    :func:`~repro.bench.perf.kernel_events_benchmark`). The engine
+    itself schedules three events per *step*, not per layer
+    (:class:`~repro.sim.sources.PipelineStepSource`), so this is a
+    synthetic load that only ties more events per instant at larger
+    configs, not a replay of the engine's schedule.
     """
     result = kernel_events_benchmark(
         num_ticks=num_ticks,

@@ -1,8 +1,9 @@
 """Serving-latency harness: ``python -m repro serve``.
 
 Runs the identical SLO-aware request stream through two servers -- the
-dynamic FlexMoE server and the frozen :class:`StaticServing` baseline --
-on seed-matched substrates, and reports p50/p95/p99 latency and goodput
+dynamic FlexMoE server and the frozen
+:class:`~repro.serving.baseline.StaticServing` baseline -- on
+seed-matched substrates, and reports p50/p95/p99 latency and goodput
 under the SLO (``BENCH_serving_latency.json``).
 
 Calibration makes the scenario meaningful at any model/cluster shape:

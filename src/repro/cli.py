@@ -666,7 +666,7 @@ def _show_perf(report: dict) -> None:
     )
     kernel_events = report["kernel_events"]
     print(
-        f"drain     events {kernel_events['events_per_sec']:8.0f} events/s "
+        f"dispatch  events {kernel_events['events_per_sec']:8.0f} events/s "
         f"(floor {kernel_events['events_per_sec_floor']:.0f})"
     )
     # Memo accounting straight from the telemetry snapshot -- the report

@@ -363,14 +363,15 @@ class ElasticitySchedule:
 def redistribute_assignments(
     assignments: np.ndarray, live_mask: np.ndarray
 ) -> np.ndarray:
-    """Batched :func:`redistribute_assignment` over stacked layers.
+    """Move the tokens routed to dead devices onto the live ones.
 
-    ``assignments`` is ``(layers, experts, gpus)``; every layer is
-    re-sharded in one vectorized pass instead of a Python call per layer,
-    which is what keeps multi-dozen-layer pipelines O(1) in Python
-    overhead per step. Returns the input object itself when every device
-    is live (the common case), matching the 2-D function's no-copy
-    fast path.
+    ``assignments`` is ``(layers, experts, gpus)``. Each expert's dead
+    total is spread evenly over the live devices, the remainder one
+    token each to the lowest-indexed ones. Every layer is re-sharded in
+    one vectorized pass instead of a Python call per layer, which is
+    what keeps multi-dozen-layer pipelines O(1) in Python overhead per
+    step. Returns the input object itself when every device is live
+    (the common case).
     """
     assignments = np.asarray(assignments)
     live_mask = np.asarray(live_mask, dtype=bool)

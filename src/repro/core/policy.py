@@ -8,7 +8,8 @@ one (Shrink, Expand) pair per call:
    ``e1 = argmin_e cap_e`` (most underloaded, must retain >= 1 vExpert);
 3. estimate ``t1`` after shrinking ``e1`` and expanding ``e0`` into the
    freed slot;
-4. return the pair iff ``t1 < t0`` (optionally charging an amortized share
+4. return the pair iff ``t1`` beats ``t0`` by at least
+   :data:`MIN_RELATIVE_GAIN` (optionally charging an amortized share
    of the adjustment transfer cost), else the empty plan.
 
 Because an expert may hold replicas on several GPUs, *which* replica of
@@ -64,6 +65,11 @@ EXPAND_CANDIDATES = 3
 #: Least-loaded experts above the replication floor each hot expert may
 #: Shrink.
 SHRINK_CANDIDATES = 2
+#: Smallest relative step-time gain a candidate must model to be taken.
+#: The delta and full-recompute evaluators sum in different orders, so a
+#: move that changes nothing (a free same-GPU swap) can price a few ulps
+#: either side of ``t0``; the margin keeps such noise out of decisions.
+MIN_RELATIVE_GAIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -271,8 +277,9 @@ class PolicyMaker:
         profiles therefore draw identical AllReduce values (a cost model
         without gradient sync finishes the whole batch on the first
         wave; see :class:`~repro.core.delta.CandidateBatch`).  Selection
-        matches it too: strict ``<`` against ``t0``, first candidate wins
-        ties, within a pair and across pairs.
+        matches it too: strict ``<`` against ``t0`` less
+        :data:`MIN_RELATIVE_GAIN`, first candidate wins ties, within a
+        pair and across pairs.
         """
         index = self._delta.holders
         gpn = self._gpus_per_node
@@ -307,6 +314,7 @@ class PolicyMaker:
         shrink = np.repeat(shrink, sizes)
         gpus = np.concatenate(gpus)
         batch = self._delta.pair_candidates(placement, expand, shrink, gpus)
+        bar = t0 * (1.0 - MIN_RELATIVE_GAIN)
         best = None  # (effective, candidate, source, adjustment)
         i = 0
         while i < len(stages):
@@ -322,9 +330,9 @@ class PolicyMaker:
             times = batch.times(lo, hi)
             found = False
             # Amortized adjustments are never negative, so a wave with no
-            # raw time below t0 has no viable candidate: its expand
+            # raw time below the bar has no viable candidate: its expand
             # sources are never priced.
-            if (times < t0).any():
+            if (times < bar).any():
                 e0 = int(expand[lo])
                 sources, adjustments = self._expand_sources_batch(
                     placement,
@@ -335,7 +343,7 @@ class PolicyMaker:
                 effective = times + self._amortized_vec(adjustments)
                 for _, s_lo, s_hi, _ in stages[i:j]:
                     stage = effective[s_lo - lo : s_hi - lo]
-                    viable = stage < t0
+                    viable = stage < bar
                     found = bool(viable.any())
                     if not found:
                         continue
@@ -416,6 +424,7 @@ class PolicyMaker:
     ) -> PolicyDecision | None:
         """Reference path: best (Shrink e1@g, Expand e0@g) over all shrink
         GPUs ``g``, one full evaluation per candidate."""
+        bar = t0 * (1.0 - MIN_RELATIVE_GAIN)
         best: PolicyDecision | None = None
         for gpu in placement.gpus_of(e1):
             trial = placement.copy()
@@ -438,7 +447,7 @@ class PolicyMaker:
             )
             adjustment = self._cost_model.adjustment_cost([shrink, expand])
             effective = t1 + self._amortized(adjustment)
-            if effective < t0 and (best is None or effective < best.time_after):
+            if effective < bar and (best is None or effective < best.time_after):
                 best = PolicyDecision(
                     actions=(shrink, expand),
                     time_before=t0,

@@ -130,8 +130,10 @@ class TopicRoutingModel:
     def batch_probs_arrays(
         self, layer: int, tokens: np.ndarray, topics: np.ndarray
     ) -> np.ndarray:
-        """:meth:`batch_probs` from precomputed token/topic columns.
+        """Layer ``layer``'s expert popularity for one batch: each
+        topic's profile weighted by its requests' tokens, normalized.
 
+        ``tokens`` and ``topics`` are the batch's per-request columns;
         ``topics`` must already be reduced modulo :attr:`num_topics`.
         The serving engine takes the columns once per batch from the
         admission queue instead of walking the request objects once per
@@ -407,6 +409,54 @@ class ServingEngine:
         return self._report
 
 
+class ServedColumns:
+    """Start / queue / execute float64 columns of the served requests,
+    in completion order, grown geometrically. :class:`RequestRecord`
+    objects are built only by :meth:`records` -- the hot loop never
+    allocates them."""
+
+    def __init__(self) -> None:
+        self._served: list[Request] = []
+        self._count = 0
+        self._columns = np.empty((3, 256), dtype=float)
+
+    def append(
+        self,
+        batch: Sequence[Request],
+        start: float,
+        queue_col: np.ndarray,
+        execute: float,
+    ) -> None:
+        """Record one finished batch: a shared ``start`` and ``execute``,
+        and each request's queue time."""
+        n = len(batch)
+        capacity = self._columns.shape[1]
+        if self._count + n > capacity:
+            grown = np.empty(
+                (3, max(2 * capacity, self._count + n)), dtype=float
+            )
+            grown[:, : self._count] = self._columns[:, : self._count]
+            self._columns = grown
+        sl = slice(self._count, self._count + n)
+        self._columns[0, sl] = start
+        self._columns[1, sl] = queue_col
+        self._columns[2, sl] = execute
+        self._count += n
+        self._served.extend(batch)
+
+    def records(self) -> tuple[RequestRecord, ...]:
+        """The served requests' records, in completion order."""
+        starts = self._columns[0, : self._count].tolist()
+        queues = self._columns[1, : self._count].tolist()
+        execs = self._columns[2, : self._count].tolist()
+        return tuple(
+            RequestRecord(
+                request=request, start=s, queue_time=q, execute_time=x
+            )
+            for request, s, q, x in zip(self._served, starts, queues, execs)
+        )
+
+
 class _ServingRun:
     """One serving run's mutable state plus its kernel event source.
 
@@ -440,13 +490,7 @@ class _ServingRun:
         self.window = LatencyWindow(engine.slo.window)
         self.requests = engine._requests
         self.actions = 0
-        # Start/queue/execute float64 columns grown geometrically, plus
-        # the served requests in completion order. RequestRecord objects
-        # are materialized at report time -- the hot loop never
-        # allocates them.
-        self._served: list[Request] = []
-        self._count = 0
-        self._columns = np.empty((3, 256), dtype=float)
+        self._served = ServedColumns()
         # The in-flight batch's queue-time column, stashed at dispatch
         # for the completion (or discarded by a preemption). At most one
         # batch is ever in flight, so a single slot suffices.
@@ -496,33 +540,8 @@ class _ServingRun:
         """Record the batch that genuinely finished (never preempted):
         append its latency columns and feed the window."""
         queue_col = self._pending_queue_col
-        n = len(batch)
-        capacity = self._columns.shape[1]
-        if self._count + n > capacity:
-            grown = np.empty(
-                (3, max(2 * capacity, self._count + n)), dtype=float
-            )
-            grown[:, : self._count] = self._columns[:, : self._count]
-            self._columns = grown
-        sl = slice(self._count, self._count + n)
-        self._columns[0, sl] = start
-        self._columns[1, sl] = queue_col
-        self._columns[2, sl] = execute
-        self._count += n
-        self._served.extend(batch)
+        self._served.append(batch, start, queue_col, execute)
         self.window.observe_batch(queue_col + execute)
-
-    def _materialized_records(self) -> tuple[RequestRecord, ...]:
-        """Build the RequestRecord tuple from the columns."""
-        starts = self._columns[0, : self._count].tolist()
-        queues = self._columns[1, : self._count].tolist()
-        execs = self._columns[2, : self._count].tolist()
-        return tuple(
-            RequestRecord(
-                request=request, start=s, queue_time=q, execute_time=x
-            )
-            for request, s, q, x in zip(self._served, starts, queues, execs)
-        )
 
     def _tenancy(self) -> TenancyInfo | None:
         tenants = self._server._tenants
@@ -548,7 +567,7 @@ class _ServingRun:
         """Assemble the report from the kernel source's final state."""
         report = ServingReport(
             engine=type(self._server).name,
-            records=self._materialized_records(),
+            records=self._served.records(),
             # Shed requests are degraded load, not vanished load: they
             # fold into the rejected set (counting as SLO misses
             # everywhere) and the tenancy counters attribute them per

@@ -11,7 +11,6 @@ keep this package importable from the layers it serves. See
 """
 
 from repro.sim.kernel import (
-    Actor,
     EventQueue,
     EventSource,
     Priority,
@@ -30,7 +29,6 @@ from repro.sim.sources import (
 )
 
 __all__ = [
-    "Actor",
     "AutoscalerSource",
     "EventQueue",
     "EventSource",

@@ -453,7 +453,6 @@ def build_churn_scenario(
         ),
         sources=sources,
         duration=2.5 * expected_duration,
-        seed=config.seed,
     )
     provenance = {
         "num_moe_layers": config.num_moe_layers,

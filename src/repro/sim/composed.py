@@ -177,7 +177,6 @@ def build_composed_scenario(
         name="serving+elasticity+budget",
         sources=(elasticity, serving_run.source, budget),
         duration=2.0 * expected_duration,
-        seed=config.seed,
     )
     provenance = {
         "num_moe_layers": config.num_moe_layers,

@@ -20,15 +20,14 @@ Ordering rules:
   (``seq`` is a monotone counter assigned by the queue), so a seeded
   simulation is bit-reproducible.
 
-:class:`EventSource` (alias :class:`Actor`) is the protocol scenario
-components implement: :meth:`~EventSource.prime` receives the kernel and
-the owning :class:`~repro.sim.scenario.Scenario` and schedules the
-source's initial events; follow-up events are scheduled from callbacks.
+:class:`EventSource` is the protocol scenario components implement:
+:meth:`~EventSource.prime` receives the kernel and the owning
+:class:`~repro.sim.scenario.Scenario` and schedules the source's initial
+events; follow-up events are scheduled from callbacks.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -80,10 +79,6 @@ class SimEvent:
     callback: Callable[[], None] = field(compare=False)
     label: str = field(default="", compare=False)
 
-    def key(self) -> tuple[float, int, int]:
-        """The stable ordering key (for traces and tests)."""
-        return (self.time, self.priority, self.seq)
-
 
 class SimClock:
     """Monotone simulation clock (seconds or steps; the scenario decides),
@@ -120,31 +115,6 @@ class EventQueue:
         self._heap: list[SimEvent] = []
         self._seq = itertools.count()
 
-    def make(
-        self,
-        time: float,
-        priority: int,
-        callback: Callable[[], None],
-        label: str = "",
-    ) -> SimEvent:
-        """Build an event with the next ``seq`` WITHOUT enqueueing it.
-
-        The kernel's same-timestamp drain uses this to keep same-time
-        events out of the heap entirely; :meth:`insert` re-enqueues a
-        made event (e.g. when a callback raised mid-drain)."""
-        return SimEvent(
-            time=float(time),
-            priority=int(priority),
-            seq=next(self._seq),
-            callback=callback,
-            label=label,
-        )
-
-    def insert(self, event: SimEvent) -> SimEvent:
-        """Enqueue an already-made event (its ``seq`` is preserved)."""
-        heapq.heappush(self._heap, event)
-        return event
-
     def push(
         self,
         time: float,
@@ -152,7 +122,15 @@ class EventQueue:
         callback: Callable[[], None],
         label: str = "",
     ) -> SimEvent:
-        return self.insert(self.make(time, priority, callback, label))
+        event = SimEvent(
+            time=float(time),
+            priority=int(priority),
+            seq=next(self._seq),
+            callback=callback,
+            label=label,
+        )
+        heapq.heappush(self._heap, event)
+        return event
 
     def pop(self) -> SimEvent:
         if not self._heap:
@@ -186,16 +164,8 @@ class SimKernel:
             spans on the same track. ``record_trace`` and ``tracer``
             share one observation path
             (:class:`~repro.telemetry.tracing.KernelTraceSink`); with
-            neither, the drain loop pays a single ``is not None``
-            branch per event.
-
-    Same-timestamp event groups drain as one slice: all events sharing
-    the head time are popped together in ``(priority, seq)`` order and
-    dispatched without touching the heap between them; a source that
-    re-schedules at the *current* time (the dispatch-at-now idiom of
-    :class:`~repro.sim.sources.MultiTenantServingSource`) lands in a
-    small sorted side buffer instead of churning the heap. Dispatch order is exactly
-    that of popping one event at a time off the heap.
+            neither, the loop pays a single ``is not None`` branch per
+            event.
     """
 
     def __init__(
@@ -206,8 +176,6 @@ class SimKernel:
         self._clock = SimClock()
         self._queue = EventQueue()
         self._processed = 0
-        self._draining_time: float | None = None
-        self._drain_buffer: list[SimEvent] = []
         self._sink: KernelTraceSink | None = (
             KernelTraceSink(record_trace, tracer)
             if (record_trace or tracer is not None)
@@ -221,14 +189,6 @@ class SimKernel:
     def now(self) -> float:
         """Current simulation time."""
         return self._clock.now
-
-    @property
-    def clock(self) -> SimClock:
-        return self._clock
-
-    @property
-    def queue(self) -> EventQueue:
-        return self._queue
 
     @property
     def processed_events(self) -> int:
@@ -267,7 +227,7 @@ class SimKernel:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._clock.now}"
             )
-        return self._enqueue(time, priority, callback, label)
+        return self._queue.push(time, priority, callback, label)
 
     def schedule(
         self,
@@ -279,23 +239,9 @@ class SimKernel:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._enqueue(self._clock.now + delay, priority, callback, label)
-
-    def _enqueue(
-        self,
-        time: float,
-        priority: int,
-        callback: Callable[[], None],
-        label: str,
-    ) -> SimEvent:
-        """Route a new event to the heap -- or, mid group drain, to the
-        sorted same-time side buffer (the heap-churn-skipping fast path
-        for the schedule-at-now idiom)."""
-        if self._draining_time is not None and float(time) == self._draining_time:
-            event = self._queue.make(time, priority, callback, label)
-            bisect.insort(self._drain_buffer, event)
-            return event
-        return self._queue.push(time, priority, callback, label)
+        return self._queue.push(
+            self._clock.now + delay, priority, callback, label
+        )
 
     # ------------------------------------------------------------------
     # Run
@@ -314,78 +260,29 @@ class SimKernel:
         Returns:
             The simulation time after the run.
 
-        Each same-timestamp group comes off the heap already in
-        ``(priority, seq)`` order (sequential pops of equal-time events
-        are globally sorted), and same-time events scheduled by the
-        callbacks land in the sorted ``_drain_buffer``; the merge always
-        dispatches the smaller of the group head and the buffer head, so
-        the total ``(time, priority, seq)`` order is exactly that of one
-        heap pop per event. On an exception the undispatched remainder of
-        both is restored to the heap.
+        Each loop pops one event off the heap, so dispatch follows the
+        ``(time, priority, seq)`` order by construction. A callback that
+        raises, or an exhausted budget, leaves every undispatched event
+        queued for a resumed run.
         """
         queue = self._queue
-        buffer = self._drain_buffer
         sink = self._sink
         while queue:
             if self._processed >= max_events:
                 raise SimulationError(
                     f"event budget exhausted after {max_events} events"
                 )
-            group_time = queue.peek().time
-            if until is not None and group_time > until:
+            if until is not None and queue.peek().time > until:
                 self._clock.advance_to(until)
                 return self._clock.now
-            first = queue.pop()
-            if not queue or queue.peek().time != group_time:
-                # Singleton group: dispatch straight off the heap.
-                # Same-time events the callback schedules go through the
-                # heap, whose (time, priority, seq) order matches the
-                # merge's -- this just skips the buffer machinery for the
-                # common untied case.
-                self._clock.advance_to(group_time)
-                self._processed += 1
-                if sink is not None:
-                    sink.observe(
-                        first.time, first.priority, first.seq, first.label
-                    )
-                first.callback()
-                continue
-            batch = [first]
-            while queue and queue.peek().time == group_time:
-                batch.append(queue.pop())
-            self._clock.advance_to(group_time)
-            index = 0
-            self._draining_time = group_time
-            try:
-                while True:
-                    take_batch = index < len(batch) and (
-                        not buffer or batch[index] < buffer[0]
-                    )
-                    if not take_batch and not buffer:
-                        break
-                    if self._processed >= max_events:
-                        raise SimulationError(
-                            f"event budget exhausted after {max_events} events"
-                        )
-                    if take_batch:
-                        event = batch[index]
-                        index += 1
-                    else:
-                        event = buffer.pop(0)
-                    self._processed += 1
-                    if sink is not None:
-                        sink.observe(
-                            event.time, event.priority, event.seq, event.label
-                        )
-                    event.callback()
-            finally:
-                self._draining_time = None
-                if index < len(batch) or buffer:
-                    for event in batch[index:]:
-                        queue.insert(event)
-                    for event in buffer:
-                        queue.insert(event)
-                    buffer.clear()
+            event = queue.pop()
+            self._clock.advance_to(event.time)
+            self._processed += 1
+            if sink is not None:
+                sink.observe(
+                    event.time, event.priority, event.seq, event.label
+                )
+            event.callback()
         if until is not None:
             self._clock.advance_to(max(self._clock.now, until))
         return self._clock.now
@@ -403,7 +300,3 @@ class EventSource(Protocol):
     def prime(self, kernel: SimKernel, scenario: "Scenario") -> None:
         """Schedule this source's initial events."""
         ...  # pragma: no cover - protocol
-
-
-#: The paper-adjacent literature calls these actors; both names work.
-Actor = EventSource

@@ -2,15 +2,15 @@
 
 A :class:`Scenario` is the unit of composition: it names the run,
 declares which :class:`~repro.sim.kernel.EventSource` instances populate
-the shared clock, bounds the horizon, and carries the seed. Running a
+the shared clock and bounds the horizon. Running a
 scenario is always the same three lines -- build a kernel, prime every
 source, drain the queue -- so adding a workload means writing a source,
 never another bespoke loop.
 
 The module also owns the repo-wide smoke-duration policy. Every harness
 used to carry its own CI-scale downscaling (trace lengths, step counts,
-request counts); :func:`smoke_scale` and :meth:`Scenario.smoke` are now
-the single place that policy lives, and
+request counts); :func:`smoke_scale` is now the single place that
+policy lives, and
 :class:`~repro.bench.harness.ExperimentScale` presets derive from it.
 """
 
@@ -47,7 +47,7 @@ def clamp_warmup(warmup: int, num_steps: int) -> int:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A declarative simulation spec: sources + duration + seed.
+    """A declarative simulation spec: sources + duration.
 
     Attributes:
         name: Human-readable scenario name (labels traces and reports).
@@ -58,13 +58,11 @@ class Scenario:
             clock lands exactly on it; ``None`` runs to quiescence. The
             unit is whatever the sources schedule in -- step indices for
             training scenarios, simulated seconds for serving ones.
-        seed: Scenario seed, readable by sources at prime time.
     """
 
     name: str
     sources: tuple[EventSource, ...]
     duration: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -80,17 +78,7 @@ class Scenario:
         """Return a copy of this scenario with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
 
-    def smoke(self, floor: int | float = 8) -> "Scenario":
-        """CI-scale copy: same structure, :func:`smoke_scale`-d duration."""
-        if self.duration is None:
-            return self
-        return self.replace(duration=smoke_scale(self.duration, floor))
-
-    def run(
-        self,
-        record_trace: bool = False,
-        max_events: int = 5_000_000,
-    ) -> SimKernel:
+    def run(self, record_trace: bool = False) -> SimKernel:
         """Execute the scenario on a fresh kernel and return it.
 
         Sources accumulate their own results; read them off the source
@@ -118,5 +106,5 @@ class Scenario:
             session.bind_track(track)
         for source in self.sources:
             source.prime(kernel, self)
-        kernel.run(until=self.duration, max_events=max_events)
+        kernel.run(until=self.duration)
         return kernel

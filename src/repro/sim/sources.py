@@ -223,8 +223,6 @@ class MultiTenantServingSource:
             -- the model/engine half of the server.
         complete: ``complete(batch, start, execute)`` for every batch
             that genuinely finished (never for a preempted one).
-        preempted: ``preempted(batch, start, elapsed)`` for every
-            preempted batch.
         preemption: Whether higher-priority arrivals preempt.
 
     Attributes:
@@ -241,8 +239,7 @@ class MultiTenantServingSource:
         requests: Sequence,
         queue,
         dispatch: Callable[[tuple, float, int], float],
-        complete: Callable[[tuple, float, float], None] | None = None,
-        preempted: Callable[[tuple, float, float], None] | None = None,
+        complete: Callable[[tuple, float, float], None],
         preemption: bool = True,
     ) -> None:
         self._requests = tuple(
@@ -251,7 +248,6 @@ class MultiTenantServingSource:
         self._queue = queue
         self._dispatch_cb = dispatch
         self._complete_cb = complete
-        self._preempted_cb = preempted
         self._preemption = bool(preemption)
         self._kernel: SimKernel | None = None
         self._busy = False
@@ -360,8 +356,7 @@ class MultiTenantServingSource:
         self._inflight = None
         self._busy = False
         self.last_completion = self._kernel.now
-        if self._complete_cb is not None:
-            self._complete_cb(batch, start, execute)
+        self._complete_cb(batch, start, execute)
         self._maybe_dispatch()
 
     def _preempt_inflight(self) -> None:
@@ -387,8 +382,6 @@ class MultiTenantServingSource:
                 requests=len(batch),
                 wasted_seconds=elapsed,
             )
-        if self._preempted_cb is not None:
-            self._preempted_cb(batch, start, elapsed)
 
 
 class StreamBudgetSource:

@@ -176,6 +176,40 @@ def test_docs_name_only_live_scripts():
     assert load_check_docs().check_docs_script_paths() == []
 
 
+def test_docstring_ref_check_names_a_missing_target(tmp_path, monkeypatch):
+    """Check 10: a cross-reference role resolves by import, in its
+    module, on a class there or as a builtin; ``:attr:`` is not
+    checked."""
+    check = load_check_docs()
+    probe = tmp_path / "xref_probe.py"
+    probe.write_text(
+        '"""Probe: :class:`Probe`, :meth:`Probe.run`, :meth:`run`,\n'
+        ":func:`~repro.sim.scenario.smoke_scale`, :exc:`ValueError` and\n"
+        ":mod:`repro.sim` resolve; :meth:`Probe.gone` does not.\n"
+        '"""\n'
+        "\n"
+        "\n"
+        "class Probe:\n"
+        '    """Runs; see :func:`retired_helper` and :attr:`anything`."""\n'
+        "\n"
+        "    def run(self):\n"
+        '        """:class:`title <Probe>` resolves, :mod:`repro.gone` not."""\n'
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert check.check_docstring_refs(probe, "xref_probe") == [
+        "xref_probe.py:3: :meth:`Probe.gone` names nothing importable, "
+        "in xref_probe or on a class there",
+        "xref_probe.py:8: :func:`retired_helper` names nothing importable, "
+        "in xref_probe or on a class there",
+        "xref_probe.py:11: :mod:`repro.gone` names nothing importable, "
+        "in xref_probe or on a class there",
+    ]
+
+
+def test_src_docstrings_name_only_live_objects():
+    assert load_check_docs().check_src_docstring_refs() == []
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "--help"],

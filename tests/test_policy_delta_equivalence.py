@@ -153,6 +153,26 @@ def test_migration_plans_identical_on_evolving_scenario():
     assert delta_planner.delta.fallbacks == 0
 
 
+def test_perf_smoke_replay_identical_at_seed_3():
+    """The `repro perf --smoke` planner replay at seed 3. At step 1 a
+    free same-GPU swap prices one ulp below ``t0`` on the reference
+    path and exactly at ``t0`` on the delta path; the minimum relative
+    gain keeps that rounding noise from deciding."""
+    from repro.bench.perf import _planner_pass, planner_setup
+
+    model = MoEModelConfig(
+        name="perf-32e", num_layers=2, d_model=2048, d_ffn=8192,
+        num_experts=32,
+    )
+    topology, cost_model, trace = planner_setup(model, 8, 12, 32_768, 3)
+    _, ref, _, _ = _planner_pass(cost_model, topology, trace, use_delta=False)
+    _, delta, policy, migration = _planner_pass(
+        cost_model, topology, trace, use_delta=True
+    )
+    assert delta == ref
+    assert policy.delta.fallbacks + migration.delta.fallbacks == 0
+
+
 def test_scheduler_histories_identical():
     """Algorithm 1 end to end: same triggers, same rounds, same actions."""
     cost_model, topology = build_cost_model()

@@ -516,7 +516,7 @@ def test_property_single_tenant_reduces_to_plain_queue(
 def run_source(tenants, requests, max_batch_tokens=100, preemption=True,
                execute=10.0, duration=None):
     queue = make_queue(tenants, max_batch_tokens=max_batch_tokens)
-    dispatched, completed, preempted = [], [], []
+    dispatched, completed = [], []
 
     def dispatch(batch, now, index):
         dispatched.append((batch, now, index))
@@ -527,15 +527,19 @@ def run_source(tenants, requests, max_batch_tokens=100, preemption=True,
         queue,
         dispatch,
         complete=lambda batch, start, exe: completed.append((batch, start, exe)),
-        preempted=lambda batch, start, elapsed: preempted.append(
-            (batch, start, elapsed)
-        ),
         preemption=preemption,
     )
     Scenario(
         name="mt-preempt", sources=(source,), duration=duration
     ).run()
-    return source, dispatched, completed, preempted
+    return source, dispatched, completed
+
+
+def preempted_batches(dispatched, completed):
+    """Dispatched batches that never completed. One server runs one
+    batch at a time, so a dispatch time names its batch."""
+    finished = {start for _, start, _ in completed}
+    return [batch for batch, now, _ in dispatched if now not in finished]
 
 
 PREEMPT_TENANTS = (
@@ -550,9 +554,7 @@ class TestPreemption:
             request(0, 100, tenant=0, arrival=0.0),
             request(1, 100, tenant=1, arrival=1.0),
         )
-        source, dispatched, completed, preempted = run_source(
-            PREEMPT_TENANTS, requests
-        )
+        source, dispatched, completed = run_source(PREEMPT_TENANTS, requests)
         # batch dispatches at t=0, chat preempts at t=1, chat runs
         # 1..11, batch re-dispatches 11..21.
         assert source.preemptions == 1
@@ -563,7 +565,9 @@ class TestPreemption:
             (1, 1.0),
             (0, 11.0),
         ]
-        assert [b[0].index for b, _, _ in preempted] == [0]
+        assert [
+            b[0].index for b in preempted_batches(dispatched, completed)
+        ] == [0]
         assert source.num_batches == 3  # the re-dispatch is a real batch
         assert not source.rejected
 
@@ -575,7 +579,7 @@ class TestPreemption:
             request(0, 100, tenant=0, arrival=0.0),
             request(1, 100, tenant=1, arrival=1.0),
         )
-        _, _, completed, _ = run_source(PREEMPT_TENANTS, requests)
+        _, _, completed = run_source(PREEMPT_TENANTS, requests)
         assert all(start != 0.0 for _, start, _ in completed)
 
     def test_preemption_disabled_runs_to_completion(self):
@@ -583,11 +587,12 @@ class TestPreemption:
             request(0, 100, tenant=0, arrival=0.0),
             request(1, 100, tenant=1, arrival=1.0),
         )
-        source, _, completed, preempted = run_source(
+        source, dispatched, completed = run_source(
             PREEMPT_TENANTS, requests, preemption=False
         )
         assert source.preemptions == 0
-        assert not preempted
+        assert source.preempted_requests == 0
+        assert not preempted_batches(dispatched, completed)
         assert [(b[0].index, start) for b, start, _ in completed] == [
             (0, 0.0),
             (1, 10.0),
@@ -607,7 +612,7 @@ class TestPreemption:
             request(0, 100, tenant=0, arrival=0.0),
             request(1, 100, tenant=1, arrival=1.0),
         )
-        source, _, completed, _ = run_source(tenants, requests)
+        source, _, completed = run_source(tenants, requests)
         assert source.preemptions == 0
         assert completed[0][0][0].index == 0
 
@@ -620,7 +625,7 @@ class TestPreemption:
             request(0, 100, tenant=0, arrival=0.0),
             request(1, 100, tenant=1, arrival=1.0),
         )
-        source, _, _, _ = run_source(tenants, requests)
+        source, _, _ = run_source(tenants, requests)
         assert source.preemptions == 0
 
     def test_preempted_request_keeps_original_arrival_latency(self):
@@ -631,7 +636,7 @@ class TestPreemption:
             request(0, 100, tenant=0, arrival=0.0),
             request(1, 100, tenant=1, arrival=1.0),
         )
-        _, _, completed, _ = run_source(PREEMPT_TENANTS, requests)
+        _, _, completed = run_source(PREEMPT_TENANTS, requests)
         batch, start, _ = completed[-1]
         assert batch[0].index == 0
         assert start - batch[0].arrival == pytest.approx(11.0)
@@ -649,7 +654,10 @@ class TestEagerAdmission:
         queue = make_queue((spec(name="only"),), max_batch_tokens=100)
         requests = tuple(request(i, 100, arrival=float(i)) for i in range(3))
         source = MultiTenantServingSource(
-            requests, queue, lambda batch, now, index: 10.0
+            requests,
+            queue,
+            lambda batch, now, index: 10.0,
+            lambda batch, start, execute: None,
         )
         Scenario(name="horizon", sources=(source,), duration=5.0).run()
         assert source.num_batches == 1

@@ -118,7 +118,7 @@ class TestComposedScenario:
         assert scenario.name == "serving+elasticity+budget"
         assert len(scenario.sources) == 3
         assert scenario.duration is not None and scenario.duration > 0
-        assert scenario.seed == 3
+        assert handles.provenance["seed"] == 3
 
 
 class TestScenarioCli:

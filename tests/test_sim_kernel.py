@@ -149,8 +149,11 @@ class TestSimKernel:
 class _SeededSource:
     """Toy source: schedules seeded-jittered events across the horizon."""
 
+    def __init__(self, seed=0):
+        self._seed = seed
+
     def prime(self, kernel, scenario):
-        rng = np.random.default_rng(scenario.seed)
+        rng = np.random.default_rng(self._seed)
         for index, time in enumerate(
             rng.uniform(0.0, scenario.duration, size=25)
         ):
@@ -175,7 +178,7 @@ class TestScenario:
         """The kernel determinism guarantee: byte-identical traces."""
         def trace(seed):
             scenario = Scenario(
-                name="det", sources=(_SeededSource(),), duration=10.0, seed=seed
+                name="det", sources=(_SeededSource(seed),), duration=10.0
             )
             return scenario.run(record_trace=True).trace
 
@@ -188,15 +191,6 @@ class TestScenario:
         )
         kernel = scenario.run()
         assert kernel.now == 10.0
-
-    def test_smoke_scales_duration(self):
-        scenario = Scenario(
-            name="s", sources=(_SeededSource(),), duration=100.0
-        )
-        assert scenario.smoke().duration == 25.0
-        assert scenario.smoke(floor=80).duration == 80.0
-        unbounded = Scenario(name="s", sources=(_SeededSource(),))
-        assert unbounded.smoke().duration is None
 
 
 class TestSmokeHelpers:
@@ -214,10 +208,7 @@ class TestSmokeHelpers:
         step-unit default floor)."""
         assert smoke_scale(10, floor=150) == 10
         assert smoke_scale(0.0115, floor=8) == 0.0115
-        scenario = Scenario(
-            name="tiny", sources=(_SeededSource(),), duration=0.5
-        )
-        assert scenario.smoke().duration == 0.5
+        assert smoke_scale(0.5, floor=8) == 0.5
 
     def test_experiment_scale_smoke_is_the_shared_policy(self):
         from repro.bench.harness import FULL, SMOKE
@@ -255,9 +246,10 @@ def _heap_order(schedule):
     return order
 
 
-class TestBatchDrain:
-    """The same-timestamp group drain dispatches exactly the
-    ``(time, priority, seq)`` order of one heap pop per event."""
+class TestOrderingAndRestore:
+    """Tied events dispatch in the ``(time, priority, seq)`` order of
+    one heap pop per event, and a stopped run keeps every undispatched
+    event queued."""
 
     def test_tied_group_dispatches_in_priority_then_seq_order(self):
         kernel = SimKernel()
@@ -302,8 +294,8 @@ class TestBatchDrain:
         with pytest.raises(SimulationError):
             kernel.run(max_events=3)
         assert seen == [0, 1, 2]
-        # The undispatched half of the group went back to the heap and a
-        # resumed run drains it in the original order.
+        # The undispatched half of the group stays queued and a resumed
+        # run drains it in the original order.
         assert len(kernel) == 3
         kernel.run()
         assert seen == [0, 1, 2, 3, 4, 5]
@@ -314,7 +306,9 @@ class TestBatchDrain:
 
         def boom():
             seen.append("boom")
-            kernel.schedule_at(kernel.now, lambda: seen.append("buffered"))
+            kernel.schedule_at(
+                kernel.now, lambda: seen.append("rescheduled")
+            )
             raise RuntimeError("callback failed")
 
         kernel.schedule_at(1.0, boom, Priority.FAILURE)
@@ -322,12 +316,12 @@ class TestBatchDrain:
         with pytest.raises(RuntimeError):
             kernel.run()
         # Both the tied group remainder AND the same-time event the
-        # failing callback buffered survive for a resumed run, which
+        # failing callback scheduled survive for a resumed run, which
         # drains them in (priority, seq) order: "tied" (seq 1) before
-        # the later-scheduled "buffered" (seq 2).
+        # the later-scheduled "rescheduled" (seq 2).
         assert len(kernel) == 2
         kernel.run()
-        assert seen == ["boom", "tied", "buffered"]
+        assert seen == ["boom", "tied", "rescheduled"]
 
     def test_run_until_leaves_future_events(self):
         kernel = SimKernel()

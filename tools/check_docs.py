@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs checks: encoding conventions + README quickstart + module drift.
 
-Nine guarantees, all enforced in CI (see CONTRIBUTING.md):
+Ten guarantees, all enforced in CI (see CONTRIBUTING.md):
 
 1. User-facing docs (README.md, CONTRIBUTING.md, docs/*.md) are valid
    UTF-8 and free of mojibake-prone characters: smart quotes, curly
@@ -64,6 +64,15 @@ Nine guarantees, all enforced in CI (see CONTRIBUTING.md):
    resolves under ``benchmarks/``. Glob patterns such as
    ``benchmarks/bench_*.py`` are not names and are not checked, so a
    deleted benchmark script cannot linger in the docs.
+10. Docstrings name only live objects: every ``:func:``, ``:meth:``,
+    ``:class:``, ``:mod:`` or ``:exc:`` cross-reference in a docstring
+    under ``src/repro/`` resolves, a leading ``~`` or ``.`` aside. The
+    target is an importable object (``repro.sim.kernel.SimKernel``), a
+    name in the docstring's module (``SimKernel``, ``SimKernel.run``)
+    or an attribute of a class defined there (a bare ``run``), or a
+    builtin. ``:attr:`` and ``:data:`` are not checked: instance
+    attributes do not resolve by import. A renamed method cannot
+    linger in the docstrings that point readers at it.
 
 Exit status 0 on success, 1 with a report on any failure.
 """
@@ -72,6 +81,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import contextlib
 import dataclasses
 import importlib
@@ -638,6 +648,98 @@ def check_docs_script_paths() -> list[str]:
     return problems
 
 
+#: A docstring cross-reference role (check 10); ``:attr:`` and
+#: ``:data:`` are left out.
+XREF_RE = re.compile(r":(func|meth|class|mod|exc):`([^`]+)`")
+
+
+def _has_chain(obj, names: list[str]) -> bool:
+    for name in names:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def _resolves(target: str, module) -> bool:
+    """Whether ``target`` is importable, a name in ``module``, an
+    attribute of a class defined there, or a builtin (check 10)."""
+    parts = target.split(".")
+    for end in range(len(parts), 0, -1):
+        try:
+            root = importlib.import_module(".".join(parts[:end]))
+        except ImportError:
+            continue
+        if _has_chain(root, parts[end:]):
+            return True
+    if _has_chain(builtins, parts):
+        return True
+    if module is None:
+        return False
+    if _has_chain(module, parts):
+        return True
+    return any(
+        _has_chain(obj, parts)
+        for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+    )
+
+
+def check_docstring_refs(path: Path, module_name: str) -> list[str]:
+    """Every cross-reference role in ``path``'s docstrings resolves
+    against ``module_name`` (check 10); a module under ``src/repro/``
+    is named by its path there. The ``__main__`` entry point runs on
+    import, so its references resolve by import alone."""
+    package = REPO / "src" / "repro"
+    label = (
+        path.relative_to(package).as_posix()
+        if path.is_relative_to(package)
+        else path.name
+    )
+    module = (
+        None
+        if module_name.endswith("__main__")
+        else importlib.import_module(module_name)
+    )
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    problems = []
+    for node in ast.walk(tree):
+        if not isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        ):
+            continue
+        docstring = ast.get_docstring(node, clean=False)
+        if docstring is None:
+            continue
+        first = node.body[0].lineno
+        for ref in XREF_RE.finditer(docstring):
+            role, text = ref.groups()
+            target = text.split("<")[-1].rstrip(">").strip().lstrip("~.")
+            if _resolves(target, module):
+                continue
+            lineno = first + docstring.count("\n", 0, ref.start())
+            problems.append(
+                f"{label}:{lineno}: :{role}:`{text}` names nothing "
+                f"importable, in {module_name} or on a class there"
+            )
+    return problems
+
+
+def check_src_docstring_refs() -> list[str]:
+    """:func:`check_docstring_refs` over every module under
+    ``src/repro/``."""
+    src = REPO / "src"
+    sys.path.insert(0, str(src))
+    problems = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        problems.extend(check_docstring_refs(path, ".".join(parts)))
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     for path in doc_paths():
@@ -659,6 +761,7 @@ def main() -> int:
     problems.extend(check_cli_commands(documented_cli_commands()))
     problems.extend(check_docs_class_attrs())
     problems.extend(check_docs_script_paths())
+    problems.extend(check_src_docstring_refs())
     if problems:
         print("docs check FAILED:")
         for problem in problems:
@@ -667,7 +770,8 @@ def main() -> int:
     print(
         f"docs check OK ({len(doc_paths())} files, quickstart ran, "
         "module map in sync, no tracked bytecode, bench reports "
-        "documented, doc options, commands, attributes and scripts live)"
+        "documented, doc options, commands, attributes, scripts and "
+        "docstring references live)"
     )
     return 0
 
