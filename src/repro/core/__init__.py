@@ -27,7 +27,6 @@ from repro.core.policy import PolicyMaker
 from repro.core.primitives import Expand, Migrate, PlacementAction, Shrink
 from repro.core.router import (
     FlexibleTokenRouter,
-    LayerPlans,
     ReferenceTokenRouter,
     RoutingPlan,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "GateFlowController",
     "ImbalanceTrigger",
     "LatencyTrigger",
-    "LayerPlans",
     "MemoizedStepCost",
     "Migrate",
     "MoECostModel",

@@ -21,9 +21,13 @@ Two implementations share this contract:
   batched NumPy: locality and capacities are computed for all experts at
   once and each expert's spill is scattered in one proportional
   floor-plus-northwest-corner pass over its block of (spilling sources x
-  replica holders with slack). :meth:`~FlexibleTokenRouter.route_layers`
-  routes every MoE layer of a step in one pass over the layers stacked
-  along the expert axis; ``route`` is its one-layer case.
+  replica holders with slack). ``route`` builds one layer's sparse
+  plan. :meth:`~FlexibleTokenRouter.route_layers` is the engine's
+  per-step call: it routes every MoE layer in one pass over the layers
+  stacked along the expert axis and returns only their ``(src, dst)``
+  flows, counted straight from the scatter's cells (the executor prices
+  nothing else, Eq. 8). Both share the same scatter, so each stacked
+  flow equals the one-layer ``route(...).flow``.
 * :class:`ReferenceTokenRouter` — the original per-expert / per-source
   greedy loop, kept as the executable specification the vectorized router
   is benchmarked and property-tested against.
@@ -41,7 +45,7 @@ form with fractional token counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,6 +68,9 @@ class SpillRoutes(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
     tokens: np.ndarray
+
+
+_NO_SPILL = SpillRoutes(*[np.zeros(0, dtype=np.int64)] * 4)
 
 
 @dataclass(frozen=True)
@@ -112,20 +119,6 @@ class RoutingPlan:
         return float(np.trace(self.flow) / total)
 
 
-class LayerPlans(NamedTuple):
-    """Every MoE layer's plan of one step, from
-    :meth:`FlexibleTokenRouter.route_layers`.
-
-    Attributes:
-        plans: One :class:`RoutingPlan` per layer, in layer order.
-        flows: The layers' flows stacked ``(layers, src, dst)``; each
-            plan's ``flow`` is a view of its row.
-    """
-
-    plans: list[RoutingPlan]
-    flows: np.ndarray
-
-
 def _scatter_sum(
     rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple
 ) -> np.ndarray:
@@ -136,12 +129,6 @@ def _scatter_sum(
         rows * shape[1] + cols, weights=values, minlength=shape[0] * shape[1]
     )
     return flat.astype(values.dtype, copy=False).reshape(shape)
-
-
-def _validate_assignment(assignment: np.ndarray, placement: Placement) -> np.ndarray:
-    assignment = _checked_shape(assignment, placement)
-    _check_counts(assignment)
-    return assignment
 
 
 def _checked_shape(assignment: np.ndarray, placement: Placement) -> np.ndarray:
@@ -207,17 +194,81 @@ def _block_cells(
     return width, row_first, col_first, cell_col
 
 
-def _scatter_blocks(
-    spill: np.ndarray, remaining: np.ndarray, slack: np.ndarray, first: int
-) -> SpillRoutes:
-    """:meth:`FlexibleTokenRouter._scatter_spill` for the batch of experts
-    ``first, first + 1, ...``, over their (spilling source x slack
-    holder) cells.
+class _Blocks(NamedTuple):
+    """One expert batch's spill scattered over its block cells: row
+    ``repeat(arange(rows), width)[cell]`` (a spilling ``(expert,
+    source)``) sends ``shares[cell]`` tokens to column
+    ``cell_col[cell]`` (a holder ``col_g`` with slack)."""
 
-    Every row is one expert's spilling source and every column one of its
-    holders with slack, both in GPU order; cells are laid out row by row,
-    so a row's cells are contiguous.
+    row_e: np.ndarray
+    row_g: np.ndarray
+    col_g: np.ndarray
+    width: np.ndarray
+    cell_col: np.ndarray
+    shares: np.ndarray
+
+
+def _locality(
+    demand: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Capacities ``ceil(I_e / n_e)``, the tokens each source keeps on
+    its local replicas, the spill and every replica's remaining slack.
+    An expert without replicas keeps no tokens locally, so its spill
+    fails the scatter's capacity check."""
+    replicas = np.maximum(counts.sum(axis=1), 1)
+    capacities = -(-demand.sum(axis=1) // replicas)
+    cap_matrix = counts * capacities[:, None]
+    local = np.minimum(demand, cap_matrix)
+    return capacities, local, demand - local, cap_matrix - local
+
+
+def _spill_blocks(
+    spill: np.ndarray, remaining: np.ndarray
+) -> Iterator[tuple[int, _Blocks]]:
+    """Scatter every spilling expert's tokens to its slack replicas.
+
+    Proportional shares are floored, then the integer leftovers (one
+    partial token per fractional share) are placed by a northwest-corner
+    fill over the cumulative (row leftover, column slack) profiles. The
+    fill is feasible by construction -- the per-vExpert capacity
+    contract guarantees each expert's total column slack covers its
+    total row leftover -- and both the row sums (conservation) and
+    column caps (capacity) hold exactly.
+
+    Only each expert's block (spilling sources x holders with slack) is
+    priced: outside it the floor shares and the fill are exactly zero.
+    Experts are batched so a batch holds about
+    :data:`SPILL_CHUNK_CELLS` block cells; yields each batch's first
+    expert and its :class:`_Blocks`.
     """
+    slack = remaining.sum(axis=1)
+    if (spill.sum(axis=1) > slack).any():
+        raise RoutingError(
+            "spill exceeds available capacity — capacity invariant violated"
+        )
+    if not spill.any():
+        return
+    # Every block fits in experts x GPUs x GPUs cells.
+    if spill.size * spill.shape[1] <= SPILL_CHUNK_CELLS:
+        yield 0, _scatter_blocks(spill, remaining, slack)
+        return
+    cells = np.count_nonzero(spill, axis=1) * np.count_nonzero(
+        remaining, axis=1
+    )
+    batch = (np.cumsum(cells) - cells) // SPILL_CHUNK_CELLS
+    cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(spill)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if cells[lo:hi].any():
+            yield lo, _scatter_blocks(
+                spill[lo:hi], remaining[lo:hi], slack[lo:hi]
+            )
+
+
+def _scatter_blocks(
+    spill: np.ndarray, remaining: np.ndarray, slack: np.ndarray
+) -> _Blocks:
+    """One batch of :func:`_spill_blocks`, over its (spilling source x
+    slack holder) cells."""
     row_e, row_g = np.nonzero(spill)
     col_e, col_g = np.nonzero(remaining)
     row_tokens = spill[row_e, row_g]
@@ -238,14 +289,7 @@ def _scatter_blocks(
         row_left, row_e, col_left, col_e, len(spill)
     )
     shares[row_first[rows] + cols - col_first[row_e[rows]]] += fill
-    kept = np.flatnonzero(shares)
-    kept_row = np.repeat(np.arange(row_e.size), width)[kept]
-    return SpillRoutes(
-        expert=row_e[kept_row] + first,
-        src=row_g[kept_row],
-        dst=col_g[cell_col[kept]],
-        tokens=shares[kept].astype(np.int64),
-    )
+    return _Blocks(row_e, row_g, col_g, width, cell_col, shares)
 
 
 def _northwest_corner(
@@ -265,10 +309,16 @@ def _northwest_corner(
     experts' row ranges end to end on one line, move each expert's column
     ranges onto its rows' stretch (clipped at its end), and cut the line
     at every range end. Each piece lies in exactly one row and one column.
+    Only rows and columns with a non-zero leftover take part: a
+    zero-length range cuts no piece.
 
     Returns:
         ``(row entry, column entry, tokens)`` of every non-zero fill.
     """
+    rows = np.flatnonzero(row_left)
+    cols = np.flatnonzero(col_left)
+    row_left, row_e = row_left[rows], row_e[rows]
+    col_left, col_e = col_left[cols], col_e[cols]
     rows_hi = np.cumsum(row_left)
     # Per-expert totals; float sums of token counts are exact.
     row_total = np.bincount(row_e, weights=row_left, minlength=num_experts)
@@ -280,9 +330,22 @@ def _northwest_corner(
     pieces = np.flatnonzero(np.diff(edges))
     starts = edges[pieces]
     return (
-        np.searchsorted(rows_hi, starts, side="right"),
-        np.searchsorted(cols_hi, starts, side="right"),
+        rows[np.searchsorted(rows_hi, starts, side="right")],
+        cols[np.searchsorted(cols_hi, starts, side="right")],
         edges[pieces + 1] - starts,
+    )
+
+
+def _spill_routes(blocks: _Blocks, first: int) -> SpillRoutes:
+    """The non-zero cells of a batch whose first expert is ``first``,
+    as COO routes in ``(expert, src, dst)`` order."""
+    kept = np.flatnonzero(blocks.shares)
+    kept_row = np.repeat(np.arange(blocks.row_e.size), blocks.width)[kept]
+    return SpillRoutes(
+        expert=blocks.row_e[kept_row] + first,
+        src=blocks.row_g[kept_row],
+        dst=blocks.col_g[blocks.cell_col[kept]],
+        tokens=blocks.shares[kept].astype(np.int64),
     )
 
 
@@ -290,8 +353,7 @@ class FlexibleTokenRouter:
     """Locality-first router over replicated experts, fully vectorized."""
 
     def route(self, assignment: np.ndarray, placement: Placement) -> RoutingPlan:
-        """Compute the routing plan for one step: the one-layer case of
-        :meth:`route_layers`.
+        """Compute the routing plan for one step.
 
         Args:
             assignment: Integer ``I`` matrix ``(experts, src_gpus)``.
@@ -301,22 +363,41 @@ class FlexibleTokenRouter:
             RoutingError: On shape mismatch, non-finite, negative or
                 fractional counts.
         """
-        return self.route_layers((assignment,), (placement,)).plans[0]
+        demand = _integral(_checked_shape(assignment, placement))
+        capacities, local, spill, remaining = _locality(
+            demand, placement.counts_view
+        )
+        parts = [
+            _spill_routes(blocks, first)
+            for first, blocks in _spill_blocks(spill, remaining)
+        ]
+        routes = SpillRoutes(*map(np.concatenate, zip(_NO_SPILL, *parts)))
+        num_gpus = demand.shape[1]
+        flow = _scatter_sum(
+            routes.src, routes.dst, routes.tokens, (num_gpus, num_gpus)
+        )
+        flow.flat[:: num_gpus + 1] += local.sum(axis=0)
+        return RoutingPlan(
+            local=local, spill=routes, capacities=capacities, flow=flow
+        )
 
     def route_layers(
         self,
         assignments: Sequence[np.ndarray],
         placements: Sequence[Placement],
-    ) -> LayerPlans:
-        """Route every MoE layer of a step, one plan per layer.
+    ) -> np.ndarray:
+        """Every MoE layer's ``(src, dst)`` flow of a step, stacked
+        ``(layers, gpus, gpus)`` int64: what the executors price.
 
         Routing is separable per expert, so layers are stacked along the
         expert axis and routed as one ``(layers * experts, gpus)``
-        demand; the plans are exactly the per-layer ones. A stack holds
-        as many layers as keep its ``experts x gpus x gpus`` block cells
-        within :data:`SPILL_CHUNK_CELLS` (at least one), so from 1024
-        devices up every layer routes on its own and the scatter's peak
-        memory is the single-layer one.
+        demand; each flow is exactly the per-layer ``route(...).flow``,
+        but no plan is built: the flows are counted straight from the
+        scatter's block cells. A stack holds as many layers as keep its
+        ``experts x gpus x gpus`` block cells within
+        :data:`SPILL_CHUNK_CELLS` (at least one), so from 1024 devices
+        up every layer routes on its own and the scatter's peak memory
+        is the single-layer one.
 
         Args:
             assignments: One integer ``(experts, src_gpus)`` matrix per
@@ -349,107 +430,46 @@ class FlexibleTokenRouter:
         per_stack = max(
             1, SPILL_CHUNK_CELLS // max(1, num_experts * num_gpus * num_gpus)
         )
-        flows = np.empty((len(layers), num_gpus, num_gpus), dtype=np.int64)
-        plans: list[RoutingPlan] = []
+        flows = np.zeros((len(layers), num_gpus, num_gpus), dtype=np.int64)
         for lo in range(0, len(layers), per_stack):
             stack = slice(lo, lo + per_stack)
-            plans += self._route_stack(
+            self._route_stack(
                 _integral(_stacked(layers[stack])),
                 _stacked([p.counts_view for p in placements[stack]]),
                 flows[stack],
             )
-        return LayerPlans(plans, flows)
-
-    def _route_stack(
-        self, demand: np.ndarray, counts: np.ndarray, flows: np.ndarray
-    ) -> list[RoutingPlan]:
-        """Route layers stacked as ``(layers * experts, gpus)`` int64
-        demand over their stacked placement counts, writing each layer's
-        flow into ``flows`` ``(layers, gpus, gpus)``."""
-        num_layers, num_gpus = len(flows), demand.shape[1]
-        num_experts = len(demand) // num_layers
-
-        # ceil(I_e / n_e); an expert without replicas keeps no tokens
-        # locally, so its spill fails the capacity check below.
-        replicas = np.maximum(counts.sum(axis=1), 1)
-        capacities = -(-demand.sum(axis=1) // replicas)
-
-        # Locality first, all experts at once: each source keeps up to its
-        # local replicas' capacity.
-        cap_matrix = counts * capacities[:, None]
-        local = np.minimum(demand, cap_matrix)
-        spill = self._scatter_spill(demand - local, cap_matrix - local)
-
-        # The spill COO is sorted by expert: cut it at the layer starts,
-        # and number the experts of every later layer from 0.
-        firsts = np.arange(num_layers + 1) * num_experts
-        cuts = np.searchsorted(spill.expert, firsts)
-        later = slice(cuts[1], None)
-        layer = np.repeat(np.arange(1, num_layers), np.diff(cuts[1:]))
-        spill.expert[later] -= layer * num_experts
-        # Every layer's (src, dst) flow from one bincount with a layer
-        # offset; the diagonal is each layer's local tokens.
-        cells = num_gpus * num_gpus
-        cell = spill.src * num_gpus + spill.dst
-        cell[later] += layer * cells
-        by_layer = flows.reshape(num_layers, cells)
-        by_layer[:] = np.bincount(
-            cell, weights=spill.tokens, minlength=num_layers * cells
-        ).reshape(num_layers, cells)
-        by_layer[:, :: num_gpus + 1] += local.reshape(
-            num_layers, num_experts, num_gpus
-        ).sum(axis=1)
-        plans = []
-        for index in range(num_layers):
-            rows = slice(firsts[index], firsts[index + 1])
-            cut = slice(cuts[index], cuts[index + 1])
-            plans.append(RoutingPlan(
-                local=local[rows],
-                spill=SpillRoutes(*(field[cut] for field in spill)),
-                capacities=capacities[rows],
-                flow=flows[index],
-            ))
-        return plans
+        return flows
 
     @staticmethod
-    def _scatter_spill(spill: np.ndarray, remaining: np.ndarray) -> SpillRoutes:
-        """Scatter every spilling expert's tokens to its slack replicas.
-
-        Proportional shares are floored, then the integer leftovers (one
-        partial token per fractional share) are placed by a northwest-
-        corner fill over the cumulative (row leftover, column slack)
-        profiles. The fill is feasible by construction — the per-vExpert
-        capacity contract guarantees each expert's total column slack
-        covers its total row leftover — and both the row sums
-        (conservation) and column caps (capacity) hold exactly.
-
-        Only each expert's block (spilling sources x holders with slack)
-        is priced: outside it the floor shares and the fill are exactly
-        zero. Experts are batched so a batch holds about
-        :data:`SPILL_CHUNK_CELLS` block cells.
-        """
-        slack = remaining.sum(axis=1)
-        if (spill.sum(axis=1) > slack).any():
-            raise RoutingError(
-                "spill exceeds available capacity — capacity invariant violated"
+    def _route_stack(
+        demand: np.ndarray, counts: np.ndarray, flows: np.ndarray
+    ) -> None:
+        """Add the flows of layers stacked as ``(layers * experts,
+        gpus)`` demand over their stacked placement counts into the
+        zeroed ``flows`` ``(layers, gpus, gpus)``: one ``bincount`` of
+        each batch's cells keyed by ``(layer, src, dst)``."""
+        num_layers, num_gpus = len(flows), demand.shape[1]
+        num_experts = len(demand) // num_layers
+        cells = num_gpus * num_gpus
+        _, local, spill, remaining = _locality(demand, counts)
+        by_cell = flows.reshape(-1)
+        for first, blocks in _spill_blocks(spill, remaining):
+            row_key = (blocks.row_e + first) // num_experts * cells + (
+                blocks.row_g * num_gpus
             )
-        if not spill.any():
-            empty = np.zeros(0, dtype=np.int64)
-            return SpillRoutes(empty, empty, empty, empty)
-        # Every block fits in experts x GPUs x GPUs cells.
-        if spill.size * spill.shape[1] <= SPILL_CHUNK_CELLS:
-            return _scatter_blocks(spill, remaining, slack, 0)
-        cells = np.count_nonzero(spill, axis=1) * np.count_nonzero(
-            remaining, axis=1
-        )
-        batch = (np.cumsum(cells) - cells) // SPILL_CHUNK_CELLS
-        cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(spill)]
-        parts = [
-            _scatter_blocks(spill[lo:hi], remaining[lo:hi], slack[lo:hi], lo)
-            for lo, hi in zip(cuts[:-1], cuts[1:])
-            if cells[lo:hi].any()
-        ]
-        return SpillRoutes(*map(np.concatenate, zip(*parts)))
+            key = np.repeat(row_key, blocks.width) + blocks.col_g[
+                blocks.cell_col
+            ]
+            # Float sums of token counts are exact.
+            np.add(
+                by_cell,
+                np.bincount(key, weights=blocks.shares, minlength=by_cell.size),
+                out=by_cell,
+                casting="unsafe",
+            )
+        flows.reshape(num_layers, cells)[:, :: num_gpus + 1] += local.reshape(
+            num_layers, num_experts, num_gpus
+        ).sum(axis=1)
 
     def route_fractional(
         self, assignment: np.ndarray, placement: Placement
@@ -470,7 +490,9 @@ class FlexibleTokenRouter:
         Raises:
             RoutingError: On shape mismatch, non-finite or negative counts.
         """
-        assignment = _validate_assignment(assignment, placement).astype(float)
+        assignment = _checked_shape(assignment, placement)
+        _check_counts(assignment)
+        assignment = assignment.astype(float)
         counts = placement.counts_view
         num_gpus = assignment.shape[1]
         totals = assignment.sum(axis=1)

@@ -54,7 +54,7 @@ from repro.core.migration import (
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
 from repro.core.primitives import Expand, PlacementAction, Shrink, apply_actions
-from repro.core.router import FlexibleTokenRouter, LayerPlans, RoutingPlan
+from repro.core.router import FlexibleTokenRouter, RoutingPlan
 from repro.core.scheduler import Scheduler, SchedulingOutcome
 from repro.core.trigger import Trigger
 from repro.exceptions import SimulationError
@@ -537,7 +537,6 @@ class PendingStep:
     observed: np.ndarray
     outcomes: list = None
     blocking: float = 0.0
-    plans: list = None
     flows: np.ndarray = None
     timing: PipelineStepTiming = None
 
@@ -958,7 +957,7 @@ class MultiLayerFlexMoEEngine:
             registry.counter("scheduler.actions", kind=kind).inc()
             tel.decision(now, kind, subject, step=step_index, **detail)
 
-    def route(self, assignments: np.ndarray) -> LayerPlans:
+    def route(self, assignments: np.ndarray) -> np.ndarray:
         """Route every layer's assignment over its ACTIVE placement: the
         step's one router call
         (:meth:`~repro.core.router.FlexibleTokenRouter.route_layers`).
@@ -966,6 +965,9 @@ class MultiLayerFlexMoEEngine:
         Args:
             assignments: ``(layers, experts, gpus)`` integer gate
                 assignments, one matrix per MoE layer.
+
+        Returns:
+            The layers' ``(src, dst)`` flows, ``(layers, gpus, gpus)``.
         """
         return self._router.route_layers(assignments, self.placements())
 
@@ -975,7 +977,7 @@ class MultiLayerFlexMoEEngine:
         Routes every layer over its ACTIVE placement in one stacked
         router pass and plays the pipelined whole-transformer step.
         """
-        pending.plans, pending.flows = self.route(pending.assignments)
+        pending.flows = self.route(pending.assignments)
         pending.timing = self._pipe.execute(
             pending.flows,
             self.placements(),

@@ -10,14 +10,7 @@ keep this package importable from the layers it serves. See
 ``docs/simulation.md``.
 """
 
-from repro.sim.kernel import (
-    EventQueue,
-    EventSource,
-    Priority,
-    SimClock,
-    SimEvent,
-    SimKernel,
-)
+from repro.sim.kernel import EventSource, Priority, SimEvent, SimKernel
 from repro.sim.scenario import Scenario, clamp_warmup, smoke_scale
 from repro.sim.sources import (
     AutoscalerSource,
@@ -30,13 +23,11 @@ from repro.sim.sources import (
 
 __all__ = [
     "AutoscalerSource",
-    "EventQueue",
     "EventSource",
     "MultiTenantServingSource",
     "PipelineStepSource",
     "Priority",
     "Scenario",
-    "SimClock",
     "SimEvent",
     "SimKernel",
     "StreamBudgetSource",

@@ -2,12 +2,12 @@
 
 Every loop in this repository that advances simulated time -- training
 steps, elasticity schedules, best-effort adjustment drains, serving
-arrivals and batch completions -- runs on ONE substrate: a
-:class:`SimClock` driven by an :class:`EventQueue` with deterministic
-``(time, priority, seq)`` ordering, so any mix of workloads composes on a
-shared clock (see ``docs/simulation.md``). The one other step loop is
-the plain inline ``engine.step`` baseline the perf harness times the
-kernel against.
+arrivals and batch completions -- runs on ONE substrate: the
+:class:`SimKernel`, one heap of :class:`SimEvent` tuples with
+deterministic ``(time, priority, seq)`` ordering and one clock, so any
+mix of workloads composes on a shared clock (see
+``docs/simulation.md``). The one other step loop is the plain inline
+``engine.step`` baseline the perf harness times the kernel against.
 
 Ordering rules:
 
@@ -17,7 +17,7 @@ Ordering rules:
   (and, on the serving side, completions before arrivals before
   dispatches);
 * events equal in both time and priority fire in scheduling order
-  (``seq`` is a monotone counter assigned by the queue), so a seeded
+  (``seq`` is a monotone counter assigned by the kernel), so a seeded
   simulation is bit-reproducible.
 
 :class:`EventSource` is the protocol scenario components implement:
@@ -30,9 +30,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from enum import IntEnum
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    NamedTuple,
+    Protocol,
+    runtime_checkable,
+)
 
 from repro.exceptions import SimulationError
 from repro.telemetry.tracing import KernelTraceSink, TraceTrack
@@ -69,88 +75,27 @@ class Priority(IntEnum):
     STREAM = 50
 
 
-@dataclass(order=True, frozen=True)
-class SimEvent:
-    """One scheduled callback, ordered by ``(time, priority, seq)``."""
+class SimEvent(NamedTuple):
+    """One scheduled callback, ordered by ``(time, priority, seq)``.
+
+    A plain tuple, so the heap compares events in C. The kernel assigns
+    ``seq`` from one counter, so no two events tie on it and a
+    comparison never reaches ``callback``.
+    """
 
     time: float
     priority: int
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
-
-
-class SimClock:
-    """Monotone simulation clock (seconds or steps; the scenario decides),
-    starting at zero."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, time: float) -> None:
-        """Move the clock forward; moving backwards is a kernel bug."""
-        if time < self._now:
-            raise SimulationError(
-                f"clock cannot move backwards ({self._now} -> {time})"
-            )
-        self._now = float(time)
-
-    def __repr__(self) -> str:
-        return f"SimClock(now={self._now})"
-
-
-class EventQueue:
-    """Priority queue of :class:`SimEvent` with stable tie-breaking.
-
-    The queue assigns the ``seq`` component itself, so two events pushed
-    at the same ``(time, priority)`` always pop in push order regardless
-    of heap internals -- the property the determinism tests assert.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[SimEvent] = []
-        self._seq = itertools.count()
-
-    def push(
-        self,
-        time: float,
-        priority: int,
-        callback: Callable[[], None],
-        label: str = "",
-    ) -> SimEvent:
-        event = SimEvent(
-            time=float(time),
-            priority=int(priority),
-            seq=next(self._seq),
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> SimEvent:
-        if not self._heap:
-            raise SimulationError("cannot pop from an empty event queue")
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> SimEvent:
-        if not self._heap:
-            raise SimulationError("cannot peek into an empty event queue")
-        return self._heap[0]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+    callback: Callable[[], None]
+    label: str = ""
 
 
 class SimKernel:
-    """The event loop: a :class:`SimClock` plus an :class:`EventQueue`.
+    """The event loop: one heap of :class:`SimEvent`, one ``seq``
+    counter and one monotone clock (seconds or steps; the scenario
+    decides), starting at zero. Events pushed at the same ``(time,
+    priority)`` pop in push order -- the property the determinism tests
+    assert.
 
     Args:
         record_trace: Keep a ``(time, priority, seq, label)`` tuple per
@@ -173,8 +118,9 @@ class SimKernel:
         record_trace: bool = False,
         tracer: TraceTrack | None = None,
     ) -> None:
-        self._clock = SimClock()
-        self._queue = EventQueue()
+        self._heap: list[SimEvent] = []
+        self._seq = itertools.count()
+        self._now = 0.0
         self._processed = 0
         self._sink: KernelTraceSink | None = (
             KernelTraceSink(record_trace, tracer)
@@ -188,7 +134,7 @@ class SimKernel:
     @property
     def now(self) -> float:
         """Current simulation time."""
-        return self._clock.now
+        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -210,7 +156,7 @@ class SimKernel:
         return self._sink.track if self._sink is not None else None
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -222,12 +168,21 @@ class SimKernel:
         priority: int = Priority.STEP,
         label: str = "",
     ) -> SimEvent:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self._clock.now:
+        """Schedule ``callback`` at absolute simulation time ``time``.
+
+        Raises:
+            SimulationError: On a non-finite ``time`` or one before the
+                current time.
+        """
+        time = float(time)
+        if not self._now <= time < math.inf:  # NaN fails both
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._clock.now}"
+                f"cannot schedule at {time}: event times must be finite "
+                f"and not before the current time {self._now}"
             )
-        return self._queue.push(time, priority, callback, label)
+        event = SimEvent(time, int(priority), next(self._seq), callback, label)
+        heapq.heappush(self._heap, event)
+        return event
 
     def schedule(
         self,
@@ -236,12 +191,25 @@ class SimKernel:
         priority: int = Priority.STEP,
         label: str = "",
     ) -> SimEvent:
-        """Schedule ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._queue.push(
-            self._clock.now + delay, priority, callback, label
-        )
+        """Schedule ``callback`` ``delay`` seconds from now.
+
+        Raises:
+            SimulationError: On a negative or non-finite ``delay``.
+        """
+        if not 0 <= delay < math.inf:  # NaN fails both
+            raise SimulationError(
+                f"cannot schedule after delay {delay}: delays must be finite "
+                "and >= 0"
+            )
+        return self.schedule_at(self._now + delay, callback, priority, label)
+
+    def _advance_to(self, time: float) -> None:
+        """Move the clock forward; moving backwards is a kernel bug."""
+        if time < self._now:
+            raise SimulationError(
+                f"clock cannot move backwards ({self._now} -> {time})"
+            )
+        self._now = time
 
     # ------------------------------------------------------------------
     # Run
@@ -260,32 +228,42 @@ class SimKernel:
         Returns:
             The simulation time after the run.
 
+        Raises:
+            SimulationError: On a non-finite ``until``, an ``until``
+                before the current time, or an exhausted budget.
+
         Each loop pops one event off the heap, so dispatch follows the
         ``(time, priority, seq)`` order by construction. A callback that
         raises, or an exhausted budget, leaves every undispatched event
         queued for a resumed run.
         """
-        queue = self._queue
+        if until is not None:
+            until = float(until)
+            if not math.isfinite(until):
+                raise SimulationError(
+                    f"cannot run until {until}: the time must be finite"
+                )
+        heap = self._heap
+        pop = heapq.heappop
         sink = self._sink
-        while queue:
+        while heap:
             if self._processed >= max_events:
                 raise SimulationError(
                     f"event budget exhausted after {max_events} events"
                 )
-            if until is not None and queue.peek().time > until:
-                self._clock.advance_to(until)
-                return self._clock.now
-            event = queue.pop()
-            self._clock.advance_to(event.time)
+            if until is not None and heap[0].time > until:
+                self._advance_to(until)
+                return self._now
+            # schedule_at refuses times before now, so this never rewinds.
+            time, priority, seq, callback, label = pop(heap)
+            self._now = time
             self._processed += 1
             if sink is not None:
-                sink.observe(
-                    event.time, event.priority, event.seq, event.label
-                )
-            event.callback()
+                sink.observe(time, priority, seq, label)
+            callback()
         if until is not None:
-            self._clock.advance_to(max(self._clock.now, until))
-        return self._clock.now
+            self._advance_to(max(self._now, until))
+        return self._now
 
 
 @runtime_checkable

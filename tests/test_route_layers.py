@@ -1,10 +1,11 @@
 """One stacked pass per step: routing and execution of every MoE layer.
 
 :meth:`FlexibleTokenRouter.route_layers` stacks layers along the expert
-axis, and :meth:`StepExecutor.execute_layers` stacks their flows; both
-must reproduce the one-layer calls exactly -- plans, timings and the
-jitter stream -- whether the layers fit one stack, cross the stack's
-cell bound or take the spill scatter's expert-batch path.
+axis and returns their flows, and :meth:`StepExecutor.execute_layers`
+stacks those flows; both must reproduce the one-layer calls exactly --
+flows, timings and the jitter stream -- whether the layers fit one
+stack, cross the stack's cell bound or take the spill scatter's
+expert-batch path.
 """
 
 from __future__ import annotations
@@ -76,12 +77,24 @@ def stacks(monkeypatch):
     sizes = []
     inner = FlexibleTokenRouter._route_stack
 
-    def counted(self, demand, counts, flows):
+    def counted(demand, counts, flows):
         sizes.append(len(flows))
-        return inner(self, demand, counts, flows)
+        return inner(demand, counts, flows)
 
-    monkeypatch.setattr(FlexibleTokenRouter, "_route_stack", counted)
+    monkeypatch.setattr(FlexibleTokenRouter, "_route_stack", staticmethod(counted))
     return sizes
+
+
+def single_flows(router, assignments, placements):
+    """``np.stack`` of the one-layer routes' flows: the stacked oracle."""
+    return np.stack(
+        [router.route(a, p).flow for a, p in zip(assignments, placements)]
+    )
+
+
+def assert_flows_equal(got, want):
+    assert got.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
 
 
 class TestRouteLayers:
@@ -89,56 +102,53 @@ class TestRouteLayers:
     def test_equals_per_layer_route(self, num_layers, stacks):
         assignments, placements = random_layers(num_layers, seed=num_layers)
         router = FlexibleTokenRouter()
-        plans, flows = router.route_layers(assignments, placements)
+        flows = router.route_layers(assignments, placements)
         assert stacks == [num_layers]
-        assert len(plans) == num_layers
         assert flows.shape == (num_layers, GPUS, GPUS)
+        assert_flows_equal(flows, single_flows(router, assignments, placements))
         spilled = 0
-        for index, (assignment, placement, plan) in enumerate(
-            zip(assignments, placements, plans)
-        ):
-            single = router.route(assignment, placement)
-            assert_plans_equal(plan, single)
+        for assignment, placement in zip(assignments, placements):
+            plan = router.route(assignment, placement)
             validate_conservation(assignment, plan)
-            assert np.shares_memory(plan.flow, flows[index])
             spilled += plan.spill.tokens.size
         assert spilled > 0
 
     def test_stack_crossing_the_cell_bound(self, monkeypatch, stacks):
         assignments, placements = random_layers(5, seed=3)
         router = FlexibleTokenRouter()
-        singles = [router.route(a, p) for a, p in zip(assignments, placements)]
+        want = single_flows(router, assignments, placements)
         # Two layers' blocks per stack: 5 layers route as 2 + 2 + 1.
         monkeypatch.setattr(
             router_module, "SPILL_CHUNK_CELLS", 2 * EXPERTS * GPUS * GPUS
         )
         stacks.clear()
-        plans = router.route_layers(assignments, placements).plans
+        flows = router.route_layers(assignments, placements)
         assert stacks == [2, 2, 1]
-        for plan, single in zip(plans, singles):
-            assert_plans_equal(plan, single)
+        assert_flows_equal(flows, want)
 
     def test_spill_chunk_path(self, monkeypatch, stacks):
         assignments, placements = random_layers(3, seed=4)
         router = FlexibleTokenRouter()
         singles = [router.route(a, p) for a, p in zip(assignments, placements)]
         # Below one layer's cells: every layer routes alone and its spill
-        # is scattered one expert batch at a time.
+        # is scattered one expert batch at a time, by both calls.
         monkeypatch.setattr(router_module, "SPILL_CHUNK_CELLS", 1)
         stacks.clear()
-        plans = router.route_layers(assignments, placements).plans
+        flows = router.route_layers(assignments, placements)
         assert stacks == [1, 1, 1]
-        for plan, single in zip(plans, singles):
-            assert_plans_equal(plan, single)
+        assert_flows_equal(flows, np.stack([plan.flow for plan in singles]))
+        for assignment, placement, single in zip(
+            assignments, placements, singles
+        ):
+            assert_plans_equal(router.route(assignment, placement), single)
 
     def test_sequence_of_matrices(self):
         assignments, placements = random_layers(2, seed=5)
         router = FlexibleTokenRouter()
-        as_list = router.route_layers(list(assignments), placements)
-        as_array = router.route_layers(assignments, placements)
-        for plan, single in zip(as_list.plans, as_array.plans):
-            assert_plans_equal(plan, single)
-        np.testing.assert_array_equal(as_list.flows, as_array.flows)
+        assert_flows_equal(
+            router.route_layers(list(assignments), placements),
+            router.route_layers(assignments, placements),
+        )
 
     @pytest.mark.parametrize("bad", ["negative", "fractional", "nan", "shape"])
     def test_one_bad_layer_raises(self, bad):
@@ -215,19 +225,21 @@ class TestIntegralCounts:
         demands = []
         inner = FlexibleTokenRouter._route_stack
 
-        def seen(self, demand, counts, flows):
+        def seen(demand, counts, flows):
             demands.append(demand.dtype)
-            return inner(self, demand, counts, flows)
+            return inner(demand, counts, flows)
 
-        monkeypatch.setattr(FlexibleTokenRouter, "_route_stack", seen)
+        monkeypatch.setattr(FlexibleTokenRouter, "_route_stack", staticmethod(seen))
         got = router.route_layers(step, placements)
         assert set(demands) == {np.dtype(np.int32)}
-        assert got.flows.dtype == want.flows.dtype == np.int64
-        np.testing.assert_array_equal(got.flows, want.flows)
-        for got_plan, want_plan in zip(got.plans, want.plans):
+        assert_flows_equal(got, want)
+        for assignment, placement in zip(step, placements):
+            got_plan = router.route(assignment, placement)
             assert got_plan.local.dtype == np.int64
             assert got_plan.spill.tokens.dtype == np.int64
-            assert_plans_equal(got_plan, want_plan)
+            assert_plans_equal(
+                got_plan, router.route(assignment.astype(np.int64), placement)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -249,8 +261,8 @@ def twin_executors(inference: bool):
 
 def layer_flows(num_layers, seed=0):
     assignments, placements = random_layers(num_layers, seed=seed)
-    plans = FlexibleTokenRouter().route_layers(assignments, placements).plans
-    return [plan.flow for plan in plans], placements
+    flows = FlexibleTokenRouter().route_layers(assignments, placements)
+    return list(flows), placements
 
 
 def assert_timings_equal(got, want):
@@ -313,9 +325,12 @@ def test_engine_routes_and_reports_every_layer_at_once():
         scheduler_config=SchedulerConfig(), seed=3,
     )
     assignments, _ = random_layers(3, seed=13)
-    plans, _ = engine.route(assignments)
-    for layer, assignment, plan in zip(engine.layers, assignments, plans):
-        assert_plans_equal(plan, layer.route(assignment))
+    flows = engine.route(assignments)
+    plans = [
+        layer.route(assignment)
+        for layer, assignment in zip(engine.layers, assignments)
+    ]
+    assert_flows_equal(flows, np.stack([plan.flow for plan in plans]))
     result = engine.step(assignments, 0)
     np.testing.assert_array_equal(
         result.layer_gpu_loads, np.stack([plan.gpu_loads for plan in plans])

@@ -8,57 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.sim import (
-    EventQueue,
     Priority,
     Scenario,
-    SimClock,
+    SimEvent,
     SimKernel,
     clamp_warmup,
     smoke_scale,
 )
-
-
-class TestSimClock:
-    def test_starts_at_zero_and_advances(self):
-        clock = SimClock()
-        assert clock.now == 0.0
-        clock.advance_to(2.5)
-        assert clock.now == 2.5
-
-    def test_cannot_move_backwards(self):
-        clock = SimClock()
-        clock.advance_to(3.0)
-        with pytest.raises(SimulationError):
-            clock.advance_to(2.0)
-
-
-class TestEventQueue:
-    def test_orders_by_time_then_priority_then_seq(self):
-        queue = EventQueue()
-        queue.push(2.0, Priority.FAILURE, lambda: None, "late-failure")
-        queue.push(1.0, Priority.STEP, lambda: None, "early-step")
-        queue.push(1.0, Priority.FAILURE, lambda: None, "early-failure")
-        queue.push(1.0, Priority.STEP, lambda: None, "early-step-2")
-        labels = [queue.pop().label for _ in range(4)]
-        assert labels == [
-            "early-failure", "early-step", "early-step-2", "late-failure",
-        ]
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_declared_priority_order(self):
-        # The ordering contract the scenario sources rely on: failures
-        # before scheduling triggers before step execution before stream
-        # drains; completions before arrivals before dispatches.
-        assert Priority.FAILURE < Priority.TRIGGER < Priority.STEP
-        assert (
-            Priority.COMPLETION
-            < Priority.ARRIVAL
-            < Priority.STEP
-            < Priority.STREAM
-        )
 
 
 @settings(max_examples=80, deadline=None)
@@ -73,18 +29,111 @@ class TestEventQueue:
     )
 )
 def test_queue_pops_stable_sorted_order(events):
-    """Pop order == stable sort by (time, priority, insertion order)."""
-    queue = EventQueue()
+    """Dispatch order == stable sort by (time, priority, insertion order)."""
+    kernel = SimKernel(record_trace=True)
     for index, (time, priority) in enumerate(events):
-        queue.push(time, priority, lambda: None, label=str(index))
-    popped = [queue.pop() for _ in range(len(events))]
+        kernel.schedule_at(time, lambda: None, priority, label=str(index))
+    kernel.run()
     expected = sorted(
         range(len(events)), key=lambda i: (events[i][0], int(events[i][1]), i)
     )
-    assert [int(ev.label) for ev in popped] == expected
+    assert [int(entry[3]) for entry in kernel.trace] == expected
 
 
 class TestSimKernel:
+    def test_clock_starts_at_zero_and_advances(self):
+        kernel = SimKernel()
+        assert kernel.now == 0.0
+        kernel.schedule_at(2.5, lambda: None)
+        assert kernel.run() == 2.5
+        assert kernel.now == 2.5
+
+    def test_clock_cannot_move_backwards(self):
+        kernel = SimKernel()
+        kernel.schedule_at(3.0, lambda: None)
+        kernel.run()
+        kernel.schedule_at(5.0, lambda: None)
+        with pytest.raises(SimulationError, match="backwards"):
+            kernel.run(until=2.0)
+        assert kernel.now == 3.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_raises(self, bad):
+        kernel = SimKernel()
+        with pytest.raises(SimulationError, match="must be finite"):
+            kernel.schedule_at(bad, lambda: None)
+        assert len(kernel) == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_delay_raises(self, bad):
+        kernel = SimKernel()
+        fired = []
+        with pytest.raises(SimulationError, match="must be finite"):
+            kernel.schedule(bad, lambda: fired.append(True))
+        assert kernel.run() == 0.0
+        assert fired == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_until_raises(self, bad):
+        kernel = SimKernel()
+        kernel.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="must be finite"):
+            kernel.run(until=bad)
+        assert kernel.now == 0.0
+        assert len(kernel) == 1
+
+    def test_orders_by_time_then_priority_then_seq(self):
+        kernel = SimKernel(record_trace=True)
+        kernel.schedule_at(2.0, lambda: None, Priority.FAILURE, "late-failure")
+        kernel.schedule_at(1.0, lambda: None, Priority.STEP, "early-step")
+        kernel.schedule_at(1.0, lambda: None, Priority.FAILURE, "early-failure")
+        kernel.schedule_at(1.0, lambda: None, Priority.STEP, "early-step-2")
+        kernel.run()
+        assert [entry[3] for entry in kernel.trace] == [
+            "early-failure", "early-step", "early-step-2", "late-failure",
+        ]
+
+    def test_unorderable_callbacks_pop_in_push_order(self):
+        """Tied ``(time, priority)`` events order by ``seq`` alone: the
+        tuple comparison never reaches ``callback``, which here cannot
+        be ordered at all."""
+        kernel = SimKernel()
+        seen = []
+
+        class Unorderable:
+            def __init__(self, index):
+                self.index = index
+                self.token = object()
+
+            def __call__(self):
+                seen.append(self.index)
+
+        for index in range(20):
+            kernel.schedule_at(1.0, Unorderable(index), Priority.STEP)
+        with pytest.raises(TypeError):
+            Unorderable(0) < Unorderable(1)
+        kernel.run()
+        assert seen == list(range(20))
+
+    def test_events_are_named_tuples(self):
+        kernel = SimKernel()
+        callback = lambda: None  # noqa: E731
+        event = kernel.schedule_at(1, callback, Priority.TRIGGER, "x")
+        assert event == SimEvent(1.0, int(Priority.TRIGGER), 0, callback, "x")
+        assert type(event.time) is float and type(event.priority) is int
+
+    def test_declared_priority_order(self):
+        # The ordering contract the scenario sources rely on: failures
+        # before scheduling triggers before step execution before stream
+        # drains; completions before arrivals before dispatches.
+        assert Priority.FAILURE < Priority.TRIGGER < Priority.STEP
+        assert (
+            Priority.COMPLETION
+            < Priority.ARRIVAL
+            < Priority.STEP
+            < Priority.STREAM
+        )
+
     def test_simultaneous_events_resolve_by_priority(self):
         kernel = SimKernel()
         seen = []
@@ -231,7 +280,7 @@ def _heap_order(schedule):
     ``schedule`` lists ``(time, priority, reschedule)`` in scheduling
     order; a popped event with ``reschedule`` set pushes one STREAM
     follow-up at its own time. Returns the dispatched ``(time, priority, seq)``
-    sequence, with ``seq`` numbered like the kernel's queue counter.
+    sequence, with ``seq`` numbered like the kernel's counter.
     """
     heap = [(t, int(p), seq, r) for seq, (t, p, r) in enumerate(schedule)]
     heapq.heapify(heap)
