@@ -8,19 +8,35 @@ greedy (Expand, Shrink) pair per round, allocates all vExpert slots
 proportionally to the observed loads in one shot — and compares it against
 the paper's Algorithm 2 on the same workload.
 
+Both rows run the same training loop, built from the public parts of one
+MoE layer: a :class:`Placement`, a :class:`MoECostModel` over the noisy
+profile, a :class:`Scheduler` around the policy, the
+:class:`FlexibleTokenRouter` and the ground-truth executor. The rows
+differ only in the policy object handed to the Scheduler. Adjustments
+apply as soon as they are planned, and their modelled transfer time is
+charged to the step.
+
 Run:
     python examples/custom_scheduling_policy.py
+
+Exits non-zero if the water-filling policy was never asked for a plan.
 """
+
+import sys
 
 import numpy as np
 
-from repro.baselines import FlexMoESystem, build_context
+from repro.baselines import build_context
 from repro.bench.harness import cluster_for
-from repro.config import SchedulerConfig, WorkloadConfig
+from repro.config import SchedulerConfig, WorkloadConfig, auto_slots_per_gpu
+from repro.core.balance import balance_ratio
+from repro.core.cost_model import MoECostModel
+from repro.core.placement import Placement
 from repro.core.policy import PolicyDecision, PolicyMaker
 from repro.core.primitives import Expand, Shrink
+from repro.core.router import FlexibleTokenRouter
+from repro.core.scheduler import Scheduler
 from repro.model.zoo import get_model_config
-from repro.training.loop import simulate_training
 from repro.workload.synthetic import DriftingRoutingGenerator
 
 
@@ -32,7 +48,11 @@ class WaterFillingPolicy(PolicyMaker):
     its load-proportional target, rather than by per-vExpert capacity.
     """
 
+    #: ``make_plan`` calls so far (the Scheduler's rounds that asked).
+    calls = 0
+
     def make_plan(self, assignment, placement) -> PolicyDecision:
+        self.calls += 1
         assignment = np.asarray(assignment)
         t0 = self.estimate_step_time(assignment, placement)
         loads = assignment.sum(axis=1).astype(float)
@@ -54,48 +74,62 @@ class WaterFillingPolicy(PolicyMaker):
         source = self._expand_source(trial, e0, gpu)
         expand = Expand(expert=e0, gpu=gpu, source_gpu=source)
         expand.apply(trial)
-        plan = self._router.route_fractional(assignment, trial)
-        t1 = self._cost_model.step_time(plan, trial)
+        t1 = self.estimate_step_time(assignment, trial)
         if t1 >= t0:
             return PolicyDecision((), t0, t0, 0.0)
-        adjustment = self._cost_model.adjustment_cost([shrink, expand])
+        adjustment = self.cost_model.adjustment_cost([shrink, expand])
         return PolicyDecision((shrink, expand), t0, t1, adjustment)
 
 
-class WaterFillingFlexMoE(FlexMoESystem):
-    """FlexMoE with the water-filling policy swapped in."""
-
-    name = "FlexMoE-WF"
-
-    def _build(self) -> None:
-        super()._build()
-        policy = WaterFillingPolicy(self._cost_model)
-        # Rebuild the scheduler around the custom policy.
-        from repro.core.scheduler import Scheduler
-
-        self._scheduler = Scheduler(
-            self._target, policy, self._scheduler_config, self._ctx.topology
-        )
+def train(policy_class, model, trace) -> tuple[PolicyMaker, dict[str, float]]:
+    """Train one MoE layer over ``trace`` with ``policy_class`` planning."""
+    context = build_context(cluster_for(32), model, seed=0)
+    num_gpus = context.topology.num_gpus
+    config = SchedulerConfig(
+        slots_per_gpu=auto_slots_per_gpu(model.num_experts, num_gpus)
+    )
+    placement = Placement.balanced(
+        model.num_experts, num_gpus, config.slots_per_gpu
+    )
+    policy = policy_class(MoECostModel(context.profile, model))
+    scheduler = Scheduler(placement, policy, config, context.topology)
+    router = FlexibleTokenRouter()
+    step_times, balances, actions = [], [], 0
+    for step in range(trace.num_steps):
+        assignment = trace.step(step)
+        outcome = scheduler.on_step(assignment, step)  # mutates placement
+        plan = router.route(assignment, placement)
+        timing = context.executor.execute(plan.flow, placement)
+        step_times.append(timing.step_time + outcome.adjustment_time)
+        balances.append(balance_ratio(plan.gpu_loads))
+        actions += len(outcome.actions)
+    return policy, {
+        "mean_step_time": float(np.mean(step_times)),
+        "mean_balance": float(np.mean(balances)),
+        "actions": actions,
+    }
 
 
 def main() -> None:
     model = get_model_config("GPT-MoE-S")
-    context = build_context(cluster_for(32), model, seed=0)
     workload = WorkloadConfig(num_steps=40, seed=5)
     trace = DriftingRoutingGenerator(
-        model.num_experts, context.topology.num_gpus, workload
+        model.num_experts, cluster_for(32).num_gpus, workload
     ).generate()
 
     print("Comparing Algorithm 2 against a custom water-filling policy\n")
-    for factory in (FlexMoESystem, WaterFillingFlexMoE):
-        system = factory(context, SchedulerConfig())
-        run = simulate_training(system, trace, warmup=10)
-        summary = run.summary()
+    for label, policy_class in (
+        ("Algorithm 2", PolicyMaker),
+        ("WaterFill", WaterFillingPolicy),
+    ):
+        policy, summary = train(policy_class, model, trace)
         print(
-            f"{system.name:<12} step={summary['mean_step_time']*1e3:6.2f}ms  "
+            f"{label:<12} step={summary['mean_step_time']*1e3:6.2f}ms  "
             f"balance={summary['mean_balance']:.2f}  "
-            f"actions={int(summary['scheduling_actions'])}"
+            f"actions={summary['actions']}"
         )
+    if policy.calls == 0:
+        sys.exit("the water-filling policy never ran: no plan came from it")
     print(
         "\nAlgorithm 2's cost-model search typically wins: it weighs the "
         "communication\ncosts (All-to-All concentration, replica sync) "

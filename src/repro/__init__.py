@@ -48,15 +48,15 @@ placement; All-to-All overlaps the dense blocks)::
 Elastic-cluster scenarios (device failures, stragglers, recoveries;
 see ``docs/elasticity.md``)::
 
-    from repro import faults_simulation
-    result = faults_simulation(num_gpus=8, num_experts=16, num_steps=40)
+    from repro.bench.harness import faults_run
+    result = faults_run(num_gpus=8, num_experts=16, num_steps=40)
     print(result.summary())
 
 Online serving (SLO-aware request streams driving dynamic placement;
 see ``docs/serving.md``)::
 
-    from repro import serving_simulation
-    result = serving_simulation(num_requests=250)
+    from repro.bench.serving import serving_run
+    result = serving_run(num_requests=250)
     print(result.summary())
 
 Multi-tenant serving (SLO classes, priority admission, preemption;
@@ -69,8 +69,8 @@ Multi-tenant serving (SLO classes, priority admission, preemption;
 Composed scenarios on the shared kernel clock (serving + wall-clock
 elasticity + metered migration budget; see ``docs/simulation.md``)::
 
-    from repro import scenario_simulation
-    report = scenario_simulation(smoke=True)
+    from repro.sim.composed import composed_scenario_run
+    report = composed_scenario_run(smoke=True)
     print(report["ok"], report["serving"]["p99_latency_s"])
 
 Or from the command line:
@@ -118,24 +118,9 @@ __all__ = [
     "TopologyError",
     "WorkloadConfig",
     "__version__",
-    "faults_simulation",
     "pipeline_simulation",
     "quick_simulation",
-    "scenario_simulation",
-    "serving_simulation",
 ]
-
-
-def scenario_simulation(smoke: bool = False, seed: int = 0):
-    """Run the composed kernel scenario and return its report dict.
-
-    A convenience entry point for the composed-scenario quickstart; see
-    :func:`repro.sim.composed.composed_scenario_run` for every knob and
-    ``docs/simulation.md`` for the kernel/scenario model.
-    """
-    from repro.sim.composed import composed_scenario_run
-
-    return composed_scenario_run(smoke=smoke, seed=seed)
 
 
 def pipeline_simulation(
@@ -158,52 +143,6 @@ def pipeline_simulation(
         num_gpus=num_gpus,
         num_experts=num_experts,
         num_steps=num_steps,
-        seed=seed,
-    )
-
-
-def faults_simulation(
-    num_gpus: int = 8,
-    num_experts: int = 16,
-    num_steps: int = 50,
-    faults: "FaultConfig | None" = None,
-    seed: int = 0,
-):
-    """Run a seeded failure/straggler scenario: elastic FlexMoE vs Static.
-
-    A convenience entry point for the elasticity quickstart; see
-    :func:`repro.bench.harness.faults_run` for every knob and
-    ``docs/elasticity.md`` for the scenario model.
-    """
-    from repro.bench.harness import faults_run
-
-    return faults_run(
-        num_gpus=num_gpus,
-        num_experts=num_experts,
-        num_steps=num_steps,
-        faults=faults,
-        seed=seed,
-    )
-
-
-def serving_simulation(
-    num_gpus: int = 8,
-    num_experts: int = 16,
-    num_requests: int = 250,
-    seed: int = 0,
-):
-    """Run an SLO-aware serving comparison: dynamic FlexMoE vs Static.
-
-    A convenience entry point for the serving quickstart; see
-    :func:`repro.bench.serving.serving_run` for every knob and
-    ``docs/serving.md`` for the stream/SLO model.
-    """
-    from repro.bench.serving import serving_run
-
-    return serving_run(
-        num_gpus=num_gpus,
-        num_experts=num_experts,
-        num_requests=num_requests,
         seed=seed,
     )
 

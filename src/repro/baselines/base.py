@@ -26,7 +26,7 @@ from repro.cluster.profiler import ClusterProfile, Profiler
 from repro.cluster.topology import ClusterTopology
 from repro.config import ClusterConfig, MoEModelConfig
 from repro.core.balance import balance_ratio
-from repro.runtime.executor import StepExecutor, StepTiming
+from repro.runtime.executor import PipelineStepTiming, StepExecutor, StepTiming
 from repro.exceptions import SimulationError
 
 #: Relative noise of the profiled figures every system schedules against.
@@ -99,7 +99,8 @@ class StepResult:
     """Per-step outcome reported by every system.
 
     Attributes:
-        timing: The executor's measured step timing.
+        timing: The executor's measured step timing (FlexMoE's one-layer
+            engine reports its pipelined form).
         assigned_tokens: Tokens the gate wanted processed this step.
         processed_tokens: Tokens actually processed by their chosen expert.
         dropped_tokens: Tokens skipped entirely (capacity overflow).
@@ -109,7 +110,7 @@ class StepResult:
         scheduling_actions: Placement primitives applied this step.
     """
 
-    timing: StepTiming
+    timing: StepTiming | PipelineStepTiming
     assigned_tokens: int
     processed_tokens: int
     dropped_tokens: int = 0

@@ -23,16 +23,14 @@ immediately and their full transfer time blocks the step.
 FlexMoE never drops or diverts tokens: token efficiency is 100% by
 construction, the property behind its model-quality win (Table 2).
 
-The per-layer mechanics (scheduler state, best-effort stream, routing) live
-in :class:`~repro.runtime.pipeline.LayerPipeline`; this class wraps ONE of
-them in the :class:`~repro.baselines.base.MoESystem` interface. The
-multi-layer engine (:class:`~repro.runtime.pipeline.MultiLayerFlexMoEEngine`)
-runs one pipeline per MoE layer of the transformer.
+Steps 2-5 are the step of
+:class:`~repro.runtime.pipeline.MultiLayerFlexMoEEngine`: this class runs
+a one-layer engine without dense blocks behind the
+:class:`~repro.baselines.base.MoESystem` interface, and adds only the
+flow controller of step 1.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -41,7 +39,7 @@ from repro.config import SchedulerConfig
 from repro.core.flow_control import GateFlowController
 from repro.core.placement import Placement
 from repro.core.scheduler import Scheduler
-from repro.runtime.pipeline import LayerPipeline
+from repro.runtime.pipeline import MultiLayerFlexMoEEngine
 
 
 class FlexMoESystem(MoESystem):
@@ -65,19 +63,15 @@ class FlexMoESystem(MoESystem):
     ) -> None:
         super().__init__(context)
         self._flow_control = flow_control
-        # The adjustment stream overlaps the *whole model's* training step,
-        # of which the simulated MoE layer is one slice: the stream budget
-        # per simulated step is scaled by the number of MoE layers.
-        self._overlap_factor = context.model.num_moe_layers
-        self._layer = LayerPipeline(
-            model=context.model,
-            topology=context.topology,
+        self._engine = MultiLayerFlexMoEEngine(
+            executor=context.executor,
             profile=context.profile,
             collectives=context.collectives,
-            scheduler_config=scheduler_config or SchedulerConfig(),
-            group_cache=context.executor.group_cache,
+            num_moe_layers=1,
+            scheduler_config=scheduler_config,
+            model_dense_compute=False,
         )
-        self._scheduler_config = self._layer.config
+        (self._layer,) = self._engine.layers
 
     # ------------------------------------------------------------------
     # Accessors
@@ -106,25 +100,24 @@ class FlexMoESystem(MoESystem):
     # ------------------------------------------------------------------
     def step(self, assignment: np.ndarray, step_index: int) -> StepResult:
         assignment = self._check_assignment(assignment)
-        assigned = int(assignment.sum())
         if self._flow_control is not None:
             admitted = self._flow_control.admit(assignment, self.placement)
         else:
             admitted = assignment
 
-        blocking, outcome = self._layer.begin_step(admitted, step_index)
-        plan = self._layer.route(admitted)
-        timing = self._ctx.executor.execute(plan.flow, self.placement)
-        if blocking > 0:
-            timing = dataclasses.replace(timing, adjustment_blocking=blocking)
-        committed = self._layer.advance_stream(
-            timing.step_time * self._overlap_factor
+        engine = self._engine
+        pending = engine.step_schedule(admitted[None], step_index)
+        timing = engine.step_execute(pending)
+        # The adjustment stream overlaps the *whole model's* training step,
+        # of which the simulated MoE layer is one slice: the stream budget
+        # per simulated step is scaled by the number of MoE layers.
+        result = engine.step_commit(
+            pending, timing.step_time * self._ctx.model.num_moe_layers
         )
         return StepResult(
-            timing=timing,
-            assigned_tokens=assigned,
-            processed_tokens=int(admitted.sum()),
-            gpu_loads=plan.gpu_loads,
-            scheduling_actions=committed if self._scheduler_config.best_effort
-            else len(outcome.actions),
+            timing=result.timing,
+            assigned_tokens=int(assignment.sum()),
+            processed_tokens=result.processed_tokens,
+            gpu_loads=result.gpu_loads,
+            scheduling_actions=result.scheduling_actions,
         )

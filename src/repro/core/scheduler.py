@@ -185,21 +185,6 @@ class Scheduler:
             loads = (loads / cost_model.effective_tps())[cost_model.live_mask()]
         return metric_value(self._config.metric, loads)
 
-    def should_trigger(
-        self, assignment: np.ndarray, step: int, metric: float | None = None
-    ) -> bool:
-        """Whether the monitoring loop starts a scheduling round.
-
-        Delegates to the configured :class:`~repro.core.trigger.Trigger`.
-        ``metric`` short-circuits the balance evaluation when the caller
-        already holds the current metric value (``on_step`` computes it
-        once and reuses it here); triggers that do not consume the
-        balance metric never pay for it.
-        """
-        if metric is None and self._trigger.requires_balance_metric:
-            metric = self.current_metric(assignment)
-        return self._trigger.should_trigger(self._signals(step, metric))
-
     def on_step(self, assignment: np.ndarray, step: int) -> SchedulingOutcome:
         """Run the monitoring loop for one step's assignment ``I``.
 

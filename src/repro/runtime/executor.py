@@ -30,7 +30,7 @@ the step timeline and the overlap rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -211,31 +211,20 @@ class StepExecutor:
     # ------------------------------------------------------------------
     # Full step
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        flow: np.ndarray,
-        placement: Placement,
-        adjustment_blocking: float = 0.0,
-    ) -> StepTiming:
+    def execute(self, flow: np.ndarray, placement: Placement) -> StepTiming:
         """Execute one step and return its measured timing: the one-layer
-        case of :meth:`execute_layers`.
+        case of :meth:`execute_layers`, charged no adjustment blocking.
 
         Args:
             flow: ``(src, dst)`` token flow from the router
                 (:attr:`~repro.core.router.RoutingPlan.flow`).
             placement: Placement the step ran under (defines sync groups).
-            adjustment_blocking: Non-overlapped adjustment seconds charged
-                to this step.
 
         Raises:
-            SimulationError: On a flow that is not ``(gpus, gpus)``, a
-                negative or non-finite token count, or negative blocking.
+            SimulationError: On a flow that is not ``(gpus, gpus)`` or a
+                negative or non-finite token count.
         """
-        if adjustment_blocking < 0:
-            raise SimulationError("adjustment_blocking must be >= 0")
         (timing,) = self.execute_layers((flow,), (placement,))
-        if adjustment_blocking:
-            timing = replace(timing, adjustment_blocking=adjustment_blocking)
         return timing
 
     def execute_layers(
@@ -452,7 +441,8 @@ class PipelinedStepExecutor:
 
     With ``model_dense_compute=False`` the composition degenerates to the
     plain sum of per-layer timings, which for a single layer is exactly
-    the seed engine's :meth:`StepExecutor.execute` result.
+    :meth:`StepExecutor.execute`'s result plus the adjustment blocking
+    this class charges (the single-layer FlexMoE system runs this way).
 
     Args:
         executor: Single-layer ground-truth executor.

@@ -12,12 +12,13 @@ engine:
   (:func:`~repro.runtime.adjustment.transfer_seconds`) plus communicator
   creations. Its :class:`~repro.runtime.adjustment.AdjustmentStream`
   lets the active placement lag the target until that price is paid,
-  and alone commits or drops actions. The single-layer
-  :class:`~repro.baselines.flexmoe.FlexMoESystem` is this class wrapped
-  in the ``MoESystem`` interface.
+  and alone commits or drops actions.
 * :class:`MultiLayerFlexMoEEngine` — one :class:`LayerPipeline` per MoE
   layer plus a :class:`~repro.runtime.executor.PipelinedStepExecutor`
   composing the layers into an overlap-aware whole-transformer step.
+  It is the one FlexMoE step driver: the single-layer
+  :class:`~repro.baselines.flexmoe.FlexMoESystem` is a one-layer engine
+  without dense blocks behind the ``MoESystem`` interface.
 
 See ``docs/architecture.md`` for the step timeline and overlap rules.
 """
@@ -75,13 +76,17 @@ _HELD = SchedulingOutcome(
 class LayerPipeline:
     """Scheduling + best-effort adjustment state of ONE MoE layer.
 
+    :class:`MultiLayerFlexMoEEngine` holds one per MoE layer and drives
+    it; the single-layer :class:`~repro.baselines.flexmoe.FlexMoESystem`
+    is a one-layer engine, so it holds exactly one.
+
     Args:
         model: MoE architecture (sizes cost models and transfers).
         topology: The simulated cluster.
         profile: Noisy profiled figures driving scheduling decisions.
         collectives: Ground-truth timing of the layer's parameter transfers.
-        scheduler_config: Scheduler knobs; auto-sizes ``slots_per_gpu``
-            exactly like the seed FlexMoE system when unset.
+        scheduler_config: Scheduler knobs; ``slots_per_gpu`` is sized by
+            :func:`~repro.config.auto_slots_per_gpu` when unset.
         group_cache: Communicator cache charged for newly formed replica
             groups (``None`` makes group creation free).
         cluster_state: Live device-pool view shared with the executor;
@@ -267,7 +272,13 @@ class LayerPipeline:
         return self._stream.emit(actions, self._stream_work_seconds(actions)), outcome
 
     def route(self, assignment: np.ndarray) -> RoutingPlan:
-        """Route ``assignment`` over the layer's ACTIVE placement."""
+        """Route ``assignment`` over the layer's ACTIVE placement.
+
+        The engine's step routes every layer in one stacked call
+        (:meth:`MultiLayerFlexMoEEngine.route`) and never calls this; it
+        remains the per-layer boundary the repository benchmark's tracer
+        wraps.
+        """
         return self._router.route(assignment, self._active)
 
     def advance_stream(self, budget: float) -> int:
@@ -526,9 +537,10 @@ class PendingStep:
     """In-flight state of one engine step between its kernel phases.
 
     The step phases (:meth:`MultiLayerFlexMoEEngine.step_schedule` /
-    ``step_execute`` / ``step_commit``) hand this object along; the
-    legacy-shaped :meth:`MultiLayerFlexMoEEngine.step` runs all three
-    back to back, while kernel scenarios fire them as separate TRIGGER /
+    ``step_execute`` / ``step_commit``) hand this object along;
+    :meth:`MultiLayerFlexMoEEngine.step` and
+    :class:`~repro.baselines.flexmoe.FlexMoESystem` run all three back
+    to back, while kernel scenarios fire them as separate TRIGGER /
     STEP / STREAM events on the shared clock.
     """
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.baselines import (
     ExpertParallelSystem,
     FasterMoESystem,
@@ -155,6 +156,20 @@ class TestFlexMoESystem:
         result = system.step(skewed_assignment(rng), 0)
         if result.scheduling_actions:
             assert result.timing.adjustment_blocking > 0
+
+    def test_triggers_reach_telemetry_through_engine_taps(self, context, rng):
+        """Each triggered round is counted and put on the decision
+        timeline by the one-layer engine the system runs on."""
+        system = FlexMoESystem(context)
+        with telemetry.session(reuse=False) as tel:
+            for step in range(12):
+                system.step(skewed_assignment(rng), step)
+        triggered = sum(outcome.triggered for outcome in system.scheduler.history)
+        assert triggered > 0
+        assert tel.registry.value("scheduler.triggers") == triggered
+        decisions = tel.timeline.of_kind("trigger")
+        assert len(decisions) == triggered
+        assert {event.subject for event in decisions} == {"layer[0]"}
 
     def test_rejects_wrong_shape(self, context):
         system = FlexMoESystem(context)

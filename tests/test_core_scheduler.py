@@ -45,16 +45,16 @@ class TestTriggering:
         scheduler = make_scheduler(
             cost_model, topology, mode="static", static_interval=5
         )
-        assert scheduler.should_trigger(balanced(), 0)
-        assert not scheduler.should_trigger(balanced(), 3)
-        assert scheduler.should_trigger(balanced(), 5)
+        assert scheduler.on_step(balanced(), 0).triggered
+        assert not scheduler.on_step(balanced(), 3).triggered
+        assert scheduler.on_step(balanced(), 5).triggered
 
     def test_variance_metric_mode(self, cost_model, topology):
         scheduler = make_scheduler(
             cost_model, topology, metric="variance", balance_threshold=1.05
         )
-        assert scheduler.should_trigger(skewed(), 0)
-        assert not scheduler.should_trigger(balanced(), 0)
+        assert not scheduler.on_step(balanced(), 0).triggered
+        assert scheduler.on_step(skewed(), 0).triggered
 
 
 class TestAdjustmentLoop:

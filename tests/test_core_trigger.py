@@ -160,8 +160,8 @@ class TestSchedulerIntegration:
         balanced = np.full((8, 4), 100)
         skewed = balanced.copy()
         skewed[0] *= 50
-        assert not scheduler.should_trigger(balanced, step=0)
-        assert scheduler.should_trigger(skewed, step=0)
+        assert not scheduler.on_step(balanced, step=0).triggered
+        assert scheduler.on_step(skewed, step=0).triggered
 
     def test_static_mode_ignores_balance(self):
         scheduler = self._scheduler(
@@ -169,8 +169,8 @@ class TestSchedulerIntegration:
         )
         skewed = np.full((8, 4), 100)
         skewed[0] *= 50
-        assert scheduler.should_trigger(skewed, step=0)
-        assert not scheduler.should_trigger(skewed, step=3)
+        assert scheduler.on_step(skewed, step=0).triggered
+        assert not scheduler.on_step(skewed, step=3).triggered
 
     def test_latency_trigger_consumes_serving_signals(self):
         scheduler = self._scheduler(
@@ -179,13 +179,13 @@ class TestSchedulerIntegration:
         )
         skewed = np.full((8, 4), 100)
         skewed[0] *= 50  # would fire the imbalance trigger
-        assert not scheduler.should_trigger(skewed, step=0)
+        assert not scheduler.on_step(skewed, step=0).triggered
         scheduler.observe_serving_signals(p99_latency=0.5)
-        assert scheduler.should_trigger(skewed, step=0)
+        assert scheduler.on_step(skewed, step=0).triggered
         scheduler.observe_serving_signals(p99_latency=0.01, queue_tokens=5000)
-        assert scheduler.should_trigger(skewed, step=0)
+        assert scheduler.on_step(skewed, step=0).triggered
         scheduler.observe_serving_signals(p99_latency=0.01, queue_tokens=10)
-        assert not scheduler.should_trigger(skewed, step=0)
+        assert not scheduler.on_step(skewed, step=0).triggered
 
     def test_never_trigger_freezes_scheduling(self):
         scheduler = self._scheduler(SchedulerConfig(), trigger=NeverTrigger())

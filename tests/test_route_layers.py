@@ -287,8 +287,8 @@ class TestExecuteLayers:
             assert (timing.sync_time > 0) != inference
         # Both jitter streams end in the same state.
         assert_timings_equal(
-            stacked.execute(flows[0], placements[0], 0.5),
-            sequential.execute(flows[0], placements[0], 0.5),
+            stacked.execute(flows[0], placements[0]),
+            sequential.execute(flows[0], placements[0]),
         )
 
     def test_stack_crossing_the_cell_bound(self, monkeypatch):
@@ -310,8 +310,6 @@ class TestExecuteLayers:
             executor.execute_layers([*flows[:2], flows[2][:, :-1]], placements)
         with pytest.raises(SimulationError, match="2 flows for 3"):
             executor.execute_layers(flows[:2], placements)
-        with pytest.raises(SimulationError, match="adjustment_blocking"):
-            executor.execute(flows[0], placements[0], -1.0)
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +324,9 @@ def test_engine_routes_and_reports_every_layer_at_once():
     )
     assignments, _ = random_layers(3, seed=13)
     flows = engine.route(assignments)
+    router = FlexibleTokenRouter()
     plans = [
-        layer.route(assignment)
+        router.route(assignment, layer.active_placement)
         for layer, assignment in zip(engine.layers, assignments)
     ]
     assert_flows_equal(flows, np.stack([plan.flow for plan in plans]))

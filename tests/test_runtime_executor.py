@@ -8,7 +8,7 @@ from repro.core.cost_model import MoECostModel
 from repro.core.placement import Placement
 from repro.core.router import FlexibleTokenRouter
 from repro.exceptions import SimulationError
-from repro.runtime.executor import StepExecutor
+from repro.runtime.executor import PipelinedStepExecutor, StepExecutor
 
 
 @pytest.fixture
@@ -94,12 +94,19 @@ class TestExecute:
         assert timing.sync_time > 0  # balanced(8, 8, 2) replicates experts
 
     def test_adjustment_blocking_added(self, executor, placement, assignment):
+        """Blocking is charged once per step by the pipelined executor,
+        on top of the layer timings, and must not be negative."""
         plan = FlexibleTokenRouter().route(assignment, placement)
-        base = executor.execute(plan.flow, placement)
-        blocked = executor.execute(
-            plan.flow, placement, adjustment_blocking=0.5
+        pipe = PipelinedStepExecutor(
+            executor, num_moe_layers=1, model_dense_compute=False
         )
+        base = pipe.execute([plan.flow], [placement])
+        blocked = pipe.execute([plan.flow], [placement], adjustment_blocking=0.5)
+        assert base.step_time == executor.execute(plan.flow, placement).step_time
+        assert blocked.adjustment_blocking == 0.5
         assert blocked.step_time == pytest.approx(base.step_time + 0.5)
+        with pytest.raises(SimulationError, match="adjustment_blocking"):
+            pipe.execute([plan.flow], [placement], adjustment_blocking=-1)
 
     def test_group_cache_charged_on_new_groups(self, topology, model_config, placement):
         cache = CommunicatorGroupCache(capacity=16, creation_cost=0.25)
@@ -131,9 +138,5 @@ class TestExecute:
                 executor.execute(flow, placement)
             with pytest.raises(SimulationError):
                 executor.real_a2a_pass_time(flow)
-        with pytest.raises(SimulationError):
-            executor.execute(
-                np.zeros((8, 8)), placement, adjustment_blocking=-1
-            )
         with pytest.raises(SimulationError):
             executor.real_compute_time(-5, 0)
