@@ -25,10 +25,6 @@ class CollectiveCostModel:
     def __init__(self, topology: ClusterTopology) -> None:
         self._topology = topology
 
-    @property
-    def topology(self) -> ClusterTopology:
-        return self._topology
-
     # ------------------------------------------------------------------
     # Point-to-point
     # ------------------------------------------------------------------

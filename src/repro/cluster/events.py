@@ -112,7 +112,6 @@ class ClusterState:
                     f"got {initial_live}"
                 )
             self._alive[initial_live:] = False
-        self._initial_alive = self._alive.copy()
         self._speed = np.ones(num_gpus, dtype=float)
         self._version = 0
         # Read-only snapshot views handed to hot paths; refreshed lazily
@@ -134,28 +133,12 @@ class ClusterState:
         return self._version
 
     @property
-    def initial_live(self) -> int:
-        """Number of devices alive at construction (the seed pool size)."""
-        return int(self._initial_alive.sum())
-
-    def standby_gpus(self) -> tuple[int, ...]:
-        """Devices currently dark that were standby at construction."""
-        return tuple(
-            int(g)
-            for g in np.flatnonzero(~self._alive & ~self._initial_alive)
-        )
-
-    @property
     def num_live(self) -> int:
         return int(self._alive.sum())
 
     def live_mask(self) -> np.ndarray:
         """Boolean liveness vector (copy)."""
         return self._alive.copy()
-
-    def speed_factors(self) -> np.ndarray:
-        """Per-GPU dynamic compute multipliers (copy)."""
-        return self._speed.copy()
 
     def _refresh_views(self) -> None:
         live = self._alive.copy()
@@ -191,10 +174,6 @@ class ClusterState:
     def is_alive(self, gpu: int) -> bool:
         self._check_gpu(gpu)
         return bool(self._alive[gpu])
-
-    def speed_of(self, gpu: int) -> float:
-        self._check_gpu(gpu)
-        return float(self._speed[gpu])
 
     # ------------------------------------------------------------------
     # Mutation
@@ -241,14 +220,6 @@ class ClusterState:
         self._speed[gpu] = float(factor)
         self._version += 1
 
-    def revoke(self, gpu: int) -> None:
-        """Remove ``gpu`` immediately (spot-instance reclamation).
-
-        Pool rules match :meth:`fail`: the last live device cannot be
-        revoked, and revoking a dark device is an error.
-        """
-        self.fail(gpu)
-
     def set_speed(self, gpu: int, factor: float) -> None:
         """Set ``gpu``'s dynamic compute multiplier (1.0 = nominal)."""
         self._check_gpu(gpu)
@@ -262,12 +233,6 @@ class ClusterState:
             raise ElasticityError(
                 f"gpu {gpu} out of range [0, {self.num_gpus})"
             )
-
-    def __repr__(self) -> str:
-        return (
-            f"ClusterState(live={self.num_live}/{self.num_gpus}, "
-            f"version={self._version})"
-        )
 
 
 class ElasticitySchedule:
@@ -355,9 +320,6 @@ class ElasticitySchedule:
                     )
                 )
         return cls(events)
-
-    def __repr__(self) -> str:
-        return f"ElasticitySchedule(events={len(self._events)})"
 
 
 def redistribute_assignments(

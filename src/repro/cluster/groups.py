@@ -66,18 +66,8 @@ class CommunicatorGroupCache:
         self._stats = GroupCacheStats()
 
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
     def stats(self) -> GroupCacheStats:
         return self._stats
-
-    def __len__(self) -> int:
-        return len(self._groups)
-
-    def __contains__(self, ranks: Iterable[int]) -> bool:
-        return make_group_key(ranks) in self._groups
 
     def acquire(self, ranks: Iterable[int]) -> float:
         """Touch the group for ``ranks``, creating it if absent.

@@ -140,10 +140,6 @@ class Profiler:
         self._repeats = repeats
         self._rng = np.random.default_rng(seed)
 
-    @property
-    def topology(self) -> ClusterTopology:
-        return self._topology
-
     def _measure(self, truth: float) -> float:
         """One averaged noisy measurement of a ground-truth quantity."""
         if self._noise == 0:

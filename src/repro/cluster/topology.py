@@ -118,16 +118,9 @@ class ClusterTopology:
     def devices(self) -> Sequence[Device]:
         return tuple(self._devices)
 
-    def device(self, gpu: int) -> Device:
-        self._check_gpu(gpu)
-        return self._devices[gpu]
-
     def node_of(self, gpu: int) -> int:
         self._check_gpu(gpu)
         return self._devices[gpu].node
-
-    def same_node(self, gpu_a: int, gpu_b: int) -> bool:
-        return self.node_of(gpu_a) == self.node_of(gpu_b)
 
     def bandwidth(self, src: int, dst: int) -> float:
         """Point-to-point bandwidth ``Bw(src, dst)`` in bytes/s."""

@@ -64,18 +64,6 @@ class CostBreakdown:
         """Eq. 5's outer max: the slowest GPU defines the step."""
         return float(self.per_gpu_total.max())
 
-    @property
-    def compute_utilization(self) -> float:
-        """Mean fraction of the step each GPU spends on useful compute.
-
-        This is the "GPU utilization" quantity of Figure 2: idle waiting on
-        stragglers and communication both count against it.
-        """
-        step = self.step_time
-        if step == 0:
-            return 1.0
-        return float((self.compute / step).mean())
-
 
 class MoECostModel:
     """Cost model over a profiled cluster for one MoE layer.
@@ -124,11 +112,6 @@ class MoECostModel:
     @property
     def cluster_state(self) -> "ClusterState | None":
         return self._cluster_state
-
-    @property
-    def inference(self) -> bool:
-        """Whether this model prices inference-shaped steps."""
-        return self._inference
 
     @property
     def a2a_passes(self) -> int:
@@ -183,7 +166,7 @@ class MoECostModel:
             raise RoutingError("token count must be >= 0")
         tps = self._profile.tokens_per_second(gpu)
         if self._cluster_state is not None:
-            tps *= self._cluster_state.speed_of(gpu)
+            tps *= float(self._cluster_state.speed_view()[gpu])
         if self._inference:
             tps /= FORWARD_FRACTION
         return tokens / tps
@@ -297,9 +280,7 @@ class MemoizedStepCost:
       shortcut exact.
 
     Entries priced against an older device pool are keyed out by the
-    cluster-state version; :meth:`invalidate` is the explicit hook for
-    callers that change pricing inputs the key cannot see (e.g. swapping
-    the profile under the cost model).
+    cluster-state version.
 
     Args:
         cost_model: The underlying (uncached) cost model.
@@ -332,33 +313,9 @@ class MemoizedStepCost:
         self.misses = 0
 
     @property
-    def cost_model(self) -> MoECostModel:
-        return self._cost_model
-
-    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def invalidate(self) -> None:
-        """Drop every cached cost (hit/miss accounting is kept).
-
-        The explicit staleness hook: the cluster-state version already
-        keys out entries after elasticity events, but callers that change
-        pricing inputs the key cannot observe must invalidate here
-        instead of relying on silent re-digestion.
-        """
-        self._cache.clear()
-        self._signature_by_token.clear()
-
-    def clear(self) -> None:
-        self.invalidate()
-        self._phase_stats.clear()
-        self.hits = 0
-        self.misses = 0
 
     @staticmethod
     def assignment_key(assignment: np.ndarray) -> tuple:
@@ -466,25 +423,3 @@ class MemoizedStepCost:
             "entries": float(len(self._cache)),
             "phases": self.phase_stats(),
         }
-
-    def publish(self, registry) -> None:
-        """Publish the accumulated hit/miss accounting into a
-        :class:`~repro.telemetry.registry.MetricsRegistry` (the pull
-        side of the memo tap: harnesses that time runs with telemetry
-        off publish the totals after the fact)."""
-        phases = dict(self._phase_stats)
-        scoped_hits = sum(h for h, _ in phases.values())
-        scoped_misses = sum(m for _, m in phases.values())
-        for phase, (hits, misses) in sorted(phases.items()):
-            registry.counter("memo.hits", phase=phase).inc(hits)
-            registry.counter("memo.misses", phase=phase).inc(misses)
-        if self.hits > scoped_hits:
-            registry.counter("memo.hits", phase="unscoped").inc(
-                self.hits - scoped_hits
-            )
-        if self.misses > scoped_misses:
-            registry.counter("memo.misses", phase="unscoped").inc(
-                self.misses - scoped_misses
-            )
-        registry.gauge("memo.entries").set(len(self._cache))
-        registry.gauge("memo.hit_rate").set(self.hit_rate)

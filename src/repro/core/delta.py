@@ -28,7 +28,7 @@ assignment row's total and its per-node sums (see
 :meth:`~repro.cluster.bandwidth.BandwidthModel.inflow_at`), so at an
 expert density of ~1% (32 holders of 4096 devices) a route costs O(holders)
 instead of O(D).  A single kernel, :meth:`DeltaStepCost._route`, prices
-holder entries for the rebase, both query shapes and the audit.
+holder entries for the rebase and both query shapes.
 
 The demand matrix is the one ``E x D`` input a rebase must read, and it
 reads a new one once (one check pass and one node-sum pass) and an
@@ -60,7 +60,7 @@ Two query shapes cover the searchers:
   of one Migrate planner pass.
 
 The evaluator matches :class:`~repro.core.cost_model.MemoizedStepCost` (the
-retained, audited reference path) to float tolerance; the equivalence suite
+retained reference path) to float tolerance; the equivalence suite
 in ``tests/test_delta_cost.py`` and ``tests/test_policy_delta_equivalence.py``
 asserts both the times and the resulting scheduling decisions.  Lazily
 profiled AllReduce groups are probed in the same first-seen order as
@@ -184,18 +184,10 @@ class DeltaStepCost:
     Args:
         cost_model: Profiled cost model (Eqs. 5, 7-9) supplying TPS,
             bandwidth, AllReduce BPS and the live device pool.
-        audit: When true, every delta evaluation is cross-checked against a
-            full recomputation and a mismatch beyond float tolerance raises
-            :class:`~repro.exceptions.SchedulingError`.  Test/debug knob —
-            it re-introduces the O(E * D) cost per candidate.
     """
 
-    #: Relative tolerance of the audit cross-check.
-    AUDIT_RTOL = 1e-9
-
-    def __init__(self, cost_model: MoECostModel, audit: bool = False) -> None:
+    def __init__(self, cost_model: MoECostModel) -> None:
         self._cost_model = cost_model
-        self._audit = audit
         # Implicit fabric: the All-to-All aggregation runs through the
         # node-blocked model in O(1) per holder entry, no G x G inverse.
         self._bw = cost_model.profile.bandwidth_model()
@@ -235,10 +227,6 @@ class DeltaStepCost:
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-    @property
-    def cost_model(self) -> MoECostModel:
-        return self._cost_model
-
     @property
     def holders(self) -> HolderIndex:
         """Holder index of the placement cached by the last rebase.
@@ -614,8 +602,6 @@ class DeltaStepCost:
         )
         times = per_gpu.max(axis=1)
         self.evaluations += hi - lo
-        if self._audit:
-            self._audit_candidates(times, lo, batch)
         return times
 
     def _paired_rows(
@@ -715,55 +701,6 @@ class DeltaStepCost:
             pairs.shape[0], row_cand, row_expert, entries
         ).times()
 
-    # ------------------------------------------------------------------
-    # Full recomputation (audit)
-    # ------------------------------------------------------------------
-    def _full_time(self, counts: np.ndarray) -> float:
-        """Price a count matrix from scratch through the same kernel,
-        against the device pool of the last rebase."""
-        expert, gpu = np.nonzero(counts)
-        arrivals, a2a = self._route(
-            np.arange(counts.shape[0]), expert, gpu, counts[expert, gpu]
-        )
-        sync = np.array(
-            [
-                self._cost_model.group_sync_time(np.flatnonzero(row))
-                for row in counts
-            ]
-        )
-        return float(
-            self._per_gpu(gpu, arrivals, a2a, sync[expert], self._eff_tps).max()
-        )
-
-    def _base_counts(self) -> np.ndarray:
-        """Dense count matrix of the cached base (audit only)."""
-        counts = np.zeros(self._assignment.shape, dtype=np.int64)
-        counts[self._expert, self._gpu] = self._count
-        return counts
-
-    def _audit_candidates(
-        self, times: np.ndarray, lo: int, batch: "CandidateBatch"
-    ) -> None:
-        """Cross-check finished candidates ``lo:lo + len(times)`` of a
-        batch against a full recompute each."""
-        _, _, row, gpu, count = batch.entries
-        for cand, claimed in enumerate(times, start=lo):
-            counts = self._base_counts()
-            rows = np.flatnonzero(batch.row_cand == cand)
-            counts[batch.row_expert[rows]] = 0
-            mine = np.isin(row, rows)
-            counts[batch.row_expert[row[mine]], gpu[mine]] = count[mine]
-            self._audit_check(float(claimed), counts)
-
-    def _audit_check(self, claimed: float, counts: np.ndarray) -> None:
-        """Cross-check a delta evaluation against a full recomputation."""
-        full = self._full_time(counts)
-        if not np.isclose(claimed, full, rtol=self.AUDIT_RTOL, atol=0.0):
-            raise SchedulingError(
-                f"delta audit: incremental time {claimed!r} != full "
-                f"recomputation {full!r}"
-            )
-
 
 class CandidateBatch:
     """What-if candidates routed in one pass, finished range by range.
@@ -800,9 +737,6 @@ class CandidateBatch:
         # Every candidate's time, once finished in one pass (probe-free
         # cost models only).
         self._times: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return self.num_cands
 
     def times(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Modelled step times of candidates ``lo:hi`` (default: all)."""

@@ -138,10 +138,6 @@ class MigrationPlanner:
         """The incremental evaluator (``None`` on the reference path)."""
         return self._delta
 
-    @property
-    def uses_delta(self) -> bool:
-        return self._use_delta
-
     def step_time(self, assignment: np.ndarray, placement: Placement) -> float:
         if self._memo is not None:
             return self._memo.step_time(assignment, placement, phase="migration")

@@ -435,9 +435,3 @@ class Placement:
             self._slots_per_gpu == other._slots_per_gpu
             and np.array_equal(self._counts, other._counts)
         )
-
-    def __repr__(self) -> str:
-        return (
-            f"Placement(experts={self.num_experts}, gpus={self.num_gpus}, "
-            f"slots_per_gpu={self._slots_per_gpu})"
-        )

@@ -22,7 +22,6 @@ import numpy as np
 from repro.cluster.topology import ClusterTopology
 from repro.config import SchedulerConfig
 from repro.core.balance import gpu_loads_even_split, metric_value
-from repro.core.cost_model import MoECostModel
 from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
@@ -115,20 +114,8 @@ class Scheduler:
         self._history: list[SchedulingOutcome] = []
 
     @property
-    def placement(self) -> Placement:
-        return self._placement
-
-    @property
-    def config(self) -> SchedulerConfig:
-        return self._config
-
-    @property
     def history(self) -> tuple[SchedulingOutcome, ...]:
         return tuple(self._history)
-
-    @property
-    def cost_model(self) -> MoECostModel:
-        return self._policy.cost_model
 
     @property
     def policy(self) -> PolicyMaker:
@@ -137,10 +124,6 @@ class Scheduler:
     @property
     def migration(self) -> MigrationPlanner:
         return self._migration
-
-    @property
-    def trigger(self) -> Trigger:
-        return self._trigger
 
     # ------------------------------------------------------------------
     # Algorithm 1

@@ -147,10 +147,6 @@ class StepExecutor:
         """Live device-pool view degrading ground-truth compute (elastic)."""
         return self._cluster_state
 
-    @cluster_state.setter
-    def cluster_state(self, state: "ClusterState | None") -> None:
-        self._cluster_state = state
-
     def _effective_tps(self) -> np.ndarray:
         """Ground-truth per-GPU TPS under the current dynamic speeds."""
         if self._cluster_state is None:
@@ -484,10 +480,6 @@ class PipelinedStepExecutor:
     @property
     def num_moe_layers(self) -> int:
         return self._num_layers
-
-    @property
-    def overlap_efficiency(self) -> float:
-        return self._overlap_efficiency
 
     def dense_block_times(self, source_tokens: np.ndarray) -> list[float]:
         """Barriered dense-computation seconds of each layer's transformer

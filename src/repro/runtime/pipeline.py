@@ -58,7 +58,7 @@ from repro.core.primitives import Expand, PlacementAction, Shrink, apply_actions
 from repro.core.router import FlexibleTokenRouter, RoutingPlan
 from repro.core.scheduler import Scheduler, SchedulingOutcome
 from repro.core.trigger import Trigger
-from repro.exceptions import SimulationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro import telemetry
 from repro.runtime.adjustment import AdjustmentStream, transfer_seconds
 from repro.runtime.executor import (
@@ -186,10 +186,6 @@ class LayerPipeline:
     @property
     def scheduler(self) -> Scheduler:
         return self._scheduler
-
-    @property
-    def cost_model(self) -> MoECostModel:
-        return self._cost_model
 
     @property
     def pending_actions(self) -> int:
@@ -623,12 +619,13 @@ class MultiLayerFlexMoEEngine:
         model_dense_compute: Model the dense transformer blocks; ``False``
             reduces the engine to stacked bare MoE layers (the seed
             engine's semantics).
-        elasticity: Optional elasticity event stream. When given, the
-            engine owns a shared :class:`ClusterState` (attached to the
-            executor and every layer's cost model), applies due events at
-            the start of each step, evicts/re-homes experts off failed
-            devices, refills recovered ones, and re-shards dead devices'
-            token batches over the survivors.
+        elasticity: Optional elasticity event stream. It needs the
+            executor's :class:`ClusterState` (:func:`build_engine` makes
+            it), which the engine shares with every layer's cost model;
+            the engine applies due events at the start of each step,
+            evicts/re-homes experts off failed devices, refills recovered
+            ones, and re-shards dead devices' token batches over the
+            survivors.
         trigger_factory: Builds one fresh
             :class:`~repro.core.trigger.Trigger` per layer, replacing the
             config-derived trigger in every layer's Scheduler. The online
@@ -655,8 +652,10 @@ class MultiLayerFlexMoEEngine:
         self._elasticity = elasticity
         state = executor.cluster_state
         if state is None and elasticity is not None:
-            state = ClusterState(executor.topology.num_gpus)
-            executor.cluster_state = state
+            raise ConfigurationError(
+                "elasticity needs an executor built with a ClusterState "
+                "(build_engine makes one)"
+            )
         self._cluster_state = state
         self._event_log: list[tuple[int, ClusterEvent]] = []
         self._pending_event_blocking = 0.0

@@ -138,14 +138,6 @@ class DriftingRoutingGenerator:
             0, num_experts, size=(num_gpus, max(1, num_experts // 8))
         )
 
-    @property
-    def num_experts(self) -> int:
-        return self._num_experts
-
-    @property
-    def num_gpus(self) -> int:
-        return self._num_gpus
-
     def current_probs(self) -> np.ndarray:
         """Softmax of the current logits (global expert popularity)."""
         z = self._logits - self._logits.max()

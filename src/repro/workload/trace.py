@@ -21,7 +21,7 @@ come out int64.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
@@ -140,9 +140,6 @@ class RoutingTrace(_CountHistory):
     def num_gpus(self) -> int:
         return self._assignments.shape[2]
 
-    def __len__(self) -> int:
-        return self.num_steps
-
     # ------------------------------------------------------------------
     # Step access
     # ------------------------------------------------------------------
@@ -151,10 +148,6 @@ class RoutingTrace(_CountHistory):
         if not 0 <= t < self.num_steps:
             raise RoutingError(f"step {t} out of range [0, {self.num_steps})")
         return self._assignments[t]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for t in range(self.num_steps):
-            yield self._assignments[t]
 
     def expert_loads(self, t: int | None = None) -> np.ndarray:
         """Per-expert total token counts.
@@ -203,12 +196,6 @@ class RoutingTrace(_CountHistory):
             return NotImplemented
         return np.array_equal(self._assignments, other._assignments)
 
-    def __repr__(self) -> str:
-        return (
-            f"RoutingTrace(steps={self.num_steps}, experts={self.num_experts}, "
-            f"gpus={self.num_gpus})"
-        )
-
 
 class MultiLayerTrace(_CountHistory):
     """Immutable per-layer, per-step token-assignment history.
@@ -233,17 +220,6 @@ class MultiLayerTrace(_CountHistory):
     def num_steps(self) -> int:
         return self._assignments.shape[1]
 
-    @property
-    def num_experts(self) -> int:
-        return self._assignments.shape[2]
-
-    @property
-    def num_gpus(self) -> int:
-        return self._assignments.shape[3]
-
-    def __len__(self) -> int:
-        return self.num_steps
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -260,18 +236,6 @@ class MultiLayerTrace(_CountHistory):
                 f"layer {index} out of range [0, {self.num_layers})"
             )
         return RoutingTrace(self._assignments[index])
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for t in range(self.num_steps):
-            yield self._assignments[:, t]
-
-    def expert_loads(self) -> np.ndarray:
-        """Per-layer per-step per-expert totals ``(layers, steps, experts)``."""
-        return self._assignments.sum(axis=3)
-
-    def tokens_per_step(self) -> np.ndarray:
-        """Total token count of each step across all layers."""
-        return self._assignments.sum(axis=(0, 2, 3))
 
     def slice(self, start: int, stop: int) -> "MultiLayerTrace":
         """Sub-trace covering steps ``[start, stop)``."""
@@ -304,9 +268,3 @@ class MultiLayerTrace(_CountHistory):
         if not isinstance(other, MultiLayerTrace):
             return NotImplemented
         return np.array_equal(self._assignments, other._assignments)
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiLayerTrace(layers={self.num_layers}, steps={self.num_steps}, "
-            f"experts={self.num_experts}, gpus={self.num_gpus})"
-        )

@@ -70,7 +70,7 @@ class TestClusterState:
         state.set_speed(1, 0.5)
         state.fail(1)
         state.recover(1)
-        assert state.speed_of(1) == 1.0
+        assert state.speed_view()[1] == 1.0
 
     def test_every_mutation_bumps_version(self):
         state = ClusterState(4)
@@ -99,7 +99,7 @@ class TestClusterState:
     def test_speed_factor_validation(self):
         state = ClusterState(2)
         state.set_speed(0, 0.25)
-        assert state.speed_of(0) == 0.25
+        assert state.speed_view()[0] == 0.25
         with pytest.raises(ElasticityError):
             state.set_speed(0, -1.0)
 
@@ -222,9 +222,9 @@ class TestHeterogeneousCluster:
         config = ClusterConfig(
             num_nodes=1, gpus_per_node=4, compute_scales=(1.0, 1.0, 0.5, 1.0)
         )
-        topology = ClusterTopology(config)
-        fast = topology.device(0).tokens_per_second(SMALL_MODEL)
-        slow = topology.device(2).tokens_per_second(SMALL_MODEL)
+        devices = ClusterTopology(config).devices
+        fast = devices[0].tokens_per_second(SMALL_MODEL)
+        slow = devices[2].tokens_per_second(SMALL_MODEL)
         assert slow == pytest.approx(0.5 * fast)
 
     def test_bandwidth_bottlenecked_by_slower_endpoint(self):

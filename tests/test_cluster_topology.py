@@ -23,8 +23,8 @@ class TestClusterTopology:
         assert topology.devices[5].local_rank == 1
 
     def test_same_node(self, topology):
-        assert topology.same_node(0, 3)
-        assert not topology.same_node(0, 4)
+        assert topology.node_of(0) == topology.node_of(3)
+        assert topology.node_of(0) != topology.node_of(4)
 
     def test_bandwidth_intra_vs_inter(self, topology, cluster_config):
         assert topology.bandwidth(0, 1) == cluster_config.intra_node_bandwidth
@@ -63,7 +63,7 @@ class TestClusterTopology:
         with pytest.raises(TopologyError):
             topology.bandwidth(0, 99)
         with pytest.raises(TopologyError):
-            topology.device(-1)
+            topology.node_of(-1)
 
 
 def pairwise_group_link(topology, gpus) -> tuple[float, float]:

@@ -74,11 +74,15 @@ class TestAdjustmentLoop:
         assert later_metric < first_metric
 
     def test_placement_stays_valid_throughout(self, cost_model, topology, rng):
-        scheduler = make_scheduler(cost_model, topology)
+        placement = Placement.balanced(8, topology.num_gpus, 2)
+        scheduler = Scheduler(
+            placement, PolicyMaker(cost_model),
+            SchedulerConfig(slots_per_gpu=2, balance_threshold=1.15), topology,
+        )
         for step in range(10):
             assignment = rng.integers(0, 20_000, (8, 8))
             scheduler.on_step(assignment, step)
-            scheduler.placement.validate()
+            placement.validate()
 
     def test_max_rounds_respected(self, cost_model, topology, monkeypatch):
         import repro.core.scheduler as scheduler_module
@@ -127,12 +131,10 @@ class TestMigratePath:
         self, cost_model, topology
     ):
         scheduler = self.build(cost_model, topology, use_delta=False)
-        assert scheduler.migration.uses_delta is False
         assert scheduler.migration.delta is None
 
     def test_delta_policy_shares_its_evaluator(self, cost_model, topology):
         scheduler = self.build(cost_model, topology, use_delta=True)
-        assert scheduler.migration.uses_delta is True
         assert scheduler.migration.delta is scheduler.policy.delta
 
     def test_reference_policy_rejects_hierarchical_search(

@@ -63,6 +63,44 @@ def random_placement(rng, slots=4) -> Placement:
     return CASES["dense-8g"].placement(rng, slots)
 
 
+def oracle_check(delta: DeltaStepCost) -> list[float]:
+    """Re-price every candidate ``delta`` finishes with the full-recompute
+    oracle, on the same cost model.
+
+    Each finished candidate's count matrix is rebuilt from the base's
+    holder entries and the batch's edited rows, routed fractionally from
+    scratch and priced by :meth:`MoECostModel.step_time`; a time more
+    than :data:`RTOL` away from the oracle's fails. Returns the list the
+    checked times are appended to, in finishing order.
+    """
+    finish = delta._finish
+    router = FlexibleTokenRouter()
+    checked = []
+
+    def checked_finish(batch, lo, hi):
+        times = finish(batch, lo, hi)
+        base = np.zeros(delta._assignment.shape, dtype=np.int64)
+        base[delta._expert, delta._gpu] = delta._count
+        _, _, row, gpu, count = batch.entries
+        for cand, claimed in enumerate(times, start=lo):
+            counts = base.copy()
+            rows = np.flatnonzero(batch.row_cand == cand)
+            counts[batch.row_expert[rows]] = 0
+            mine = np.isin(row, rows)
+            counts[batch.row_expert[row[mine]], gpu[mine]] = count[mine]
+            candidate = Placement(counts, delta._placement.slots_per_gpu)
+            oracle = delta._cost_model.step_time(
+                router.route_fractional(delta._assignment, candidate),
+                candidate,
+            )
+            assert claimed == pytest.approx(oracle, rel=RTOL)
+            checked.append(float(claimed))
+        return times
+
+    delta._finish = checked_finish
+    return checked
+
+
 @dataclass(frozen=True)
 class Case:
     """One reference-comparison regime.
@@ -220,7 +258,7 @@ class TestRebase:
                 router.route_fractional(assignment, placement), placement
             )
             assert delta.rebase(assignment, placement) == pytest.approx(
-                oracle, rel=DeltaStepCost.AUDIT_RTOL
+                oracle, rel=RTOL
             )
 
     def test_shape_mismatch_rejected(self, cost_model):
@@ -569,7 +607,8 @@ class TestPairSweep:
     def check(case: Case, rng) -> None:
         cost_model = case.cost_model()
         memo = MemoizedStepCost(cost_model)
-        delta = DeltaStepCost(cost_model, audit=True)
+        delta = DeltaStepCost(cost_model)
+        oracle_check(delta)
         for _ in range(case.rounds):
             placement = case.placement(rng)
             assignment = case.assignment(rng)
@@ -648,14 +687,14 @@ class TestPairCandidates:
         )
         e0, e1, g = int(expand[0][0]), int(shrink[0][0]), gpus[0]
         batch = delta.pair_candidates(placement, e0, e1, g)
-        assert len(batch) == g.size
+        assert batch.num_cands == g.size
         np.testing.assert_array_equal(
             batch.times(),
             delta.pair_candidates(
                 placement, np.full(g.size, e0), np.full(g.size, e1), g
             ).times(),
         )
-        assert len(delta.pair_candidates(placement, e0, e1, [])) == 0
+        assert delta.pair_candidates(placement, e0, e1, []).num_cands == 0
 
     def test_evaluations_count_finished_candidates_only(self, rng):
         delta, placement, expand, shrink, gpus = self.batch_inputs(
@@ -674,16 +713,9 @@ class TestPairCandidates:
         case = CASES["dense-8g"]
         _, placement, expand, shrink, gpus = self.batch_inputs(case, rng)
         expand, shrink, gpus = map(np.concatenate, (expand, shrink, gpus))
-        delta = DeltaStepCost(case.cost_model(), audit=True)
+        delta = DeltaStepCost(case.cost_model())
+        checked = oracle_check(delta)
         delta.rebase(case.assignment(rng), placement)
-        checked = []
-        audit_check = delta._audit_check
-
-        def spy(claimed, counts):
-            checked.append(claimed)
-            audit_check(claimed, counts)
-
-        delta._audit_check = spy
         batch = delta.pair_candidates(placement, expand, shrink, gpus)
         assert checked == []
         times = batch.times(1, 4)
@@ -696,7 +728,7 @@ class TestPairCandidates:
             placement, expand[0], shrink[0], gpus[0]
         )
         with pytest.raises(SchedulingError):
-            batch.times(0, len(batch) + 1)
+            batch.times(0, batch.num_cands + 1)
         with pytest.raises(SchedulingError):
             delta.pair_candidates(placement, [1, 2], [2, 2], [0, 1])
         delta.rebase(case.assignment(rng), placement)
@@ -744,11 +776,11 @@ class TestProbeFreeBatch:
         before = delta.evaluations
         batch = delta.pair_candidates(placement, *candidates)
         first = batch.times(2, 5)
-        assert delta.evaluations == before + len(batch)
+        assert delta.evaluations == before + batch.num_cands
         first[:] = -1.0  # callers own what they get back
         np.testing.assert_array_equal(batch.times(2, 5), batch.times()[2:5])
         assert (batch.times(2, 5) >= 0).all()
-        assert delta.evaluations == before + len(batch)
+        assert delta.evaluations == before + batch.num_cands
 
     def test_finished_batch_still_expires_on_rebase(self, rng):
         delta, placement, candidates = self.inference_batch("dense-8g", rng)
@@ -771,7 +803,8 @@ class TestExchangeSweep:
     def check(case: Case, rng) -> None:
         cost_model = case.cost_model()
         memo = MemoizedStepCost(cost_model)
-        delta = DeltaStepCost(cost_model, audit=True)
+        delta = DeltaStepCost(cost_model)
+        oracle_check(delta)
         for _ in range(case.rounds):
             placement = case.placement(rng)
             assignment = case.assignment(rng)
@@ -844,7 +877,8 @@ class TestFallbacks:
         state.fail(2)
         cost_model = build_cost_model(state=state)
         memo = MemoizedStepCost(cost_model)
-        delta = DeltaStepCost(cost_model, audit=True)
+        delta = DeltaStepCost(cost_model)
+        oracle_check(delta)
         placement = Placement.balanced(8, 8, 4)
         assignment = rng.integers(0, 10_000, (8, 8))
         base = delta.rebase(assignment, placement)
@@ -855,16 +889,17 @@ class TestFallbacks:
 
 @pytest.mark.parametrize("search", ["flat", "hierarchical"])
 def test_audited_planner_replay_in_the_sparse_regime(search, rng):
-    """Policy Maker + Migrate on one audited evaluator at 256 devices.
+    """Policy Maker + Migrate on one evaluator at 256 devices.
 
-    Every candidate either planner prices is cross-checked against a full
-    recomputation, with the placement evolving as a live scheduler's
+    Every candidate either planner prices is cross-checked against the
+    full-recompute oracle (:func:`oracle_check`), with the placement evolving as a live scheduler's
     would (packed copies and all).
     """
     case = CASES["packed-256g"]
     cost_model = case.cost_model()
     topology = ClusterTopology(case.cluster)
-    audited = DeltaStepCost(cost_model, audit=True)
+    audited = DeltaStepCost(cost_model)
+    oracle_check(audited)
     policy = PolicyMaker(
         cost_model, topology=topology, placement_search=search
     )
@@ -895,7 +930,9 @@ def _planner_replay(steps, audit: bool) -> list:
     case = Case(64, SPARSE_CLUSTER, slots=2, moves=0)
     cost_model = case.cost_model()
     topology = ClusterTopology(case.cluster)
-    delta = DeltaStepCost(cost_model, audit=audit)
+    delta = DeltaStepCost(cost_model)
+    if audit:
+        oracle_check(delta)
     policy = PolicyMaker(cost_model, topology=topology, placement_search="auto")
     policy._delta = delta
     migration = MigrationPlanner(

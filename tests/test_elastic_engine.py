@@ -17,8 +17,9 @@ from repro.config import (
 )
 from repro.core.migration import evict_failed_gpus, plan_replacements
 from repro.core.placement import Placement
-from repro.exceptions import ElasticityError
-from repro.runtime.pipeline import build_engine
+from repro.baselines.base import build_context
+from repro.exceptions import ConfigurationError, ElasticityError
+from repro.runtime.pipeline import MultiLayerFlexMoEEngine, build_engine
 from repro.training.loop import simulate_pipeline
 from repro.workload.synthetic import make_multilayer_trace
 
@@ -216,6 +217,17 @@ class TestEngineFailure:
             (2, "fail"),
         ]
         assert result.live_gpus_per_step.tolist() == [4, 4, 3, 3]
+
+    def test_elasticity_needs_the_executors_cluster_state(self):
+        context = build_context(SMALL_CLUSTER, SMALL_MODEL, seed=0)
+        schedule = ElasticitySchedule([ClusterEvent(step=1, kind="fail", gpu=1)])
+        with pytest.raises(ConfigurationError, match="ClusterState"):
+            MultiLayerFlexMoEEngine(
+                executor=context.executor,
+                profile=context.profile,
+                collectives=context.collectives,
+                elasticity=schedule,
+            )
 
 
 # ----------------------------------------------------------------------

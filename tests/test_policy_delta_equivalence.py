@@ -177,9 +177,9 @@ def test_scheduler_histories_identical():
     """Algorithm 1 end to end: same triggers, same rounds, same actions."""
     cost_model, topology = build_cost_model()
     trace = drifting_trace()
-    schedulers = {}
+    schedulers, placements = {}, {}
     for name, use_delta in (("delta", True), ("reference", False)):
-        placement = Placement.balanced(16, 8, auto_slots_per_gpu(16, 8))
+        placement = placements[name] = Placement.balanced(16, 8, auto_slots_per_gpu(16, 8))
         policy = PolicyMaker(cost_model, use_delta=use_delta)
         schedulers[name] = Scheduler(
             placement, policy, SchedulerConfig(), topology
@@ -193,8 +193,8 @@ def test_scheduler_histories_identical():
         assert out_d.rounds == out_r.rounds
     assert any(o.actions for o in schedulers["delta"].history)
     assert (
-        schedulers["delta"].placement.signature()
-        == schedulers["reference"].placement.signature()
+        placements["delta"].signature()
+        == placements["reference"].signature()
     )
 
 

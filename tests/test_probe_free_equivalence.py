@@ -113,9 +113,9 @@ def test_scheduler_histories_identical_at_16_gpus():
     its metric unchanged."""
     cost_model, topology = inference_setup(2, 8, 32)
     trace = drifting_trace(32, 16, num_steps=25, seed=0)
-    schedulers = {}
+    schedulers, placements = {}, {}
     for name, use_delta in (("delta", True), ("reference", False)):
-        placement = Placement.balanced(32, 16, auto_slots_per_gpu(32, 16))
+        placement = placements[name] = Placement.balanced(32, 16, auto_slots_per_gpu(32, 16))
         policy = PolicyMaker(cost_model, use_delta=use_delta)
         schedulers[name] = Scheduler(
             placement, policy, SchedulerConfig(), topology
@@ -137,8 +137,8 @@ def test_scheduler_histories_identical_at_16_gpus():
     assert any(o.actions for o in schedulers["delta"].history)
     assert idle_rounds > 0
     assert (
-        schedulers["delta"].placement.signature()
-        == schedulers["reference"].placement.signature()
+        placements["delta"].signature()
+        == placements["reference"].signature()
     )
 
 

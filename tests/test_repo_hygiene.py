@@ -9,6 +9,7 @@ The seed repo once carried ``__pycache__`` directories in the index;
 """
 
 import ast
+import importlib.util
 import json
 import subprocess
 from pathlib import Path
@@ -21,28 +22,18 @@ REPO = Path(__file__).resolve().parent.parent
 #: ``src/`` name.
 PRODUCTION_DIRS = ("perfbench", "benchmarks", "examples", "tools")
 
-#: Public ``src/`` names kept although only tests reach them, with why.
-TEST_ONLY_ALLOWED = {
-    "repro.cluster.groups.assert_deadlock_free":
-        "the oracle for Section 4's deadlock-freedom claim",
-    "repro.core.router.validate_conservation":
-        "token-conservation check that ROADMAP item 3 gives a production "
-        "caller",
-    "repro.runtime.pipeline.LayerPipeline.emitted_actions":
-        "the emitted-action count ROADMAP item 6 reads",
-    "repro.telemetry.registry.MetricsRegistry.histogram":
-        "ROADMAP item 1 records per-term prediction error through it",
-    "repro.training.loop.PipelineRunResult.live_gpus_per_step":
-        "user API presented in docs/elasticity.md",
-    "repro.workload.trace.RoutingTrace.save":
-        "trace files, user API presented in docs/architecture.md",
-    "repro.workload.trace.MultiLayerTrace.save":
-        "trace files, user API presented in docs/architecture.md",
-    "repro.runtime.pipeline.LayerPipeline.target_placement":
-        "the planned placement tests check committed adjustments reach",
-    "repro.baselines.flexmoe.FlexMoESystem.target_placement":
-        "the same planned placement, for the single-layer system",
-}
+def _allowed() -> dict[str, str]:
+    """The shared allowlist of ``tools/reachability.py``: ``src/``
+    functions no entry point runs, kept with a reason."""
+    spec = importlib.util.spec_from_file_location(
+        "reachability", REPO / "tools" / "reachability.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ALLOWED
+
+
+ALLOWED = _allowed()
 
 
 def tracked_files() -> list[str]:
@@ -129,17 +120,17 @@ def _is_reexport(stmt: ast.stmt, path: Path) -> bool:
     return any(getattr(t, "id", None) == "__all__" for t in targets)
 
 
-def public_names_only_tests_reach() -> list[str]:
+def public_names_only_tests_reach() -> tuple[list[str], set[str]]:
     """Public functions, classes and methods of ``src/`` that no
-    production code reaches but some test names.
+    production code reaches but some test names, and the qualified name
+    of every function, class and method the scan saw.
 
     Names are matched by identifier, so any same-named attribute counts as
     a use. Reachability is transitive: a definition is live once a live
     context uses its name (a method also needs its class live), and its
     body then makes its own names live. The roots are ``src/`` module
     code, every file under :data:`PRODUCTION_DIRS` and the bodies of the
-    allowlisted names (which are still reported, so a stale allowlist
-    entry shows).
+    allowlisted names (which are still reported).
     """
     defs = []  # [qualified name, name, names used, owning class index]
     roots = set()
@@ -173,9 +164,9 @@ def public_names_only_tests_reach() -> list[str]:
     for path in sorted((REPO / "tests").rglob("*.py")):
         tested |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
 
-    allowed = {name for qual, name, _, _ in defs if qual in TEST_ONLY_ALLOWED}
+    allowed = {name for qual, name, _, _ in defs if qual in ALLOWED}
     for qual, _, used, _ in defs:
-        if qual in TEST_ONLY_ALLOWED:
+        if qual in ALLOWED:
             roots |= used - allowed
     live = [False] * len(defs)
     changed = True
@@ -188,22 +179,25 @@ def public_names_only_tests_reach() -> list[str]:
             if dunder or name in roots:
                 live[i] = changed = True
                 roots |= used
-    return sorted(
+    flagged = sorted(
         qual
         for (qual, name, _, _), reached in zip(defs, live)
         if not reached and not name.startswith("_") and name in tested
     )
+    return flagged, {qual for qual, _, _, _ in defs}
 
 
 def test_no_public_name_is_reached_only_by_tests():
-    flagged = public_names_only_tests_reach()
-    unexpected = [q for q in flagged if q not in TEST_ONLY_ALLOWED]
+    flagged, defined = public_names_only_tests_reach()
+    unexpected = [q for q in flagged if q not in ALLOWED]
     assert unexpected == [], (
         "public names only tests reach; delete each with the tests that "
-        f"check only it, or allowlist it with a reason: {unexpected}"
+        "check only it, or allowlist it in tools/reachability.py with a "
+        f"reason: {unexpected}"
     )
-    stale = sorted(set(TEST_ONLY_ALLOWED) - set(flagged))
-    assert stale == [], (
-        "allowlisted names that production now reaches, or that no "
-        f"longer exist; drop them from TEST_ONLY_ALLOWED: {stale}"
+    # An entry an entry point runs fails tools/reachability.py (a CI job);
+    # one naming nothing fails here too.
+    missing = sorted(set(ALLOWED) - defined)
+    assert missing == [], (
+        f"allowlisted names that no longer exist; drop them: {missing}"
     )

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FlexMoESystem
 from repro.baselines.base import build_context
 from repro.bench.serving import multitenant_run
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
@@ -23,8 +22,6 @@ from repro.runtime.pipeline import (
 )
 from repro.training.loop import simulate_pipeline
 from repro.workload.synthetic import make_multilayer_trace
-
-from trace_helpers import make_trace
 
 MODEL = MoEModelConfig("pipe", num_layers=8, d_model=256, d_ffn=1024, num_experts=8)
 CLUSTER = ClusterConfig(num_nodes=1, gpus_per_node=4)
@@ -47,29 +44,6 @@ def small_trace(num_layers: int, num_steps: int = 8, seed: int = 0):
 
 class TestSingleLayerReduction:
     """num_moe_layers=1 without dense modelling is the seed engine."""
-
-    def test_matches_flexmoe_system_exactly(self):
-        model = MODEL.replace(num_layers=2)  # one MoE layer
-        trace = make_trace(
-            MODEL.num_experts,
-            CLUSTER.num_gpus,
-            WorkloadConfig(tokens_per_step=65_536, num_steps=8, seed=2),
-        )
-
-        ctx = build_context(CLUSTER, model, seed=7)
-        system = FlexMoESystem(ctx)
-        single = [system.step(trace.step(t), t).step_time for t in range(8)]
-
-        ctx2 = build_context(CLUSTER, model, seed=7)
-        engine = MultiLayerFlexMoEEngine(
-            executor=ctx2.executor,
-            profile=ctx2.profile,
-            collectives=ctx2.collectives,
-            num_moe_layers=1,
-            model_dense_compute=False,
-        )
-        multi = [engine.step(trace.step(t)[None], t).step_time for t in range(8)]
-        np.testing.assert_allclose(multi, single, rtol=0, atol=0)
 
     def test_single_layer_timing_reduces_to_step_executor(self):
         ctx = build_context(CLUSTER, MODEL, seed=1)

@@ -308,7 +308,7 @@ class TestAutoscalerSource:
         assert engine.cluster_state.is_alive(4)
         assert engine.cluster_state.is_alive(5)
         # The heterogeneous standby device joined at its slower factor.
-        assert engine.cluster_state.speed_of(5) == 0.5
+        assert engine.cluster_state.speed_view()[5] == 0.5
         actions = [action for _, action, _ in auto.decisions]
         assert actions == ["request", "provision", "request", "provision"]
         # Requests at the first two ticks, arrivals one delay later.

@@ -223,19 +223,6 @@ def test_memo_taps_count_per_phase(cost_model, rng):
     assert counters["memo.hits{phase=migration}"] == 1.0
 
 
-def test_memo_publish_matches_stats(cost_model, rng):
-    memo = MemoizedStepCost(cost_model)
-    placement = Placement.balanced(8, 4, 2)
-    a = rng.integers(0, 1000, (8, 4))
-    memo.step_time(a, placement, phase="policy")
-    memo.step_time(a, placement, phase="policy")
-    registry = MetricsRegistry()
-    memo.publish(registry)
-    assert registry.value("memo.hits", phase="policy") == 1.0
-    assert registry.value("memo.misses", phase="policy") == 1.0
-    assert registry.value("memo.hit_rate") == pytest.approx(memo.hit_rate)
-
-
 def _request(index: int, tokens: int = 100) -> Request:
     return Request(index=index, arrival=0.0, tokens=tokens, topic=0)
 

@@ -254,7 +254,7 @@ class TestTraceBuildingMemory:
         size = self.nbytes(trace)
         assert size == (
             4 * trace.num_layers * trace.num_steps
-            * trace.num_experts * trace.num_gpus
+            * self.EXPERTS * self.GPUS
         )
         assert size >= 16 * 2**20
         assert peak <= self.LIMIT * size
