@@ -63,8 +63,8 @@ Multi-tenant serving (SLO classes, priority admission, preemption;
 ``python -m repro serve --multi-tenant``)::
 
     from repro.bench.serving import multitenant_run
-    result = multitenant_run(num_requests=200)
-    print(result.ok, result.summary()["interactive_attainment"])
+    summary = multitenant_run(num_requests=200).summary()
+    print(summary["ok"], summary["interactive_attainment"])
 
 Composed scenarios on the shared kernel clock (serving + wall-clock
 elasticity + metered migration budget; see ``docs/simulation.md``)::

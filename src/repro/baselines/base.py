@@ -155,10 +155,6 @@ class MoESystem(abc.ABC):
     def __init__(self, context: SystemContext) -> None:
         self._ctx = context
 
-    @property
-    def context(self) -> SystemContext:
-        return self._ctx
-
     @abc.abstractmethod
     def step(self, assignment: np.ndarray, step_index: int) -> StepResult:
         """Process one training step's gate assignment."""

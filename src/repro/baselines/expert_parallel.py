@@ -84,10 +84,6 @@ class ExpertParallelSystem(MoESystem):
         )
         self._router = FlexibleTokenRouter()
 
-    @property
-    def placement(self) -> Placement:
-        return self._placement
-
     def step(self, assignment: np.ndarray, step_index: int) -> StepResult:
         assignment = self._check_assignment(assignment)
         assigned = int(assignment.sum())

@@ -87,10 +87,6 @@ class FlexMoESystem(MoESystem):
         return self._layer.target_placement
 
     @property
-    def scheduler(self) -> Scheduler:
-        return self._layer.scheduler
-
-    @property
     def pending_adjustments(self) -> int:
         """Actions emitted but not yet committed to the active placement."""
         return self._layer.pending_actions

@@ -86,10 +86,6 @@ class SwipeSystem(MoESystem):
         )
         self._router = FlexibleTokenRouter()
 
-    @property
-    def placement(self) -> Placement:
-        return self._placement
-
     def step(self, assignment: np.ndarray, step_index: int) -> StepResult:
         assignment = self._check_assignment(assignment)
         assigned = int(assignment.sum())

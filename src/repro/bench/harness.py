@@ -11,6 +11,7 @@ reproduction; the downscaling itself is the repo-wide policy in
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -131,7 +132,7 @@ def cluster_for(
             slow_factor if g >= num_gpus - slow_gpus else 1.0
             for g in range(num_gpus)
         )
-        config = config.replace(compute_scales=scales)
+        config = dataclasses.replace(config, compute_scales=scales)
     return config
 
 

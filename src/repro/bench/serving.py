@@ -257,11 +257,6 @@ class ServingRunResult:
     slo: SLOConfig
     scenario: dict[str, object]
 
-    @property
-    def ok(self) -> bool:
-        """Dynamic placement strictly beats Static on p99 AND goodput."""
-        return bool(self.summary()["ok"])
-
     def summary(self, smoke: bool = False) -> dict[str, object]:
         """The JSON report, sealed with the named
         :data:`~repro.bench.gates.SERVING_LATENCY` gates."""
@@ -480,12 +475,6 @@ class MultiTenantRunResult:
             report.per_class_summary()["interactive"]["slo_attainment"]
         )
 
-    @property
-    def ok(self) -> bool:
-        """Priority admission strictly beats FIFO on interactive-class
-        SLO attainment without dropping below the fairness floor."""
-        return bool(self.summary()["ok"])
-
     def summary(self, smoke: bool = False) -> dict[str, object]:
         """The JSON report, sealed with the named
         :data:`~repro.bench.gates.MULTITENANT_SERVING` gates."""
@@ -541,8 +530,7 @@ def multitenant_run(
 
     The same merged stream runs through two servers: FlexMoE placement
     with priority admission and preemption, against static placement
-    with a single global FIFO -- the tier this PR replaces. The verdict
-    (:attr:`MultiTenantRunResult.ok`) requires the priority server to
+    with a single global FIFO. The verdict (``summary()["ok"]``) requires the priority server to
     strictly beat FIFO on interactive-class SLO attainment while holding
     a Jain fairness index of at least ``fairness_floor`` across tenants.
     Deterministic under a fixed seed.

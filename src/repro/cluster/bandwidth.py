@@ -25,12 +25,9 @@ shape and answers every query the cost models make:
   lazily-cached dense view (:meth:`dense`); flows only exist at
   engine-feasible cluster sizes.
 
-Clusters with per-GPU NIC scale factors
-(:attr:`~repro.config.ClusterConfig.bandwidth_scales`) break the
-three-class structure (a link is bottlenecked by its slower endpoint),
-so :meth:`from_dense` wraps an explicit matrix with the identical query
-interface -- heterogeneous-NIC tests keep their exact semantics while
-the homogeneous fast path never allocates G^2 anything.
+An explicit, possibly irregular matrix (the profiler's per-pair sweep)
+goes through :meth:`from_dense`, which answers the identical query
+interface; the node-blocked path never allocates G^2 anything.
 
 Device indices are node-major (``gpu = node * gpus_per_node + local``,
 the :class:`~repro.cluster.topology.ClusterTopology` layout), which is
@@ -64,8 +61,8 @@ class BandwidthModel:
     """Three-class implicit (or wrapped dense) ``Bw(g, g')`` in bytes/s.
 
     Construct through :meth:`blocked` (homogeneous fabric, O(1) storage)
-    or :meth:`from_dense` (explicit matrix, e.g. NIC-scaled clusters or
-    hand-built test profiles). Both expose the same query surface, so
+    or :meth:`from_dense` (explicit matrix, e.g. a profiler's per-pair
+    sweep or hand-built test profiles). Both expose the same query surface, so
     cost models never branch on the representation.
     """
 
@@ -143,11 +140,6 @@ class BandwidthModel:
     @property
     def num_gpus(self) -> int:
         return self._num_gpus
-
-    @property
-    def is_blocked(self) -> bool:
-        """Whether the implicit three-class fast paths are active."""
-        return self._blocked
 
     @property
     def class_values(self) -> tuple[float, float, float]:

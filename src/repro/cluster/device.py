@@ -19,8 +19,6 @@ class Device:
         compute_scale: Static per-device compute multiplier (mixed GPU
             generations / persistent stragglers); 1.0 for a homogeneous
             pool.
-        bandwidth_scale: Static per-device link multiplier; a link is
-            bottlenecked by its slower endpoint.
     """
 
     index: int
@@ -28,11 +26,7 @@ class Device:
     local_rank: int
     spec: DeviceSpec
     compute_scale: float = 1.0
-    bandwidth_scale: float = 1.0
 
     def tokens_per_second(self, model: MoEModelConfig) -> float:
         """Ground-truth expert throughput of this device for ``model``."""
         return self.spec.tokens_per_second(model) * self.compute_scale
-
-    def __str__(self) -> str:
-        return f"gpu{self.index}(node{self.node}.{self.local_rank})"

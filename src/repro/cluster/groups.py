@@ -36,14 +36,6 @@ class GroupCacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class CommunicatorGroupCache:
     """LRU cache of live communicator groups.

@@ -13,8 +13,7 @@ sizes and then estimate the corresponding environmental variables" (Section
   class and reconstructs the implicit node-blocked
   :class:`~repro.cluster.bandwidth.BandwidthModel` instead of timing all
   O(G^2) pairs — 4096 devices take three probes, not 16M. Small fabrics
-  and clusters with per-GPU NIC scale factors keep the dense per-pair
-  sweep;
+  keep the dense per-pair sweep;
 * ``BPS(G')`` — AllReduce bytes/second per device group, measured lazily and
   cached (enumerating all groups up-front is exponential; the paper
   enumerates the groups it actually uses).
@@ -159,7 +158,7 @@ class Profiler:
     def profile_bandwidth(self) -> BandwidthModel:
         """Estimated ``Bw(g, g')`` from timed point-to-point probes.
 
-        Datacenter-scale homogeneous fabrics are probed per link *class* —
+        Datacenter-scale fabrics are probed per link *class* —
         one local-copy, one intra-node and one inter-node measurement, in
         that fixed order so the noise stream is reproducible — which keeps
         the estimate exactly node-blocked and the probe count independent
@@ -167,12 +166,10 @@ class Profiler:
         below :data:`~repro.config.HIERARCHICAL_AUTO_THRESHOLD` devices
         the exhaustive per-pair sweep is retained: it is cheap there and
         keeps small-scale noise streams identical to the reference
-        profiling path.  NIC-scaled fabrics are not class-separable and
-        always take the dense sweep.
+        profiling path.
         """
-        truth = self._topology.bandwidth_model()
-        if truth.is_blocked and self._topology.num_gpus > HIERARCHICAL_AUTO_THRESHOLD:
-            local, intra, inter = truth.class_values
+        if self._topology.num_gpus > HIERARCHICAL_AUTO_THRESHOLD:
+            local, intra, inter = self._topology.bandwidth_model().class_values
             cfg = self._topology.config
             return BandwidthModel.blocked(
                 cfg.num_nodes,

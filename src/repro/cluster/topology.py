@@ -6,10 +6,10 @@ locality structure (intra-node NVLink vs inter-node InfiniBand) that makes
 the All-to-All model "topology-aware".
 
 Both fabric matrices are *implicit*: every entry is one of three class
-values (device-local, intra-node, inter-node), optionally modulated by
-per-GPU NIC scale factors, so scalar and group queries are answered by
-node arithmetic and a dense matrix is only materialized for the few
-consumers that ask for one (via :meth:`ClusterTopology.bandwidth_model`).
+values (device-local, intra-node, inter-node), so scalar and group
+queries are answered by node arithmetic and a dense matrix is only
+materialized for the few consumers that ask for one (via
+:meth:`ClusterTopology.bandwidth_model`).
 A 4096-device topology therefore costs O(G) to build, not O(G^2).
 """
 
@@ -50,53 +50,24 @@ class ClusterTopology:
                 compute_scale=config.compute_scale_of(
                     node * config.gpus_per_node + local
                 ),
-                bandwidth_scale=config.bandwidth_scale_of(
-                    node * config.gpus_per_node + local
-                ),
             )
             for node in range(config.num_nodes)
             for local in range(config.gpus_per_node)
         ]
         self._bw_model: BandwidthModel | None = None
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    def _build_dense_bandwidth(self) -> np.ndarray:
-        """Explicit ``Bw`` matrix for NIC-scaled (non-blocked) clusters."""
-        cfg = self._config
-        nodes = np.arange(cfg.num_gpus) // cfg.gpus_per_node
-        same_node = nodes[:, None] == nodes[None, :]
-        bw = np.where(same_node, cfg.intra_node_bandwidth, cfg.inter_node_bandwidth)
-        bw = bw.astype(float)
-        # A point-to-point transfer is bottlenecked by the slower NIC.
-        scales = np.array([d.bandwidth_scale for d in self._devices])
-        bw *= np.minimum(scales[:, None], scales[None, :])
-        np.fill_diagonal(bw, self.LOCAL_COPY_BANDWIDTH)
-        return bw
-
     def bandwidth_model(self) -> BandwidthModel:
-        """Ground-truth fabric as a :class:`BandwidthModel` (cached).
-
-        Homogeneous clusters get the implicit node-blocked representation;
-        clusters with per-GPU ``bandwidth_scales`` fall back to wrapping
-        the explicit matrix (the min-of-endpoints bottleneck rule is not
-        separable into link classes).
-        """
+        """Ground-truth fabric as a node-blocked :class:`BandwidthModel`
+        (cached)."""
         if self._bw_model is None:
             cfg = self._config
-            if cfg.bandwidth_scales is None:
-                self._bw_model = BandwidthModel.blocked(
-                    cfg.num_nodes,
-                    cfg.gpus_per_node,
-                    self.LOCAL_COPY_BANDWIDTH,
-                    cfg.intra_node_bandwidth,
-                    cfg.inter_node_bandwidth,
-                )
-            else:
-                self._bw_model = BandwidthModel.from_dense(
-                    self._build_dense_bandwidth()
-                )
+            self._bw_model = BandwidthModel.blocked(
+                cfg.num_nodes,
+                cfg.gpus_per_node,
+                self.LOCAL_COPY_BANDWIDTH,
+                cfg.intra_node_bandwidth,
+                cfg.inter_node_bandwidth,
+            )
         return self._bw_model
 
     # ------------------------------------------------------------------
@@ -130,15 +101,8 @@ class ClusterTopology:
             return self.LOCAL_COPY_BANDWIDTH
         cfg = self._config
         if src // cfg.gpus_per_node == dst // cfg.gpus_per_node:
-            bw = cfg.intra_node_bandwidth
-        else:
-            bw = cfg.inter_node_bandwidth
-        if cfg.bandwidth_scales is not None:
-            bw *= min(
-                self._devices[src].bandwidth_scale,
-                self._devices[dst].bandwidth_scale,
-            )
-        return float(bw)
+            return float(cfg.intra_node_bandwidth)
+        return float(cfg.inter_node_bandwidth)
 
     def latency(self, src: int, dst: int) -> float:
         """One-way message latency in seconds."""
@@ -167,9 +131,7 @@ class ClusterTopology:
 
         Node arithmetic on the sorted holders: the group spans nodes iff
         its first and last devices do, and two distinct devices share a
-        node iff some neighbouring pair does. NIC-scaled links are not
-        one value per class, so that fabric's bandwidth is the minimum of
-        its dense submatrix.
+        node iff some neighbouring pair does.
         """
         holders = np.array(gpus, dtype=np.int64)
         if holders.size == 0:
@@ -193,15 +155,10 @@ class ClusterTopology:
             cfg.intra_node_latency if shares else 0.0,
             cfg.inter_node_latency if spans else 0.0,
         )
-        if cfg.bandwidth_scales is None:
-            bandwidth = min(
-                cfg.intra_node_bandwidth if shares else np.inf,
-                cfg.inter_node_bandwidth if spans else np.inf,
-            )
-        else:
-            devices = np.unique(holders)
-            sub = self.bandwidth_model().submatrix(devices, devices)
-            bandwidth = sub[~np.eye(devices.size, dtype=bool)].min()
+        bandwidth = min(
+            cfg.intra_node_bandwidth if shares else np.inf,
+            cfg.inter_node_bandwidth if spans else np.inf,
+        )
         return float(bandwidth), float(latency)
 
     def _check_gpu(self, gpu: int) -> None:

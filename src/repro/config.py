@@ -150,10 +150,6 @@ class MoEModelConfig:
         dense_ffn_flops = 3.0 * 2.0 * 2.0 * self.d_model * self.d_ffn
         return 2.0 * self.attention_flops_per_token + dense_ffn_flops
 
-    def replace(self, **changes: object) -> "MoEModelConfig":
-        """Return a copy of this config with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -195,9 +191,6 @@ class ClusterConfig:
             ``num_gpus``) modelling mixed GPU generations or persistent
             stragglers; ``None`` keeps the pool homogeneous. A scale of
             0.5 means the device sustains half the spec's throughput.
-        bandwidth_scales: Optional per-GPU NIC/link multipliers (length
-            ``num_gpus``); a link is bottlenecked by its slower endpoint,
-            so ``Bw(g, g')`` is scaled by ``min(scale_g, scale_g')``.
     """
 
     num_nodes: int = 4
@@ -208,7 +201,6 @@ class ClusterConfig:
     intra_node_latency: float = 3e-6
     inter_node_latency: float = 12e-6
     compute_scales: tuple[float, ...] | None = None
-    bandwidth_scales: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         _require(self.num_nodes >= 1, "num_nodes must be >= 1")
@@ -217,18 +209,17 @@ class ClusterConfig:
         _require(self.inter_node_bandwidth > 0, "inter_node_bandwidth must be > 0")
         _require(self.intra_node_latency >= 0, "intra_node_latency must be >= 0")
         _require(self.inter_node_latency >= 0, "inter_node_latency must be >= 0")
-        for name in ("compute_scales", "bandwidth_scales"):
-            scales = getattr(self, name)
-            if scales is None:
-                continue
-            object.__setattr__(self, name, tuple(float(s) for s in scales))
-            scales = getattr(self, name)
+        if self.compute_scales is not None:
+            scales = tuple(float(s) for s in self.compute_scales)
+            object.__setattr__(self, "compute_scales", scales)
             _require(
                 len(scales) == self.num_gpus,
-                f"{name} must have one entry per GPU "
+                "compute_scales must have one entry per GPU "
                 f"({self.num_gpus}), got {len(scales)}",
             )
-            _require(all(s > 0 for s in scales), f"{name} entries must be > 0")
+            _require(
+                all(s > 0 for s in scales), "compute_scales entries must be > 0"
+            )
 
     @property
     def num_gpus(self) -> int:
@@ -237,13 +228,6 @@ class ClusterConfig:
     def compute_scale_of(self, gpu: int) -> float:
         """Static compute multiplier of ``gpu`` (1.0 when homogeneous)."""
         return 1.0 if self.compute_scales is None else self.compute_scales[gpu]
-
-    def bandwidth_scale_of(self, gpu: int) -> float:
-        """Static link multiplier of ``gpu`` (1.0 when homogeneous)."""
-        return 1.0 if self.bandwidth_scales is None else self.bandwidth_scales[gpu]
-
-    def replace(self, **changes: object) -> "ClusterConfig":
-        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -349,9 +333,6 @@ class FaultConfig:
         _require(self.straggler_step >= 0, "straggler_step must be >= 0")
         if self.straggler_duration is not None:
             _require(self.straggler_duration >= 1, "straggler_duration must be >= 1")
-
-    def replace(self, **changes: object) -> "FaultConfig":
-        return dataclasses.replace(self, **changes)
 
 
 #: Balance metrics understood by the scheduler (Figure 6a ablation).

@@ -295,11 +295,6 @@ class Placement:
         """
         return self._state_token
 
-    def row(self, expert: int) -> np.ndarray:
-        """Copy of one expert's per-GPU vExpert counts."""
-        self._check_expert(expert)
-        return self._counts[expert].copy()
-
     def count(self, expert: int, gpu: int) -> int:
         self._check_expert(expert)
         self._check_gpu(gpu)

@@ -38,9 +38,6 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
-    def __repr__(self) -> str:
-        return f"Parameter(name={self.name!r}, shape={self.shape})"
-
 
 class Module:
     """Base class: parameter discovery and gradient reset."""
@@ -68,9 +65,6 @@ class Module:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
 
     def _require_cache(self, cache: object, op: str) -> None:
         if cache is None:

@@ -112,32 +112,12 @@ class _MoEStackMixin:
         for layer in self.moe_layers():
             layer.training = training
 
-    def balance_loss(self) -> float:
-        """Mean auxiliary loss across MoE layers of the last forward."""
-        losses = [
-            layer.last_stats.balance_loss
-            for layer in self.moe_layers()
-            if layer.last_stats is not None
-        ]
-        if not losses:
-            raise ModelError("balance_loss requires a prior forward")
-        return float(np.mean(losses))
-
     def moe_stats(self) -> list[MoELayerStats]:
         return [
             layer.last_stats
             for layer in self.moe_layers()
             if layer.last_stats is not None
         ]
-
-    def dropped_fraction(self) -> float:
-        """Fraction of token-slots dropped in the last forward."""
-        stats = self.moe_stats()
-        assigned = sum(int(s.expert_counts.sum()) for s in stats)
-        if assigned == 0:
-            return 0.0
-        dropped = sum(s.dropped_slots for s in stats)
-        return dropped / assigned
 
 
 class MoEClassifier(Module, _MoEStackMixin):

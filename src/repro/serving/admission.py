@@ -17,7 +17,6 @@ queue's token depth is one of the two signals the
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,10 +53,6 @@ class BatchingConfig:
             raise ConfigurationError("max_batch_tokens must be >= 1")
         if self.max_queue_tokens is not None and self.max_queue_tokens < 1:
             raise ConfigurationError("max_queue_tokens must be >= 1")
-
-    def replace(self, **changes: object) -> "BatchingConfig":
-        """Return a copy of this config with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
 
 
 class PriorityAdmissionQueue:
@@ -175,18 +170,6 @@ class PriorityAdmissionQueue:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def config(self) -> BatchingConfig:
-        return self._config
-
-    @property
-    def tenants(self) -> tuple[TenantSpec, ...]:
-        return self._tenants
-
-    @property
-    def policy(self) -> str:
-        return self._policy
-
-    @property
     def queued_requests(self) -> int:
         return self._queued_requests
 
@@ -212,9 +195,6 @@ class PriorityAdmissionQueue:
     def shed_by_tenant(self, tenant: int) -> int:
         """How many of ``tenant``'s queued requests were shed so far."""
         return self._shed_counts[tenant]
-
-    def __len__(self) -> int:
-        return self._queued_requests
 
     def highest_queued_priority(self) -> int | None:
         """Highest priority level with queued work (``None`` if empty)."""
@@ -468,11 +448,3 @@ class PriorityAdmissionQueue:
             self._queued_tokens += request.tokens
             self._queued_requests += 1
             self._served_tokens[tenant] -= request.tokens
-
-    def __repr__(self) -> str:
-        return (
-            f"PriorityAdmissionQueue({self._policy}, "
-            f"tenants={len(self._tenants)}, "
-            f"requests={self._queued_requests}, "
-            f"tokens={self._queued_tokens}, rejected={self._rejected})"
-        )

@@ -123,10 +123,6 @@ class TopicRoutingModel:
     def num_topics(self) -> int:
         return self._profiles.shape[1]
 
-    @property
-    def num_experts(self) -> int:
-        return self._profiles.shape[2]
-
     def batch_probs_arrays(
         self, layer: int, tokens: np.ndarray, topics: np.ndarray
     ) -> np.ndarray:
@@ -269,7 +265,6 @@ class ServingEngine:
         self._preemption = bool(preemption)
         self._shed_low_priority = bool(shed_low_priority)
         self._demand_estimate: np.ndarray | None = None
-        self._report: ServingReport | None = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -279,10 +274,6 @@ class ServingEngine:
         return self._engine
 
     @property
-    def routing(self) -> TopicRoutingModel:
-        return self._routing
-
-    @property
     def slo(self) -> SLOConfig:
         return self._slo
 
@@ -290,11 +281,6 @@ class ServingEngine:
     def tenants(self) -> tuple[TenantSpec, ...] | None:
         """The tenant specs in multi-tenant mode (``None`` otherwise)."""
         return self._tenants
-
-    @property
-    def report(self) -> ServingReport | None:
-        """The last :meth:`run` outcome (``None`` before any run)."""
-        return self._report
 
     # ------------------------------------------------------------------
     # Batch-to-assignment translation
@@ -405,8 +391,7 @@ class ServingEngine:
             name=f"serve-{type(self).name}",
             sources=(run.source,),
         ).run()
-        self._report = run.report()
-        return self._report
+        return run.report()
 
 
 class ServedColumns:

@@ -126,10 +126,6 @@ class RequestStreamConfig:
         _require(self.num_topics >= 1, "num_topics must be >= 1")
         _require(self.topic_drift >= 0, "topic_drift must be >= 0")
 
-    def replace(self, **changes: object) -> "RequestStreamConfig":
-        """Return a copy of this config with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class Request:
@@ -173,10 +169,6 @@ class RequestStream:
 
     def __init__(self, config: RequestStreamConfig) -> None:
         self._config = config
-
-    @property
-    def config(self) -> RequestStreamConfig:
-        return self._config
 
     # ------------------------------------------------------------------
     # Arrival-rate models
@@ -254,17 +246,6 @@ class RequestStream:
             )
         return tuple(requests)
 
-    def offered_tokens(self) -> int:
-        """Total tokens the stream offers (sum of request lengths)."""
-        return sum(r.tokens for r in self.generate())
-
-    def __repr__(self) -> str:
-        cfg = self._config
-        return (
-            f"RequestStream({cfg.arrival}, rate={cfg.rate_rps:.1f} rps, "
-            f"n={cfg.num_requests}, seed={cfg.seed})"
-        )
-
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -321,14 +302,6 @@ class TenantSpec:
             and hasattr(self.tenant_class, "slo"),
             "tenant_class must be a TenantClass (priority + slo)",
         )
-
-    @property
-    def priority(self) -> int:
-        return self.tenant_class.priority
-
-    def replace(self, **changes: object) -> "TenantSpec":
-        """Return a copy of this spec with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
 
 
 def merge_tenant_requests(specs: Sequence[TenantSpec]) -> tuple[Request, ...]:

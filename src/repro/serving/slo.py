@@ -17,7 +17,6 @@ under an SLO*. This module holds the accounting:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +64,6 @@ class SLOConfig:
             return self.trigger_p99
         return 0.6 * self.latency_target
 
-    def replace(self, **changes: object) -> "SLOConfig":
-        """Return a copy of this config with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class TenantClass:
@@ -95,10 +90,6 @@ class TenantClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("class name must not be empty")
-
-    def replace(self, **changes: object) -> "TenantClass":
-        """Return a copy of this class with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -225,9 +216,6 @@ class LatencyWindow:
         self._pos = (self._pos + values.size) % self._window
         self._size = min(self._window, self._size + values.size)
 
-    def __len__(self) -> int:
-        return self._size
-
     def p99(self) -> float | None:
         """Rolling p99, or ``None`` before any request completed.
 
@@ -338,15 +326,6 @@ class ServingReport:
     # ------------------------------------------------------------------
     # Goodput / SLO attainment
     # ------------------------------------------------------------------
-    @property
-    def served_tokens(self) -> int:
-        return sum(r.request.tokens for r in self.records)
-
-    @property
-    def offered_tokens(self) -> int:
-        """Tokens offered to the server (served plus rejected)."""
-        return self.served_tokens + sum(r.tokens for r in self.rejected)
-
     @property
     def offered_requests(self) -> int:
         return len(self.records) + len(self.rejected)

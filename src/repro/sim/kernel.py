@@ -41,7 +41,7 @@ from typing import (
 )
 
 from repro.exceptions import SimulationError
-from repro.telemetry.tracing import KernelTraceSink, TraceTrack
+from repro.telemetry.tracing import TraceTrack
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.scenario import Scenario
@@ -98,35 +98,22 @@ class SimKernel:
     assert.
 
     Args:
-        record_trace: Keep a ``(time, priority, seq, label)`` tuple per
-            processed event in :attr:`trace`. Used by the determinism
-            tests (same-seed scenarios must produce byte-identical
-            traces); off by default to keep long simulations lean.
-        tracer: A :class:`~repro.telemetry.tracing.TraceTrack` to mirror
+        tracer: A :class:`~repro.telemetry.tracing.TraceTrack` to record
             every processed event into as a Chrome trace event (one
-            zero-duration complete event on the lane of its priority).
-            Sources read it back via :attr:`tracer` to emit their own
-            spans on the same track. ``record_trace`` and ``tracer``
-            share one observation path
-            (:class:`~repro.telemetry.tracing.KernelTraceSink`); with
-            neither, the loop pays a single ``is not None`` branch per
-            event.
+            zero-duration complete event on the lane of its priority,
+            ``seq`` in its args): the ``(time, priority, seq, label)``
+            log the determinism tests compare. Sources read it back via
+            :attr:`tracer` to emit their own spans on the same track.
+            Without one, the loop pays a single ``is not None`` branch
+            per event.
     """
 
-    def __init__(
-        self,
-        record_trace: bool = False,
-        tracer: TraceTrack | None = None,
-    ) -> None:
+    def __init__(self, tracer: TraceTrack | None = None) -> None:
         self._heap: list[SimEvent] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
-        self._sink: KernelTraceSink | None = (
-            KernelTraceSink(record_trace, tracer)
-            if (record_trace or tracer is not None)
-            else None
-        )
+        self._tracer = tracer
 
     # ------------------------------------------------------------------
     # Accessors
@@ -141,22 +128,12 @@ class SimKernel:
         return self._processed
 
     @property
-    def trace(self) -> tuple[tuple[float, int, int, str], ...]:
-        """Processed-event log (empty unless ``record_trace`` was set)."""
-        if self._sink is None or self._sink.tuples is None:
-            return ()
-        return tuple(self._sink.tuples)
-
-    @property
     def tracer(self) -> TraceTrack | None:
         """The Chrome trace track this kernel mirrors into, if any.
 
         Sources use it to emit their own spans (pipeline phases,
         serving batches, decision instants) on the kernel's track."""
-        return self._sink.track if self._sink is not None else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
+        return self._tracer
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -245,7 +222,7 @@ class SimKernel:
                 )
         heap = self._heap
         pop = heapq.heappop
-        sink = self._sink
+        tracer = self._tracer
         while heap:
             if self._processed >= max_events:
                 raise SimulationError(
@@ -258,8 +235,8 @@ class SimKernel:
             time, priority, seq, callback, label = pop(heap)
             self._now = time
             self._processed += 1
-            if sink is not None:
-                sink.observe(time, priority, seq, label)
+            if tracer is not None:
+                tracer.kernel_event(time, priority, seq, label)
             callback()
         if until is not None:
             self._advance_to(max(self._now, until))

@@ -78,12 +78,12 @@ class Scenario:
         """Return a copy of this scenario with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
 
-    def run(self, record_trace: bool = False) -> SimKernel:
+    def run(self) -> SimKernel:
         """Execute the scenario on a fresh kernel and return it.
 
         Sources accumulate their own results; read them off the source
         objects after the run. The returned kernel exposes the final
-        clock, processed-event count and (when requested) the trace.
+        clock and processed-event count.
 
         When a :mod:`repro.telemetry` session is active, the run binds
         to it: the session clock follows this kernel, and -- if the
@@ -100,7 +100,7 @@ class Scenario:
             track = session.tracer.new_track(self.name)
             for priority in Priority:
                 track.thread_name(int(priority), f"kernel/{priority.name}")
-        kernel = SimKernel(record_trace=record_trace, tracer=track)
+        kernel = SimKernel(tracer=track)
         if session is not None:
             session.bind_clock(lambda: kernel.now)
             session.bind_track(track)

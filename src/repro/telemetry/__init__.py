@@ -36,7 +36,6 @@ from repro.telemetry.tracing import (
     TID_CONTROL,
     TID_PIPELINE,
     TID_SERVING,
-    KernelTraceSink,
     SpanTracer,
     TraceTrack,
     to_trace_us,
@@ -47,7 +46,6 @@ __all__ = [
     "DecisionTimeline",
     "Gauge",
     "Histogram",
-    "KernelTraceSink",
     "MetricsRegistry",
     "SpanTracer",
     "TelemetrySession",

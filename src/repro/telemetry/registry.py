@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -153,22 +153,6 @@ class MetricsRegistry:
         return (
             len(self._counters) + len(self._gauges) + len(self._histograms)
         )
-
-    def keys(self) -> Iterator[str]:
-        for family in (self._counters, self._gauges, self._histograms):
-            for name, labels in family:
-                yield metric_key(name, **dict(labels))
-
-    def value(self, name: str, **labels: object) -> float | None:
-        """Current value of a counter or gauge, ``None`` if absent."""
-        key = (name, _labels_key(labels))
-        counter = self._counters.get(key)
-        if counter is not None:
-            return counter.value
-        gauge = self._gauges.get(key)
-        if gauge is not None:
-            return gauge.value
-        return None
 
     def counter_total(self, name: str) -> float:
         """Counter ``name`` summed over every label set (0.0 if absent),

@@ -17,7 +17,6 @@ line up with kernel spans in Perfetto.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 # Well-known event kinds (open set: subsystems may add more; these are
 # the ones the composed scenario and churn benchmarks emit today).
@@ -72,13 +71,6 @@ class DecisionTimeline:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def __iter__(self) -> Iterator[TimelineEvent]:
-        return iter(self._events)
-
-    @property
-    def events(self) -> tuple[TimelineEvent, ...]:
-        return tuple(self._events)
 
     def kinds(self) -> dict[str, int]:
         """Histogram of event kinds (insertion order preserved)."""

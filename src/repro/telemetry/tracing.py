@@ -21,10 +21,10 @@ serving batches and control-plane decisions. Pipeline phase spans are
 only ever written by the owning source, so B/E stack discipline per
 ``(pid, tid)`` is guaranteed by construction (and asserted by tests).
 
-:class:`KernelTraceSink` is the single per-event observation path for
-:class:`~repro.sim.kernel.SimKernel`: it owns both the legacy
-``record_trace`` tuple log (the byte-for-byte determinism contract) and
-the Chrome mirror, so the kernel has exactly one trace code path.
+A :class:`~repro.sim.kernel.SimKernel` given a track records every
+processed event on it (:meth:`TraceTrack.kernel_event`): the kernel's
+one trace path, and the ``(time, priority, seq, label)`` log the
+determinism tests compare.
 """
 
 from __future__ import annotations
@@ -204,30 +204,3 @@ class SpanTracer:
     def __len__(self) -> int:
         return len(self._events)
 
-
-class KernelTraceSink:
-    """The kernel's single trace path: tuple log and/or Chrome mirror.
-
-    ``record_trace=True`` keeps the exact ``(time, priority, seq,
-    label)`` tuples the determinism/identity tests assert byte-for-byte;
-    a bound :class:`TraceTrack` additionally mirrors every event into
-    the Chrome buffer. Either side may be absent; the kernel holds no
-    sink at all when both are, keeping the disabled-mode drain loops at
-    a single ``is not None`` branch per event.
-    """
-
-    __slots__ = ("tuples", "track")
-
-    def __init__(
-        self, record_tuples: bool, track: TraceTrack | None
-    ) -> None:
-        self.tuples: list[tuple] | None = [] if record_tuples else None
-        self.track = track
-
-    def observe(
-        self, time: float, priority: int, seq: int, label: str | None
-    ) -> None:
-        if self.tuples is not None:
-            self.tuples.append((time, priority, seq, label))
-        if self.track is not None:
-            self.track.kernel_event(time, priority, seq, label)

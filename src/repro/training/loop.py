@@ -81,10 +81,6 @@ class TrainingRunResult:
         return float(self.step_times.mean())
 
     @property
-    def total_time(self) -> float:
-        return float(self.step_times.sum()) * self.moe_layers
-
-    @property
     def mean_token_efficiency(self) -> float:
         return float(np.mean([r.token_efficiency for r in self.results]))
 
@@ -183,14 +179,6 @@ class PipelineRunResult:
     @property
     def mean_step_time(self) -> float:
         return float(self.step_times.mean())
-
-    @property
-    def total_time(self) -> float:
-        return float(self.step_times.sum())
-
-    @property
-    def mean_token_efficiency(self) -> float:
-        return float(np.mean([r.token_efficiency for r in self.results]))
 
     @property
     def distinct_final_placements(self) -> int:

@@ -37,14 +37,6 @@ class EfficiencyTrajectory:
     token_efficiency: np.ndarray
     expert_efficiency: np.ndarray
 
-    @property
-    def mean_token_efficiency(self) -> float:
-        return float(self.token_efficiency.mean())
-
-    @property
-    def mean_expert_efficiency(self) -> float:
-        return float(self.expert_efficiency.mean())
-
     def endpoint(self, window: int = 10) -> tuple[float, float]:
         """Late-training operating point: mean of the last ``window`` steps."""
         w = min(window, len(self.token_efficiency))

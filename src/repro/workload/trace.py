@@ -14,8 +14,7 @@ Both store their counts as read-only int32 (:data:`COUNT_DTYPE`), half
 the size of int64.  Every count, and every step's per-expert total, must
 stay below :data:`COUNT_LIMIT` (``2**31``), so every per-expert sum of a
 step is exact in int32.  Sums over a trace axis
-(:meth:`RoutingTrace.expert_loads`, :meth:`RoutingTrace.tokens_per_step`)
-come out int64.
+(:meth:`RoutingTrace.expert_loads`, a step's ``sum()``) come out int64.
 """
 
 from __future__ import annotations
@@ -160,18 +159,6 @@ class RoutingTrace(_CountHistory):
             return self._assignments.sum(axis=2)
         return self.step(t).sum(axis=1)
 
-    def tokens_per_step(self) -> np.ndarray:
-        """Total token count of each step."""
-        return self._assignments.sum(axis=(1, 2))
-
-    def slice(self, start: int, stop: int) -> "RoutingTrace":
-        """Sub-trace covering steps ``[start, stop)``."""
-        if not 0 <= start <= stop <= self.num_steps:
-            raise RoutingError(
-                f"invalid slice [{start}, {stop}) for {self.num_steps} steps"
-            )
-        return RoutingTrace(self._assignments[start:stop])
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -228,22 +215,6 @@ class MultiLayerTrace(_CountHistory):
         if not 0 <= t < self.num_steps:
             raise RoutingError(f"step {t} out of range [0, {self.num_steps})")
         return self._assignments[:, t]
-
-    def layer(self, index: int) -> RoutingTrace:
-        """The single-layer :class:`RoutingTrace` of MoE layer ``index``."""
-        if not 0 <= index < self.num_layers:
-            raise RoutingError(
-                f"layer {index} out of range [0, {self.num_layers})"
-            )
-        return RoutingTrace(self._assignments[index])
-
-    def slice(self, start: int, stop: int) -> "MultiLayerTrace":
-        """Sub-trace covering steps ``[start, stop)``."""
-        if not 0 <= start <= stop <= self.num_steps:
-            raise RoutingError(
-                f"invalid slice [{start}, {stop}) for {self.num_steps} steps"
-            )
-        return MultiLayerTrace(self._assignments[:, start:stop])
 
     # ------------------------------------------------------------------
     # Serialization

@@ -164,9 +164,12 @@ class TestFlexMoESystem:
         with telemetry.session(reuse=False) as tel:
             for step in range(12):
                 system.step(skewed_assignment(rng), step)
-        triggered = sum(outcome.triggered for outcome in system.scheduler.history)
+        history = system._layer.scheduler.history
+        triggered = sum(outcome.triggered for outcome in history)
         assert triggered > 0
-        assert tel.registry.value("scheduler.triggers") == triggered
+        assert tel.registry.snapshot()["counters"]["scheduler.triggers"] == (
+            triggered
+        )
         decisions = tel.timeline.of_kind("trigger")
         assert len(decisions) == triggered
         assert {event.subject for event in decisions} == {"layer[0]"}

@@ -34,13 +34,6 @@ class TestCommunicatorGroupCache:
         assert cache.acquire([0, 1]) == 0.0  # still cached
         assert cache.acquire([0, 2]) == 1.0  # re-created
 
-    def test_hit_rate(self):
-        cache = CommunicatorGroupCache()
-        assert cache.stats.hit_rate == 0.0
-        cache.acquire([0, 1])
-        cache.acquire([0, 1])
-        assert cache.stats.hit_rate == 0.5
-
     def test_rejects_empty_group(self):
         cache = CommunicatorGroupCache()
         with pytest.raises(SimulationError):

@@ -1,5 +1,7 @@
 """Unit tests for configuration dataclasses and validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -55,7 +57,7 @@ class TestMoEModelConfig:
 
     def test_replace_returns_modified_copy(self):
         m = make_model()
-        m2 = m.replace(num_experts=8)
+        m2 = dataclasses.replace(m, num_experts=8)
         assert m2.num_experts == 8
         assert m.num_experts == 4
 
@@ -91,7 +93,7 @@ class TestClusterConfig:
             ClusterConfig(intra_node_bandwidth=0)
 
     def test_replace(self):
-        c = ClusterConfig().replace(num_nodes=2)
+        c = dataclasses.replace(ClusterConfig(), num_nodes=2)
         assert c.num_nodes == 2
 
 

@@ -11,8 +11,7 @@ The reference comparisons run on every :data:`CASES` entry: the dense
 8-device regime, where each expert sits on most devices, and 256-device
 clusters where each of 32 experts holds a few percent of the devices --
 the holder-sparse regime the evaluator's storage is built for -- with
-packed vExperts, an expert without demand, and per-GPU NIC scales (which
-route the All-to-All term through the dense bandwidth model).
+packed vExperts and an expert without demand.
 """
 
 import tracemalloc
@@ -167,19 +166,6 @@ CASES = {
     "idle-expert-256g": Case(
         32, SPARSE_CLUSTER, slots=2, moves=16, idle_expert=5, rounds=4
     ),
-    "nic-scaled-256g": Case(
-        32,
-        SPARSE_CLUSTER.replace(
-            bandwidth_scales=tuple(
-                np.random.default_rng(3).choice([0.25, 0.5, 1.0], 256)
-            )
-        ),
-        slots=2,
-        moves=16,
-        packs=8,
-        idle_expert=11,
-        rounds=4,
-    ),
 }
 
 
@@ -192,11 +178,10 @@ def _case_cost_model(case: Case) -> MoECostModel:
     topology = ClusterTopology(case.cluster)
     profile = Profiler(topology, noise=0.02, seed=0).profile(model)
     cost_model = MoECostModel(profile, model)
-    # Small and NIC-scaled fabrics are profiled per link into the dense
-    # model; the other 256-device cases take the node-blocked one.
-    assert profile.bandwidth_model().is_blocked == (
+    # Small fabrics are profiled per link into the dense model; the
+    # 256-device cases take the node-blocked one.
+    assert profile.bandwidth_model()._blocked == (
         case.num_gpus > HIERARCHICAL_AUTO_THRESHOLD
-        and case.cluster.bandwidth_scales is None
     )
     return cost_model
 
@@ -513,7 +498,7 @@ class TestRebaseBitIdentity:
     def test_matches_a_fresh_rebase(self, name, new_demand, rng):
         case = REBASE_CASES[name]
         cost_model = case.cost_model()
-        assert cost_model.profile.bandwidth_model().is_blocked == (
+        assert cost_model.profile.bandwidth_model()._blocked == (
             case.num_gpus > HIERARCHICAL_AUTO_THRESHOLD
         )
         delta = DeltaStepCost(cost_model)

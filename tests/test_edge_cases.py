@@ -131,4 +131,4 @@ class TestTraceEdges:
     def test_single_step_single_expert(self):
         trace = RoutingTrace(np.array([[[7]]]))
         assert trace.expert_loads(0)[0] == 7
-        assert trace.tokens_per_step()[0] == 7
+        assert trace.step(0).sum() == 7

@@ -1,5 +1,6 @@
 """Elastic runtime end to end: eviction, re-homing, recovery, faults harness."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -81,9 +82,8 @@ class TestElasticityTelemetry:
         )
         with telemetry.session(reuse=False) as tel:
             run = simulate_pipeline(engine, small_trace(8))
-        assert tel.registry.value("cluster.elasticity_steps") == len(
-            event_steps
-        )
+        counters = tel.registry.snapshot()["counters"]
+        assert counters["cluster.elasticity_steps"] == len(event_steps)
         decisions = tel.timeline.of_kind("elasticity")
         assert [d.time for d in decisions] == [float(s) for s in event_steps]
         assert [d.subject for d in decisions] == [
@@ -185,7 +185,7 @@ class TestEngineFailure:
     def test_orphaned_expert_raises_from_engine_step(self):
         # One slot per GPU and as many experts as GPUs: every expert has a
         # single replica, so the failed device orphans one.
-        model = SMALL_MODEL.replace(num_experts=4)
+        model = dataclasses.replace(SMALL_MODEL, num_experts=4)
         engine = build_engine(
             SMALL_CLUSTER,
             model,

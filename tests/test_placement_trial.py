@@ -63,11 +63,6 @@ class TestVersionAndSignature:
         placement.add_vexpert(0, gpu)
         assert view[0, gpu] == before + 1  # view tracks the live matrix
 
-    def test_row_returns_copy(self, placement):
-        row = placement.row(0)
-        row[:] = 0
-        assert placement.replicas(0) > 0
-
 
 # One expert and one GPU past the edge, so range refusals are drawn too.
 _EXPERT = st.integers(0, 8)

@@ -1,7 +1,9 @@
 """Repository hygiene: no compiled bytecode may ever be committed,
 every committed benchmark artifact passes its own named gates
 (re-evaluated through :func:`repro.bench.gates.evaluate`), and no public
-``src/`` name is reached only by tests.
+``src/`` name is reached only by tests, and every reason the shared
+reachability allowlist gives cites an open ROADMAP item or a doc that
+presents the function.
 
 The seed repo once carried ``__pycache__`` directories in the index;
 ``.gitignore`` now excludes them and this test (plus the same check in
@@ -11,6 +13,7 @@ The seed repo once carried ``__pycache__`` directories in the index;
 import ast
 import importlib.util
 import json
+import re
 import subprocess
 from pathlib import Path
 
@@ -201,3 +204,39 @@ def test_no_public_name_is_reached_only_by_tests():
     assert missing == [], (
         f"allowlisted names that no longer exist; drop them: {missing}"
     )
+
+
+def open_roadmap_items() -> set[int]:
+    """The numbers of the items ROADMAP.md lists under "Open items" and
+    does not mark closed in their bold heading."""
+    text = (REPO / "ROADMAP.md").read_text(encoding="utf-8")
+    section = text.split("## Open items", 1)[1].split("\n## ", 1)[0]
+    heading = r"^- \*\*(\d+)\.(.*?)\*\*"
+    headings = re.finditer(heading, section, re.M | re.S)
+    return {int(m.group(1)) for m in headings if "closed" not in m.group(2)}
+
+
+def test_allowlist_reasons_cite_open_roadmap_items():
+    open_items = open_roadmap_items()
+    stale = [
+        f"{name}: item {item}"
+        for name, reason in sorted(ALLOWED.items())
+        for item in map(int, re.findall(r"ROADMAP item (\d+)", reason))
+        if item not in open_items
+    ]
+    assert stale == [], f"reasons cite closed or absent items: {stale}"
+
+
+def test_allowlist_reasons_cite_docs_that_mention_them():
+    """A reason citing ``docs/X.md`` names a doc that exists and names
+    the function."""
+    stale = []
+    for name, reason in sorted(ALLOWED.items()):
+        for doc in re.findall(r"docs/[\w-]+\.md", reason):
+            path = REPO / doc
+            function = name.rsplit(".", 1)[1]
+            if not path.is_file() or function not in path.read_text(
+                encoding="utf-8"
+            ):
+                stale.append(f"{name}: {doc}")
+    assert stale == [], f"allowlist reasons cite docs that miss them: {stale}"

@@ -1,5 +1,6 @@
 """The serving engine: latency accounting, determinism, SLO machinery."""
 
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -137,7 +138,10 @@ class TestLatencyAccounting:
         rejected = {r.index for r in report.rejected}
         assert served | rejected == {r.index for r in requests}
         assert not served & rejected
-        assert report.offered_tokens == sum(r.tokens for r in requests)
+        offered = sum(r.request.tokens for r in report.records) + sum(
+            r.tokens for r in report.rejected
+        )
+        assert offered == sum(r.tokens for r in requests)
 
     def test_clock_monotone_across_batches(self):
         flex, _ = build_pair(small_stream())
@@ -253,7 +257,8 @@ class TestSLOPrimitives:
     def test_slo_config_defaults_and_validation(self):
         slo = SLOConfig(latency_target=1.0)
         assert slo.effective_trigger_p99 == pytest.approx(0.6)
-        assert slo.replace(trigger_p99=0.2).effective_trigger_p99 == 0.2
+        changed = dataclasses.replace(slo, trigger_p99=0.2)
+        assert changed.effective_trigger_p99 == 0.2
         with pytest.raises(ConfigurationError):
             SLOConfig(latency_target=0.0)
         with pytest.raises(ConfigurationError):
@@ -282,7 +287,9 @@ class TestSLOPrimitives:
         # counts as a miss.
         assert report.slo_attainment == pytest.approx(3 / 5)
         assert report.goodput_tokens_per_s == pytest.approx(300 / 2.0)
-        assert report.offered_tokens == 500
+        assert sum(r.request.tokens for r in report.records) + sum(
+            r.tokens for r in report.rejected
+        ) == 500
         summary = report.summary()
         assert summary["requests_rejected"] == 1.0
         assert summary["p99_latency_s"] == pytest.approx(report.p99)
@@ -304,7 +311,6 @@ class TestLatencyWindowBatchIngestion:
                     chunk = rng.exponential(size=size)
                     sequential.extend(float(value) for value in chunk)
                     batched.observe_batch(chunk)
-                    assert len(batched) == len(sequential)
                     assert batched.p99() == _sequential_p99(sequential)
 
     def test_p99_is_bit_identical_to_np_percentile(self):
@@ -343,7 +349,6 @@ def test_observe_batch_property(window, chunks):
     for chunk in chunks:
         sequential.extend(chunk)
         batched.observe_batch(np.array(chunk, dtype=float))
-        assert len(batched) == len(sequential)
         assert batched.p99() == _sequential_p99(sequential)
 
 

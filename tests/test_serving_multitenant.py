@@ -19,6 +19,7 @@ reporting, and eager admission under a finite scenario horizon (see
 docs/serving.md).
 """
 
+import dataclasses
 from collections import Counter, defaultdict, deque
 
 import pytest
@@ -106,9 +107,6 @@ class TestTenantConfig:
             TenancyInfo((), (), (), (), ())
         with pytest.raises(ConfigurationError):
             TenancyInfo(("a", "b"), ("c",), (0, 0), (1.0, 1.0), (SLO, SLO))
-
-    def test_spec_priority_shortcut(self):
-        assert spec(tenant_class=INTERACTIVE).priority == 10
 
     def test_merge_requires_unique_names(self):
         with pytest.raises(ConfigurationError):
@@ -619,7 +617,10 @@ class TestPreemption:
     def test_equal_priority_never_preempts(self):
         tenants = (
             spec(name="a", tenant_class=BATCH),
-            spec(name="b", tenant_class=BATCH.replace(name="batch2")),
+            spec(
+                name="b",
+                tenant_class=dataclasses.replace(BATCH, name="batch2"),
+            ),
         )
         requests = (
             request(0, 100, tenant=0, arrival=0.0),

@@ -15,12 +15,14 @@ Two kinds of check:
   processed events, trace order) pin exactly; floats at ``rel=1e-9``.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.baselines.base import build_context
 from repro.baselines.flexmoe import FlexMoESystem
 from repro.bench.harness import cluster_for
@@ -256,7 +258,8 @@ def _multitenant_fixture(seed=0, num_tenants=1):
         tenants.append(
             TenantSpec(
                 name="bulk",
-                stream=stream.replace(
+                stream=dataclasses.replace(
+                    stream,
                     arrival="poisson", rate_rps=setup["rate"] / 4,
                     num_requests=40, seed=seed + 1,
                 ),
@@ -353,17 +356,17 @@ def _report_values(report):
 
 
 def _drain_trace_values():
-    """Eager per-request arrivals on a recorded kernel: completions,
+    """Eager per-request arrivals on a traced kernel: completions,
     admissions and dispatches tie at one instant."""
     build_flex, _ = _build_servers(seed=2)
     run = build_flex().event_source()
-    kernel = Scenario(name="drain-identity", sources=(run.source,)).run(
-        record_trace=True
-    )
+    with telemetry.session(reuse=False) as session:
+        kernel = Scenario(name="drain-identity", sources=(run.source,)).run()
+    events = [e for e in session.tracer.events if e.get("cat") == "kernel"]
     return {
         "processed_events": kernel.processed_events,
-        "trace_order": [[priority, seq] for _, priority, seq, _ in kernel.trace],
-        "trace_times": [entry[0] for entry in kernel.trace],
+        "trace_order": [[e["tid"], e["args"]["seq"]] for e in events],
+        "trace_times": [e["ts"] / 1e6 for e in events],
         "report": _report_values(run.report()),
     }
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.sim import (
     Priority,
@@ -15,6 +16,23 @@ from repro.sim import (
     clamp_warmup,
     smoke_scale,
 )
+from repro.telemetry import SpanTracer
+
+
+def kernel_log(events):
+    """``(time, priority, seq, label)`` of every kernel event a trace
+    track recorded, in processing order."""
+    return [
+        (e["ts"] / 1e6, e["tid"], e["args"]["seq"], e["name"])
+        for e in events
+        if e.get("cat") == "kernel"
+    ]
+
+
+def traced_kernel():
+    """A kernel recording onto a fresh track, and the track's events."""
+    tracer = SpanTracer()
+    return SimKernel(tracer=tracer.new_track("kernel")), tracer.events
 
 
 @settings(max_examples=80, deadline=None)
@@ -30,14 +48,14 @@ from repro.sim import (
 )
 def test_queue_pops_stable_sorted_order(events):
     """Dispatch order == stable sort by (time, priority, insertion order)."""
-    kernel = SimKernel(record_trace=True)
+    kernel, recorded = traced_kernel()
     for index, (time, priority) in enumerate(events):
         kernel.schedule_at(time, lambda: None, priority, label=str(index))
     kernel.run()
     expected = sorted(
         range(len(events)), key=lambda i: (events[i][0], int(events[i][1]), i)
     )
-    assert [int(entry[3]) for entry in kernel.trace] == expected
+    assert [int(entry[3]) for entry in kernel_log(recorded)] == expected
 
 
 class TestSimKernel:
@@ -62,7 +80,8 @@ class TestSimKernel:
         kernel = SimKernel()
         with pytest.raises(SimulationError, match="must be finite"):
             kernel.schedule_at(bad, lambda: None)
-        assert len(kernel) == 0
+        assert kernel.run() == 0.0
+        assert kernel.processed_events == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_delay_raises(self, bad):
@@ -80,16 +99,17 @@ class TestSimKernel:
         with pytest.raises(SimulationError, match="must be finite"):
             kernel.run(until=bad)
         assert kernel.now == 0.0
-        assert len(kernel) == 1
+        kernel.run()
+        assert kernel.processed_events == 1
 
     def test_orders_by_time_then_priority_then_seq(self):
-        kernel = SimKernel(record_trace=True)
+        kernel, recorded = traced_kernel()
         kernel.schedule_at(2.0, lambda: None, Priority.FAILURE, "late-failure")
         kernel.schedule_at(1.0, lambda: None, Priority.STEP, "early-step")
         kernel.schedule_at(1.0, lambda: None, Priority.FAILURE, "early-failure")
         kernel.schedule_at(1.0, lambda: None, Priority.STEP, "early-step-2")
         kernel.run()
-        assert [entry[3] for entry in kernel.trace] == [
+        assert [entry[3] for entry in kernel_log(recorded)] == [
             "early-failure", "early-step", "early-step-2", "late-failure",
         ]
 
@@ -160,7 +180,8 @@ class TestSimKernel:
         kernel.schedule_at(10.0, lambda: seen.append("late"))
         assert kernel.run(until=5.0) == 5.0
         assert seen == ["early"]
-        assert len(kernel) == 1
+        kernel.run()
+        assert seen == ["early", "late"]
         kernel.run()
         assert seen == ["early", "late"]
 
@@ -187,11 +208,11 @@ class TestSimKernel:
             kernel.run(max_events=50)
 
     def test_trace_records_processed_events(self):
-        kernel = SimKernel(record_trace=True)
+        kernel, recorded = traced_kernel()
         kernel.schedule_at(1.0, lambda: None, Priority.STEP, label="b")
         kernel.schedule_at(1.0, lambda: None, Priority.FAILURE, label="a")
         kernel.run()
-        assert [entry[3] for entry in kernel.trace] == ["a", "b"]
+        assert [entry[3] for entry in kernel_log(recorded)] == ["a", "b"]
         assert kernel.processed_events == 2
 
 
@@ -229,7 +250,9 @@ class TestScenario:
             scenario = Scenario(
                 name="det", sources=(_SeededSource(seed),), duration=10.0
             )
-            return scenario.run(record_trace=True).trace
+            with telemetry.session(reuse=False) as session:
+                scenario.run()
+            return kernel_log(session.tracer.events)
 
         assert trace(7) == trace(7)
         assert trace(7) != trace(8)
@@ -314,7 +337,7 @@ class TestOrderingAndRestore:
         """The dispatch-at-now idiom: an event scheduled at the current
         time from inside a callback fires within the same timestamp, in
         (priority, seq) position."""
-        kernel = SimKernel(record_trace=True)
+        kernel, recorded = traced_kernel()
         seen = []
 
         def arrival():
@@ -328,7 +351,7 @@ class TestOrderingAndRestore:
         kernel.schedule_at(2.0, lambda: seen.append("stream"), Priority.STREAM)
         kernel.run()
         assert seen == ["completion", "arrival", "dispatch", "stream"]
-        assert [entry[:3] for entry in kernel.trace] == [
+        assert [entry[:3] for entry in kernel_log(recorded)] == [
             (2.0, Priority.COMPLETION, 1),
             (2.0, Priority.ARRIVAL, 0),
             (2.0, Priority.STEP, 3),
@@ -345,7 +368,7 @@ class TestOrderingAndRestore:
         assert seen == [0, 1, 2]
         # The undispatched half of the group stays queued and a resumed
         # run drains it in the original order.
-        assert len(kernel) == 3
+        assert kernel.processed_events == 3
         kernel.run()
         assert seen == [0, 1, 2, 3, 4, 5]
 
@@ -368,7 +391,7 @@ class TestOrderingAndRestore:
         # failing callback scheduled survive for a resumed run, which
         # drains them in (priority, seq) order: "tied" (seq 1) before
         # the later-scheduled "rescheduled" (seq 2).
-        assert len(kernel) == 2
+        assert kernel.processed_events == 1
         kernel.run()
         assert seen == ["boom", "tied", "rescheduled"]
 
@@ -380,10 +403,11 @@ class TestOrderingAndRestore:
         kernel.schedule_at(10.0, lambda: seen.append("late"))
         assert kernel.run(until=5.0) == 5.0
         assert seen == ["b", "a"]
-        assert len(kernel) == 1
+        kernel.run()
+        assert seen == ["b", "a", "late"]
 
     def test_singleton_groups_match_serial(self):
-        kernel = SimKernel(record_trace=True)
+        kernel, recorded = traced_kernel()
 
         def tick(t):
             if t < 5.0:
@@ -391,7 +415,7 @@ class TestOrderingAndRestore:
 
         kernel.schedule_at(0.0, lambda: tick(0.0))
         kernel.run()
-        assert [entry[:3] for entry in kernel.trace] == [
+        assert [entry[:3] for entry in kernel_log(recorded)] == [
             (float(t), Priority.STEP, t) for t in range(6)
         ]
 
@@ -414,7 +438,7 @@ def test_drain_trace_matches_heap_order(events):
     """Property: for random tie-heavy schedules whose callbacks may
     re-schedule at the current instant, the kernel dispatches the exact
     (time, priority, seq) sequence of one heap pop per event."""
-    kernel = SimKernel(record_trace=True)
+    kernel, recorded = traced_kernel()
 
     def make(index, reschedule):
         def callback():
@@ -433,4 +457,4 @@ def test_drain_trace_matches_heap_order(events):
             time, make(index, reschedule), priority, label=str(index)
         )
     kernel.run()
-    assert [entry[:3] for entry in kernel.trace] == _heap_order(events)
+    assert [entry[:3] for entry in kernel_log(recorded)] == _heap_order(events)

@@ -25,7 +25,6 @@ from repro.serving.requests import Request
 from repro.serving.slo import LatencyWindow, SLOConfig
 from repro.telemetry import (
     DecisionTimeline,
-    KernelTraceSink,
     MetricsRegistry,
     SpanTracer,
     metric_key,
@@ -60,7 +59,7 @@ def test_counter_get_or_create_and_monotonicity():
     counter.inc()
     registry.counter("events", kind="fail").inc(2.0)
     assert registry.counter("events", kind="fail") is counter
-    assert registry.value("events", kind="fail") == 3.0
+    assert registry.snapshot()["counters"]["events{kind=fail}"] == 3.0
     with pytest.raises(ConfigurationError):
         counter.inc(-1.0)
 
@@ -69,7 +68,7 @@ def test_gauge_last_write_wins():
     registry = MetricsRegistry()
     registry.gauge("pool.live").set(8)
     registry.gauge("pool.live").set(6)
-    assert registry.value("pool.live") == 6.0
+    assert registry.snapshot()["gauges"]["pool.live"] == 6.0
 
 
 def test_histogram_buckets_and_overflow():
@@ -104,7 +103,7 @@ def test_snapshot_is_sorted_and_complete():
         "sum": 0.5,
     }
     assert len(registry) == 4
-    assert registry.value("missing") is None
+    assert "missing" not in {**snap["counters"], **snap["gauges"]}
 
 
 # ----------------------------------------------------------------------
@@ -173,39 +172,48 @@ def test_timeline_record_query_and_export():
 
 
 # ----------------------------------------------------------------------
-# Kernel sink unification (legacy tuples + Chrome mirror, one path)
+# The kernel's one trace path: every processed event on its track
 # ----------------------------------------------------------------------
 def test_kernel_sink_feeds_tuples_and_track_identically():
+    from repro.sim.kernel import SimKernel
+
     tracer = SpanTracer()
     track = tracer.new_track("k")
-    sink = KernelTraceSink(True, track)
-    sink.observe(0.25, 40, 7, "step[0]")
-    assert sink.tuples == [(0.25, 40, 7, "step[0]")]
-    assert sink.track is track
+    kernel = SimKernel(tracer=track)
+    assert kernel.tracer is track
+    kernel.schedule_at(0.25, lambda: None, 40, label="step[0]")
+    kernel.run()
     slices = [e for e in tracer.events if e["ph"] == "X"]
     assert len(slices) == 1
     assert slices[0]["name"] == "step[0]"
     assert slices[0]["ts"] == pytest.approx(0.25 * 1e6)
     assert slices[0]["tid"] == 40
-    assert slices[0]["args"] == {"seq": 7}
+    assert slices[0]["args"] == {"seq": 0}
 
 
 def test_kernel_trace_tuples_unchanged_by_tracer():
     from repro.sim.kernel import Priority, SimKernel
 
     def run(tracer):
-        kernel = SimKernel(record_trace=True, tracer=tracer)
+        kernel = SimKernel(tracer=tracer)
         for t, label in ((0.2, "b"), (0.1, "a"), (0.3, "c")):
             kernel.schedule_at(t, lambda: None, Priority.STEP, label=label)
         kernel.run()
-        return kernel.trace
+        return kernel.processed_events, kernel.now
 
     bare = run(None)
     tracer = SpanTracer()
-    mirrored = run(tracer.new_track("kernel"))
-    assert mirrored == bare  # byte-for-byte determinism contract
-    names = [e["name"] for e in tracer.events if e["ph"] == "X"]
-    assert names == ["a", "b", "c"]
+    assert run(tracer.new_track("kernel")) == bare
+    log = [
+        (e["ts"] / 1e6, e["tid"], e["args"]["seq"], e["name"])
+        for e in tracer.events
+        if e["ph"] == "X"
+    ]
+    assert log == [
+        (0.1, Priority.STEP, 1, "a"),
+        (0.2, Priority.STEP, 0, "b"),
+        (0.3, Priority.STEP, 2, "c"),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +341,11 @@ def test_latency_window_publish():
     window.observe_batch(np.array([0.1, 0.2, 0.3]))
     registry = MetricsRegistry()
     window.publish(registry, engine="X")
-    assert registry.value("serving.window.size", engine="X") == 3.0
-    assert registry.value(
-        "serving.window.p99_s", engine="X"
-    ) == pytest.approx(window.p99())
+    gauges = registry.snapshot()["gauges"]
+    assert gauges["serving.window.size{engine=X}"] == 3.0
+    assert gauges["serving.window.p99_s{engine=X}"] == pytest.approx(
+        window.p99()
+    )
 
 
 def test_taps_are_silent_without_session():
@@ -361,6 +370,6 @@ def test_pipeline_results_identical_with_and_without_telemetry():
     with telemetry.session(reuse=False) as tel:
         observed = pipeline_run(**kwargs)
         assert len(tel.tracer.events) > 0
-        assert tel.registry.value("scheduler.triggers") is not None
+        assert "scheduler.triggers" in tel.registry.snapshot()["counters"]
     assert observed.mean_step_time == baseline.mean_step_time
     assert np.array_equal(observed.step_times, baseline.step_times)

@@ -34,7 +34,7 @@ class TestTrainingRunResult:
             results=tuple(make_result(0.01 * (i + 1)) for i in range(4)),
         )
         assert run.mean_step_time == pytest.approx(0.025)
-        assert run.total_time == pytest.approx(0.1)
+        assert run.step_times.sum() == pytest.approx(0.1)
         assert run.mean_token_efficiency == 1.0
         assert run.diverted_fraction == 0.0
 
@@ -42,7 +42,10 @@ class TestTrainingRunResult:
         run = TrainingRunResult(
             system="x", results=(make_result(0.01),), moe_layers=6
         )
-        assert run.total_time == pytest.approx(0.06)
+        one = TrainingRunResult(system="x", results=(make_result(0.01),))
+        assert run.time_to_quality(100) == pytest.approx(
+            6 * one.time_to_quality(100)
+        )
 
     def test_time_to_quality_penalizes_drops(self):
         clean = TrainingRunResult(

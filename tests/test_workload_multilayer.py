@@ -11,7 +11,7 @@ from repro.workload.synthetic import (
     DriftingRoutingGenerator,
     make_multilayer_trace,
 )
-from repro.workload.trace import MultiLayerTrace, RoutingTrace
+from repro.workload.trace import MultiLayerTrace
 
 from trace_helpers import make_trace
 
@@ -20,6 +20,13 @@ def small_config(**overrides) -> WorkloadConfig:
     base = dict(tokens_per_step=10_000, num_steps=5, seed=4)
     base.update(overrides)
     return WorkloadConfig(**base)
+
+
+def steps_of(trace, layer=None) -> np.ndarray:
+    """Every step of ``trace`` stacked, or of one layer of a multi-layer
+    trace: ``(steps, experts, gpus)``."""
+    frames = [trace.step(t) for t in range(trace.num_steps)]
+    return np.stack([f if layer is None else f[layer] for f in frames])
 
 
 class TestContainer:
@@ -34,13 +41,7 @@ class TestContainer:
         step = trace.step(0)
         assert step.shape == (3, 8, 4)
         for layer in range(3):
-            assert np.array_equal(step[layer], trace.layer(layer).step(0))
-
-    def test_layer_returns_routing_trace(self):
-        trace = make_multilayer_trace(2, 8, 4, small_config())
-        layer = trace.layer(1)
-        assert isinstance(layer, RoutingTrace)
-        assert layer.num_steps == trace.num_steps
+            assert np.array_equal(step[layer], steps_of(trace, layer)[0])
 
     def test_from_layers_roundtrip(self):
         layers = [
@@ -52,14 +53,8 @@ class TestContainer:
                 for layer in layers
             ])
         )
-        assert stacked.layer(0) == layers[0]
-        assert stacked.layer(1) == layers[1]
-
-    def test_slice(self):
-        trace = make_multilayer_trace(2, 8, 4, small_config())
-        sliced = trace.slice(1, 4)
-        assert sliced.num_steps == 3
-        assert np.array_equal(sliced.step(0), trace.step(1))
+        assert np.array_equal(steps_of(stacked, 0), steps_of(layers[0]))
+        assert np.array_equal(steps_of(stacked, 1), steps_of(layers[1]))
 
     def test_tokens_per_step(self):
         trace = make_multilayer_trace(2, 8, 4, small_config())
@@ -109,8 +104,6 @@ class TestContainer:
         trace = make_multilayer_trace(2, 8, 4, small_config())
         with pytest.raises(RoutingError):
             trace.step(5)
-        with pytest.raises(RoutingError):
-            trace.layer(2)
 
     def test_save_load_roundtrip(self, tmp_path):
         trace = make_multilayer_trace(2, 8, 4, small_config())
@@ -127,7 +120,9 @@ class TestContainer:
             loaded.num_layers, loaded.num_steps, *loaded.step(0).shape[1:]
         ) == (3, trace.num_steps, 8, 4)
         for layer in range(3):
-            assert loaded.layer(layer) == trace.layer(layer)
+            assert np.array_equal(
+                steps_of(loaded, layer), steps_of(trace, layer)
+            )
         for t in range(trace.num_steps):
             frame = loaded.step(t)
             assert frame.dtype == np.int32
@@ -154,7 +149,7 @@ class TestContainer:
 
     def test_slice_then_roundtrip(self, tmp_path):
         trace = make_multilayer_trace(2, 8, 4, small_config())
-        window = trace.slice(1, 3)
+        window = MultiLayerTrace(steps_of(trace)[1:3].swapaxes(0, 1))
         path = tmp_path / "window.npz"
         window.save(path)
         loaded = MultiLayerTrace.load(path)
@@ -180,7 +175,7 @@ class TestGenerator:
             4, 16, 4, small_config(num_steps=10), skew=1.5
         )
         hottest = [
-            int(np.argmax(trace.layer(l).expert_loads().sum(axis=0)))
+            int(np.argmax(steps_of(trace, l).sum(axis=(0, 2))))
             for l in range(4)
         ]
         # Popularity rankings are permuted independently per layer; with
@@ -192,7 +187,7 @@ class TestGenerator:
         config = small_config()
         multi = make_multilayer_trace(2, 8, 4, config)
         single = make_trace(8, 4, config)
-        assert multi.layer(0) == single
+        assert np.array_equal(steps_of(multi, 0), steps_of(single))
 
     def test_every_layer_matches_its_single_layer_generator(self):
         """Layer ``l`` is the stream of a single-layer generator seeded
@@ -207,7 +202,7 @@ class TestGenerator:
             )
             for t in range(config.num_steps):
                 np.testing.assert_array_equal(
-                    multi.layer(layer).step(t), generator.next_step()
+                    multi.step(t)[layer], generator.next_step()
                 )
 
     def test_rejects_bad_layer_count(self):
